@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-kernels bench-decode bench-repair bench-metrics bench-sparse bench-disk bench-migrate check fuzz-smoke loadtest loadtest-smoke daemon-demo repair-demo migrate-demo figures examples clean
+.PHONY: all build vet test race bench benchmark bench-kernels bench-decode bench-repair bench-metrics bench-sparse bench-disk bench-migrate check fuzz-smoke loadtest loadtest-smoke daemon-demo repair-demo migrate-demo figures examples clean
 
 all: build vet test
 
@@ -23,6 +23,14 @@ race:
 # One testing.B per paper table/figure plus the extension benches.
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repository's benchmark (BENCHMARK.json, benchmark/README.md): four
+# workloads against in-process fleets, end-to-end and per-layer metrics on
+# stdout as JSON. ARGS passes flags through, e.g.
+#   make benchmark ARGS="-workload mixed-steady -seed 7 -seconds 25 -trace 0"
+#   make benchmark ARGS="-repeat 5 -out /tmp/a.json"
+benchmark:
+	bash benchmark/run.sh $(ARGS)
 
 # Kernel-layer perf baseline: GF(2^8) vector kernels (fast vs scalar
 # reference) and the encode/decode pipeline at N=64/256/1024, captured as
@@ -96,14 +104,16 @@ bench-migrate: build
 	$(GO) run ./cmd/prlcload run -scenario steady-state,grow-fleet -duration 10s \
 	    -nodes 4 -prlcd /tmp/prlcd -out BENCH_migrate.json -check
 
-# Fast correctness gate: vet everything, race-test the packages with
-# concurrent hot paths (the word-parallel kernels, the row arenas, the
+# Fast correctness gate: formatting (any file gofmt -l lists fails it),
+# vet everything, race-test the packages with concurrent hot paths (the word-parallel kernels, the row arenas, the
 # parallel encoder, the networked store, the placement ring and its
 # failure detector, the disk engine's group-commit writer, the repair
 # daemon, the ring rebalancer, the shared metrics registry they all
 # write to, and the load-and-chaos harness that exercises all of them
 # at once).
 check:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./internal/gf256 ./internal/gfmat ./internal/core ./internal/chord ./internal/gossip ./internal/store ./internal/diskstore ./internal/repair ./internal/mover ./internal/metrics ./internal/loadgen
 

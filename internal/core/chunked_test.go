@@ -182,7 +182,7 @@ func TestChunkedDecoderValidation(t *testing.T) {
 	}
 	cases := []*CodedBlock{
 		nil,
-		{Level: 0, SpCoeff: &SparseCoeff{Len: 9, Idx: []uint32{0}, Val: []byte{1}}, Payload: []byte{}},  // wrong length
+		{Level: 0, SpCoeff: &SparseCoeff{Len: 9, Idx: []uint32{0}, Val: []byte{1}}, Payload: []byte{}},   // wrong length
 		{Level: 99, SpCoeff: &SparseCoeff{Len: 16, Idx: []uint32{0}, Val: []byte{1}}, Payload: []byte{}}, // bad chunk
 		{Level: 0, SpCoeff: &SparseCoeff{Len: 16, Idx: []uint32{9}, Val: []byte{1}}, Payload: []byte{}},  // escapes span [0,8)
 	}

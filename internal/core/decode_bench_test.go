@@ -111,10 +111,18 @@ func benchmarkDenseDecodeRef(b *testing.B, scheme Scheme, n, nLevels, payloadLen
 
 const decodeBenchPayload = 64
 
-func BenchmarkDecodePLCN64(b *testing.B)     { benchmarkStructuredDecode(b, PLC, 64, 8, decodeBenchPayload) }
-func BenchmarkDecodePLCN64Ref(b *testing.B)  { benchmarkDenseDecodeRef(b, PLC, 64, 8, decodeBenchPayload) }
-func BenchmarkDecodePLCN256(b *testing.B)    { benchmarkStructuredDecode(b, PLC, 256, 16, decodeBenchPayload) }
-func BenchmarkDecodePLCN256Ref(b *testing.B) { benchmarkDenseDecodeRef(b, PLC, 256, 16, decodeBenchPayload) }
+func BenchmarkDecodePLCN64(b *testing.B) {
+	benchmarkStructuredDecode(b, PLC, 64, 8, decodeBenchPayload)
+}
+func BenchmarkDecodePLCN64Ref(b *testing.B) {
+	benchmarkDenseDecodeRef(b, PLC, 64, 8, decodeBenchPayload)
+}
+func BenchmarkDecodePLCN256(b *testing.B) {
+	benchmarkStructuredDecode(b, PLC, 256, 16, decodeBenchPayload)
+}
+func BenchmarkDecodePLCN256Ref(b *testing.B) {
+	benchmarkDenseDecodeRef(b, PLC, 256, 16, decodeBenchPayload)
+}
 func BenchmarkDecodePLCN1024(b *testing.B) {
 	benchmarkStructuredDecode(b, PLC, 1024, 50, decodeBenchPayload)
 }
@@ -122,10 +130,18 @@ func BenchmarkDecodePLCN1024Ref(b *testing.B) {
 	benchmarkDenseDecodeRef(b, PLC, 1024, 50, decodeBenchPayload)
 }
 
-func BenchmarkDecodeSLCN64(b *testing.B)     { benchmarkStructuredDecode(b, SLC, 64, 8, decodeBenchPayload) }
-func BenchmarkDecodeSLCN64Ref(b *testing.B)  { benchmarkDenseDecodeRef(b, SLC, 64, 8, decodeBenchPayload) }
-func BenchmarkDecodeSLCN256(b *testing.B)    { benchmarkStructuredDecode(b, SLC, 256, 16, decodeBenchPayload) }
-func BenchmarkDecodeSLCN256Ref(b *testing.B) { benchmarkDenseDecodeRef(b, SLC, 256, 16, decodeBenchPayload) }
+func BenchmarkDecodeSLCN64(b *testing.B) {
+	benchmarkStructuredDecode(b, SLC, 64, 8, decodeBenchPayload)
+}
+func BenchmarkDecodeSLCN64Ref(b *testing.B) {
+	benchmarkDenseDecodeRef(b, SLC, 64, 8, decodeBenchPayload)
+}
+func BenchmarkDecodeSLCN256(b *testing.B) {
+	benchmarkStructuredDecode(b, SLC, 256, 16, decodeBenchPayload)
+}
+func BenchmarkDecodeSLCN256Ref(b *testing.B) {
+	benchmarkDenseDecodeRef(b, SLC, 256, 16, decodeBenchPayload)
+}
 func BenchmarkDecodeSLCN1024(b *testing.B) {
 	benchmarkStructuredDecode(b, SLC, 1024, 50, decodeBenchPayload)
 }

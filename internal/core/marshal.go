@@ -187,6 +187,32 @@ func (b *CodedBlock) MarshalBinary() ([]byte, error) {
 // (including a keyed frame carrying a reserved object) — are rejected
 // with ErrWireFormat before any structure-sized allocation happens.
 func (b *CodedBlock) UnmarshalBinary(data []byte) error {
+	return b.unmarshal(data, false)
+}
+
+// UnmarshalBinaryAlias is UnmarshalBinary without the copies: Coeff,
+// Payload and a pairs-mode SpCoeff.Val are sub-slices of data (capacity
+// clipped, so appending to one never writes into its neighbour), and
+// only what the wire does not hold verbatim — the sparse index list, a
+// span-mode value list — is allocated. It accepts and rejects exactly
+// the frames UnmarshalBinary does. The block is valid only while data is
+// left unmodified, and it keeps all of data reachable: a caller whose
+// buffer is reused, or who holds one block of a large buffer for long,
+// must Clone it.
+func (b *CodedBlock) UnmarshalBinaryAlias(data []byte) error {
+	return b.unmarshal(data, true)
+}
+
+// section returns p for an aliasing unmarshal (capacity clipped to its
+// length) and a private copy otherwise.
+func section(p []byte, alias bool) []byte {
+	if alias {
+		return p[:len(p):len(p)]
+	}
+	return append([]byte(nil), p...)
+}
+
+func (b *CodedBlock) unmarshal(data []byte, alias bool) error {
 	if len(data) < wireHeader {
 		return fmt.Errorf("%w: truncated at %d bytes", ErrWireFormat, len(data))
 	}
@@ -230,9 +256,9 @@ func (b *CodedBlock) UnmarshalBinary(data []byte) error {
 		}
 		b.Object = obj
 		b.Level = level
-		b.Coeff = append([]byte(nil), data[hdr:hdr+nCoeff]...)
+		b.Coeff = section(data[hdr:hdr+nCoeff], alias)
 		b.SpCoeff = nil
-		b.Payload = append([]byte(nil), data[hdr+nCoeff:]...)
+		b.Payload = section(data[hdr+nCoeff:], alias)
 		return nil
 	default: // wireVersionSpars, wireVersionSpKey
 		if nCoeff > maxSparseCoeffLen {
@@ -245,7 +271,7 @@ func (b *CodedBlock) UnmarshalBinary(data []byte) error {
 		}
 		mode := body[0]
 		sect := body[1 : len(body)-nPay]
-		s, err := unmarshalSparseCoeff(mode, sect, nCoeff)
+		s, err := unmarshalSparseCoeff(mode, sect, nCoeff, alias)
 		if err != nil {
 			return err
 		}
@@ -253,14 +279,15 @@ func (b *CodedBlock) UnmarshalBinary(data []byte) error {
 		b.Level = level
 		b.Coeff = nil
 		b.SpCoeff = s
-		b.Payload = append([]byte(nil), body[len(body)-nPay:]...)
+		b.Payload = section(body[len(body)-nPay:], alias)
 		return nil
 	}
 }
 
 // unmarshalSparseCoeff parses and validates one v3 coefficient section.
-// sect is exactly the section body (mode byte and payload stripped).
-func unmarshalSparseCoeff(mode byte, sect []byte, nCoeff int) (*SparseCoeff, error) {
+// sect is exactly the section body (mode byte and payload stripped);
+// with alias set, a pairs-mode value list stays a sub-slice of it.
+func unmarshalSparseCoeff(mode byte, sect []byte, nCoeff int, alias bool) (*SparseCoeff, error) {
 	switch mode {
 	case wireModePairs:
 		if len(sect) < 4 {
@@ -275,7 +302,7 @@ func unmarshalSparseCoeff(mode byte, sect []byte, nCoeff int) (*SparseCoeff, err
 		s := &SparseCoeff{Len: nCoeff}
 		if nnz > 0 {
 			s.Idx = make([]uint32, nnz)
-			s.Val = append([]byte(nil), sect[4+4*nnz:]...)
+			s.Val = section(sect[4+4*nnz:], alias)
 			prev := -1
 			for i := range s.Idx {
 				j := binary.BigEndian.Uint32(sect[4+4*i:])

@@ -221,7 +221,10 @@ func TestUnmarshalDenseBitIdentical(t *testing.T) {
 }
 
 // FuzzUnmarshalBinary hardens the wire parser: arbitrary input must never
-// panic, and accepted input must re-marshal identically.
+// panic, and accepted input must re-marshal identically. The aliasing
+// entry point must accept exactly the same frames, re-marshal to the same
+// bytes (the seeds cover v1–v4), leave its input untouched, and hand out
+// sections that cannot grow into one another.
 func FuzzUnmarshalBinary(f *testing.F) {
 	seed := &CodedBlock{Level: 3, Coeff: []byte{1, 0, 2}, Payload: []byte{9, 9}}
 	data, err := seed.MarshalBinary()
@@ -247,16 +250,31 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		f.Add(sdata)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		var b CodedBlock
-		if err := b.UnmarshalBinary(in); err != nil {
+		orig := append([]byte(nil), in...)
+		var b, a CodedBlock
+		err := b.UnmarshalBinary(in)
+		if aerr := a.UnmarshalBinaryAlias(in); (err == nil) != (aerr == nil) {
+			t.Fatalf("copying unmarshal: %v, aliasing unmarshal: %v", err, aerr)
+		}
+		if err != nil {
 			return
 		}
-		out, err := b.MarshalBinary()
-		if err != nil {
-			t.Fatalf("accepted block failed to re-marshal: %v", err)
+		for name, blk := range map[string]*CodedBlock{"copy": &b, "alias": &a} {
+			out, err := blk.MarshalBinary()
+			if err != nil {
+				t.Fatalf("%s: accepted block failed to re-marshal: %v", name, err)
+			}
+			if !bytes.Equal(out, orig) {
+				t.Fatalf("%s: re-marshal differs:\n in=%x\nout=%x", name, orig, out)
+			}
 		}
-		if !bytes.Equal(out, in) {
-			t.Fatalf("re-marshal differs:\n in=%x\nout=%x", in, out)
+		a.Coeff = append(a.Coeff, 0xEE)
+		a.Payload = append(a.Payload, 0xEE)
+		if a.SpCoeff != nil {
+			a.SpCoeff.Val = append(a.SpCoeff.Val, 0xEE)
+		}
+		if !bytes.Equal(in, orig) {
+			t.Fatalf("aliasing unmarshal let an append write into its input:\n in=%x\nnow=%x", orig, in)
 		}
 	})
 }

@@ -185,12 +185,16 @@ func benchmarkChunkedDecodeRef(b *testing.B, n, size, overlap int) {
 func sparseOpts(n int) []EncoderOption { return []EncoderOption{WithSparsity(LogSparsity(n))} }
 func bandOpts() []EncoderOption        { return []EncoderOption{WithBand(DefaultBandWidth)} }
 
-func BenchmarkDecodeSparseN512(b *testing.B)     { benchmarkSparseDecode(b, 512, sparseOpts(512)...) }
-func BenchmarkDecodeSparseN512Ref(b *testing.B)  { benchmarkSparseDecodeRef(b, 512, sparseOpts(512)...) }
-func BenchmarkDecodeSparseN1024(b *testing.B)    { benchmarkSparseDecode(b, 1024, sparseOpts(1024)...) }
-func BenchmarkDecodeSparseN1024Ref(b *testing.B) { benchmarkSparseDecodeRef(b, 1024, sparseOpts(1024)...) }
-func BenchmarkDecodeSparseN2048(b *testing.B)    { benchmarkSparseDecode(b, 2048, sparseOpts(2048)...) }
-func BenchmarkDecodeSparseN2048Ref(b *testing.B) { benchmarkSparseDecodeRef(b, 2048, sparseOpts(2048)...) }
+func BenchmarkDecodeSparseN512(b *testing.B)    { benchmarkSparseDecode(b, 512, sparseOpts(512)...) }
+func BenchmarkDecodeSparseN512Ref(b *testing.B) { benchmarkSparseDecodeRef(b, 512, sparseOpts(512)...) }
+func BenchmarkDecodeSparseN1024(b *testing.B)   { benchmarkSparseDecode(b, 1024, sparseOpts(1024)...) }
+func BenchmarkDecodeSparseN1024Ref(b *testing.B) {
+	benchmarkSparseDecodeRef(b, 1024, sparseOpts(1024)...)
+}
+func BenchmarkDecodeSparseN2048(b *testing.B) { benchmarkSparseDecode(b, 2048, sparseOpts(2048)...) }
+func BenchmarkDecodeSparseN2048Ref(b *testing.B) {
+	benchmarkSparseDecodeRef(b, 2048, sparseOpts(2048)...)
+}
 
 func BenchmarkDecodeBandN512(b *testing.B)     { benchmarkSparseDecode(b, 512, bandOpts()...) }
 func BenchmarkDecodeBandN512Ref(b *testing.B)  { benchmarkSparseDecodeRef(b, 512, bandOpts()...) }
@@ -199,7 +203,7 @@ func BenchmarkDecodeBandN1024Ref(b *testing.B) { benchmarkSparseDecodeRef(b, 102
 func BenchmarkDecodeBandN2048(b *testing.B)    { benchmarkSparseDecode(b, 2048, bandOpts()...) }
 func BenchmarkDecodeBandN2048Ref(b *testing.B) { benchmarkSparseDecodeRef(b, 2048, bandOpts()...) }
 
-func BenchmarkDecodeChunkedN512(b *testing.B)  { benchmarkChunkedDecode(b, 512, 128, 16) }
+func BenchmarkDecodeChunkedN512(b *testing.B) { benchmarkChunkedDecode(b, 512, 128, 16) }
 func BenchmarkDecodeChunkedN512Ref(b *testing.B) {
 	benchmarkChunkedDecodeRef(b, 512, 128, 16)
 }

@@ -2,6 +2,7 @@ package diskstore
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"repro/internal/core"
 	"runtime"
@@ -112,4 +113,39 @@ func BenchmarkDiskPutBeyondRAM(b *testing.B) {
 	b.ReportMetric(float64(s.Len())/ramCapBlocks, "capacity-x")
 	b.ReportMetric(heapMB, "heap-MB")
 	b.ReportMetric(storedMB, "stored-MB")
+}
+
+// BenchmarkGetOneObjectAmongMany pins what byObj buys: a read of one
+// 16-block object costs the same with 10, 100 or 1,000 other objects in
+// the log (ns/op and B/op flat across the sub-benchmarks; the segment
+// scan it replaced grew with the store, in time and in the lookup slice
+// it sized from every block held). The 16 blocks stay in the read cache,
+// so the index, not the disk, is what is timed.
+func BenchmarkGetOneObjectAmongMany(b *testing.B) {
+	for _, others := range []int{10, 100, 1000} {
+		b.Run(fmt.Sprintf("others=%d", others), func(b *testing.B) {
+			s, err := Open(b.TempDir(), Options{Fsync: FsyncNone, Logf: quiet})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			rng := rand.New(rand.NewSource(1))
+			for obj := core.ObjectID(1); obj <= core.ObjectID(others+1); obj++ {
+				for i := 0; i < 16; i++ {
+					if _, err := s.Put(obj, i%4, fakeWire(rng, i%4, 256)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			target := core.ObjectID(others/2 + 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				got, err := s.Get(target, -1)
+				if err != nil || len(got) != 16 {
+					b.Fatalf("get: %d blocks, %v", len(got), err)
+				}
+			}
+		})
+	}
 }

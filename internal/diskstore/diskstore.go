@@ -155,6 +155,7 @@ type Store struct {
 	mu         sync.Mutex
 	segs       []*segment // ordered by id; segs[len-1] is the active one
 	byHash     map[uint64][]blockRef
+	byObj      map[core.ObjectID][]blockRef // live records per object, log order
 	pending    map[uint64][]*writeReq
 	tallies    map[objLevel]levelTally
 	blocks     int
@@ -211,6 +212,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		opts:    opts,
 		met:     newDiskMetrics(opts.Metrics),
 		byHash:  make(map[uint64][]blockRef),
+		byObj:   make(map[core.ObjectID][]blockRef),
 		pending: make(map[uint64][]*writeReq),
 		tallies: make(map[objLevel]levelTally),
 		cache:   newBlockCache(opts.CacheBytes),
@@ -339,24 +341,42 @@ func (s *Store) dupLocked(hash uint64, wire []byte) (bool, error) {
 	return false, nil
 }
 
-// Get returns the wire bytes of every block of obj (core.AllObjects =
-// every object) with level <= maxLevel (maxLevel < 0 = all), reading
-// through the block cache.
+// Get returns the wire bytes of every block of obj with level <=
+// maxLevel (maxLevel < 0 = all) in log order, reading through the block
+// cache. core.AllObjects walks every object in ascending ID. The records
+// to read come from the per-object index (byObj), so a single-object
+// read costs that object's records, not the store's.
 func (s *Store) Get(obj core.ObjectID, maxLevel int) ([][]byte, error) {
-	s.mu.Lock()
 	type lookup struct {
 		seg *segment
 		rec rec
 	}
-	want := make([]lookup, 0, s.blocks)
-	for _, seg := range s.segs {
-		for _, r := range seg.recs {
-			if r.dead || (obj != core.AllObjects && r.obj != obj) {
-				continue
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("%w: engine closed", store.ErrStoreUnavailable)
+	}
+	var want []lookup
+	pick := func(refs []blockRef) {
+		for _, ref := range refs {
+			if r := ref.seg.recs[ref.idx]; maxLevel < 0 || int(r.level) <= maxLevel {
+				want = append(want, lookup{ref.seg, r})
 			}
-			if maxLevel < 0 || int(r.level) <= maxLevel {
-				want = append(want, lookup{seg, r})
-			}
+		}
+	}
+	if obj != core.AllObjects {
+		refs := s.byObj[obj]
+		want = make([]lookup, 0, len(refs))
+		pick(refs)
+	} else {
+		ids := make([]core.ObjectID, 0, len(s.byObj))
+		for id := range s.byObj {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		want = make([]lookup, 0, s.blocks)
+		for _, id := range ids {
+			pick(s.byObj[id])
 		}
 	}
 	s.mu.Unlock()
@@ -369,6 +389,17 @@ func (s *Store) Get(obj core.ObjectID, maxLevel int) ([][]byte, error) {
 			continue
 		}
 		out = append(out, data)
+	}
+	if len(out) < len(want) {
+		// A failed read also happens when Close takes the read handles away
+		// mid-Get; then what was skipped is still stored, and a short list
+		// would be a wrong answer, not a smaller inventory.
+		s.mu.Lock()
+		closed := s.closed
+		s.mu.Unlock()
+		if closed {
+			return nil, fmt.Errorf("%w: engine closed", store.ErrStoreUnavailable)
+		}
 	}
 	return out, nil
 }

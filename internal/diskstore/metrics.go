@@ -43,18 +43,18 @@ type diskMetrics struct {
 
 func newDiskMetrics(r *metrics.Registry) diskMetrics {
 	return diskMetrics{
-		putsDeduped:     r.Counter("diskstore_puts_deduped_total"),
-		putWaitNs:       r.Histogram("diskstore_put_wait_ns"),
-		flushes:         r.Counter("diskstore_flushes_total"),
-		batchBlocks:     r.Histogram("diskstore_batch_blocks"),
-		batchBytes:      r.Histogram("diskstore_batch_bytes"),
-		fsyncs:          r.Counter("diskstore_fsyncs_total"),
-		fsyncNs:         r.Histogram("diskstore_fsync_ns"),
-		writeBytes:      r.Counter("diskstore_write_bytes_total"),
-		writeErrors:     r.Counter("diskstore_write_errors_total"),
-		blocks:          r.Gauge("diskstore_blocks"),
-		blockBytes:      r.Gauge("diskstore_block_bytes"),
-		segments:        r.Gauge("diskstore_segments"),
+		putsDeduped:       r.Counter("diskstore_puts_deduped_total"),
+		putWaitNs:         r.Histogram("diskstore_put_wait_ns"),
+		flushes:           r.Counter("diskstore_flushes_total"),
+		batchBlocks:       r.Histogram("diskstore_batch_blocks"),
+		batchBytes:        r.Histogram("diskstore_batch_bytes"),
+		fsyncs:            r.Counter("diskstore_fsyncs_total"),
+		fsyncNs:           r.Histogram("diskstore_fsync_ns"),
+		writeBytes:        r.Counter("diskstore_write_bytes_total"),
+		writeErrors:       r.Counter("diskstore_write_errors_total"),
+		blocks:            r.Gauge("diskstore_blocks"),
+		blockBytes:        r.Gauge("diskstore_block_bytes"),
+		segments:          r.Gauge("diskstore_segments"),
 		segmentsCreated:   r.Counter("diskstore_segments_created_total"),
 		segmentsDeleted:   r.Counter("diskstore_segments_deleted_total"),
 		segmentsCompacted: r.Counter("diskstore_segments_compacted_total"),
@@ -62,14 +62,14 @@ func newDiskMetrics(r *metrics.Registry) diskMetrics {
 		bytesExpired:      r.Counter("diskstore_bytes_expired_total"),
 		deletes:           r.Counter("diskstore_deletes_total"),
 		blocksDeleted:     r.Counter("diskstore_blocks_deleted_total"),
-		tornTails:       r.Counter("diskstore_torn_tails_truncated_total"),
-		tornBytes:       r.Counter("diskstore_torn_bytes_truncated_total"),
-		recoveredBlocks: r.Counter("diskstore_recovered_blocks_total"),
-		recoveryNs:      r.Gauge("diskstore_recovery_ns"),
-		cacheHits:       r.Counter("diskstore_cache_hits_total"),
-		cacheMisses:     r.Counter("diskstore_cache_misses_total"),
-		cacheEvictions:  r.Counter("diskstore_cache_evictions_total"),
-		cacheBytes:      r.Gauge("diskstore_cache_bytes"),
+		tornTails:         r.Counter("diskstore_torn_tails_truncated_total"),
+		tornBytes:         r.Counter("diskstore_torn_bytes_truncated_total"),
+		recoveredBlocks:   r.Counter("diskstore_recovered_blocks_total"),
+		recoveryNs:        r.Gauge("diskstore_recovery_ns"),
+		cacheHits:         r.Counter("diskstore_cache_hits_total"),
+		cacheMisses:       r.Counter("diskstore_cache_misses_total"),
+		cacheEvictions:    r.Counter("diskstore_cache_evictions_total"),
+		cacheBytes:        r.Gauge("diskstore_cache_bytes"),
 	}
 }
 

@@ -2,6 +2,8 @@ package diskstore
 
 import (
 	"time"
+
+	"repro/internal/core"
 )
 
 // Retention: sealed segments older than Options.Retention are deleted
@@ -48,13 +50,20 @@ func (s *Store) enforceRetention(now time.Time) {
 		active := s.segs[n-1]
 		rotateActive = active.size > segHeaderLen && active.createdAt.Before(cutoff)
 	}
+	gone := make(map[*segment]bool, len(expired))
+	touched := make(map[core.ObjectID]struct{})
 	for _, seg := range expired {
+		gone[seg] = true
 		for _, r := range seg.recs {
 			if r.dead {
 				continue // a delete already dropped it from the index
 			}
 			s.dropRefLocked(seg, r)
+			touched[r.obj] = struct{}{}
 		}
+	}
+	for obj := range touched {
+		s.pruneObjLocked(obj, gone)
 	}
 	if len(expired) > 0 {
 		s.met.setInventory(s.blocks, s.bytes, len(s.segs))
@@ -86,7 +95,29 @@ func (s *Store) enforceRetention(now time.Time) {
 	}
 }
 
-// dropRefLocked removes one expired record from the inventory index.
+// pruneObjLocked drops an object's byObj refs into expired segments, in
+// one pass per object however many of its records expired.
+func (s *Store) pruneObjLocked(obj core.ObjectID, gone map[*segment]bool) {
+	refs := s.byObj[obj]
+	kept := refs[:0]
+	for _, ref := range refs {
+		if !gone[ref.seg] {
+			kept = append(kept, ref)
+		}
+	}
+	if len(kept) == 0 {
+		delete(s.byObj, obj)
+		return
+	}
+	for i := len(kept); i < len(refs); i++ {
+		refs[i] = blockRef{} // let the expired segments go
+	}
+	s.byObj[obj] = kept
+}
+
+// dropRefLocked removes one expired or deleted record from byHash, the
+// tallies and the totals. byObj is the caller's to update, because both
+// callers can do it once per object instead of once per record.
 func (s *Store) dropRefLocked(seg *segment, r rec) {
 	refs := s.byHash[r.hash]
 	for i := 0; i < len(refs); {

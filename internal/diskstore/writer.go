@@ -144,7 +144,9 @@ func (s *Store) flush(batch []*writeReq, bytes int) {
 			hash:  r.hash,
 		})
 		seg.live++
-		s.byHash[r.hash] = append(s.byHash[r.hash], blockRef{seg: seg, idx: len(seg.recs) - 1})
+		ref := blockRef{seg: seg, idx: len(seg.recs) - 1}
+		s.byHash[r.hash] = append(s.byHash[r.hash], ref)
+		s.byObj[r.obj] = append(s.byObj[r.obj], ref)
 		s.removePendingLocked(r)
 		k := objLevel{r.obj, r.level}
 		tally := s.tallies[k]
@@ -229,18 +231,12 @@ func (s *Store) handleCtrl(r *writeReq) {
 
 // applyDelete commits one object deletion: a tombstone record is
 // appended and made as durable as a put (fsync per mode), then every
-// live record of the object — in any segment — is marked dead and
-// dropped from the index. Runs on the writer goroutine only.
+// live record of the object — found through byObj, in any segment — is
+// marked dead and dropped from the index, and the object's byObj key
+// goes once. Runs on the writer goroutine only.
 func (s *Store) applyDelete(obj core.ObjectID) (int, error) {
 	s.mu.Lock()
-	live := 0
-	for _, seg := range s.segs {
-		for _, r := range seg.recs {
-			if !r.dead && r.obj == obj {
-				live++
-			}
-		}
-	}
+	live := len(s.byObj[obj])
 	s.mu.Unlock()
 	if live == 0 {
 		return 0, nil // nothing to revoke: no tombstone, stays idempotent
@@ -272,19 +268,15 @@ func (s *Store) applyDelete(obj core.ObjectID) (int, error) {
 	s.mu.Lock()
 	seg.size = base + recHeaderLen + int64(len(wire))
 	seg.tombs = append(seg.tombs, obj)
-	removed := 0
-	for _, g := range s.segs {
-		for i := range g.recs {
-			r := &g.recs[i]
-			if r.dead || r.obj != obj {
-				continue
-			}
-			r.dead = true
-			g.live--
-			s.dropRefLocked(g, *r)
-			removed++
-		}
+	refs := s.byObj[obj]
+	for _, ref := range refs {
+		r := &ref.seg.recs[ref.idx]
+		r.dead = true
+		ref.seg.live--
+		s.dropRefLocked(ref.seg, *r)
 	}
+	delete(s.byObj, obj)
+	removed := len(refs)
 	s.met.setInventory(s.blocks, s.bytes, len(s.segs))
 	s.mu.Unlock()
 	s.met.deletes.Inc()
@@ -469,7 +461,9 @@ func (s *Store) recover() error {
 				continue
 			}
 			seg.live++
-			s.byHash[r.hash] = append(s.byHash[r.hash], blockRef{seg: seg, idx: idx})
+			ref := blockRef{seg: seg, idx: idx}
+			s.byHash[r.hash] = append(s.byHash[r.hash], ref)
+			s.byObj[r.obj] = append(s.byObj[r.obj], ref)
 			k := objLevel{r.obj, int(r.level)}
 			tally := s.tallies[k]
 			tally.count++

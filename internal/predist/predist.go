@@ -101,12 +101,12 @@ type Stats struct {
 // Deployment is the network-wide state of one pre-distribution run.
 type Deployment struct {
 	cfg       Config
-	locations []geom.Point // chosen point per location slot
-	altPoints []geom.Point // second candidate per slot (TwoChoices)
-	partOf    []int         // level part of each location slot
-	owner     []int         // resolved owner node per slot; -1 before resolution
+	locations []geom.Point   // chosen point per location slot
+	altPoints []geom.Point   // second candidate per slot (TwoChoices)
+	partOf    []int          // level part of each location slot
+	owner     []int          // resolved owner node per slot; -1 before resolution
 	coeff     []map[int]byte // accumulated coding coefficients per slot, sparse
-	payload   [][]byte      // accumulated coded payload per slot
+	payload   [][]byte       // accumulated coded payload per slot
 	stats     Stats
 	resolved  bool
 }

@@ -28,8 +28,13 @@ type BlockStore interface {
 
 	// Get returns the wire bytes of every stored block of obj with
 	// level <= maxLevel; maxLevel < 0 returns every level, and
-	// obj == core.AllObjects selects every object. The returned slices
-	// are read-only and must not be modified by the caller.
+	// obj == core.AllObjects selects every object. One object's blocks
+	// come back in put order, answered from a per-object index: the cost
+	// is that object's blocks, not the node's. An object the engine does
+	// not hold is an empty result, but a closed engine must answer
+	// ErrStoreUnavailable — "empty" would tell a collector this owner
+	// holds nothing. The returned slices are read-only and must not be
+	// modified by the caller.
 	Get(obj core.ObjectID, maxLevel int) ([][]byte, error)
 
 	// Delete removes every stored block of obj, returning how many were
@@ -61,16 +66,28 @@ type objLevel struct {
 	level int
 }
 
+// storedBlock is one block held by MemStore.
+type storedBlock struct {
+	level int
+	data  []byte // core wire format, exactly as received
+}
+
 // MemStore is the RAM-only engine: the seed behavior of the store
 // daemon, factored behind BlockStore. A restart loses everything; use
 // diskstore.Store when blocks must outlive the process.
+//
+// Blocks live in one slice per object, in put order — the slice is both
+// the storage and the read index, so a single-object Get touches that
+// object's blocks only, however many other objects the node holds, and
+// Delete drops one key.
 type MemStore struct {
 	maxBlocks int
 
 	mu      sync.Mutex
-	blocks  []storedBlock
+	objects map[core.ObjectID][]storedBlock
 	seen    map[string]struct{}
 	tallies map[objLevel]levelTally
+	blocks  int
 	bytes   int64
 	closed  bool
 }
@@ -80,6 +97,7 @@ type MemStore struct {
 func NewMemStore(maxBlocks int) *MemStore {
 	return &MemStore{
 		maxBlocks: maxBlocks,
+		objects:   make(map[core.ObjectID][]storedBlock),
 		seen:      make(map[string]struct{}),
 		tallies:   make(map[objLevel]levelTally),
 	}
@@ -95,48 +113,62 @@ func (m *MemStore) Put(obj core.ObjectID, level int, wire []byte) (bool, error) 
 	if _, dup := m.seen[string(wire)]; dup {
 		return false, nil
 	}
-	if m.maxBlocks > 0 && len(m.blocks) >= m.maxBlocks {
-		return false, fmt.Errorf("%w: %d blocks stored, cap %d", ErrStoreFull, len(m.blocks), m.maxBlocks)
+	if m.maxBlocks > 0 && m.blocks >= m.maxBlocks {
+		return false, fmt.Errorf("%w: %d blocks stored, cap %d", ErrStoreFull, m.blocks, m.maxBlocks)
 	}
 	key := string(wire) // one copy serves both the dedup key and the data
 	m.seen[key] = struct{}{}
-	m.blocks = append(m.blocks, storedBlock{obj: obj, level: level, data: []byte(key)})
+	m.objects[obj] = append(m.objects[obj], storedBlock{level: level, data: []byte(key)})
 	k := objLevel{obj, level}
 	tally := m.tallies[k]
 	tally.count++
 	tally.bytes += int64(len(wire))
 	m.tallies[k] = tally
+	m.blocks++
 	m.bytes += int64(len(wire))
 	return true, nil
 }
 
-// Get returns stored blocks of obj (core.AllObjects = every object)
-// with level <= maxLevel (maxLevel < 0 = all).
+// Get returns stored blocks of obj with level <= maxLevel (maxLevel < 0
+// = all) in put order. core.AllObjects walks every object in ascending
+// ID, each in its own put order.
 func (m *MemStore) Get(obj core.ObjectID, maxLevel int) ([][]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// Size the result from the object's own tallies, not the whole store:
-	// a node holding thousands of objects must not allocate a store-wide
-	// header slice for every single-object read.
+	if m.closed {
+		return nil, fmt.Errorf("%w: engine closed", ErrStoreUnavailable)
+	}
+	if obj != core.AllObjects {
+		blocks := m.objects[obj]
+		return appendUpTo(make([][]byte, 0, len(blocks)), blocks, maxLevel), nil
+	}
+	ids := make([]core.ObjectID, 0, len(m.objects))
+	for id := range m.objects {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	want := 0
 	for k, tally := range m.tallies {
-		if obj != core.AllObjects && k.obj != obj {
-			continue
-		}
 		if maxLevel < 0 || k.level <= maxLevel {
 			want += tally.count
 		}
 	}
 	out := make([][]byte, 0, want)
-	for _, sb := range m.blocks {
-		if obj != core.AllObjects && sb.obj != obj {
-			continue
-		}
+	for _, id := range ids {
+		out = appendUpTo(out, m.objects[id], maxLevel)
+	}
+	return out, nil
+}
+
+// appendUpTo appends the wire bytes of blocks with level <= maxLevel
+// (maxLevel < 0 = all) to out.
+func appendUpTo(out [][]byte, blocks []storedBlock, maxLevel int) [][]byte {
+	for _, sb := range blocks {
 		if maxLevel < 0 || sb.level <= maxLevel {
 			out = append(out, sb.data)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Delete removes every stored block of obj along with its dedup keys
@@ -150,41 +182,29 @@ func (m *MemStore) Delete(obj core.ObjectID) (int, error) {
 	if m.closed {
 		return 0, fmt.Errorf("%w: engine closed", ErrStoreUnavailable)
 	}
-	kept := m.blocks[:0]
-	removed := 0
-	for _, sb := range m.blocks {
-		if sb.obj != obj {
-			kept = append(kept, sb)
-			continue
-		}
-		removed++
+	blocks := m.objects[obj]
+	for _, sb := range blocks {
 		m.bytes -= int64(len(sb.data))
 		delete(m.seen, string(sb.data))
+		delete(m.tallies, objLevel{obj, sb.level})
 	}
-	for i := len(kept); i < len(m.blocks); i++ {
-		m.blocks[i] = storedBlock{} // release the dropped tails
-	}
-	m.blocks = kept
-	for k := range m.tallies {
-		if k.obj == obj {
-			delete(m.tallies, k)
-		}
-	}
-	return removed, nil
+	m.blocks -= len(blocks)
+	delete(m.objects, obj)
+	return len(blocks), nil
 }
 
 // Stats returns an inventory snapshot.
 func (m *MemStore) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return statsFromTallies(len(m.blocks), m.tallies)
+	return statsFromTallies(m.blocks, m.tallies)
 }
 
 // Len returns the number of stored blocks.
 func (m *MemStore) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.blocks)
+	return m.blocks
 }
 
 // Bytes returns the total stored wire bytes.
@@ -199,7 +219,7 @@ func (m *MemStore) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.closed = true
-	m.blocks, m.seen, m.tallies, m.bytes = nil, nil, nil, 0
+	m.objects, m.seen, m.tallies, m.blocks, m.bytes = nil, nil, nil, 0, 0
 	return nil
 }
 

@@ -190,7 +190,25 @@ func (c *Client) Get(ctx context.Context, maxLevel int) ([]*core.CodedBlock, err
 // GetObject is Get restricted to one object's blocks. core.AllObjects
 // selects every object; any other object sends the keyed 10-byte get
 // body, which pre-namespace daemons reject with ErrBadRequest.
+//
+// The returned blocks alias the response they arrived in (see
+// decodeBlockList): decoders copy what they keep, but a caller that holds
+// on to one block for long pins the whole response and should Clone it.
 func (c *Client) GetObject(ctx context.Context, obj core.ObjectID, maxLevel int) ([]*core.CodedBlock, error) {
+	list, err := c.getList(ctx, obj, maxLevel)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*core.CodedBlock, len(list))
+	for i := range list {
+		out[i] = &list[i].CodedBlock
+	}
+	return out, nil
+}
+
+// getList is GetObject keeping each block's wire bytes, which is what
+// Replicated collects.
+func (c *Client) getList(ctx context.Context, obj core.ObjectID, maxLevel int) ([]wireBlock, error) {
 	if maxLevel >= 0xFFFF {
 		return nil, fmt.Errorf("%w: max level %d exceeds the wire limit %d", ErrBadRequest, maxLevel, 0xFFFE)
 	}
@@ -200,7 +218,7 @@ func (c *Client) GetObject(ctx context.Context, obj core.ObjectID, maxLevel int)
 	return c.hedgedGet(ctx, obj, maxLevel)
 }
 
-func (c *Client) get(ctx context.Context, obj core.ObjectID, maxLevel int) ([]*core.CodedBlock, error) {
+func (c *Client) get(ctx context.Context, obj core.ObjectID, maxLevel int) ([]wireBlock, error) {
 	resp, err := c.do(ctx, "get", frameGet, encodeGetBody(obj, maxLevel), frameBlocks)
 	if err != nil {
 		return nil, err
@@ -212,7 +230,7 @@ func (c *Client) get(ctx context.Context, obj core.ObjectID, maxLevel int) ([]*c
 // hedged path races two of these and records a single op outcome for the
 // user-visible Get; routing racers through c.get would double-count ops
 // and surface every cancelled loser as a phantom client error.
-func (c *Client) getRaw(ctx context.Context, obj core.ObjectID, maxLevel int) ([]*core.CodedBlock, error) {
+func (c *Client) getRaw(ctx context.Context, obj core.ObjectID, maxLevel int) ([]wireBlock, error) {
 	resp, err := c.doAttempts(ctx, "get", frameGet, encodeGetBody(obj, maxLevel), frameBlocks)
 	if err != nil {
 		return nil, err
@@ -224,7 +242,7 @@ func (c *Client) getRaw(ctx context.Context, obj core.ObjectID, maxLevel int) ([
 // exactly one op outcome (ok/err + latency) no matter how many racers
 // ran: callers see one Get, the metrics see one Get. Per-attempt series
 // (attempts, retries, dials) still count each racer's real work.
-func (c *Client) hedgedGet(ctx context.Context, obj core.ObjectID, maxLevel int) ([]*core.CodedBlock, error) {
+func (c *Client) hedgedGet(ctx context.Context, obj core.ObjectID, maxLevel int) ([]wireBlock, error) {
 	t0 := time.Now()
 	blocks, err := c.raceHedged(ctx, obj, maxLevel)
 	c.met.opNs.ObserveSince(t0)
@@ -232,9 +250,9 @@ func (c *Client) hedgedGet(ctx context.Context, obj core.ObjectID, maxLevel int)
 	return blocks, err
 }
 
-func (c *Client) raceHedged(ctx context.Context, obj core.ObjectID, maxLevel int) ([]*core.CodedBlock, error) {
+func (c *Client) raceHedged(ctx context.Context, obj core.ObjectID, maxLevel int) ([]wireBlock, error) {
 	type result struct {
-		blocks []*core.CodedBlock
+		blocks []wireBlock
 		err    error
 		hedge  bool
 	}
@@ -406,13 +424,50 @@ func (c *Client) doAttempts(ctx context.Context, op string, reqType byte, body [
 		op, c.cfg.Addr, c.cfg.Retry.MaxAttempts, ErrStoreUnavailable, lastErr)
 }
 
-// attempt performs one request/response exchange on one connection.
+// attempt performs one request/response exchange, on a pooled connection
+// when one is idle. A pooled connection may have died with its server
+// while it sat in the pool, and the only way to find out is to use it: an
+// exchange on a reused connection that ends before the first response
+// byte, for any reason but a timeout or the caller giving up, is that
+// discovery, not a failure of the server as it is now. The rest of the
+// pool died with it, so the attempt drops it, dials once and redoes the
+// exchange — no retry consumed, no backoff slept (the net/http idle-conn
+// rule). Every op is idempotent, so a request that did reach the old
+// server is harmless to repeat. A fresh connection gets no such second
+// chance: its faults are the server's and cost a retry.
 func (c *Client) attempt(ctx context.Context, reqType byte, body []byte, wantResp byte) ([]byte, error) {
-	conn, err := c.getConn(ctx)
+	conn, reused, err := c.getConn(ctx)
 	if err != nil {
 		return nil, err
 	}
 	c.met.attempts.Inc()
+	resp, err := c.exchange(ctx, conn, reqType, body, wantResp)
+	if err == nil || !reused || !staleConn(ctx, err) {
+		return resp, err
+	}
+	c.met.connsStale.Inc()
+	c.dropIdle()
+	if conn, err = c.dial(ctx); err != nil {
+		return nil, err
+	}
+	return c.exchange(ctx, conn, reqType, body, wantResp)
+}
+
+// staleConn reports whether err, from an exchange on a pooled
+// connection, says the connection was dead before the request: nothing
+// came back, and neither a deadline (the peer is slow or cut off, which
+// is a fault of the server as it is now) nor the caller giving up
+// explains it.
+func staleConn(ctx context.Context, err error) bool {
+	var unanswered noFrameError
+	var ne net.Error
+	return errors.As(err, &unanswered) && !(errors.As(err, &ne) && ne.Timeout()) && ctx.Err() == nil
+}
+
+// exchange sends one request on conn and reads its response, returning
+// conn to the pool when the stream is still in sync and closing it
+// otherwise. A failure before any response byte wraps noFrameError.
+func (c *Client) exchange(ctx context.Context, conn net.Conn, reqType byte, body []byte, wantResp byte) ([]byte, error) {
 	// Order matters: set the op deadline FIRST, then arm the poison. The
 	// poison (a past deadline) interrupts a blocked read the moment the
 	// context dies; arming it before SetDeadline would let a cancellation
@@ -423,7 +478,7 @@ func (c *Client) attempt(ctx context.Context, reqType byte, body []byte, wantRes
 	defer stop()
 	if err := writeFrame(conn, reqType, body); err != nil {
 		conn.Close()
-		return nil, c.ctxOr(ctx, err)
+		return nil, c.ctxOr(ctx, noFrameError{err})
 	}
 	typ, resp, err := readFrame(conn, c.cfg.MaxFrame)
 	if err != nil {
@@ -460,21 +515,27 @@ func (c *Client) ctxOr(ctx context.Context, err error) error {
 	return err
 }
 
-func (c *Client) getConn(ctx context.Context) (net.Conn, error) {
+// getConn hands out an idle pooled connection (reused = true) or dials.
+func (c *Client) getConn(ctx context.Context) (conn net.Conn, reused bool, err error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, ErrClientClosed
+		return nil, false, ErrClientClosed
 	}
 	if n := len(c.idle); n > 0 {
 		conn := c.idle[n-1]
 		c.idle = c.idle[:n-1]
 		c.mu.Unlock()
 		c.met.poolHits.Inc()
-		return conn, nil
+		return conn, true, nil
 	}
 	c.mu.Unlock()
 	c.met.poolMisses.Inc()
+	conn, err = c.dial(ctx)
+	return conn, false, err
+}
+
+func (c *Client) dial(ctx context.Context) (net.Conn, error) {
 	dctx, cancel := context.WithTimeout(ctx, c.cfg.DialTimeout)
 	defer cancel()
 	c.met.dials.Inc()
@@ -484,6 +545,19 @@ func (c *Client) getConn(ctx context.Context) (net.Conn, error) {
 		return nil, fmt.Errorf("dial %s: %w", c.cfg.Addr, err)
 	}
 	return meterConn(conn, c.met.bytesIn, c.met.bytesOut), nil
+}
+
+// dropIdle closes every pooled connection: the server they were dialed
+// to is gone (a stale connection was just found) or has been replaced
+// (Placed revived the node).
+func (c *Client) dropIdle() {
+	c.mu.Lock()
+	idle := c.idle
+	c.idle = nil
+	c.mu.Unlock()
+	for _, conn := range idle {
+		conn.Close()
+	}
 }
 
 // release returns a connection to the idle pool. stop disarms the

@@ -71,26 +71,73 @@ var frameBufPool = sync.Pool{
 
 const maxPooledBuf = 1 << 20
 
-// writeFrame serializes one frame with a single Write call, so a
-// fault-injecting transport that corrupts per-write corrupts per-frame.
-// The build buffer comes from frameBufPool; it is returned before the
-// call exits, which is safe because Write does not retain its argument.
-func writeFrame(w io.Writer, typ byte, body []byte) error {
-	bp := frameBufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	buf = binary.BigEndian.AppendUint32(buf, uint32(frameOverhead+len(body)))
-	buf = append(buf, typ)
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{typ})
-	crc.Write(body)
-	buf = binary.BigEndian.AppendUint32(buf, crc.Sum32())
-	buf = append(buf, body...)
+// beginFrame starts a frame of the given type in buf: the header with
+// its length and CRC fields still zero. The caller appends the body and
+// calls sealFrame, so a body assembled from parts (a block list) is
+// built in place instead of in a buffer of its own.
+func beginFrame(buf []byte, typ byte) []byte {
+	return append(buf, 0, 0, 0, 0, typ, 0, 0, 0, 0)
+}
+
+// sealFrame patches the length and CRC of the frame that starts at
+// buf[0] and ends at len(buf).
+func sealFrame(buf []byte) {
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+	crc := crc32.Update(crc32.ChecksumIEEE(buf[4:5]), crc32.IEEETable, buf[frameHeader:])
+	binary.BigEndian.PutUint32(buf[5:], crc)
+}
+
+// sendFrame writes a sealed frame with a single Write call, so a
+// fault-injecting transport that corrupts per-write corrupts per-frame,
+// and hands the build buffer back to frameBufPool — safe because Write
+// does not retain its argument.
+func sendFrame(w io.Writer, bp *[]byte, buf []byte) error {
 	_, err := w.Write(buf)
 	if cap(buf) <= maxPooledBuf {
 		*bp = buf
 		frameBufPool.Put(bp)
 	}
 	return err
+}
+
+// writeFrame serializes one frame into a pooled buffer and writes it.
+func writeFrame(w io.Writer, typ byte, body []byte) error {
+	bp := frameBufPool.Get().(*[]byte)
+	buf := append(beginFrame((*bp)[:0], typ), body...)
+	sealFrame(buf)
+	return sendFrame(w, bp, buf)
+}
+
+// writeBlockList answers a get: a frameBlocks frame built straight from
+// the engine's wire slices into the pooled buffer — each block is copied
+// once, into the bytes the socket sees. Counts and per-block lengths ride
+// uint32 fields; inputs that would not fit (practically impossible, but
+// a silent truncation here would desync the stream) are rejected with
+// ErrBadRequest before anything is written.
+func writeBlockList(w io.Writer, blocks [][]byte) error {
+	if uint64(len(blocks)) > 0xFFFFFFFF {
+		return fmt.Errorf("%w: %d blocks exceed the wire count field", ErrBadRequest, len(blocks))
+	}
+	size := frameHeader + 4
+	for i, b := range blocks {
+		if uint64(len(b)) > 0xFFFFFFFF {
+			return fmt.Errorf("%w: block %d length %d exceeds the wire length field", ErrBadRequest, i, len(b))
+		}
+		size += 4 + len(b)
+	}
+	bp := frameBufPool.Get().(*[]byte)
+	buf := (*bp)[:0]
+	if cap(buf) < size {
+		buf = make([]byte, 0, size)
+	}
+	buf = beginFrame(buf, frameBlocks)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(blocks)))
+	for _, b := range blocks {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
+		buf = append(buf, b...)
+	}
+	sealFrame(buf)
+	return sendFrame(w, bp, buf)
 }
 
 // readFrame reads and validates one frame, allocating a fresh body.
@@ -102,6 +149,14 @@ func readFrame(r io.Reader, maxFrame int) (byte, []byte, error) {
 	return typ, body, err
 }
 
+// noFrameError marks an exchange that failed before the first byte of a
+// frame arrived: the peer had hung up, or the request never left. What a
+// client may conclude from that depends on the connection's history (see
+// Client.attempt); the cause stays reachable through Unwrap.
+type noFrameError struct{ error }
+
+func (e noFrameError) Unwrap() error { return e.error }
+
 // readFrameBuf is readFrame with caller-owned buffer reuse: the frame
 // is read into scratch (grown as needed) and body aliases it, so a
 // connection loop passing the returned buffer back in reads every
@@ -110,7 +165,10 @@ func readFrame(r io.Reader, maxFrame int) (byte, []byte, error) {
 // bytes (the put path) must copy, which they already do to own them.
 func readFrameBuf(r io.Reader, maxFrame int, scratch []byte) (byte, []byte, []byte, error) {
 	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	if n, err := io.ReadFull(r, lenBuf[:]); err != nil {
+		if n == 0 {
+			err = noFrameError{err}
+		}
 		return 0, nil, scratch, err
 	}
 	n := int(binary.BigEndian.Uint32(lenBuf[:]))
@@ -165,40 +223,31 @@ func decodeErrFrame(body []byte) error {
 	}
 }
 
-// encodeBlockList packs marshaled blocks into a frameBlocks body. Counts
-// and per-block lengths ride uint32 fields; inputs that would not fit
-// (practically impossible, but a silent truncation here would desync the
-// stream) are rejected instead of wrapped around.
-func encodeBlockList(blocks [][]byte) ([]byte, error) {
-	if uint64(len(blocks)) > 0xFFFFFFFF {
-		return nil, fmt.Errorf("%w: %d blocks exceed the wire count field", ErrBadRequest, len(blocks))
-	}
-	size := 4
-	for i, b := range blocks {
-		if uint64(len(b)) > 0xFFFFFFFF {
-			return nil, fmt.Errorf("%w: block %d length %d exceeds the wire length field", ErrBadRequest, i, len(b))
-		}
-		size += 4 + len(b)
-	}
-	body := make([]byte, 0, size)
-	body = binary.BigEndian.AppendUint32(body, uint32(len(blocks)))
-	for _, b := range blocks {
-		body = binary.BigEndian.AppendUint32(body, uint32(len(b)))
-		body = append(body, b...)
-	}
-	return body, nil
+// minBlockEntry is the smallest possible block-list entry: a 4-byte
+// length prefix plus the 13-byte header of an empty v1 block. Used to
+// bound the claimed entry count of an incoming list before any
+// allocation (the result array is sized from the claim, so the bound is
+// what keeps a hostile count from costing more than a few times the
+// frame it arrived in).
+const minBlockEntry = 4 + 13
+
+// wireBlock is one block of a get response next to the wire bytes it
+// was parsed from; Replicated de-duplicates copies on those bytes.
+type wireBlock struct {
+	core.CodedBlock
+	wire []byte
 }
 
-// minBlockEntry is the smallest possible block-list entry: a 4-byte
-// length prefix plus a non-empty block body. Used to bound the claimed
-// entry count of an incoming list before any allocation.
-const minBlockEntry = 8
-
-// decodeBlockList unpacks a frameBlocks body into CodedBlocks. The body
-// already passed the frame CRC, so a parse failure here means a peer bug
-// rather than line noise; it is still reported as corruption so clients
-// retry elsewhere.
-func decodeBlockList(body []byte) ([]*core.CodedBlock, error) {
+// decodeBlockList unpacks a frameBlocks body into CodedBlocks that alias
+// it (core.UnmarshalBinaryAlias), all held in one array: a get costs the
+// response body, this array and whatever the sparse blocks must build,
+// not two allocations and two copies per block. body must therefore be
+// the caller's to give away — readFrame allocates a fresh one per
+// response; a reused scratch buffer (the server's request loop) is not.
+// The body already passed the frame CRC, so a parse failure here means a
+// peer bug rather than line noise; it is still reported as corruption so
+// clients retry elsewhere.
+func decodeBlockList(body []byte) ([]wireBlock, error) {
 	if len(body) < 4 {
 		return nil, fmt.Errorf("%w: block list truncated", ErrCorruptFrame)
 	}
@@ -212,8 +261,8 @@ func decodeBlockList(body []byte) ([]*core.CodedBlock, error) {
 			ErrCorruptFrame, n, len(body)/minBlockEntry)
 	}
 	off := 4
-	out := make([]*core.CodedBlock, 0, n)
-	for i := 0; i < n; i++ {
+	out := make([]wireBlock, n)
+	for i := range out {
 		if len(body)-off < 4 {
 			return nil, fmt.Errorf("%w: block list truncated at entry %d", ErrCorruptFrame, i)
 		}
@@ -222,12 +271,11 @@ func decodeBlockList(body []byte) ([]*core.CodedBlock, error) {
 		if len(body)-off < l {
 			return nil, fmt.Errorf("%w: block %d length %d overruns body", ErrCorruptFrame, i, l)
 		}
-		var b core.CodedBlock
-		if err := b.UnmarshalBinary(body[off : off+l]); err != nil {
+		out[i].wire = body[off : off+l : off+l]
+		if err := out[i].UnmarshalBinaryAlias(out[i].wire); err != nil {
 			return nil, fmt.Errorf("%w: block %d: %v", ErrCorruptFrame, i, err)
 		}
 		off += l
-		out = append(out, &b)
 	}
 	if off != len(body) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after block list", ErrCorruptFrame, len(body)-off)

@@ -184,14 +184,25 @@ func TestStoreSparseEndToEnd(t *testing.T) {
 	checkCriticalLevel(t, dec, levels, sources)
 }
 
-// TestEncodeBlockListBounds pins the encoder-side overflow checks.
+// TestEncodeBlockListBounds pins the encoder side of the block list: the
+// frame writeBlockList builds in place (length and CRC patched in after
+// the body) is one the reader accepts, with the body wrapBlockList spells
+// out by hand.
 func TestEncodeBlockListBounds(t *testing.T) {
-	body, err := encodeBlockList([][]byte{{1, 2}, {3}})
-	if err != nil {
+	blocks := [][]byte{{1, 2}, {3}}
+	var wire bytes.Buffer
+	if err := writeBlockList(&wire, blocks); err != nil {
 		t.Fatal(err)
 	}
-	if n := binary.BigEndian.Uint32(body); n != 2 {
-		t.Fatalf("encoded count %d, want 2", n)
+	typ, body, err := readFrame(&wire, DefaultMaxFrame)
+	if err != nil || typ != frameBlocks {
+		t.Fatalf("read back: type %q, err %v", typ, err)
+	}
+	if !bytes.Equal(body, wrapBlockList(blocks...)) {
+		t.Fatalf("body %x, want %x", body, wrapBlockList(blocks...))
+	}
+	if wire.Len() != 0 {
+		t.Fatalf("%d bytes written past the frame", wire.Len())
 	}
 }
 

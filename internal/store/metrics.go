@@ -47,29 +47,29 @@ type serverMetrics struct {
 
 func newServerMetrics(r *metrics.Registry) serverMetrics {
 	return serverMetrics{
-		activeConns:   r.Gauge("store_server_active_conns"),
-		connsAccepted: r.Counter("store_server_conns_accepted_total"),
-		connsRejected: r.Counter("store_server_conns_rejected_total"),
-		bytesIn:       r.Counter("store_server_frame_bytes_in_total"),
-		bytesOut:      r.Counter("store_server_frame_bytes_out_total"),
-		crcFailures:   r.Counter("store_server_crc_failures_total"),
-		puts:          r.Counter(`store_server_requests_total{op="put"}`),
-		gets:          r.Counter(`store_server_requests_total{op="get"}`),
-		stats:         r.Counter(`store_server_requests_total{op="stat"}`),
-		segments:      r.Counter(`store_server_requests_total{op="segments"}`),
-		pings:         r.Counter(`store_server_requests_total{op="ping"}`),
-		shutdowns:     r.Counter(`store_server_requests_total{op="shutdown"}`),
-		unknown:       r.Counter(`store_server_requests_total{op="unknown"}`),
-		deletes:       r.Counter(`store_server_requests_total{op="delete"}`),
+		activeConns:    r.Gauge("store_server_active_conns"),
+		connsAccepted:  r.Counter("store_server_conns_accepted_total"),
+		connsRejected:  r.Counter("store_server_conns_rejected_total"),
+		bytesIn:        r.Counter("store_server_frame_bytes_in_total"),
+		bytesOut:       r.Counter("store_server_frame_bytes_out_total"),
+		crcFailures:    r.Counter("store_server_crc_failures_total"),
+		puts:           r.Counter(`store_server_requests_total{op="put"}`),
+		gets:           r.Counter(`store_server_requests_total{op="get"}`),
+		stats:          r.Counter(`store_server_requests_total{op="stat"}`),
+		segments:       r.Counter(`store_server_requests_total{op="segments"}`),
+		pings:          r.Counter(`store_server_requests_total{op="ping"}`),
+		shutdowns:      r.Counter(`store_server_requests_total{op="shutdown"}`),
+		unknown:        r.Counter(`store_server_requests_total{op="unknown"}`),
+		deletes:        r.Counter(`store_server_requests_total{op="delete"}`),
 		deletesRemoved: r.Counter("store_server_deletes_removed_total"),
-		putsStored:    r.Counter("store_server_puts_stored_total"),
-		putsDeduped:   r.Counter("store_server_puts_deduped_total"),
-		putsRejected:  r.Counter("store_server_puts_rejected_total"),
-		putsFull:      r.Counter("store_server_puts_full_total"),
-		putsBad:       r.Counter("store_server_puts_bad_total"),
-		requestNs:     r.Histogram("store_server_request_ns"),
-		blocks:        r.Gauge("store_server_blocks"),
-		blockBytes:    r.Gauge("store_server_block_bytes"),
+		putsStored:     r.Counter("store_server_puts_stored_total"),
+		putsDeduped:    r.Counter("store_server_puts_deduped_total"),
+		putsRejected:   r.Counter("store_server_puts_rejected_total"),
+		putsFull:       r.Counter("store_server_puts_full_total"),
+		putsBad:        r.Counter("store_server_puts_bad_total"),
+		requestNs:      r.Histogram("store_server_request_ns"),
+		blocks:         r.Gauge("store_server_blocks"),
+		blockBytes:     r.Gauge("store_server_block_bytes"),
 	}
 }
 
@@ -88,6 +88,7 @@ type clientMetrics struct {
 	poolHits        *metrics.Counter
 	poolMisses      *metrics.Counter
 	poisoned        *metrics.Counter
+	connsStale      *metrics.Counter
 	opOK            *metrics.Counter
 	opErrors        *metrics.Counter
 	opNs            *metrics.Histogram
@@ -109,6 +110,7 @@ func newClientMetrics(r *metrics.Registry) clientMetrics {
 		poolHits:        r.Counter("store_client_pool_hits_total"),
 		poolMisses:      r.Counter("store_client_pool_misses_total"),
 		poisoned:        r.Counter("store_client_conns_poisoned_total"),
+		connsStale:      r.Counter("store_client_conns_stale_total"),
 		opOK:            r.Counter("store_client_ops_ok_total"),
 		opErrors:        r.Counter("store_client_op_errors_total"),
 		opNs:            r.Histogram("store_client_op_ns"),

@@ -205,7 +205,7 @@ func (p *Placed) SetAlive(addr string, alive bool) error {
 		return nil
 	}
 	if alive {
-		p.ring.Recover(idx)
+		p.reviveLocked(idx)
 	} else {
 		p.ring.Fail(idx)
 	}
@@ -226,7 +226,7 @@ func (p *Placed) Join(addr string) error {
 			p.mu.Unlock()
 			return nil
 		}
-		p.ring.Recover(idx)
+		p.reviveLocked(idx)
 		p.ring.Stabilize()
 		ev := p.bumpLocked()
 		p.met.membershipEvents.Inc()
@@ -275,6 +275,14 @@ func (p *Placed) Join(addr string) error {
 	p.mu.Unlock()
 	p.notifyMembership(ev)
 	return nil
+}
+
+// reviveLocked puts a known node back on the ring. What answers at its
+// address now may not be the process its pooled connections were dialed
+// to, so they are dropped rather than discovered dead one op at a time.
+func (p *Placed) reviveLocked(idx int) {
+	p.ring.Recover(idx)
+	p.clients[idx].dropIdle()
 }
 
 // Leave removes a node from placement (it stays known, so a later Join

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -44,6 +46,10 @@ type Replicated struct {
 	cfg     ReplicatedConfig
 	met     replicatedMetrics
 	next    atomic.Uint64
+	// wireHash keys collect's dedup. Only speed rides on its quality —
+	// wireSet compares bytes on every hit — so tests swap in a constant
+	// one to force collisions.
+	wireHash func([]byte) uint64
 }
 
 // NewReplicated builds a replicated store over the given clients for a
@@ -67,11 +73,13 @@ func NewReplicated(clients []*Client, levels int, cfg ReplicatedConfig) (*Replic
 	if cfg.ReplicaLabels != nil && len(cfg.ReplicaLabels) != len(clients) {
 		return nil, fmt.Errorf("store: %d replica labels for %d clients", len(cfg.ReplicaLabels), len(clients))
 	}
+	seed := maphash.MakeSeed()
 	return &Replicated{
-		clients: append([]*Client(nil), clients...),
-		levels:  levels,
-		cfg:     cfg,
-		met:     newReplicatedMetrics(cfg.Metrics, len(clients), cfg.ReplicaLabels),
+		clients:  append([]*Client(nil), clients...),
+		levels:   levels,
+		cfg:      cfg,
+		met:      newReplicatedMetrics(cfg.Metrics, len(clients), cfg.ReplicaLabels),
+		wireHash: func(wire []byte) uint64 { return maphash.Bytes(seed, wire) },
 	}, nil
 }
 
@@ -236,40 +244,29 @@ func (r *Replicated) Collect(ctx context.Context, maxLevel int) ([]*core.CodedBl
 }
 
 // CollectObject is Collect restricted to one object (core.AllObjects for
-// every object — the wire-compatible legacy request).
+// every object — the wire-compatible legacy request). Copies of a block
+// are recognized by the bytes they arrived as (wireSet), never by
+// marshalling them again. Dedup spares the decoder non-innovative adds;
+// nothing depends on it for correctness, and it never merges two blocks
+// that differ.
 func (r *Replicated) CollectObject(ctx context.Context, obj core.ObjectID, maxLevel int) ([]*core.CodedBlock, error) {
-	perReplica := make([][]*core.CodedBlock, len(r.clients))
+	perReplica := make([][]wireBlock, len(r.clients))
 	errs := make([]error, len(r.clients))
 	var wg sync.WaitGroup
 	for i, cl := range r.clients {
 		wg.Add(1)
 		go func(i int, cl *Client) {
 			defer wg.Done()
-			perReplica[i], errs[i] = cl.GetObject(ctx, obj, maxLevel)
+			perReplica[i], errs[i] = cl.getList(ctx, obj, maxLevel)
 			r.met.perReplica[i].get(errs[i])
 		}(i, cl)
 	}
 	wg.Wait()
 	r.met.collects.Inc()
-	seen := make(map[string]struct{})
-	var out []*core.CodedBlock
 	ok := 0
-	for i, blocks := range perReplica {
-		if errs[i] != nil {
-			continue
-		}
-		ok++
-		for _, b := range blocks {
-			data, err := b.MarshalBinary()
-			if err != nil {
-				continue
-			}
-			if _, dup := seen[string(data)]; dup {
-				r.met.collectDups.Inc()
-				continue
-			}
-			seen[string(data)] = struct{}{}
-			out = append(out, b)
+	for _, err := range errs {
+		if err == nil {
+			ok++
 		}
 	}
 	if ok == 0 {
@@ -280,6 +277,59 @@ func (r *Replicated) CollectObject(ctx context.Context, obj core.ObjectID, maxLe
 		return nil, fmt.Errorf("store: collect: all %d replicas failed: %w",
 			len(r.clients), errors.Join(append([]error{ErrStoreUnavailable}, errs...)...))
 	}
+	out := r.mergeCopies(perReplica)
 	r.met.collectBlocks.Add(uint64(len(out)))
 	return out, nil
+}
+
+// mergeCopies is the union of the replicas' answers (a failed replica's
+// is nil), first copy of each block kept, replica order then response
+// order. The returned blocks point into the lists.
+func (r *Replicated) mergeCopies(perReplica [][]wireBlock) []*core.CodedBlock {
+	fetched := 0
+	for _, list := range perReplica {
+		fetched += len(list)
+	}
+	seen := wireSet{hash: r.wireHash, first: make(map[uint64][]byte, fetched)}
+	out := make([]*core.CodedBlock, 0, fetched)
+	for _, list := range perReplica {
+		for i := range list {
+			if !seen.add(list[i].wire) {
+				r.met.collectDups.Inc()
+				continue
+			}
+			out = append(out, &list[i].CodedBlock)
+		}
+	}
+	return out
+}
+
+// wireSet is an exact set of wire encodings keyed by a 64-bit hash. The
+// hash only finds the candidate; membership is decided by comparing
+// bytes, so a collision costs a scan of the (normally empty) spill list,
+// never a lost block.
+type wireSet struct {
+	hash  func([]byte) uint64
+	first map[uint64][]byte // the first encoding seen under each hash
+	spill [][]byte          // encodings whose hash another one had taken
+}
+
+// add inserts wire and reports whether it was new.
+func (s *wireSet) add(wire []byte) bool {
+	h := s.hash(wire)
+	prev, taken := s.first[h]
+	if !taken {
+		s.first[h] = wire
+		return true
+	}
+	if bytes.Equal(prev, wire) {
+		return false
+	}
+	for _, other := range s.spill {
+		if bytes.Equal(other, wire) {
+			return false
+		}
+	}
+	s.spill = append(s.spill, wire)
+	return true
 }

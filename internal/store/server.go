@@ -60,12 +60,6 @@ func (c *ServerConfig) fillDefaults() {
 	}
 }
 
-type storedBlock struct {
-	obj   core.ObjectID
-	level int
-	data  []byte // core wire format, exactly as received
-}
-
 // levelTally is the per-level slice of a server's inventory.
 type levelTally struct {
 	count int
@@ -320,12 +314,11 @@ func (s *Server) handleGet(conn net.Conn, body []byte) error {
 		writeErrFrame(conn, errCodeUnavailable, err.Error())
 		return nil
 	}
-	resp, err := encodeBlockList(out)
-	if err != nil {
+	if err = writeBlockList(conn, out); errors.Is(err, ErrBadRequest) {
 		writeErrFrame(conn, errCodeBad, err.Error())
 		return nil
 	}
-	return writeFrame(conn, frameBlocks, resp)
+	return err
 }
 
 // handleDelete reclaims one object's blocks from the engine — the
