@@ -33,12 +33,18 @@ benchmark:
 	bash benchmark/run.sh $(ARGS)
 
 # Kernel-layer perf baseline: GF(2^8) vector kernels (fast vs scalar
-# reference) and the encode/decode pipeline at N=64/256/1024, captured as
-# BENCH_kernels.json so later perf PRs have numbers to diff against.
+# reference, 4 B to 64 KiB plus the 288-source 4 KiB fold of the
+# publish-recover workload) and the encode/decode pipeline at
+# N=64/256/1024, captured as BENCH_kernels.json (which records the kernel
+# tier and CPU count of the box) so later perf PRs have numbers to diff
+# against. benchjson is built first: `go run` would compile and link it
+# on the same two CPUs while the first (nanosecond-scale) benchmarks run.
 bench-kernels:
+	@mkdir -p .bench_build
+	$(GO) build -o .bench_build/benchjson ./cmd/benchjson
 	{ $(GO) test -run='^$$' -bench 'Benchmark(Add)?MulSlice' -benchtime=500ms ./internal/gf256 && \
 	  $(GO) test -run='^$$' -bench 'Benchmark(Encode|Decode)N' -benchtime=5x ./internal/core ; } \
-	| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_kernels.json \
+	| tee /dev/stderr | .bench_build/benchjson -out BENCH_kernels.json \
 	    -note "Ref benchmarks are the pre-kernel scalar baseline; WorkersK pair against the 1-worker pipeline and are bounded by num_cpu"
 
 # Decode-path perf baseline: structure-aware progressive decoding (level
@@ -110,12 +116,15 @@ bench-migrate: build
 # failure detector, the disk engine's group-commit writer, the repair
 # daemon, the ring rebalancer, the shared metrics registry they all
 # write to, and the load-and-chaos harness that exercises all of them
-# at once).
+# at once), then build and test the coding stack with -tags purego: the
+# pure-Go kernel path every non-amd64 platform runs, which an amd64 CI
+# box otherwise never compiles.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./internal/gf256 ./internal/gfmat ./internal/core ./internal/chord ./internal/gossip ./internal/store ./internal/diskstore ./internal/repair ./internal/mover ./internal/metrics ./internal/loadgen
+	$(GO) test -tags purego ./internal/gf256 ./internal/gfmat ./internal/core
 
 # The full SLO scenario matrix against real prlcd daemons: steady-state,
 # flash-crowd, churn-storm and repair-under-load, each an open-loop run

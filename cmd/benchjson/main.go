@@ -14,7 +14,10 @@
 //	go test -run=NONE -bench ... ./... | benchjson -out BENCH_kernels.json
 //
 // -by names the producing make target in the snapshot's generated_by field
-// (default "make bench-kernels").
+// (default "make bench-kernels"). The snapshot also records num_cpu and
+// gf256_kernel — the GF(2^8) kernel tier this machine dispatches to — so a
+// BENCH_*.json says what produced its numbers; benchjson runs on the box
+// that ran the benchmarks, at the other end of the pipe.
 package main
 
 import (
@@ -27,6 +30,8 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+
+	"repro/internal/gf256"
 )
 
 func main() {
@@ -94,6 +99,7 @@ type Snapshot struct {
 	GOARCH      string      `json:"goarch,omitempty"`
 	CPU         string      `json:"cpu,omitempty"`
 	NumCPU      int         `json:"num_cpu"`
+	GF256Kernel string      `json:"gf256_kernel"`
 	Note        string      `json:"note,omitempty"`
 	Benchmarks  []Benchmark `json:"benchmarks"`
 	Speedups    []Speedup   `json:"speedups,omitempty"`
@@ -120,6 +126,7 @@ func run(r io.Reader, out, note, by string) error {
 	}
 	snap.GeneratedBy = by
 	snap.NumCPU = runtime.NumCPU()
+	snap.GF256Kernel = gf256.Kernel()
 	snap.Note = note
 	snap.Speedups = pairSpeedups(snap.Benchmarks)
 	data, err := json.MarshalIndent(snap, "", "  ")

@@ -1,8 +1,14 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/gf256"
 )
 
 const sampleOutput = `goos: linux
@@ -119,5 +125,31 @@ BenchmarkDecodeSparseN512-8      2   14298040 ns/op   2.29 MB/s   7.5 extra/unit
 	b := snap.Benchmarks[1]
 	if b.MBPerSec != 2.29 || b.Metrics["extra/unit"] != 7.5 {
 		t.Errorf("second benchmark parsed as %+v", b)
+	}
+}
+
+// TestRunRecordsWhatProducedTheNumbers pins the snapshot's provenance
+// fields: the CPU count and the GF(2^8) kernel tier of the measuring box.
+func TestRunRecordsWhatProducedTheNumbers(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "snap.json")
+	if err := run(strings.NewReader(sampleOutput), out, "a note", "the test"); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]any
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap["gf256_kernel"]; got != gf256.Kernel() || got == "" {
+		t.Errorf("gf256_kernel = %v, want %q", got, gf256.Kernel())
+	}
+	if got := snap["num_cpu"]; got != float64(runtime.NumCPU()) {
+		t.Errorf("num_cpu = %v, want %d", got, runtime.NumCPU())
+	}
+	if got := snap["generated_by"]; got != "the test" {
+		t.Errorf("generated_by = %v", got)
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/exper"
+	"repro/internal/gf256"
 )
 
 func main() {
@@ -139,8 +140,8 @@ func runPerf(cfg config) error {
 		chunkSize, chunkOverlap = dims[0], dims[1]
 		generator = fmt.Sprintf("chunked (%d/%d)", chunkSize, chunkOverlap)
 	}
-	fmt.Printf("Hot-path throughput: N=%d, %d levels, payload %d B, workers %d, coding %s\n",
-		levels.Total(), levels.Count(), cfg.payload, cfg.workers, generator)
+	fmt.Printf("Hot-path throughput: N=%d, %d levels, payload %d B, workers %d, coding %s, gf256 kernel %s\n",
+		levels.Total(), levels.Count(), cfg.payload, cfg.workers, generator, gf256.Kernel())
 	fmt.Printf("%-8s %14s %14s %10s %20s\n", "scheme", "encode MB/s", "decode MB/s", "decoded", "rank-only trials/s")
 	for _, scheme := range []core.Scheme{core.RLC, core.SLC, core.PLC} {
 		res, err := exper.MeasurePerf(exper.PerfConfig{

@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzAddMulSliceEquiv asserts that the dispatching fast kernels (AVX2 bulk
-// + word loop + byte tail) are byte-identical to the scalar reference for
-// arbitrary payloads, lengths, alignments and coefficients — including the
-// c == 0 and c == 1 special cases and slices short enough to skip the
-// word-parallel path entirely.
+// FuzzAddMulSliceEquiv asserts that every kernel tier this CPU has is
+// byte-identical to the scalar reference for arbitrary payloads, lengths,
+// alignments and coefficients — including the c == 0 and c == 1 special
+// cases and slices short enough to skip the kernels entirely.
 func FuzzAddMulSliceEquiv(f *testing.F) {
 	f.Add([]byte{}, byte(0), uint8(0))
 	f.Add([]byte{1}, byte(1), uint8(0))
@@ -27,21 +26,25 @@ func FuzzAddMulSliceEquiv(f *testing.F) {
 		data = data[offset:]
 		n := len(data) / 2
 		src := data[:n]
-		dstFast := append([]byte(nil), data[n:n+n]...)
-		dstRef := append([]byte(nil), dstFast...)
-
-		AddMulSlice(dstFast, src, c)
+		dstRef := append([]byte(nil), data[n:n+n]...)
 		AddMulSliceRef(dstRef, src, c)
-		if !bytes.Equal(dstFast, dstRef) {
-			t.Fatalf("AddMulSlice diverges from reference: n=%d c=%#02x", n, c)
-		}
-
-		mulFast := make([]byte, n)
 		mulRef := make([]byte, n)
-		MulSlice(mulFast, src, c)
 		MulSliceRef(mulRef, src, c)
-		if !bytes.Equal(mulFast, mulRef) {
-			t.Fatalf("MulSlice diverges from reference: n=%d c=%#02x", n, c)
+
+		defer func(prev kernel) { active = prev }(active)
+		for _, k := range kernels {
+			active = k
+			dstFast := append([]byte(nil), data[n:n+n]...)
+			AddMulSlice(dstFast, src, c)
+			if !bytes.Equal(dstFast, dstRef) {
+				t.Fatalf("%s: AddMulSlice diverges from reference: n=%d c=%#02x", k.name, n, c)
+			}
+
+			mulFast := make([]byte, n)
+			MulSlice(mulFast, src, c)
+			if !bytes.Equal(mulFast, mulRef) {
+				t.Fatalf("%s: MulSlice diverges from reference: n=%d c=%#02x", k.name, n, c)
+			}
 		}
 	})
 }

@@ -1,6 +1,6 @@
 package gf256
 
-// Word-parallel kernels. The scalar kernels in vector.go walk the payload a
+// Slice kernels. The scalar kernels in vector.go walk the payload a
 // byte at a time through the log/exp tables, paying a zero-test branch and
 // two dependent table loads per byte. The kernels here use the split-nibble
 // technique that production erasure-code libraries build their SIMD paths
@@ -16,10 +16,15 @@ package gf256
 // resolve the sixteen nibble lookups unrolled, reassemble the product word
 // and XOR it into the destination word.
 //
+// On top of the word loop sit the SIMD tiers of kernels_amd64.go (AVX2
+// VPSHUFB over the same nibble tables; GFNI/AVX-512, which multiplies 64
+// bytes by a bit matrix in one instruction). Each is a kernel; the fastest
+// one the machine has is picked once at init and named by Kernel.
+//
 // The byte-at-a-time implementations survive as mulSliceGeneric /
 // addMulSliceGeneric: they remain the dispatch target for short slices
-// (where building/fetching tables costs more than it saves) and serve as
-// the reference oracle for the equivalence fuzz target.
+// (where a kernel's fixed cost is more than it saves) and serve as the
+// reference oracle for the equivalence tests and fuzz target.
 
 import (
 	"encoding/binary"
@@ -82,14 +87,38 @@ func (t *nibTables) mulWord(s uint64) uint64 {
 	return r
 }
 
-// addMulSliceWords is the word-parallel body of AddMulSlice for c ∉ {0, 1}:
-// dst[i] ^= c·src[i], 8 bytes per iteration, no per-byte branches. On amd64
-// an AVX2 kernel takes the 32-byte-aligned bulk first (32 bytes per
-// iteration via VPSHUFB over the same nibble tables).
-func addMulSliceWords(dst, src []byte, t *nibTables) {
-	if done := addMulAccel(dst, src, t); done > 0 {
-		dst, src = dst[done:], src[done:]
-	}
+// kernel is one tier of the slice kernels: an implementation of the
+// AddMulSlice and MulSlice bodies for c ∉ {0, 1} on equal-length slices of
+// at least min bytes. Shorter slices stay on the scalar log/exp loops.
+type kernel struct {
+	name   string
+	min    int
+	addMul func(dst, src []byte, c byte) // dst[i] ^= c·src[i]
+	mul    func(dst, src []byte, c byte) // dst[i] = c·src[i]; dst may alias src exactly
+}
+
+// wordKernel is the portable tier, present on every platform.
+var wordKernel = kernel{name: "word", min: wordKernelMin, addMul: addMulSliceWords, mul: mulSliceWords}
+
+func addMulSliceWords(dst, src []byte, c byte) { addMulWords(dst, src, nibblesFor(c)) }
+
+func mulSliceWords(dst, src []byte, c byte) { mulWords(dst, src, nibblesFor(c)) }
+
+// active is the kernel AddMulSlice and MulSlice dispatch to: the first
+// entry of kernels, the platform's list of usable tiers, fastest first
+// (kernels_amd64.go, kernels_noasm.go). It is chosen once, at init, from
+// what the CPU reports; tests assign it to reach the tiers dispatch did
+// not pick.
+var active = kernels[0]
+
+// Kernel names the tier the slice kernels run on in this process:
+// "gfni-avx512", "avx2" or "word".
+func Kernel() string { return active.name }
+
+// addMulWords is the word-parallel body of AddMulSlice for c ∉ {0, 1}:
+// dst[i] ^= c·src[i], 8 bytes per iteration, no per-byte branches, then a
+// byte loop for the last 0–7.
+func addMulWords(dst, src []byte, t *nibTables) {
 	n := len(dst)
 	i := 0
 	for ; i+8 <= n; i += 8 {
@@ -102,12 +131,9 @@ func addMulSliceWords(dst, src []byte, t *nibTables) {
 	}
 }
 
-// mulSliceWords is the word-parallel body of MulSlice for c ∉ {0, 1}:
+// mulWords is the word-parallel body of MulSlice for c ∉ {0, 1}:
 // dst[i] = c·src[i]. dst and src may alias exactly.
-func mulSliceWords(dst, src []byte, t *nibTables) {
-	if done := mulAccel(dst, src, t); done > 0 {
-		dst, src = dst[done:], src[done:]
-	}
+func mulWords(dst, src []byte, t *nibTables) {
 	n := len(dst)
 	i := 0
 	for ; i+8 <= n; i += 8 {

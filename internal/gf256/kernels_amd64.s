@@ -71,6 +71,133 @@ mul_loop:
 	VZEROUPPER
 	RET
 
+// GFNI/AVX-512 kernels. VGF2P8AFFINEQB applies an 8×8 bit matrix over GF(2)
+// to every byte of a ZMM register; multiplication by a fixed c in GF(2^8)
+// is such a matrix (gfniMat in kernels_amd64.go), so one instruction
+// multiplies 64 bytes. Four registers per iteration while 256 bytes remain,
+// then one at a time, then a single iteration under a byte mask for the
+// last 1–63: masked-off bytes are neither read nor written (faults on them
+// are suppressed), so any n ≥ 0 is handled here and no Go tail loop runs.
+
+// func addMulGFNI(dst, src *byte, n int, mat uint64)
+// dst[i] ^= c·src[i] for i in [0, n).
+TEXT ·addMulGFNI(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	VPBROADCASTQ mat+24(FP), Z0  // the coefficient's bit matrix, all 8 lanes
+
+	CMPQ CX, $256
+	JB   addmul_gfni_64
+addmul_gfni_loop256:
+	VMOVDQU64 (SI), Z1
+	VMOVDQU64 64(SI), Z2
+	VMOVDQU64 128(SI), Z3
+	VMOVDQU64 192(SI), Z4
+	VGF2P8AFFINEQB $0, Z0, Z1, Z1
+	VGF2P8AFFINEQB $0, Z0, Z2, Z2
+	VGF2P8AFFINEQB $0, Z0, Z3, Z3
+	VGF2P8AFFINEQB $0, Z0, Z4, Z4
+	VPXORQ (DI), Z1, Z1
+	VPXORQ 64(DI), Z2, Z2
+	VPXORQ 128(DI), Z3, Z3
+	VPXORQ 192(DI), Z4, Z4
+	VMOVDQU64 Z1, (DI)
+	VMOVDQU64 Z2, 64(DI)
+	VMOVDQU64 Z3, 128(DI)
+	VMOVDQU64 Z4, 192(DI)
+	ADDQ $256, SI
+	ADDQ $256, DI
+	SUBQ $256, CX
+	CMPQ CX, $256
+	JAE  addmul_gfni_loop256
+
+addmul_gfni_64:
+	CMPQ CX, $64
+	JB   addmul_gfni_tail
+addmul_gfni_loop64:
+	VMOVDQU64 (SI), Z1
+	VGF2P8AFFINEQB $0, Z0, Z1, Z1
+	VPXORQ (DI), Z1, Z1
+	VMOVDQU64 Z1, (DI)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	SUBQ $64, CX
+	CMPQ CX, $64
+	JAE  addmul_gfni_loop64
+
+addmul_gfni_tail:
+	TESTQ CX, CX
+	JZ    addmul_gfni_done
+	MOVQ  $-1, AX
+	BZHIQ CX, AX, AX             // low CX bits set: one mask bit per byte left
+	KMOVQ AX, K1
+	VMOVDQU8.Z (SI), K1, Z1
+	VMOVDQU8.Z (DI), K1, Z2
+	VGF2P8AFFINEQB $0, Z0, Z1, Z1
+	VPXORQ Z2, Z1, Z1
+	VMOVDQU8 Z1, K1, (DI)
+
+addmul_gfni_done:
+	VZEROUPPER
+	RET
+
+// func mulGFNI(dst, src *byte, n int, mat uint64)
+// dst[i] = c·src[i] for i in [0, n); dst may equal src.
+TEXT ·mulGFNI(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	VPBROADCASTQ mat+24(FP), Z0  // the coefficient's bit matrix, all 8 lanes
+
+	CMPQ CX, $256
+	JB   mul_gfni_64
+mul_gfni_loop256:
+	VMOVDQU64 (SI), Z1
+	VMOVDQU64 64(SI), Z2
+	VMOVDQU64 128(SI), Z3
+	VMOVDQU64 192(SI), Z4
+	VGF2P8AFFINEQB $0, Z0, Z1, Z1
+	VGF2P8AFFINEQB $0, Z0, Z2, Z2
+	VGF2P8AFFINEQB $0, Z0, Z3, Z3
+	VGF2P8AFFINEQB $0, Z0, Z4, Z4
+	VMOVDQU64 Z1, (DI)
+	VMOVDQU64 Z2, 64(DI)
+	VMOVDQU64 Z3, 128(DI)
+	VMOVDQU64 Z4, 192(DI)
+	ADDQ $256, SI
+	ADDQ $256, DI
+	SUBQ $256, CX
+	CMPQ CX, $256
+	JAE  mul_gfni_loop256
+
+mul_gfni_64:
+	CMPQ CX, $64
+	JB   mul_gfni_tail
+mul_gfni_loop64:
+	VMOVDQU64 (SI), Z1
+	VGF2P8AFFINEQB $0, Z0, Z1, Z1
+	VMOVDQU64 Z1, (DI)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	SUBQ $64, CX
+	CMPQ CX, $64
+	JAE  mul_gfni_loop64
+
+mul_gfni_tail:
+	TESTQ CX, CX
+	JZ    mul_gfni_done
+	MOVQ  $-1, AX
+	BZHIQ CX, AX, AX             // low CX bits set: one mask bit per byte left
+	KMOVQ AX, K1
+	VMOVDQU8.Z (SI), K1, Z1
+	VGF2P8AFFINEQB $0, Z0, Z1, Z1
+	VMOVDQU8 Z1, K1, (DI)
+
+mul_gfni_done:
+	VZEROUPPER
+	RET
+
 // func cpuidex(op, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL op+0(FP), AX

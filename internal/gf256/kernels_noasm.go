@@ -3,11 +3,5 @@
 package gf256
 
 // Non-amd64 (or purego) builds have no SIMD kernels; the word-parallel
-// pure-Go kernels in kernels.go handle everything.
-
-// Accelerated reports whether a SIMD kernel path is active on this CPU.
-func Accelerated() bool { return false }
-
-func addMulAccel(dst, src []byte, t *nibTables) int { return 0 }
-
-func mulAccel(dst, src []byte, t *nibTables) int { return 0 }
+// pure-Go kernel in kernels.go handles everything.
+var kernels = []kernel{wordKernel}

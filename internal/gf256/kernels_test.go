@@ -2,6 +2,7 @@ package gf256
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"math/rand"
 	"testing"
 )
@@ -20,10 +21,103 @@ func TestNibTables(t *testing.T) {
 	}
 }
 
+// forEachKernel runs f once per tier this CPU has — not only the one
+// dispatch picked — with AddMulSlice and MulSlice switched to it.
+func forEachKernel(t *testing.T, f func(t *testing.T)) {
+	for _, k := range kernels {
+		t.Run(k.name, func(t *testing.T) {
+			prev := active
+			active = k
+			defer func() { active = prev }()
+			f(t)
+		})
+	}
+}
+
+// TestKernelList pins what dispatch relies on: the list is never empty, it
+// ends with the portable tier, and Kernel names its first entry.
+func TestKernelList(t *testing.T) {
+	if len(kernels) == 0 || kernels[len(kernels)-1].name != "word" {
+		t.Fatalf("kernels = %v, want a list ending in the word tier", kernelNames())
+	}
+	if Kernel() != kernels[0].name {
+		t.Fatalf("Kernel() = %q, want the first available tier of %v", Kernel(), kernelNames())
+	}
+	t.Logf("kernels available: %v, active: %s", kernelNames(), Kernel())
+}
+
+func kernelNames() []string {
+	names := make([]string, len(kernels))
+	for i, k := range kernels {
+		names[i] = k.name
+	}
+	return names
+}
+
+// TestEveryKernelMatchesRef checks every tier against the scalar reference
+// for all 256 coefficients × every length 0…321 × every start offset
+// within a 64-byte block, for AddMulSlice, MulSlice and MulSlice in place.
+// dst sits between guard bytes that must come back untouched: a masked
+// tail must not write past n, nor a bulk loop before the start. The
+// expected bytes are MulSliceRef's products, XORed in by crypto/subtle.
+//
+// Under the race detector every byte the pure-Go loops touch is
+// instrumented and the full sweep takes minutes; nothing here is
+// concurrent, so that build thins coefficients and offsets.
+func TestEveryKernelMatchesRef(t *testing.T) {
+	const maxLen, offsets, guard = 321, 64, 64
+	cStep, offStep := 1, 1
+	if raceEnabled {
+		cStep, offStep = 15, 9
+	}
+	rng := rand.New(rand.NewSource(46))
+	src := make([]byte, offsets+maxLen)
+	rng.Read(src)
+	template := make([]byte, guard+offsets+maxLen+guard)
+	rng.Read(template)
+	prod := make([]byte, len(src))
+
+	forEachKernel(t, func(t *testing.T) {
+		got := append([]byte(nil), template...)
+		want := append([]byte(nil), template...)
+		for c := 0; c < 256; c += cStep {
+			MulSliceRef(prod, src, byte(c))
+			for n := 0; n <= maxLen; n++ {
+				for off := 0; off < offsets; off += offStep {
+					so := offsets - 1 - off // src and dst alignments differ
+					lo, hi := guard+off, guard+off+n
+					s, p := src[so:so+n], prod[so:so+n]
+
+					AddMulSlice(got[lo:hi], s, byte(c))
+					subtle.XORBytes(want[lo:hi], want[lo:hi], p)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("AddMulSlice(c=%#02x, n=%d, offset=%d) diverges from reference", c, n, off)
+					}
+
+					MulSlice(got[lo:hi], s, byte(c))
+					copy(want[lo:hi], p)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("MulSlice(c=%#02x, n=%d, offset=%d) diverges from reference", c, n, off)
+					}
+
+					copy(got[lo:hi], s)
+					MulSlice(got[lo:hi], got[lo:hi], byte(c))
+					if !bytes.Equal(got, want) {
+						t.Fatalf("aliased MulSlice(c=%#02x, n=%d, offset=%d) diverges from reference", c, n, off)
+					}
+
+					copy(got[lo:hi], template[lo:hi])
+					copy(want[lo:hi], template[lo:hi])
+				}
+			}
+		}
+	})
+}
+
 // TestAddMulSliceMatchesGeneric drives the dispatching AddMulSlice across
-// lengths that exercise the AVX2 bulk path, the word loop, the byte tail
-// and the short-slice generic path, and cross-checks every byte against the
-// scalar reference.
+// lengths that exercise the SIMD bulk loops, their tails (masked, word and
+// byte) and the short-slice generic path, and cross-checks every byte
+// against the scalar reference.
 func TestAddMulSliceMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	lengths := []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 63, 64, 65, 100, 127, 128, 129, 1000, 1024, 4097}
@@ -74,25 +168,27 @@ func TestMulSliceMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestAddMulSliceUnaligned slides a window across a larger buffer so the
-// kernels see every start alignment within a 32-byte SIMD block.
+// TestAddMulSliceUnaligned slides a window across a larger buffer so every
+// kernel sees every start alignment within a 64-byte SIMD block.
 func TestAddMulSliceUnaligned(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	buf := make([]byte, 256)
-	rng.Read(buf)
-	for off := 0; off < 32; off++ {
-		for _, n := range []int{33, 64, 95} {
-			src := buf[off : off+n]
-			dst := make([]byte, n)
-			rng.Read(dst)
-			want := append([]byte(nil), dst...)
-			AddMulSlice(dst, src, 0xa7)
-			AddMulSliceRef(want, src, 0xa7)
-			if !bytes.Equal(dst, want) {
-				t.Fatalf("AddMulSlice(offset=%d, n=%d) diverges from reference", off, n)
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(44))
+		buf := make([]byte, 1024)
+		rng.Read(buf)
+		for off := 0; off < 64; off++ {
+			for _, n := range []int{33, 64, 95, 257, 700} {
+				src := buf[off : off+n]
+				dst := make([]byte, n)
+				rng.Read(dst)
+				want := append([]byte(nil), dst...)
+				AddMulSlice(dst, src, 0xa7)
+				AddMulSliceRef(want, src, 0xa7)
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("AddMulSlice(offset=%d, n=%d) diverges from reference", off, n)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestAddMulSliceDistributes checks the algebra end to end on the fast

@@ -3,8 +3,9 @@ package gf256
 // Vector kernels. These are the hot paths for encoding and decoding: every
 // coded block is produced and reduced through AddMulSlice. The exported
 // entry points dispatch between two implementations: the scalar log/exp
-// kernels below for short vectors, and the word-parallel split-nibble
-// kernels in kernels.go for anything at least wordKernelMin bytes long.
+// kernels below for short vectors, and the active kernel tier of kernels.go
+// (GFNI/AVX-512, AVX2 or the pure-Go word loop) for anything at least its
+// min bytes long.
 
 // MulSlice sets dst[i] = c * src[i] for all i. dst and src must have the
 // same length; dst and src may alias.
@@ -22,8 +23,8 @@ func MulSlice(dst, src []byte, c byte) {
 		copy(dst, src)
 		return
 	}
-	if len(dst) >= wordKernelMin {
-		mulSliceWords(dst, src, nibblesFor(c))
+	if len(dst) >= active.min {
+		active.mul(dst, src, c)
 		return
 	}
 	mulSliceGeneric(dst, src, c)
@@ -59,8 +60,8 @@ func AddMulSlice(dst, src []byte, c byte) {
 		AddSlice(dst, src)
 		return
 	}
-	if len(dst) >= wordKernelMin {
-		addMulSliceWords(dst, src, nibblesFor(c))
+	if len(dst) >= active.min {
+		active.addMul(dst, src, c)
 		return
 	}
 	addMulSliceGeneric(dst, src, c)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -69,7 +70,7 @@ type objLevel struct {
 // storedBlock is one block held by MemStore.
 type storedBlock struct {
 	level int
-	data  []byte // core wire format, exactly as received
+	data  []byte // core wire format, exactly as received; shares its dedup key's storage
 }
 
 // MemStore is the RAM-only engine: the seed behavior of the store
@@ -116,9 +117,13 @@ func (m *MemStore) Put(obj core.ObjectID, level int, wire []byte) (bool, error) 
 	if m.maxBlocks > 0 && m.blocks >= m.maxBlocks {
 		return false, fmt.Errorf("%w: %d blocks stored, cap %d", ErrStoreFull, m.blocks, m.maxBlocks)
 	}
-	key := string(wire) // one copy serves both the dedup key and the data
+	// One copy of wire: the stored bytes are never written again (Get's
+	// contract makes them read-only), so the data slice views the dedup
+	// key's storage instead of duplicating it.
+	key := string(wire)
 	m.seen[key] = struct{}{}
-	m.objects[obj] = append(m.objects[obj], storedBlock{level: level, data: []byte(key)})
+	data := unsafe.Slice(unsafe.StringData(key), len(key))
+	m.objects[obj] = append(m.objects[obj], storedBlock{level: level, data: data})
 	k := objLevel{obj, level}
 	tally := m.tallies[k]
 	tally.count++

@@ -1,8 +1,10 @@
 package store_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -49,5 +51,49 @@ func TestMemStoreGetAfterCloseFails(t *testing.T) {
 		if got, err := eng.Get(obj, -1); !errors.Is(err, store.ErrStoreUnavailable) {
 			t.Fatalf("Get(%s) on a closed engine = %d blocks, %v; want ErrStoreUnavailable", obj, len(got), err)
 		}
+	}
+}
+
+// TestMemStorePutKeepsOneCopy pins the engine's memory per stored block:
+// the data slice and the dedup key share one copy of the wire bytes (the
+// caller's buffer is not retained, so one copy is the floor). Two copies
+// would allocate twice the payload per put. It also checks the sharing is
+// invisible: the caller may scribble on its buffer afterwards, dedup stays
+// exact, and a delete frees the key for a re-put.
+func TestMemStorePutKeepsOneCopy(t *testing.T) {
+	const puts, size = 512, 4096
+	eng := store.NewMemStore(0)
+	wire := make([]byte, size)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < puts; i++ {
+		binary.LittleEndian.PutUint32(wire, uint32(i))
+		if stored, err := eng.Put(7, i%3, wire); err != nil || !stored {
+			t.Fatalf("put %d: stored=%v err=%v", i, stored, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perPut := float64(after.TotalAlloc-before.TotalAlloc) / puts; perPut > 1.5*size {
+		t.Errorf("a put of %d bytes allocated %.0f bytes; want one copy, not two", size, perPut)
+	}
+
+	blocks, err := eng.Get(7, -1)
+	if err != nil || len(blocks) != puts {
+		t.Fatalf("Get = %d blocks, %v; want %d", len(blocks), err, puts)
+	}
+	for i, b := range blocks {
+		if len(b) != size || binary.LittleEndian.Uint32(b) != uint32(i) {
+			t.Fatalf("block %d came back changed after the caller reused its buffer", i)
+		}
+	}
+	if stored, err := eng.Put(7, 0, blocks[3]); err != nil || stored {
+		t.Fatalf("re-put of a stored block: stored=%v err=%v; want a dedup hit", stored, err)
+	}
+	again := append([]byte(nil), blocks[3]...)
+	if n, err := eng.Delete(7); err != nil || n != puts {
+		t.Fatalf("Delete = %d, %v; want %d", n, err, puts)
+	}
+	if stored, err := eng.Put(7, 0, again); err != nil || !stored {
+		t.Fatalf("put after delete: stored=%v err=%v; want stored", stored, err)
 	}
 }
