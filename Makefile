@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench benchmark bench-kernels bench-decode bench-repair bench-metrics bench-sparse bench-disk bench-migrate check fuzz-smoke loadtest loadtest-smoke daemon-demo repair-demo migrate-demo figures examples clean
+.PHONY: all build vet test race bench benchmark heal-smoke bench-kernels bench-decode bench-repair bench-metrics bench-sparse bench-disk bench-migrate check fuzz-smoke loadtest loadtest-smoke daemon-demo repair-demo migrate-demo figures examples clean
 
 all: build vet test
 
@@ -15,8 +15,8 @@ vet:
 test:
 	$(GO) test ./...
 
-# Full suite under the race detector (the message-passing cluster and the
-# parallel experiment harness are the interesting targets).
+# Full suite under the race detector (the store, repair and mover loops
+# and the parallel experiment harness are the interesting targets).
 race:
 	$(GO) test -race ./...
 
@@ -31,6 +31,14 @@ bench:
 #   make benchmark ARGS="-repeat 5 -out /tmp/a.json"
 benchmark:
 	bash benchmark/run.sh $(ARGS)
+
+# Three seconds of the one workload where repair, the mover and
+# Recombine run together end to end (publish, lose nodes, decode from
+# survivors, heal, grow, migrate): the run must be correct with no
+# failed operation. CI's check job runs the same line.
+heal-smoke:
+	bash benchmark/run.sh -workload heal-after-loss -seconds 3 -trace 0 | tail -1 \
+	| python3 -c "import json, sys; r = json.load(sys.stdin); assert r['correct'] is True and r['failed'] == 0, r"
 
 # Kernel-layer perf baseline: GF(2^8) vector kernels (fast vs scalar
 # reference, 4 B to 64 KiB plus the 288-source 4 KiB fold of the

@@ -203,15 +203,7 @@ func serve(args []string, out io.Writer) error {
 		d.Start()
 		fmt.Fprintf(out, "prlcd: repairing %d peers every %v\n",
 			len(cliutil.SplitAddrs(rOpts.addrsStr)), rOpts.interval)
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			if err := d.Stop(sctx); err != nil {
-				fmt.Fprintf(out, "prlcd: repair daemon stop: %v\n", err)
-				return
-			}
-			fmt.Fprintf(out, "prlcd: repair daemon stopped after %d rounds\n", d.Rounds())
-		}()
+		defer stopLoop(out, "repair daemon", d)
 	}
 	if withMigrate {
 		// The serve-side migration loop: this daemon re-homes displaced
@@ -230,15 +222,7 @@ func serve(args []string, out io.Writer) error {
 		m.Start()
 		fmt.Fprintf(out, "prlcd: migrating across %d peers every %v\n",
 			len(cliutil.SplitAddrs(rOpts.addrsStr)), rOpts.interval)
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			if err := m.Stop(sctx); err != nil {
-				fmt.Fprintf(out, "prlcd: mover stop: %v\n", err)
-				return
-			}
-			fmt.Fprintf(out, "prlcd: mover stopped after %d rounds\n", m.Rounds())
-		}()
+		defer stopLoop(out, "mover", m)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -1067,32 +1051,7 @@ func migrateCmd(args []string, out io.Writer) error {
 		return err
 	}
 	defer placed.Close()
-	addrs := cliutil.SplitAddrs(opts.addrsStr)
-
-	if *watch {
-		m.Start()
-		fmt.Fprintf(out, "migrate: watching %d daemons every %v (interrupt to stop)\n", len(addrs), opts.interval)
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		<-ctx.Done()
-		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := m.Stop(sctx); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "migrate: stopped after %d rounds\n", m.Rounds())
-		printMigrateReport(out, m.LastReport())
-		return nil
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 8*opts.timeout)
-	defer cancel()
-	rep, err := m.RunOnce(ctx)
-	if err != nil {
-		return err
-	}
-	printMigrateReport(out, rep)
-	return nil
+	return runOrWatch(out, "migrate", m.Loop, *watch, &opts.repairOpts, printMigrateReport)
 }
 
 func printMigrateReport(out io.Writer, rep mover.Report) {
@@ -1110,8 +1069,8 @@ func printMigrateReport(out io.Writer, rep mover.Report) {
 		rep.Regenerated, rep.Copied, rep.Copies, rep.BytesCollected, rep.BytesPlaced)
 	fmt.Fprintf(out, "migrate: %d reclaim deletes removed %d stale blocks\n",
 		rep.DeletesIssued, rep.BlocksReclaimed)
-	if rep.SkippedLevels > 0 {
-		fmt.Fprintf(out, "migrate: %d level transfers skipped — no surviving blocks\n", rep.SkippedLevels)
+	if n := len(rep.SkippedLevels); n > 0 {
+		fmt.Fprintf(out, "migrate: %d level transfers skipped — no surviving blocks\n", n)
 	}
 	if len(rep.Plan.Unreachable) > 0 {
 		fmt.Fprintf(out, "migrate: unreachable during planning: %s\n", strings.Join(rep.Plan.Unreachable, ", "))
@@ -1134,40 +1093,61 @@ func repairCmd(args []string, out io.Writer) error {
 		return err
 	}
 	defer repl.Close()
-	addrs := cliutil.SplitAddrs(opts.addrsStr)
-	interval := opts.interval
+	return runOrWatch(out, "repair", d.Loop, *watch, &opts, printRepairReport)
+}
 
-	if *watch {
-		d.Start()
-		fmt.Fprintf(out, "repair: watching %d daemons every %v (interrupt to stop)\n", len(addrs), interval)
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		<-ctx.Done()
-		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+// runOrWatch is the tail `prlcd repair` and `prlcd migrate` share: one
+// round by default, bounded by 8x -timeout, or with -watch the
+// background loop until interrupted; either way the last report is
+// printed.
+func runOrWatch[R any](out io.Writer, name string, l *repair.Loop[R], watch bool, opts *repairOpts, print func(io.Writer, R)) error {
+	if !watch {
+		ctx, cancel := context.WithTimeout(context.Background(), 8*opts.timeout)
 		defer cancel()
-		if err := d.Stop(sctx); err != nil {
+		rep, err := l.RunOnce(ctx)
+		if err != nil {
 			return err
 		}
-		rep := d.LastReport()
-		fmt.Fprintf(out, "repair: stopped after %d rounds\n", d.Rounds())
-		if rep.Audit != nil {
-			printRepairReport(out, rep)
-		}
+		print(out, rep)
 		return nil
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 4*opts.timeout)
+	l.Start()
+	fmt.Fprintf(out, "%s: watching %d daemons every %v (interrupt to stop)\n",
+		name, len(cliutil.SplitAddrs(opts.addrsStr)), opts.interval)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	<-ctx.Done()
+	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	rep, err := d.RunOnce(ctx)
-	if err != nil {
+	if err := l.Stop(sctx); err != nil {
 		return err
 	}
-	printRepairReport(out, rep)
+	fmt.Fprintf(out, "%s: stopped after %d rounds\n", name, l.Rounds())
+	print(out, l.LastReport())
 	return nil
+}
+
+// stopLoop is the deferred shutdown of a serve-side repair or migration
+// loop: let the in-flight round finish, within 30 s.
+func stopLoop(out io.Writer, what string, l interface {
+	Stop(context.Context) error
+	Rounds() int
+}) {
+	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := l.Stop(sctx); err != nil {
+		fmt.Fprintf(out, "prlcd: %s stop: %v\n", what, err)
+		return
+	}
+	fmt.Fprintf(out, "prlcd: %s stopped after %d rounds\n", what, l.Rounds())
 }
 
 func printRepairReport(out io.Writer, rep repair.Report) {
 	a := rep.Audit
+	if a == nil {
+		fmt.Fprintln(out, "repair: no round completed yet")
+		return
+	}
 	fmt.Fprintf(out, "audit: %d/%d replicas reachable, total deficit %d copies\n",
 		a.Reachable, a.Reachable+a.Unreachable, a.TotalDeficit())
 	for _, lr := range a.Levels {

@@ -19,8 +19,8 @@
 // in PacketState, and Step forwards one hop using only information local
 // to the current node — its neighbors' positions and its own planar
 // adjacency (both locally computable in a real deployment). Route is the
-// centralized convenience wrapper; internal/cluster drives Step from
-// per-node goroutines as an actual message-passing system.
+// centralized convenience wrapper over Step; a message-passing
+// deployment would drive Step from each node directly.
 package gpsr
 
 import (

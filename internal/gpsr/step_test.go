@@ -29,8 +29,8 @@ func TestStepValidation(t *testing.T) {
 }
 
 // TestStepDrivenForwardingMatchesRoute is the refactor's contract: driving
-// packets hop by hop through Step — exactly what the message-passing
-// cluster does — must reproduce Route's path bit for bit, because Route is
+// packets hop by hop through Step — what a message-passing deployment
+// would do — must reproduce Route's path bit for bit, because Route is
 // defined as the centralized wrapper over Step.
 func TestStepDrivenForwardingMatchesRoute(t *testing.T) {
 	r, g := denseRouter(t, 41, 250, 0.13)

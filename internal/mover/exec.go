@@ -1,29 +1,13 @@
 package mover
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/repair"
 )
-
-// objectResult tallies one object's migration attempt.
-type objectResult struct {
-	regenerated     int
-	copied          int
-	copies          int
-	bytesCollected  int64
-	bytesPlaced     int64
-	deletesIssued   int
-	blocksReclaimed int
-	skippedLevels   int
-	released        bool
-}
 
 // migrateObject re-homes one object: audit the current owners, fill
 // their per-level deficits by recombining survivors gathered from the
@@ -31,22 +15,20 @@ type objectResult struct {
 // owners meet the provisioning targets, and only then reclaim the stale
 // copies. Every step is idempotent, so a failed attempt retries from
 // the audit with nothing lost — stale holders are never deleted before
-// verification passes.
-func (m *Mover) migrateObject(ctx context.Context, op ObjectPlan, rng *rand.Rand) (objectResult, error) {
-	var res objectResult
+// verification passes. What the attempt moved accumulates into res, a
+// one-object Report: Migrated becomes 1 on release.
+func (m *Mover) migrateObject(ctx context.Context, op ObjectPlan, rng *rand.Rand, res *Report) error {
 	shard, err := m.placed.Shard(op.Object)
 	if err != nil {
-		return res, fmt.Errorf("mover: resolve shard %s: %w", op.Object, err)
+		return fmt.Errorf("mover: resolve shard %s: %w", op.Object, err)
 	}
-	acfg := repair.AuditConfig{
-		Object: op.Object, Dist: m.cfg.Dist, TotalBlocks: m.cfg.TotalBlocks, Targets: m.cfg.Targets,
-	}
+	acfg := repair.AuditConfig{Object: op.Object, Targets: m.targets}
 	audit, err := repair.AuditFleet(ctx, shard, acfg)
 	if err != nil {
-		return res, fmt.Errorf("mover: audit %s: %w", op.Object, err)
+		return fmt.Errorf("mover: audit %s: %w", op.Object, err)
 	}
 	if audit.Unreachable > 0 {
-		return res, fmt.Errorf("mover: %s: %d owners unreachable, cannot verify a release", op.Object, audit.Unreachable)
+		return fmt.Errorf("mover: %s: %d owners unreachable, cannot verify a release", op.Object, audit.Unreachable)
 	}
 
 	// waived marks levels with no survivor anywhere — neither on the
@@ -58,107 +40,64 @@ func (m *Mover) migrateObject(ctx context.Context, op ObjectPlan, rng *rand.Rand
 	if deficient := audit.Deficient(); len(deficient) > 0 {
 		maxLevel := deficient[len(deficient)-1].Level
 
-		// Gather survivors: stale holders carry the data being re-homed,
-		// the owners contribute anchors already transferred (or already
-		// in place) so retries never double-move what arrived.
-		ownerHeld := make(map[string]bool)
+		// Gather distinct survivors: the owners contribute anchors already
+		// transferred (or already in place) so retries never double-move
+		// what arrived, the stale holders carry the data being re-homed.
+		// What is collected is tallied, and charged to the rate limit.
 		var survivors []*core.CodedBlock
 		seen := make(map[string]bool)
-		ownerBlocks, err := shard.CollectObject(ctx, op.Object, maxLevel)
-		if err != nil {
-			return res, fmt.Errorf("mover: collect %s from owners: %w", op.Object, err)
-		}
-		for _, b := range ownerBlocks {
-			k := blockKey(b)
-			ownerHeld[k] = true
-			if !seen[k] {
-				seen[k] = true
-				survivors = append(survivors, b)
-				res.bytesCollected += int64(b.WireSize())
-			}
-		}
-		for _, addr := range op.Stale {
-			cl, err := m.placed.ClientFor(addr)
-			if err != nil {
-				return res, fmt.Errorf("mover: %s: %w", op.Object, err)
-			}
-			got, err := cl.GetObject(ctx, op.Object, maxLevel)
-			if err != nil {
-				return res, fmt.Errorf("mover: collect %s from stale holder %s: %w", op.Object, addr, err)
-			}
-			moved := 0
-			for _, b := range got {
+		lacked := make(map[*core.CodedBlock]bool) // survivors no owner holds
+		add := func(blocks []*core.CodedBlock, fromStale bool) (moved int) {
+			for _, b := range blocks {
 				if k := blockKey(b); !seen[k] {
 					seen[k] = true
 					survivors = append(survivors, b)
+					lacked[b] = fromStale
 					moved += b.WireSize()
 				}
 			}
-			res.bytesCollected += int64(moved)
-			if err := m.throttleWait(ctx, moved); err != nil {
-				return res, err
+			res.BytesCollected += int64(moved)
+			return moved
+		}
+		ownerBlocks, err := shard.CollectObject(ctx, op.Object, maxLevel)
+		if err != nil {
+			return fmt.Errorf("mover: collect %s from owners: %w", op.Object, err)
+		}
+		add(ownerBlocks, false)
+		for _, addr := range op.Stale {
+			cl, err := m.placed.ClientFor(addr)
+			if err != nil {
+				return fmt.Errorf("mover: %s: %w", op.Object, err)
+			}
+			got, err := cl.GetObject(ctx, op.Object, maxLevel)
+			if err != nil {
+				return fmt.Errorf("mover: collect %s from stale holder %s: %w", op.Object, addr, err)
+			}
+			if err := m.throttleWait(ctx, add(got, true)); err != nil {
+				return err
 			}
 		}
-		sortBlocks(survivors) // deterministic sampling under a fixed seed
-		byLevel := make(map[int][]*core.CodedBlock)
-		for _, b := range survivors {
-			byLevel[b.Level] = append(byLevel[b.Level], b)
-		}
+		repair.SortBlocks(survivors) // deterministic sampling under a fixed seed
 
+		// Blocks the owners lack are the raw-copy fallback, so a shard
+		// at minimum rank transfers its survivors verbatim instead of
+		// spinning on server-side dedup.
+		var lacking []*core.CodedBlock
 		for _, lr := range deficient {
-			anchors := byLevel[lr.Level]
-			if len(anchors) == 0 {
-				waived[lr.Level] = true
-				res.skippedLevels++
-				continue
+			waived[lr.Level] = true
+		}
+		for _, b := range survivors {
+			delete(waived, b.Level)
+			if lacked[b] {
+				lacking = append(lacking, b)
 			}
-			var padding []*core.CodedBlock
-			if m.cfg.Scheme != core.SLC {
-				for lvl := 0; lvl < lr.Level; lvl++ {
-					padding = append(padding, byLevel[lvl]...)
-				}
-			}
-			// Raw-copy fallback order: blocks the owners lack first, so a
-			// shard at minimum rank transfers its survivors verbatim
-			// instead of spinning on server-side dedup.
-			var fresh []*core.CodedBlock
-			for _, b := range anchors {
-				if !ownerHeld[blockKey(b)] {
-					fresh = append(fresh, b)
-				}
-			}
-			copyIdx := 0
-			prefer := preferOrder(lr.PerReplica)
-			need := (lr.Deficit + lr.Replicas - 1) / lr.Replicas
-			for ; need > 0; need-- {
-				nb, _, err := core.RecombineRanked(rng, m.cfg.Scheme, m.cfg.Levels, m.sample(rng, anchors, padding))
-				raw := false
-				if errors.Is(err, core.ErrDegenerateInputs) {
-					// The survivors span a minimal space — recombining
-					// cannot produce anything new, so copy them verbatim.
-					if copyIdx >= len(fresh) {
-						break // every distinct survivor already placed
-					}
-					nb, raw = fresh[copyIdx], true
-					copyIdx++
-				} else if err != nil {
-					return res, fmt.Errorf("mover: recombine %s level %d: %w", op.Object, lr.Level, err)
-				}
-				placed := nb.WireSize() * lr.Replicas
-				if err := m.throttleWait(ctx, placed); err != nil {
-					return res, err
-				}
-				if err := shard.PutPreferring(ctx, nb, prefer); err != nil {
-					return res, fmt.Errorf("mover: place %s level %d: %w", op.Object, lr.Level, err)
-				}
-				if raw {
-					res.copied++
-				} else {
-					res.regenerated++
-				}
-				res.copies += lr.Replicas
-				res.bytesPlaced += int64(placed)
-			}
+		}
+		fill := repair.Fill{
+			Shard: shard, Scheme: m.cfg.Scheme, Levels: m.cfg.Levels, SampleSize: m.cfg.SampleSize,
+			Rng: rng, Survivors: survivors, Deficient: deficient, Copyable: lacking, Charge: m.throttleWait,
+		}
+		if err := fill.Run(ctx, &res.Tally); err != nil {
+			return fmt.Errorf("mover: %s: %w", op.Object, err)
 		}
 	}
 
@@ -166,14 +105,14 @@ func (m *Mover) migrateObject(ctx context.Context, op ObjectPlan, rng *rand.Rand
 	// target (waived levels excepted) with the whole shard answering.
 	check, err := repair.AuditFleet(ctx, shard, acfg)
 	if err != nil {
-		return res, fmt.Errorf("mover: verify %s: %w", op.Object, err)
+		return fmt.Errorf("mover: verify %s: %w", op.Object, err)
 	}
 	if check.Unreachable > 0 {
-		return res, fmt.Errorf("mover: verify %s: %d owners unreachable", op.Object, check.Unreachable)
+		return fmt.Errorf("mover: verify %s: %d owners unreachable", op.Object, check.Unreachable)
 	}
 	for _, lr := range check.Deficient() {
 		if !waived[lr.Level] {
-			return res, fmt.Errorf("mover: verify %s: level %d holds %d/%d copies",
+			return fmt.Errorf("mover: verify %s: level %d holds %d/%d copies",
 				op.Object, lr.Level, lr.HaveCopies, lr.WantCopies)
 		}
 	}
@@ -184,17 +123,17 @@ func (m *Mover) migrateObject(ctx context.Context, op ObjectPlan, rng *rand.Rand
 	for _, addr := range op.Stale {
 		cl, err := m.placed.ClientFor(addr)
 		if err != nil {
-			return res, fmt.Errorf("mover: %s: %w", op.Object, err)
+			return fmt.Errorf("mover: %s: %w", op.Object, err)
 		}
 		n, err := cl.Delete(ctx, op.Object)
 		if err != nil {
-			return res, fmt.Errorf("mover: reclaim %s from %s: %w", op.Object, addr, err)
+			return fmt.Errorf("mover: reclaim %s from %s: %w", op.Object, addr, err)
 		}
-		res.deletesIssued++
-		res.blocksReclaimed += n
+		res.DeletesIssued++
+		res.BlocksReclaimed += n
 	}
-	res.released = true
-	return res, nil
+	res.Migrated = 1
+	return nil
 }
 
 // throttleWait charges n bytes against the rate limit and records the
@@ -207,30 +146,6 @@ func (m *Mover) throttleWait(ctx context.Context, n int) error {
 	return err
 }
 
-// sample draws up to SampleSize blocks: at least one anchor of the
-// target level, padded with lower-level survivors when the scheme
-// allows mixing — the repair daemon's sampling, against a per-object
-// generator so concurrent transfers stay deterministic.
-func (m *Mover) sample(rng *rand.Rand, anchors, padding []*core.CodedBlock) []*core.CodedBlock {
-	take := m.cfg.SampleSize
-	if take > len(anchors) {
-		take = len(anchors)
-	}
-	out := make([]*core.CodedBlock, 0, m.cfg.SampleSize)
-	for _, i := range rng.Perm(len(anchors))[:take] {
-		out = append(out, anchors[i])
-	}
-	if pad := m.cfg.SampleSize - len(out); pad > 0 && len(padding) > 0 {
-		if pad > len(padding) {
-			pad = len(padding)
-		}
-		for _, i := range rng.Perm(len(padding))[:pad] {
-			out = append(out, padding[i])
-		}
-	}
-	return out
-}
-
 // blockKey identifies a block by content — level, coefficient vector
 // (dense form, so representation does not split identities), payload.
 func blockKey(b *core.CodedBlock) string {
@@ -241,45 +156,4 @@ func blockKey(b *core.CodedBlock) string {
 	buf = append(buf, 0)
 	buf = append(buf, b.Payload...)
 	return string(buf)
-}
-
-// preferOrder ranks replica indices for placement: fewest copies of the
-// level first (the audit ran with every owner reachable, so no -1s).
-func preferOrder(perReplica []int) []int {
-	order := make([]int, len(perReplica))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return perReplica[order[a]] < perReplica[order[b]]
-	})
-	return order
-}
-
-// sortBlocks orders survivors by (level, dense coefficients, payload)
-// so a fixed seed samples identically across runs.
-func sortBlocks(blocks []*core.CodedBlock) {
-	keys := make([][]byte, len(blocks))
-	for i, b := range blocks {
-		keys[i] = b.DenseCoeff()
-	}
-	order := make([]int, len(blocks))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		if blocks[i].Level != blocks[j].Level {
-			return blocks[i].Level < blocks[j].Level
-		}
-		if c := bytes.Compare(keys[i], keys[j]); c != 0 {
-			return c < 0
-		}
-		return bytes.Compare(blocks[i].Payload, blocks[j].Payload) < 0
-	})
-	sorted := make([]*core.CodedBlock, len(blocks))
-	for pos, i := range order {
-		sorted[pos] = blocks[i]
-	}
-	copy(blocks, sorted)
 }

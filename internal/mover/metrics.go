@@ -2,56 +2,33 @@ package mover
 
 import "repro/internal/metrics"
 
-// moverMetrics is the mover's metrics seam, following the repair
-// daemon's pattern: names resolve once at construction, and a nil
-// registry yields all-nil fields with every recording call a no-op.
+// moverMetrics is the mover's own series — the round, backoff and fill
+// series it shares with the repair daemon are registered by repair.Loop
+// under the "mover" prefix. Names resolve once at construction, and a
+// nil registry yields all-nil fields with every recording call a no-op.
 // The name catalog lives in DESIGN.md §15.
 type moverMetrics struct {
-	rounds          *metrics.Counter
-	roundErrors     *metrics.Counter
-	roundNs         *metrics.Histogram
 	kicks           *metrics.Counter
 	objectsPlanned  *metrics.Counter
 	objectsMigrated *metrics.Counter
 	objectsSkipped  *metrics.Counter
 	objectErrors    *metrics.Counter
-
-	blocksRegenerated *metrics.Counter
-	blocksCopied      *metrics.Counter
-	copiesPlaced      *metrics.Counter
-	bytesCollected    *metrics.Counter
-	bytesPlaced       *metrics.Counter
-	levelsSkipped     *metrics.Counter
-
+	blocksCopied    *metrics.Counter
 	deletesIssued   *metrics.Counter
 	blocksReclaimed *metrics.Counter
-
-	throttleWaitNs *metrics.Histogram
-
-	consecutiveFailures *metrics.Gauge
-	backoffNs           *metrics.Gauge
+	throttleWaitNs  *metrics.Histogram
 }
 
 func newMoverMetrics(r *metrics.Registry) moverMetrics {
 	return moverMetrics{
-		rounds:              r.Counter("mover_rounds_total"),
-		roundErrors:         r.Counter("mover_round_errors_total"),
-		roundNs:             r.Histogram("mover_round_ns"),
-		kicks:               r.Counter("mover_kicks_total"),
-		objectsPlanned:      r.Counter("mover_objects_planned_total"),
-		objectsMigrated:     r.Counter("mover_objects_migrated_total"),
-		objectsSkipped:      r.Counter("mover_objects_skipped_total"),
-		objectErrors:        r.Counter("mover_object_errors_total"),
-		blocksRegenerated:   r.Counter("mover_blocks_regenerated_total"),
-		blocksCopied:        r.Counter("mover_blocks_copied_total"),
-		copiesPlaced:        r.Counter("mover_copies_placed_total"),
-		bytesCollected:      r.Counter("mover_bytes_collected_total"),
-		bytesPlaced:         r.Counter("mover_bytes_placed_total"),
-		levelsSkipped:       r.Counter("mover_levels_skipped_total"),
-		deletesIssued:       r.Counter("mover_deletes_issued_total"),
-		blocksReclaimed:     r.Counter("mover_blocks_reclaimed_total"),
-		throttleWaitNs:      r.Histogram("mover_throttle_wait_ns"),
-		consecutiveFailures: r.Gauge("mover_consecutive_failures"),
-		backoffNs:           r.Gauge("mover_backoff_ns"),
+		kicks:           r.Counter("mover_kicks_total"),
+		objectsPlanned:  r.Counter("mover_objects_planned_total"),
+		objectsMigrated: r.Counter("mover_objects_migrated_total"),
+		objectsSkipped:  r.Counter("mover_objects_skipped_total"),
+		objectErrors:    r.Counter("mover_object_errors_total"),
+		blocksCopied:    r.Counter("mover_blocks_copied_total"),
+		deletesIssued:   r.Counter("mover_deletes_issued_total"),
+		blocksReclaimed: r.Counter("mover_blocks_reclaimed_total"),
+		throttleWaitNs:  r.Histogram("mover_throttle_wait_ns"),
 	}
 }

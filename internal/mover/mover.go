@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -60,69 +59,45 @@ type Config struct {
 	Dist        core.PriorityDistribution
 	TotalBlocks int
 	Targets     []int
-	// Interval is the pause between successful rounds. Default 5s; a
-	// membership change cuts the wait short via Kick.
+	// Interval is the pause between successful rounds; failed rounds
+	// back off from it, doubling up to 16x. Default 5s; a membership
+	// change cuts the wait short via Kick.
 	Interval time.Duration
-	// MaxBackoff caps the exponential backoff after failed rounds.
-	// Default 16x Interval.
-	MaxBackoff time.Duration
-	// Jitter in [0, 1] is the randomized fraction shaved off each wait.
-	// Default 0.2; negative disables jitter.
-	Jitter float64
-	// RoundTimeout bounds one plan+migrate round. Default 60s.
-	RoundTimeout time.Duration
 	// Workers bounds how many objects migrate concurrently. Default 2.
 	Workers int
 	// RateLimit caps the mover's aggregate byte rate (collected plus
 	// placed wire bytes) in bytes/second; 0 means unlimited. Migration
 	// is background work — the cap is what keeps foreground puts and
-	// gets within their latency budget while the fleet rebalances.
+	// gets within their latency budget while the fleet rebalances. The
+	// token bucket holds max(RateLimit, 1 MiB).
 	RateLimit int64
-	// Burst is the token bucket's capacity; default max(RateLimit, 1 MiB).
-	Burst int64
-	// Attempts is how many times one object's migration is tried per
-	// round before it is counted failed. Default 3.
-	Attempts int
-	// RetryBackoff is the base delay between an object's attempts,
-	// doubling each failure. Default 250ms.
-	RetryBackoff time.Duration
 	// SampleSize is how many survivors feed each recombination. Default 8.
 	SampleSize int
-	// Seed seeds recombination and jitter (0 means 1); each object
-	// derives its own generator from Seed and its ID, so bounded
-	// concurrency does not perturb determinism.
+	// Seed seeds recombination (0 means 1); each object derives its own
+	// generator from Seed and its ID, so bounded concurrency does not
+	// perturb determinism.
 	Seed int64
 	// Metrics, when non-nil, receives the mover_* series (DESIGN.md §15).
 	Metrics *metrics.Registry
 }
 
+// Knobs nobody set, now constants at their old defaults: the bound on
+// one loop-driven plan+migrate round, the token bucket's floor, how
+// many times one object's migration is tried per round before it is
+// counted failed, and the base delay between tries (doubling).
+const (
+	roundTimeout = 60 * time.Second
+	minBurst     = 1 << 20
+	attempts     = 3
+	retryBackoff = 250 * time.Millisecond
+)
+
 func (c *Config) fillDefaults() {
 	if c.Interval <= 0 {
 		c.Interval = 5 * time.Second
 	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 16 * c.Interval
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.2
-	}
-	if c.Jitter < 0 {
-		c.Jitter = 0
-	}
-	if c.RoundTimeout <= 0 {
-		c.RoundTimeout = 60 * time.Second
-	}
 	if c.Workers <= 0 {
 		c.Workers = 2
-	}
-	if c.Burst <= 0 {
-		c.Burst = 1 << 20
-	}
-	if c.Attempts <= 0 {
-		c.Attempts = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 250 * time.Millisecond
 	}
 	if c.SampleSize <= 0 {
 		c.SampleSize = 8
@@ -142,45 +117,31 @@ type Report struct {
 	// round; they stay planned (the stale holdings persist) and retry
 	// next round.
 	Failed int
-	// Regenerated and Copied count blocks placed on new owners: fresh
-	// recombinations, and verbatim copies (the minimum-rank fallback).
-	Regenerated int
-	Copied      int
-	// Copies is the fleet-wide copy total those placements aimed at.
-	Copies int
-	// BytesCollected and BytesPlaced are the wire volumes moved.
-	BytesCollected int64
-	BytesPlaced    int64
+	// Tally is what the round's fills placed on new owners, failed
+	// attempts included: Regenerated fresh recombinations and Copied
+	// verbatim blocks (the minimum-rank fallback), the Copies they aimed
+	// at, BytesCollected and BytesPlaced, and the SkippedLevels — one
+	// entry per level transfer skipped for lack of a usable survivor:
+	// lost data, which migration cannot conjure back.
+	repair.Tally
 	// DeletesIssued counts reclaim calls to stale holders;
 	// BlocksReclaimed the copies they removed.
 	DeletesIssued   int
 	BlocksReclaimed int
-	// SkippedLevels counts level transfers waived for lack of any
-	// survivor — lost data, which migration cannot conjure back.
-	SkippedLevels int
 }
 
 // Mover is the background migration loop over a placement ring. Every
 // interval — or immediately upon Kick — it plans and executes one
 // migration round. Failed rounds back off exponentially with jitter.
+// Start, Stop, Rounds and LastReport come from the embedded
+// repair.Loop, the control loop it shares with the repair daemon.
 type Mover struct {
+	*repair.Loop[Report]
 	placed  *store.Placed
 	cfg     Config
+	targets []int // cfg's provisioning targets, resolved once
 	met     moverMetrics
 	limiter *throttle
-
-	mu   sync.Mutex // serializes rounds and guards rng, last, runs
-	rng  *rand.Rand
-	last Report
-	runs int
-
-	ctx      context.Context
-	cancel   context.CancelFunc
-	kick     chan struct{}
-	stop     chan struct{}
-	done     chan struct{}
-	started  bool
-	stopOnce sync.Once
 }
 
 // New validates the configuration and returns a stopped mover; call
@@ -199,23 +160,20 @@ func New(p *store.Placed, cfg Config) (*Mover, error) {
 		return nil, fmt.Errorf("mover: code has %d levels, store replicates %d", cfg.Levels.Count(), p.Levels())
 	}
 	acfg := repair.AuditConfig{Dist: cfg.Dist, TotalBlocks: cfg.TotalBlocks, Targets: cfg.Targets}
-	if _, err := acfg.DistinctTargets(p.Levels()); err != nil {
+	targets, err := acfg.DistinctTargets(p.Levels())
+	if err != nil {
 		return nil, fmt.Errorf("mover: %w", err)
 	}
 	cfg.fillDefaults()
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Mover{
+	m := &Mover{
 		placed:  p,
 		cfg:     cfg,
+		targets: targets,
 		met:     newMoverMetrics(cfg.Metrics),
-		limiter: newThrottle(cfg.RateLimit, cfg.Burst),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		ctx:     ctx,
-		cancel:  cancel,
-		kick:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}, nil
+		limiter: newThrottle(cfg.RateLimit, minBurst),
+	}
+	m.Loop = repair.NewLoop("mover", cfg.Metrics, cfg.Interval, roundTimeout, cfg.Seed, m.round)
+	return m, nil
 }
 
 // Kick requests an immediate round, collapsing any pending wait or
@@ -223,116 +181,7 @@ func New(p *store.Placed, cfg Config) (*Mover, error) {
 // starts the moment placement shifts. Never blocks; kicks coalesce.
 func (m *Mover) Kick() {
 	m.met.kicks.Inc()
-	select {
-	case m.kick <- struct{}{}:
-	default:
-	}
-}
-
-// Start launches the background loop. The first round runs immediately.
-// Start is idempotent.
-func (m *Mover) Start() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.started {
-		return
-	}
-	m.started = true
-	go m.loop()
-}
-
-// Stop shuts the mover down gracefully: the loop exits after the
-// in-flight round completes. If ctx expires first, the round is
-// cancelled and Stop returns the context error once the loop has
-// exited. Safe to call more than once, and before Start.
-func (m *Mover) Stop(ctx context.Context) error {
-	m.stopOnce.Do(func() { close(m.stop) })
-	m.mu.Lock()
-	started := m.started
-	m.mu.Unlock()
-	if !started {
-		m.cancel()
-		return nil
-	}
-	select {
-	case <-m.done:
-		m.cancel()
-		return nil
-	case <-ctx.Done():
-		m.cancel()
-		<-m.done
-		return ctx.Err()
-	}
-}
-
-// Rounds returns how many migration rounds have run.
-func (m *Mover) Rounds() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.runs
-}
-
-// LastReport returns the most recent round's report.
-func (m *Mover) LastReport() Report {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.last
-}
-
-func (m *Mover) loop() {
-	defer close(m.done)
-	failures := 0
-	timer := time.NewTimer(0) // first round immediately
-	defer timer.Stop()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case <-timer.C:
-		case <-m.kick:
-			// A membership change outranks the schedule: run now. The
-			// timer is drained so the reset below starts clean.
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-		}
-		rctx, rcancel := context.WithTimeout(m.ctx, m.cfg.RoundTimeout)
-		_, err := m.RunOnce(rctx)
-		rcancel()
-		if m.ctx.Err() != nil {
-			return
-		}
-		wait := m.cfg.Interval
-		if err != nil {
-			// Jittered exponential backoff, as in the repair daemon: a
-			// dark fleet is probed gently until it answers again.
-			failures++
-			for i := 1; i < failures && wait < m.cfg.MaxBackoff; i++ {
-				wait *= 2
-			}
-			if wait > m.cfg.MaxBackoff {
-				wait = m.cfg.MaxBackoff
-			}
-		} else {
-			failures = 0
-		}
-		m.met.consecutiveFailures.Set(int64(failures))
-		m.met.backoffNs.Set(int64(wait))
-		timer.Reset(m.jittered(wait))
-	}
-}
-
-func (m *Mover) jittered(wait time.Duration) time.Duration {
-	if m.cfg.Jitter <= 0 {
-		return wait
-	}
-	m.mu.Lock()
-	f := 1 - m.cfg.Jitter*m.rng.Float64()
-	m.mu.Unlock()
-	return time.Duration(float64(wait) * f)
+	m.Loop.Kick()
 }
 
 // RunOnce performs one migration round — plan, transfer, verify,
@@ -340,75 +189,45 @@ func (m *Mover) jittered(wait time.Duration) time.Duration {
 // failed or any object's migration did, which the loop answers with
 // backoff; partially-migrated objects stay visible as stale holdings
 // and are re-planned next round.
-func (m *Mover) RunOnce(ctx context.Context) (Report, error) {
-	t0 := time.Now()
-	rep, err := m.runOnce(ctx)
-	m.met.roundNs.ObserveSince(t0)
-	m.met.rounds.Inc()
-	if err != nil {
-		m.met.roundErrors.Inc()
-	}
-	return rep, err
-}
+func (m *Mover) RunOnce(ctx context.Context) (Report, error) { return m.Loop.RunOnce(ctx) }
 
-func (m *Mover) runOnce(ctx context.Context) (Report, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.runs++
-	acfg := repair.AuditConfig{Dist: m.cfg.Dist, TotalBlocks: m.cfg.TotalBlocks, Targets: m.cfg.Targets}
-	targets, err := acfg.DistinctTargets(m.placed.Levels())
+func (m *Mover) round(ctx context.Context) (*Report, error) {
+	plan, err := m.plan(ctx)
 	if err != nil {
-		return Report{}, fmt.Errorf("mover: %w", err)
+		return nil, fmt.Errorf("mover: plan: %w", err)
 	}
-	plan, err := m.plan(ctx, targets)
-	if err != nil {
-		return Report{}, fmt.Errorf("mover: plan: %w", err)
-	}
-	rep := Report{Plan: plan}
-	defer func() { m.last = rep }()
+	rep := &Report{Plan: plan}
 	m.met.objectsPlanned.Add(uint64(len(plan.Objects)))
 	if len(plan.Objects) == 0 {
 		return rep, nil
 	}
 
-	// Bounded workers pull plans in order, so the most critical objects
-	// start first even though completions interleave.
-	workers := m.cfg.Workers
-	if workers > len(plan.Objects) {
-		workers = len(plan.Objects)
-	}
-	results := make([]objectResult, len(plan.Objects))
+	// Objects start in plan order as worker slots free up, so the most
+	// critical ones start first even though completions interleave.
+	results := make([]Report, len(plan.Objects))
 	errs := make([]error, len(plan.Objects))
-	var next int64
+	slots := make(chan struct{}, m.cfg.Workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i := range plan.Objects {
+		slots <- struct{}{}
+		if ctx.Err() != nil {
+			break
+		}
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(plan.Objects) || ctx.Err() != nil {
-					return
-				}
-				results[i], errs[i] = m.migrateAttempts(ctx, plan.Objects[i])
-			}
-		}()
+			results[i], errs[i] = m.migrateAttempts(ctx, plan.Objects[i])
+			<-slots
+		}(i)
 	}
 	wg.Wait()
 
 	var firstErr error
 	for i, res := range results {
-		rep.Regenerated += res.regenerated
-		rep.Copied += res.copied
-		rep.Copies += res.copies
-		rep.BytesCollected += res.bytesCollected
-		rep.BytesPlaced += res.bytesPlaced
-		rep.DeletesIssued += res.deletesIssued
-		rep.BlocksReclaimed += res.blocksReclaimed
-		rep.SkippedLevels += res.skippedLevels
-		if res.released {
-			rep.Migrated++
-		}
+		rep.Add(res.Tally)
+		rep.DeletesIssued += res.DeletesIssued
+		rep.BlocksReclaimed += res.BlocksReclaimed
+		rep.Migrated += res.Migrated
 		if errs[i] != nil {
 			rep.Failed++
 			m.met.objectErrors.Inc()
@@ -417,13 +236,9 @@ func (m *Mover) runOnce(ctx context.Context) (Report, error) {
 			}
 		}
 	}
-	m.met.objectsMigrated.Add(uint64(rep.Migrated))
-	m.met.blocksRegenerated.Add(uint64(rep.Regenerated))
+	m.Record(rep.Tally)
 	m.met.blocksCopied.Add(uint64(rep.Copied))
-	m.met.copiesPlaced.Add(uint64(rep.Copies))
-	m.met.bytesCollected.Add(uint64(rep.BytesCollected))
-	m.met.bytesPlaced.Add(uint64(rep.BytesPlaced))
-	m.met.levelsSkipped.Add(uint64(rep.SkippedLevels))
+	m.met.objectsMigrated.Add(uint64(rep.Migrated))
 	m.met.deletesIssued.Add(uint64(rep.DeletesIssued))
 	m.met.blocksReclaimed.Add(uint64(rep.BlocksReclaimed))
 	if firstErr != nil {
@@ -435,18 +250,17 @@ func (m *Mover) runOnce(ctx context.Context) (Report, error) {
 	return rep, nil
 }
 
-// migrateAttempts drives one object through up to Attempts tries with
+// migrateAttempts drives one object through up to `attempts` tries with
 // doubling backoff. Each object recombines from its own generator,
 // seeded by Seed and the object ID, so worker interleaving never
 // changes what gets placed.
-func (m *Mover) migrateAttempts(ctx context.Context, op ObjectPlan) (objectResult, error) {
+func (m *Mover) migrateAttempts(ctx context.Context, op ObjectPlan) (Report, error) {
 	rng := rand.New(rand.NewSource(m.cfg.Seed ^ int64(op.Object)))
-	var res objectResult
+	var res Report
 	var err error
-	for attempt := 0; attempt < m.cfg.Attempts; attempt++ {
+	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			backoff := m.cfg.RetryBackoff << (attempt - 1)
-			timer := time.NewTimer(backoff)
+			timer := time.NewTimer(retryBackoff << (attempt - 1))
 			select {
 			case <-ctx.Done():
 				timer.Stop()
@@ -454,23 +268,10 @@ func (m *Mover) migrateAttempts(ctx context.Context, op ObjectPlan) (objectResul
 			case <-timer.C:
 			}
 		}
-		var r objectResult
-		r, err = m.migrateObject(ctx, op, rng)
-		// Work done by a failed attempt still moved bytes; account it.
-		res.regenerated += r.regenerated
-		res.copied += r.copied
-		res.copies += r.copies
-		res.bytesCollected += r.bytesCollected
-		res.bytesPlaced += r.bytesPlaced
-		res.deletesIssued += r.deletesIssued
-		res.blocksReclaimed += r.blocksReclaimed
-		res.skippedLevels += r.skippedLevels
-		if err == nil {
-			res.released = r.released
-			return res, nil
-		}
-		if ctx.Err() != nil {
-			return res, err
+		// Every attempt accumulates into the one result: work done by a
+		// failed attempt still moved bytes and is accounted.
+		if err = m.migrateObject(ctx, op, rng, &res); err == nil || ctx.Err() != nil {
+			break
 		}
 	}
 	return res, err

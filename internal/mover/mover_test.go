@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/repair"
 	"repro/internal/store"
 )
 
@@ -46,6 +47,12 @@ type testFleet struct {
 }
 
 func newTestFleet(t *testing.T, n, placedN, levels int) *testFleet {
+	return newTestFleetOver(t, n, placedN, levels, nil)
+}
+
+// newTestFleetOver is newTestFleet with every client — the joiners'
+// too — dialing through dialer (nil for a plain net.Dialer).
+func newTestFleetOver(t *testing.T, n, placedN, levels int, dialer store.Dialer) *testFleet {
 	t.Helper()
 	f := &testFleet{}
 	for i := 0; i < n; i++ {
@@ -56,10 +63,10 @@ func newTestFleet(t *testing.T, n, placedN, levels int) *testFleet {
 		f.servers = append(f.servers, srv)
 		f.addrs = append(f.addrs, srv.Addr())
 	}
-	clients := make([]*store.Client, placedN)
-	for i := 0; i < placedN; i++ {
-		cl, err := store.NewClient(store.ClientConfig{
-			Addr:        f.addrs[i],
+	newClient := func(addr string) (*store.Client, error) {
+		return store.NewClient(store.ClientConfig{
+			Addr:        addr,
+			Dialer:      dialer,
 			DialTimeout: time.Second,
 			OpTimeout:   2 * time.Second,
 			Retry: store.RetryPolicy{
@@ -68,12 +75,20 @@ func newTestFleet(t *testing.T, n, placedN, levels int) *testFleet {
 				MaxDelay:    5 * time.Millisecond,
 			},
 		})
+	}
+	clients := make([]*store.Client, placedN)
+	for i := 0; i < placedN; i++ {
+		cl, err := newClient(f.addrs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		clients[i] = cl
 	}
-	placed, err := store.NewPlaced(clients, levels, store.PlacedConfig{Replication: 2, Tolerance: 1})
+	pcfg := store.PlacedConfig{Replication: 2, Tolerance: 1}
+	if dialer != nil {
+		pcfg.NewClient = newClient
+	}
+	placed, err := store.NewPlaced(clients, levels, pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,16 +455,16 @@ func TestBlockKeyAndSortDeterminism(t *testing.T) {
 	a := append([]*core.CodedBlock(nil), blocks...)
 	b := append([]*core.CodedBlock(nil), blocks...)
 	rand.New(rand.NewSource(2)).Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
-	sortBlocks(a)
-	sortBlocks(b)
+	repair.SortBlocks(a)
+	repair.SortBlocks(b)
 	for i := range a {
 		if blockKey(a[i]) != blockKey(b[i]) {
-			t.Fatalf("sortBlocks not order-insensitive at %d", i)
+			t.Fatalf("SortBlocks not order-insensitive at %d", i)
 		}
 	}
 	for i := 1; i < len(a); i++ {
 		if a[i-1].Level > a[i].Level {
-			t.Fatal("sortBlocks did not order by level")
+			t.Fatal("SortBlocks did not order by level")
 		}
 	}
 }

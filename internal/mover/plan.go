@@ -9,38 +9,19 @@ import (
 	"repro/internal/store"
 )
 
-// LevelDeficit is one priority level's shortfall on an object's current
-// owners, measured against the provisioning targets.
-type LevelDeficit struct {
-	// Level is the priority level (0 = most critical).
-	Level int
-	// Replicas is the level's replication factor within the shard.
-	Replicas int
-	// Want = Distinct(level) * Replicas, the shard-wide copy target.
-	Want int
-	// Have is the copies the current owners held at plan time.
-	Have int
-	// Deficit = Want - Have (> 0, or the level would not be listed).
-	Deficit int
-}
-
 // ObjectPlan is one object's migration work order.
 type ObjectPlan struct {
 	// Object is the namespace to re-home.
 	Object core.ObjectID
-	// Owners is the current successor list, nearest first — where the
-	// object's blocks must live now.
-	Owners []string
 	// Stale lists reachable nodes holding the object's blocks without
 	// owning it anymore: the transfer sources and, after verification,
 	// the reclaim targets.
 	Stale []string
-	// Deficits lists the owner-side shortfalls ascending by level; empty
-	// means the owners are already provisioned and only reclaim remains.
-	Deficits []LevelDeficit
-	// Critical is the lowest deficient level, or the level count when no
-	// level is deficient — the plan's sort key, so the round spends its
-	// bandwidth on the objects whose most critical data is least safe.
+	// Critical is the lowest level whose copies on the current owners
+	// fall short of the provisioning targets, or the level count when
+	// none does and only reclaim remains — the plan's sort key, so the
+	// round spends its bandwidth on the objects whose most critical
+	// data is least safe.
 	Critical int
 }
 
@@ -62,7 +43,7 @@ type Plan struct {
 // inventories — rather than replaying membership events — makes the
 // round idempotent and restart-safe: whatever the mover missed while
 // down is still visible as stale holdings.
-func (m *Mover) plan(ctx context.Context, targets []int) (*Plan, error) {
+func (m *Mover) plan(ctx context.Context) (*Plan, error) {
 	members := m.placed.Members()
 	type statResult struct {
 		addr string
@@ -126,12 +107,11 @@ func (m *Mover) plan(ctx context.Context, targets []int) (*Plan, error) {
 			m.met.objectsSkipped.Inc()
 			continue
 		}
-		owners := shard.ReplicaLabels()
-		ownerSet := make(map[string]bool, len(owners))
-		for _, a := range owners {
+		ownerSet := make(map[string]bool)
+		for _, a := range shard.ReplicaLabels() {
 			ownerSet[a] = true
 		}
-		op := ObjectPlan{Object: obj, Owners: owners, Critical: levels}
+		op := ObjectPlan{Object: obj, Critical: levels}
 		have := make([]int, levels)
 		for addr, perLevel := range holders[obj] {
 			if !ownerSet[addr] {
@@ -149,20 +129,10 @@ func (m *Mover) plan(ctx context.Context, targets []int) (*Plan, error) {
 		}
 		sort.Strings(op.Stale)
 		for lvl := 0; lvl < levels; lvl++ {
-			want := targets[lvl] * shard.ReplicasFor(lvl)
-			if have[lvl] >= want {
-				continue
-			}
-			if op.Critical == levels {
+			if have[lvl] < m.targets[lvl]*shard.ReplicasFor(lvl) {
 				op.Critical = lvl
+				break
 			}
-			op.Deficits = append(op.Deficits, LevelDeficit{
-				Level:    lvl,
-				Replicas: shard.ReplicasFor(lvl),
-				Want:     want,
-				Have:     have[lvl],
-				Deficit:  want - have[lvl],
-			})
 		}
 		plan.Objects = append(plan.Objects, op)
 	}

@@ -198,7 +198,6 @@ func TestChurnWithDaemonLoop(t *testing.T) {
 	cfg := f.seed(levels, blocks, targets)
 	baseline := decodeAll(t, levels, blocks).DecodedLevels()
 	cfg.Interval = 2 * time.Millisecond
-	cfg.MaxBackoff = 20 * time.Millisecond
 	d, err := New(f.repl, cfg)
 	if err != nil {
 		t.Fatal(err)

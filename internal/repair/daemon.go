@@ -1,13 +1,9 @@
 package repair
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -31,18 +27,9 @@ type Config struct {
 	Dist        core.PriorityDistribution
 	TotalBlocks int
 	Targets     []int
-	// Interval is the pause between successful rounds. Default 2s.
+	// Interval is the pause between successful rounds; failed rounds
+	// back off from it, doubling up to 16x. Default 2s.
 	Interval time.Duration
-	// MaxBackoff caps the exponential backoff applied after failed
-	// rounds (the backoff starts at Interval and doubles per consecutive
-	// failure). Default 16x Interval.
-	MaxBackoff time.Duration
-	// Jitter in [0, 1] is the randomized fraction shaved off each wait,
-	// so a fleet of daemons desynchronizes. Default 0.2; negative
-	// disables jitter.
-	Jitter float64
-	// RoundTimeout bounds one audit+repair round. Default 30s.
-	RoundTimeout time.Duration
 	// BlockBudget caps the blocks regenerated per round, so one huge
 	// deficit cannot starve the critical levels of later rounds (the
 	// budget is spent most-critical-level-first). Default 64.
@@ -51,29 +38,23 @@ type Config struct {
 	// Small samples keep repair bandwidth near the regenerated volume;
 	// larger ones raise the entropy of each regenerated block. Default 8.
 	SampleSize int
-	// Seed seeds the recombination and jitter generator (0 means 1), so
-	// a repair history is reproducible given a reproducible fleet.
+	// Seed seeds the recombination generator (0 means 1), so a repair
+	// history is reproducible given a reproducible fleet — whether the
+	// loop or RunOnce drives the rounds: the loop's jitter draws from a
+	// generator of its own.
 	Seed int64
 	// Metrics, when non-nil, receives round counters, regeneration
 	// volumes, and backoff state (see DESIGN.md §10).
 	Metrics *metrics.Registry
 }
 
+// roundTimeout bounds one loop-driven audit+repair round (the default
+// of the RoundTimeout knob nobody set).
+const roundTimeout = 30 * time.Second
+
 func (c *Config) fillDefaults() {
 	if c.Interval <= 0 {
 		c.Interval = 2 * time.Second
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 16 * c.Interval
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.2
-	}
-	if c.Jitter < 0 {
-		c.Jitter = 0
-	}
-	if c.RoundTimeout <= 0 {
-		c.RoundTimeout = 30 * time.Second
 	}
 	if c.BlockBudget <= 0 {
 		c.BlockBudget = 64
@@ -90,48 +71,30 @@ func (c *Config) fillDefaults() {
 type Report struct {
 	// Audit is the inventory scan the round acted on.
 	Audit *Audit
-	// Regenerated counts fresh blocks recombined and placed.
-	Regenerated int
-	// Copies is the fleet-wide copy target those placements aimed at.
-	Copies int
-	// BytesCollected is the wire volume of survivors fetched.
-	BytesCollected int64
-	// BytesPlaced is the wire volume of regenerated blocks written,
-	// counted once per target copy.
-	BytesPlaced int64
-	// SkippedLevels lists deficient levels with no usable sample: no
-	// reachable survivor carries the level, or the sample was
-	// degenerate. Such levels need lost-data handling, not repair.
-	SkippedLevels []int
-	// Truncated reports that the block budget ran out before every
-	// deficit was addressed; the next round continues.
-	Truncated bool
+	// Tally is what the round's fill moved: Regenerated, Copies,
+	// BytesCollected, BytesPlaced, SkippedLevels, Truncated. Repair has
+	// no copy path, so Copied stays 0.
+	Tally
 }
 
 // Daemon is the background maintenance loop: every interval it audits
 // the fleet and regenerates missing redundancy by recombination,
 // most-critical-level-first. Failed rounds back off exponentially with
 // jitter. The daemon never decodes: its only data operations are
-// collect, recombine, put.
+// collect, recombine, put. Start, Stop, Kick, Rounds and LastReport
+// come from the embedded Loop.
 type Daemon struct {
+	*Loop[Report]
 	// shard resolves the replica set each round operates on: constant
 	// for a static Replicated store, re-resolved through the placement
 	// ring for an object shard — so repair follows membership churn.
-	shard func() (*store.Replicated, error)
-	cfg   Config
-	met   daemonMetrics
-
-	mu   sync.Mutex // serializes rounds and guards rng, last, rounds
-	rng  *rand.Rand
-	last Report
-	runs int
-
-	ctx      context.Context
-	cancel   context.CancelFunc
-	stop     chan struct{}
-	done     chan struct{}
-	started  bool
-	stopOnce sync.Once
+	shard   func() (*store.Replicated, error)
+	cfg     Config
+	targets []int // cfg's provisioning targets, resolved once
+	// rng is the recombination generator, one per daemon across rounds;
+	// rounds are serialized by the Loop, which is all that guards it.
+	rng       *rand.Rand
+	truncated *metrics.Counter
 }
 
 // New validates the configuration and returns a stopped daemon over a
@@ -169,118 +132,20 @@ func newDaemon(shard func() (*store.Replicated, error), levels int, cfg Config) 
 	if cfg.Levels.Count() != levels {
 		return nil, fmt.Errorf("repair: code has %d levels, store replicates %d", cfg.Levels.Count(), levels)
 	}
-	if _, err := (&AuditConfig{Dist: cfg.Dist, TotalBlocks: cfg.TotalBlocks, Targets: cfg.Targets}).distinctTargets(levels); err != nil {
+	targets, err := (&AuditConfig{Dist: cfg.Dist, TotalBlocks: cfg.TotalBlocks, Targets: cfg.Targets}).DistinctTargets(levels)
+	if err != nil {
 		return nil, err
 	}
 	cfg.fillDefaults()
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Daemon{
-		shard:  shard,
-		cfg:    cfg,
-		met:    newDaemonMetrics(cfg.Metrics),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		ctx:    ctx,
-		cancel: cancel,
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}, nil
-}
-
-// Start launches the background loop. The first round runs immediately.
-// Start is idempotent.
-func (d *Daemon) Start() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.started {
-		return
+	d := &Daemon{
+		shard:     shard,
+		cfg:       cfg,
+		targets:   targets,
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		truncated: cfg.Metrics.Counter("repair_rounds_truncated_total"),
 	}
-	d.started = true
-	go d.loop()
-}
-
-// Stop shuts the daemon down gracefully: the loop exits after the
-// in-flight round completes. If ctx expires first, the round is
-// cancelled and Stop returns the context error once the loop has
-// exited. Safe to call more than once, and before Start.
-func (d *Daemon) Stop(ctx context.Context) error {
-	d.stopOnce.Do(func() { close(d.stop) })
-	d.mu.Lock()
-	started := d.started
-	d.mu.Unlock()
-	if !started {
-		d.cancel()
-		return nil
-	}
-	select {
-	case <-d.done:
-		d.cancel()
-		return nil
-	case <-ctx.Done():
-		d.cancel()
-		<-d.done
-		return ctx.Err()
-	}
-}
-
-// Rounds returns how many repair rounds have run.
-func (d *Daemon) Rounds() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.runs
-}
-
-// LastReport returns the most recent round's report.
-func (d *Daemon) LastReport() Report {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.last
-}
-
-func (d *Daemon) loop() {
-	defer close(d.done)
-	failures := 0
-	timer := time.NewTimer(0) // first round immediately
-	defer timer.Stop()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-timer.C:
-		}
-		rctx, rcancel := context.WithTimeout(d.ctx, d.cfg.RoundTimeout)
-		_, err := d.RunOnce(rctx)
-		rcancel()
-		if d.ctx.Err() != nil {
-			return
-		}
-		wait := d.cfg.Interval
-		if err != nil {
-			// Jittered exponential backoff: a dark or flapping fleet is
-			// probed gently until it answers again.
-			failures++
-			for i := 1; i < failures && wait < d.cfg.MaxBackoff; i++ {
-				wait *= 2
-			}
-			if wait > d.cfg.MaxBackoff {
-				wait = d.cfg.MaxBackoff
-			}
-		} else {
-			failures = 0
-		}
-		d.met.consecutiveFailures.Set(int64(failures))
-		d.met.backoffNs.Set(int64(wait))
-		timer.Reset(d.jittered(wait))
-	}
-}
-
-func (d *Daemon) jittered(wait time.Duration) time.Duration {
-	if d.cfg.Jitter <= 0 {
-		return wait
-	}
-	d.mu.Lock()
-	f := 1 - d.cfg.Jitter*d.rng.Float64()
-	d.mu.Unlock()
-	return time.Duration(float64(wait) * f)
+	d.Loop = NewLoop("repair", cfg.Metrics, cfg.Interval, roundTimeout, cfg.Seed, d.round)
+	return d, nil
 }
 
 // RunOnce performs one audit+repair round: scan the fleet, and for each
@@ -292,41 +157,19 @@ func (d *Daemon) jittered(wait time.Duration) time.Duration {
 //
 // RunOnce never decodes: a level none of whose survivors remain is
 // skipped (and reported), not reconstructed.
-func (d *Daemon) RunOnce(ctx context.Context) (Report, error) {
-	t0 := time.Now()
-	rep, err := d.runOnce(ctx)
-	d.met.roundNs.ObserveSince(t0)
-	d.met.rounds.Inc()
-	if err != nil {
-		d.met.roundErrors.Inc()
-	}
-	d.met.blocksRegenerated.Add(uint64(rep.Regenerated))
-	d.met.copiesPlaced.Add(uint64(rep.Copies))
-	d.met.bytesCollected.Add(uint64(rep.BytesCollected))
-	d.met.bytesPlaced.Add(uint64(rep.BytesPlaced))
-	d.met.levelsSkipped.Add(uint64(len(rep.SkippedLevels)))
-	if rep.Truncated {
-		d.met.roundsTruncated.Inc()
-	}
-	return rep, err
-}
+func (d *Daemon) RunOnce(ctx context.Context) (Report, error) { return d.Loop.RunOnce(ctx) }
 
-func (d *Daemon) runOnce(ctx context.Context) (Report, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.runs++
+// round is audit → collect → fill.
+func (d *Daemon) round(ctx context.Context) (*Report, error) {
 	shard, err := d.shard()
 	if err != nil {
-		return Report{}, fmt.Errorf("repair: resolve shard: %w", err)
+		return nil, fmt.Errorf("repair: resolve shard: %w", err)
 	}
-	audit, err := AuditFleet(ctx, shard, AuditConfig{
-		Object: d.cfg.Object, Dist: d.cfg.Dist, TotalBlocks: d.cfg.TotalBlocks, Targets: d.cfg.Targets,
-	})
+	audit, err := AuditFleet(ctx, shard, AuditConfig{Object: d.cfg.Object, Targets: d.targets})
 	if err != nil {
-		return Report{}, err
+		return nil, err
 	}
-	rep := Report{Audit: audit}
-	defer func() { d.last = rep }()
+	rep := &Report{Audit: audit}
 	deficient := audit.Deficient()
 	if len(deficient) == 0 {
 		return rep, nil
@@ -337,136 +180,25 @@ func (d *Daemon) runOnce(ctx context.Context) (Report, error) {
 
 	// One collect covers every deficient level: survivors of level k
 	// also serve as sample padding for deeper PLC levels.
-	maxLevel := deficient[len(deficient)-1].Level
-	survivors, err := shard.CollectObject(ctx, d.cfg.Object, maxLevel)
+	survivors, err := shard.CollectObject(ctx, d.cfg.Object, deficient[len(deficient)-1].Level)
 	if err != nil {
 		return rep, err
 	}
-	sortBlocks(survivors) // deterministic sampling under a fixed seed
-	byLevel := make(map[int][]*core.CodedBlock)
+	SortBlocks(survivors) // deterministic sampling under a fixed seed
 	for _, b := range survivors {
-		byLevel[b.Level] = append(byLevel[b.Level], b)
-		rep.BytesCollected += int64(wireLen(b))
+		rep.BytesCollected += int64(b.WireSize())
 	}
-
-	budget := d.cfg.BlockBudget
-	for _, lr := range deficient {
-		if budget <= 0 {
-			rep.Truncated = true
-			break
-		}
-		anchors := byLevel[lr.Level]
-		if len(anchors) == 0 {
-			// Without a surviving block of this level, its dimensions
-			// are gone from the store; recombination cannot conjure
-			// them back and decoding is exactly what we refuse to do.
-			rep.SkippedLevels = append(rep.SkippedLevels, lr.Level)
-			continue
-		}
-		var padding []*core.CodedBlock
-		if d.cfg.Scheme != core.SLC {
-			for lvl := 0; lvl < lr.Level; lvl++ {
-				padding = append(padding, byLevel[lvl]...)
-			}
-		}
-		prefer := preferOrder(lr.PerReplica)
-		need := (lr.Deficit + lr.Replicas - 1) / lr.Replicas
-		for ; need > 0 && budget > 0; need-- {
-			sample := d.sample(anchors, padding)
-			nb, _, err := core.RecombineRanked(d.rng, d.cfg.Scheme, d.cfg.Levels, sample)
-			if errors.Is(err, core.ErrDegenerateInputs) {
-				rep.SkippedLevels = append(rep.SkippedLevels, lr.Level)
-				break
-			}
-			if err != nil {
-				return rep, err
-			}
-			if err := shard.PutPreferring(ctx, nb, prefer); err != nil {
-				return rep, fmt.Errorf("repair: place regenerated level-%d block: %w", lr.Level, err)
-			}
-			budget--
-			rep.Regenerated++
-			rep.Copies += lr.Replicas
-			rep.BytesPlaced += int64(wireLen(nb)) * int64(lr.Replicas)
-		}
-		if need > 0 && budget <= 0 {
-			rep.Truncated = true
-		}
+	fill := Fill{
+		Shard: shard, Scheme: d.cfg.Scheme, Levels: d.cfg.Levels, SampleSize: d.cfg.SampleSize,
+		Rng: d.rng, Survivors: survivors, Deficient: deficient, Budget: d.cfg.BlockBudget,
+	}
+	err = fill.Run(ctx, &rep.Tally)
+	d.Record(rep.Tally)
+	if rep.Truncated {
+		d.truncated.Inc()
+	}
+	if err != nil {
+		return rep, fmt.Errorf("repair: %w", err)
 	}
 	return rep, nil
-}
-
-// sample draws up to SampleSize blocks: at least one anchor of the
-// target level (so the output keeps that level), padded with
-// lower-level survivors when the scheme allows mixing.
-func (d *Daemon) sample(anchors, padding []*core.CodedBlock) []*core.CodedBlock {
-	take := d.cfg.SampleSize
-	if take > len(anchors) {
-		take = len(anchors)
-	}
-	out := make([]*core.CodedBlock, 0, d.cfg.SampleSize)
-	for _, i := range d.rng.Perm(len(anchors))[:take] {
-		out = append(out, anchors[i])
-	}
-	if pad := d.cfg.SampleSize - len(out); pad > 0 && len(padding) > 0 {
-		if pad > len(padding) {
-			pad = len(padding)
-		}
-		for _, i := range d.rng.Perm(len(padding))[:pad] {
-			out = append(out, padding[i])
-		}
-	}
-	return out
-}
-
-// preferOrder ranks replica indices for placement: fewest copies of the
-// level first, unreachable replicas last (they may have healed since
-// the audit, so they stay eligible as fallback).
-func preferOrder(perReplica []int) []int {
-	order := make([]int, len(perReplica))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ca, cb := perReplica[order[a]], perReplica[order[b]]
-		if (ca < 0) != (cb < 0) {
-			return cb < 0
-		}
-		return ca < cb
-	})
-	return order
-}
-
-func sortBlocks(blocks []*core.CodedBlock) {
-	// Dense comparison keys are precomputed so sparse blocks (nil Coeff)
-	// order by their actual coefficient vectors, not their representation —
-	// keeping rerun determinism independent of which wire version a block
-	// arrived in.
-	keys := make([][]byte, len(blocks))
-	for i, b := range blocks {
-		keys[i] = b.DenseCoeff()
-	}
-	order := make([]int, len(blocks))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		if blocks[i].Level != blocks[j].Level {
-			return blocks[i].Level < blocks[j].Level
-		}
-		if c := bytes.Compare(keys[i], keys[j]); c != 0 {
-			return c < 0
-		}
-		return bytes.Compare(blocks[i].Payload, blocks[j].Payload) < 0
-	})
-	sorted := make([]*core.CodedBlock, len(blocks))
-	for pos, i := range order {
-		sorted[pos] = blocks[i]
-	}
-	copy(blocks, sorted)
-}
-
-func wireLen(b *core.CodedBlock) int {
-	return b.WireSize() // exact marshaled size, representation-aware
 }

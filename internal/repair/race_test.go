@@ -16,7 +16,6 @@ func TestDaemonConcurrentWithPuts(t *testing.T) {
 	f := newFleet(t, 3, levels.Count())
 	cfg := f.seed(levels, blocks[:12], targets)
 	cfg.Interval = time.Millisecond
-	cfg.MaxBackoff = 10 * time.Millisecond
 	d, err := New(f.repl, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@
 // blocks is itself a valid coded block, so redundancy is regenerated
 // from whatever survives, touching no source block.
 //
-// The package has three layers:
+// The package has four layers:
 //
 //   - recombination: core.Recombine / core.RecombineRanked (the
 //     algebra lives next to the encoder, in internal/core);
@@ -21,9 +21,12 @@
 //     against targets derived from the priority distribution and the
 //     store's replication policy, yielding a deficit report ordered
 //     most-critical-level-first;
-//   - loop: Daemon periodically audits, recombines survivors of each
-//     deficient level, and places the regenerated blocks on the
-//     replicas the audit found under-provisioned.
+//   - fill: Fill recombines survivors of each deficient level and
+//     places the regenerated blocks on the replicas the audit found
+//     under-provisioned — the one transfer primitive, which the
+//     migration mover (internal/mover) runs too;
+//   - loop: Loop is the one background control loop; Daemon hangs
+//     audit → collect → fill on it, the mover its plan and reclaim.
 package repair
 
 import (
@@ -176,11 +179,6 @@ func apportion(shares []float64, total int) ([]int, error) {
 // apportioned over TotalBlocks by largest remainder. Exported so the
 // migration mover verifies against exactly the targets repair enforces.
 func (cfg *AuditConfig) DistinctTargets(levels int) ([]int, error) {
-	return cfg.distinctTargets(levels)
-}
-
-// distinctTargets resolves the per-level distinct-block targets.
-func (cfg *AuditConfig) distinctTargets(levels int) ([]int, error) {
 	if cfg.Targets != nil {
 		if len(cfg.Targets) != levels {
 			return nil, fmt.Errorf("repair: %d explicit targets, want %d levels", len(cfg.Targets), levels)
@@ -211,7 +209,7 @@ func AuditFleet(ctx context.Context, r *store.Replicated, cfg AuditConfig) (*Aud
 		return nil, fmt.Errorf("repair: nil replicated store")
 	}
 	n := r.Levels()
-	distinct, err := cfg.distinctTargets(n)
+	distinct, err := cfg.DistinctTargets(n)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/store"
 )
 
@@ -56,13 +57,17 @@ type fleet struct {
 	repl    *store.Replicated
 }
 
-func newFleet(t *testing.T, n, levels int) *fleet {
+func newFleet(t *testing.T, n, levels int) *fleet { return newFleetOver(t, n, levels, nil) }
+
+// newFleetOver is newFleet with the fault network layered over base
+// (nil for a plain net.Dialer).
+func newFleetOver(t *testing.T, n, levels int, base store.Dialer) *fleet {
 	t.Helper()
 	f := &fleet{
 		t:       t,
 		servers: make([]*store.Server, n),
 		addrs:   make([]string, n),
-		dialer:  store.NewFaultDialer(nil, store.FaultConfig{Seed: 1}),
+		dialer:  store.NewFaultDialer(base, store.FaultConfig{Seed: 1}),
 	}
 	clients := make([]*store.Client, n)
 	for i := 0; i < n; i++ {
@@ -223,23 +228,23 @@ func TestApportion(t *testing.T) {
 
 func TestDistinctTargets(t *testing.T) {
 	cfg := &AuditConfig{Targets: []int{4, 6}}
-	got, err := cfg.distinctTargets(2)
+	got, err := cfg.DistinctTargets(2)
 	if err != nil || !reflect.DeepEqual(got, []int{4, 6}) {
 		t.Fatalf("explicit targets = %v, %v", got, err)
 	}
-	if _, err := cfg.distinctTargets(3); err == nil {
+	if _, err := cfg.DistinctTargets(3); err == nil {
 		t.Fatal("target/level length mismatch accepted")
 	}
-	if _, err := (&AuditConfig{Targets: []int{4, -1}}).distinctTargets(2); err == nil {
+	if _, err := (&AuditConfig{Targets: []int{4, -1}}).DistinctTargets(2); err == nil {
 		t.Fatal("negative target accepted")
 	}
-	if _, err := (&AuditConfig{Dist: core.PriorityDistribution{1}, TotalBlocks: 5}).distinctTargets(2); err == nil {
+	if _, err := (&AuditConfig{Dist: core.PriorityDistribution{1}, TotalBlocks: 5}).DistinctTargets(2); err == nil {
 		t.Fatal("distribution/level length mismatch accepted")
 	}
-	if _, err := (&AuditConfig{Dist: core.PriorityDistribution{1, 1}, TotalBlocks: 0}).distinctTargets(2); err == nil {
+	if _, err := (&AuditConfig{Dist: core.PriorityDistribution{1, 1}, TotalBlocks: 0}).DistinctTargets(2); err == nil {
 		t.Fatal("zero TotalBlocks accepted")
 	}
-	got, err = (&AuditConfig{Dist: core.PriorityDistribution{0.25, 0.75}, TotalBlocks: 8}).distinctTargets(2)
+	got, err = (&AuditConfig{Dist: core.PriorityDistribution{0.25, 0.75}, TotalBlocks: 8}).DistinctTargets(2)
 	if err != nil || !reflect.DeepEqual(got, []int{2, 6}) {
 		t.Fatalf("apportioned targets = %v, %v", got, err)
 	}
@@ -508,33 +513,46 @@ func TestDaemonStopBeforeStart(t *testing.T) {
 	}
 }
 
+// TestDaemonBacksOffWhileDark drives dark rounds with RunOnce — not the
+// clock — and checks each returns an error and raises the backoff
+// state the loop schedules from; the schedule itself is TestNextWait's.
 func TestDaemonBacksOffWhileDark(t *testing.T) {
 	levels, _, blocks, targets := testCode(t, 20, 12)
 	f := newFleet(t, 2, levels.Count())
 	cfg := f.seed(levels, blocks, targets)
 	cfg.Interval = time.Millisecond
-	cfg.MaxBackoff = 250 * time.Millisecond
+	cfg.Metrics = metrics.NewRegistry()
 	d, err := New(f.repl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	failures := cfg.Metrics.Gauge("repair_consecutive_failures")
+	backoff := cfg.Metrics.Gauge("repair_backoff_ns")
 	for i := range f.addrs {
 		f.dialer.Partition(f.addrs[i])
 	}
-	d.Start()
-	time.Sleep(150 * time.Millisecond)
-	darkRounds := d.Rounds()
-	// With 1ms intervals, 150ms fits ~100 flat-rate rounds; exponential
-	// backoff must have held the failing daemon to far fewer.
-	if darkRounds < 1 || darkRounds > 20 {
-		t.Fatalf("dark daemon ran %d rounds in 150ms — backoff not engaged", darkRounds)
+	ctx := context.Background()
+	for n := 1; n <= 3; n++ {
+		if _, err := d.RunOnce(ctx); err == nil {
+			t.Fatalf("dark round %d succeeded", n)
+		}
+		if got := failures.Value(); got != int64(n) {
+			t.Fatalf("after %d dark rounds repair_consecutive_failures = %d", n, got)
+		}
+		if got, want := backoff.Value(), int64(nextWait(cfg.Interval, n)); got != want {
+			t.Fatalf("after %d dark rounds repair_backoff_ns = %d, want %d", n, got, want)
+		}
+	}
+	if got := cfg.Metrics.Counter("repair_round_errors_total").Value(); got != 3 {
+		t.Fatalf("repair_round_errors_total = %d, want 3", got)
 	}
 	for i := range f.addrs {
 		f.dialer.Heal(f.addrs[i])
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := d.Stop(ctx); err != nil {
-		t.Fatal(err)
+	if _, err := d.RunOnce(ctx); err != nil {
+		t.Fatalf("healed fleet still errors: %v", err)
+	}
+	if failures.Value() != 0 || backoff.Value() != int64(cfg.Interval) {
+		t.Fatalf("healed round left backoff state at %d failures, %v wait", failures.Value(), time.Duration(backoff.Value()))
 	}
 }
