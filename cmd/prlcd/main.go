@@ -17,6 +17,7 @@
 //	prlcd store shutdown -addr 127.0.0.1:7071
 //	prlcd repair -addrs ... -scheme plc -sizes ... -total 160        # one round
 //	prlcd repair -addrs ... -sizes ... -total 160 -watch             # loop
+//	prlcd repair -addrs ... -object report.pdf -replicas 3 ...       # one keyed object
 //	prlcd serve -addr ... -repair -peers ... -sizes ... -total 160   # serve + repair
 //	prlcd migrate -addrs ... -sizes ... -total 160                   # one migration round
 //	prlcd migrate -addrs ... -sizes ... -total 160 -watch            # migration loop
@@ -29,13 +30,13 @@
 // `store put` prints the exact `store get` invocation that recovers the
 // file, so the decode side needs no side-channel metadata.
 //
-// With `-object NAME`, put/get address one object namespace and route
-// through the placement ring: the object's blocks land on its
-// `-replicas` ring successors instead of the whole fleet, so many
-// objects share one fleet without mixing. `prlcd ring` shows the ring —
-// node IDs, ownership ranges, and (with -object) an object's replica
-// set. Without -object everything stays in the legacy key-less
-// namespace over the static replica list.
+// Every fleet-facing command goes through the placement ring. With
+// `-object NAME`, put/get/repair address one object namespace: its
+// blocks land on the object's `-replicas` ring successors, so many
+// objects share one fleet without mixing. Without -object they address
+// object zero — the key-less namespace — on the ring with R = n, i.e.
+// the whole fleet. `prlcd ring` shows the ring — node IDs, ownership
+// ranges, and (with -object) an object's replica set.
 package main
 
 import (
@@ -107,8 +108,7 @@ func serve(args []string, out io.Writer) error {
 		retention    time.Duration
 		segmentBytes int64
 		pidFile      string
-		rOpts        repairOpts
-		mOpts        migrateOpts
+		opts         healOpts
 		withMigrate  bool
 	)
 	fs.StringVar(&addr, "addr", "127.0.0.1:7071", "listen address")
@@ -123,8 +123,8 @@ func serve(args []string, out io.Writer) error {
 	fs.DurationVar(&retention, "retention", 0, "delete disk segments older than this rolling window (0 = keep forever)")
 	fs.Int64Var(&segmentBytes, "segment-bytes", 0, "disk segment rotation threshold in bytes (0 = 64 MiB default)")
 	fs.StringVar(&pidFile, "pid-file", "", "write the daemon PID here once serving (for process supervisors and chaos controllers)")
-	rOpts.register(fs, "peers", 10*time.Second)
-	mOpts.registerMoverFlags(fs) // code/fleet flags are shared with -repair
+	opts.register(fs, "peers", 10*time.Second)
+	opts.registerMover(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -149,7 +149,7 @@ func serve(args []string, out io.Writer) error {
 		defer msrv.Close()
 		fmt.Fprintf(out, "prlcd: metrics on http://%s/metrics\n", mln.Addr())
 	}
-	rOpts.metrics = reg
+	opts.metrics = reg
 	var engine store.BlockStore
 	if dataDir != "" {
 		fsyncMode, err := diskstore.ParseFsyncMode(fsyncStr)
@@ -187,42 +187,51 @@ func serve(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "prlcd: serving on %s\n", srv.Addr())
-	if withRepair {
-		// The serve-side client loop: this daemon audits and repairs the
-		// whole fleet (-peers should list every replica, itself included)
-		// in the background while serving its own blocks. Per-daemon
-		// jitter in the loop desynchronizes a fleet that all do this.
-		repl, d, err := rOpts.build("serve -repair")
-		if err != nil {
+	if withRepair || withMigrate {
+		// The serve-side client loops share one ring over -peers (which
+		// should list every daemon, itself included). The mover's -replicas
+		// is the ring's width; a repair loop alone keeps object zero on
+		// every peer.
+		fail := func(err error) error {
 			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			srv.Shutdown(sctx)
 			return err
 		}
-		defer repl.Close()
-		d.Start()
-		fmt.Fprintf(out, "prlcd: repairing %d peers every %v\n",
-			len(cliutil.SplitAddrs(rOpts.addrsStr)), rOpts.interval)
-		defer stopLoop(out, "repair daemon", d)
-	}
-	if withMigrate {
-		// The serve-side migration loop: this daemon re-homes displaced
-		// objects across -peers (itself included) whenever ring ownership
-		// and data placement disagree. Safe to run on every daemon — the
-		// mover verifies before reclaiming and deletes are idempotent.
-		mOpts.repairOpts = rOpts
-		placed, m, err := mOpts.build("serve -migrate")
+		replicas := 0
+		if withMigrate {
+			replicas = opts.replicas
+		}
+		placed, err := opts.open("serve -repair/-migrate", replicas)
 		if err != nil {
-			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			srv.Shutdown(sctx)
-			return err
+			return fail(err)
 		}
 		defer placed.Close()
-		m.Start()
-		fmt.Fprintf(out, "prlcd: migrating across %d peers every %v\n",
-			len(cliutil.SplitAddrs(rOpts.addrsStr)), rOpts.interval)
-		defer stopLoop(out, "mover", m)
+		peers := len(placed.Members())
+		if withRepair {
+			// This daemon audits and repairs the key-less object in the
+			// background while serving its own blocks. Per-daemon jitter in
+			// the loop desynchronizes a fleet that all do this.
+			d, err := opts.daemon(placed, core.ZeroObject)
+			if err != nil {
+				return fail(err)
+			}
+			d.Start()
+			fmt.Fprintf(out, "prlcd: repairing %d peers every %v\n", peers, opts.interval)
+			defer stopLoop(out, "repair daemon", d)
+		}
+		if withMigrate {
+			// This daemon re-homes displaced objects whenever ring ownership
+			// and data placement disagree. Safe to run on every daemon — the
+			// mover verifies before reclaiming and deletes are idempotent.
+			m, err := opts.mover(placed)
+			if err != nil {
+				return fail(err)
+			}
+			m.Start()
+			fmt.Fprintf(out, "prlcd: migrating across %d peers every %v\n", peers, opts.interval)
+			defer stopLoop(out, "mover", m)
+		}
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -383,27 +392,16 @@ func shutdownCmd(args []string, out io.Writer) error {
 	})
 }
 
-// openReplicated builds per-replica clients and the replicated store,
-// all attached to reg (which may be nil for uninstrumented commands).
-func openReplicated(addrs []string, levels, tolerance, minWrites int, timeout time.Duration, reg *metrics.Registry) (*store.Replicated, error) {
-	clients := make([]*store.Client, 0, len(addrs))
-	for _, a := range addrs {
-		cl, err := store.NewClient(store.ClientConfig{Addr: a, OpTimeout: timeout, Metrics: reg})
-		if err != nil {
-			return nil, err
-		}
-		clients = append(clients, cl)
-	}
-	return store.NewReplicated(clients, levels, store.ReplicatedConfig{
-		Tolerance: tolerance,
-		MinWrites: minWrites,
-		Metrics:   reg,
-	})
-}
-
-// openPlaced builds per-node clients and the consistent-hashing front
-// end that routes keyed objects to their ring successors.
+// openPlaced dials one client per node and returns the placement ring
+// over them — the one front end every fleet-facing command talks to, all
+// attached to reg (which may be nil for uninstrumented commands).
+// replicas is the ring's R, the successors each object is placed on; 0,
+// or more than the fleet has, means every node: the flat fleet is the
+// ring with R = n.
 func openPlaced(addrs []string, levels, replicas, tolerance, minWrites int, timeout time.Duration, reg *metrics.Registry) (*store.Placed, error) {
+	if replicas <= 0 || replicas > len(addrs) {
+		replicas = len(addrs)
+	}
 	clients := make([]*store.Client, 0, len(addrs))
 	for _, a := range addrs {
 		cl, err := store.NewClient(store.ClientConfig{Addr: a, OpTimeout: timeout, Metrics: reg})
@@ -427,6 +425,16 @@ func openPlaced(addrs []string, levels, replicas, tolerance, minWrites int, time
 		}
 	}
 	return p, err
+}
+
+// ringWidth is the R a command opens the ring with for one object: a
+// keyed object lives on its -replicas successors, the key-less file
+// (object zero) on the whole fleet.
+func ringWidth(obj core.ObjectID, replicas int) int {
+	if obj == core.ZeroObject {
+		return 0
+	}
+	return replicas
 }
 
 // ringCmd renders the placement ring for a fleet: each node's ring ID,
@@ -453,9 +461,6 @@ func ringCmd(args []string, out io.Writer) error {
 	if len(addrs) == 0 {
 		return fmt.Errorf("ring: -addrs is required")
 	}
-	if replicas > len(addrs) {
-		replicas = len(addrs)
-	}
 	placed, err := openPlaced(addrs, 1, replicas, 0, 1, timeout, nil)
 	if err != nil {
 		return err
@@ -477,7 +482,7 @@ func ringCmd(args []string, out io.Writer) error {
 			alive++
 		}
 	}
-	fmt.Fprintf(out, "ring: %d nodes (%d alive), replication %d\n", len(members), alive, replicas)
+	fmt.Fprintf(out, "ring: %d nodes (%d alive), replication %d\n", len(members), alive, placed.Replication())
 	// Ownership wraps among the alive nodes: each owns the ID range since
 	// the previous alive node, half-open on the left.
 	prevAlive := make([]uint64, len(members))
@@ -533,7 +538,7 @@ func putCmd(args []string, out io.Writer) error {
 	)
 	fs.StringVar(&addrsStr, "addrs", "", "comma-separated daemon addresses")
 	fs.StringVar(&in, "in", "", "input file")
-	fs.StringVar(&objectStr, "object", "", "object namespace: a name to hash or canonical obj-<16 hex> (empty = legacy key-less)")
+	fs.StringVar(&objectStr, "object", "", "object namespace: a name to hash or canonical obj-<16 hex> (empty = object zero, the key-less file, on every daemon)")
 	fs.IntVar(&replicas, "replicas", 3, "ring successors the object is placed on when -object is set")
 	fs.IntVar(&blocks, "blocks", 100, "number of source blocks")
 	fs.IntVar(&coded, "coded", 0, "number of coded blocks (0 = 1.6x blocks)")
@@ -651,62 +656,37 @@ func putCmd(args []string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("put: -object: %w", err)
 	}
-	ctx := context.Background()
+	// Stamp every block with the object and route through the placement
+	// ring: the blocks land on the object's -replicas ring successors, or
+	// for the key-less file (object zero) on the whole fleet.
+	for _, b := range cb {
+		b.Object = obj
+	}
+	placed, err := openPlaced(addrs, replLevels, ringWidth(obj, replicas), tolerance, minWrites, timeout, nil)
+	if err != nil {
+		return err
+	}
+	defer placed.Close()
+	if _, err := placed.PutAll(context.Background(), cb); err != nil {
+		if errors.Is(err, store.ErrStoreFull) {
+			return fmt.Errorf("put: a daemon is at capacity (raise its -max-blocks, widen its -retention window, or add replicas): %w", err)
+		}
+		return err
+	}
+	shard, err := placed.Shard(obj)
+	if err != nil {
+		return err
+	}
+	copies := 0
+	for _, b := range cb {
+		copies += shard.ReplicasFor(b.Level)
+	}
+	owners := shard.ReplicaLabels()
+	fmt.Fprintf(out, "stored %d coded blocks (%d replica copies) of %s on %d/%d daemons: %s\n",
+		len(cb), copies, obj, len(owners), len(addrs), strings.Join(owners, ", "))
 	objArgs := ""
 	if obj != core.ZeroObject {
-		// Keyed put: stamp every block with the object and route through
-		// the placement ring — the blocks land on the object's -replicas
-		// ring successors instead of the whole fleet.
-		for _, b := range cb {
-			b.Object = obj
-		}
-		if replicas > len(addrs) {
-			replicas = len(addrs)
-		}
-		objArgs = fmt.Sprintf(" -object %s -replicas %d", objectStr, replicas)
-		placed, err := openPlaced(addrs, replLevels, replicas, tolerance, minWrites, timeout, nil)
-		if err != nil {
-			return err
-		}
-		defer placed.Close()
-		if _, err := placed.PutAll(ctx, cb); err != nil {
-			if errors.Is(err, store.ErrStoreFull) {
-				return fmt.Errorf("put: a daemon is at capacity (raise its -max-blocks, widen its -retention window, or add replicas): %w", err)
-			}
-			return err
-		}
-		shard, err := placed.Shard(obj)
-		if err != nil {
-			return err
-		}
-		copies := 0
-		for _, b := range cb {
-			copies += shard.ReplicasFor(b.Level)
-		}
-		owners, err := placed.ReplicasForObject(obj)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "stored %d coded blocks (%d replica copies) of %s on %d/%d daemons: %s\n",
-			len(cb), copies, obj, len(owners), len(addrs), strings.Join(owners, ", "))
-	} else {
-		repl, err := openReplicated(addrs, replLevels, tolerance, minWrites, timeout, nil)
-		if err != nil {
-			return err
-		}
-		defer repl.Close()
-		if _, err := repl.PutAll(ctx, cb); err != nil {
-			if errors.Is(err, store.ErrStoreFull) {
-				return fmt.Errorf("put: a daemon is at capacity (raise its -max-blocks, widen its -retention window, or add replicas): %w", err)
-			}
-			return err
-		}
-		copies := 0
-		for _, b := range cb {
-			copies += repl.ReplicasFor(b.Level)
-		}
-		fmt.Fprintf(out, "stored %d coded blocks (%d replica copies) across %d daemons\n",
-			len(cb), copies, len(addrs))
+		objArgs = fmt.Sprintf(" -object %s -replicas %d", objectStr, placed.Replication())
 	}
 	if coding == core.CodingChunked {
 		fmt.Fprintf(out, "recover with:\n  prlcd store get -addrs %s -out FILE -sizes %s -size %d -chunks %d,%d%s\n",
@@ -766,33 +746,19 @@ func getCmd(args []string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("get: -object: %w", err)
 	}
+	// Resolve the object's shard on the same ring geometry the put used
+	// and collect only that namespace's blocks — object zero for the
+	// key-less file, never the all-objects wildcard: the decoder cannot
+	// tell two objects' blocks apart.
+	placed, err := openPlaced(addrs, levels.Count(), ringWidth(obj, replicas), 1, 1, timeout, nil)
+	if err != nil {
+		return err
+	}
+	defer placed.Close()
 	ctx := context.Background()
-	var blocks []*core.CodedBlock
-	if obj != core.ZeroObject {
-		// Keyed get: resolve the object's shard on the same ring geometry
-		// the put used and collect only that namespace's blocks.
-		if replicas > len(addrs) {
-			replicas = len(addrs)
-		}
-		placed, err := openPlaced(addrs, levels.Count(), replicas, 1, 1, timeout, nil)
-		if err != nil {
-			return err
-		}
-		defer placed.Close()
-		blocks, err = placed.Collect(ctx, obj, -1)
-		if err != nil {
-			return err
-		}
-	} else {
-		repl, err := openReplicated(addrs, levels.Count(), 1, 1, timeout, nil)
-		if err != nil {
-			return err
-		}
-		defer repl.Close()
-		blocks, err = repl.Collect(ctx, -1)
-		if err != nil {
-			return err
-		}
+	blocks, err := placed.Collect(ctx, obj, -1)
+	if err != nil {
+		return err
 	}
 	if len(blocks) == 0 {
 		return fmt.Errorf("get: daemons hold no blocks")
@@ -865,9 +831,9 @@ func getCmd(args []string, out io.Writer) error {
 	return nil
 }
 
-// repairOpts collects the fleet/code/daemon flags shared by
-// `prlcd repair` and `prlcd serve -repair`.
-type repairOpts struct {
+// healOpts collects the fleet, code and loop flags shared by `prlcd
+// repair`, `prlcd migrate` and `prlcd serve -repair/-migrate`.
+type healOpts struct {
 	addrsStr   string
 	schemeStr  string
 	sizesStr   string
@@ -878,13 +844,22 @@ type repairOpts struct {
 	minWrites  int
 	budget     int
 	sample     int
+	replicas   int
 	seed       int64
 	timeout    time.Duration
 	interval   time.Duration
+	rate       int64             // mover only
+	workers    int               // mover only
 	metrics    *metrics.Registry // set programmatically, not a flag
+
+	// The code the flags describe, parsed by open.
+	scheme  core.Scheme
+	levels  *core.Levels
+	dist    core.PriorityDistribution
+	targets []int
 }
 
-func (o *repairOpts) register(fs *flag.FlagSet, addrsFlag string, interval time.Duration) {
+func (o *healOpts) register(fs *flag.FlagSet, addrsFlag string, interval time.Duration) {
 	fs.StringVar(&o.addrsStr, addrsFlag, "", "comma-separated daemon addresses of the fleet")
 	fs.StringVar(&o.schemeStr, "scheme", "plc", "coding scheme used at put time")
 	fs.StringVar(&o.sizesStr, "sizes", "", "per-level source block counts from put time")
@@ -895,14 +870,21 @@ func (o *repairOpts) register(fs *flag.FlagSet, addrsFlag string, interval time.
 	fs.IntVar(&o.minWrites, "min-writes", 1, "copies that must land per regenerated block")
 	fs.IntVar(&o.budget, "budget", 0, "max blocks regenerated per round (0 = default)")
 	fs.IntVar(&o.sample, "sample", 0, "survivors sampled per recombination (0 = default)")
+	fs.IntVar(&o.replicas, "replicas", 3, "ring successors each keyed object is placed on")
 	fs.Int64Var(&o.seed, "seed", 1, "random seed for recombination")
 	fs.DurationVar(&o.timeout, "timeout", 5*time.Second, "per-attempt timeout")
 	fs.DurationVar(&o.interval, "interval", interval, "pause between repair rounds")
 }
 
+// registerMover adds the flags only the migration mover reads.
+func (o *healOpts) registerMover(fs *flag.FlagSet) {
+	fs.Int64Var(&o.rate, "rate", 8<<20, "migration byte-rate cap in bytes/second (0 = unlimited)")
+	fs.IntVar(&o.workers, "workers", 2, "objects migrated concurrently")
+}
+
 // code parses the shared code-description flags: scheme, levels, and
 // the provisioning targets (explicit, or a distribution over -total).
-func (o *repairOpts) code(name string) (core.Scheme, *core.Levels, core.PriorityDistribution, []int, error) {
+func (o *healOpts) code(name string) (core.Scheme, *core.Levels, core.PriorityDistribution, []int, error) {
 	scheme, err := core.ParseScheme(o.schemeStr)
 	if err != nil {
 		return 0, nil, nil, nil, err
@@ -938,87 +920,46 @@ func (o *repairOpts) code(name string) (core.Scheme, *core.Levels, core.Priority
 	return scheme, levels, dist, targets, nil
 }
 
-// build opens the replicated client fleet and constructs the daemon.
-func (o *repairOpts) build(name string) (*store.Replicated, *repair.Daemon, error) {
+// open parses the code flags and dials the fleet: the one ring a
+// command's repair daemon and mover both run over, `replicas` wide (see
+// openPlaced).
+func (o *healOpts) open(name string, replicas int) (*store.Placed, error) {
 	addrs := cliutil.SplitAddrs(o.addrsStr)
 	if len(addrs) == 0 || o.sizesStr == "" {
-		return nil, nil, fmt.Errorf("%s: fleet addresses and -sizes are required", name)
+		return nil, fmt.Errorf("%s: fleet addresses and -sizes are required", name)
 	}
-	scheme, levels, dist, targets, err := o.code(name)
-	if err != nil {
-		return nil, nil, err
+	var err error
+	if o.scheme, o.levels, o.dist, o.targets, err = o.code(name); err != nil {
+		return nil, err
 	}
-	cfg := repair.Config{
-		Scheme:      scheme,
-		Levels:      levels,
-		Dist:        dist,
+	return openPlaced(addrs, o.levels.Count(), replicas, o.tolerance, o.minWrites, o.timeout, o.metrics)
+}
+
+// daemon constructs the repair daemon maintaining obj on the opened ring.
+func (o *healOpts) daemon(p *store.Placed, obj core.ObjectID) (*repair.Daemon, error) {
+	return repair.NewObject(p, obj, repair.Config{
+		Scheme:      o.scheme,
+		Levels:      o.levels,
+		Dist:        o.dist,
 		TotalBlocks: o.total,
-		Targets:     targets,
+		Targets:     o.targets,
 		Interval:    o.interval,
 		BlockBudget: o.budget,
 		SampleSize:  o.sample,
 		Seed:        o.seed,
 		Metrics:     o.metrics,
-	}
-	repl, err := openReplicated(addrs, levels.Count(), o.tolerance, o.minWrites, o.timeout, o.metrics)
-	if err != nil {
-		return nil, nil, err
-	}
-	d, err := repair.New(repl, cfg)
-	if err != nil {
-		repl.Close()
-		return nil, nil, err
-	}
-	return repl, d, nil
+	})
 }
 
-// migrateOpts extends the repair flag set with the migration-specific
-// knobs shared by `prlcd migrate` and `prlcd serve -migrate`.
-type migrateOpts struct {
-	repairOpts
-	replicas int
-	rate     int64
-	workers  int
-}
-
-func (o *migrateOpts) register(fs *flag.FlagSet, addrsFlag string, interval time.Duration) {
-	o.repairOpts.register(fs, addrsFlag, interval)
-	o.registerMoverFlags(fs)
-}
-
-// registerMoverFlags adds only the mover-specific flags — `serve` has
-// already registered the shared repairOpts set and reuses its values.
-func (o *migrateOpts) registerMoverFlags(fs *flag.FlagSet) {
-	fs.IntVar(&o.replicas, "replicas", 3, "ring successors each object is placed on")
-	fs.Int64Var(&o.rate, "rate", 8<<20, "migration byte-rate cap in bytes/second (0 = unlimited)")
-	fs.IntVar(&o.workers, "workers", 2, "objects migrated concurrently")
-}
-
-// build opens the placement fleet and constructs the mover, wired to
+// mover constructs the migration mover over the opened ring, wired to
 // the membership hook so ring changes kick immediate rounds.
-func (o *migrateOpts) build(name string) (*store.Placed, *mover.Mover, error) {
-	addrs := cliutil.SplitAddrs(o.addrsStr)
-	if len(addrs) == 0 || o.sizesStr == "" {
-		return nil, nil, fmt.Errorf("%s: fleet addresses and -sizes are required", name)
-	}
-	scheme, levels, dist, targets, err := o.code(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	replicas := o.replicas
-	if replicas > len(addrs) {
-		replicas = len(addrs)
-	}
-	placed, err := openPlaced(addrs, levels.Count(), replicas, o.tolerance, o.minWrites, o.timeout, o.metrics)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := mover.New(placed, mover.Config{
-		Scheme:      scheme,
-		Levels:      levels,
-		Dist:        dist,
+func (o *healOpts) mover(p *store.Placed) (*mover.Mover, error) {
+	m, err := mover.New(p, mover.Config{
+		Scheme:      o.scheme,
+		Levels:      o.levels,
+		Dist:        o.dist,
 		TotalBlocks: o.total,
-		Targets:     targets,
+		Targets:     o.targets,
 		Interval:    o.interval,
 		Workers:     o.workers,
 		RateLimit:   o.rate,
@@ -1027,11 +968,10 @@ func (o *migrateOpts) build(name string) (*store.Placed, *mover.Mover, error) {
 		Metrics:     o.metrics,
 	})
 	if err != nil {
-		placed.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	placed.SetMembershipHook(func(store.MembershipChange) { m.Kick() })
-	return placed, m, nil
+	p.SetMembershipHook(func(store.MembershipChange) { m.Kick() })
+	return m, nil
 }
 
 // migrateCmd diffs data placement against ring ownership and re-homes
@@ -1040,18 +980,23 @@ func (o *migrateOpts) build(name string) (*store.Placed, *mover.Mover, error) {
 // against the provisioning targets.
 func migrateCmd(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("prlcd migrate", flag.ContinueOnError)
-	var opts migrateOpts
+	var opts healOpts
 	opts.register(fs, "addrs", 5*time.Second)
+	opts.registerMover(fs)
 	watch := fs.Bool("watch", false, "keep migrating until interrupted")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	placed, m, err := opts.build("migrate")
+	placed, err := opts.open("migrate", opts.replicas)
 	if err != nil {
 		return err
 	}
 	defer placed.Close()
-	return runOrWatch(out, "migrate", m.Loop, *watch, &opts.repairOpts, printMigrateReport)
+	m, err := opts.mover(placed)
+	if err != nil {
+		return err
+	}
+	return runOrWatch(out, "migrate", m.Loop, *watch, &opts, printMigrateReport)
 }
 
 func printMigrateReport(out io.Writer, rep mover.Report) {
@@ -1077,22 +1022,33 @@ func printMigrateReport(out io.Writer, rep mover.Report) {
 	}
 }
 
-// repairCmd audits a replica fleet against its provisioning targets and
-// regenerates missing redundancy by decode-free recombination — one
-// round by default, a background loop with -watch.
+// repairCmd audits one object's owners against its provisioning targets
+// and regenerates missing redundancy by decode-free recombination — one
+// round by default, a background loop with -watch. With -object that is
+// a keyed object on its -replicas ring successors; without, object zero
+// (the key-less file) on all of -addrs.
 func repairCmd(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("prlcd repair", flag.ContinueOnError)
-	var opts repairOpts
+	var opts healOpts
 	opts.register(fs, "addrs", 10*time.Second)
+	objectStr := fs.String("object", "", "object to repair: a name to hash or canonical obj-<16 hex> (empty = object zero, the key-less file, on every daemon)")
 	watch := fs.Bool("watch", false, "keep repairing until interrupted")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	repl, d, err := opts.build("repair")
+	obj, err := core.ParseObjectID(*objectStr)
+	if err != nil {
+		return fmt.Errorf("repair: -object: %w", err)
+	}
+	placed, err := opts.open("repair", ringWidth(obj, opts.replicas))
 	if err != nil {
 		return err
 	}
-	defer repl.Close()
+	defer placed.Close()
+	d, err := opts.daemon(placed, obj)
+	if err != nil {
+		return err
+	}
 	return runOrWatch(out, "repair", d.Loop, *watch, &opts, printRepairReport)
 }
 
@@ -1100,7 +1056,7 @@ func repairCmd(args []string, out io.Writer) error {
 // round by default, bounded by 8x -timeout, or with -watch the
 // background loop until interrupted; either way the last report is
 // printed.
-func runOrWatch[R any](out io.Writer, name string, l *repair.Loop[R], watch bool, opts *repairOpts, print func(io.Writer, R)) error {
+func runOrWatch[R any](out io.Writer, name string, l *repair.Loop[R], watch bool, opts *healOpts, print func(io.Writer, R)) error {
 	if !watch {
 		ctx, cancel := context.WithTimeout(context.Background(), 8*opts.timeout)
 		defer cancel()

@@ -502,3 +502,162 @@ func TestStoreSegmentsCLI(t *testing.T) {
 		t.Fatalf("segments on memory engine: err %v, want a -data-dir hint", err)
 	}
 }
+
+// writeRandomFile writes n seeded random bytes to dir/name and returns
+// the path and the bytes.
+func writeRandomFile(t *testing.T, dir, name string, n int, seed int64) (string, []byte) {
+	t.Helper()
+	data := make([]byte, n)
+	rand.New(rand.NewSource(seed)).Read(data)
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path, data
+}
+
+// TestKeylessGetIgnoresKeyedObjects pins the key-less get to object
+// zero: a keyed object with the same code geometry sharing the fleet
+// must not leak into the decode (core.Decoder does not look at
+// Block.Object, so a wildcard collect decodes a "complete file" of the
+// wrong bytes).
+func TestKeylessGetIgnoresKeyedObjects(t *testing.T) {
+	addrs := startDaemons(t, 3)
+	addrList := strings.Join(addrs, ",")
+	dir := t.TempDir()
+	inA, _ := writeRandomFile(t, dir, "a.bin", 4096, 31)
+	inB, dataB := writeRandomFile(t, dir, "b.bin", 4096, 32)
+
+	code := []string{"-blocks", "20", "-coded", "40", "-levels", "0.3,0.7", "-scheme", "plc"}
+	var out bytes.Buffer
+	put := append([]string{"store", "put", "-addrs", addrList, "-in", inA, "-object", "other", "-replicas", "3"}, code...)
+	if err := run(put, &out); err != nil {
+		t.Fatal(err)
+	}
+	put = append([]string{"store", "put", "-addrs", addrList, "-in", inB}, code...)
+	if err := run(put, &out); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := filepath.Join(dir, "rec.bin")
+	out.Reset()
+	err := run([]string{
+		"store", "get", "-addrs", addrList, "-out", rec,
+		"-scheme", "plc", "-sizes", "6,14", "-size", "4096",
+	}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, dataB) {
+		t.Fatalf("key-less get returned %d bytes that are not the key-less file (output: %q)", len(got), out.String())
+	}
+}
+
+// wipeDaemon shuts the daemon at addr down over the wire and brings an
+// empty one back on the same address — churn with a blank-disk
+// replacement.
+func wipeDaemon(t *testing.T, addr string) {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run([]string{"store", "shutdown", "-addr", addr}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for attempt := 0; ; attempt++ {
+		srv, err := store.NewServer(store.ServerConfig{Addr: addr})
+		if err == nil {
+			t.Cleanup(func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+				defer cancel()
+				srv.Shutdown(ctx)
+			})
+			return
+		}
+		if attempt > 100 {
+			t.Fatalf("restart %s empty: %v", addr, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRepairCLI is `make repair-demo` as a test, for the key-less file
+// on the whole fleet and for a keyed object on its ring shard: put,
+// wipe one owner, one `prlcd repair` round, take an *original* owner
+// away, and the file decodes bit-exactly from the repaired owner plus
+// the last survivor.
+func TestRepairCLI(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		daemons int
+		keyed   []string // the -object/-replicas flags put, repair and get share
+	}{
+		{name: "keyless", daemons: 3},
+		{name: "keyed", daemons: 4, keyed: []string{"-object", "repair-me", "-replicas", "3"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addrs := startDaemons(t, tc.daemons)
+			addrList := strings.Join(addrs, ",")
+			in, data := writeRandomFile(t, t.TempDir(), "in.bin", 8192, 51)
+
+			var out bytes.Buffer
+			put := append([]string{
+				"store", "put", "-addrs", addrList, "-in", in, "-blocks", "50", "-coded", "80",
+				"-levels", "0.1,0.9", "-dist", "0.2,0.8", "-scheme", "plc",
+			}, tc.keyed...)
+			if err := run(put, &out); err != nil {
+				t.Fatal(err)
+			}
+
+			// The owners: the whole fleet for the key-less file, the ring
+			// shard `prlcd ring` resolves for the keyed object.
+			owners := addrs
+			if tc.keyed != nil {
+				out.Reset()
+				if err := run(append([]string{"ring", "-addrs", addrList}, tc.keyed...), &out); err != nil {
+					t.Fatal(err)
+				}
+				_, list, ok := strings.Cut(strings.TrimSpace(out.String()), "replicas ")
+				if owners = strings.Split(list, ", "); !ok || len(owners) != 3 {
+					t.Fatalf("ring did not resolve three owners: %q", out.String())
+				}
+			}
+			wipeDaemon(t, owners[1])
+
+			out.Reset()
+			repair := append([]string{
+				"repair", "-addrs", addrList, "-scheme", "plc", "-sizes", "5,45",
+				"-dist", "0.2,0.8", "-total", "80", "-budget", "128",
+			}, tc.keyed...)
+			if err := run(repair, &out); err != nil {
+				t.Fatalf("repair: %v\n%s", err, out.String())
+			}
+			if s := out.String(); !strings.Contains(s, "3/3 replicas reachable") || strings.Contains(s, "regenerated 0 blocks") {
+				t.Fatalf("repair report: %q", s)
+			}
+
+			// An original owner goes away; the repaired one carries its share.
+			if err := run([]string{"store", "shutdown", "-addr", owners[0]}, &out); err != nil {
+				t.Fatal(err)
+			}
+			rec := filepath.Join(t.TempDir(), "rec.bin")
+			out.Reset()
+			get := append([]string{
+				"store", "get", "-addrs", addrList, "-out", rec,
+				"-scheme", "plc", "-sizes", "5,45", "-size", "8192",
+			}, tc.keyed...)
+			if err := run(get, &out); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatalf("recovered %d bytes differ from input after repair (output: %q)", len(got), out.String())
+			}
+		})
+	}
+}

@@ -5,7 +5,7 @@
 //	prlcload show churn-storm                        # print a scenario as JSON
 //	prlcload run -scenario steady-state              # one scenario, in-process fleet
 //	prlcload run -scenario my.json -prlcd ./prlcd    # scenario file, real daemons
-//	prlcload matrix -prlcd ./prlcd -out BENCH_load.json -check
+//	prlcload matrix -prlcd ./prlcd -out load.json -check
 //
 // run and matrix drive either real prlcd processes (-prlcd, each with
 // its own data directory, killed and restarted live by the chaos
@@ -81,7 +81,7 @@ func showCmd(args []string, out io.Writer) error {
 	return nil
 }
 
-// benchFile is the BENCH_load.json shape: one report per scenario plus
+// benchFile is the -out report shape: one report per scenario plus
 // the fleet description and any SLO violations.
 type benchFile struct {
 	Bench      string            `json:"bench"`
@@ -103,7 +103,7 @@ func runCmd(args []string, out io.Writer, matrix bool) error {
 		nodes    = fs.Int("nodes", 3, "fleet size")
 		prlcd    = fs.String("prlcd", "", "prlcd binary: run real daemon processes (empty = in-process fleet)")
 		dataDir  = fs.String("data-dir", "", "base directory for daemon data dirs (default: temp)")
-		outPath  = fs.String("out", "", "write BENCH_load.json-style report here")
+		outPath  = fs.String("out", "", "write the JSON report here")
 		check    = fs.Bool("check", false, "exit nonzero on SLO violations")
 		duration = fs.Duration("duration", 0, "override scenario duration")
 		rate     = fs.Float64("rate", 0, "override base arrival rate (ops/sec; phases scale proportionally)")

@@ -63,7 +63,7 @@ func TestBadUsage(t *testing.T) {
 func TestRunInprocWritesBench(t *testing.T) {
 	dir := t.TempDir()
 	scPath := filepath.Join(dir, "sc.json")
-	outPath := filepath.Join(dir, "BENCH_load.json")
+	outPath := filepath.Join(dir, "load.json")
 	os.WriteFile(scPath, []byte(`{
 		"name": "cli-churn", "seed": 5, "duration": "700ms", "clients": 16,
 		"rate": 120, "put_fraction": 0.4, "objects": 2, "blocks": 8,
@@ -90,7 +90,7 @@ func TestRunInprocWritesBench(t *testing.T) {
 	}
 	var bench benchFile
 	if err := json.Unmarshal(raw, &bench); err != nil {
-		t.Fatalf("BENCH_load.json invalid: %v", err)
+		t.Fatalf("load.json invalid: %v", err)
 	}
 	if bench.Bench != "load" || bench.Fleet != "inproc" || len(bench.Reports) != 1 {
 		t.Fatalf("bench = %+v", bench)
@@ -130,7 +130,7 @@ func TestRunAgainstRealDaemons(t *testing.T) {
 	bin := buildPrlcd(t)
 	dir := t.TempDir()
 	scPath := filepath.Join(dir, "sc.json")
-	outPath := filepath.Join(dir, "BENCH_load.json")
+	outPath := filepath.Join(dir, "load.json")
 	os.WriteFile(scPath, []byte(`{
 		"name": "real-churn", "seed": 6, "duration": "1s", "clients": 16,
 		"rate": 100, "put_fraction": 0.4, "objects": 2, "blocks": 8,

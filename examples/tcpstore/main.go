@@ -1,6 +1,6 @@
 // Tcpstore: priority-coded persistence over real sockets, now as a thin
 // consumer of the prlc store layer. Three storage daemons hold coded
-// blocks behind a priority-replicated store (the critical level on every
+// blocks behind the placement ring (the critical level on every
 // replica, bulk data on f+1); a producer encodes prioritized
 // measurements and ships them over TCP; then one daemon fails and a
 // collector recovers everything from the survivors — the critical level
@@ -75,24 +75,25 @@ func run(addrs []string) error {
 		return err
 	}
 
-	// Replicated store: critical level on all replicas, bulk on f+1.
+	// The placement ring over the whole fleet (R = n): every daemon is a
+	// replica of the key-less object, critical level on all, bulk on f+1.
 	clients := make([]*prlc.StoreClient, len(addrs))
 	for i, a := range addrs {
 		clients[i], err = prlc.NewStoreClient(prlc.StoreClientConfig{Addr: a})
 		if err != nil {
 			return err
 		}
-		defer clients[i].Close()
 	}
-	repl, err := prlc.NewReplicatedStore(clients, levels.Count(), prlc.ReplicatedStoreConfig{Tolerance: 1})
+	placed, err := prlc.NewPlacedStore(clients, levels.Count(), prlc.PlacedStoreConfig{Replication: len(clients), Tolerance: 1})
 	if err != nil {
 		return err
 	}
-	if _, err := repl.PutAll(ctx, blocks); err != nil {
+	defer placed.Close()
+	if _, err := placed.PutAll(ctx, blocks); err != nil {
 		return err
 	}
 	fmt.Printf("shipped %d coded blocks over TCP (critical level x%d, bulk x%d)\n\n",
-		len(blocks), repl.ReplicasFor(0), repl.ReplicasFor(levels.Count()-1))
+		len(blocks), placed.Replication(), placed.Tolerance()+1)
 
 	// Daemon 0 dies: direct shutdown in-process, over the wire otherwise.
 	if len(servers) > 0 {
@@ -107,7 +108,7 @@ func run(addrs []string) error {
 	fmt.Println("daemon 0 failed; collecting from the survivors")
 
 	// Collect from the survivors and decode.
-	survived, err := repl.Collect(ctx, -1)
+	survived, err := placed.Collect(ctx, prlc.ZeroObject, -1)
 	if err != nil {
 		return err
 	}

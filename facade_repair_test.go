@@ -110,11 +110,16 @@ func TestFacadeRepairRoundTrip(t *testing.T) {
 		servers = append(servers, srv)
 		clients = append(clients, cl)
 	}
-	repl, err := NewReplicatedStore(clients, levels.Count(), ReplicatedStoreConfig{Tolerance: 1})
+	placed, err := NewPlacedStore(clients, levels.Count(), PlacedStoreConfig{Replication: len(clients), Tolerance: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := repl.PutAll(ctx, blocks); err != nil {
+	if _, err := placed.PutAll(ctx, blocks); err != nil {
+		t.Fatal(err)
+	}
+	// The flat fleet's one replica set: every node, for the key-less object.
+	repl, err := placed.Shard(ZeroObject)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -158,7 +163,7 @@ func TestFacadeRepairRoundTrip(t *testing.T) {
 		t.Fatalf("deficient levels %+v, want most-critical first", def)
 	}
 
-	d, err := NewRepairDaemon(repl, RepairConfig{
+	d, err := NewObjectRepairDaemon(placed, ZeroObject, RepairConfig{
 		Scheme:  PLC,
 		Levels:  levels,
 		Targets: targets,
@@ -191,7 +196,7 @@ func TestFacadeRepairRoundTrip(t *testing.T) {
 	}
 
 	// The repaired fleet decodes fully from a plain collect.
-	survived, err := repl.Collect(ctx, -1)
+	survived, err := placed.Collect(ctx, ZeroObject, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,8 @@ func TestCodedBlockBinaryMarshaler(t *testing.T) {
 }
 
 // TestFacadeStoreRoundTrip exercises the full store surface through the
-// facade: replicated put, a partitioned replica, heal, collect, decode.
+// facade over a flat fleet (the ring with Replication = n, key-less data
+// as ZeroObject): put with a partitioned replica, heal, collect, decode.
 func TestFacadeStoreRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	levels, err := NewLevels(2, 6)
@@ -93,18 +94,18 @@ func TestFacadeStoreRoundTrip(t *testing.T) {
 		servers = append(servers, srv)
 		clients = append(clients, cl)
 	}
-	repl, err := NewReplicatedStore(clients, levels.Count(), ReplicatedStoreConfig{Tolerance: 1})
+	placed, err := NewPlacedStore(clients, levels.Count(), PlacedStoreConfig{Replication: len(clients), Tolerance: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	fault.Partition(servers[2].Addr())
-	if _, err := repl.PutAll(ctx, blocks); err != nil {
+	if _, err := placed.PutAll(ctx, blocks); err != nil {
 		t.Fatalf("puts during a partition must be absorbed: %v", err)
 	}
 	fault.Heal(servers[2].Addr())
 
-	survived, err := repl.Collect(ctx, -1)
+	survived, err := placed.Collect(ctx, ZeroObject, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +140,11 @@ func TestFacadeStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dead.Close()
-	deadRepl, err := NewReplicatedStore([]*StoreClient{dead}, levels.Count(), ReplicatedStoreConfig{})
+	deadFleet, err := NewPlacedStore([]*StoreClient{dead}, levels.Count(), PlacedStoreConfig{Replication: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := deadRepl.Collect(ctx, -1); !errors.Is(err, ErrStoreUnavailable) {
+	if _, err := deadFleet.Collect(ctx, ZeroObject, -1); !errors.Is(err, ErrStoreUnavailable) {
 		t.Fatalf("collect from dead fleet = %v, want ErrStoreUnavailable", err)
 	}
 }

@@ -184,30 +184,26 @@ func (f *ServerFleet) Close() {
 
 // fleetInjector adapts a Fleet plus the generator's FaultDialer into
 // the chaos controller's Injector: process faults go to the fleet,
-// join faults to the placement ring (when the runner armed one),
-// transport faults to the dialer.
+// join faults to the placement ring, transport faults to the dialer.
 type fleetInjector struct {
 	fleet  Fleet
 	dialer *store.FaultDialer
 	addrs  []string
+	join   func(addr string) error
 
 	mu     sync.Mutex
-	joinFn func(addr string) error
 	spares []int // fleet indices not yet joined to the ring, in join order
 }
 
-func newFleetInjector(fleet Fleet, dialer *store.FaultDialer) *fleetInjector {
-	return &fleetInjector{fleet: fleet, dialer: dialer, addrs: fleet.Addrs()}
-}
-
-// enableJoins arms the "join" fault kind: join adds a fleet address to
-// the placement ring, and the last spares fleet nodes form the pool a
-// Node == -1 join draws from, in index order.
-func (fi *fleetInjector) enableJoins(join func(addr string) error, spares int) {
-	fi.joinFn = join
+// newFleetInjector wires the injector: join adds a fleet address to the
+// placement ring, and the last spares fleet nodes form the pool a
+// Node == -1 join fault draws from, in index order.
+func newFleetInjector(fleet Fleet, dialer *store.FaultDialer, join func(addr string) error, spares int) *fleetInjector {
+	fi := &fleetInjector{fleet: fleet, dialer: dialer, addrs: fleet.Addrs(), join: join}
 	for i := len(fi.addrs) - spares; i < len(fi.addrs); i++ {
 		fi.spares = append(fi.spares, i)
 	}
+	return fi
 }
 
 func (fi *fleetInjector) Kill(node int) error    { return fi.fleet.Kill(node) }
@@ -215,21 +211,18 @@ func (fi *fleetInjector) Restart(node int) error { return fi.fleet.Restart(node)
 
 func (fi *fleetInjector) Join(node int) error {
 	fi.mu.Lock()
-	join := fi.joinFn
 	if node == -1 && len(fi.spares) > 0 {
 		node = fi.spares[0]
 		fi.spares = fi.spares[1:]
 	}
 	fi.mu.Unlock()
 	switch {
-	case join == nil:
-		return fmt.Errorf("loadgen: join fault without a placement ring")
 	case node == -1:
 		return fmt.Errorf("loadgen: join fault with no spare nodes left")
 	case node < 0 || node >= len(fi.addrs):
 		return fmt.Errorf("loadgen: join node %d of %d", node, len(fi.addrs))
 	}
-	return join(fi.addrs[node])
+	return fi.join(fi.addrs[node])
 }
 func (fi *fleetInjector) Partition(node int)   { fi.dialer.Partition(fi.addrs[node]) }
 func (fi *fleetInjector) Heal(node int)        { fi.dialer.Heal(fi.addrs[node]) }

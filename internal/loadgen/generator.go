@@ -99,25 +99,6 @@ func normalize(w []float64) []float64 {
 	return out
 }
 
-// Target is the slice of the storage API the load generator drives:
-// single-block puts, batch seeding, and object collection. The flat
-// replica set (store.Replicated) satisfies it directly; the
-// consistent-hash ring (store.Placed) does via placedTarget, so every
-// scenario shape runs against either placement regime unchanged.
-type Target interface {
-	Put(ctx context.Context, b *core.CodedBlock) error
-	PutAll(ctx context.Context, blocks []*core.CodedBlock) (int, error)
-	CollectObject(ctx context.Context, obj core.ObjectID, maxLevel int) ([]*core.CodedBlock, error)
-}
-
-// placedTarget adapts store.Placed's object-keyed Collect name to the
-// Target surface.
-type placedTarget struct{ *store.Placed }
-
-func (t placedTarget) CollectObject(ctx context.Context, obj core.ObjectID, maxLevel int) ([]*core.CodedBlock, error) {
-	return t.Placed.Collect(ctx, obj, maxLevel)
-}
-
 // generator executes a planned op list open-loop: a scheduler goroutine
 // releases ops at their planned times into a bounded queue; a fixed
 // worker pool drains it. A full queue means the fleet is not keeping up
@@ -125,7 +106,7 @@ func (t placedTarget) CollectObject(ctx context.Context, obj core.ObjectID, maxL
 // never blocking the arrival process on completions.
 type generator struct {
 	sc       *Scenario
-	target   Target
+	placed   *store.Placed
 	encoders []*core.Encoder
 	objs     []core.ObjectID
 
@@ -143,11 +124,11 @@ type latSeries struct {
 	errs    int
 }
 
-func newGenerator(sc *Scenario, target Target, encoders []*core.Encoder, objs []core.ObjectID) *generator {
+func newGenerator(sc *Scenario, placed *store.Placed, encoders []*core.Encoder, objs []core.ObjectID) *generator {
 	n := len(sc.LevelFractions)
 	return &generator{
 		sc:       sc,
-		target:   target,
+		placed:   placed,
 		encoders: encoders,
 		objs:     objs,
 		put:      make([]latSeries, n),
@@ -203,14 +184,14 @@ func (g *generator) execute(ctx context.Context, op Op) {
 		blk, err = g.encoders[op.Obj].Encode(rng, op.Level)
 		if err == nil {
 			blk.Object = g.objs[op.Obj]
-			err = g.target.Put(opCtx, blk)
+			err = g.placed.Put(opCtx, blk)
 			if err == nil {
 				moved = len(blk.Payload)
 			}
 		}
 	} else {
 		var blocks []*core.CodedBlock
-		blocks, err = g.target.CollectObject(opCtx, g.objs[op.Obj], op.Level)
+		blocks, err = g.placed.Collect(opCtx, g.objs[op.Obj], op.Level)
 		if err == nil && len(blocks) == 0 {
 			err = fmt.Errorf("loadgen: object %v level %d: no blocks", g.objs[op.Obj], op.Level)
 		}

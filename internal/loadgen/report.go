@@ -71,7 +71,7 @@ type MigrationCheck struct {
 	BlocksReclaimed   float64 `json:"blocks_reclaimed"`
 }
 
-// Report is one scenario's SLO report — the unit of BENCH_load.json.
+// Report is one scenario's SLO report — the unit of prlcload's -out file.
 type Report struct {
 	Scenario        string          `json:"scenario"`
 	Description     string          `json:"description,omitempty"`

@@ -96,57 +96,37 @@ func Run(ctx context.Context, fleet Fleet, sc Scenario, rc RunConfig) (*Report, 
 		})
 	}
 
-	// The placement regime under test: a flat replica set over the whole
-	// fleet, or (Placement) the consistent-hash ring over the fleet minus
-	// its spares, which join faults then grow mid-run.
-	var (
-		target Target
-		repl   *store.Replicated
-		placed *store.Placed
-	)
-	if sc.Placement {
-		ring := len(addrs) - sc.Spares
-		if ring <= sc.Tolerance {
-			return nil, fmt.Errorf("loadgen: %d spares leave a %d-node ring for tolerance %d", sc.Spares, ring, sc.Tolerance)
-		}
-		ringClients := make([]*store.Client, ring)
-		for i := 0; i < ring; i++ {
-			if ringClients[i], err = dial(addrs[i], int64(i)); err != nil {
-				return nil, err
-			}
-		}
-		placed, err = store.NewPlaced(ringClients, levels.Count(), store.PlacedConfig{
-			Replication: sc.Replication,
-			Tolerance:   sc.Tolerance,
-			MinWrites:   1,
-			// Joined spares dial through the same fault-injected transport
-			// and metrics registry as the founding members.
-			NewClient: func(addr string) (*store.Client, error) { return dial(addr, int64(len(addrs))) },
-			Metrics:   clientReg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer placed.Close()
-		target = placedTarget{placed}
-	} else {
-		clients := make([]*store.Client, len(addrs))
-		for i, a := range addrs {
-			if clients[i], err = dial(a, int64(i)); err != nil {
-				return nil, err
-			}
-		}
-		repl, err = store.NewReplicated(clients, levels.Count(), store.ReplicatedConfig{
-			Tolerance: sc.Tolerance,
-			MinWrites: 1,
-			Metrics:   clientReg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer repl.Close()
-		target = repl
+	// Every scenario runs on the placement ring: the founding members are
+	// the fleet minus its spares (which join faults add mid-run), and
+	// Replication 0 means the whole founding ring — a flat fleet is the
+	// ring with R = n.
+	ring := len(addrs) - sc.Spares
+	if ring <= sc.Tolerance {
+		return nil, fmt.Errorf("loadgen: %d spares leave a %d-node ring for tolerance %d", sc.Spares, ring, sc.Tolerance)
 	}
+	replication := sc.Replication
+	if replication == 0 {
+		replication = ring
+	}
+	ringClients := make([]*store.Client, ring)
+	for i := 0; i < ring; i++ {
+		if ringClients[i], err = dial(addrs[i], int64(i)); err != nil {
+			return nil, err
+		}
+	}
+	placed, err := store.NewPlaced(ringClients, levels.Count(), store.PlacedConfig{
+		Replication: replication,
+		Tolerance:   sc.Tolerance,
+		MinWrites:   1,
+		// Joined spares dial through the same fault-injected transport
+		// and metrics registry as the founding members.
+		NewClient: func(addr string) (*store.Client, error) { return dial(addr, int64(len(addrs))) },
+		Metrics:   clientReg,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer placed.Close()
 
 	// Baseline: every object gets a decodable block population before the
 	// clock starts, so gets work from op one and the spot-check has a
@@ -165,7 +145,7 @@ func Run(ctx context.Context, fleet Fleet, sc Scenario, rc RunConfig) (*Report, 
 		for _, b := range blocks {
 			b.Object = objs[i]
 		}
-		if _, err := target.PutAll(ctx, blocks); err != nil {
+		if _, err := placed.PutAll(ctx, blocks); err != nil {
 			return nil, fmt.Errorf("loadgen: seeding object %d: %w", i, err)
 		}
 	}
@@ -177,15 +157,11 @@ func Run(ctx context.Context, fleet Fleet, sc Scenario, rc RunConfig) (*Report, 
 	if err != nil {
 		return nil, err
 	}
-	injector := newFleetInjector(fleet, dialer)
-	if placed != nil {
-		injector.enableJoins(placed.Join, sc.Spares)
-	}
-	controller := NewController(schedule, injector)
+	controller := NewController(schedule, newFleetInjector(fleet, dialer, placed.Join, sc.Spares))
 
 	var repairer *repair.Daemon
 	if sc.Repair {
-		rcfg := repair.Config{
+		repairer, err = repair.NewObject(placed, objs[0], repair.Config{
 			Scheme:      core.PLC,
 			Levels:      levels,
 			Dist:        seedDist,
@@ -193,13 +169,7 @@ func Run(ctx context.Context, fleet Fleet, sc Scenario, rc RunConfig) (*Report, 
 			Interval:    sc.RepairInterval.D(),
 			Seed:        sc.Seed,
 			Metrics:     clientReg,
-		}
-		if placed != nil {
-			repairer, err = repair.NewObject(placed, objs[0], rcfg)
-		} else {
-			rcfg.Object = objs[0]
-			repairer, err = repair.New(repl, rcfg)
-		}
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -234,7 +204,7 @@ func Run(ctx context.Context, fleet Fleet, sc Scenario, rc RunConfig) (*Report, 
 	}
 	rc.logf("running %s: %d ops over %v, %d workers, %d faults", sc.Name, len(ops), sc.Duration.D(), sc.Clients, len(schedule))
 
-	gen := newGenerator(&sc, target, encoders, objs)
+	gen := newGenerator(&sc, placed, encoders, objs)
 	start := time.Now()
 	chaosCtx, stopChaos := context.WithCancel(ctx)
 	recsCh := make(chan []FaultRecord, 1)
@@ -280,7 +250,7 @@ func Run(ctx context.Context, fleet Fleet, sc Scenario, rc RunConfig) (*Report, 
 	if mv != nil {
 		rep.Migration = migrationCheck(mv.Rounds(), clientReg)
 	}
-	rep.Decode = spotCheck(ctx, target, objs[0], levels, spotSources, sc.Seed, sc.PayloadBytes)
+	rep.Decode = spotCheck(ctx, placed, objs[0], levels, spotSources, sc.Seed, sc.PayloadBytes)
 	rep.Scrape = scrapeCheck(ctx, fleet, clientReg, rep.OpsOK, schedule, rc)
 	rc.logf("%s done: %d/%d ops ok, decode bit-exact=%v", sc.Name, rep.OpsOK, rep.OpsRun, rep.Decode.BitExact)
 	return rep, nil
@@ -289,11 +259,11 @@ func Run(ctx context.Context, fleet Fleet, sc Scenario, rc RunConfig) (*Report, 
 // spotCheck collects the spot-check object from the surviving fleet and
 // verifies the level-0 sources decode byte-identical to what the
 // generator encoded from — the paper's core promise under churn.
-func spotCheck(ctx context.Context, target Target, obj core.ObjectID, levels *core.Levels, sources [][]byte, seed int64, payloadLen int) DecodeCheck {
+func spotCheck(ctx context.Context, placed *store.Placed, obj core.ObjectID, levels *core.Levels, sources [][]byte, seed int64, payloadLen int) DecodeCheck {
 	dc := DecodeCheck{Object: obj.String(), Level0Blocks: levels.Size(0)}
 	cctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
-	blocks, err := target.CollectObject(cctx, obj, levels.Count()-1)
+	blocks, err := placed.Collect(cctx, obj, levels.Count()-1)
 	if err != nil {
 		dc.Err = fmt.Sprintf("collect: %v", err)
 		return dc

@@ -71,7 +71,7 @@ func TestRunSteadyStateInProcess(t *testing.T) {
 			t.Errorf("level %d: p99 %v < p50 %v", ls.Level, ls.Get.P99Ms, ls.Get.P50Ms)
 		}
 	}
-	// The report must survive the JSON trip BENCH_load.json takes.
+	// The report must survive the JSON trip prlcload -out takes.
 	raw, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,6 @@ func TestRunGrowFleetMigratesUnderLoad(t *testing.T) {
 	// joining node (ring positions depend on the fleet's random ports).
 	sc.Objects = 10
 	sc.ExpectZeroErrors = true
-	sc.Placement = true
 	sc.Spares = 1
 	sc.Replication = 2
 	sc.Migrate = true
@@ -284,6 +283,21 @@ func TestLoadScenariosFile(t *testing.T) {
 	}
 	if len(one) != 1 || one[0].Duration.D() != 1500*time.Millisecond {
 		t.Fatalf("single scenario = %+v", one)
+	}
+
+	// A file written before every scenario ran on the ring still carries
+	// "placement": true; the retired knob is ignored, not an error.
+	legacy := filepath.Join(dir, "legacy.json")
+	os.WriteFile(legacy, []byte(`{"name":"legacy","seed":1,"duration":"1s","clients":4,"rate":10,
+		"put_fraction":0.5,"objects":1,"blocks":4,"payload_bytes":64,
+		"level_fractions":[0.5,0.5],"tolerance":1,"placement":true,"spares":1,"replication":2,
+		"faults":[{"at":"0.5s","kind":"join","node":-1}]}`), 0o644)
+	old, err := LoadScenarios(legacy)
+	if err != nil {
+		t.Fatalf("scenario with the retired placement knob: %v", err)
+	}
+	if len(old) != 1 || old[0].Spares != 1 || old[0].Replication != 2 || old[0].Faults[0].Kind != "join" {
+		t.Fatalf("legacy scenario = %+v", old)
 	}
 
 	// Invalid scenarios are rejected at load time.

@@ -68,8 +68,8 @@ type RatePhase struct {
 //	partition  cut the generator's transport to the node; For heals it
 //	corrupt    flip one byte per written frame with probability Prob; For reverts
 //	delay      delay writes with probability Prob; For reverts
-//	join       add the node to the placement ring (requires Placement);
-//	           -1 means the next spare not yet joined; never reverted
+//	join       add the node to the placement ring; -1 means the next
+//	           spare not yet joined; never reverted
 //
 // For == 0 on kill means the node stays dead for the rest of the run —
 // the repair-under-load shape.
@@ -118,14 +118,11 @@ type Scenario struct {
 	// Tolerance is the replicated store's f: the last level is stored on
 	// f+1 daemons, level 0 on all.
 	Tolerance int `json:"tolerance"`
-	// Placement routes traffic through the object-keyed consistent-hash
-	// placement layer (store.Placed) instead of one flat replica set, so
-	// membership can change mid-run. Join faults and Migrate require it.
-	Placement bool `json:"placement,omitempty"`
 	// Spares holds the last Spares fleet nodes out of the initial ring;
 	// "join" faults grow the ring from this pool (Node -1 = next spare).
 	Spares int `json:"spares,omitempty"`
-	// Replication is the ring's successor-list size R. 0 = store default.
+	// Replication is the ring's successor-list size R. 0 = the whole
+	// founding ring: every object on every node, the flat fleet.
 	Replication int `json:"replication,omitempty"`
 	// Migrate runs the migration mover over the ring for the whole run,
 	// kicked by every membership change — the grow-fleet shape.
@@ -179,10 +176,6 @@ func (s *Scenario) Validate() error {
 		return fmt.Errorf("loadgen: scenario %s: tolerance must be >= 0", s.Name)
 	case s.Spares < 0 || s.Replication < 0:
 		return fmt.Errorf("loadgen: scenario %s: spares and replication must be >= 0", s.Name)
-	case s.Spares > 0 && !s.Placement:
-		return fmt.Errorf("loadgen: scenario %s: spares require placement", s.Name)
-	case s.Migrate && !s.Placement:
-		return fmt.Errorf("loadgen: scenario %s: migrate requires placement", s.Name)
 	case s.MigrateRateBytes < 0:
 		return fmt.Errorf("loadgen: scenario %s: migrate_rate_bytes must be >= 0", s.Name)
 	}
@@ -210,13 +203,8 @@ func (s *Scenario) Validate() error {
 		if f.Kind == "partition" && f.For <= 0 {
 			return fmt.Errorf("loadgen: scenario %s: fault %d: partition needs a heal window (for)", s.Name, i)
 		}
-		if f.Kind == "join" {
-			if !s.Placement {
-				return fmt.Errorf("loadgen: scenario %s: fault %d: join requires placement", s.Name, i)
-			}
-			if f.For > 0 {
-				return fmt.Errorf("loadgen: scenario %s: fault %d: join is permanent, drop the revert window", s.Name, i)
-			}
+		if f.Kind == "join" && f.For > 0 {
+			return fmt.Errorf("loadgen: scenario %s: fault %d: join is permanent, drop the revert window", s.Name, i)
 		}
 	}
 	return nil
@@ -303,7 +291,6 @@ func Builtins() []Scenario {
 	grow.Seed = 5
 	grow.Description = "a spare node joins the ring mid-run and the mover re-homes blocks most-critical-first under live traffic; SLO includes zero client-visible errors and bit-exact level-0 decode"
 	grow.Objects = 10 // enough that some objects land on the new node with near-certainty
-	grow.Placement = true
 	grow.Spares = 1
 	grow.Replication = 2
 	grow.Migrate = true

@@ -13,7 +13,7 @@
 //     levels 1..k, decoding progressively via incremental Gauss–Jordan
 //     elimination and strictly dominating SLC.
 //
-// The package exposes six layers:
+// The package exposes seven layers:
 //
 //   - Coding: Levels, Encoder, Decoder, CodedBlock — encode source blocks
 //     into coded blocks and partially decode in priority order.
@@ -24,20 +24,19 @@
 //   - Protocol: Deployment plus the GPSR and Chord transports — the
 //     Sec. 4 pre-distribution protocol with decentralized encoding
 //     (c ← c + βx), O(ln N) fanout, and two-choices load balancing.
-//   - Store: StoreServer, StoreClient and ReplicatedStore — a real-
-//     sockets block store where the replication factor decreases with
-//     priority level, so the critical prefix survives more node losses.
-//   - Placement: ObjectID, PlacedStore and GossipMonitor — an
-//     object-keyed namespace whose per-object replica sets are resolved
-//     by consistent hashing over a ring, with membership driven by a
-//     failure detector, so many objects share one dynamic fleet.
+//   - Store: StoreServer and StoreClient — a real-sockets block store
+//     daemon and its pooled, retrying client.
+//   - Placement: ObjectID, PlacedStore and GossipMonitor — the one
+//     front end of a fleet: an object-keyed namespace whose per-object
+//     replica sets are resolved by consistent hashing over a ring, with
+//     membership driven by a failure detector, so many objects share
+//     one dynamic fleet. Within a replica set (a ReplicatedStore) the
+//     replication factor decreases with priority level, so the critical
+//     prefix survives more node losses. A flat fleet is the ring with
+//     Replication = the node count; key-less data is ZeroObject on it.
 //   - Repair: Recombine, AuditStore and RepairDaemon — decode-free
 //     regeneration of redundancy lost to churn, by randomly recombining
 //     surviving coded blocks, most critical level first.
-//   - Load: LoadScenario, ChaosController and RunLoadScenario — an
-//     open-loop load generator plus a wall-clock fault scheduler that
-//     pushes a live fleet through named chaos scenarios and reports
-//     per-level latency SLOs, goodput and a bit-exact decode check.
 //
 // Everything is deterministic given explicit *rand.Rand seeds.
 package prlc
@@ -59,7 +58,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/gossip"
 	"repro/internal/gpsr"
-	"repro/internal/loadgen"
 	"repro/internal/metrics"
 	"repro/internal/predist"
 	"repro/internal/repair"
@@ -423,10 +421,9 @@ type (
 	// StoreDialer abstracts connection establishment (fault injection).
 	StoreDialer = store.Dialer
 	// ReplicatedStore maps priority level to replication factor over a
-	// set of daemons.
+	// set of daemons: one object's replica set, as PlacedStore.Shard
+	// returns it and AuditStore takes it.
 	ReplicatedStore = store.Replicated
-	// ReplicatedStoreConfig parameterizes a ReplicatedStore.
-	ReplicatedStoreConfig = store.ReplicatedConfig
 	// FaultConfig parameterizes a fault-injecting dialer.
 	FaultConfig = store.FaultConfig
 	// FaultDialer injects seedable dial failures, frame corruption,
@@ -441,12 +438,6 @@ func NewStoreServer(cfg StoreServerConfig) (*StoreServer, error) { return store.
 // NewStoreClient returns a client for one daemon; connections are dialed
 // lazily and pooled.
 func NewStoreClient(cfg StoreClientConfig) (*StoreClient, error) { return store.NewClient(cfg) }
-
-// NewReplicatedStore builds a priority-replicated store over per-replica
-// clients for a code with the given number of levels.
-func NewReplicatedStore(clients []*StoreClient, levels int, cfg ReplicatedStoreConfig) (*ReplicatedStore, error) {
-	return store.NewReplicated(clients, levels, cfg)
-}
 
 // NewFaultDialer wraps a dialer (nil for the network) with seedable
 // fault injection for robustness experiments.
@@ -567,111 +558,19 @@ func AuditStore(ctx context.Context, r *ReplicatedStore, cfg StoreAuditConfig) (
 	return repair.AuditFleet(ctx, r, cfg)
 }
 
-// NewRepairDaemon validates the configuration and returns a stopped
-// repair daemon for the replicated store; Start launches the background
-// loop, RunOnce drives a single audit+repair round synchronously.
-func NewRepairDaemon(r *ReplicatedStore, cfg RepairConfig) (*RepairDaemon, error) {
-	return repair.New(r, cfg)
-}
-
-// NewObjectRepairDaemon scopes a repair daemon to one object on a
-// placed fleet: each round re-resolves the object's shard, so repair
-// follows the ring through churn and regenerated blocks land on the
-// current owners.
+// NewObjectRepairDaemon validates the configuration and returns a
+// stopped repair daemon scoped to one object on a placed fleet
+// (ZeroObject for key-less data); Start launches the background loop,
+// RunOnce drives a single audit+repair round synchronously. Each round
+// re-resolves the object's shard, so repair follows the ring through
+// churn and regenerated blocks land on the current owners.
 func NewObjectRepairDaemon(p *PlacedStore, obj ObjectID, cfg RepairConfig) (*RepairDaemon, error) {
 	return repair.NewObject(p, obj, cfg)
 }
 
-// Load & chaos layer: an open-loop arrival generator and a wall-clock
-// fault scheduler for pushing a live fleet (in-process servers or real
-// prlcd daemons) through named scenarios — the engine behind
-// `prlcload`. Arrivals follow the scenario clock, never completions, so
-// overload shows up as queue drops and latency rather than silently
-// throttled demand; fault schedules are pure functions of (specs,
-// nodes, seed), so a chaos run replays exactly.
-type (
-	// LoadScenario is one named load-and-chaos scenario: arrival rate
-	// (with optional flash-crowd phases), put/get mix, object and level
-	// shape, fault schedule, and SLO expectations.
-	LoadScenario = loadgen.Scenario
-	// LoadRatePhase is one piecewise-constant arrival-rate change.
-	LoadRatePhase = loadgen.RatePhase
-	// LoadFaultSpec is one scenario fault (kill, partition, corrupt or
-	// delay) before seeding resolves its target node.
-	LoadFaultSpec = loadgen.FaultSpec
-	// LoadOp is one scheduled operation of a generated open-loop plan.
-	LoadOp = loadgen.Op
-	// LoadReport is a finished run's SLO report: per-level put/get
-	// latency percentiles, error rates, goodput, the executed fault
-	// records, the decode spot-check and the metrics cross-check.
-	LoadReport = loadgen.Report
-	// LoadRunConfig tunes a scenario run (logging, op timeout, scrape).
-	LoadRunConfig = loadgen.RunConfig
-	// LoadFleet abstracts the fleet under test: addresses plus
-	// kill/restart hooks (ServerFleet in-process, prlcload's ProcFleet
-	// for real daemons).
-	LoadFleet = loadgen.Fleet
-	// LoadServerFleet is the in-process fleet: one StoreServer plus
-	// metrics registry per node, kill/restart preserving each node's
-	// engine so restarts are durable.
-	LoadServerFleet = loadgen.ServerFleet
-	// ScheduledFault is one resolved fault instance on the wall-clock
-	// timeline (target node and revert time fixed by the seed).
-	ScheduledFault = loadgen.ScheduledFault
-	// FaultRecord is one executed fault with its observed fire/revert
-	// times and errors.
-	FaultRecord = loadgen.FaultRecord
-	// ChaosInjector is the fault surface a ChaosController drives.
-	ChaosInjector = loadgen.Injector
-	// ChaosController executes a fault schedule against an injector,
-	// reverting every windowed fault even on cancellation.
-	ChaosController = loadgen.Controller
-)
-
-// BuiltinScenarios returns the named scenario matrix: steady-state,
-// flash-crowd, churn-storm and repair-under-load.
-func BuiltinScenarios() []LoadScenario { return loadgen.Builtins() }
-
-// BuiltinScenario returns one builtin scenario by name.
-func BuiltinScenario(name string) (LoadScenario, error) { return loadgen.Builtin(name) }
-
-// LoadScenarioFile parses a scenario file (one JSON object or an array).
-func LoadScenarioFile(path string) ([]LoadScenario, error) { return loadgen.LoadScenarios(path) }
-
-// NewLoadServerFleet starts n in-process store servers (each with its
-// own metrics endpoint when withMetrics is set).
-func NewLoadServerFleet(n int, withMetrics bool) (*LoadServerFleet, error) {
-	return loadgen.NewServerFleet(n, withMetrics)
-}
-
-// BuildFaultSchedule resolves scenario fault specs into a deterministic
-// wall-clock schedule: seeded target picks for Node < 0, sorted by fire
-// time. Same (specs, nodes, seed) always yields the same schedule.
-func BuildFaultSchedule(specs []LoadFaultSpec, nodes int, seed int64) ([]ScheduledFault, error) {
-	return loadgen.BuildSchedule(specs, nodes, seed)
-}
-
-// FaultScheduleHash fingerprints a schedule (FNV-64a) so reports and
-// tests can assert determinism across runs.
-func FaultScheduleHash(sched []ScheduledFault) string { return loadgen.ScheduleHash(sched) }
-
-// NewChaosController builds a controller that executes the schedule
-// against the injector when Run is called.
-func NewChaosController(sched []ScheduledFault, inj ChaosInjector) *ChaosController {
-	return loadgen.NewController(sched, inj)
-}
-
-// RunLoadScenario drives one scenario against the fleet — seeds the
-// objects, runs the open-loop generator and the chaos controller
-// concurrently, then computes the SLO report with its decode spot-check
-// and metrics cross-check.
-func RunLoadScenario(ctx context.Context, fleet LoadFleet, sc LoadScenario, rc LoadRunConfig) (*LoadReport, error) {
-	return loadgen.Run(ctx, fleet, sc, rc)
-}
-
 // Observability layer: a dependency-free metrics registry threaded
 // through every hot path. Pass one registry via the Metrics field of
-// StoreServerConfig, StoreClientConfig, ReplicatedStoreConfig and
+// StoreServerConfig, StoreClientConfig, PlacedStoreConfig and
 // RepairConfig (and SetMetrics on Encoder/Decoder) to aggregate a whole
 // process into one scrapeable view; a nil registry is a no-op.
 type (
