@@ -147,8 +147,8 @@ loadtest-smoke: build
 	    -nodes 4 -prlcd /tmp/prlcd -out .bench_build/load.json -check
 
 # Short fuzz pass over every fuzz target: the block-file parser, the wire
-# format, the decoder equivalence oracle and the GF(2^8) kernels. ~20s per
-# target; CI runs this on every push.
+# format, the store's frame decoders, the decoder equivalence oracle and
+# the GF(2^8) kernels. ~20s per target; CI runs this on every push.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz FuzzReadBlock -fuzztime $(FUZZTIME) ./cmd/prlcfile
@@ -160,6 +160,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz FuzzChunkedDecodeEquiv -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz FuzzParseObjectID -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz FuzzObjectFrame -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz FuzzStoreFrames -fuzztime $(FUZZTIME) ./internal/store
 
 # Three prlcd daemons on loopback ports, the tcpstore demo against them
 # (it shuts daemon 1 down over the wire), then kill the rest.

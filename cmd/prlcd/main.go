@@ -100,7 +100,6 @@ func serve(args []string, out io.Writer) error {
 		addr         string
 		maxConns     int
 		maxBlocks    int
-		maxFrame     int
 		metricsAddr  string
 		withRepair   bool
 		dataDir      string
@@ -114,7 +113,6 @@ func serve(args []string, out io.Writer) error {
 	fs.StringVar(&addr, "addr", "127.0.0.1:7071", "listen address")
 	fs.IntVar(&maxConns, "max-conns", 64, "maximum concurrent connections")
 	fs.IntVar(&maxBlocks, "max-blocks", 0, "maximum stored blocks (0 = unlimited)")
-	fs.IntVar(&maxFrame, "max-frame", store.DefaultMaxFrame, "maximum frame size in bytes")
 	fs.StringVar(&metricsAddr, "metrics", "", "observability listen address (Prometheus /metrics, /metrics.json, /debug/pprof)")
 	fs.BoolVar(&withRepair, "repair", false, "run a repair daemon client loop over -peers alongside serving")
 	fs.BoolVar(&withMigrate, "migrate", false, "run a migration mover loop over -peers alongside serving (shares the repair flags)")
@@ -158,12 +156,11 @@ func serve(args []string, out io.Writer) error {
 		}
 		t0 := time.Now()
 		eng, err := diskstore.Open(dataDir, diskstore.Options{
-			SegmentBytes:   segmentBytes,
-			Fsync:          fsyncMode,
-			Retention:      retention,
-			MaxBlocks:      maxBlocks,
-			MaxRecordBytes: maxFrame,
-			Metrics:        reg,
+			SegmentBytes: segmentBytes,
+			Fsync:        fsyncMode,
+			Retention:    retention,
+			MaxBlocks:    maxBlocks,
+			Metrics:      reg,
 		})
 		if err != nil {
 			return fmt.Errorf("serve: %w", err)
@@ -179,7 +176,6 @@ func serve(args []string, out io.Writer) error {
 		Addr:      addr,
 		MaxConns:  maxConns,
 		MaxBlocks: maxBlocks,
-		MaxFrame:  maxFrame,
 		Blocks:    engine,
 		Metrics:   reg,
 	})
@@ -366,9 +362,6 @@ func statCmd(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "%s: %d blocks, %d bytes\n", cl.Addr(), st.Blocks, st.Bytes)
 	for _, lc := range st.PerLevel {
 		fmt.Fprintf(out, "  level %d: %d blocks, %d bytes\n", lc.Level, lc.Count, lc.Bytes)
-	}
-	if *objectStr != "" && len(st.PerObject) == 0 {
-		fmt.Fprintln(out, "  (daemon reports no per-object inventory — predates the object namespace)")
 	}
 	for _, os := range st.PerObject {
 		if *objectStr != "" && os.Object != only {
@@ -970,7 +963,7 @@ func (o *healOpts) mover(p *store.Placed) (*mover.Mover, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.SetMembershipHook(func(store.MembershipChange) { m.Kick() })
+	p.SetMembershipHook(m.Kick)
 	return m, nil
 }
 

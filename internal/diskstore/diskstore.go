@@ -91,24 +91,12 @@ type Options struct {
 	// RetentionCheck is how often the retention window is enforced.
 	// Default 1 minute (only consulted when Retention > 0).
 	RetentionCheck time.Duration
-	// MaxBlocks / MaxBytes cap the stored inventory (0 = unbounded);
-	// puts beyond either cap are rejected with store.ErrStoreFull.
+	// MaxBlocks caps the stored inventory (0 = unbounded); puts beyond
+	// it are rejected with store.ErrStoreFull.
 	MaxBlocks int
-	MaxBytes  int64
-	// MaxBatchBlocks / MaxBatchBytes bound one group-commit batch.
-	// Defaults 256 blocks / 1 MiB.
-	MaxBatchBlocks int
-	MaxBatchBytes  int
-	// QueueDepth is the put queue feeding the writer; while a flush is
-	// on the disk, up to this many puts pile up and form the next
-	// batch. Default 1024.
-	QueueDepth int
 	// CacheBytes bounds the read-through block cache. Default 16 MiB;
 	// negative disables caching.
 	CacheBytes int64
-	// MaxRecordBytes bounds a single block record, mirroring the wire
-	// frame limit. Default store.DefaultMaxFrame.
-	MaxRecordBytes int
 	// Logf receives recovery and retention notices (torn tails
 	// truncated, segments expired). Default log.Printf.
 	Logf func(format string, args ...any)
@@ -124,25 +112,25 @@ func (o *Options) fillDefaults() {
 	if o.RetentionCheck <= 0 {
 		o.RetentionCheck = time.Minute
 	}
-	if o.MaxBatchBlocks <= 0 {
-		o.MaxBatchBlocks = 256
-	}
-	if o.MaxBatchBytes <= 0 {
-		o.MaxBatchBytes = 1 << 20
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 1024
-	}
 	if o.CacheBytes == 0 {
 		o.CacheBytes = 16 << 20
-	}
-	if o.MaxRecordBytes <= 0 {
-		o.MaxRecordBytes = store.DefaultMaxFrame
 	}
 	if o.Logf == nil {
 		o.Logf = log.Printf
 	}
 }
+
+// The group-commit writer's fixed sizing. A block record is bounded by
+// store.DefaultMaxFrame, the wire's own limit, so every block a client
+// can send is a record a restart can replay.
+const (
+	// maxBatchBlocks and maxBatchBytes bound one group-commit batch.
+	maxBatchBlocks = 256
+	maxBatchBytes  = 1 << 20
+	// queueDepth is the put queue feeding the writer; while a flush is on
+	// the disk, up to this many puts pile up and form the next batch.
+	queueDepth = 1024
+)
 
 // Store is the disk-backed block store. It is safe for concurrent use;
 // all mutation of the index happens under mu, all file appends happen
@@ -160,7 +148,6 @@ type Store struct {
 	tallies    map[objLevel]levelTally
 	blocks     int
 	bytes      int64
-	pendBytes  int64
 	pendBlocks int
 	closed     bool
 	putters    sync.WaitGroup // in-flight senders on reqCh
@@ -216,8 +203,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		pending: make(map[uint64][]*writeReq),
 		tallies: make(map[objLevel]levelTally),
 		cache:   newBlockCache(opts.CacheBytes),
-		scratch: make([]byte, 0, opts.MaxBatchBytes),
-		reqCh:   make(chan *writeReq, opts.QueueDepth),
+		scratch: make([]byte, 0, maxBatchBytes),
+		reqCh:   make(chan *writeReq, queueDepth),
 		stopRet: make(chan struct{}),
 	}
 	t0 := time.Now()
@@ -260,9 +247,9 @@ func (s *Store) Put(obj core.ObjectID, level int, wire []byte) (bool, error) {
 	if obj == core.AllObjects {
 		return false, fmt.Errorf("%w: cannot store under the all-objects wildcard", store.ErrBadRequest)
 	}
-	if len(wire) > s.opts.MaxRecordBytes {
+	if len(wire) > store.DefaultMaxFrame {
 		return false, fmt.Errorf("%w: block %d bytes exceeds record limit %d",
-			store.ErrBadRequest, len(wire), s.opts.MaxRecordBytes)
+			store.ErrBadRequest, len(wire), store.DefaultMaxFrame)
 	}
 	hash := hashWire(wire)
 	t0 := time.Now()
@@ -292,10 +279,6 @@ func (s *Store) Put(obj core.ObjectID, level int, wire []byte) (bool, error) {
 		s.mu.Unlock()
 		return false, fmt.Errorf("%w: %d blocks stored, cap %d", store.ErrStoreFull, s.blocks, s.opts.MaxBlocks)
 	}
-	if s.opts.MaxBytes > 0 && s.bytes+s.pendBytes+int64(len(wire)) > s.opts.MaxBytes {
-		s.mu.Unlock()
-		return false, fmt.Errorf("%w: %d bytes stored, cap %d", store.ErrStoreFull, s.bytes, s.opts.MaxBytes)
-	}
 	req := &writeReq{
 		kind:  reqPut,
 		obj:   obj,
@@ -305,7 +288,6 @@ func (s *Store) Put(obj core.ObjectID, level int, wire []byte) (bool, error) {
 		done:  make(chan struct{}),
 	}
 	s.pending[hash] = append(s.pending[hash], req)
-	s.pendBytes += int64(len(wire))
 	s.pendBlocks++
 	s.putters.Add(1)
 	s.mu.Unlock()
@@ -343,40 +325,27 @@ func (s *Store) dupLocked(hash uint64, wire []byte) (bool, error) {
 
 // Get returns the wire bytes of every block of obj with level <=
 // maxLevel (maxLevel < 0 = all) in log order, reading through the block
-// cache. core.AllObjects walks every object in ascending ID. The records
-// to read come from the per-object index (byObj), so a single-object
-// read costs that object's records, not the store's.
+// cache. The records to read come from the per-object index (byObj), so
+// a read costs that object's records, not the store's. The all-objects
+// wildcard is rejected with store.ErrBadRequest.
 func (s *Store) Get(obj core.ObjectID, maxLevel int) ([][]byte, error) {
 	type lookup struct {
 		seg *segment
 		rec rec
+	}
+	if obj == core.AllObjects {
+		return nil, fmt.Errorf("%w: get needs a concrete object", store.ErrBadRequest)
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: engine closed", store.ErrStoreUnavailable)
 	}
-	var want []lookup
-	pick := func(refs []blockRef) {
-		for _, ref := range refs {
-			if r := ref.seg.recs[ref.idx]; maxLevel < 0 || int(r.level) <= maxLevel {
-				want = append(want, lookup{ref.seg, r})
-			}
-		}
-	}
-	if obj != core.AllObjects {
-		refs := s.byObj[obj]
-		want = make([]lookup, 0, len(refs))
-		pick(refs)
-	} else {
-		ids := make([]core.ObjectID, 0, len(s.byObj))
-		for id := range s.byObj {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		want = make([]lookup, 0, s.blocks)
-		for _, id := range ids {
-			pick(s.byObj[id])
+	refs := s.byObj[obj]
+	want := make([]lookup, 0, len(refs))
+	for _, ref := range refs {
+		if r := ref.seg.recs[ref.idx]; maxLevel < 0 || int(r.level) <= maxLevel {
+			want = append(want, lookup{ref.seg, r})
 		}
 	}
 	s.mu.Unlock()

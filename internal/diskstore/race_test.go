@@ -63,7 +63,7 @@ func TestConcurrentPutGetRotateRetention(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				if _, err := s.Get(core.AllObjects, g-1); err != nil { // levels -1, 0, 1
+				if _, err := getAll(s, g-1); err != nil { // levels -1, 0, 1
 					t.Errorf("reader %d: %v", g, err)
 					return
 				}
@@ -99,7 +99,7 @@ func TestConcurrentPutGetRotateRetention(t *testing.T) {
 	// Whatever survived the churn must replay cleanly: a fresh open sees
 	// no torn tails and a Get sees exactly Len blocks.
 	s2 := openTest(t, dir, Options{})
-	got, err := s2.Get(core.AllObjects, -1)
+	got, err := getAll(s2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestCloseRacingPuts(t *testing.T) {
 
 	s2 := openTest(t, dir, Options{})
 	got := make(map[string]bool)
-	all, err := s2.Get(core.AllObjects, -1)
+	all, err := getAll(s2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

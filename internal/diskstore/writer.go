@@ -42,11 +42,11 @@ type writeReq struct {
 // in the meantime — and commits the whole batch with one buffered
 // write and one fsync. Batch size is latency-bounded by construction
 // (nothing waits longer than one flush) and size-bounded by
-// MaxBatchBlocks/MaxBatchBytes.
+// maxBatchBlocks/maxBatchBytes.
 func (s *Store) writerLoop() {
 	defer s.wg.Done()
 	defer s.sealActive()
-	batch := make([]*writeReq, 0, s.opts.MaxBatchBlocks)
+	batch := make([]*writeReq, 0, maxBatchBlocks)
 	for first := range s.reqCh {
 		batch = batch[:0]
 		bytes := 0
@@ -58,7 +58,7 @@ func (s *Store) writerLoop() {
 			ctrl = first
 		}
 	drain:
-		for ctrl == nil && len(batch) < s.opts.MaxBatchBlocks && bytes < s.opts.MaxBatchBytes {
+		for ctrl == nil && len(batch) < maxBatchBlocks && bytes < maxBatchBytes {
 			select {
 			case r, ok := <-s.reqCh:
 				if !ok {
@@ -112,7 +112,7 @@ func (s *Store) flush(batch []*writeReq, bytes int) {
 		for _, r := range batch {
 			buf = appendRecord(buf, r.wire)
 		}
-		if cap(buf) <= s.opts.MaxBatchBytes*2 {
+		if cap(buf) <= maxBatchBytes*2 {
 			s.scratch = buf // keep the grown buffer for the next batch
 		}
 		_, werr = s.wf.Write(buf)
@@ -202,7 +202,6 @@ func (s *Store) removePendingLocked(r *writeReq) {
 	} else {
 		s.pending[r.hash] = list
 	}
-	s.pendBytes -= int64(len(r.wire))
 	s.pendBlocks--
 }
 
@@ -426,7 +425,7 @@ func (s *Store) recover() error {
 		return fmt.Errorf("diskstore: %w", err)
 	}
 	for i, name := range names {
-		res, err := loadSegment(name, ids[i], s.opts.MaxRecordBytes)
+		res, err := loadSegment(name, ids[i], store.DefaultMaxFrame)
 		if err != nil {
 			return err
 		}

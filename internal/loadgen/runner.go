@@ -194,7 +194,7 @@ func Run(ctx context.Context, fleet Fleet, sc Scenario, rc RunConfig) (*Report, 
 		if err != nil {
 			return nil, err
 		}
-		placed.SetMembershipHook(func(store.MembershipChange) { mv.Kick() })
+		placed.SetMembershipHook(mv.Kick)
 		mv.Start()
 	}
 

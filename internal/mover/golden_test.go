@@ -21,6 +21,25 @@ import (
 // fill: same draws, same order, same blocks placed across commits.
 const goldenMoverInventory = "2f71bf52179413b7f86b2d45bf158518c6c5cd8ff7cfc0feb5b63cc74290a198"
 
+// nodeInventory reads one node's every block, one object at a time: a
+// read names one object, so the whole inventory is a walk over the
+// objects its Stats().PerObject lists.
+func nodeInventory(ctx context.Context, cl *store.Client) ([]*core.CodedBlock, error) {
+	st, err := cl.Stat(ctx)
+	if err != nil {
+		return nil, err
+	}
+	var out []*core.CodedBlock
+	for _, os := range st.PerObject {
+		blocks, err := cl.GetObject(ctx, os.Object, -1)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, blocks...)
+	}
+	return out, nil
+}
+
 // namedDialer resolves stable node names to the kernel-chosen listen
 // addresses, so ring positions — and therefore who is stale after a
 // join — do not depend on ephemeral ports.
@@ -127,7 +146,7 @@ func TestGoldenMoverInventory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blocks, err := cl.Get(ctx, -1)
+		blocks, err := nodeInventory(ctx, cl)
 		if err != nil {
 			t.Fatalf("node %s inventory: %v", name, err)
 		}

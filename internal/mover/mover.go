@@ -30,8 +30,8 @@
 //
 // Planning from inventories (not from membership events) makes rounds
 // idempotent and restart-safe: whatever a crashed mover left half-done
-// is still visible as stale holdings to the next round. The
-// OnMembershipChange hook only accelerates the loop via Kick; it is
+// is still visible as stale holdings to the next round. The placement
+// layer's membership hook only accelerates the loop via Kick; it is
 // never load-bearing for correctness.
 package mover
 
@@ -177,7 +177,7 @@ func New(p *store.Placed, cfg Config) (*Mover, error) {
 }
 
 // Kick requests an immediate round, collapsing any pending wait or
-// backoff. Wire it to PlacedConfig.OnMembershipChange so migration
+// backoff. Install it with Placed.SetMembershipHook so migration
 // starts the moment placement shifts. Never blocks; kicks coalesce.
 func (m *Mover) Kick() {
 	m.met.kicks.Inc()

@@ -377,7 +377,7 @@ func TestKickOnMembershipChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.placed.SetMembershipHook(func(store.MembershipChange) { m.Kick() })
+	f.placed.SetMembershipHook(m.Kick)
 	m.Start()
 	defer func() {
 		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

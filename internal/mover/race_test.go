@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/repair"
-	"repro/internal/store"
 )
 
 // TestMoverRepairPutRace runs the mover daemon, a repair daemon, and a
@@ -43,7 +42,7 @@ func TestMoverRepairPutRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.placed.SetMembershipHook(func(ev store.MembershipChange) { m.Kick() })
+	f.placed.SetMembershipHook(m.Kick)
 	m.Start()
 
 	rd, err := repair.NewObject(f.placed, obj, repair.Config{

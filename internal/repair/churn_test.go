@@ -100,7 +100,7 @@ func runChurnScenario(t *testing.T, seed int64) string {
 
 			// Acceptance: the critical prefix decodes after EVERY repair
 			// round, mid-churn included, with zero client-visible errors.
-			got, err := f.repl.Collect(ctx, -1)
+			got, err := f.collect(ctx, -1)
 			if err != nil {
 				t.Fatalf("churn round %d: client-visible collect error: %v", round, err)
 			}
@@ -123,7 +123,7 @@ func runChurnScenario(t *testing.T, seed int64) string {
 		// After convergence the fleet decodes at least as deep as the
 		// original provisioning did, and every recovered source block
 		// survives churn intact.
-		got, err := f.repl.Collect(ctx, -1)
+		got, err := f.collect(ctx, -1)
 		if err != nil {
 			t.Fatalf("churn round %d: collect after convergence: %v", round, err)
 		}
@@ -153,7 +153,7 @@ func runChurnScenario(t *testing.T, seed int64) string {
 		}
 		trace.addf("replica=%d stats=%+v", i, stats[i])
 	}
-	got, err := f.repl.Collect(ctx, -1)
+	got, err := f.collect(ctx, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestChurnWithDaemonLoop(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		}
 
-		got, err := f.repl.Collect(ctx, -1)
+		got, err := f.collect(ctx, -1)
 		if err != nil {
 			t.Fatalf("churn round %d: client-visible collect error: %v", round, err)
 		}
@@ -276,7 +276,7 @@ func TestChurnLosesNothingToDedup(t *testing.T) {
 			break
 		}
 	}
-	got, err := f.repl.Collect(ctx, -1)
+	got, err := f.collect(ctx, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

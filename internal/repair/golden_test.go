@@ -7,6 +7,9 @@ import (
 	"encoding/hex"
 	"sort"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/store"
 )
 
 // goldenRepairInventory is the SHA-256 over every replica's sorted wire
@@ -16,13 +19,32 @@ import (
 // two *commits* agree: same draws, same order, same blocks placed.
 const goldenRepairInventory = "1de65f4d1f230656c9995f8127cafc2e46fd417a922627e75e404e220c804e19"
 
+// replicaInventory reads one replica's every block, one object at a
+// time: a read names one object, so the whole inventory is a walk over
+// the objects its Stats().PerObject lists.
+func replicaInventory(ctx context.Context, cl *store.Client) ([]*core.CodedBlock, error) {
+	st, err := cl.Stat(ctx)
+	if err != nil {
+		return nil, err
+	}
+	var out []*core.CodedBlock
+	for _, os := range st.PerObject {
+		blocks, err := cl.GetObject(ctx, os.Object, -1)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, blocks...)
+	}
+	return out, nil
+}
+
 // inventoryHash digests each replica's blocks in marshaled form, sorted
 // per replica so server-side iteration order does not leak in.
 func inventoryHash(t *testing.T, f *fleet) string {
 	t.Helper()
 	h := sha256.New()
 	for i, cl := range f.repl.Clients() {
-		blocks, err := cl.Get(context.Background(), -1)
+		blocks, err := replicaInventory(context.Background(), cl)
 		if err != nil {
 			t.Fatalf("replica %d inventory: %v", i, err)
 		}

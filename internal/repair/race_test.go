@@ -40,7 +40,7 @@ func TestDaemonConcurrentWithPuts(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
-			if _, err := f.repl.Collect(ctx, 0); err != nil {
+			if _, err := f.collect(ctx, 0); err != nil {
 				t.Errorf("concurrent collect: %v", err)
 				return
 			}

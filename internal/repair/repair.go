@@ -41,11 +41,8 @@ import (
 // AuditConfig describes what a healthy fleet looks like.
 type AuditConfig struct {
 	// Object scopes the audit to one namespace: per-level counts are
-	// read from that object's section of each replica's inventory.
-	// core.AllObjects audits the aggregate inventory across namespaces;
-	// the zero value audits the legacy key-less namespace (which, on a
-	// replica predating per-object stats, falls back to the aggregate —
-	// such a replica can hold nothing else).
+	// read from that object's section of each replica's inventory. The
+	// zero value audits the key-less namespace, object zero.
 	Object core.ObjectID
 	// Dist is the priority distribution the deployment was provisioned
 	// with: level k's target share of distinct coded blocks.
@@ -60,21 +57,13 @@ type AuditConfig struct {
 	Targets []int
 }
 
-// perLevelFor selects the per-level slice the audit counts against:
-// the aggregate, or one object's section.
+// perLevelFor selects the audited object's section of one replica's
+// inventory (nil when the replica holds none of it).
 func (cfg *AuditConfig) perLevelFor(st store.Stats) []store.LevelCount {
-	if cfg.Object == core.AllObjects {
-		return st.PerLevel
-	}
 	for _, os := range st.PerObject {
 		if os.Object == cfg.Object {
 			return os.PerLevel
 		}
-	}
-	if cfg.Object == core.ZeroObject && len(st.PerObject) == 0 {
-		// A replica without per-object stats predates the namespace; all
-		// its blocks are key-less, i.e. exactly the zero object.
-		return st.PerLevel
 	}
 	return nil
 }

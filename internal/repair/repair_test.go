@@ -137,6 +137,12 @@ func (f *fleet) kill(i int) {
 // reachable again.
 func (f *fleet) heal(i int) { f.dialer.Heal(f.addrs[i]) }
 
+// collect reads the fleet's object — the key-less object zero every
+// test here puts — with level <= maxLevel, deduplicated.
+func (f *fleet) collect(ctx context.Context, maxLevel int) ([]*core.CodedBlock, error) {
+	return f.repl.CollectObject(ctx, core.ZeroObject, maxLevel)
+}
+
 // seed puts blocks and returns the daemon config matching the draw.
 func (f *fleet) seed(levels *core.Levels, blocks []*core.CodedBlock, targets []int) Config {
 	f.t.Helper()
@@ -402,7 +408,7 @@ func TestRunOnceRepairsWipedReplica(t *testing.T) {
 	// The repaired fleet must decode fully even if the two old replicas
 	// die: only the regenerated blocks on the replacement node plus one
 	// survivor's worth of redundancy remain.
-	got, err := f.repl.Collect(ctx, -1)
+	got, err := f.collect(ctx, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,14 +28,14 @@ type BlockStore interface {
 	Put(obj core.ObjectID, level int, wire []byte) (stored bool, err error)
 
 	// Get returns the wire bytes of every stored block of obj with
-	// level <= maxLevel; maxLevel < 0 returns every level, and
-	// obj == core.AllObjects selects every object. One object's blocks
+	// level <= maxLevel; maxLevel < 0 returns every level. The blocks
 	// come back in put order, answered from a per-object index: the cost
-	// is that object's blocks, not the node's. An object the engine does
-	// not hold is an empty result, but a closed engine must answer
-	// ErrStoreUnavailable — "empty" would tell a collector this owner
-	// holds nothing. The returned slices are read-only and must not be
-	// modified by the caller.
+	// is that object's blocks, not the node's. The all-objects wildcard
+	// is rejected with ErrBadRequest — a read names one object. An
+	// object the engine does not hold is an empty result, but a closed
+	// engine must answer ErrStoreUnavailable — "empty" would tell a
+	// collector this owner holds nothing. The returned slices are
+	// read-only and must not be modified by the caller.
 	Get(obj core.ObjectID, maxLevel int) ([][]byte, error)
 
 	// Delete removes every stored block of obj, returning how many were
@@ -135,45 +135,24 @@ func (m *MemStore) Put(obj core.ObjectID, level int, wire []byte) (bool, error) 
 }
 
 // Get returns stored blocks of obj with level <= maxLevel (maxLevel < 0
-// = all) in put order. core.AllObjects walks every object in ascending
-// ID, each in its own put order.
+// = all) in put order.
 func (m *MemStore) Get(obj core.ObjectID, maxLevel int) ([][]byte, error) {
+	if obj == core.AllObjects {
+		return nil, fmt.Errorf("%w: get needs a concrete object", ErrBadRequest)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return nil, fmt.Errorf("%w: engine closed", ErrStoreUnavailable)
 	}
-	if obj != core.AllObjects {
-		blocks := m.objects[obj]
-		return appendUpTo(make([][]byte, 0, len(blocks)), blocks, maxLevel), nil
-	}
-	ids := make([]core.ObjectID, 0, len(m.objects))
-	for id := range m.objects {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	want := 0
-	for k, tally := range m.tallies {
-		if maxLevel < 0 || k.level <= maxLevel {
-			want += tally.count
-		}
-	}
-	out := make([][]byte, 0, want)
-	for _, id := range ids {
-		out = appendUpTo(out, m.objects[id], maxLevel)
-	}
-	return out, nil
-}
-
-// appendUpTo appends the wire bytes of blocks with level <= maxLevel
-// (maxLevel < 0 = all) to out.
-func appendUpTo(out [][]byte, blocks []storedBlock, maxLevel int) [][]byte {
+	blocks := m.objects[obj]
+	out := make([][]byte, 0, len(blocks))
 	for _, sb := range blocks {
 		if maxLevel < 0 || sb.level <= maxLevel {
 			out = append(out, sb.data)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Delete removes every stored block of obj along with its dedup keys

@@ -19,9 +19,19 @@ type Dialer interface {
 	DialContext(ctx context.Context, network, addr string) (net.Conn, error)
 }
 
+// The client's fixed tuning. Frames on both directions are bounded by
+// DefaultMaxFrame.
+const (
+	// maxIdleConns bounds the connection pool kept per server.
+	maxIdleConns = 2
+	// retryJitter is the randomized fraction of each backoff delay.
+	retryJitter = 0.5
+)
+
 // RetryPolicy tunes the client's exponential backoff with jitter.
 // Attempt i (from 1) sleeps base*2^(i-1) capped at MaxDelay, then scaled
-// by a random factor in [1-Jitter, 1] so synchronized clients desynchronize.
+// by a random factor in [1-retryJitter, 1] so synchronized clients
+// desynchronize.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per operation. Default 4.
 	MaxAttempts int
@@ -29,9 +39,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff growth. Default 500ms.
 	MaxDelay time.Duration
-	// Jitter in [0,1] is the randomized fraction of each delay.
-	// Default 0.5; negative disables jitter.
-	Jitter float64
 }
 
 func (p *RetryPolicy) fillDefaults() {
@@ -43,12 +50,6 @@ func (p *RetryPolicy) fillDefaults() {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 500 * time.Millisecond
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.5
-	}
-	if p.Jitter < 0 {
-		p.Jitter = 0
 	}
 }
 
@@ -62,16 +63,8 @@ type ClientConfig struct {
 	DialTimeout time.Duration
 	// OpTimeout bounds each request/response attempt. Default 5s.
 	OpTimeout time.Duration
-	// MaxIdleConns bounds the connection pool. Default 2.
-	MaxIdleConns int
-	// MaxFrame bounds response frames. Default DefaultMaxFrame.
-	MaxFrame int
 	// Retry tunes per-operation retries.
 	Retry RetryPolicy
-	// HedgeDelay, when positive, arms hedged reads: if a Get has not
-	// returned after this delay, a second identical request races it on
-	// a fresh connection and the first success wins.
-	HedgeDelay time.Duration
 	// Seed seeds the jitter generator (0 means 1) so experiments stay
 	// reproducible end to end.
 	Seed int64
@@ -87,12 +80,6 @@ func (c *ClientConfig) fillDefaults() {
 	}
 	if c.OpTimeout <= 0 {
 		c.OpTimeout = 5 * time.Second
-	}
-	if c.MaxIdleConns <= 0 {
-		c.MaxIdleConns = 2
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = DefaultMaxFrame
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -175,21 +162,13 @@ func (c *Client) PutAll(ctx context.Context, blocks []*core.CodedBlock) (int, er
 	return len(blocks), nil
 }
 
-// Get fetches every stored block with Level <= maxLevel across every
-// object; maxLevel < 0 fetches everything. Levels at or above the wire
-// sentinel 0xFFFF are rejected with ErrBadRequest rather than silently
-// widened to "all" — blocks can never carry such a level (see
-// core.CodedBlock.MarshalBinary), so the request is a caller bug, not a
-// fetch-everything intent. When HedgeDelay is set, a straggling fetch is
-// raced by a duplicate request. Get sends the legacy 2-byte request, so
-// it works against pre-namespace daemons unchanged.
-func (c *Client) Get(ctx context.Context, maxLevel int) ([]*core.CodedBlock, error) {
-	return c.GetObject(ctx, core.AllObjects, maxLevel)
-}
-
-// GetObject is Get restricted to one object's blocks. core.AllObjects
-// selects every object; any other object sends the keyed 10-byte get
-// body, which pre-namespace daemons reject with ErrBadRequest.
+// GetObject fetches the stored blocks of one object with Level <=
+// maxLevel; maxLevel < 0 fetches every level. Every read names one
+// object: core.AllObjects is rejected with ErrBadRequest, as are levels
+// at or above the wire sentinel 0xFFFF — blocks can never carry either
+// (see core.CodedBlock.MarshalBinary), so such a request is a caller
+// bug, not a fetch-everything intent. So is an answer larger than
+// DefaultMaxFrame: the server refuses to build it.
 //
 // The returned blocks alias the response they arrived in (see
 // decodeBlockList): decoders copy what they keep, but a caller that holds
@@ -209,127 +188,17 @@ func (c *Client) GetObject(ctx context.Context, obj core.ObjectID, maxLevel int)
 // getList is GetObject keeping each block's wire bytes, which is what
 // Replicated collects.
 func (c *Client) getList(ctx context.Context, obj core.ObjectID, maxLevel int) ([]wireBlock, error) {
+	if obj == core.AllObjects {
+		return nil, fmt.Errorf("%w: get needs a concrete object", ErrBadRequest)
+	}
 	if maxLevel >= 0xFFFF {
 		return nil, fmt.Errorf("%w: max level %d exceeds the wire limit %d", ErrBadRequest, maxLevel, 0xFFFE)
 	}
-	if c.cfg.HedgeDelay <= 0 {
-		return c.get(ctx, obj, maxLevel)
-	}
-	return c.hedgedGet(ctx, obj, maxLevel)
-}
-
-func (c *Client) get(ctx context.Context, obj core.ObjectID, maxLevel int) ([]wireBlock, error) {
 	resp, err := c.do(ctx, "get", frameGet, encodeGetBody(obj, maxLevel), frameBlocks)
 	if err != nil {
 		return nil, err
 	}
 	return decodeBlockList(resp)
-}
-
-// getRaw is one get attempt chain WITHOUT op-outcome accounting. The
-// hedged path races two of these and records a single op outcome for the
-// user-visible Get; routing racers through c.get would double-count ops
-// and surface every cancelled loser as a phantom client error.
-func (c *Client) getRaw(ctx context.Context, obj core.ObjectID, maxLevel int) ([]wireBlock, error) {
-	resp, err := c.doAttempts(ctx, "get", frameGet, encodeGetBody(obj, maxLevel), frameBlocks)
-	if err != nil {
-		return nil, err
-	}
-	return decodeBlockList(resp)
-}
-
-// hedgedGet races a primary get against a delayed duplicate. It records
-// exactly one op outcome (ok/err + latency) no matter how many racers
-// ran: callers see one Get, the metrics see one Get. Per-attempt series
-// (attempts, retries, dials) still count each racer's real work.
-func (c *Client) hedgedGet(ctx context.Context, obj core.ObjectID, maxLevel int) ([]wireBlock, error) {
-	t0 := time.Now()
-	blocks, err := c.raceHedged(ctx, obj, maxLevel)
-	c.met.opNs.ObserveSince(t0)
-	pick(err, c.met.opOK, c.met.opErrors).Inc()
-	return blocks, err
-}
-
-func (c *Client) raceHedged(ctx context.Context, obj core.ObjectID, maxLevel int) ([]wireBlock, error) {
-	type result struct {
-		blocks []wireBlock
-		err    error
-		hedge  bool
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	ch := make(chan result, 2)
-	launch := func(isHedge bool) {
-		if isHedge {
-			c.met.hedgesFired.Inc()
-		}
-		go func() {
-			blocks, err := c.getRaw(hctx, obj, maxLevel)
-			ch <- result{blocks, err, isHedge}
-		}()
-	}
-	launch(false)
-	inflight, hedged := 1, false
-	timer := time.NewTimer(c.cfg.HedgeDelay)
-	defer timer.Stop()
-	// finish cancels any still-racing attempt promptly — the loser must
-	// not ride out its full OpTimeout holding a connection — and, when
-	// count is set, reaps its result off the caller's path so the loss
-	// shows up as store_client_hedges_cancelled_total, never as a client
-	// op error. The reaper drains the buffered channel, so no goroutine
-	// or channel is leaked even when the loser finishes much later.
-	finish := func(count bool) {
-		cancel()
-		if inflight == 0 {
-			return
-		}
-		n := inflight
-		go func() {
-			for i := 0; i < n; i++ {
-				<-ch
-				if count {
-					c.met.hedgesCancelled.Inc()
-				}
-			}
-		}()
-	}
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			inflight--
-			if r.err == nil {
-				if r.hedge {
-					c.met.hedgesWon.Inc()
-				}
-				finish(true)
-				return r.blocks, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if !hedged {
-				// The primary failed outright; the hedge becomes a
-				// last-chance duplicate rather than waiting for the timer.
-				hedged = true
-				launch(true)
-				inflight++
-				continue
-			}
-			if inflight == 0 {
-				finish(false)
-				return nil, firstErr
-			}
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				launch(true)
-				inflight++
-			}
-		case <-ctx.Done():
-			finish(false)
-			return nil, ctx.Err()
-		}
-	}
 }
 
 // Ping checks liveness.
@@ -392,6 +261,12 @@ func (c *Client) do(ctx context.Context, op string, reqType byte, body []byte, w
 }
 
 func (c *Client) doAttempts(ctx context.Context, op string, reqType byte, body []byte, wantResp byte) ([]byte, error) {
+	if len(body) > DefaultMaxFrame {
+		// The server would hang up on the length field mid-send; no retry
+		// can shrink the frame.
+		return nil, fmt.Errorf("store: %s %s: %w: %d-byte request exceeds the frame limit %d",
+			op, c.cfg.Addr, ErrBadRequest, len(body), DefaultMaxFrame)
+	}
 	var lastErr error
 	for i := 0; i < c.cfg.Retry.MaxAttempts; i++ {
 		if i > 0 {
@@ -480,7 +355,7 @@ func (c *Client) exchange(ctx context.Context, conn net.Conn, reqType byte, body
 		conn.Close()
 		return nil, c.ctxOr(ctx, noFrameError{err})
 	}
-	typ, resp, err := readFrame(conn, c.cfg.MaxFrame)
+	typ, resp, err := readFrame(conn, DefaultMaxFrame)
 	if err != nil {
 		conn.Close()
 		return nil, c.ctxOr(ctx, err)
@@ -573,7 +448,7 @@ func (c *Client) release(conn net.Conn, stop func() bool) {
 	conn.SetDeadline(time.Time{})
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed || len(c.idle) >= c.cfg.MaxIdleConns {
+	if c.closed || len(c.idle) >= maxIdleConns {
 		conn.Close()
 		return
 	}
@@ -585,13 +460,10 @@ func (c *Client) backoff(attempt int) time.Duration {
 	if d > c.cfg.Retry.MaxDelay || d <= 0 {
 		d = c.cfg.Retry.MaxDelay
 	}
-	if j := c.cfg.Retry.Jitter; j > 0 {
-		c.mu.Lock()
-		f := 1 - j*c.rng.Float64()
-		c.mu.Unlock()
-		d = time.Duration(float64(d) * f)
-	}
-	return d
+	c.mu.Lock()
+	f := 1 - retryJitter*c.rng.Float64()
+	c.mu.Unlock()
+	return time.Duration(float64(d) * f)
 }
 
 func (c *Client) sleep(ctx context.Context, d time.Duration) error {

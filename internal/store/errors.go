@@ -1,7 +1,7 @@
 // Package store is the networked priority block store: a TCP server that
-// holds coded blocks in memory, a pooled client with retries and hedged
-// reads, and a replicated store that maps priority level to replication
-// factor so the critical prefix survives more node losses — the paper's
+// holds coded blocks in memory, a pooled client with retries, and a
+// replicated store that maps priority level to replication factor so the
+// critical prefix survives more node losses — the paper's
 // differentiated persistence made operational at the storage layer
 // (Sec. 4 pre-distribution; Dimakis et al.'s client/storage-node split).
 //
@@ -34,7 +34,7 @@ var (
 	ErrClientClosed = errors.New("store: client closed")
 
 	// ErrStoreFull reports a put rejected because the storage engine is at
-	// capacity (MaxBlocks on the in-memory store, MaxBytes on disk). It is
+	// capacity (MaxBlocks on either engine). It is
 	// deliberately distinguishable from other put failures: a client gives
 	// up on the replica immediately instead of burning retries on a store
 	// that cannot un-fill, while errors.Is(err, ErrStoreUnavailable) still

@@ -81,7 +81,7 @@ func TestKillReplicaMidPut(t *testing.T) {
 		t.Fatalf("puts after the kill must be absorbed by surviving replicas: %d, %v", n, err)
 	}
 
-	got, err := fc.repl.Collect(ctx, -1)
+	got, err := fc.repl.CollectObject(ctx, core.ZeroObject, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestPartitionThenHeal(t *testing.T) {
 	}
 	fc.dialer.Heal(fc.servers[2].Addr())
 
-	got, err := fc.repl.Collect(ctx, -1)
+	got, err := fc.repl.CollectObject(ctx, core.ZeroObject, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func runChurnScenario(t *testing.T, seed int64) (counts []int, collected []strin
 		t.Fatalf("puts under churn must see zero client-visible errors: %d, %v", n, err)
 	}
 
-	got, err := fc.repl.Collect(ctx, -1)
+	got, err := fc.repl.CollectObject(ctx, core.ZeroObject, -1)
 	if err != nil {
 		t.Fatalf("collect under churn must see zero client-visible errors: %v", err)
 	}

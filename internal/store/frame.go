@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -27,9 +26,11 @@ const (
 	frameOverhead = 1 + 4     // type + crc, covered by the length field
 	frameHeader   = 4 + 1 + 4 // length + type + crc
 
-	// DefaultMaxFrame bounds a single frame (16 MiB): large enough for a
-	// full block dump in the experiments, small enough that a corrupted
-	// length field cannot make a peer allocate without bound.
+	// DefaultMaxFrame bounds a single frame body (16 MiB) — on the
+	// client, on the server and for a disk record alike, so whatever one
+	// side accepts the others can carry. Large enough for one object's
+	// blocks in the experiments, small enough that a corrupted length
+	// field cannot make a peer allocate without bound.
 	DefaultMaxFrame = 16 << 20
 )
 
@@ -37,7 +38,7 @@ const (
 // shell conventions ('+' ok, '!' error).
 const (
 	framePut      = 'P' // body: one CodedBlock (core wire format)
-	frameGet      = 'G' // body: uint16 max level (0xFFFF = all), optionally + uint64 object ID
+	frameGet      = 'G' // body: uint16 max level (0xFFFF = all) + uint64 object ID
 	frameStat     = 'S' // body: empty
 	framePing     = 'i' // body: empty
 	frameShutdown = 'Q' // body: empty; server acks, drains, and exits
@@ -47,7 +48,7 @@ const (
 	frameOK      = '+' // body: empty
 	frameErr     = '!' // body: code byte + UTF-8 message
 	frameBlocks  = 'B' // body: uint32 n, then n x (uint32 len, block bytes)
-	frameStats   = 's' // body: uint32 total, uint16 n, n x (uint16 level, uint32 count)
+	frameStats   = 's' // body: the inventory layout of encodeStats
 	frameSegList = 'e' // body: uint16 n, n x segListEntry bytes (see encodeSegmentList)
 	frameDeleted = 'd' // body: uint32 removed block count
 )
@@ -110,20 +111,19 @@ func writeFrame(w io.Writer, typ byte, body []byte) error {
 
 // writeBlockList answers a get: a frameBlocks frame built straight from
 // the engine's wire slices into the pooled buffer — each block is copied
-// once, into the bytes the socket sees. Counts and per-block lengths ride
-// uint32 fields; inputs that would not fit (practically impossible, but
-// a silent truncation here would desync the stream) are rejected with
-// ErrBadRequest before anything is written.
+// once, into the bytes the socket sees. An answer whose body would
+// exceed DefaultMaxFrame is rejected with ErrBadRequest before anything
+// is built or written: no client could read it, so sending it only
+// burns the client's retries. (The bound also keeps the uint32 count and
+// length fields from truncating.)
 func writeBlockList(w io.Writer, blocks [][]byte) error {
-	if uint64(len(blocks)) > 0xFFFFFFFF {
-		return fmt.Errorf("%w: %d blocks exceed the wire count field", ErrBadRequest, len(blocks))
-	}
 	size := frameHeader + 4
-	for i, b := range blocks {
-		if uint64(len(b)) > 0xFFFFFFFF {
-			return fmt.Errorf("%w: block %d length %d exceeds the wire length field", ErrBadRequest, i, len(b))
-		}
+	for _, b := range blocks {
 		size += 4 + len(b)
+	}
+	if size-frameHeader > DefaultMaxFrame {
+		return fmt.Errorf("%w: %d blocks of one object (%d bytes) exceed the frame limit %d bytes",
+			ErrBadRequest, len(blocks), size-frameHeader, DefaultMaxFrame)
 	}
 	bp := frameBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
@@ -283,54 +283,41 @@ func decodeBlockList(body []byte) ([]wireBlock, error) {
 	return out, nil
 }
 
-// The get body has two generations. The legacy 2-byte form carries only
-// a uint16 max level (0xFFFF = all levels) and selects every object —
-// exactly what pre-namespace clients sent and servers answered. The keyed
-// 10-byte form appends a uint64 object ID; core.AllObjects there keeps
-// the every-object behavior explicit. Old servers reject the 10-byte
-// body, old clients never send it, so mixed fleets degrade loudly rather
-// than silently mis-filtering.
-const (
-	getBodyLegacy = 2
-	getBodyKeyed  = 2 + 8
-)
+// getBodyLen is the frameGet request body: a uint16 max level (0xFFFF =
+// all levels) and the uint64 object ID. A read names one object: the
+// all-objects wildcard is rejected, so no answer can mix two objects'
+// blocks into one decoder.
+const getBodyLen = 2 + 8
 
-// encodeGetBody builds a get request body: legacy when obj is the
-// wildcard (maximum interop), keyed otherwise.
+// encodeGetBody builds a get request body.
 func encodeGetBody(obj core.ObjectID, maxLevel int) []byte {
 	wire := uint16(0xFFFF) // wire sentinel: all levels
 	if maxLevel >= 0 {
 		wire = uint16(maxLevel)
 	}
-	body := binary.BigEndian.AppendUint16(nil, wire)
-	if obj != core.AllObjects {
-		body = binary.BigEndian.AppendUint64(body, uint64(obj))
-	}
-	return body
+	body := binary.BigEndian.AppendUint16(make([]byte, 0, getBodyLen), wire)
+	return binary.BigEndian.AppendUint64(body, uint64(obj))
 }
 
-// decodeGetBody parses either get-body generation, returning maxLevel
-// (-1 = all levels) and the object selector (core.AllObjects = every
-// object).
+// decodeGetBody parses a get request, returning the object and maxLevel
+// (-1 = all levels), and rejects the all-objects wildcard.
 func decodeGetBody(body []byte) (core.ObjectID, int, error) {
-	if len(body) != getBodyLegacy && len(body) != getBodyKeyed {
-		return 0, 0, fmt.Errorf("%w: get body %d bytes, want %d or %d",
-			ErrBadRequest, len(body), getBodyLegacy, getBodyKeyed)
+	if len(body) != getBodyLen {
+		return 0, 0, fmt.Errorf("%w: get body %d bytes, want %d", ErrBadRequest, len(body), getBodyLen)
 	}
 	maxLevel := int(binary.BigEndian.Uint16(body))
 	if maxLevel == 0xFFFF {
 		maxLevel = -1
 	}
-	obj := core.AllObjects
-	if len(body) == getBodyKeyed {
-		obj = core.ObjectID(binary.BigEndian.Uint64(body[2:]))
+	obj := core.ObjectID(binary.BigEndian.Uint64(body[2:]))
+	if obj == core.AllObjects {
+		return 0, 0, fmt.Errorf("%w: get needs a concrete object", ErrBadRequest)
 	}
 	return obj, maxLevel, nil
 }
 
 // deleteBodyLen is the frameDelete request body: one uint64 object ID.
-// There is no legacy form — deletes postdate the object namespace, and
-// the wildcard is rejected so a single frame can never wipe a node.
+// The wildcard is rejected so a single frame can never wipe a node.
 const deleteBodyLen = 8
 
 // encodeDeleteBody builds a delete request body for one concrete object.
@@ -426,7 +413,7 @@ func encodeSegmentList(segs []SegmentInfo) ([]byte, error) {
 
 // decodeSegmentList unpacks a frameSegList body. Entries are fixed-size,
 // so the claimed count is checked against the exact body length before
-// any allocation.
+// any allocation; an active flag other than 0 or 1 is corruption.
 func decodeSegmentList(body []byte) ([]SegmentInfo, error) {
 	if len(body) < 2 {
 		return nil, fmt.Errorf("%w: segment list truncated", ErrCorruptFrame)
@@ -439,12 +426,15 @@ func decodeSegmentList(body []byte) ([]SegmentInfo, error) {
 	out := make([]SegmentInfo, 0, n)
 	off := 2
 	for i := 0; i < n; i++ {
+		if body[off+28] > 1 {
+			return nil, fmt.Errorf("%w: segment %d active flag %d", ErrCorruptFrame, i, body[off+28])
+		}
 		out = append(out, SegmentInfo{
 			ID:      binary.BigEndian.Uint64(body[off:]),
 			Records: int(binary.BigEndian.Uint32(body[off+8:])),
 			Bytes:   int64(binary.BigEndian.Uint64(body[off+12:])),
 			Created: time.Unix(0, int64(binary.BigEndian.Uint64(body[off+20:]))),
-			Active:  body[off+28] != 0,
+			Active:  body[off+28] == 1,
 		})
 		off += segListEntry
 	}
@@ -461,9 +451,7 @@ type Stats struct {
 	// PerLevel counts blocks and bytes per priority level, ascending by
 	// level, aggregated over every object.
 	PerLevel []LevelCount
-	// PerObject breaks the inventory down by object, ascending by object
-	// ID. Empty when the daemon predates the object namespace (stats v1/v2
-	// bodies) — callers must treat absence as "unknown", not "no objects".
+	// PerObject breaks the inventory down by object, ascending by ID.
 	PerObject []ObjectStats
 }
 
@@ -484,39 +472,32 @@ type ObjectStats struct {
 	PerLevel []LevelCount
 }
 
-// The stat body has three generations. v1 (PR 3) carried counts only:
+// The stat body has one layout:
 //
-//	uint32 blocks | uint16 n | n x (uint16 level, uint32 count)
+//	uint32 blocks | uint16 0xFFFF | byte 3 | uint64 bytes | uint16 n |
+//	n x (uint16 level, uint32 count, uint64 bytes) |
+//	uint16 nObj | nObj x (uint64 object | uint16 m | m x (level entry))
 //
-// v2 adds byte tallies. It reuses v1's n position as a version marker —
-// 0xFFFF there (an absurd v1 level count) plus an explicit version byte
-// announces the new layout, so a v2 decoder still accepts v1 bodies from
-// older daemons byte-for-byte:
-//
-//	uint32 blocks | uint16 0xFFFF | byte 2 | uint64 bytes | uint16 n |
-//	n x (uint16 level, uint32 count, uint64 bytes)
-//
-// v3 (the object namespace) appends a per-object section after the v2
-// layout, under version byte 3:
-//
-//	... v2 layout with version byte 3 ... | uint16 nObj |
-//	nObj x (uint64 object | uint16 m | m x (uint16 level, uint32 count, uint64 bytes))
-//
-// A v3 decoder accepts all three generations; per-object data is simply
-// absent from older bodies. Encoders emit v2 when the snapshot has no
-// per-object section (a pre-namespace engine), v3 otherwise.
+// The marker and version byte sit where older, per-object-less layouts
+// put their level count, so a body in one of those is rejected as
+// corrupt rather than misread. Levels ascend strictly within each list
+// and objects by ID; the decoder rejects anything else, so every body it
+// accepts re-encodes byte for byte.
 const (
-	statsV2Marker  = 0xFFFF
-	statsV2Version = 2
-	statsV3Version = 3
-	statsV2Header  = 4 + 2 + 1 + 8 + 2
-	statsV2Entry   = 2 + 4 + 8
-	statsV3ObjHead = 8 + 2
+	statsMarker  = 0xFFFF
+	statsVersion = 3
+	statsHeader  = 4 + 2 + 1 + 8 // up to the aggregate level list
+	statsEntry   = 2 + 4 + 8
+	statsObjHead = 8 + 2
 )
 
 // appendLevelCounts bounds-checks and appends one (level, count, bytes)
 // entry list; shared by the aggregate and per-object stat sections.
 func appendLevelCounts(body []byte, perLevel []LevelCount) ([]byte, error) {
+	if len(perLevel) > 0xFFFF {
+		return nil, fmt.Errorf("%w: %d levels do not fit the stat frame", ErrBadRequest, len(perLevel))
+	}
+	body = binary.BigEndian.AppendUint16(body, uint16(len(perLevel)))
 	for _, lc := range perLevel {
 		if lc.Level < 0 || lc.Level > 0xFFFF {
 			return nil, fmt.Errorf("%w: level %d does not fit the stat frame", ErrBadRequest, lc.Level)
@@ -538,131 +519,96 @@ func encodeStats(st Stats) ([]byte, error) {
 	if st.Blocks < 0 || uint64(st.Blocks) > 0xFFFFFFFF {
 		return nil, fmt.Errorf("%w: block count %d does not fit the stat frame", ErrBadRequest, st.Blocks)
 	}
-	if len(st.PerLevel) > 0xFFFF {
-		return nil, fmt.Errorf("%w: %d levels do not fit the stat frame", ErrBadRequest, len(st.PerLevel))
-	}
 	if len(st.PerObject) > 0xFFFF {
 		return nil, fmt.Errorf("%w: %d objects do not fit the stat frame", ErrBadRequest, len(st.PerObject))
 	}
-	version := byte(statsV2Version)
-	if len(st.PerObject) > 0 {
-		version = statsV3Version
-	}
-	body := make([]byte, 0, statsV2Header+statsV2Entry*len(st.PerLevel))
+	body := make([]byte, 0, statsHeader+2+statsEntry*len(st.PerLevel)+2)
 	body = binary.BigEndian.AppendUint32(body, uint32(st.Blocks))
-	body = binary.BigEndian.AppendUint16(body, statsV2Marker)
-	body = append(body, version)
+	body = binary.BigEndian.AppendUint16(body, statsMarker)
+	body = append(body, statsVersion)
 	body = binary.BigEndian.AppendUint64(body, uint64(st.Bytes))
-	body = binary.BigEndian.AppendUint16(body, uint16(len(st.PerLevel)))
 	body, err := appendLevelCounts(body, st.PerLevel)
 	if err != nil {
 		return nil, err
 	}
-	if version == statsV3Version {
-		body = binary.BigEndian.AppendUint16(body, uint16(len(st.PerObject)))
-		for _, os := range st.PerObject {
-			if len(os.PerLevel) > 0xFFFF {
-				return nil, fmt.Errorf("%w: object %s: %d levels do not fit the stat frame",
-					ErrBadRequest, os.Object, len(os.PerLevel))
-			}
-			body = binary.BigEndian.AppendUint64(body, uint64(os.Object))
-			body = binary.BigEndian.AppendUint16(body, uint16(len(os.PerLevel)))
-			if body, err = appendLevelCounts(body, os.PerLevel); err != nil {
-				return nil, err
-			}
+	body = binary.BigEndian.AppendUint16(body, uint16(len(st.PerObject)))
+	for _, os := range st.PerObject {
+		body = binary.BigEndian.AppendUint64(body, uint64(os.Object))
+		if body, err = appendLevelCounts(body, os.PerLevel); err != nil {
+			return nil, fmt.Errorf("object %s: %w", os.Object, err)
 		}
 	}
 	return body, nil
 }
 
+// readLevelCounts parses the uint16-counted entry list at body[off:],
+// returning it and the offset past it. The claimed count is bounded by
+// the bytes present before anything is read, decodeBlockList-style.
+func readLevelCounts(body []byte, off int) ([]LevelCount, int, error) {
+	if len(body)-off < 2 {
+		return nil, 0, fmt.Errorf("%w: stats level list truncated", ErrCorruptFrame)
+	}
+	n := int(binary.BigEndian.Uint16(body[off:]))
+	off += 2
+	if n > (len(body)-off)/statsEntry {
+		return nil, 0, fmt.Errorf("%w: stats claim %d levels in %d bytes", ErrCorruptFrame, n, len(body)-off)
+	}
+	var out []LevelCount
+	for i := 0; i < n; i++ {
+		lc := LevelCount{
+			Level: int(binary.BigEndian.Uint16(body[off:])),
+			Count: int(binary.BigEndian.Uint32(body[off+2:])),
+			Bytes: int64(binary.BigEndian.Uint64(body[off+6:])),
+		}
+		if i > 0 && lc.Level <= out[i-1].Level {
+			return nil, 0, fmt.Errorf("%w: stats level %d after level %d", ErrCorruptFrame, lc.Level, out[i-1].Level)
+		}
+		out = append(out, lc)
+		off += statsEntry
+	}
+	return out, off, nil
+}
+
 func decodeStats(body []byte) (Stats, error) {
-	if len(body) < 6 {
-		return Stats{}, fmt.Errorf("%w: stats frame truncated", ErrCorruptFrame)
+	if len(body) < statsHeader || binary.BigEndian.Uint16(body[4:]) != statsMarker || body[6] != statsVersion {
+		return Stats{}, fmt.Errorf("%w: not a v%d stats body", ErrCorruptFrame, statsVersion)
 	}
-	st := Stats{Blocks: int(binary.BigEndian.Uint32(body))}
-	if len(body) >= statsV2Header && binary.BigEndian.Uint16(body[4:]) == statsV2Marker &&
-		(body[6] == statsV2Version || body[6] == statsV3Version) {
-		version := body[6]
-		st.Bytes = int64(binary.BigEndian.Uint64(body[7:]))
-		n := int(binary.BigEndian.Uint16(body[15:]))
-		if len(body) < statsV2Header+statsV2Entry*n {
-			return Stats{}, fmt.Errorf("%w: stats v%d frame length %d, want >= %d",
-				ErrCorruptFrame, version, len(body), statsV2Header+statsV2Entry*n)
-		}
-		off := statsV2Header
-		for i := 0; i < n; i++ {
-			st.PerLevel = append(st.PerLevel, LevelCount{
-				Level: int(binary.BigEndian.Uint16(body[off:])),
-				Count: int(binary.BigEndian.Uint32(body[off+2:])),
-				Bytes: int64(binary.BigEndian.Uint64(body[off+6:])),
-			})
-			off += statsV2Entry
-		}
-		switch {
-		case version == statsV2Version:
-			if off != len(body) {
-				return Stats{}, fmt.Errorf("%w: %d trailing bytes after stats v2 body", ErrCorruptFrame, len(body)-off)
-			}
-		default: // v3: per-object section
-			if len(body)-off < 2 {
-				return Stats{}, fmt.Errorf("%w: stats v3 object section truncated", ErrCorruptFrame)
-			}
-			nObj := int(binary.BigEndian.Uint16(body[off:]))
-			off += 2
-			// Bound the claimed object count by the bytes present before
-			// sizing anything, decodeBlockList-style.
-			if nObj > (len(body)-off)/statsV3ObjHead {
-				return Stats{}, fmt.Errorf("%w: stats v3 claims %d objects in %d bytes",
-					ErrCorruptFrame, nObj, len(body)-off)
-			}
-			for i := 0; i < nObj; i++ {
-				if len(body)-off < statsV3ObjHead {
-					return Stats{}, fmt.Errorf("%w: stats v3 object %d truncated", ErrCorruptFrame, i)
-				}
-				os := ObjectStats{Object: core.ObjectID(binary.BigEndian.Uint64(body[off:]))}
-				m := int(binary.BigEndian.Uint16(body[off+8:]))
-				off += statsV3ObjHead
-				if m > (len(body)-off)/statsV2Entry {
-					return Stats{}, fmt.Errorf("%w: stats v3 object %s claims %d levels in %d bytes",
-						ErrCorruptFrame, os.Object, m, len(body)-off)
-				}
-				for j := 0; j < m; j++ {
-					lc := LevelCount{
-						Level: int(binary.BigEndian.Uint16(body[off:])),
-						Count: int(binary.BigEndian.Uint32(body[off+2:])),
-						Bytes: int64(binary.BigEndian.Uint64(body[off+6:])),
-					}
-					os.PerLevel = append(os.PerLevel, lc)
-					os.Blocks += lc.Count
-					os.Bytes += lc.Bytes
-					off += statsV2Entry
-				}
-				st.PerObject = append(st.PerObject, os)
-			}
-			if off != len(body) {
-				return Stats{}, fmt.Errorf("%w: %d trailing bytes after stats v3 body", ErrCorruptFrame, len(body)-off)
-			}
-			sort.Slice(st.PerObject, func(i, j int) bool { return st.PerObject[i].Object < st.PerObject[j].Object })
-			for k := range st.PerObject {
-				lvls := st.PerObject[k].PerLevel
-				sort.Slice(lvls, func(i, j int) bool { return lvls[i].Level < lvls[j].Level })
-			}
-		}
-	} else {
-		// v1 body from an older daemon: counts only, bytes stay zero.
-		n := int(binary.BigEndian.Uint16(body[4:]))
-		if len(body) != 6+6*n {
-			return Stats{}, fmt.Errorf("%w: stats frame length %d, want %d", ErrCorruptFrame, len(body), 6+6*n)
-		}
-		off := 6
-		for i := 0; i < n; i++ {
-			st.PerLevel = append(st.PerLevel, LevelCount{
-				Level: int(binary.BigEndian.Uint16(body[off:])),
-				Count: int(binary.BigEndian.Uint32(body[off+2:])),
-			})
-			off += 6
-		}
+	st := Stats{
+		Blocks: int(binary.BigEndian.Uint32(body)),
+		Bytes:  int64(binary.BigEndian.Uint64(body[7:])),
 	}
-	sort.Slice(st.PerLevel, func(i, j int) bool { return st.PerLevel[i].Level < st.PerLevel[j].Level })
+	perLevel, off, err := readLevelCounts(body, statsHeader)
+	if err != nil {
+		return Stats{}, err
+	}
+	st.PerLevel = perLevel
+	if len(body)-off < 2 {
+		return Stats{}, fmt.Errorf("%w: stats object section truncated", ErrCorruptFrame)
+	}
+	nObj := int(binary.BigEndian.Uint16(body[off:]))
+	off += 2
+	if nObj > (len(body)-off)/statsObjHead {
+		return Stats{}, fmt.Errorf("%w: stats claim %d objects in %d bytes", ErrCorruptFrame, nObj, len(body)-off)
+	}
+	for i := 0; i < nObj; i++ {
+		if len(body)-off < statsObjHead {
+			return Stats{}, fmt.Errorf("%w: stats object %d truncated", ErrCorruptFrame, i)
+		}
+		os := ObjectStats{Object: core.ObjectID(binary.BigEndian.Uint64(body[off:]))}
+		if i > 0 && os.Object <= st.PerObject[i-1].Object {
+			return Stats{}, fmt.Errorf("%w: stats object %s after %s", ErrCorruptFrame, os.Object, st.PerObject[i-1].Object)
+		}
+		if os.PerLevel, off, err = readLevelCounts(body, off+8); err != nil {
+			return Stats{}, err
+		}
+		for _, lc := range os.PerLevel {
+			os.Blocks += lc.Count
+			os.Bytes += lc.Bytes
+		}
+		st.PerObject = append(st.PerObject, os)
+	}
+	if off != len(body) {
+		return Stats{}, fmt.Errorf("%w: %d trailing bytes after stats body", ErrCorruptFrame, len(body)-off)
+	}
 	return st, nil
 }

@@ -167,7 +167,7 @@ func TestStoreSparseEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	back, err := cl.Get(ctx, -1)
+	back, err := cl.GetObject(ctx, core.ZeroObject, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,8 @@ func TestStoreSparseEndToEnd(t *testing.T) {
 // TestEncodeBlockListBounds pins the encoder side of the block list: the
 // frame writeBlockList builds in place (length and CRC patched in after
 // the body) is one the reader accepts, with the body wrapBlockList spells
-// out by hand.
+// out by hand — and an answer past the frame limit, which no reader
+// accepts, is a bad request with nothing written.
 func TestEncodeBlockListBounds(t *testing.T) {
 	blocks := [][]byte{{1, 2}, {3}}
 	var wire bytes.Buffer
@@ -203,6 +204,89 @@ func TestEncodeBlockListBounds(t *testing.T) {
 	}
 	if wire.Len() != 0 {
 		t.Fatalf("%d bytes written past the frame", wire.Len())
+	}
+
+	mib := make([]byte, 1<<20)
+	big := make([][]byte, 17)
+	for i := range big {
+		big[i] = mib
+	}
+	if err := writeBlockList(&wire, big); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("17 MiB answer: err = %v, want ErrBadRequest", err)
+	}
+	if wire.Len() != 0 {
+		t.Fatalf("a refused answer wrote %d bytes", wire.Len())
+	}
+	if err := writeBlockList(&wire, big[:15]); err != nil {
+		t.Fatalf("15 MiB answer: %v", err)
+	}
+}
+
+// TestOversizedPutFailsFast pins that a block too large for one frame is
+// refused by the client before it is sent: a bad request, no attempt and
+// no retry — the server would only hang up on the length field.
+func TestOversizedPutFailsFast(t *testing.T) {
+	reg := metrics.NewRegistry()
+	srv := newTestServer(t, ServerConfig{})
+	cfg := fastClientCfg(srv.Addr(), nil)
+	cfg.Metrics = reg
+	cl, err := NewClient(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	b := &core.CodedBlock{Coeff: []byte{1}, Payload: make([]byte, DefaultMaxFrame)}
+	err = cl.Put(context.Background(), b)
+	if !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("oversized put: err = %v, want ErrBadRequest", err)
+	}
+	for _, name := range []string{"store_client_attempts_total", "store_client_retries_total"} {
+		if n := reg.Counter(name).Value(); n != 0 {
+			t.Errorf("%s = %d, want 0", name, n)
+		}
+	}
+	if srv.Len() != 0 {
+		t.Fatalf("server holds %d blocks", srv.Len())
+	}
+}
+
+// TestOversizedGetAnswerFailsFast pins the read side of the frame limit:
+// an object holding more than one frame of blocks on a node is answered
+// with a bad request naming the limit, after one attempt — not built and
+// sent again on every retry, each copy rejected as corrupt by a client
+// that then reports the node unavailable.
+func TestOversizedGetAnswerFailsFast(t *testing.T) {
+	reg := metrics.NewRegistry()
+	srv := newTestServer(t, ServerConfig{})
+	cfg := fastClientCfg(srv.Addr(), nil)
+	cfg.Metrics = reg
+	cl, err := NewClient(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	obj := core.NamedObject("big")
+	for i := 0; i < 5; i++ {
+		b := &core.CodedBlock{Object: obj, Coeff: []byte{byte(1 + i)}, Payload: make([]byte, 4<<20)}
+		if err := cl.Put(ctx, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	attempts := reg.Counter("store_client_attempts_total").Value()
+	_, err = cl.GetObject(ctx, obj, -1)
+	if !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), "frame limit") {
+		t.Fatalf("20 MiB get: err = %v, want ErrBadRequest naming the frame limit", err)
+	}
+	if n := reg.Counter("store_client_attempts_total").Value() - attempts; n != 1 {
+		t.Errorf("get made %d attempts, want 1", n)
+	}
+	if n := reg.Counter("store_client_retries_total").Value(); n != 0 {
+		t.Errorf("store_client_retries_total = %d, want 0", n)
+	}
+	// The connection stays in sync: the next request on it succeeds.
+	if err := cl.Ping(ctx); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -241,9 +325,10 @@ func TestEncodeStatsBounds(t *testing.T) {
 	}
 }
 
-// TestGetRejectsSentinelLevel pins the API-side level validation: the
-// wire sentinel 0xFFFF (and anything above) is a caller bug, not a
-// fetch-everything request. The check fires before any dial.
+// TestGetRejectsSentinelLevel pins the API-side request validation: the
+// wire sentinel 0xFFFF (and anything above) and the all-objects wildcard
+// are caller bugs, not fetch-everything requests. The checks fire before
+// any dial.
 func TestGetRejectsSentinelLevel(t *testing.T) {
 	cl, err := NewClient(ClientConfig{Addr: "127.0.0.1:1"}) // never dialed
 	if err != nil {
@@ -251,9 +336,12 @@ func TestGetRejectsSentinelLevel(t *testing.T) {
 	}
 	defer cl.Close()
 	for _, lvl := range []int{0xFFFF, 0x10000, 1 << 30} {
-		if _, err := cl.Get(context.Background(), lvl); !errors.Is(err, ErrBadRequest) {
+		if _, err := cl.GetObject(context.Background(), core.ZeroObject, lvl); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("Get(%d) err = %v, want ErrBadRequest", lvl, err)
 		}
+	}
+	if _, err := cl.GetObject(context.Background(), core.AllObjects, -1); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("Get(all objects) err = %v, want ErrBadRequest", err)
 	}
 }
 
@@ -388,7 +476,7 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 	if err := cl.Put(ctx, blocks[0]); err != nil { // dedup
 		t.Fatal(err)
 	}
-	if _, err := cl.Get(ctx, -1); err != nil {
+	if _, err := cl.GetObject(ctx, core.ZeroObject, -1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Stat(ctx); err != nil {

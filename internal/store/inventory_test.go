@@ -51,59 +51,53 @@ func TestStatsPerLevelBytes(t *testing.T) {
 	}
 }
 
-// TestStatsWireBackwardCompatible pins the two stat-body generations:
-// v2 round-trips exactly, and a v1 body from an older daemon still
-// decodes (with zero byte tallies).
+// statsV1Body is a counts-only stat body as daemons from before per-level
+// byte tallies sent it: uint32 blocks | uint16 n | n x (level, count).
+func statsV1Body() []byte {
+	b := binary.BigEndian.AppendUint32(nil, 7)
+	b = binary.BigEndian.AppendUint16(b, 2)
+	b = binary.BigEndian.AppendUint16(b, 0)
+	b = binary.BigEndian.AppendUint32(b, 4)
+	b = binary.BigEndian.AppendUint16(b, 2)
+	return binary.BigEndian.AppendUint32(b, 3)
+}
+
+// statsV2Body is a per-object-less stat body: the current layout under
+// version byte 2, ending after the aggregate level list.
+func statsV2Body() []byte {
+	b := binary.BigEndian.AppendUint32(nil, 1)
+	b = binary.BigEndian.AppendUint16(b, 0xFFFF)
+	b = append(b, 2)
+	b = binary.BigEndian.AppendUint64(b, 10)
+	b = binary.BigEndian.AppendUint16(b, 1)
+	b = binary.BigEndian.AppendUint16(b, 0)
+	b = binary.BigEndian.AppendUint32(b, 1)
+	return binary.BigEndian.AppendUint64(b, 10)
+}
+
+// TestStatsWireBackwardCompatible pins where stat-body compatibility
+// ends: the older generations — v1 counts-only, v2 without objects —
+// and truncations of them are corrupt frames, never a silently partial
+// snapshot or a panic.
 func TestStatsWireBackwardCompatible(t *testing.T) {
-	v2 := Stats{
-		Blocks: 7,
-		Bytes:  900,
-		PerLevel: []LevelCount{
-			{Level: 0, Count: 4, Bytes: 600},
-			{Level: 2, Count: 3, Bytes: 300},
-		},
-	}
-	v2body, err := encodeStats(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := decodeStats(v2body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, v2) {
-		t.Fatalf("v2 round trip drifted: %+v", back)
-	}
-
-	// A v1 body, byte-for-byte as PR 3's encodeStats produced it.
-	v1 := binary.BigEndian.AppendUint32(nil, 7)
-	v1 = binary.BigEndian.AppendUint16(v1, 2)
-	v1 = binary.BigEndian.AppendUint16(v1, 0)
-	v1 = binary.BigEndian.AppendUint32(v1, 4)
-	v1 = binary.BigEndian.AppendUint16(v1, 2)
-	v1 = binary.BigEndian.AppendUint32(v1, 3)
-	back, err = decodeStats(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Stats{Blocks: 7, PerLevel: []LevelCount{{Level: 0, Count: 4}, {Level: 2, Count: 3}}}
-	if !reflect.DeepEqual(back, want) {
-		t.Fatalf("v1 decode = %+v, want %+v", back, want)
-	}
-
-	// Truncation in either generation is corruption, not a panic.
-	if _, err := decodeStats(v2body[:10]); !errors.Is(err, ErrCorruptFrame) {
-		t.Fatalf("truncated v2 err = %v, want ErrCorruptFrame", err)
-	}
-	if _, err := decodeStats(v1[:8]); !errors.Is(err, ErrCorruptFrame) {
-		t.Fatalf("truncated v1 err = %v, want ErrCorruptFrame", err)
+	v1, v2 := statsV1Body(), statsV2Body()
+	for name, body := range map[string][]byte{
+		"v1 body":      v1,
+		"v2 body":      v2,
+		"truncated v1": v1[:8],
+		"truncated v2": v2[:10],
+	} {
+		if _, err := decodeStats(body); !errors.Is(err, ErrCorruptFrame) {
+			t.Errorf("%s: err = %v, want ErrCorruptFrame", name, err)
+		}
 	}
 }
 
-// TestStatsV3PerObjectRoundTrip pins the keyed generation: per-object
-// sections survive the wire, and a v2 body (no objects) still decodes.
+// TestStatsV3PerObjectRoundTrip pins the one stat body: snapshots with
+// and without per-object sections round-trip exactly, and truncations
+// and out-of-order entries are corrupt frames.
 func TestStatsV3PerObjectRoundTrip(t *testing.T) {
-	v3 := Stats{
+	keyed := Stats{
 		Blocks: 9,
 		Bytes:  1200,
 		PerLevel: []LevelCount{
@@ -120,40 +114,40 @@ func TestStatsV3PerObjectRoundTrip(t *testing.T) {
 				}},
 		},
 	}
-	body, err := encodeStats(v3)
+	keyedBody, err := encodeStats(keyed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decodeStats(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, v3) {
-		t.Fatalf("v3 round trip drifted:\n got %+v\nwant %+v", back, v3)
+	for _, st := range []Stats{
+		keyed,
+		{Blocks: 1, Bytes: 10, PerLevel: []LevelCount{{Level: 0, Count: 1, Bytes: 10}}}, // no PerObject
+		{}, // an empty node
+	} {
+		body, err := encodeStats(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := decodeStats(body)
+		if err != nil {
+			t.Fatalf("%+v: %v", st, err)
+		}
+		if !reflect.DeepEqual(back, st) {
+			t.Fatalf("round trip drifted:\n got %+v\nwant %+v", back, st)
+		}
 	}
 
-	// No per-object data → the encoder stays on v2, old decoders keep
-	// working, and the round trip is unchanged.
-	v2 := Stats{Blocks: 1, Bytes: 10, PerLevel: []LevelCount{{Level: 0, Count: 1, Bytes: 10}}}
-	v2body, err := encodeStats(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v2body) >= len(body) {
-		t.Fatal("object-free stats did not use the shorter v2 encoding")
-	}
-	back, err = decodeStats(v2body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, v2) {
-		t.Fatalf("v2 round trip drifted: %+v", back)
-	}
-
-	// Truncating inside the per-object section is corruption.
-	for _, cut := range []int{len(body) - 1, len(body) - 5, len(v2body) + 1} {
-		if _, err := decodeStats(body[:cut]); !errors.Is(err, ErrCorruptFrame) {
-			t.Fatalf("truncated v3 at %d: err = %v, want ErrCorruptFrame", cut, err)
+	swapped := append([]byte(nil), keyedBody...)
+	copy(swapped[17:31], keyedBody[31:45]) // aggregate levels 1, 1
+	for name, body := range map[string][]byte{
+		"truncated header": keyedBody[:10],
+		"truncated levels": keyedBody[:20],
+		"no object count":  keyedBody[:45],
+		"truncated object": keyedBody[:len(keyedBody)-1],
+		"trailing byte":    append(append([]byte(nil), keyedBody...), 0),
+		"repeated level":   swapped,
+	} {
+		if _, err := decodeStats(body); !errors.Is(err, ErrCorruptFrame) {
+			t.Errorf("%s: err = %v, want ErrCorruptFrame", name, err)
 		}
 	}
 }
@@ -180,7 +174,7 @@ func TestCollectKeepsRecombinedBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	base, err := repl.Collect(ctx, -1)
+	base, err := repl.CollectObject(ctx, core.ZeroObject, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +189,7 @@ func TestCollectKeepsRecombinedBlocks(t *testing.T) {
 	if err := repl.Put(ctx, regen); err != nil {
 		t.Fatal(err)
 	}
-	got, err := repl.Collect(ctx, -1)
+	got, err := repl.CollectObject(ctx, core.ZeroObject, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +202,7 @@ func TestCollectKeepsRecombinedBlocks(t *testing.T) {
 	if err := repl.Put(ctx, regen.Clone()); err != nil {
 		t.Fatal(err)
 	}
-	again, err := repl.Collect(ctx, -1)
+	again, err := repl.CollectObject(ctx, core.ZeroObject, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

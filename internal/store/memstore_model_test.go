@@ -40,17 +40,19 @@ func TestMemStoreMatchesScanModel(t *testing.T) {
 
 // TestMemStoreGetAfterCloseFails pins that a closed engine does not
 // answer "empty": a collector would take that for an owner holding
-// nothing.
+// nothing. A wildcard read stays refused as a bad request.
 func TestMemStoreGetAfterCloseFails(t *testing.T) {
 	eng := store.NewMemStore(0)
 	if _, err := eng.Put(7, 0, []byte("block")); err != nil {
 		t.Fatal(err)
 	}
 	eng.Close()
-	for _, obj := range []core.ObjectID{7, core.AllObjects} {
-		if got, err := eng.Get(obj, -1); !errors.Is(err, store.ErrStoreUnavailable) {
-			t.Fatalf("Get(%s) on a closed engine = %d blocks, %v; want ErrStoreUnavailable", obj, len(got), err)
-		}
+	if got, err := eng.Get(7, -1); !errors.Is(err, store.ErrStoreUnavailable) {
+		t.Fatalf("Get on a closed engine = %d blocks, %v; want ErrStoreUnavailable", len(got), err)
+	}
+	// The wildcard is a bad request whatever the engine's state.
+	if _, err := eng.Get(core.AllObjects, -1); !errors.Is(err, store.ErrBadRequest) {
+		t.Fatalf("Get(all objects) err = %v, want ErrBadRequest", err)
 	}
 }
 

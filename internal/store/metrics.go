@@ -76,46 +76,40 @@ func newServerMetrics(r *metrics.Registry) serverMetrics {
 // clientMetrics instruments one Client. Clients sharing a registry share
 // series, which aggregates a fleet's client traffic into one view.
 type clientMetrics struct {
-	attempts        *metrics.Counter
-	retries         *metrics.Counter
-	backoffSleeps   *metrics.Counter
-	backoffNs       *metrics.Histogram
-	hedgesFired     *metrics.Counter
-	hedgesWon       *metrics.Counter
-	hedgesCancelled *metrics.Counter
-	dials           *metrics.Counter
-	dialErrors      *metrics.Counter
-	poolHits        *metrics.Counter
-	poolMisses      *metrics.Counter
-	poisoned        *metrics.Counter
-	connsStale      *metrics.Counter
-	opOK            *metrics.Counter
-	opErrors        *metrics.Counter
-	opNs            *metrics.Histogram
-	bytesIn         *metrics.Counter
-	bytesOut        *metrics.Counter
+	attempts      *metrics.Counter
+	retries       *metrics.Counter
+	backoffSleeps *metrics.Counter
+	backoffNs     *metrics.Histogram
+	dials         *metrics.Counter
+	dialErrors    *metrics.Counter
+	poolHits      *metrics.Counter
+	poolMisses    *metrics.Counter
+	poisoned      *metrics.Counter
+	connsStale    *metrics.Counter
+	opOK          *metrics.Counter
+	opErrors      *metrics.Counter
+	opNs          *metrics.Histogram
+	bytesIn       *metrics.Counter
+	bytesOut      *metrics.Counter
 }
 
 func newClientMetrics(r *metrics.Registry) clientMetrics {
 	return clientMetrics{
-		attempts:        r.Counter("store_client_attempts_total"),
-		retries:         r.Counter("store_client_retries_total"),
-		backoffSleeps:   r.Counter("store_client_backoff_sleeps_total"),
-		backoffNs:       r.Histogram("store_client_backoff_ns"),
-		hedgesFired:     r.Counter("store_client_hedges_fired_total"),
-		hedgesWon:       r.Counter("store_client_hedges_won_total"),
-		hedgesCancelled: r.Counter("store_client_hedges_cancelled_total"),
-		dials:           r.Counter("store_client_dials_total"),
-		dialErrors:      r.Counter("store_client_dial_errors_total"),
-		poolHits:        r.Counter("store_client_pool_hits_total"),
-		poolMisses:      r.Counter("store_client_pool_misses_total"),
-		poisoned:        r.Counter("store_client_conns_poisoned_total"),
-		connsStale:      r.Counter("store_client_conns_stale_total"),
-		opOK:            r.Counter("store_client_ops_ok_total"),
-		opErrors:        r.Counter("store_client_op_errors_total"),
-		opNs:            r.Histogram("store_client_op_ns"),
-		bytesIn:         r.Counter("store_client_frame_bytes_in_total"),
-		bytesOut:        r.Counter("store_client_frame_bytes_out_total"),
+		attempts:      r.Counter("store_client_attempts_total"),
+		retries:       r.Counter("store_client_retries_total"),
+		backoffSleeps: r.Counter("store_client_backoff_sleeps_total"),
+		backoffNs:     r.Histogram("store_client_backoff_ns"),
+		dials:         r.Counter("store_client_dials_total"),
+		dialErrors:    r.Counter("store_client_dial_errors_total"),
+		poolHits:      r.Counter("store_client_pool_hits_total"),
+		poolMisses:    r.Counter("store_client_pool_misses_total"),
+		poisoned:      r.Counter("store_client_conns_poisoned_total"),
+		connsStale:    r.Counter("store_client_conns_stale_total"),
+		opOK:          r.Counter("store_client_ops_ok_total"),
+		opErrors:      r.Counter("store_client_op_errors_total"),
+		opNs:          r.Histogram("store_client_op_ns"),
+		bytesIn:       r.Counter("store_client_frame_bytes_in_total"),
+		bytesOut:      r.Counter("store_client_frame_bytes_out_total"),
 	}
 }
 

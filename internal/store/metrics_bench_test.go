@@ -65,7 +65,7 @@ func benchmarkMeteredRoundtrip(b *testing.B, reg *metrics.Registry) {
 	b.SetBytes(8 * (4 << 10))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, err := cl.Get(ctx, -1)
+		got, err := cl.GetObject(ctx, core.ZeroObject, -1)
 		if err != nil {
 			b.Fatal(err)
 		}

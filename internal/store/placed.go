@@ -40,6 +40,7 @@ type Placed struct {
 	clients []*Client      // ring node index → client
 	gen     uint64         // bumped on every membership change
 	shards  map[core.ObjectID]*shardEntry
+	hook    func() // see SetMembershipHook
 	closed  bool
 }
 
@@ -64,33 +65,6 @@ type PlacedConfig struct {
 	// Metrics, when non-nil, receives placement counters plus each
 	// shard's per-node outcome series {node="addr"}.
 	Metrics *metrics.Registry
-	// OnMembershipChange, when non-nil, is called synchronously after
-	// every membership event (join, leave, liveness flip), outside the
-	// placement lock, with the exact ownership diff of the cached
-	// objects: which objects moved, from whom, to whom. The migration
-	// mover hangs off this hook to re-home data the moment placement
-	// shifts. The callback may call back into Placed.
-	OnMembershipChange func(MembershipChange)
-}
-
-// OwnershipChange records one object's replica-set move across a
-// membership event: the successor lists before and after, nearest
-// first. Old is nil for an object placed for the first time after the
-// event; New is nil when no alive successor remains.
-type OwnershipChange struct {
-	Object core.ObjectID
-	Old    []string
-	New    []string
-}
-
-// MembershipChange is the payload of the OnMembershipChange hook: the
-// placement generation after the event plus the ownership diff over the
-// objects with cached shards. Objects this Placed has never looked up
-// do not appear (nothing cached to diff); movers that must cover cold
-// objects enumerate them from each node's Stats().PerObject inventory.
-type MembershipChange struct {
-	Gen     uint64
-	Changed []OwnershipChange
 }
 
 // NodeID maps a node address onto the ring — FNV-64a through the ring
@@ -210,10 +184,10 @@ func (p *Placed) SetAlive(addr string, alive bool) error {
 		p.ring.Fail(idx)
 	}
 	p.ring.Stabilize()
-	ev := p.bumpLocked()
+	p.bumpLocked()
 	p.met.membershipEvents.Inc()
 	p.mu.Unlock()
-	p.notifyMembership(ev)
+	p.notifyMembership()
 	return nil
 }
 
@@ -228,10 +202,10 @@ func (p *Placed) Join(addr string) error {
 		}
 		p.reviveLocked(idx)
 		p.ring.Stabilize()
-		ev := p.bumpLocked()
+		p.bumpLocked()
 		p.met.membershipEvents.Inc()
 		p.mu.Unlock()
-		p.notifyMembership(ev)
+		p.notifyMembership()
 		return nil
 	}
 	if p.closed {
@@ -269,11 +243,11 @@ func (p *Placed) Join(addr string) error {
 	p.byAddr[addr] = idx
 	p.addrOf = append(p.addrOf, addr)
 	p.clients = append(p.clients, cl)
-	ev := p.bumpLocked()
+	p.bumpLocked()
 	p.met.membershipEvents.Inc()
 	p.met.nodes.Set(int64(len(p.clients)))
 	p.mu.Unlock()
-	p.notifyMembership(ev)
+	p.notifyMembership()
 	return nil
 }
 
@@ -293,29 +267,20 @@ func (p *Placed) Leave(addr string) error { return p.SetAlive(addr, false) }
 // cached shards whose successor list actually changed — an event on the
 // far side of the ring must not cold-start every shard (and its
 // {node="addr"} metric series) on this one. Unchanged entries are
-// re-stamped with the new generation; changed ones are dropped and
-// reported in the returned diff, which is also exactly what the
-// migration mover needs to know.
-func (p *Placed) bumpLocked() MembershipChange {
+// re-stamped with the new generation; changed ones are dropped.
+func (p *Placed) bumpLocked() {
 	p.gen++
-	ev := MembershipChange{Gen: p.gen}
 	for obj, e := range p.shards {
 		old := e.repl.cfg.ReplicaLabels
 		idxs, err := p.ring.Successors(ringKey(obj), p.cfg.Replication)
 		if err != nil {
 			// No alive successor remains: the shard is unplaceable.
 			delete(p.shards, obj)
-			ev.Changed = append(ev.Changed, OwnershipChange{
-				Object: obj,
-				Old:    append([]string(nil), old...),
-			})
 			continue
 		}
-		addrs := make([]string, len(idxs))
 		same := len(idxs) == len(old)
 		for i, idx := range idxs {
-			addrs[i] = p.addrOf[idx]
-			if same && addrs[i] != old[i] {
+			if same && p.addrOf[idx] != old[i] {
 				same = false
 			}
 		}
@@ -324,31 +289,29 @@ func (p *Placed) bumpLocked() MembershipChange {
 			continue
 		}
 		delete(p.shards, obj)
-		ev.Changed = append(ev.Changed, OwnershipChange{
-			Object: obj,
-			Old:    append([]string(nil), old...),
-			New:    addrs,
-		})
 	}
-	return ev
 }
 
-// notifyMembership fires the OnMembershipChange hook outside the lock.
-func (p *Placed) notifyMembership(ev MembershipChange) {
+// notifyMembership fires the membership hook outside the lock.
+func (p *Placed) notifyMembership() {
 	p.mu.RLock()
-	hook := p.cfg.OnMembershipChange
+	hook := p.hook
 	p.mu.RUnlock()
 	if hook != nil {
-		hook(ev)
+		hook()
 	}
 }
 
-// SetMembershipHook installs (or replaces) the OnMembershipChange
-// callback after construction — the mover is built over an existing
+// SetMembershipHook installs (or replaces) the callback fired
+// synchronously after every membership event (join, leave, liveness
+// flip), outside the placement lock; it may call back into Placed. The
+// migration mover hangs its Kick here to re-home data the moment
+// placement shifts — it diffs ownership itself, from every node's
+// Stats().PerObject inventory. The mover is built over an existing
 // Placed, so the hook cannot exist before the store does.
-func (p *Placed) SetMembershipHook(hook func(MembershipChange)) {
+func (p *Placed) SetMembershipHook(hook func()) {
 	p.mu.Lock()
-	p.cfg.OnMembershipChange = hook
+	p.hook = hook
 	p.mu.Unlock()
 }
 

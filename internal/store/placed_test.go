@@ -299,18 +299,15 @@ func TestGetBodyRoundTrip(t *testing.T) {
 	cases := []struct {
 		obj      core.ObjectID
 		maxLevel int
-		wantLen  int
 	}{
-		{core.AllObjects, -1, getBodyLegacy},
-		{core.AllObjects, 3, getBodyLegacy},
-		{core.NamedObject("x"), -1, getBodyKeyed},
-		{core.NamedObject("x"), 0, getBodyKeyed},
-		{core.ZeroObject, 2, getBodyKeyed},
+		{core.NamedObject("x"), -1},
+		{core.NamedObject("x"), 0},
+		{core.ZeroObject, 2},
 	}
 	for _, tc := range cases {
 		body := encodeGetBody(tc.obj, tc.maxLevel)
-		if len(body) != tc.wantLen {
-			t.Fatalf("encodeGetBody(%s, %d) len %d, want %d", tc.obj, tc.maxLevel, len(body), tc.wantLen)
+		if len(body) != getBodyLen {
+			t.Fatalf("encodeGetBody(%s, %d) len %d, want %d", tc.obj, tc.maxLevel, len(body), getBodyLen)
 		}
 		obj, lvl, err := decodeGetBody(body)
 		if err != nil {
@@ -320,7 +317,16 @@ func TestGetBodyRoundTrip(t *testing.T) {
 			t.Fatalf("round trip (%s, %d) → (%s, %d)", tc.obj, tc.maxLevel, obj, lvl)
 		}
 	}
-	if _, _, err := decodeGetBody([]byte{1, 2, 3}); err == nil {
-		t.Fatal("odd-length get body accepted")
+	// One dialect: the 2-byte all-objects body of pre-namespace clients,
+	// the wildcard in the 10-byte body, and any other length are bad
+	// requests.
+	for name, body := range map[string][]byte{
+		"2-byte body":     {0xFF, 0xFF},
+		"wildcard object": encodeGetBody(core.AllObjects, -1),
+		"odd length":      {1, 2, 3},
+	} {
+		if _, _, err := decodeGetBody(body); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("%s: err = %v, want ErrBadRequest", name, err)
+		}
 	}
 }

@@ -40,7 +40,7 @@ func TestClientConcurrentUse(t *testing.T) {
 				}
 				switch i % 3 {
 				case 0:
-					if _, err := cl.Get(ctx, -1); err != nil {
+					if _, err := cl.GetObject(ctx, core.ZeroObject, -1); err != nil {
 						errCh <- fmt.Errorf("get g%d i%d: %w", g, i, err)
 						return
 					}
@@ -98,7 +98,7 @@ func TestReplicatedConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
-				if _, err := repl.Collect(ctx, -1); err != nil {
+				if _, err := repl.CollectObject(ctx, core.ZeroObject, -1); err != nil {
 					errCh <- err
 					return
 				}
@@ -111,7 +111,7 @@ func TestReplicatedConcurrentUse(t *testing.T) {
 		t.Error(err)
 	}
 
-	got, err := repl.Collect(ctx, -1)
+	got, err := repl.CollectObject(ctx, core.ZeroObject, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,6 @@ func TestAliasedBlocksSurviveNextGet(t *testing.T) {
 	reg := metrics.NewRegistry()
 	srv := newTestServer(t, ServerConfig{})
 	cfg := fastClientCfg(srv.Addr(), nil)
-	cfg.MaxIdleConns = 1
 	cfg.Metrics = reg
 	cl, err := NewClient(cfg)
 	if err != nil {
@@ -76,7 +75,6 @@ func TestPutCopiesOutOfConnectionScratch(t *testing.T) {
 	ctx := context.Background()
 	srv := newTestServer(t, ServerConfig{})
 	cfg := fastClientCfg(srv.Addr(), nil)
-	cfg.MaxIdleConns = 1
 	cl, err := NewClient(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +121,7 @@ func TestCollectDedupSurvivesHashCollisions(t *testing.T) {
 		}
 		copies += repl.ReplicasFor(b.Level)
 	}
-	got, err := repl.Collect(ctx, -1)
+	got, err := repl.CollectObject(ctx, core.ZeroObject, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +313,7 @@ func TestClosedEngineAnswersUnavailable(t *testing.T) {
 	}
 	defer cl.Close()
 	eng.Close()
-	if got, err := cl.Get(context.Background(), -1); !errors.Is(err, ErrStoreUnavailable) {
+	if got, err := cl.GetObject(context.Background(), core.ZeroObject, -1); !errors.Is(err, ErrStoreUnavailable) {
 		t.Fatalf("get from a closed engine = %d blocks, %v; want ErrStoreUnavailable", len(got), err)
 	}
 }

@@ -217,7 +217,7 @@ func (r *Replicated) PutAll(ctx context.Context, blocks []*core.CodedBlock) (int
 
 // StatAll fetches every replica's inventory snapshot concurrently. The
 // two slices are indexed by replica: errs[i] is non-nil (and stats[i]
-// zero) where a replica was unreachable. Unlike Collect, reaching zero
+// zero) where a replica was unreachable. Unlike CollectObject, reaching zero
 // replicas is not an error here — an audit of a fully dark fleet is
 // still an audit; callers decide how much reachability they need.
 func (r *Replicated) StatAll(ctx context.Context) ([]Stats, []error) {
@@ -236,19 +236,13 @@ func (r *Replicated) StatAll(ctx context.Context) ([]Stats, []error) {
 	return stats, errs
 }
 
-// Collect fetches blocks with Level <= maxLevel (maxLevel < 0 for all)
-// from every replica concurrently, deduplicates the replicated copies,
-// and returns the union. It fails only when every replica fails.
-func (r *Replicated) Collect(ctx context.Context, maxLevel int) ([]*core.CodedBlock, error) {
-	return r.CollectObject(ctx, core.AllObjects, maxLevel)
-}
-
-// CollectObject is Collect restricted to one object (core.AllObjects for
-// every object — the wire-compatible legacy request). Copies of a block
-// are recognized by the bytes they arrived as (wireSet), never by
-// marshalling them again. Dedup spares the decoder non-innovative adds;
-// nothing depends on it for correctness, and it never merges two blocks
-// that differ.
+// CollectObject fetches one object's blocks with Level <= maxLevel
+// (maxLevel < 0 for all) from every replica concurrently, deduplicates
+// the replicated copies, and returns the union. It fails only when every
+// replica fails. Copies of a block are recognized by the bytes they
+// arrived as (wireSet), never by marshalling them again. Dedup spares
+// the decoder non-innovative adds; nothing depends on it for
+// correctness, and it never merges two blocks that differ.
 func (r *Replicated) CollectObject(ctx context.Context, obj core.ObjectID, maxLevel int) ([]*core.CodedBlock, error) {
 	perReplica := make([][]wireBlock, len(r.clients))
 	errs := make([]error, len(r.clients))

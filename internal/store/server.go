@@ -20,8 +20,6 @@ type ServerConfig struct {
 	// MaxConns bounds concurrently served connections; excess accepts
 	// are rejected with an unavailable error frame. Default 64.
 	MaxConns int
-	// MaxFrame bounds a single request frame. Default DefaultMaxFrame.
-	MaxFrame int
 	// MaxBlocks caps stored blocks (0 = unlimited); once full, puts are
 	// rejected with ErrStoreFull so clients fail over to another replica.
 	// Only consulted when Blocks is nil (it caps the default MemStore).
@@ -31,11 +29,6 @@ type ServerConfig struct {
 	// on Shutdown — whoever opened it (e.g. prlcd wiring a disk store)
 	// closes it after the drain, so a restart can reopen the same data.
 	Blocks BlockStore
-	// IdleTimeout is how long a connection may sit between requests
-	// before the server closes it. Default 30s.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds each response write. Default 10s.
-	WriteTimeout time.Duration
 	// Metrics, when non-nil, receives the server's counters, gauges and
 	// latency histograms (see DESIGN.md §10). Nil disables instrumentation
 	// at zero cost.
@@ -49,16 +42,17 @@ func (c *ServerConfig) fillDefaults() {
 	if c.MaxConns <= 0 {
 		c.MaxConns = 64
 	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = DefaultMaxFrame
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 30 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
 }
+
+// The server's fixed connection deadlines; request frames are bounded by
+// DefaultMaxFrame.
+const (
+	// idleTimeout is how long a connection may sit between requests
+	// before the server closes it.
+	idleTimeout = 30 * time.Second
+	// writeTimeout bounds each response write.
+	writeTimeout = 10 * time.Second
+)
 
 // levelTally is the per-level slice of a server's inventory.
 type levelTally struct {
@@ -212,22 +206,22 @@ func (s *Server) handleConn(raw net.Conn) {
 		if s.drainingNow() {
 			return
 		}
-		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		conn.SetReadDeadline(time.Now().Add(idleTimeout))
 		var typ byte
 		var body []byte
 		var err error
-		typ, body, scratch, err = readFrameBuf(conn, s.cfg.MaxFrame, scratch)
+		typ, body, scratch, err = readFrameBuf(conn, DefaultMaxFrame, scratch)
 		if err != nil {
 			if errors.Is(err, ErrCorruptFrame) {
 				// The stream is out of sync: report and hang up. The
 				// client's retry lands on a fresh connection.
 				s.met.crcFailures.Inc()
-				conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+				conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 				writeErrFrame(conn, errCodeCorrupt, err.Error())
 			}
 			return
 		}
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		t0 := time.Now()
 		shutdown := false
 		switch typ {

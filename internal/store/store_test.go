@@ -187,7 +187,7 @@ func TestServerPutGetStatPing(t *testing.T) {
 		t.Fatalf("per-level counts sum to %d, want %d", total, st.Blocks)
 	}
 
-	got, err := cl.Get(ctx, -1)
+	got, err := cl.GetObject(ctx, core.ZeroObject, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestServerPutGetStatPing(t *testing.T) {
 	}
 
 	// Level filter: only level-0 blocks come back.
-	lvl0, err := cl.Get(ctx, 0)
+	lvl0, err := cl.GetObject(ctx, core.ZeroObject, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,66 +300,6 @@ func TestShutdownFrameDrainsServer(t *testing.T) {
 	}
 }
 
-// stallThenRealDialer sends the first dial to a black-hole listener and
-// later dials to the real server — a straggler for hedged reads.
-type stallThenRealDialer struct {
-	stallAddr string
-	used      atomic.Bool
-	base      net.Dialer
-}
-
-func (d *stallThenRealDialer) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
-	if d.used.CompareAndSwap(false, true) {
-		return d.base.DialContext(ctx, network, d.stallAddr)
-	}
-	return d.base.DialContext(ctx, network, addr)
-}
-
-func TestHedgedGetBeatsStraggler(t *testing.T) {
-	srv := newTestServer(t, ServerConfig{})
-	_, _, blocks := testCode(t, 8)
-	seed := newTestClient(t, srv.Addr(), nil)
-	if _, err := seed.PutAll(context.Background(), blocks); err != nil {
-		t.Fatal(err)
-	}
-
-	hole, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hole.Close()
-	go func() {
-		for {
-			c, err := hole.Accept()
-			if err != nil {
-				return
-			}
-			defer c.Close() // hold open, never respond
-		}
-	}()
-
-	cfg := fastClientCfg(srv.Addr(), &stallThenRealDialer{stallAddr: hole.Addr().String()})
-	cfg.HedgeDelay = 20 * time.Millisecond
-	cfg.OpTimeout = 5 * time.Second
-	cl, err := NewClient(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	start := time.Now()
-	got, err := cl.Get(context.Background(), -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(blocks) {
-		t.Fatalf("hedged get returned %d blocks, want %d", len(got), len(blocks))
-	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("hedged get took %v; the hedge should beat the stalled primary", elapsed)
-	}
-}
-
 // --- replication policy ----------------------------------------------------
 
 func TestReplicasForPolicy(t *testing.T) {
@@ -426,7 +366,7 @@ func TestReplicatedSpreadAndCollect(t *testing.T) {
 		t.Fatalf("replicas hold %d copies, want %d (3x%d + 2x%d)", stored, want, n0, n1)
 	}
 
-	got, err := repl.Collect(ctx, -1)
+	got, err := repl.CollectObject(ctx, core.ZeroObject, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -409,8 +409,8 @@ type (
 	StoreServer = store.Server
 	// StoreServerConfig parameterizes a StoreServer.
 	StoreServerConfig = store.ServerConfig
-	// StoreClient talks to one daemon with pooling, retries and hedged
-	// reads; all operations take a context.Context.
+	// StoreClient talks to one daemon with pooling and retries; every
+	// read names one object, and all operations take a context.Context.
 	StoreClient = store.Client
 	// StoreClientConfig parameterizes a StoreClient.
 	StoreClientConfig = store.ClientConfig
@@ -482,8 +482,8 @@ type (
 )
 
 // The reserved object values: the key-less legacy object every v1/v3
-// wire frame belongs to, and the read-side wildcard selecting every
-// object (never a valid block object).
+// wire frame belongs to, and the all-objects value that no block carries
+// and every store entry point refuses.
 const (
 	ZeroObject = core.ZeroObject
 	AllObjects = core.AllObjects
