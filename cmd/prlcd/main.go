@@ -46,7 +46,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -56,7 +55,6 @@ import (
 	"time"
 
 	"repro/internal/cliutil"
-	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/diskstore"
 	"repro/internal/metrics"
@@ -516,33 +514,21 @@ func putCmd(args []string, out io.Writer) error {
 	var (
 		addrsStr  string
 		in        string
-		blocks    int
-		coded     int
-		levelsStr string
-		distStr   string
-		schemeStr string
-		codingStr string
 		objectStr string
 		replicas  int
-		seed      int64
 		tolerance int
 		minWrites int
 		timeout   time.Duration
+		ef        cliutil.EncodeFlags
 	)
 	fs.StringVar(&addrsStr, "addrs", "", "comma-separated daemon addresses")
 	fs.StringVar(&in, "in", "", "input file")
 	fs.StringVar(&objectStr, "object", "", "object namespace: a name to hash or canonical obj-<16 hex> (empty = object zero, the key-less file, on every daemon)")
 	fs.IntVar(&replicas, "replicas", 3, "ring successors the object is placed on when -object is set")
-	fs.IntVar(&blocks, "blocks", 100, "number of source blocks")
-	fs.IntVar(&coded, "coded", 0, "number of coded blocks (0 = 1.6x blocks)")
-	fs.StringVar(&levelsStr, "levels", "0.1,0.2,0.7", "level fractions, most important first")
-	fs.StringVar(&distStr, "dist", "", "priority distribution (default uniform)")
-	fs.StringVar(&schemeStr, "scheme", "plc", "coding scheme: rlc, slc or plc")
-	fs.StringVar(&codingStr, "coding", "auto", "coefficient generator: auto, dense, sparse, band or chunked (auto picks by generation size)")
-	fs.Int64Var(&seed, "seed", 1, "random seed")
 	fs.IntVar(&tolerance, "f", 1, "replica losses the last level must survive")
 	fs.IntVar(&minWrites, "min-writes", 1, "copies that must land per block")
 	fs.DurationVar(&timeout, "timeout", 5*time.Second, "per-attempt timeout")
+	ef.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -550,101 +536,10 @@ func putCmd(args []string, out io.Writer) error {
 	if len(addrs) == 0 || in == "" {
 		return fmt.Errorf("put: -addrs and -in are required")
 	}
-	scheme, err := core.ParseScheme(schemeStr)
+	g, cb, err := ef.EncodeFile(in)
 	if err != nil {
-		return err
+		return fmt.Errorf("put: %w", err)
 	}
-	data, err := os.ReadFile(in)
-	if err != nil {
-		return err
-	}
-	if len(data) == 0 {
-		return fmt.Errorf("put: %s is empty", in)
-	}
-	if blocks <= 0 {
-		return fmt.Errorf("put: -blocks %d, want > 0", blocks)
-	}
-	if blocks > len(data) {
-		blocks = len(data)
-	}
-	if coded == 0 {
-		coded = blocks + (blocks*3+4)/5
-	}
-	fracs, err := cliutil.ParseFloats(levelsStr)
-	if err != nil {
-		return fmt.Errorf("put: -levels: %w", err)
-	}
-	sizes, err := cliutil.FractionsToSizes(fracs, blocks)
-	if err != nil {
-		return err
-	}
-	levels, err := core.NewLevels(sizes...)
-	if err != nil {
-		return err
-	}
-	var dist core.PriorityDistribution
-	if distStr == "" {
-		dist = core.NewUniformDistribution(levels.Count())
-	} else {
-		vals, err := cliutil.ParseFloats(distStr)
-		if err != nil {
-			return fmt.Errorf("put: -dist: %w", err)
-		}
-		dist = core.PriorityDistribution(vals)
-	}
-	if err := dist.Validate(levels); err != nil {
-		return err
-	}
-	coding, err := core.ParseCoding(codingStr)
-	if err != nil {
-		return err
-	}
-	if coding == core.CodingAuto {
-		coding = core.AutoCoding(blocks)
-	}
-
-	sources := cliutil.SplitPayloads(data, blocks)
-	var (
-		cb         []*core.CodedBlock
-		replLevels = levels.Count()
-		layout     *core.ChunkLayout
-	)
-	if coding == core.CodingChunked {
-		// Chunked blocks carry their chunk index in the Level field. Chunks
-		// cover the file front to back, so the store's level-decaying
-		// replication naturally keeps more copies of the file prefix —
-		// replLevels becomes the chunk count.
-		layout, err = core.DefaultChunkLayout(blocks)
-		if err != nil {
-			return err
-		}
-		replLevels = layout.Count
-		cenc, err := core.NewChunkedEncoder(layout, sources)
-		if err != nil {
-			return err
-		}
-		cb, err = cenc.EncodeBatch(rand.New(rand.NewSource(seed)), coded)
-		if err != nil {
-			return err
-		}
-	} else {
-		var opts []core.EncoderOption
-		switch coding {
-		case core.CodingSparse:
-			opts = append(opts, core.WithSparsity(core.LogSparsity(blocks)))
-		case core.CodingBand:
-			opts = append(opts, core.WithBand(core.DefaultBandWidth))
-		}
-		enc, err := core.NewEncoder(scheme, levels, sources, opts...)
-		if err != nil {
-			return err
-		}
-		cb, err = enc.EncodeBatch(rand.New(rand.NewSource(seed)), dist, coded)
-		if err != nil {
-			return err
-		}
-	}
-
 	obj, err := core.ParseObjectID(objectStr)
 	if err != nil {
 		return fmt.Errorf("put: -object: %w", err)
@@ -655,7 +550,7 @@ func putCmd(args []string, out io.Writer) error {
 	for _, b := range cb {
 		b.Object = obj
 	}
-	placed, err := openPlaced(addrs, replLevels, ringWidth(obj, replicas), tolerance, minWrites, timeout, nil)
+	placed, err := openPlaced(addrs, g.Groups(), ringWidth(obj, replicas), tolerance, minWrites, timeout, nil)
 	if err != nil {
 		return err
 	}
@@ -681,13 +576,8 @@ func putCmd(args []string, out io.Writer) error {
 	if obj != core.ZeroObject {
 		objArgs = fmt.Sprintf(" -object %s -replicas %d", objectStr, placed.Replication())
 	}
-	if coding == core.CodingChunked {
-		fmt.Fprintf(out, "recover with:\n  prlcd store get -addrs %s -out FILE -sizes %s -size %d -chunks %d,%d%s\n",
-			addrsStr, intsCSV(sizes), len(data), layout.Size, layout.Overlap, objArgs)
-	} else {
-		fmt.Fprintf(out, "recover with:\n  prlcd store get -addrs %s -out FILE -scheme %s -sizes %s -size %d%s\n",
-			addrsStr, schemeStr, intsCSV(sizes), len(data), objArgs)
-	}
+	fmt.Fprintf(out, "recover with:\n  prlcd store get -addrs %s -out FILE %s%s\n",
+		addrsStr, strings.Join(g.Args(), " "), objArgs)
 	return nil
 }
 
@@ -696,131 +586,62 @@ func getCmd(args []string, out io.Writer) error {
 	var (
 		addrsStr  string
 		outPath   string
-		schemeStr string
-		sizesStr  string
-		chunksStr string
 		objectStr string
 		replicas  int
-		fileSize  int64
-		seed      int64
 		timeout   time.Duration
 	)
 	fs.StringVar(&addrsStr, "addrs", "", "comma-separated daemon addresses")
 	fs.StringVar(&outPath, "out", "", "output file for the recovered prefix")
 	fs.StringVar(&objectStr, "object", "", "object namespace from put time: a name to hash or canonical obj-<16 hex>")
 	fs.IntVar(&replicas, "replicas", 3, "ring successors used at put time when -object is set")
-	fs.StringVar(&schemeStr, "scheme", "plc", "coding scheme used at put time")
-	fs.StringVar(&sizesStr, "sizes", "", "per-level block counts from put time")
-	fs.StringVar(&chunksStr, "chunks", "", "size,overlap of the chunk layout when put used -coding chunked")
-	fs.Int64Var(&fileSize, "size", 0, "original file size (0 = keep padding)")
-	fs.Int64Var(&seed, "seed", 1, "random seed for the processing order")
 	fs.DurationVar(&timeout, "timeout", 5*time.Second, "per-attempt timeout")
+	geometry := cliutil.GeometryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	addrs := cliutil.SplitAddrs(addrsStr)
-	if len(addrs) == 0 || outPath == "" || sizesStr == "" {
-		return fmt.Errorf("get: -addrs, -out and -sizes are required")
+	if len(addrs) == 0 || outPath == "" {
+		return fmt.Errorf("get: -addrs and -out are required")
 	}
-	scheme, err := core.ParseScheme(schemeStr)
+	g, err := geometry()
 	if err != nil {
-		return err
+		return fmt.Errorf("get: %w", err)
 	}
-	sizes, err := cliutil.ParseInts(sizesStr)
-	if err != nil {
-		return fmt.Errorf("get: -sizes: %w", err)
-	}
-	levels, err := core.NewLevels(sizes...)
-	if err != nil {
-		return err
-	}
-
 	obj, err := core.ParseObjectID(objectStr)
 	if err != nil {
 		return fmt.Errorf("get: -object: %w", err)
 	}
 	// Resolve the object's shard on the same ring geometry the put used
 	// and collect only that namespace's blocks — object zero for the
-	// key-less file, never the all-objects wildcard: the decoder cannot
-	// tell two objects' blocks apart.
-	placed, err := openPlaced(addrs, levels.Count(), ringWidth(obj, replicas), 1, 1, timeout, nil)
+	// key-less file: the decoder cannot tell two objects' blocks apart.
+	placed, err := openPlaced(addrs, g.Groups(), ringWidth(obj, replicas), 1, 1, timeout, nil)
 	if err != nil {
 		return err
 	}
 	defer placed.Close()
-	ctx := context.Background()
-	blocks, err := placed.Collect(ctx, obj, -1)
+	blocks, err := placed.Collect(context.Background(), obj, -1)
 	if err != nil {
 		return err
 	}
 	if len(blocks) == 0 {
 		return fmt.Errorf("get: daemons hold no blocks")
 	}
-	var (
-		sourcesOut [][]byte
-		decoded    int
-		complete   bool
-		levelsNote string
-	)
-	if chunksStr != "" {
-		chunkDims, err := cliutil.ParseInts(chunksStr)
-		if err != nil || len(chunkDims) != 2 {
-			return fmt.Errorf("get: -chunks wants size,overlap, got %q", chunksStr)
-		}
-		layout, err := core.NewChunkLayout(levels.Total(), chunkDims[0], chunkDims[1])
-		if err != nil {
-			return err
-		}
-		cdec, err := core.NewChunkedDecoder(layout, len(blocks[0].Payload))
-		if err != nil {
-			return err
-		}
-		for _, b := range blocks {
-			if _, err := cdec.Add(b); err != nil {
-				fmt.Fprintf(out, "get: skipping block: %v\n", err)
-			}
-			if cdec.Complete() {
-				break
-			}
-		}
-		sourcesOut = cdec.Sources()
-		decoded = cdec.DecodedCount()
-		complete = cdec.Complete()
-		levelsNote = "chunked"
-	} else {
-		res, dec, err := collect.Run(rand.New(rand.NewSource(seed)), scheme, levels, blocks,
-			collect.Options{Context: ctx, PayloadLen: len(blocks[0].Payload)})
-		if err != nil {
-			return err
-		}
-		sourcesOut = dec.Sources()
-		decoded = res.DecodedBlocks
-		complete = res.Complete
-		levelsNote = fmt.Sprintf("%d levels", res.DecodedLevels)
-	}
-
-	var buf []byte
-	for _, p := range sourcesOut {
-		if p == nil {
-			break
-		}
-		buf = append(buf, p...)
-	}
-	if fileSize > 0 && int64(len(buf)) > fileSize {
-		buf = buf[:fileSize]
-	}
-	if err := os.WriteFile(outPath, buf, 0o644); err != nil {
+	g.PayloadLen = len(blocks[0].Payload)
+	dec, err := cliutil.NewFileDecoder(g)
+	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "collected %d blocks from %d daemons; decoded %d/%d source blocks (%s)\n",
-		len(blocks), len(addrs), decoded, levels.Total(), levelsNote)
-	fmt.Fprintf(out, "wrote %d bytes to %s", len(buf), outPath)
-	if complete {
-		fmt.Fprint(out, " (complete file)")
-	} else if fileSize > 0 {
-		fmt.Fprintf(out, " (partial recovery: %.1f%% of the file)", 100*float64(len(buf))/float64(fileSize))
+	for _, b := range blocks {
+		if err := dec.Add(b); err != nil {
+			fmt.Fprintf(out, "get: skipping block: %v\n", err)
+		} else if dec.Complete() {
+			break
+		}
 	}
-	fmt.Fprintln(out)
+	if err := os.WriteFile(outPath, dec.Prefix(), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "collected %d blocks from %d daemons; wrote %s: %s\n", len(blocks), len(addrs), outPath, dec.Summary())
 	return nil
 }
 
@@ -1184,15 +1005,4 @@ func printSnapshot(out io.Writer, addr string, snap metrics.Snapshot) {
 				nameWidth, h.Name, h.Count, h.Mean, h.P50, h.P95, h.P99, h.Max)
 		}
 	}
-}
-
-func intsCSV(xs []int) string {
-	s := ""
-	for i, x := range xs {
-		if i > 0 {
-			s += ","
-		}
-		s += fmt.Sprint(x)
-	}
-	return s
 }

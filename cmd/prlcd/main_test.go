@@ -48,6 +48,14 @@ func TestUsageErrors(t *testing.T) {
 			t.Errorf("run(%v) accepted bad usage", args)
 		}
 	}
+	// Fewer coded blocks than sources can never decode: put refuses them
+	// before storing anything, as prlcfile encode does.
+	addr := startDaemons(t, 1)[0]
+	in, _ := writeRandomFile(t, t.TempDir(), "in.bin", 2048, 3)
+	put := []string{"store", "put", "-addrs", addr, "-in", in, "-f", "0", "-blocks", "20", "-coded", "10"}
+	if err := run(put, &out); err == nil {
+		t.Errorf("run(%v) accepted fewer coded blocks than sources", put)
+	}
 }
 
 func TestPingAndStat(t *testing.T) {
@@ -119,6 +127,44 @@ func TestPutGetRoundTripWithDeadReplica(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "complete file") {
 		t.Fatalf("get output: %q", out.String())
+	}
+}
+
+// TestChunkedPutGet ships a 1,000-block file into 2 daemons with
+// -coding chunked and recovers it bit-exactly by running the get command
+// the put printed, so the banner and the get flags cannot drift apart.
+func TestChunkedPutGet(t *testing.T) {
+	addrs := startDaemons(t, 2)
+	dir := t.TempDir()
+	in, data := writeRandomFile(t, dir, "in.bin", 64000, 7)
+
+	var out bytes.Buffer
+	err := run([]string{
+		"store", "put", "-addrs", strings.Join(addrs, ","), "-in", in,
+		"-blocks", "1000", "-coding", "chunked",
+	}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, banner, ok := strings.Cut(out.String(), "recover with:\n")
+	if !ok || !strings.Contains(banner, "-chunks 256,32") {
+		t.Fatalf("put printed no chunked recovery command: %q", out.String())
+	}
+	rec := filepath.Join(dir, "rec.bin")
+	get := strings.Fields(strings.Replace(banner, "FILE", rec, 1))
+	if get[0] != "prlcd" {
+		t.Fatalf("recovery command %q", banner)
+	}
+	out.Reset()
+	if err := run(get[1:], &out); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) || !strings.Contains(out.String(), "(chunked)") {
+		t.Fatalf("chunked get recovered %d of %d bytes (output: %q)", len(got), len(data), out.String())
 	}
 }
 

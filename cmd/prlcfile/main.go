@@ -15,18 +15,16 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
+	"reflect"
 	"strings"
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
 )
 
-// Block-file format: a self-describing header followed by the block in
+// Block-file format: the file's cliutil.Geometry followed by the block in
 // the standard CodedBlock wire encoding (MarshalBinary), so the file
 // format and the store's network format share one serialization. Version
 // 2 covers the level-structured codings (dense, sparse, band — the block
@@ -38,12 +36,6 @@ const (
 	formatVer        = 2
 	formatVerChunked = 3
 	blockSuffix      = ".prlc"
-)
-
-// Shared CLI helpers, aliased for the tests.
-var (
-	parseFloats      = cliutil.ParseFloats
-	fractionsToSizes = cliutil.FractionsToSizes
 )
 
 func main() {
@@ -67,343 +59,111 @@ func run(args []string) error {
 	}
 }
 
-// header is the self-describing metadata each block file carries, so the
-// decoder needs nothing but a directory of surviving blocks.
-type header struct {
-	scheme     core.Scheme
-	levelSizes []int
-	fileSize   uint64
-	payloadLen int
-	// chunkSize/chunkOverlap are nonzero-size only in v3 (chunked) files.
-	chunkSize    int
-	chunkOverlap int
-}
-
-func (h header) chunked() bool { return h.chunkSize > 0 }
-
 func encode(args []string) error {
 	fs := flag.NewFlagSet("prlcfile encode", flag.ContinueOnError)
-	var (
-		in, out   string
-		blocks    int
-		coded     int
-		levelsStr string
-		distStr   string
-		schemeStr string
-		codingStr string
-		seed      int64
-		workers   int
-	)
-	fs.StringVar(&in, "in", "", "input file")
-	fs.StringVar(&out, "out", "", "output directory for block files")
-	fs.IntVar(&blocks, "blocks", 100, "number of source blocks to split the file into")
-	fs.IntVar(&coded, "coded", 0, "number of coded blocks to produce (0 = 1.6x blocks)")
-	fs.StringVar(&levelsStr, "levels", "0.1,0.2,0.7", "comma-separated level fractions of the file, most important first")
-	fs.StringVar(&distStr, "dist", "", "priority distribution over levels (default uniform)")
-	fs.StringVar(&schemeStr, "scheme", "plc", "coding scheme: rlc, slc or plc")
-	fs.StringVar(&codingStr, "coding", "auto", "coefficient generator: auto, dense, sparse, band or chunked (auto picks by generation size)")
-	fs.Int64Var(&seed, "seed", 1, "random seed")
-	fs.IntVar(&workers, "workers", runtime.GOMAXPROCS(0), "encoder worker count (output is seed-deterministic for any value)")
+	in := fs.String("in", "", "input file")
+	out := fs.String("out", "", "output directory for block files")
+	var ef cliutil.EncodeFlags
+	ef.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if in == "" || out == "" {
+	if *in == "" || *out == "" {
 		return fmt.Errorf("encode: -in and -out are required")
 	}
-	scheme, err := core.ParseScheme(schemeStr)
+	g, cb, err := ef.EncodeFile(*in)
 	if err != nil {
-		return err
+		return fmt.Errorf("encode: %w", err)
 	}
-	data, err := os.ReadFile(in)
-	if err != nil {
-		return err
-	}
-	if len(data) == 0 {
-		return fmt.Errorf("encode: %s is empty", in)
-	}
-	if blocks <= 0 {
-		return fmt.Errorf("encode: -blocks %d, want > 0", blocks)
-	}
-	if blocks > len(data) {
-		blocks = len(data)
-	}
-	if coded == 0 {
-		coded = blocks + (blocks*3+4)/5
-	}
-	if coded < blocks {
-		return fmt.Errorf("encode: -coded %d < -blocks %d cannot ever fully recover", coded, blocks)
-	}
-
-	// Split the file into equal payloads (zero-padded tail).
-	sources := cliutil.SplitPayloads(data, blocks)
-	payloadLen := len(sources[0])
-
-	// Level sizes from fractions.
-	fracs, err := parseFloats(levelsStr)
-	if err != nil {
-		return fmt.Errorf("encode: -levels: %w", err)
-	}
-	sizes, err := fractionsToSizes(fracs, blocks)
-	if err != nil {
-		return err
-	}
-	levels, err := core.NewLevels(sizes...)
-	if err != nil {
-		return err
-	}
-	var dist core.PriorityDistribution
-	if distStr == "" {
-		dist = core.NewUniformDistribution(levels.Count())
-	} else {
-		vals, err := parseFloats(distStr)
-		if err != nil {
-			return fmt.Errorf("encode: -dist: %w", err)
-		}
-		dist = core.PriorityDistribution(vals)
-	}
-	if err := dist.Validate(levels); err != nil {
-		return err
-	}
-	coding, err := core.ParseCoding(codingStr)
-	if err != nil {
-		return err
-	}
-	if coding == core.CodingAuto {
-		coding = core.AutoCoding(blocks)
-	}
-
-	h := header{
-		scheme:     scheme,
-		levelSizes: sizes,
-		fileSize:   uint64(len(data)),
-		payloadLen: payloadLen,
-	}
-	var cb []*core.CodedBlock
-	if coding == core.CodingChunked {
-		// Chunked coding trades the level structure for flat per-chunk
-		// generations: the block's Level field carries the chunk index, so
-		// the scheme and distribution do not apply.
-		layout, err := core.DefaultChunkLayout(blocks)
-		if err != nil {
-			return err
-		}
-		h.chunkSize = layout.Size
-		h.chunkOverlap = layout.Overlap
-		cenc, err := core.NewChunkedEncoder(layout, sources)
-		if err != nil {
-			return err
-		}
-		cb, err = cenc.EncodeBatch(rand.New(rand.NewSource(seed)), coded)
-		if err != nil {
-			return err
-		}
-	} else {
-		var opts []core.EncoderOption
-		switch coding {
-		case core.CodingSparse:
-			opts = append(opts, core.WithSparsity(core.LogSparsity(blocks)))
-		case core.CodingBand:
-			opts = append(opts, core.WithBand(core.DefaultBandWidth))
-		}
-		enc, err := core.NewEncoder(scheme, levels, sources, opts...)
-		if err != nil {
-			return err
-		}
-		penc, err := core.NewParallelEncoder(enc, workers)
-		if err != nil {
-			return err
-		}
-		cb, err = penc.EncodeBatch(seed, dist, coded)
-		if err != nil {
-			return err
-		}
-	}
-	out = filepath.Clean(out)
-	if err := os.MkdirAll(out, 0o755); err != nil {
+	dir := filepath.Clean(*out)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	for i, b := range cb {
-		path := filepath.Join(out, fmt.Sprintf("block_%05d%s", i, blockSuffix))
-		if err := writeBlock(path, h, b); err != nil {
+		if err := writeBlock(filepath.Join(dir, fmt.Sprintf("block_%05d%s", i, blockSuffix)), g, b); err != nil {
 			return err
 		}
 	}
-	fmt.Printf("encoded %s (%d bytes) into %d coded blocks in %s\n", in, len(data), coded, out)
-	if coding == core.CodingChunked {
-		fmt.Printf("coding chunked (%d-block chunks, %d overlap), %d source blocks, payload %d bytes/block\n",
-			h.chunkSize, h.chunkOverlap, blocks, payloadLen)
-	} else {
-		fmt.Printf("scheme %s, coding %s, %d source blocks, levels %v, payload %d bytes/block\n",
-			scheme, coding, blocks, sizes, payloadLen)
-	}
+	fmt.Printf("encoded %s into %d coded blocks in %s: %s, payload %d bytes/block\n",
+		*in, len(cb), dir, strings.Join(g.Args(), " "), g.PayloadLen)
 	return nil
 }
 
+// decode feeds the block files to one decoder in name order, stopping
+// once the file is complete. The first readable file fixes the geometry;
+// unreadable, mismatched or rejected files are skipped and reported.
 func decode(args []string) error {
 	fs := flag.NewFlagSet("prlcfile decode", flag.ContinueOnError)
-	var in, out string
-	var seed int64
-	var workers int
-	fs.StringVar(&in, "in", "", "directory of block files")
-	fs.StringVar(&out, "out", "", "output file for the recovered prefix")
-	fs.Int64Var(&seed, "seed", 1, "random seed for the processing order")
-	fs.IntVar(&workers, "workers", runtime.GOMAXPROCS(0), "decoder payload worker count (output is identical for any value)")
+	in := fs.String("in", "", "directory of block files")
+	out := fs.String("out", "", "output file for the recovered prefix")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if in == "" || out == "" {
+	if *in == "" || *out == "" {
 		return fmt.Errorf("decode: -in and -out are required")
 	}
-	entries, err := os.ReadDir(in)
+	entries, err := os.ReadDir(*in)
 	if err != nil {
 		return err
 	}
-	var paths []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), blockSuffix) {
-			paths = append(paths, filepath.Join(in, e.Name()))
-		}
-	}
-	if len(paths) == 0 {
-		return fmt.Errorf("decode: no %s block files in %s", blockSuffix, in)
-	}
-	sort.Strings(paths)
-
 	var (
-		dec     blockSink
-		levels  *core.Levels
-		h0      header
-		haveHdr bool
+		dec *cliutil.FileDecoder
+		g0  cliutil.Geometry
 	)
-	rng := rand.New(rand.NewSource(seed))
-	for _, idx := range rng.Perm(len(paths)) {
-		h, b, err := readBlock(paths[idx])
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), blockSuffix) {
+			continue
+		}
+		path := filepath.Join(*in, e.Name())
+		g, b, err := readBlock(path)
+		switch {
+		case err != nil:
+		case dec == nil:
+			if dec, err = cliutil.NewFileDecoder(g); err == nil {
+				g0, err = g, dec.Add(b)
+			}
+		case !reflect.DeepEqual(g, g0):
+			err = fmt.Errorf("geometry differs from the first block file's")
+		default:
+			err = dec.Add(b)
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "prlcfile: skipping %s: %v\n", paths[idx], err)
-			continue
-		}
-		if !haveHdr {
-			h0, haveHdr = h, true
-			levels, err = core.NewLevels(h.levelSizes...)
-			if err != nil {
-				return err
-			}
-			if h.chunked() {
-				layout, err := core.NewChunkLayout(levels.Total(), h.chunkSize, h.chunkOverlap)
-				if err != nil {
-					return err
-				}
-				dec, err = core.NewChunkedDecoder(layout, h.payloadLen)
-				if err != nil {
-					return err
-				}
-			} else {
-				ld, err := core.NewDecoder(h.scheme, levels, h.payloadLen)
-				if err != nil {
-					return err
-				}
-				ld.SetWorkers(workers)
-				dec = ld
-			}
-		} else if !headersCompatible(h0, h) {
-			fmt.Fprintf(os.Stderr, "prlcfile: skipping %s: incompatible header\n", paths[idx])
-			continue
-		}
-		if _, err := dec.Add(b); err != nil {
-			fmt.Fprintf(os.Stderr, "prlcfile: skipping %s: %v\n", paths[idx], err)
-		}
-		if dec.Complete() {
+			fmt.Fprintf(os.Stderr, "prlcfile: skipping %s: %v\n", path, err)
+		} else if dec.Complete() {
 			break
 		}
 	}
 	if dec == nil {
-		return fmt.Errorf("decode: no readable block files")
+		return fmt.Errorf("decode: no readable %s block files in %s", blockSuffix, *in)
 	}
-
-	// Write the recovered prefix: consecutive decoded source blocks from
-	// the front (the strict priority model's usable output).
-	recovered := dec.Sources()
-	var buf []byte
-	prefixBlocks := 0
-	for _, p := range recovered {
-		if p == nil {
-			break
-		}
-		buf = append(buf, p...)
-		prefixBlocks++
-	}
-	if uint64(len(buf)) > h0.fileSize {
-		buf = buf[:h0.fileSize]
-	}
-	if err := os.WriteFile(out, buf, 0o644); err != nil {
+	if err := os.WriteFile(*out, dec.Prefix(), 0o644); err != nil {
 		return err
 	}
-	total := levels.Total()
-	switch d := dec.(type) {
-	case *core.Decoder:
-		fmt.Printf("read %d block files; decoded %d/%d source blocks (%d levels), prefix %d blocks\n",
-			len(paths), d.DecodedBlocks(), total, d.DecodedLevels(), prefixBlocks)
-	case *core.ChunkedDecoder:
-		fmt.Printf("read %d block files; decoded %d/%d source blocks (chunked), prefix %d blocks\n",
-			len(paths), d.DecodedCount(), total, prefixBlocks)
-	}
-	fmt.Printf("wrote %d bytes to %s", len(buf), out)
-	if dec.Complete() {
-		fmt.Printf(" (complete file)")
-	} else {
-		fmt.Printf(" (partial recovery: %.1f%% of the file)", 100*float64(len(buf))/float64(h0.fileSize))
-	}
-	fmt.Println()
+	fmt.Printf("wrote %s: %s\n", *out, dec.Summary())
 	return nil
 }
 
-// blockSink is the decode-side surface the level-structured and chunked
-// decoders share.
-type blockSink interface {
-	Add(*core.CodedBlock) (bool, error)
-	Complete() bool
-	Sources() [][]byte
-}
-
-func headersCompatible(a, b header) bool {
-	if a.scheme != b.scheme || a.fileSize != b.fileSize || a.payloadLen != b.payloadLen {
-		return false
-	}
-	if a.chunkSize != b.chunkSize || a.chunkOverlap != b.chunkOverlap {
-		return false
-	}
-	if len(a.levelSizes) != len(b.levelSizes) {
-		return false
-	}
-	for i := range a.levelSizes {
-		if a.levelSizes[i] != b.levelSizes[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// writeBlock writes header then the block's standard wire encoding.
-// Chunked headers get the v3 format with the chunk layout appended;
-// everything else keeps the v2 bytes unchanged.
-func writeBlock(path string, h header, b *core.CodedBlock) error {
+// writeBlock writes the geometry header then the block's standard wire
+// encoding. Chunked geometries get the v3 format with the chunk layout
+// appended; everything else keeps the v2 bytes.
+func writeBlock(path string, g cliutil.Geometry, b *core.CodedBlock) error {
 	var buf []byte
 	buf = append(buf, magic...)
-	if h.chunked() {
+	if g.Chunked() {
 		buf = append(buf, formatVerChunked)
 	} else {
 		buf = append(buf, formatVer)
 	}
-	buf = append(buf, byte(h.scheme))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(h.levelSizes)))
-	for _, s := range h.levelSizes {
+	buf = append(buf, byte(g.Scheme))
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(g.LevelSizes)))
+	for _, s := range g.LevelSizes {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(s))
 	}
-	buf = binary.BigEndian.AppendUint64(buf, h.fileSize)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(h.payloadLen))
-	if h.chunked() {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(h.chunkSize))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(h.chunkOverlap))
+	buf = binary.BigEndian.AppendUint64(buf, g.FileSize)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(g.PayloadLen))
+	if g.Chunked() {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(g.ChunkSize))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(g.ChunkOverlap))
 	}
 	wire, err := b.MarshalBinary()
 	if err != nil {
@@ -413,17 +173,21 @@ func writeBlock(path string, h header, b *core.CodedBlock) error {
 	return os.WriteFile(path, buf, 0o644)
 }
 
-func readBlock(path string) (header, *core.CodedBlock, error) {
+// readBlock parses a block file. The header must describe the block it
+// carries: its payload length and source-block total are checked against
+// the block's, which the wire format bounds, so a crafted header cannot
+// size the decoder.
+func readBlock(path string) (cliutil.Geometry, *core.CodedBlock, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return header{}, nil, err
+		return cliutil.Geometry{}, nil, err
 	}
 	if len(data) < len(magic)+2 || string(data[:4]) != magic {
-		return header{}, nil, fmt.Errorf("not a PRLC block file")
+		return cliutil.Geometry{}, nil, fmt.Errorf("not a PRLC block file")
 	}
 	ver := data[4]
 	if ver != formatVer && ver != formatVerChunked {
-		return header{}, nil, fmt.Errorf("unsupported format version %d", ver)
+		return cliutil.Geometry{}, nil, fmt.Errorf("unsupported format version %d", ver)
 	}
 	off := 5
 	need := func(n int) error {
@@ -432,48 +196,51 @@ func readBlock(path string) (header, *core.CodedBlock, error) {
 		}
 		return nil
 	}
-	var h header
-	h.scheme = core.Scheme(data[off])
+	var g cliutil.Geometry
+	g.Scheme = core.Scheme(data[off])
 	off++
 	if err := need(2); err != nil {
-		return header{}, nil, err
+		return cliutil.Geometry{}, nil, err
 	}
 	nLevels := int(binary.BigEndian.Uint16(data[off:]))
 	off += 2
 	if err := need(4 * nLevels); err != nil {
-		return header{}, nil, err
+		return cliutil.Geometry{}, nil, err
 	}
-	h.levelSizes = make([]int, nLevels)
-	for i := range h.levelSizes {
-		h.levelSizes[i] = int(binary.BigEndian.Uint32(data[off:]))
+	g.LevelSizes = make([]int, nLevels)
+	for i := range g.LevelSizes {
+		g.LevelSizes[i] = int(binary.BigEndian.Uint32(data[off:]))
 		off += 4
 	}
 	if err := need(8 + 4); err != nil {
-		return header{}, nil, err
+		return cliutil.Geometry{}, nil, err
 	}
-	h.fileSize = binary.BigEndian.Uint64(data[off:])
+	g.FileSize = binary.BigEndian.Uint64(data[off:])
 	off += 8
-	h.payloadLen = int(binary.BigEndian.Uint32(data[off:]))
+	g.PayloadLen = int(binary.BigEndian.Uint32(data[off:]))
 	off += 4
 	if ver == formatVerChunked {
 		if err := need(8); err != nil {
-			return header{}, nil, err
+			return cliutil.Geometry{}, nil, err
 		}
-		h.chunkSize = int(binary.BigEndian.Uint32(data[off:]))
+		g.ChunkSize = int(binary.BigEndian.Uint32(data[off:]))
 		off += 4
-		h.chunkOverlap = int(binary.BigEndian.Uint32(data[off:]))
+		g.ChunkOverlap = int(binary.BigEndian.Uint32(data[off:]))
 		off += 4
-		if h.chunkSize <= 0 {
-			return header{}, nil, fmt.Errorf("chunked block file with chunk size %d", h.chunkSize)
+		if g.ChunkSize <= 0 {
+			return cliutil.Geometry{}, nil, fmt.Errorf("chunked block file with chunk size %d", g.ChunkSize)
 		}
 	}
 	// The remainder is the block's standard wire encoding.
 	b := &core.CodedBlock{}
 	if err := b.UnmarshalBinary(data[off:]); err != nil {
-		return header{}, nil, err
+		return cliutil.Geometry{}, nil, err
 	}
-	if len(b.Payload) != h.payloadLen {
-		return header{}, nil, fmt.Errorf("block payload %d bytes, header says %d", len(b.Payload), h.payloadLen)
+	if len(b.Payload) != g.PayloadLen {
+		return cliutil.Geometry{}, nil, fmt.Errorf("block payload %d bytes, header says %d", len(b.Payload), g.PayloadLen)
 	}
-	return h, b, nil
+	if g.Total() != b.CoeffLen() {
+		return cliutil.Geometry{}, nil, fmt.Errorf("block codes %d source blocks, header says %d", b.CoeffLen(), g.Total())
+	}
+	return g, b, nil
 }

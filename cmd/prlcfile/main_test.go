@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"repro/internal/cliutil"
 	"repro/internal/core"
 )
 
@@ -173,104 +176,84 @@ func TestDecodeSkipsCorruptFiles(t *testing.T) {
 	}
 }
 
-func TestFractionsToSizes(t *testing.T) {
-	sizes, err := fractionsToSizes([]float64{0.1, 0.2, 0.7}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, s := range sizes {
-		total += s
-	}
-	if total != 100 {
-		t.Errorf("sizes %v sum to %d", sizes, total)
-	}
-	if sizes[0] != 10 || sizes[1] != 20 || sizes[2] != 70 {
-		t.Errorf("sizes = %v", sizes)
-	}
-	if _, err := fractionsToSizes(nil, 10); err == nil {
-		t.Error("empty fractions accepted")
-	}
-	if _, err := fractionsToSizes([]float64{0}, 10); err == nil {
-		t.Error("zero fraction accepted")
-	}
-	if _, err := fractionsToSizes([]float64{1, 1, 1, 1}, 3); err == nil {
-		t.Error("more levels than blocks accepted")
-	}
-	// Tiny fractions round up to 1 block.
-	sizes, err = fractionsToSizes([]float64{0.001, 0.999}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sizes[0] != 1 {
-		t.Errorf("tiny level size %d, want 1", sizes[0])
-	}
-}
-
 func TestBlockFileRoundTrip(t *testing.T) {
-	h := header{
-		scheme:     3, // PLC
-		levelSizes: []int{2, 3},
-		fileSize:   999,
-		payloadLen: 4,
-	}
-	b := &core.CodedBlock{Level: 1, Coeff: []byte{0, 0, 1, 2, 3}, Payload: []byte{9, 8, 7, 6}}
-	path := filepath.Join(t.TempDir(), "b.prlc")
-	if err := writeBlock(path, h, b); err != nil {
-		t.Fatal(err)
-	}
-	h2, b2, err := readBlock(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !headersCompatible(h, h2) {
-		t.Errorf("headers incompatible after round trip: %+v vs %+v", h, h2)
-	}
-	if b2.Level != b.Level || !bytes.Equal(b2.Coeff, b.Coeff) || !bytes.Equal(b2.Payload, b.Payload) {
-		t.Errorf("block mismatch: %+v vs %+v", b2, b)
-	}
-}
-
-// TestDecodeWorkersRoundTrip runs the decode CLI at several -workers
-// settings and requires the recovered file to be byte-identical in all of
-// them — the payload-striping pipeline must not change results.
-func TestDecodeWorkersRoundTrip(t *testing.T) {
-	in := writeTempFile(t, 9000)
-	blocksDir := filepath.Join(t.TempDir(), "blocks")
-	if err := run([]string{
-		"encode", "-in", in, "-out", blocksDir,
-		"-blocks", "30", "-coded", "55", "-levels", "0.3,0.7", "-scheme", "plc",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []string{"1", "2", "4", "0"} {
-		outFile := filepath.Join(t.TempDir(), "out_"+workers+".bin")
-		if err := run([]string{"decode", "-in", blocksDir, "-out", outFile, "-workers", workers}); err != nil {
-			t.Fatalf("decode -workers %s: %v", workers, err)
+	for _, g := range []cliutil.Geometry{
+		{Scheme: core.PLC, LevelSizes: []int{2, 3}, FileSize: 999, PayloadLen: 4},
+		{Scheme: core.PLC, LevelSizes: []int{2, 3}, FileSize: 999, PayloadLen: 4, ChunkSize: 3, ChunkOverlap: 1},
+	} {
+		b := &core.CodedBlock{Level: 1, Coeff: []byte{0, 0, 1, 2, 3}, Payload: []byte{9, 8, 7, 6}}
+		path := filepath.Join(t.TempDir(), "b.prlc")
+		if err := writeBlock(path, g, b); err != nil {
+			t.Fatal(err)
 		}
-		got, err := os.ReadFile(outFile)
+		g2, b2, err := readBlock(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("decode -workers %s: output differs from input", workers)
+		if !reflect.DeepEqual(g, g2) {
+			t.Errorf("geometry changed through a round trip: %+v vs %+v", g, g2)
 		}
+		if b2.Level != b.Level || !bytes.Equal(b2.Coeff, b.Coeff) || !bytes.Equal(b2.Payload, b.Payload) {
+			t.Errorf("block mismatch: %+v vs %+v", b2, b)
+		}
+	}
+}
+
+// mismatchedHeaderFile is a v2 block file whose header claims one level
+// of 0xFFFFFFF0 source blocks around a valid 10-block PLC block: 247
+// bytes that once made decode allocate a 32 GiB coefficient matrix.
+func mismatchedHeaderFile(t testing.TB) []byte {
+	t.Helper()
+	levels, err := core.NewLevels(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := make([][]byte, 10)
+	for i := range sources {
+		sources[i] = bytes.Repeat([]byte{byte(i + 1)}, 200)
+	}
+	enc, err := core.NewEncoder(core.PLC, levels, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := enc.Encode(rand.New(rand.NewSource(1)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := b.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := append([]byte(magic), formatVer, byte(core.PLC))
+	buf = binary.BigEndian.AppendUint16(buf, 1)
+	buf = binary.BigEndian.AppendUint32(buf, 0xFFFFFFF0)
+	buf = binary.BigEndian.AppendUint64(buf, 2000)
+	buf = binary.BigEndian.AppendUint32(buf, 200)
+	return append(buf, wire...)
+}
+
+// TestReadBlockRejectsMismatchedHeader: a header whose source-block
+// total differs from the block's coefficient length is refused before it
+// can size a decoder.
+func TestReadBlockRejectsMismatchedHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "crafted.prlc")
+	if err := os.WriteFile(path, mismatchedHeaderFile(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := readBlock(path); err == nil {
+		t.Fatal("readBlock accepted a header claiming 0xFFFFFFF0 source blocks for a 10-coefficient block")
 	}
 }
 
 // readBlockFiles loads every block file of a directory, returning the
-// headers and blocks in name order.
-func readBlockFiles(t *testing.T, dir string) ([]header, []*core.CodedBlock) {
+// geometries and blocks in name order.
+func readBlockFiles(t *testing.T, dir string) ([]cliutil.Geometry, []*core.CodedBlock) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hs []header
+	var hs []cliutil.Geometry
 	var bs []*core.CodedBlock
 	for _, e := range entries {
 		h, b, err := readBlock(filepath.Join(dir, e.Name()))
@@ -348,12 +331,12 @@ func TestChunkedEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs, bs := readBlockFiles(t, blocksDir)
-	layout, err := core.NewChunkLayout(600, hs[0].chunkSize, hs[0].chunkOverlap)
+	layout, err := core.NewChunkLayout(600, hs[0].ChunkSize, hs[0].ChunkOverlap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range bs {
-		if !hs[i].chunked() {
+		if !hs[i].Chunked() {
 			t.Fatalf("block file %d not marked chunked", i)
 		}
 		if !b.IsSparse() {

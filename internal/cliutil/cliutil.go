@@ -1,5 +1,6 @@
-// Package cliutil holds small flag-parsing helpers shared by the
-// command-line tools (prlcfile, prlcd).
+// Package cliutil is the file codec and flag helpers the command-line
+// tools (prlcfile, prlcd) share: one encoder, one decoder and one
+// Geometry describing the code between them.
 package cliutil
 
 import (

@@ -2,7 +2,11 @@ package cliutil
 
 import (
 	"bytes"
+	"flag"
+	"reflect"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestParseFloats(t *testing.T) {
@@ -47,8 +51,11 @@ func TestFractionsToSizes(t *testing.T) {
 	for _, s := range sizes {
 		sum += s
 	}
-	if sum != 100 || sizes[0] != 10 {
+	if sum != 100 || sizes[0] != 10 || sizes[1] != 20 || sizes[2] != 70 {
 		t.Fatalf("FractionsToSizes = %v (sum %d)", sizes, sum)
+	}
+	if _, err := FractionsToSizes(nil, 10); err == nil {
+		t.Fatal("no fractions accepted")
 	}
 	if _, err := FractionsToSizes([]float64{1, 1, 1, 1}, 3); err == nil {
 		t.Fatal("more levels than blocks accepted")
@@ -71,5 +78,29 @@ func TestSplitPayloads(t *testing.T) {
 	}
 	if !bytes.Equal(got[0], []byte("abcd")) || !bytes.Equal(got[2], []byte("ij\x00\x00")) {
 		t.Fatalf("SplitPayloads content: %q", got)
+	}
+}
+
+// TestGeometryArgsRoundTrip pins the put banner to the get parser: the
+// flags Args renders parse back to the same geometry, levelled or
+// chunked.
+func TestGeometryArgsRoundTrip(t *testing.T) {
+	for _, g := range []Geometry{
+		{Scheme: core.PLC, LevelSizes: []int{10, 20, 70}, FileSize: 183964},
+		{Scheme: core.SLC, LevelSizes: []int{6, 14}},
+		{Scheme: core.PLC, LevelSizes: []int{100, 200, 700}, FileSize: 65536, ChunkSize: 256, ChunkOverlap: 32},
+	} {
+		fs := flag.NewFlagSet("get", flag.ContinueOnError)
+		parse := GeometryFlags(fs)
+		if err := fs.Parse(g.Args()); err != nil {
+			t.Fatal(err)
+		}
+		got, err := parse()
+		if err != nil {
+			t.Fatalf("%v: %v", g.Args(), err)
+		}
+		if !reflect.DeepEqual(got, g) {
+			t.Errorf("%v parsed to %+v, want %+v", g.Args(), got, g)
+		}
 	}
 }

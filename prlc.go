@@ -152,63 +152,9 @@ func NewStream(scheme Scheme, levels *Levels, payloadLen int, sink io.Writer) (*
 // WithSparsity bounds each coded block to d nonzero coefficients.
 func WithSparsity(d int) EncoderOption { return core.WithSparsity(d) }
 
-// WithBand draws each coded block's coefficients as a contiguous band of
-// width w inside the block's support (the perpetual-codes generator).
-func WithBand(w int) EncoderOption { return core.WithBand(w) }
-
 // LogSparsity returns the 3·ln(N) coefficient budget of the sparse-code
 // result the protocol relies on.
 func LogSparsity(n int) int { return core.LogSparsity(n) }
-
-// Sparse and chunked coding layer.
-type (
-	// SparseCoeff is the sparse coefficient representation coded blocks
-	// carry end-to-end (index/value pairs, canonical form).
-	SparseCoeff = core.SparseCoeff
-	// Coding selects the coefficient generator (dense, sparse, band,
-	// chunked, or auto by generation size).
-	Coding = core.Coding
-	// ChunkLayout is the overlapping chunk cover of a large object.
-	ChunkLayout = core.ChunkLayout
-	// ChunkedEncoder codes one chunk at a time (expander chunked codes).
-	ChunkedEncoder = core.ChunkedEncoder
-	// ChunkedDecoder decodes chunk-coded blocks through one global sparse
-	// elimination, so overlap columns rescue starved chunks for free.
-	ChunkedDecoder = core.ChunkedDecoder
-)
-
-// Coding selectors.
-const (
-	CodingAuto    = core.CodingAuto
-	CodingDense   = core.CodingDense
-	CodingSparse  = core.CodingSparse
-	CodingBand    = core.CodingBand
-	CodingChunked = core.CodingChunked
-)
-
-// ParseCoding parses a -coding flag value ("auto", "dense", "sparse",
-// "band" or "chunked").
-func ParseCoding(s string) (Coding, error) { return core.ParseCoding(s) }
-
-// AutoCoding resolves CodingAuto for a generation of n source blocks.
-func AutoCoding(n int) Coding { return core.AutoCoding(n) }
-
-// NewChunkLayout builds an overlapping chunk cover of total source
-// blocks: uniform chunks of the given size, consecutive chunks sharing
-// overlap columns.
-func NewChunkLayout(total, size, overlap int) (*ChunkLayout, error) {
-	return core.NewChunkLayout(total, size, overlap)
-}
-
-// NewChunkedEncoder builds an expander-chunked encoder over the layout.
-func NewChunkedEncoder(layout *ChunkLayout, sources [][]byte) (*ChunkedEncoder, error) {
-	return core.NewChunkedEncoder(layout, sources)
-}
-
-// NewChunkedDecoder builds the matching global sparse-elimination decoder.
-func NewChunkedDecoder(layout *ChunkLayout, payloadLen int) (*ChunkedDecoder, error) {
-	return core.NewChunkedDecoder(layout, payloadLen)
-}
 
 // Analysis layer.
 
