@@ -58,6 +58,39 @@ func TestEncodeValidation(t *testing.T) {
 	}
 }
 
+// TestFractionsToSizes checks how encode turns -levels fractions into the
+// level sizes its block files record: exact splits stay exact, tiny
+// fractions round up to one block, and fractions no split can honour are
+// refused.
+func TestFractionsToSizes(t *testing.T) {
+	in := writeTempFile(t, 1000)
+	levelSizes := func(blocks, levels string) []int {
+		t.Helper()
+		dir := filepath.Join(t.TempDir(), "blocks")
+		if err := run([]string{"encode", "-in", in, "-out", dir, "-blocks", blocks, "-levels", levels}); err != nil {
+			t.Fatal(err)
+		}
+		hs, _ := readBlockFiles(t, dir)
+		return hs[0].LevelSizes
+	}
+	if got := levelSizes("100", "0.1,0.2,0.7"); !reflect.DeepEqual(got, []int{10, 20, 70}) {
+		t.Errorf("-levels 0.1,0.2,0.7 of 100 blocks gave sizes %v, want [10 20 70]", got)
+	}
+	if got := levelSizes("10", "0.001,0.999"); got[0] != 1 || got[0]+got[1] != 10 {
+		t.Errorf("tiny level fraction gave sizes %v, want [1 9]", got)
+	}
+	for _, c := range [][]string{
+		{"-levels", ""},
+		{"-levels", "0,1"},
+		{"-blocks", "3", "-levels", "1,1,1,1"},
+	} {
+		args := append([]string{"encode", "-in", in, "-out", t.TempDir()}, c...)
+		if err := run(args); err == nil {
+			t.Errorf("encode %v accepted", c)
+		}
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	in := writeTempFile(t, 7777) // deliberately not a multiple of the block count
 	blocksDir := filepath.Join(t.TempDir(), "blocks")
