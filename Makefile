@@ -57,12 +57,13 @@ bench-kernels:
 
 # Decode-path perf baseline: structure-aware progressive decoding (level
 # truncation + per-level SLC sub-decoders) against the dense structure-blind
-# elimination (Ref), plus the payload-striping pipeline, captured as
-# BENCH_decode.json.
+# elimination (Ref), the payload-striping pipeline, and the publish-recover
+# workload's decode (PLCN512x4KiB: 512 × 4 KiB, 8 levels, every source
+# read), captured as BENCH_decode.json.
 bench-decode:
 	$(GO) test -run='^$$' -bench 'BenchmarkDecode(PLC|SLC|Striped)N' -benchtime=10x ./internal/core \
 	| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_decode.json -by "make bench-decode" \
-	    -note "DecodeXXXNk vs DecodeXXXNkRef is structured (level-truncated, per-level) vs dense decode of the same block stream; 64 B payloads keep elimination dominant; StripedNk WorkersK pair against the 1-worker pipeline and are bounded by num_cpu"
+	    -note "DecodeXXXNk vs DecodeXXXNkRef is structured (level-truncated, per-level) vs dense RefDecoder decode of the same block stream; 64 B payloads keep elimination dominant except PLCN512x4KiB (the publish-recover decode: 4 KiB payloads, 84 blocks per level, every source read); StripedNk WorkersK pair against the 1-worker pipeline and are bounded by num_cpu"
 
 # Repair-layer economics: regenerating one block by recombining an
 # 8-survivor sample vs the decode-then-re-encode baseline (the whole
@@ -91,7 +92,7 @@ bench-metrics:
 bench-sparse:
 	$(GO) test -run='^$$' -bench 'BenchmarkDecode(Sparse|Band|Chunked)N|BenchmarkWire(Sparse|Chunked)N' -benchtime=5x ./internal/core \
 	| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_sparse.json -by "make bench-sparse" \
-	    -note "DecodeXN vs DecodeXNRef is the sparse-aware elimination vs dense AddRef over the same densified stream; 64 B payloads keep elimination dominant; wire-B/block metrics are coefficient wire bytes per block, WireSparseN1024Ref being the dense v1 frames of the same vectors; ChunkedN4096 has no Ref (dense baseline impractical at that N)"
+	    -note "DecodeXN vs DecodeXNRef is the sparse-aware elimination vs dense RefDecoder over the same densified stream; 64 B payloads keep elimination dominant; wire-B/block metrics are coefficient wire bytes per block, WireSparseN1024Ref being the dense v1 frames of the same vectors; ChunkedN4096 has no Ref (dense baseline impractical at that N)"
 
 # Disk-engine perf baseline: group-commit puts against the fsync-per-put
 # durability baseline (Ref) under the identical 32-connection load, the

@@ -153,12 +153,14 @@ func (ce *ChunkedEncoder) EncodeBatch(rng *rand.Rand, count int) ([]*CodedBlock,
 }
 
 // ChunkedDecoder decodes chunk-coded blocks through a single global
-// sparse elimination. Cross-chunk coupling is free: a solved overlap
-// column back-substitutes into every row that touches it, whichever chunk
-// the row came from.
+// sparse elimination. Cross-chunk coupling is free: a row folds against
+// every pivot row its span reaches, whichever chunk that row came from.
+// Like Decoder it decodes one object, the first accepted block's.
 type ChunkedDecoder struct {
-	layout *ChunkLayout
-	dec    *gfmat.Decoder
+	layout   *ChunkLayout
+	dec      *gfmat.Decoder
+	accepted bool
+	object   ObjectID // the object of every accepted block, once accepted
 }
 
 // NewChunkedDecoder builds a decoder for the layout and payload size.
@@ -185,11 +187,15 @@ func (cd *ChunkedDecoder) Add(b *CodedBlock) (bool, error) {
 	if b == nil {
 		return false, fmt.Errorf("core: nil coded block")
 	}
+	if cd.accepted && b.Object != cd.object {
+		return false, fmt.Errorf("%w: %v block offered to the decoder of %v", ErrObjectMismatch, b.Object, cd.object)
+	}
 	if b.CoeffLen() != cd.layout.Total {
 		return false, fmt.Errorf("core: coefficient vector length %d, want %d", b.CoeffLen(), cd.layout.Total)
 	}
 	sp := b.SpCoeff
 	if sp == nil {
+		cd.accept(b)
 		innovative, err := cd.dec.Add(b.Coeff, b.Payload)
 		if err != nil {
 			return false, fmt.Errorf("core: chunked decode: %w", err)
@@ -204,11 +210,19 @@ func (cd *ChunkedDecoder) Add(b *CodedBlock) (bool, error) {
 		return false, fmt.Errorf("core: chunk-%d block has support [%d, %d) outside chunk span [%d, %d)",
 			b.Level, slo, shi, lo, hi)
 	}
+	cd.accept(b)
 	innovative, err := cd.dec.AddSparse(sp.Idx, sp.Val, b.Payload)
 	if err != nil {
 		return false, fmt.Errorf("core: chunked decode: %w", err)
 	}
 	return innovative, nil
+}
+
+// accept records that b passed validation: from now on only blocks of its
+// object are accepted.
+func (cd *ChunkedDecoder) accept(b *CodedBlock) {
+	cd.accepted = true
+	cd.object = b.Object
 }
 
 // Rank returns the number of innovative blocks absorbed.

@@ -49,10 +49,54 @@ func TestChunkLayout(t *testing.T) {
 	}
 }
 
+// addChunkedBoth feeds one block to a chunked decoder and, densified, to
+// the monolithic reference, and fails unless they agree on whether it was
+// innovative and on every answer afterwards: rank, completion, decoded
+// count, each chunk's and each source's decodability, and the bytes of
+// every decoded source.
+func addChunkedBoth(t *testing.T, cd *ChunkedDecoder, ref *gfmat.RefDecoder, b *CodedBlock) {
+	t.Helper()
+	i1, err := cd.Add(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i2, err := ref.Add(b.DenseCoeff(), b.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i1 != i2 {
+		t.Fatalf("innovation: chunked %v, reference %v", i1, i2)
+	}
+	if cd.Rank() != ref.Rank() || cd.Complete() != ref.Complete() || cd.DecodedCount() != ref.DecodedCount() {
+		t.Fatalf("rank/complete/decoded: chunked %d/%v/%d, reference %d/%v/%d",
+			cd.Rank(), cd.Complete(), cd.DecodedCount(), ref.Rank(), ref.Complete(), ref.DecodedCount())
+	}
+	for i := 0; i < cd.Layout().Count; i++ {
+		lo, hi := cd.Layout().Span(i)
+		want := true
+		for j := lo; j < hi; j++ {
+			want = want && ref.Decoded(j)
+		}
+		if cd.ChunkDecoded(i) != want {
+			t.Fatalf("chunk %d: decoded %v, reference %v", i, cd.ChunkDecoded(i), want)
+		}
+	}
+	for i := 0; i < ref.NumSymbols(); i++ {
+		cs, cerr := cd.Source(i)
+		rs, rerr := ref.Symbol(i)
+		if (cerr == nil) != (rerr == nil) {
+			t.Fatalf("source %d: decodable %v, reference %v", i, cerr == nil, rerr == nil)
+		}
+		if cerr == nil && !bytes.Equal(cs, rs) {
+			t.Fatalf("source %d: decoded value differs from the reference", i)
+		}
+	}
+}
+
 // TestChunkedVsMonolithicEquivalence is the chunked-vs-monolithic
-// decode-equivalence check: the chunked decoder and a dense monolithic
-// oracle fed the densified versions of the same blocks must agree on
-// rank, completion and every decoded symbol.
+// decode-equivalence check: the chunked decoder and the dense monolithic
+// reference fed the densified versions of the same blocks must agree on
+// every answer after every block.
 func TestChunkedVsMonolithicEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	const n, plen = 48, 16
@@ -73,7 +117,7 @@ func TestChunkedVsMonolithicEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := gfmat.NewDecoder(n, plen)
+	oracle, err := gfmat.NewRefDecoder(n, plen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,22 +125,8 @@ func TestChunkedVsMonolithicEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for bi, b := range blocks {
-		i1, err := cd.Add(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		i2, err := oracle.AddRef(b.DenseCoeff(), b.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i1 != i2 {
-			t.Fatalf("block %d: innovation chunked %v, monolithic %v", bi, i1, i2)
-		}
-	}
-	if cd.Rank() != oracle.Rank() || cd.Complete() != oracle.Complete() || cd.DecodedCount() != oracle.DecodedCount() {
-		t.Fatalf("chunked (rank %d complete %v) vs monolithic (rank %d complete %v)",
-			cd.Rank(), cd.Complete(), oracle.Rank(), oracle.Complete())
+	for _, b := range blocks {
+		addChunkedBoth(t, cd, oracle, b)
 	}
 	if !cd.Complete() {
 		t.Fatalf("not complete after %d blocks", len(blocks))
@@ -301,7 +331,7 @@ func FuzzChunkedDecodeEquiv(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle, err := gfmat.NewDecoder(total, plen)
+		oracle, err := gfmat.NewRefDecoder(total, plen)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,33 +340,57 @@ func FuzzChunkedDecodeEquiv(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			i1, err := cd.Add(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			i2, err := oracle.AddRef(b.DenseCoeff(), b.Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i1 != i2 {
-				t.Fatalf("block %d: innovation chunked %v, monolithic %v", bi, i1, i2)
-			}
-		}
-		if cd.Rank() != oracle.Rank() || cd.DecodedCount() != oracle.DecodedCount() {
-			t.Fatalf("rank/decoded: chunked %d/%d, monolithic %d/%d",
-				cd.Rank(), cd.DecodedCount(), oracle.Rank(), oracle.DecodedCount())
+			addChunkedBoth(t, cd, oracle, b)
 		}
 		for i := 0; i < total; i++ {
-			cs, cerr := cd.Source(i)
-			os, oerr := oracle.Symbol(i)
-			if (cerr == nil) != (oerr == nil) {
-				t.Fatalf("source %d: decodability disagrees", i)
-			}
-			if cerr == nil && plen > 0 {
-				if !bytes.Equal(cs, os) || !bytes.Equal(cs, sources[i]) {
-					t.Fatalf("source %d: decoded value disagrees", i)
-				}
+			if cs, err := cd.Source(i); err == nil && !bytes.Equal(cs, sources[i]) {
+				t.Fatalf("source %d: decoded value differs from the source", i)
 			}
 		}
 	})
+}
+
+// TestChunkedDecodesPastPrefix: a chunk with a full set of blocks decodes
+// while the chunks before it are starved, so its sources are readable
+// past an empty decoded prefix, and each answer matches the reference.
+func TestChunkedDecodesPastPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	layout, err := NewChunkLayout(18, 6, 2) // spans [0,6) [4,10) [8,14) [12,18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := make([][]byte, layout.Total)
+	for i := range sources {
+		sources[i] = []byte{byte(i), byte(7 * i), byte(i + 100)}
+	}
+	ce, err := NewChunkedEncoder(layout, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd, err := NewChunkedDecoder(layout, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := gfmat.NewRefDecoder(layout.Total, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for chunk, count := range []int{2, 0, 6, 1} {
+		for i := 0; i < count; i++ {
+			b, err := ce.EncodeChunk(rng, chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addChunkedBoth(t, cd, ref, b)
+		}
+	}
+	if cd.ChunkDecoded(0) || !cd.ChunkDecoded(2) {
+		t.Fatalf("chunk 0 decoded %v, chunk 2 decoded %v; want false, true", cd.ChunkDecoded(0), cd.ChunkDecoded(2))
+	}
+	for i := 8; i < 14; i++ {
+		got, err := cd.Source(i)
+		if err != nil || !bytes.Equal(got, sources[i]) {
+			t.Fatalf("source %d of the full chunk: %v, %v", i, got, err)
+		}
+	}
 }

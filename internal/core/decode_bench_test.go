@@ -11,11 +11,12 @@ import (
 // into BENCH_decode.json. Each structured benchmark (core.Decoder: level
 // boundary hints for PLC, per-level sub-decoders for SLC) pairs with a Ref
 // twin that feeds the identical block stream through the dense
-// structure-blind elimination (gfmat.Decoder.AddRef) over the full N-wide
+// structure-blind elimination (gfmat.RefDecoder) over the full N-wide
 // system — the decode path as it was before level truncation. Payloads are
 // 64 B so the coefficient-side elimination dominates, which is the regime
 // of the paper's Monte-Carlo loops (N = 1000 × 100 trials per curve
-// point); DecodeStriped covers the opposite, payload-dominated regime.
+// point); DecodeStriped covers the opposite, payload-dominated regime, and
+// DecodePLCN512x4KiB the benchmark's publish-recover decode.
 
 // decodeBenchLevels splits n blocks into nLevels levels as evenly as
 // possible (the first n%nLevels levels get one extra block).
@@ -37,8 +38,8 @@ func decodeBenchLevels(b *testing.B, n, nLevels int) *Levels {
 }
 
 // decodeBenchBlocks encodes a deterministic block stream with guaranteed
-// full-rank coverage: size_k + 2 blocks per level, shuffled.
-func decodeBenchBlocks(b *testing.B, scheme Scheme, levels *Levels, payloadLen int) []*CodedBlock {
+// full-rank coverage: size_k + extra blocks per level, shuffled.
+func decodeBenchBlocks(b *testing.B, scheme Scheme, levels *Levels, payloadLen, extra int) []*CodedBlock {
 	b.Helper()
 	rng := rand.New(rand.NewSource(77))
 	enc, err := NewEncoder(scheme, levels, benchSources(levels.Total(), payloadLen))
@@ -47,7 +48,7 @@ func decodeBenchBlocks(b *testing.B, scheme Scheme, levels *Levels, payloadLen i
 	}
 	var blocks []*CodedBlock
 	for level := 0; level < levels.Count(); level++ {
-		for i := 0; i < levels.Size(level)+2; i++ {
+		for i := 0; i < levels.Size(level)+extra; i++ {
 			blk, err := enc.Encode(rng, level)
 			if err != nil {
 				b.Fatal(err)
@@ -61,7 +62,7 @@ func decodeBenchBlocks(b *testing.B, scheme Scheme, levels *Levels, payloadLen i
 
 func benchmarkStructuredDecode(b *testing.B, scheme Scheme, n, nLevels, payloadLen int) {
 	levels := decodeBenchLevels(b, n, nLevels)
-	blocks := decodeBenchBlocks(b, scheme, levels, payloadLen)
+	blocks := decodeBenchBlocks(b, scheme, levels, payloadLen, 2)
 	b.SetBytes(int64(len(blocks)) * int64(payloadLen))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -87,16 +88,16 @@ func benchmarkStructuredDecode(b *testing.B, scheme Scheme, n, nLevels, payloadL
 // flat N-unknown elimination, full-width row operations.
 func benchmarkDenseDecodeRef(b *testing.B, scheme Scheme, n, nLevels, payloadLen int) {
 	levels := decodeBenchLevels(b, n, nLevels)
-	blocks := decodeBenchBlocks(b, scheme, levels, payloadLen)
+	blocks := decodeBenchBlocks(b, scheme, levels, payloadLen, 2)
 	b.SetBytes(int64(len(blocks)) * int64(payloadLen))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dec, err := gfmat.NewDecoder(n, payloadLen)
+		dec, err := gfmat.NewRefDecoder(n, payloadLen)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, blk := range blocks {
-			if _, err := dec.AddRef(blk.Coeff, blk.Payload); err != nil {
+			if _, err := dec.Add(blk.Coeff, blk.Payload); err != nil {
 				b.Fatal(err)
 			}
 			if dec.Complete() {
@@ -110,6 +111,54 @@ func benchmarkDenseDecodeRef(b *testing.B, scheme Scheme, n, nLevels, payloadLen
 }
 
 const decodeBenchPayload = 64
+
+// benchmarkWorkloadDecode is the decode of the benchmark's publish-recover
+// workload: N = 512 sources of 4 KiB in 8 PLC levels, ceil(1.3·64) = 84
+// blocks per level shuffled, decoded to completion and every source read
+// back. ref runs the same stream through gfmat.RefDecoder.
+func benchmarkWorkloadDecode(b *testing.B, ref bool) {
+	const n, nLevels, payloadLen, extra = 512, 8, 4 << 10, 20
+	levels := decodeBenchLevels(b, n, nLevels)
+	blocks := decodeBenchBlocks(b, PLC, levels, payloadLen, extra)
+	b.SetBytes(int64(len(blocks)) * payloadLen)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var add func(*CodedBlock) error
+		var complete func() bool
+		var source func(int) ([]byte, error)
+		if ref {
+			dec, err := gfmat.NewRefDecoder(n, payloadLen)
+			if err != nil {
+				b.Fatal(err)
+			}
+			add = func(blk *CodedBlock) error { _, err := dec.Add(blk.Coeff, blk.Payload); return err }
+			complete, source = dec.Complete, dec.Symbol
+		} else {
+			dec, err := NewDecoder(PLC, levels, payloadLen)
+			if err != nil {
+				b.Fatal(err)
+			}
+			add = func(blk *CodedBlock) error { _, err := dec.Add(blk); return err }
+			complete, source = dec.Complete, dec.Source
+		}
+		for _, blk := range blocks {
+			if err := add(blk); err != nil {
+				b.Fatal(err)
+			}
+			if complete() {
+				break
+			}
+		}
+		for j := 0; j < n; j++ {
+			if _, err := source(j); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+func BenchmarkDecodePLCN512x4KiB(b *testing.B)    { benchmarkWorkloadDecode(b, false) }
+func BenchmarkDecodePLCN512x4KiBRef(b *testing.B) { benchmarkWorkloadDecode(b, true) }
 
 func BenchmarkDecodePLCN64(b *testing.B) {
 	benchmarkStructuredDecode(b, PLC, 64, 8, decodeBenchPayload)
@@ -156,7 +205,7 @@ func BenchmarkDecodeSLCN1024Ref(b *testing.B) {
 func benchmarkStripedDecode(b *testing.B, workers int) {
 	const n, nLevels, payloadLen = 64, 8, 128 << 10
 	levels := decodeBenchLevels(b, n, nLevels)
-	blocks := decodeBenchBlocks(b, PLC, levels, payloadLen)
+	blocks := decodeBenchBlocks(b, PLC, levels, payloadLen, 2)
 	b.SetBytes(int64(len(blocks)) * int64(payloadLen))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

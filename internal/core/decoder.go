@@ -1,17 +1,24 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/gfmat"
 )
 
+// ErrObjectMismatch reports a block offered to a decoder that is decoding
+// another object: a decoder decodes one object, the one named by the
+// first block it accepted, and mixing in another object's blocks would
+// decode wrong bytes.
+var ErrObjectMismatch = errors.New("core: block belongs to another object")
+
 // Decoder is the partial decoder of Sec. 3.2. For RLC and PLC it maintains
-// a single incremental Gauss–Jordan (RREF) elimination over all N source
-// blocks, so decoded prefixes pop out progressively. For SLC it maintains
-// one independent elimination per level, since the levels are coded
-// separately and decode independently.
+// a single incremental elimination over all N source blocks
+// (gfmat.Decoder), so decoded prefixes pop out progressively. For SLC it
+// maintains one independent elimination per level, since the levels are
+// coded separately and decode independently.
 type Decoder struct {
 	scheme     Scheme
 	levels     *Levels
@@ -20,6 +27,7 @@ type Decoder struct {
 	global   *gfmat.Decoder   // RLC, PLC
 	perLevel []*gfmat.Decoder // SLC
 	received int
+	object   ObjectID // the object of every accepted block, once received > 0
 	met      decoderMetrics
 
 	// spScratch is the reusable buffer SLC sparse adds shift their indices
@@ -71,7 +79,8 @@ func (d *Decoder) Received() int { return d.received }
 // Add absorbs one coded block, returning whether it was innovative. The
 // block's coefficient vector must be zero outside the support its scheme
 // and level dictate; a violating block is rejected with an error, since it
-// indicates corruption or a scheme mismatch.
+// indicates corruption or a scheme mismatch. So is a block of another
+// object than the first accepted block's (ErrObjectMismatch).
 func (d *Decoder) Add(b *CodedBlock) (bool, error) {
 	if d.met.addNs == nil {
 		return d.add(b)
@@ -95,6 +104,9 @@ func (d *Decoder) add(b *CodedBlock) (bool, error) {
 	if b == nil {
 		return false, fmt.Errorf("core: nil coded block")
 	}
+	if d.received > 0 && b.Object != d.object {
+		return false, fmt.Errorf("%w: %v block offered to the decoder of %v", ErrObjectMismatch, b.Object, d.object)
+	}
 	if b.CoeffLen() != d.levels.Total() {
 		return false, fmt.Errorf("core: coefficient vector length %d, want %d", b.CoeffLen(), d.levels.Total())
 	}
@@ -112,6 +124,7 @@ func (d *Decoder) add(b *CodedBlock) (bool, error) {
 		}
 	}
 	d.received++
+	d.object = b.Object
 	if d.scheme == SLC {
 		innovative, err := d.perLevel[b.Level].Add(b.Coeff[lo:hi], b.Payload)
 		if err != nil {
@@ -145,6 +158,7 @@ func (d *Decoder) addSparse(b *CodedBlock, sp *SparseCoeff, lo, hi int) (bool, e
 		}
 	}
 	d.received++
+	d.object = b.Object
 	if d.scheme == SLC {
 		// Shift into level-local coordinates through a reusable scratch;
 		// the per-level decoder copies what it keeps.
@@ -230,7 +244,9 @@ func (d *Decoder) DecodedLevels() int {
 }
 
 // DecodedBlocks returns the number of individually decoded source blocks,
-// including (under SLC) blocks in levels beyond the decoded prefix.
+// including blocks beyond the decoded prefix (under SLC, whole levels;
+// under RLC and PLC, any the rows received pin down). Blocks past the
+// prefix are worked out on demand, so this is not a per-Add call.
 func (d *Decoder) DecodedBlocks() int {
 	if d.scheme == SLC {
 		n := 0
@@ -240,6 +256,20 @@ func (d *Decoder) DecodedBlocks() int {
 		return n
 	}
 	return d.global.DecodedCount()
+}
+
+// solvedRows is the eliminations' solved-row count (gfmat's SolvedRows):
+// O(1), at most DecodedBlocks, and equal to it once every decodable block
+// has been read or counted.
+func (d *Decoder) solvedRows() int {
+	if d.scheme == SLC {
+		n := 0
+		for _, ld := range d.perLevel {
+			n += ld.SolvedRows()
+		}
+		return n
+	}
+	return d.global.SolvedRows()
 }
 
 // Source returns the decoded payload of source block i.

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/metrics"
 )
 
 func TestNewDecoderValidation(t *testing.T) {
@@ -118,8 +121,8 @@ func TestRLCAllOrNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		// At M = N-1 a single source block can leak with probability
-		// ~(N-1)/256 (one RREF row's lone non-pivot entry hits zero), so the
-		// hard zero check applies only through N-2 blocks.
+		// ~(N-1)/256 (the row space of N-1 random rows holds a unit
+		// vector), so the hard zero check applies only through N-2 blocks.
 		if got := d.DecodedBlocks(); got != 0 && i+1 <= l.Total()-2 {
 			t.Fatalf("RLC decoded %d blocks from %d < N-1 coded blocks", got, i+1)
 		}
@@ -417,5 +420,88 @@ func TestSparseDecodesWithLogCoefficients(t *testing.T) {
 	}
 	if !d.Complete() {
 		t.Fatalf("sparse PLC did not complete within %d blocks", used)
+	}
+}
+
+// TestDecoderOneObject: a decoder decodes the object of the first block
+// it accepts. A block of another object — same geometry, so nothing else
+// tells them apart — is refused with ErrObjectMismatch and counted as
+// rejected, and the first object still decodes bit-exact. The chunked
+// decoder keeps the same rule.
+func TestDecoderOneObject(t *testing.T) {
+	l := mustLevels(t, 3, 5)
+	rng := rand.New(rand.NewSource(41))
+	objA, objB := NamedObject("a"), NamedObject("b")
+	srcA, srcB := randomSources(rng, l.Total(), 8), randomSources(rng, l.Total(), 8)
+	encA, err := NewEncoder(PLC, l, srcA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encB, err := NewEncoder(PLC, l, srcB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDecoder(PLC, l, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	d.SetMetrics(reg)
+	p := NewUniformDistribution(l.Count())
+	rejected := uint64(0)
+	for i := 0; !d.Complete(); i++ {
+		if i > 100*l.Total() {
+			t.Fatalf("no completion after %d blocks", i)
+		}
+		a, err := encA.EncodeBatch(rng, p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a[0].Object = objA
+		if _, err := d.Add(a[0]); err != nil {
+			t.Fatal(err)
+		}
+		b, err := encB.EncodeBatch(rng, p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[0].Object = objB
+		if _, err := d.Add(b[0]); !errors.Is(err, ErrObjectMismatch) {
+			t.Fatalf("block of another object: err = %v, want ErrObjectMismatch", err)
+		}
+		rejected++
+	}
+	if got := reg.Counter("core_decode_rejected_total").Value(); got != rejected {
+		t.Errorf("rejected = %d, want %d", got, rejected)
+	}
+	for i, want := range srcA {
+		if got, err := d.Source(i); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("source %d of the first object: %v", i, err)
+		}
+	}
+
+	layout, err := NewChunkLayout(8, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ce, err := NewChunkedEncoder(layout, srcA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd, err := NewChunkedDecoder(layout, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := ce.EncodeChunk(rng, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := first.Clone()
+	first.Object, other.Object = objB, objA
+	if _, err := cd.Add(first); err != nil {
+		t.Fatalf("first chunked block refused: %v", err)
+	}
+	if _, err := cd.Add(other); !errors.Is(err, ErrObjectMismatch) {
+		t.Fatalf("chunked block of another object: err = %v, want ErrObjectMismatch", err)
 	}
 }

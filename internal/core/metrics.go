@@ -107,7 +107,7 @@ func (d *Decoder) recordAdd(t0 time.Time, timed bool, innovative bool, err error
 	case innovative:
 		d.met.innovative.Inc()
 	}
-	d.met.solvedRows.Set(int64(d.DecodedBlocks()))
+	d.met.solvedRows.Set(int64(d.solvedRows()))
 	for d.met.readyLevel < len(d.met.levelReady) && d.LevelDecoded(d.met.readyLevel) {
 		d.met.levelReady[d.met.readyLevel].Observe(int64(time.Since(d.met.start)))
 		d.met.readyLevel++

@@ -40,7 +40,7 @@ func BenchmarkMeteredEncodeRef(b *testing.B) { benchmarkMeteredEncode(b, false) 
 func benchmarkMeteredDecode(b *testing.B, instrumented bool) {
 	const payloadLen = 64
 	levels := decodeBenchLevels(b, 64, 8)
-	blocks := decodeBenchBlocks(b, PLC, levels, payloadLen)
+	blocks := decodeBenchBlocks(b, PLC, levels, payloadLen, 2)
 	b.SetBytes(int64(len(blocks)) * payloadLen)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -12,7 +12,7 @@ import (
 // full-rank block stream through the sparse-aware path (core.Decoder's
 // AddSparse / ChunkedDecoder's global sparse elimination); its Ref twin
 // feeds the identical stream, densified, through the structure-blind
-// dense elimination (gfmat.Decoder.AddRef) — decode cost as it was
+// dense elimination (gfmat.RefDecoder) — decode cost as it was
 // before the sparse representation. Payloads are 64 B so elimination
 // dominates, the regime the O(ln N) dissemination vectors live in. The
 // Wire benchmarks report coefficient wire bytes per block via
@@ -126,12 +126,12 @@ func benchmarkSparseDecodeRef(b *testing.B, n int, opts ...EncoderOption) {
 	b.SetBytes(int64(len(blocks)) * sparseBenchPayload)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dec, err := gfmat.NewDecoder(n, sparseBenchPayload)
+		dec, err := gfmat.NewRefDecoder(n, sparseBenchPayload)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for j := range blocks {
-			if _, err := dec.AddRef(dense[j], blocks[j].Payload); err != nil {
+			if _, err := dec.Add(dense[j], blocks[j].Payload); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -167,12 +167,12 @@ func benchmarkChunkedDecodeRef(b *testing.B, n, size, overlap int) {
 	b.SetBytes(int64(len(blocks)) * sparseBenchPayload)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dec, err := gfmat.NewDecoder(n, sparseBenchPayload)
+		dec, err := gfmat.NewRefDecoder(n, sparseBenchPayload)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for j := range blocks {
-			if _, err := dec.AddRef(dense[j], blocks[j].Payload); err != nil {
+			if _, err := dec.Add(dense[j], blocks[j].Payload); err != nil {
 				b.Fatal(err)
 			}
 		}

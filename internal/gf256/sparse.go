@@ -1,6 +1,9 @@
 package gf256
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Sparse kernels. A sparse coefficient vector is carried as parallel
 // slices: strictly increasing positions idx and their nonzero values val.
@@ -64,4 +67,25 @@ func NextNonzero(v []byte, from int) int {
 		}
 	}
 	return n
+}
+
+// LastNonzero returns the largest position p in [from, len(v)) with
+// v[p] != 0, or from-1 when that range is all zero — NextNonzero read
+// from the right, for eliminations that walk a row from its last column.
+func LastNonzero(v []byte, from int) int {
+	if from < 0 {
+		from = 0
+	}
+	i := len(v)
+	for ; i-8 >= from; i -= 8 {
+		if w := binary.LittleEndian.Uint64(v[i-8:]); w != 0 {
+			return i - 8 + (63-bits.LeadingZeros64(w))/8
+		}
+	}
+	for i--; i >= from; i-- {
+		if v[i] != 0 {
+			return i
+		}
+	}
+	return from - 1
 }

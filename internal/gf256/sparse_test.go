@@ -92,6 +92,40 @@ func TestNextNonzeroExhaustive(t *testing.T) {
 			if got := NextNonzero(v, from); got != want {
 				t.Fatalf("trial %d: NextNonzero(%v, %d) = %d, want %d", trial, v, from, got, want)
 			}
+			want = from - 1
+			for j := n - 1; j >= from; j-- {
+				if v[j] != 0 {
+					want = j
+					break
+				}
+			}
+			if got := LastNonzero(v, from); got != want {
+				t.Fatalf("trial %d: LastNonzero(%v, %d) = %d, want %d", trial, v, from, got, want)
+			}
 		}
+	}
+}
+
+func TestLastNonzero(t *testing.T) {
+	v := make([]byte, 100)
+	v[0] = 3
+	v[37] = 1
+	v[64] = 2
+	cases := []struct{ from, want int }{
+		{0, 64}, {37, 64}, {64, 64}, {65, 64}, {-3, 64}, {100, 99},
+	}
+	for _, c := range cases {
+		if got := LastNonzero(v, c.from); got != c.want {
+			t.Errorf("LastNonzero(from=%d) = %d, want %d", c.from, got, c.want)
+		}
+	}
+	if got := LastNonzero(v[:64], 1); got != 37 {
+		t.Errorf("LastNonzero(v[:64], 1) = %d, want 37", got)
+	}
+	if got := LastNonzero(v[:37], 1); got != 0 {
+		t.Errorf("LastNonzero(v[:37], 1) = %d, want 0 (from-1)", got)
+	}
+	if got := LastNonzero(nil, 0); got != -1 {
+		t.Errorf("LastNonzero(nil) = %d, want -1", got)
 	}
 }

@@ -1,45 +1,15 @@
 package gfmat
 
-// Row arenas. Both decoders used to allocate two fresh slices per absorbed
+// Row arena. Both decoders used to allocate two fresh slices per absorbed
 // block; at production block counts the garbage collector ends up doing a
-// measurable share of the decode work. The arenas below hand out rows
-// sliced from large backing arrays instead. Rows are never reallocated once
-// handed out, so slices into an arena stay valid for the arena's lifetime.
-
-// rowArena is a grow-once arena: one backing []byte sized for a fixed
-// maximum number of rows, allocated lazily on the first request. The
-// incremental Decoder uses it — it commits at most numSymbols innovative
-// rows, so the bound is known up front.
-type rowArena struct {
-	rowLen  int
-	maxRows int
-	buf     []byte
-	used    int
-}
-
-// init configures the arena without allocating. rowLen == 0 is permitted
-// (payload-free decoders); alloc then returns empty, non-nil rows.
-func (a *rowArena) init(rowLen, maxRows int) {
-	a.rowLen = rowLen
-	a.maxRows = maxRows
-}
-
-// alloc returns the next row, a zeroed slice of rowLen bytes with full
-// capacity clamped so appends cannot bleed into the neighboring row.
-func (a *rowArena) alloc() []byte {
-	if a.buf == nil {
-		a.buf = make([]byte, a.maxRows*a.rowLen)
-	}
-	row := a.buf[a.used : a.used+a.rowLen : a.used+a.rowLen]
-	a.used += a.rowLen
-	return row
-}
-
-// chunkArena is the unbounded-variant for BatchDecoder, which may buffer
-// arbitrarily many redundant blocks: rows are carved out of fixed-size
+// measurable share of the decode work. chunkArena hands out rows sliced
+// from larger backing arrays instead: rows are carved out of fixed-size
 // chunks, and a fresh chunk is allocated when the current one runs out.
 // Previously handed-out rows always stay valid — exhausted chunks are left
-// alone, only the arena's current-chunk pointer moves on.
+// alone, only the arena's current-chunk pointer moves on. The incremental
+// Decoder allocates decoderChunkRows rows at a time (fewer for a smaller
+// decoder), so a partial decode pays for what it used; BatchDecoder, which
+// may buffer arbitrarily many redundant blocks, numSymbols at a time.
 type chunkArena struct {
 	rowLen    int
 	chunkRows int
@@ -55,7 +25,9 @@ func (a *chunkArena) init(rowLen, chunkRows int) {
 	a.chunkRows = chunkRows
 }
 
-// alloc returns the next zeroed row, starting a new chunk when needed.
+// alloc returns the next zeroed row, a slice of rowLen bytes with its
+// capacity clamped so appends cannot bleed into the neighboring row,
+// starting a new chunk when needed.
 func (a *chunkArena) alloc() []byte {
 	if a.rowLen == 0 {
 		return []byte{}

@@ -95,6 +95,46 @@ func TestDecoderAddNonInnovativeNoAlloc(t *testing.T) {
 	}
 }
 
+// TestDecoderArenaGrowsWithUse pins the chunked arena: a decode that stops
+// at the first 64-symbol level of a 512 × 4 KiB decoder, reads included,
+// allocates well under the 2.3 MiB a full-size arena would zero.
+func TestDecoderArenaGrowsWithUse(t *testing.T) {
+	const n, level, plen = 512, 64, 4 << 10
+	rng := rand.New(rand.NewSource(12))
+	symbols := randomSymbols(rng, n, plen)
+	var blocks []levelBlock
+	for i := 0; i < level+2; i++ {
+		coeff := make([]byte, n)
+		rng.Read(coeff[:level])
+		blocks = append(blocks, levelBlock{coeff: coeff, payload: encodeWith(coeff, symbols, plen), bound: level})
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d, err := NewDecoder(n, plen)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, blk := range blocks {
+				if _, err := d.AddBounded(blk.coeff, blk.payload, blk.bound); err != nil {
+					b.Fatal(err)
+				}
+				if d.DecodedPrefix() >= level {
+					break
+				}
+			}
+			for j := 0; j < level; j++ {
+				if _, err := d.Symbol(j); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 1<<20 {
+		t.Fatalf("level-0 decode allocates %d B per op, want < 1 MiB", got)
+	}
+}
+
 // TestDecoderMutatingCallerSlices verifies Add still copies its inputs: the
 // caller may clobber coeff/payload afterwards without corrupting the
 // decoder (the arena rows must be private copies, not aliases).

@@ -10,9 +10,9 @@ import (
 // argues against: it solves the system only once it is fully determined,
 // so nothing is recoverable from an underdetermined accumulation. It is
 // retained as (a) the ablation baseline for the progressive decoder and
-// (b) a faster path when a caller knows it has all the blocks up front
-// (forward elimination + one back-substitution pass beats maintaining the
-// RREF invariant incrementally).
+// (b) a somewhat faster path when a caller knows it has all the blocks up
+// front (one forward elimination plus one back-substitution pass needs no
+// per-block bookkeeping).
 
 // BatchDecoder accumulates coded blocks and solves them in one shot.
 type BatchDecoder struct {
@@ -170,8 +170,7 @@ func (d *BatchDecoder) Solve() ([][]byte, error) {
 // when only the coefficient matrix matters.
 //
 // Running one batched pass over a fully determined system does each
-// elimination exactly once, which is what makes BatchDecoder.Solve cheaper
-// than maintaining the RREF invariant incrementally per row.
+// elimination exactly once.
 func ReduceRows(coeffs, payloads [][]byte, pivotRow []int) {
 	widths := make([]int, len(coeffs))
 	for i, c := range coeffs {

@@ -157,7 +157,7 @@ func TestBatchSolveIsRerunnable(t *testing.T) {
 
 // BenchmarkBatchVsIncremental quantifies the Sec. 3.2 tradeoff: batch
 // Gaussian elimination is faster when all blocks are present, but only the
-// incremental Gauss–Jordan decoder yields partial results.
+// incremental decoder yields partial results.
 func BenchmarkBatchDecode256(b *testing.B) {
 	rng := rand.New(rand.NewSource(62))
 	const n, plen = 256, 64

@@ -1,7 +1,6 @@
 package gfmat
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -12,27 +11,35 @@ import (
 // match the decoder's symbol count or payload length.
 var ErrDimensionMismatch = errors.New("gfmat: dimension mismatch")
 
-// Decoder is an incremental Gauss–Jordan decoder. It consumes coded blocks
+// Decoder is the progressive decoder of Sec. 3.2. It consumes coded blocks
 // (a coefficient vector over the unknown source symbols plus a payload) one
-// at a time and keeps the accumulated coefficient matrix in reduced
-// row-echelon form at all times, applying identical row operations to the
-// payloads. This is exactly the progressive partial-decoding algorithm of
-// Sec. 3.2: as soon as the first j rows of the RREF form the identity on
-// the first j columns, the first j source symbols are decoded — no row
-// pre-sorting required, since the RREF of a matrix is invariant under row
-// permutation.
+// at a time and keeps the innovative ones in row-echelon form keyed on each
+// row's *last* nonzero column, its pivot: a row with pivot c is 1 at c,
+// zero right of c, and may be nonzero anywhere left of it.
 //
-// The decoder exploits the coefficient structure the priority schemes
-// guarantee by construction. Every stored row carries an active span
-// [pivot, width): coefficients before the pivot and at or beyond width are
-// known zero, so elimination kernels run only over the overlap of the two
-// rows' spans. PLC rows are lower-triangular by blocks (zero beyond the
-// block's level boundary) and callers pass that boundary via AddBounded,
-// shrinking the per-row work from O(K) to O(level prefix); spans are
-// maintained as rows combine, so the invariant holds for every linear
-// combination the elimination produces.
+// That is the shape the priority schemes produce. A PLC block of level k
+// combines only the first b_k sources, so its last nonzero column lies
+// inside its level, and the first j sources are decodable exactly when
+// columns 0…j−1 all have a pivot row: those rows have no nonzeros right of
+// column j−1, so they form a j×j unit lower-triangular system on their
+// own, whatever else has arrived. Rank, DecodedPrefix and the innovative
+// flag are therefore exact after every Add, and row order never matters.
 //
-// The zero value is not usable; construct with NewDecoder.
+// Elimination is forward only. An incoming row is folded against pivot
+// rows from its right end leftwards and stops at the first column without
+// a pivot row, which becomes its pivot; nothing is ever back-substituted
+// into stored rows. When the decoded prefix grows, the newly decodable
+// rows are solved to unit rows in increasing column order — each one a
+// single fold of already-solved rows into one destination — so a prefix's
+// payloads are final the moment DecodedPrefix reports it. Symbols past the
+// prefix (SLC-style partial decodes, chunk overlaps) are answered on
+// demand by Decoded, DecodedCount and Symbol.
+//
+// Payload work is recorded while the coefficients are reduced and applied
+// afterwards, so a dependent block is rejected on its coefficients alone.
+// The query methods may commit a newly solved row, so no method is safe to
+// call concurrently with any other. The zero value is not usable;
+// construct with NewDecoder.
 type Decoder struct {
 	numSymbols int
 	payloadLen int
@@ -42,58 +49,48 @@ type Decoder struct {
 	pivotRow []int
 	rows     []decRow
 
-	// arena backs the committed rows: at most numSymbols innovative rows of
-	// numSymbols+payloadLen bytes each, so one grow-once allocation covers
-	// the decoder's lifetime.
-	arena rowArena
+	// arena backs the committed rows, numSymbols+payloadLen bytes each
+	// (coefficients and payload adjacent), decoderChunkRows rows at a time
+	// (numSymbols when fewer).
+	arena chunkArena
 
-	// scratchCoeff holds the incoming coefficient vector while it is reduced
-	// against the existing pivots. Only rows that turn out innovative are
-	// copied into the arena; dependent rows never touch it. scratchWidth is
-	// the dirty prefix left behind by the previous Add, so bounded adds only
-	// zero what was actually used. scratchPayload is used by the dense AddRef
-	// reference path only; the structured path works on arena storage
-	// directly and never copies a dependent block's payload at all.
-	scratchCoeff   []byte
-	scratchWidth   int
-	scratchPayload []byte
+	// scratch holds a coefficient vector while it is reduced against the
+	// pivot rows. It is all zero between calls: only rows that turn out
+	// innovative are copied into the arena.
+	scratch []byte
 
-	// fwdOps and backOps record, per Add, the row operations of the
-	// coefficient-side elimination so the identical operations can be
-	// replayed on the payload side afterwards — sequentially, or striped
-	// across a worker pool for large payloads (see parallel.go). Payload work
-	// for dependent (non-innovative) blocks is skipped entirely: the
-	// coefficient reduction alone decides innovation.
-	fwdOps  []payloadOp
-	backOps []payloadOp
+	// ops records the payload side of one reduction — add v times the
+	// payload of rows[row] — so it can be applied once the coefficients
+	// have decided the outcome (see fold).
+	ops []payloadOp
 
 	// workers is the payload-striping pool size; see SetPayloadWorkers.
 	workers int
 
-	// decodedPrefix caches the length of the maximal decoded prefix; it only
-	// ever grows. decodedCount tracks the number of solved (unit-vector) rows
-	// incrementally, making DecodedCount O(1). Both rely on solved rows never
-	// being touched again: a unit vector's only nonzero is its own pivot,
-	// which can never coincide with a fresh pivot column.
+	// decodedPrefix is the number of leading columns that all have a pivot
+	// row; every one of those rows is solved. solved counts the unit rows,
+	// the prefix plus those solved on demand past it.
 	decodedPrefix int
-	decodedCount  int
+	solved        int
 }
 
 type decRow struct {
 	coeff   []byte
 	payload []byte
-	pivot   int  // pivot column; coeff[:pivot] is all zero
-	width   int  // upper bound on 1 + last nonzero column; coeff[width:] is all zero
-	solved  bool // row is a unit vector: the symbol at pivot is decoded
+	lo      int // coeff[:lo] is zero
+	pivot   int // last nonzero column: coeff[pivot] == 1, coeff[pivot+1:] zero
 }
 
-// payloadOp is one deferred payload row operation: add v times row's payload
-// (forward reduction) or add v times the new pivot payload into row
-// (back-substitution).
+// payloadOp is one recorded payload fold: add v times row's payload.
 type payloadOp struct {
 	row int
 	v   byte
 }
+
+// decoderChunkRows is how many rows the decoder's arena allocates at a
+// time: a decode that stops after a few levels pays for the rows it used,
+// not for numSymbols of them.
+const decoderChunkRows = 64
 
 // NewDecoder returns a decoder over numSymbols unknowns with payloads of
 // payloadLen bytes. payloadLen may be zero when only rank/decodability is
@@ -106,13 +103,12 @@ func NewDecoder(numSymbols, payloadLen int) (*Decoder, error) {
 		return nil, fmt.Errorf("gfmat: NewDecoder: negative payload length %d", payloadLen)
 	}
 	d := &Decoder{
-		numSymbols:     numSymbols,
-		payloadLen:     payloadLen,
-		pivotRow:       make([]int, numSymbols),
-		scratchCoeff:   make([]byte, numSymbols),
-		scratchPayload: make([]byte, payloadLen),
+		numSymbols: numSymbols,
+		payloadLen: payloadLen,
+		pivotRow:   make([]int, numSymbols),
+		scratch:    make([]byte, numSymbols),
 	}
-	d.arena.init(numSymbols+payloadLen, numSymbols)
+	d.arena.init(numSymbols+payloadLen, min(decoderChunkRows, numSymbols))
 	for i := range d.pivotRow {
 		d.pivotRow[i] = -1
 	}
@@ -141,10 +137,9 @@ func (d *Decoder) Add(coeff, payload []byte) (bool, error) {
 
 // AddBounded absorbs one coded block whose coefficients are known by
 // construction to be zero at and beyond column bound — the level boundary
-// of a PLC block, or NumSymbols when nothing is known. The elimination then
-// touches only the first bound columns (growing as wider pivot rows fold
-// in), which is what makes structured decoding cheaper than dense: a
-// low-level PLC block costs O(level prefix) instead of O(K).
+// of a PLC block, or NumSymbols when nothing is known. Only the first bound
+// columns are copied and scanned, which is what makes a low-level PLC
+// block cost O(level prefix) instead of O(K).
 //
 // The bound is a caller promise, not re-checked here: a nonzero coefficient
 // at or beyond bound silently corrupts the decoding. Callers that cannot
@@ -162,14 +157,7 @@ func (d *Decoder) AddBounded(coeff, payload []byte, bound int) (bool, error) {
 		return false, fmt.Errorf("%w: boundary %d outside [0, %d]",
 			ErrDimensionMismatch, bound, d.numSymbols)
 	}
-
-	// Reduce into the reusable scratch row, zeroing only the prefix the
-	// previous Add dirtied beyond this block's bound.
-	c := d.scratchCoeff
-	copy(c[:bound], coeff[:bound])
-	if d.scratchWidth > bound {
-		clear(c[bound:d.scratchWidth])
-	}
+	copy(d.scratch[:bound], coeff[:bound])
 	return d.eliminate(payload, 0, bound)
 }
 
@@ -200,300 +188,159 @@ func (d *Decoder) AddSparse(idx []uint32, val, payload []byte) (bool, error) {
 	if len(idx) == 0 {
 		return false, nil // zero vector: linearly dependent, payload skipped
 	}
-	c := d.scratchCoeff
-	clear(c[:d.scratchWidth])
-	gf256.ScatterAt(c, idx, val)
-	lo := int(idx[0])
-	hi := int(idx[len(idx)-1]) + 1
-	d.scratchWidth = hi
-	return d.eliminate(payload, lo, hi)
+	gf256.ScatterAt(d.scratch, idx, val)
+	return d.eliminate(payload, int(idx[0]), int(idx[len(idx)-1])+1)
 }
 
-// eliminate reduces the block already staged in scratchCoeff — nonzero
-// only within [lo, w), with the scratch dirty prefix set to at least w —
-// against the existing pivot rows, commits it if innovative, and replays
-// the recorded row operations on the payload. Shared tail of AddBounded
-// and AddSparse.
-func (d *Decoder) eliminate(payload []byte, lo, w int) (bool, error) {
-	// Forward-reduce the incoming row against existing pivots. The active
-	// width w grows when a wider pivot row folds in; columns already passed
-	// stay final because a pivot row has no nonzeros before its pivot. The
-	// first nonzero column with no pivot row is the new pivot; reduction
-	// continues past it so the row ends up with zeros at every existing
-	// pivot column (the RREF invariant for the new row). Zero runs — the
-	// common case for sparse and banded rows, where most columns between
-	// the endpoints never light up — are skipped a word at a time.
-	c := d.scratchCoeff
-	pivot := -1
-	d.fwdOps = d.fwdOps[:0]
-	for col := lo; col < w; col++ {
-		v := c[col]
-		if v == 0 {
-			nz := gf256.NextNonzero(c[:w], col+1)
-			if nz >= w {
-				break
-			}
-			col = nz
-			v = c[col]
-		}
-		ri := d.pivotRow[col]
-		if ri < 0 {
-			if pivot < 0 {
-				pivot = col
-			}
-			continue
-		}
-		r := &d.rows[ri]
-		rw := r.width
-		gf256.AddMulSlice(c[col:rw], r.coeff[col:rw], v)
-		if rw > w {
-			w = rw
-		}
-		if d.payloadLen > 0 {
-			d.fwdOps = append(d.fwdOps, payloadOp{row: ri, v: v})
-		}
-	}
-	d.scratchWidth = w
+// eliminate reduces the block staged in scratch — nonzero only within
+// [lo, hi) — commits it if innovative, applies its payload work, and
+// solves whatever prefix it made decodable. Shared tail of AddBounded and
+// AddSparse.
+func (d *Decoder) eliminate(payload []byte, lo, hi int) (bool, error) {
+	d.ops = d.ops[:0]
+	pivot, lo := d.reduce(lo, hi)
 	if pivot < 0 {
-		return false, nil // linearly dependent; payload work skipped entirely
+		return false, nil // linearly dependent; the payload is never touched
 	}
 
-	// Trim trailing zeros so the stored span is as tight as the data allows
-	// — combinations of same-level PLC rows stay within the level boundary
-	// even when the caller passed no bound.
-	for w > pivot+1 && c[w-1] == 0 {
-		w--
-	}
-
+	c := d.scratch
+	lo = gf256.NextNonzero(c[:pivot], lo) // tightest span the data allows
 	inv, err := gf256.Inv(c[pivot])
 	if err != nil {
 		return false, fmt.Errorf("gfmat: normalize pivot: %w", err)
 	}
-	gf256.ScaleInPlace(c[pivot:w], inv)
+	gf256.ScaleInPlace(c[lo:pivot+1], inv)
 
-	// Commit the innovative row: slice its storage out of the arena
-	// (coefficients and payload adjacent for locality) and copy the reduced
-	// span in; the arena row arrives zeroed.
+	// Commit: the arena row arrives zeroed, so only the span is copied, and
+	// the scratch is left all zero for the next call.
 	if cap(d.rows) == 0 {
 		d.rows = make([]decRow, 0, d.numSymbols)
 	}
 	row := d.arena.alloc()
 	rc := row[:d.numSymbols:d.numSymbols]
 	rp := row[d.numSymbols:]
-	copy(rc[pivot:w], c[pivot:w])
-	// After the trailing trim, rc[w-1] != 0 — so the new row is a unit
-	// vector exactly when its span is the single pivot byte.
-	solved := w == pivot+1
-
-	// Back-substitute: eliminate this pivot column from every existing row
-	// so the matrix stays in RREF. Only rows whose span reaches the pivot
-	// can hold a nonzero there, and the update touches columns [pivot, w)
-	// only. A touched row keeps coeff[r.pivot] == 1 (the fresh pivot is a
-	// different column) and zeros before it, so it became solved exactly
-	// when the rest of its span drained to zero — an early-exit word scan
-	// instead of the old full-row countNonzero per touch.
-	newIdx := len(d.rows)
-	d.backOps = d.backOps[:0]
-	for i := range d.rows {
-		r := &d.rows[i]
-		if r.width <= pivot {
-			continue
-		}
-		v := r.coeff[pivot]
-		if v == 0 {
-			continue
-		}
-		gf256.AddMulSlice(r.coeff[pivot:w], rc[pivot:w], v)
-		if w > r.width {
-			r.width = w
-		}
-		// Solved rows are never touched again (their only nonzero is their
-		// own pivot), so this transition fires at most once per row.
-		if !r.solved && isZeroRange(r.coeff[r.pivot+1:r.width]) {
-			r.solved = true
-			r.width = r.pivot + 1
-			d.decodedCount++
-		}
-		if d.payloadLen > 0 {
-			d.backOps = append(d.backOps, payloadOp{row: i, v: v})
-		}
+	copy(rc[lo:pivot+1], c[lo:pivot+1])
+	clear(c[lo : pivot+1])
+	d.pivotRow[pivot] = len(d.rows)
+	d.rows = append(d.rows, decRow{coeff: rc, payload: rp, lo: lo, pivot: pivot})
+	if lo == pivot {
+		d.solved++
 	}
-	d.rows = append(d.rows, decRow{coeff: rc, payload: rp, pivot: pivot, width: w, solved: solved})
-	d.pivotRow[pivot] = newIdx
-	if solved {
-		d.decodedCount++
-	}
-
-	// Replay the recorded row operations on the payload side — the identical
-	// linear combination, applied once, optionally striped across workers.
 	if d.payloadLen > 0 {
-		d.applyPayload(rp, payload, inv)
+		d.fold(rp, payload, inv)
 	}
 
-	d.advancePrefix()
+	// Every row left of a decoded prefix is a unit row, so each newly
+	// decodable row solves with one fold, in increasing column order.
+	for d.decodedPrefix < d.numSymbols && d.pivotRow[d.decodedPrefix] >= 0 {
+		d.solve(d.decodedPrefix)
+		d.decodedPrefix++
+	}
 	return true, nil
 }
 
-// AddRef absorbs one coded block via the dense, structure-blind elimination
-// the structured path replaced: full-width row operations, a full-row
-// nonzero rescan after every back-substitution touch, no payload deferral.
-// It maintains exactly the same decoder state (interleaving Add and AddRef
-// is legal) and exists as the reference oracle for differential tests and
-// as the baseline side of the dense-vs-truncated decode benchmarks —
-// mirroring AddMulSliceRef one layer down.
-func (d *Decoder) AddRef(coeff, payload []byte) (bool, error) {
-	if len(coeff) != d.numSymbols {
-		return false, fmt.Errorf("%w: coefficient vector length %d, want %d",
-			ErrDimensionMismatch, len(coeff), d.numSymbols)
-	}
-	if len(payload) != d.payloadLen {
-		return false, fmt.Errorf("%w: payload length %d, want %d",
-			ErrDimensionMismatch, len(payload), d.payloadLen)
-	}
-
-	c := d.scratchCoeff
-	copy(c, coeff)
-	d.scratchWidth = d.numSymbols
-	p := d.scratchPayload
-	copy(p, payload)
-
-	for col := 0; col < d.numSymbols; col++ {
-		v := c[col]
-		if v == 0 {
-			continue
-		}
+// reduce folds pivot rows into the scratch row — nonzero only within
+// [lo, hi) — from its right end leftwards: while the row's last nonzero
+// column has a pivot row, that row, times the entry, is added to cancel
+// it, which can only touch columns further left. It returns the first
+// column met without a pivot row, or -1 when the row reduced to zero,
+// together with the row's new low bound. Payload folds are recorded in
+// d.ops, not applied.
+func (d *Decoder) reduce(lo, hi int) (col, newLo int) {
+	c := d.scratch
+	for col = gf256.LastNonzero(c[:hi], lo); col >= lo; col = gf256.LastNonzero(c[:col], lo) {
 		ri := d.pivotRow[col]
 		if ri < 0 {
-			continue
+			return col, lo
 		}
 		r := &d.rows[ri]
-		gf256.AddMulSlice(c, r.coeff, v)
-		gf256.AddMulSlice(p, r.payload, v)
-	}
-
-	pivot := -1
-	for col, v := range c {
-		if v != 0 {
-			pivot = col
-			break
+		v := c[col]
+		c[col] = 0
+		if r.lo < col {
+			gf256.AddMulSlice(c[r.lo:col], r.coeff[r.lo:col], v)
+			lo = min(lo, r.lo)
+		}
+		if d.payloadLen > 0 {
+			d.ops = append(d.ops, payloadOp{row: ri, v: v})
 		}
 	}
-	if pivot < 0 {
-		return false, nil
-	}
-
-	inv, err := gf256.Inv(c[pivot])
-	if err != nil {
-		return false, fmt.Errorf("gfmat: normalize pivot: %w", err)
-	}
-	gf256.ScaleInPlace(c, inv)
-	gf256.ScaleInPlace(p, inv)
-
-	if cap(d.rows) == 0 {
-		d.rows = make([]decRow, 0, d.numSymbols)
-	}
-	row := d.arena.alloc()
-	rc := row[:d.numSymbols:d.numSymbols]
-	rp := row[d.numSymbols:]
-	copy(rc, c)
-	copy(rp, p)
-
-	newIdx := len(d.rows)
-	for i := range d.rows {
-		r := &d.rows[i]
-		if v := r.coeff[pivot]; v != 0 {
-			gf256.AddMulSlice(r.coeff, rc, v)
-			gf256.AddMulSlice(r.payload, rp, v)
-			r.width = d.numSymbols
-			if !r.solved && countNonzeroRange(r.coeff) == 1 {
-				r.solved = true
-				d.decodedCount++
-			}
-		}
-	}
-	solved := countNonzeroRange(rc) == 1
-	d.rows = append(d.rows, decRow{coeff: rc, payload: rp, pivot: pivot, width: d.numSymbols, solved: solved})
-	d.pivotRow[pivot] = newIdx
-	if solved {
-		d.decodedCount++
-	}
-
-	d.advancePrefix()
-	return true, nil
+	return -1, lo
 }
 
-// isZeroRange reports whether every byte of v is zero, a word at a time
-// with early exit — the hot check that tells a back-substituted row it has
-// collapsed to a unit vector.
-func isZeroRange(v []byte) bool {
-	i := 0
-	for ; i+8 <= len(v); i += 8 {
-		if binary.LittleEndian.Uint64(v[i:]) != 0 {
+// solve reports whether symbol i is decodable, turning its pivot row into
+// a unit row if it is. Past the decoded prefix, the row's part left of
+// column i is reduced against the pivot rows to its left on the scratch
+// row, and only a result with nothing left is committed, together with its
+// payload fold. At the prefix's edge (i == decodedPrefix, the case the
+// prefix advance relies on) every row to the left is already a unit row,
+// so the solve is one fold into one destination and always succeeds.
+func (d *Decoder) solve(i int) bool {
+	ri := d.pivotRow[i]
+	if ri < 0 {
+		return false
+	}
+	r := &d.rows[ri]
+	if r.lo == i {
+		return true
+	}
+	d.ops = d.ops[:0]
+	switch {
+	case i > d.decodedPrefix:
+		c := d.scratch
+		copy(c[r.lo:i], r.coeff[r.lo:i])
+		if col, lo := d.reduce(r.lo, i); col >= 0 {
+			clear(c[lo : col+1])
 			return false
+		}
+	case d.payloadLen > 0:
+		// Every column left of i has a unit row, so there is nothing to
+		// reduce: the fold adds each of them times the row's entry there.
+		for j := gf256.NextNonzero(r.coeff[:i], r.lo); j < i; j = gf256.NextNonzero(r.coeff[:i], j+1) {
+			d.ops = append(d.ops, payloadOp{row: d.pivotRow[j], v: r.coeff[j]})
 		}
 	}
-	for ; i < len(v); i++ {
-		if v[i] != 0 {
-			return false
-		}
+	clear(r.coeff[r.lo:i])
+	r.lo = i
+	d.solved++
+	if d.payloadLen > 0 {
+		d.fold(r.payload, nil, 1)
 	}
 	return true
 }
 
-// countNonzeroRange counts the nonzero bytes of v, skipping zero regions a
-// word at a time — the common case inside an RREF row's span.
-func countNonzeroRange(v []byte) int {
-	n := 0
-	i := 0
-	for ; i+8 <= len(v); i += 8 {
-		if binary.LittleEndian.Uint64(v[i:]) == 0 {
-			continue
-		}
-		for _, x := range v[i : i+8] {
-			if x != 0 {
-				n++
-			}
-		}
+// DecodedPrefix returns the length of the maximal prefix of source symbols
+// that is fully decoded — the quantity progressive (PLC) decoding cares
+// about. It is O(1), and the prefix's payloads are final when it is read.
+func (d *Decoder) DecodedPrefix() int { return d.decodedPrefix }
+
+// Decoded reports whether source symbol i is individually decoded.
+// Symbols outside the decoded prefix can still be decoded, e.g. under SLC
+// where levels decode independently; for those the answer is worked out
+// on demand (and a solved row is kept).
+func (d *Decoder) Decoded(i int) bool {
+	if i < 0 || i >= d.numSymbols {
+		return false
 	}
-	for ; i < len(v); i++ {
-		if v[i] != 0 {
+	return i < d.decodedPrefix || d.solve(i)
+}
+
+// DecodedCount returns the number of individually decoded source symbols:
+// the decoded prefix plus every symbol past it that Decoded confirms.
+func (d *Decoder) DecodedCount() int {
+	n := d.decodedPrefix
+	for i := d.decodedPrefix; i < d.numSymbols; i++ {
+		if d.solve(i) {
 			n++
 		}
 	}
 	return n
 }
 
-// advancePrefix extends the cached decoded-prefix pointer. A symbol i is in
-// the decoded prefix when its pivot row exists and is a unit vector.
-func (d *Decoder) advancePrefix() {
-	for d.decodedPrefix < d.numSymbols {
-		ri := d.pivotRow[d.decodedPrefix]
-		if ri < 0 || !d.rows[ri].solved {
-			return
-		}
-		d.decodedPrefix++
-	}
-}
-
-// DecodedPrefix returns the length of the maximal prefix of source symbols
-// that is fully decoded — the quantity progressive (PLC) decoding cares
-// about.
-func (d *Decoder) DecodedPrefix() int { return d.decodedPrefix }
-
-// Decoded reports whether source symbol i is individually decoded (its
-// pivot row is a unit vector). Symbols outside the decoded prefix can still
-// be decoded, e.g. under SLC where levels decode independently.
-func (d *Decoder) Decoded(i int) bool {
-	if i < 0 || i >= d.numSymbols {
-		return false
-	}
-	ri := d.pivotRow[i]
-	return ri >= 0 && d.rows[ri].solved
-}
-
-// DecodedCount returns the number of individually decoded source symbols.
-// The count is maintained incrementally, so this is O(1).
-func (d *Decoder) DecodedCount() int { return d.decodedCount }
+// SolvedRows returns how many rows are unit rows right now: the decoded
+// prefix plus the symbols past it already confirmed by a query. It is
+// O(1) and never works anything out, so a progress gauge read after every
+// Add stays cheap; DecodedCount is the exact count.
+func (d *Decoder) SolvedRows() int { return d.solved }
 
 // Symbol returns the decoded payload of source symbol i, or an error if the
 // symbol is not yet decoded. The returned slice is a copy.
@@ -511,30 +358,26 @@ func (d *Decoder) Symbol(i int) ([]byte, error) {
 func (d *Decoder) Symbols() [][]byte {
 	out := make([][]byte, d.numSymbols)
 	for i := range out {
-		if d.Decoded(i) {
-			s, err := d.Symbol(i)
-			if err == nil {
-				out[i] = s
-			}
+		if s, err := d.Symbol(i); err == nil {
+			out[i] = s
 		}
 	}
 	return out
 }
 
-// CoefficientMatrix returns a copy of the current (RREF) coefficient matrix,
-// one row per innovative block absorbed, mainly for tests and debugging.
+// CoefficientMatrix returns the reduced row-echelon form of the
+// accumulated coefficient matrix, one row per innovative block absorbed —
+// unique for the row space, so independent of arrival order and of how
+// the decoder stores its rows. It is computed on a copy, mainly for tests
+// and debugging.
 func (d *Decoder) CoefficientMatrix() (*Matrix, error) {
 	m, err := New(len(d.rows), d.numSymbols)
 	if err != nil {
 		return nil, fmt.Errorf("gfmat: CoefficientMatrix: %w", err)
 	}
-	// Emit rows in pivot order so the result is literally in RREF.
-	i := 0
-	for col := 0; col < d.numSymbols; col++ {
-		if ri := d.pivotRow[col]; ri >= 0 {
-			copy(m.Row(i), d.rows[ri].coeff)
-			i++
-		}
+	for i, r := range d.rows {
+		copy(m.Row(i), r.coeff)
 	}
+	m.rrefInPlace()
 	return m, nil
 }

@@ -2,18 +2,21 @@ package gfmat
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
 // FuzzDecoderEquivBatch drives random level-structured systems through
-// every decode path this package offers — the structured incremental
-// decoder (AddBounded), the dense incremental reference (AddRef), and the
-// one-shot BatchDecoder in both bounded and dense form — and asserts they
-// agree on rank, per-symbol decodability and the decoded payloads. Rank is
-// additionally cross-checked against straight Gaussian elimination on the
-// raw coefficient matrix, the ground truth none of the decoders share code
-// with.
+// every decode path this package offers — the incremental decoder
+// (AddBounded), the dense RefDecoder, and the one-shot BatchDecoder in
+// both bounded and dense form. The decoder must match the reference on
+// every observable after every Add; a second decoder that is never queried
+// until the end must match too (queries commit rows solved past the
+// prefix, so the two take different fold paths to the same answers). Rank
+// is additionally cross-checked against straight Gaussian elimination on
+// the raw coefficient matrix, the ground truth none of the decoders share
+// code with.
 func FuzzDecoderEquivBatch(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(3), uint8(4), uint8(3), false)
 	f.Add(int64(7), uint8(1), uint8(1), uint8(0), uint8(1), true)
@@ -33,11 +36,8 @@ func FuzzDecoderEquivBatch(f *testing.F) {
 		symbols := randomSymbols(rng, n, plen)
 		blocks := randomLevelBlocks(rng, symbols, n, nLevels, plen, rowsPerLevel, slcShaped)
 
-		structured, err := NewDecoder(n, plen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dense, err := NewDecoder(n, plen)
+		structured, ref := newPair(t, n, plen)
+		quiet, err := NewDecoder(n, plen)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,17 +54,15 @@ func FuzzDecoderEquivBatch(f *testing.F) {
 			t.Fatal(err)
 		}
 		for i, b := range blocks {
-			i1, err := structured.AddBounded(b.coeff, b.payload, b.bound)
-			if err != nil {
+			addBoth(t, structured, ref, b)
+			if _, err := quiet.AddBounded(b.coeff, b.payload, b.bound); err != nil {
 				t.Fatal(err)
 			}
-			i2, err := dense.AddRef(b.coeff, b.payload)
-			if err != nil {
-				t.Fatal(err)
+			if quiet.Rank() != ref.Rank() || quiet.DecodedPrefix() != ref.DecodedPrefix() {
+				t.Fatalf("block %d: unqueried rank/prefix %d/%d, reference %d/%d",
+					i, quiet.Rank(), quiet.DecodedPrefix(), ref.Rank(), ref.DecodedPrefix())
 			}
-			if i1 != i2 {
-				t.Fatalf("block %d: innovation disagrees (structured %v, dense %v)", i, i1, i2)
-			}
+			compareDecoders(t, structured, ref, fmt.Sprintf("after block %d", i))
 			if err := batchBounded.AddBounded(b.coeff, b.payload, b.bound); err != nil {
 				t.Fatal(err)
 			}
@@ -73,38 +71,16 @@ func FuzzDecoderEquivBatch(f *testing.F) {
 			}
 			copy(raw.Row(i), b.coeff)
 		}
-
-		// Incremental paths must agree on every observable, decoded symbol
-		// values included.
-		if structured.Rank() != dense.Rank() {
-			t.Fatalf("rank: structured %d, dense %d", structured.Rank(), dense.Rank())
-		}
+		compareDecoders(t, quiet, ref, "unqueried decoder")
 		if structured.Rank() != raw.Rank() {
 			t.Fatalf("rank: incremental %d, ground truth %d", structured.Rank(), raw.Rank())
 		}
-		if structured.DecodedPrefix() != dense.DecodedPrefix() {
-			t.Fatalf("prefix: structured %d, dense %d", structured.DecodedPrefix(), dense.DecodedPrefix())
-		}
-		if structured.DecodedCount() != dense.DecodedCount() {
-			t.Fatalf("decoded count: structured %d, dense %d", structured.DecodedCount(), dense.DecodedCount())
-		}
 		for i := 0; i < n; i++ {
-			if structured.Decoded(i) != dense.Decoded(i) {
-				t.Fatalf("Decoded(%d): structured %v, dense %v", i, structured.Decoded(i), dense.Decoded(i))
-			}
 			if !structured.Decoded(i) {
 				continue
 			}
-			ss, err := structured.Symbol(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ds, err := dense.Symbol(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(ss, ds) || !bytes.Equal(ss, symbols[i]) {
-				t.Fatalf("symbol %d: structured/dense/truth disagree", i)
+			if s, _ := structured.Symbol(i); !bytes.Equal(s, symbols[i]) {
+				t.Fatalf("symbol %d: decoded value differs from the source", i)
 			}
 		}
 

@@ -1,7 +1,7 @@
 // Package gfmat provides dense linear algebra over GF(2^8): matrices,
-// rank and inversion by Gaussian elimination, and an incremental
-// Gauss–Jordan decoder that maintains a reduced row-echelon form (RREF) as
-// coded blocks arrive, enabling the progressive partial decoding described
+// rank and inversion by Gaussian elimination, and an incremental decoder
+// that keeps arriving coded blocks in row-echelon form keyed on each row's
+// last nonzero column, enabling the progressive partial decoding described
 // in Sec. 3.2 of the paper.
 package gfmat
 
@@ -194,6 +194,21 @@ func (w *Matrix) rankInPlace() int {
 		rank++
 	}
 	return rank
+}
+
+// rrefInPlace brings w to reduced row-echelon form: rankInPlace's
+// forward elimination, then each pivot row, bottom up, cleared from the
+// rows above it. Dependent rows end up as zero rows at the bottom.
+func (w *Matrix) rrefInPlace() {
+	for i := w.rankInPlace() - 1; i > 0; i-- {
+		prow := w.Row(i)
+		lead := gf256.NextNonzero(prow, 0)
+		for r := 0; r < i; r++ {
+			if c := w.At(r, lead); c != 0 {
+				gf256.AddMulSlice(w.Row(r), prow, c)
+			}
+		}
+	}
 }
 
 func (w *Matrix) swapRows(i, j int) {

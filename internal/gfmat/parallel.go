@@ -7,21 +7,21 @@ import (
 	"repro/internal/gf256"
 )
 
-// Parallel payload pipeline. The coefficient-side elimination of an Add is
-// inherently sequential — each row operation depends on the previous one's
-// result — but every payload row operation it implies is elementwise:
-// byte i of the output depends only on byte i of the inputs. Add therefore
-// records the operations (fwdOps, backOps) while reducing coefficients and
-// replays them on the payload side afterwards. For large payloads the
-// replay is striped across a worker pool: each worker runs the complete
-// operation chain — copy-in, forward folds, pivot normalization,
-// back-substitution fan-out — restricted to its own byte range, so stripes
-// never read or write each other's memory and the result is bit-identical
-// to the sequential replay for any worker count. This mirrors the payload
-// striping of core.ParallelEncoder one layer down.
+// Parallel payload folds. The coefficient-side reduction is inherently
+// sequential — each fold depends on the previous one's result — but every
+// payload fold it implies is elementwise: byte i of the output depends
+// only on byte i of the inputs. The decoder therefore records the folds
+// (d.ops) while reducing coefficients and applies them afterwards, and
+// both payload jobs it has — an incoming row's forward folds and a row's
+// solve — write a single destination row. For large payloads that one
+// fold is striped across a worker pool: each worker runs the complete
+// chain restricted to its own byte range, so stripes never read or write
+// each other's memory and the result is bit-identical to the sequential
+// fold for any worker count. This mirrors the payload striping of
+// core.ParallelEncoder one layer down.
 
 // payloadStripeMin is the payload size below which striping is not worth
-// the goroutine fan-out; smaller payloads replay sequentially.
+// the goroutine fan-out; smaller payloads fold sequentially.
 const payloadStripeMin = 16 << 10
 
 // payloadStripeAlign keeps stripe boundaries on 64-byte lines so the SIMD
@@ -29,11 +29,11 @@ const payloadStripeMin = 16 << 10
 // lines.
 const payloadStripeAlign = 64
 
-// SetPayloadWorkers configures the payload-striping pool: Add calls replay
-// payload row operations across up to n goroutines when the payload length
-// is at least payloadStripeMin bytes. n <= 0 selects GOMAXPROCS; n == 1
-// restores the sequential replay. Decoded output is bit-identical for any
-// setting. Not safe to call concurrently with Add.
+// SetPayloadWorkers configures the payload-striping pool: payload folds
+// are striped across up to n goroutines when the payload length is at
+// least payloadStripeMin bytes. n <= 0 selects GOMAXPROCS; n == 1 restores
+// the sequential fold. Decoded output is bit-identical for any setting.
+// Not safe to call concurrently with Add.
 func (d *Decoder) SetPayloadWorkers(n int) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -45,47 +45,38 @@ func (d *Decoder) SetPayloadWorkers(n int) {
 // (0 = never configured, sequential).
 func (d *Decoder) PayloadWorkers() int { return d.workers }
 
-// applyPayload replays the recorded row operations of one innovative Add on
-// the payload side: rp (the new row's arena payload, arriving zeroed) takes
-// the reduced, normalized combination of the incoming payload and the
-// forward-fold rows, then fans out into the back-substitution targets.
-func (d *Decoder) applyPayload(rp, incoming []byte, inv byte) {
+// fold applies the recorded payload folds to one destination row:
+// dst = scale · (start + Σ v · rows[row].payload over d.ops), where start
+// is src, or dst's own contents when src is nil.
+func (d *Decoder) fold(dst, src []byte, scale byte) {
 	plen := d.payloadLen
 	if d.workers <= 1 || plen < payloadStripeMin {
-		d.payloadStripe(rp, incoming, inv, 0, plen)
+		d.foldStripe(dst, src, scale, 0, plen)
 		return
 	}
 	stripe := (plen + d.workers - 1) / d.workers
 	stripe = (stripe + payloadStripeAlign - 1) &^ (payloadStripeAlign - 1)
 	var wg sync.WaitGroup
 	for lo := 0; lo < plen; lo += stripe {
-		hi := lo + stripe
-		if hi > plen {
-			hi = plen
-		}
+		hi := min(lo+stripe, plen)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			d.payloadStripe(rp, incoming, inv, lo, hi)
+			d.foldStripe(dst, src, scale, lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()
 }
 
-// payloadStripe runs the full payload operation chain restricted to byte
-// range [lo, hi). Within the stripe the operations execute in the exact
-// order the sequential algorithm would: forward folds read pre-existing row
-// payloads before back-substitution writes any of them, and the
-// back-substitution reads of rp see the stripe's fully reduced value.
-func (d *Decoder) payloadStripe(rp, incoming []byte, inv byte, lo, hi int) {
-	copy(rp[lo:hi], incoming[lo:hi])
-	for _, op := range d.fwdOps {
-		gf256.AddMulSlice(rp[lo:hi], d.rows[op.row].payload[lo:hi], op.v)
+// foldStripe is fold restricted to byte range [lo, hi).
+func (d *Decoder) foldStripe(dst, src []byte, scale byte, lo, hi int) {
+	if src != nil {
+		copy(dst[lo:hi], src[lo:hi])
 	}
-	if inv != 1 {
-		gf256.ScaleInPlace(rp[lo:hi], inv)
+	for _, op := range d.ops {
+		gf256.AddMulSlice(dst[lo:hi], d.rows[op.row].payload[lo:hi], op.v)
 	}
-	for _, op := range d.backOps {
-		gf256.AddMulSlice(d.rows[op.row].payload[lo:hi], rp[lo:hi], op.v)
+	if scale != 1 {
+		gf256.ScaleInPlace(dst[lo:hi], scale)
 	}
 }

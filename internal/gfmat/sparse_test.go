@@ -1,12 +1,14 @@
 package gfmat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
 // Tests for the sparse add path: AddSparse must be observationally
-// identical to the dense oracle for any density, and must reject
+// identical to the dense RefDecoder after every Add for any density, and
+// must reject
 // malformed index vectors instead of corrupting the elimination.
 
 // sparsify converts a dense vector into its canonical sparse form.
@@ -48,6 +50,25 @@ func randomDensityBlocks(rng *rand.Rand, symbols [][]byte, n, plen, count, bandW
 	return blocks
 }
 
+// addSparseBoth feeds one block to a Decoder through AddSparse and to
+// its RefDecoder oracle densely, and fails unless they agree on whether
+// it was innovative.
+func addSparseBoth(t *testing.T, d *Decoder, ref *RefDecoder, b levelBlock) {
+	t.Helper()
+	idx, val := sparsify(b.coeff)
+	i1, err := d.AddSparse(idx, val, b.payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i2, err := ref.Add(b.coeff, b.payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i1 != i2 {
+		t.Fatalf("innovation: sparse %v, reference %v", i1, i2)
+	}
+}
+
 func TestAddSparseMatchesDenseOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	cases := []struct {
@@ -64,29 +85,11 @@ func TestAddSparseMatchesDenseOracle(t *testing.T) {
 	for ci, tc := range cases {
 		symbols := randomSymbols(rng, tc.n, tc.plen)
 		blocks := randomDensityBlocks(rng, symbols, tc.n, tc.plen, 2*tc.n, tc.bandWidth, tc.density)
-		sparse, err := NewDecoder(tc.n, tc.plen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dense, err := NewDecoder(tc.n, tc.plen)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sparse, dense := newPair(t, tc.n, tc.plen)
 		for bi, b := range blocks {
-			idx, val := sparsify(b.coeff)
-			i1, err := sparse.AddSparse(idx, val, b.payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			i2, err := dense.AddRef(b.coeff, b.payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i1 != i2 {
-				t.Fatalf("case %d block %d: innovation sparse %v, dense %v", ci, bi, i1, i2)
-			}
+			addSparseBoth(t, sparse, dense, b)
+			compareDecoders(t, sparse, dense, fmt.Sprintf("case %d block %d", ci, bi))
 		}
-		compareDecoders(t, sparse, dense, "sparse vs dense oracle")
 		for i := 0; i < tc.n; i++ {
 			if sparse.Decoded(i) {
 				s, err := sparse.Symbol(i)
@@ -109,8 +112,7 @@ func TestAddSparseInterleaved(t *testing.T) {
 	n, plen := 30, 6
 	symbols := randomSymbols(rng, n, plen)
 	blocks := randomDensityBlocks(rng, symbols, n, plen, 3*n, 0, 0.3)
-	mixed, _ := NewDecoder(n, plen)
-	oracle, _ := NewDecoder(n, plen)
+	mixed, oracle := newPair(t, n, plen)
 	for bi, b := range blocks {
 		var i1 bool
 		var err error
@@ -121,20 +123,20 @@ func TestAddSparseInterleaved(t *testing.T) {
 		case 1:
 			i1, err = mixed.AddBounded(b.coeff, b.payload, b.bound)
 		default:
-			i1, err = mixed.AddRef(b.coeff, b.payload)
+			i1, err = mixed.Add(b.coeff, b.payload)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		i2, err := oracle.AddRef(b.coeff, b.payload)
+		i2, err := oracle.Add(b.coeff, b.payload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i1 != i2 {
 			t.Fatalf("block %d: innovation mixed %v, oracle %v", bi, i1, i2)
 		}
+		compareDecoders(t, mixed, oracle, fmt.Sprintf("after block %d", bi))
 	}
-	compareDecoders(t, mixed, oracle, "interleaved adds")
 }
 
 func TestAddSparseValidation(t *testing.T) {
@@ -177,8 +179,8 @@ func TestAddSparseValidation(t *testing.T) {
 }
 
 // FuzzSparseDenseEquiv drives random-density and banded systems through
-// AddSparse and the dense AddRef oracle and asserts they agree on every
-// observable, with the raw-matrix rank as shared-nothing ground truth —
+// AddSparse and the dense RefDecoder and asserts they agree on every
+// observable after every Add, with the raw-matrix rank as shared-nothing ground truth —
 // the sparse analogue of FuzzDecoderEquivBatch.
 func FuzzSparseDenseEquiv(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(4), uint8(64), uint8(0))
@@ -194,37 +196,19 @@ func FuzzSparseDenseEquiv(f *testing.F) {
 		symbols := randomSymbols(rng, n, plen)
 		blocks := randomDensityBlocks(rng, symbols, n, plen, n+n/2+1, band, density)
 
-		sparse, err := NewDecoder(n, plen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dense, err := NewDecoder(n, plen)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sparse, dense := newPair(t, n, plen)
 		raw, err := New(len(blocks), n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for bi, b := range blocks {
-			idx, val := sparsify(b.coeff)
-			i1, err := sparse.AddSparse(idx, val, b.payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			i2, err := dense.AddRef(b.coeff, b.payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i1 != i2 {
-				t.Fatalf("block %d: innovation sparse %v, dense %v", bi, i1, i2)
-			}
+			addSparseBoth(t, sparse, dense, b)
+			compareDecoders(t, sparse, dense, fmt.Sprintf("after block %d", bi))
 			copy(raw.Row(bi), b.coeff)
 		}
 		if sparse.Rank() != raw.Rank() {
 			t.Fatalf("rank: sparse %d, ground truth %d", sparse.Rank(), raw.Rank())
 		}
-		compareDecoders(t, sparse, dense, "fuzz sparse vs dense")
 		for i := 0; i < n; i++ {
 			if plen > 0 && sparse.Decoded(i) {
 				s, err := sparse.Symbol(i)

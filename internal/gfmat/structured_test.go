@@ -2,14 +2,17 @@ package gfmat
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 )
 
 // Tests for the structure-aware decode path: level-truncated rows
-// (AddBounded), the dense reference oracle (AddRef), incremental
-// nnz/DecodedCount bookkeeping, and the striped payload pipeline.
+// (AddBounded), agreement with the dense RefDecoder oracle after every
+// Add, on-demand answers past the decoded prefix, and the striped payload
+// folds.
 
 // levelBlock is one synthetic level-structured coded block: coefficients
 // supported on [lo, hi), so hi doubles as the AddBounded boundary hint.
@@ -53,10 +56,52 @@ func randomSymbols(rng *rand.Rand, n, plen int) [][]byte {
 	return symbols
 }
 
+// decoderView is what Decoder and RefDecoder both answer.
+type decoderView interface {
+	NumSymbols() int
+	Rank() int
+	DecodedPrefix() int
+	DecodedCount() int
+	Decoded(i int) bool
+	Symbol(i int) ([]byte, error)
+	CoefficientMatrix() (*Matrix, error)
+}
+
+// addBoth feeds one dense block to a Decoder (bounded) and its RefDecoder
+// oracle and fails unless they agree on whether it was innovative.
+func addBoth(t *testing.T, d *Decoder, ref *RefDecoder, b levelBlock) {
+	t.Helper()
+	i1, err := d.AddBounded(b.coeff, b.payload, b.bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i2, err := ref.Add(b.coeff, b.payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i1 != i2 {
+		t.Fatalf("innovation disagrees: decoder %v, reference %v", i1, i2)
+	}
+}
+
+// newPair returns a Decoder and a RefDecoder of the same shape.
+func newPair(t *testing.T, n, plen int) (*Decoder, *RefDecoder) {
+	t.Helper()
+	d, err := NewDecoder(n, plen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewRefDecoder(n, plen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, ref
+}
+
 // compareDecoders asserts two decoders that absorbed the same blocks agree
 // on every observable: rank, prefix, per-symbol decodability and value, and
 // the RREF coefficient matrix itself.
-func compareDecoders(t *testing.T, a, b *Decoder, label string) {
+func compareDecoders(t *testing.T, a, b decoderView, label string) {
 	t.Helper()
 	if a.Rank() != b.Rank() {
 		t.Fatalf("%s: rank %d vs %d", label, a.Rank(), b.Rank())
@@ -140,45 +185,135 @@ func TestAddBoundedMatchesAdd(t *testing.T) {
 	}
 }
 
-// TestAddRefMatchesAdd: the dense reference path and the structured path
-// must maintain identical state, including under interleaving.
-func TestAddRefMatchesAdd(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	const n, nLevels, plen = 12, 4, 3
-	symbols := randomSymbols(rng, n, plen)
-	blocks := randomLevelBlocks(rng, symbols, n, nLevels, plen, n/nLevels+2, false)
+// TestRefDecoderMatchesDecoder: the decoder and the dense reference must
+// agree on every observable after every Add — for PLC- and SLC-shaped
+// streams, and whether or not the decoder is queried along the way (a
+// query may commit a row solved past the prefix, which changes later
+// folds but never an answer).
+func TestRefDecoderMatchesDecoder(t *testing.T) {
+	for _, slcShaped := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(32))
+		const n, nLevels, plen = 12, 4, 3
+		symbols := randomSymbols(rng, n, plen)
+		blocks := randomLevelBlocks(rng, symbols, n, nLevels, plen, n/nLevels+2, slcShaped)
 
-	structured, err := NewDecoder(n, plen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, err := NewDecoder(n, plen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed, err := NewDecoder(n, plen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range blocks {
-		if _, err := structured.AddBounded(b.coeff, b.payload, b.bound); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dense.AddRef(b.coeff, b.payload); err != nil {
-			t.Fatal(err)
-		}
-		var err error
-		if i%2 == 0 {
-			_, err = mixed.AddBounded(b.coeff, b.payload, b.bound)
-		} else {
-			_, err = mixed.AddRef(b.coeff, b.payload)
-		}
+		queried, ref := newPair(t, n, plen)
+		quiet, err := NewDecoder(n, plen)
 		if err != nil {
 			t.Fatal(err)
 		}
+		for i, b := range blocks {
+			addBoth(t, queried, ref, b)
+			if _, err := quiet.AddBounded(b.coeff, b.payload, b.bound); err != nil {
+				t.Fatal(err)
+			}
+			compareDecoders(t, queried, ref, fmt.Sprintf("slc=%v after block %d", slcShaped, i))
+		}
+		compareDecoders(t, quiet, ref, fmt.Sprintf("slc=%v unqueried", slcShaped))
+		if !quiet.Complete() {
+			t.Fatalf("system should be complete (rank %d/%d)", quiet.Rank(), n)
+		}
 	}
-	compareDecoders(t, structured, dense, "structured vs dense")
-	compareDecoders(t, structured, mixed, "structured vs interleaved")
+}
+
+// TestHighestLevelFirst feeds a PLC stream with every level's blocks
+// before any lower level's, the order that makes a leftmost-pivot decoder
+// back-substitute the most: each arrival is compared with the reference,
+// and nothing decodes until level 0 does.
+func TestHighestLevelFirst(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	const n, nLevels, plen = 16, 4, 7
+	symbols := randomSymbols(rng, n, plen)
+	blocks := randomLevelBlocks(rng, symbols, n, nLevels, plen, n/nLevels+1, false)
+	sort.SliceStable(blocks, func(i, j int) bool { return blocks[i].bound > blocks[j].bound })
+
+	d, ref := newPair(t, n, plen)
+	for i, b := range blocks {
+		addBoth(t, d, ref, b)
+		compareDecoders(t, d, ref, fmt.Sprintf("after block %d", i))
+		if b.bound > n/nLevels && d.DecodedPrefix() != 0 {
+			t.Fatalf("block %d (bound %d): prefix %d before any level-0 block", i, b.bound, d.DecodedPrefix())
+		}
+	}
+	if !d.Complete() {
+		t.Fatalf("rank %d/%d", d.Rank(), n)
+	}
+	for i := range symbols {
+		if got, _ := d.Symbol(i); !bytes.Equal(got, symbols[i]) {
+			t.Fatalf("symbol %d decoded wrong", i)
+		}
+	}
+}
+
+// TestDecodedPastPrefix: in an SLC-shaped stream whose first level is
+// short of rank, the later levels still decode — every symbol of them is
+// Decoded with its payload while DecodedPrefix stays 0, and SolvedRows
+// counts only rows that arrived solved or a query has confirmed.
+func TestDecodedPastPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	const n, nLevels, plen = 12, 3, 5
+	symbols := randomSymbols(rng, n, plen)
+	blocks := randomLevelBlocks(rng, symbols, n, nLevels, plen, n/nLevels+1, true)
+	d, ref := newPair(t, n, plen)
+	dropped := 0
+	for _, b := range blocks {
+		// Starve level 0 ([0, 4)) of all but two blocks.
+		if b.bound == n/nLevels && dropped < n/nLevels-1 {
+			dropped++
+			continue
+		}
+		addBoth(t, d, ref, b)
+	}
+	if d.DecodedPrefix() != 0 || d.SolvedRows() >= n-n/nLevels {
+		t.Fatalf("prefix %d, solved rows %d before any query; want 0 and < %d",
+			d.DecodedPrefix(), d.SolvedRows(), n-n/nLevels)
+	}
+	compareDecoders(t, d, ref, "starved level 0")
+	for i := n / nLevels; i < n; i++ {
+		got, err := d.Symbol(i)
+		if err != nil {
+			t.Fatalf("symbol %d past the prefix: %v", i, err)
+		}
+		if !bytes.Equal(got, symbols[i]) {
+			t.Fatalf("symbol %d decoded wrong", i)
+		}
+	}
+	if got, want := d.SolvedRows(), n-n/nLevels; got != want {
+		t.Errorf("SolvedRows after queries = %d, want %d", got, want)
+	}
+}
+
+// TestDependentAfterComplete: once the decode is complete, further blocks
+// are dependent, leave every answer alone and never touch the payloads.
+func TestDependentAfterComplete(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	const n, nLevels, plen = 8, 2, 6
+	symbols := randomSymbols(rng, n, plen)
+	blocks := randomLevelBlocks(rng, symbols, n, nLevels, plen, n/nLevels+3, false)
+	d, ref := newPair(t, n, plen)
+	for i, b := range blocks {
+		complete := d.Complete()
+		addBoth(t, d, ref, b)
+		compareDecoders(t, d, ref, fmt.Sprintf("after block %d", i))
+		if complete && (d.Rank() != n || d.DecodedPrefix() != n) {
+			t.Fatalf("block %d after completion changed rank/prefix to %d/%d", i, d.Rank(), d.DecodedPrefix())
+		}
+	}
+	if !d.Complete() {
+		t.Fatalf("rank %d/%d", d.Rank(), n)
+	}
+	// A block carrying a garbage payload is dependent, so it must not leak
+	// into any symbol.
+	junk := make([]byte, plen)
+	rng.Read(junk)
+	if innov, err := d.Add(blocks[0].coeff, junk); err != nil || innov {
+		t.Fatalf("dependent block after completion: innovative=%v err=%v", innov, err)
+	}
+	for i := range symbols {
+		if got, _ := d.Symbol(i); !bytes.Equal(got, symbols[i]) {
+			t.Fatalf("symbol %d changed by a dependent block", i)
+		}
+	}
 }
 
 func TestAddBoundedValidation(t *testing.T) {
@@ -202,8 +337,8 @@ func TestAddBoundedValidation(t *testing.T) {
 	}
 }
 
-// TestDecodedCountIncremental cross-checks the O(1) counter against a brute
-// recount after every absorbed block.
+// TestDecodedCountIncremental cross-checks DecodedCount against a brute
+// recount of Decoded after every absorbed block.
 func TestDecodedCountIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	const n, nLevels = 10, 5
@@ -268,6 +403,32 @@ func TestPayloadWorkersBitIdentical(t *testing.T) {
 	}
 	for _, workers := range []int{0, 2, 3, 7} {
 		compareDecoders(t, base, decode(workers), "sequential vs striped")
+	}
+}
+
+// TestStripedMatchesRef: with payloads above the striping threshold and
+// four workers, both payload jobs — an arrival's forward folds and the
+// prefix solve — run striped, and every answer after every Add matches
+// the sequential reference. Run under -race, this also checks the stripes
+// stay disjoint.
+func TestStripedMatchesRef(t *testing.T) {
+	const n, nLevels, plen = 8, 4, payloadStripeMin + 4097
+	rng := rand.New(rand.NewSource(39))
+	symbols := randomSymbols(rng, n, plen)
+	blocks := randomLevelBlocks(rng, symbols, n, nLevels, plen, n/nLevels+1, false)
+	d, ref := newPair(t, n, plen)
+	d.SetPayloadWorkers(4)
+	for i, b := range blocks {
+		addBoth(t, d, ref, b)
+		compareDecoders(t, d, ref, fmt.Sprintf("after block %d", i))
+	}
+	if !d.Complete() {
+		t.Fatalf("rank %d/%d", d.Rank(), n)
+	}
+	for i := range symbols {
+		if got, _ := d.Symbol(i); !bytes.Equal(got, symbols[i]) {
+			t.Fatalf("symbol %d decoded wrong", i)
+		}
 	}
 }
 

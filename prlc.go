@@ -10,8 +10,8 @@
 //
 //   - SLC (Stacked Linear Codes) codes each priority level independently;
 //   - PLC (Progressive Linear Codes) codes level k over all blocks of
-//     levels 1..k, decoding progressively via incremental Gauss–Jordan
-//     elimination and strictly dominating SLC.
+//     levels 1..k, decoding progressively via incremental elimination
+//     and strictly dominating SLC.
 //
 // The package exposes seven layers:
 //
