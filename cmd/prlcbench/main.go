@@ -21,12 +21,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"time"
 
-	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/exper"
-	"repro/internal/gf256"
 )
 
 func main() {
@@ -40,18 +37,12 @@ type config struct {
 	fig     string
 	table   int
 	all     bool
-	perf    bool
 	trials  int
 	scale   int
 	stride  int
 	seed    int64
 	csvDir  string
 	workers int
-	payload int
-	perfDur time.Duration
-	sparse  bool
-	band    int
-	chunks  string
 }
 
 func run(args []string) error {
@@ -66,18 +57,12 @@ func run(args []string) error {
 	fs.Int64Var(&cfg.seed, "seed", 1, "random seed")
 	fs.StringVar(&cfg.csvDir, "csv", "", "directory to write CSV copies into")
 	fs.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "simulation worker count (results are seed-deterministic for any value)")
-	fs.BoolVar(&cfg.perf, "perf", false, "measure encode/decode throughput (MB/s) and rank-only trial rate per scheme")
-	fs.IntVar(&cfg.payload, "payload", 1024, "payload bytes per block for -perf throughput measurements")
-	fs.DurationVar(&cfg.perfDur, "perfdur", 500*time.Millisecond, "minimum measuring time per -perf metric")
-	fs.BoolVar(&cfg.sparse, "sparse", false, "draw O(ln N) sparse coefficients in -perf measurements")
-	fs.IntVar(&cfg.band, "band", 0, "draw contiguous coefficient bands of this width in -perf measurements (0 = off)")
-	fs.StringVar(&cfg.chunks, "chunks", "", "size,overlap: measure expander-chunked coding in -perf")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if !cfg.all && cfg.fig == "" && cfg.table == 0 && !cfg.perf {
+	if !cfg.all && cfg.fig == "" && cfg.table == 0 {
 		fs.Usage()
-		return fmt.Errorf("nothing to do: pass -all, -fig, -table or -perf")
+		return fmt.Errorf("nothing to do: pass -all, -fig or -table")
 	}
 	if cfg.csvDir != "" {
 		if err := os.MkdirAll(cfg.csvDir, 0o755); err != nil {
@@ -101,66 +86,6 @@ func run(args []string) error {
 		if err := runTable1(cfg); err != nil {
 			return fmt.Errorf("table 1: %w", err)
 		}
-	}
-	if cfg.perf {
-		if err := runPerf(cfg); err != nil {
-			return fmt.Errorf("perf: %w", err)
-		}
-	}
-	return nil
-}
-
-// runPerf measures the hot paths at the Fig. 4b/5b problem shape (N = 1000,
-// 50 levels, shrunk by -scale) for every scheme — the one-command A/B that
-// performance PRs quote decode numbers from.
-func runPerf(cfg config) error {
-	n := 1000 / cfg.scale
-	nLevels := 50
-	if per := n / nLevels; per < 1 {
-		nLevels = n
-	}
-	levels, err := core.UniformLevels(nLevels, n/nLevels)
-	if err != nil {
-		return err
-	}
-	generator := "dense"
-	var sparsity, band, chunkSize, chunkOverlap int
-	switch {
-	case cfg.sparse:
-		sparsity = core.LogSparsity(levels.Total())
-		generator = fmt.Sprintf("sparse (%d nonzeros)", sparsity)
-	case cfg.band > 0:
-		band = cfg.band
-		generator = fmt.Sprintf("band (width %d)", band)
-	case cfg.chunks != "":
-		dims, err := cliutil.ParseInts(cfg.chunks)
-		if err != nil || len(dims) != 2 {
-			return fmt.Errorf("-chunks wants size,overlap, got %q", cfg.chunks)
-		}
-		chunkSize, chunkOverlap = dims[0], dims[1]
-		generator = fmt.Sprintf("chunked (%d/%d)", chunkSize, chunkOverlap)
-	}
-	fmt.Printf("Hot-path throughput: N=%d, %d levels, payload %d B, workers %d, coding %s, gf256 kernel %s\n",
-		levels.Total(), levels.Count(), cfg.payload, cfg.workers, generator, gf256.Kernel())
-	fmt.Printf("%-8s %14s %14s %10s %20s\n", "scheme", "encode MB/s", "decode MB/s", "decoded", "rank-only trials/s")
-	for _, scheme := range []core.Scheme{core.RLC, core.SLC, core.PLC} {
-		res, err := exper.MeasurePerf(exper.PerfConfig{
-			Scheme:       scheme,
-			Levels:       levels,
-			PayloadLen:   cfg.payload,
-			Workers:      cfg.workers,
-			Seed:         cfg.seed,
-			MinDuration:  cfg.perfDur,
-			Sparsity:     sparsity,
-			BandWidth:    band,
-			ChunkSize:    chunkSize,
-			ChunkOverlap: chunkOverlap,
-		})
-		if err != nil {
-			return fmt.Errorf("%v: %w", scheme, err)
-		}
-		fmt.Printf("%-8s %14.1f %14.1f %6d/%-4d %20.2f\n",
-			res.Scheme, res.EncodeMBps, res.DecodeMBps, res.DecodedBlocks, res.TotalBlocks, res.RankTrialsPerSec)
 	}
 	return nil
 }

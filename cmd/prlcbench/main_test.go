@@ -66,11 +66,3 @@ func TestRunFig7Ours(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestRunPerf smoke-tests the -perf hot-path measurement with a tiny
-// measuring window so the three metrics per scheme stay fast.
-func TestRunPerf(t *testing.T) {
-	if err := run([]string{"-perf", "-scale", "50", "-payload", "64", "-perfdur", "5ms"}); err != nil {
-		t.Fatalf("run -perf: %v", err)
-	}
-}

@@ -122,7 +122,7 @@ func (f *EncodeFlags) Register(fs *flag.FlagSet) {
 // EncodeFile splits the file at path into source blocks and encodes
 // them, returning the coded blocks and the geometry that decodes them.
 // The blocks are a function of the flags alone: level-structured codings
-// run one ParallelEncoder, bit-identical for any worker count.
+// run Encoder.EncodeSeeded, bit-identical for any GOMAXPROCS.
 func (f EncodeFlags) EncodeFile(path string) (Geometry, []*core.CodedBlock, error) {
 	scheme, err := core.ParseScheme(f.Scheme)
 	if err != nil {
@@ -202,11 +202,7 @@ func (f EncodeFlags) EncodeFile(path string) (Geometry, []*core.CodedBlock, erro
 	if err != nil {
 		return Geometry{}, nil, err
 	}
-	penc, err := core.NewParallelEncoder(enc, 0)
-	if err != nil {
-		return Geometry{}, nil, err
-	}
-	cb, err := penc.EncodeBatch(f.Seed, dist, coded)
+	cb, err := enc.EncodeSeeded(f.Seed, dist, coded)
 	return g, cb, err
 }
 
@@ -221,8 +217,7 @@ type FileDecoder struct {
 	}
 }
 
-// NewFileDecoder builds the decoder for g. Level-structured payloads are
-// striped over GOMAXPROCS workers; the output does not depend on it.
+// NewFileDecoder builds the decoder for g.
 func NewFileDecoder(g Geometry) (*FileDecoder, error) {
 	levels, err := core.NewLevels(g.LevelSizes...)
 	if err != nil {
@@ -239,12 +234,9 @@ func NewFileDecoder(g Geometry) (*FileDecoder, error) {
 		}
 		return d, nil
 	}
-	ld, err := core.NewDecoder(g.Scheme, levels, g.PayloadLen)
-	if err != nil {
+	if d.dec, err = core.NewDecoder(g.Scheme, levels, g.PayloadLen); err != nil {
 		return nil, err
 	}
-	ld.SetWorkers(0)
-	d.dec = ld
 	return d, nil
 }
 

@@ -195,11 +195,11 @@ func (cd *ChunkedDecoder) Add(b *CodedBlock) (bool, error) {
 	}
 	sp := b.SpCoeff
 	if sp == nil {
-		cd.accept(b)
 		innovative, err := cd.dec.Add(b.Coeff, b.Payload)
 		if err != nil {
 			return false, fmt.Errorf("core: chunked decode: %w", err)
 		}
+		cd.accept(b)
 		return innovative, nil
 	}
 	if !cd.layout.ValidChunk(b.Level) {
@@ -210,16 +210,16 @@ func (cd *ChunkedDecoder) Add(b *CodedBlock) (bool, error) {
 		return false, fmt.Errorf("core: chunk-%d block has support [%d, %d) outside chunk span [%d, %d)",
 			b.Level, slo, shi, lo, hi)
 	}
-	cd.accept(b)
 	innovative, err := cd.dec.AddSparse(sp.Idx, sp.Val, b.Payload)
 	if err != nil {
 		return false, fmt.Errorf("core: chunked decode: %w", err)
 	}
+	cd.accept(b)
 	return innovative, nil
 }
 
-// accept records that b passed validation: from now on only blocks of its
-// object are accepted.
+// accept records that the elimination took b: from now on only blocks of
+// its object are accepted.
 func (cd *ChunkedDecoder) accept(b *CodedBlock) {
 	cd.accepted = true
 	cd.object = b.Object

@@ -199,11 +199,13 @@ func BenchmarkDecodeSLCN1024Ref(b *testing.B) {
 }
 
 // DecodeStriped exercises the payload-parallel pipeline: 128 KiB payloads,
-// where the payload-side AddMulSlice work dominates and WorkersK stripes it
-// across a pool. Pairs WorkersK against the 1-worker run in BENCH_decode.json
-// (bounded by num_cpu, like the encode pipeline).
-func benchmarkStripedDecode(b *testing.B, workers int) {
+// where the payload-side AddMulSlice work dominates and the decoder stripes
+// it across GOMAXPROCS goroutines. WorkersK runs at GOMAXPROCS K and pairs
+// against the GOMAXPROCS-1 run in BENCH_decode.json (bounded by num_cpu,
+// like the encode pipeline).
+func benchmarkStripedDecode(b *testing.B, procs int) {
 	const n, nLevels, payloadLen = 64, 8, 128 << 10
+	setProcs(b, procs)
 	levels := decodeBenchLevels(b, n, nLevels)
 	blocks := decodeBenchBlocks(b, PLC, levels, payloadLen, 2)
 	b.SetBytes(int64(len(blocks)) * int64(payloadLen))
@@ -213,7 +215,6 @@ func benchmarkStripedDecode(b *testing.B, workers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dec.SetWorkers(workers)
 		for _, blk := range blocks {
 			if _, err := dec.Add(blk); err != nil {
 				b.Fatal(err)

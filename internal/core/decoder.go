@@ -72,8 +72,8 @@ func (d *Decoder) Scheme() Scheme { return d.scheme }
 // Levels returns the decoder's priority structure.
 func (d *Decoder) Levels() *Levels { return d.levels }
 
-// Received returns the number of coded blocks offered to Add, innovative
-// or not — the paper's M.
+// Received returns the number of coded blocks Add accepted, innovative or
+// not — the paper's M. Rejected blocks do not count.
 func (d *Decoder) Received() int { return d.received }
 
 // Add absorbs one coded block, returning whether it was innovative. The
@@ -123,13 +123,12 @@ func (d *Decoder) add(b *CodedBlock) (bool, error) {
 				d.scheme, b.Level, j, lo, hi)
 		}
 	}
-	d.received++
-	d.object = b.Object
 	if d.scheme == SLC {
 		innovative, err := d.perLevel[b.Level].Add(b.Coeff[lo:hi], b.Payload)
 		if err != nil {
 			return false, fmt.Errorf("core: SLC level %d: %w", b.Level, err)
 		}
+		d.accept(b)
 		return innovative, nil
 	}
 	// The support check above just proved the coefficients vanish at and
@@ -140,7 +139,16 @@ func (d *Decoder) add(b *CodedBlock) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("core: %v decode: %w", d.scheme, err)
 	}
+	d.accept(b)
 	return innovative, nil
+}
+
+// accept records a block the elimination took: it counts toward Received
+// and, the first time, pins the decoder to its object. A block refused
+// anywhere, down to gfmat's payload and index checks, does neither.
+func (d *Decoder) accept(b *CodedBlock) {
+	d.received++
+	d.object = b.Object
 }
 
 // addSparse absorbs a block that carries its coefficients sparsely,
@@ -157,8 +165,6 @@ func (d *Decoder) addSparse(b *CodedBlock, sp *SparseCoeff, lo, hi int) (bool, e
 				d.scheme, b.Level, j, lo, hi)
 		}
 	}
-	d.received++
-	d.object = b.Object
 	if d.scheme == SLC {
 		// Shift into level-local coordinates through a reusable scratch;
 		// the per-level decoder copies what it keeps.
@@ -171,29 +177,15 @@ func (d *Decoder) addSparse(b *CodedBlock, sp *SparseCoeff, lo, hi int) (bool, e
 		if err != nil {
 			return false, fmt.Errorf("core: SLC level %d: %w", b.Level, err)
 		}
+		d.accept(b)
 		return innovative, nil
 	}
 	innovative, err := d.global.AddSparse(sp.Idx, sp.Val, b.Payload)
 	if err != nil {
 		return false, fmt.Errorf("core: %v decode: %w", d.scheme, err)
 	}
+	d.accept(b)
 	return innovative, nil
-}
-
-// SetWorkers configures payload-striping parallelism on the underlying
-// eliminations: payload row operations of each absorbed block are striped
-// across up to n goroutines when payloads are large enough to amortize the
-// fan-out (see gfmat.Decoder.SetPayloadWorkers). n <= 0 selects
-// GOMAXPROCS. Decoded output is bit-identical for any worker count. Not
-// safe to call concurrently with Add.
-func (d *Decoder) SetWorkers(n int) {
-	if d.scheme == SLC {
-		for _, ld := range d.perLevel {
-			ld.SetPayloadWorkers(n)
-		}
-		return
-	}
-	d.global.SetPayloadWorkers(n)
 }
 
 // Rank returns the total number of innovative blocks absorbed.

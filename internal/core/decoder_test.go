@@ -505,3 +505,92 @@ func TestDecoderOneObject(t *testing.T) {
 		t.Fatalf("chunked block of another object: err = %v, want ErrObjectMismatch", err)
 	}
 }
+
+// TestRejectedFirstBlockDoesNotPinObject: a first block the elimination
+// refuses — here another object's, with a payload of the wrong length —
+// must leave the decoder unpinned, so the real object's blocks are all
+// accepted afterwards and Received counts only those. Covers the dense
+// and sparse paths of Decoder, flat and per-level, and both paths of
+// ChunkedDecoder.
+func TestRejectedFirstBlockDoesNotPinObject(t *testing.T) {
+	const plen = 8
+	l := mustLevels(t, 3, 5)
+	rng := rand.New(rand.NewSource(43))
+	obj, stray := NamedObject("real"), NamedObject("stray")
+	src := randomSources(rng, l.Total(), plen)
+	p := NewUniformDistribution(l.Count())
+	for _, tc := range []struct {
+		scheme Scheme
+		opts   []EncoderOption
+	}{
+		{PLC, nil},
+		{PLC, []EncoderOption{WithSparsity(2)}},
+		{SLC, nil},
+		{SLC, []EncoderOption{WithSparsity(2)}},
+	} {
+		enc, err := NewEncoder(tc.scheme, l, src, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewDecoder(tc.scheme, l, plen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks, err := enc.EncodeBatch(rng, p, 4*l.Total())
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := blocks[0].Clone()
+		bad.Object, bad.Payload = stray, bad.Payload[:plen-1]
+		if _, err := d.Add(bad); err == nil {
+			t.Fatalf("%v: short payload accepted", tc.scheme)
+		}
+		if d.Received() != 0 {
+			t.Fatalf("%v: rejected block counted as received", tc.scheme)
+		}
+		for i, b := range blocks {
+			b.Object = obj
+			if _, err := d.Add(b); err != nil {
+				t.Fatalf("%v: block %d of the real object: %v", tc.scheme, i, err)
+			}
+			if d.Received() != i+1 {
+				t.Fatalf("%v: Received = %d after %d accepted blocks", tc.scheme, d.Received(), i+1)
+			}
+		}
+	}
+
+	layout, err := NewChunkLayout(l.Total(), 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ce, err := NewChunkedEncoder(layout, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dense := range []bool{false, true} {
+		cd, err := NewChunkedDecoder(layout, plen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks, err := ce.EncodeBatch(rng, 2*l.Total())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dense {
+			for _, b := range blocks {
+				b.Coeff, b.SpCoeff = b.DenseCoeff(), nil
+			}
+		}
+		bad := blocks[0].Clone()
+		bad.Object, bad.Payload = stray, bad.Payload[:plen-1]
+		if _, err := cd.Add(bad); err == nil {
+			t.Fatalf("chunked (dense %v): short payload accepted", dense)
+		}
+		for i, b := range blocks {
+			b.Object = obj
+			if _, err := cd.Add(b); err != nil {
+				t.Fatalf("chunked (dense %v): block %d of the real object: %v", dense, i, err)
+			}
+		}
+	}
+}

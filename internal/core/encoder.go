@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dist"
@@ -195,7 +198,7 @@ func (e *Encoder) Encode(rng *rand.Rand, level int) (*CodedBlock, error) {
 	b := &CodedBlock{Level: level, Coeff: cd.dense, SpCoeff: cd.sp}
 	if e.payloadLen > 0 {
 		b.Payload = make([]byte, e.payloadLen)
-		e.foldPayloadStripe(b.Payload, cd, 0)
+		e.foldPayload(b.Payload, cd)
 	} else {
 		b.Payload = []byte{}
 	}
@@ -216,10 +219,8 @@ type coeffDraw struct {
 }
 
 // drawCoeff draws one coded block's coefficient vector for the given level
-// and returns it together with the scheme's support range. Splitting this
-// out of Encode keeps the random-number consumption in one place, so the
-// striped and sequential payload paths produce bit-identical blocks from
-// the same generator state.
+// and returns it together with the scheme's support range. It is the only
+// consumer of the generator: the payload is a function of the draw.
 func (e *Encoder) drawCoeff(rng *rand.Rand, level int) (coeffDraw, error) {
 	lo, hi, err := e.scheme.Support(e.levels, level)
 	if err != nil {
@@ -272,21 +273,20 @@ func (e *Encoder) drawCoeff(rng *rand.Rand, level int) (coeffDraw, error) {
 	return coeffDraw{dense: coeff, lo: lo, hi: hi}, nil
 }
 
-// foldPayloadStripe accumulates the coded payload bytes [off, off+len(dst))
-// into dst: dst ^= coeff[j]·sources[j][off:...] over the draw's support.
-// Disjoint stripes of the same block are independent, which is what the
-// parallel payload path exploits. A sparse draw folds only its nonzero
-// entries — the O(ln N) encode cost the sparse representation exists for.
-func (e *Encoder) foldPayloadStripe(dst []byte, cd coeffDraw, off int) {
+// foldPayload accumulates the coded payload into dst: dst ^=
+// coeff[j]·sources[j] over the draw's support. A sparse draw folds only
+// its nonzero entries — the O(ln N) encode cost the sparse representation
+// exists for.
+func (e *Encoder) foldPayload(dst []byte, cd coeffDraw) {
 	if cd.sp != nil {
 		for i, j := range cd.sp.Idx {
-			gf256.AddMulSlice(dst, e.sources[j][off:off+len(dst)], cd.sp.Val[i])
+			gf256.AddMulSlice(dst, e.sources[j], cd.sp.Val[i])
 		}
 		return
 	}
 	for j := cd.lo; j < cd.hi; j++ {
 		if c := cd.dense[j]; c != 0 {
-			gf256.AddMulSlice(dst, e.sources[j][off:off+len(dst)], c)
+			gf256.AddMulSlice(dst, e.sources[j], c)
 		}
 	}
 }
@@ -295,15 +295,9 @@ func (e *Encoder) foldPayloadStripe(dst []byte, cd coeffDraw, off int) {
 // distribution and encodes each — the random accumulation model of
 // Sec. 3.3 ("M randomly accumulated coded blocks").
 func (e *Encoder) EncodeBatch(rng *rand.Rand, p PriorityDistribution, count int) ([]*CodedBlock, error) {
-	if err := p.Validate(e.levels); err != nil {
-		return nil, err
-	}
-	if count < 0 {
-		return nil, fmt.Errorf("core: negative batch count %d", count)
-	}
-	sampler, err := dist.NewCategorical(p)
+	sampler, err := e.batchSampler(p, count)
 	if err != nil {
-		return nil, fmt.Errorf("core: build level sampler: %w", err)
+		return nil, err
 	}
 	out := make([]*CodedBlock, 0, count)
 	for i := 0; i < count; i++ {
@@ -314,4 +308,70 @@ func (e *Encoder) EncodeBatch(rng *rand.Rand, p PriorityDistribution, count int)
 		out = append(out, b)
 	}
 	return out, nil
+}
+
+// EncodeSeeded is EncodeBatch for a batch that is a function of seed alone,
+// encoded on GOMAXPROCS workers. One sequential pass over the seed's
+// stream pins every block's level and private seed before any worker
+// starts; workers then encode whole blocks, each from its own seed, so the
+// output does not depend on the worker count or the scheduling. The batch
+// is not the one EncodeBatch draws from the same seed.
+func (e *Encoder) EncodeSeeded(seed int64, p PriorityDistribution, count int) ([]*CodedBlock, error) {
+	sampler, err := e.batchSampler(p, count)
+	if err != nil {
+		return nil, err
+	}
+	parent := rand.New(rand.NewSource(seed))
+	levels := make([]int, count)
+	seeds := make([]int64, count)
+	for i := range count {
+		levels[i] = sampler.Draw(parent)
+		seeds[i] = parent.Int63()
+	}
+
+	out := make([]*CodedBlock, count)
+	workers := min(runtime.GOMAXPROCS(0), count)
+	errs := make([]error, workers)
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+	)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(0))
+			for i := int(next.Add(1) - 1); i < count; i = int(next.Add(1) - 1) {
+				rng.Seed(seeds[i])
+				b, err := e.Encode(rng, levels[i])
+				if err != nil {
+					errs[w] = fmt.Errorf("core: encode block %d: %w", i, err)
+					return
+				}
+				out[i] = b
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// batchSampler validates a batch request and builds its level sampler.
+func (e *Encoder) batchSampler(p PriorityDistribution, count int) (*dist.Categorical, error) {
+	if err := p.Validate(e.levels); err != nil {
+		return nil, err
+	}
+	if count < 0 {
+		return nil, fmt.Errorf("core: negative batch count %d", count)
+	}
+	sampler, err := dist.NewCategorical(p)
+	if err != nil {
+		return nil, fmt.Errorf("core: build level sampler: %w", err)
+	}
+	return sampler, nil
 }

@@ -9,6 +9,8 @@ import (
 // decode a full-rank accumulation, at the three N the kernel work targets.
 // Payloads are 1 KiB — the regime where the word-parallel kernels carry the
 // run — and the coded-block count is 1.25·N so decode always completes.
+// EncodeN* run EncodeSeeded at GOMAXPROCS 1; EncodeN256WorkersK at K, the
+// pairing BENCH_kernels.json records.
 
 func benchLevels(b *testing.B, n int) *Levels {
 	b.Helper()
@@ -29,14 +31,11 @@ func benchSources(n, payloadLen int) [][]byte {
 	return out
 }
 
-func benchmarkEncode(b *testing.B, n, workers int) {
+func benchmarkEncode(b *testing.B, n, procs int) {
 	const payloadLen = 1024
+	setProcs(b, procs)
 	levels := benchLevels(b, n)
 	enc, err := NewEncoder(PLC, levels, benchSources(n, payloadLen))
-	if err != nil {
-		b.Fatal(err)
-	}
-	pe, err := NewParallelEncoder(enc, workers)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -45,7 +44,7 @@ func benchmarkEncode(b *testing.B, n, workers int) {
 	b.SetBytes(int64(count) * payloadLen)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pe.EncodeBatch(int64(i), p, count); err != nil {
+		if _, err := enc.EncodeSeeded(int64(i), p, count); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -65,11 +64,7 @@ func benchmarkDecode(b *testing.B, n int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pe, err := NewParallelEncoder(enc, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	blocks, err := pe.EncodeBatch(42, NewUniformDistribution(levels.Count()), n+n/4)
+	blocks, err := enc.EncodeSeeded(42, NewUniformDistribution(levels.Count()), n+n/4)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"repro/internal/dist"
 )
 
 func testSources(t *testing.T, n, payloadLen int, seed int64) [][]byte {
@@ -35,19 +38,23 @@ func testEncoder(t *testing.T, scheme Scheme, sizes []int, payloadLen int, opts 
 	return enc
 }
 
+// setProcs sets GOMAXPROCS to n until the test ends: EncodeSeeded and the
+// striped decode folds take their fan-out from it.
+func setProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestParallelEncodeBatchDeterministic pins the headline guarantee: for a
-// fixed seed the batch is bit-identical whatever the worker count.
+// fixed seed EncodeSeeded's batch is bit-identical whatever GOMAXPROCS.
 func TestParallelEncodeBatchDeterministic(t *testing.T) {
 	for _, scheme := range []Scheme{RLC, SLC, PLC} {
 		enc := testEncoder(t, scheme, []int{4, 8, 12}, 256)
 		p := NewUniformDistribution(3)
 		var want []*CodedBlock
-		for _, workers := range []int{1, 2, 3, 4, 7} {
-			pe, err := NewParallelEncoder(enc, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := pe.EncodeBatch(12345, p, 40)
+		for _, procs := range []int{1, 2, 3, 4, 7} {
+			setProcs(t, procs)
+			got, err := enc.EncodeSeeded(12345, p, 40)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +63,7 @@ func TestParallelEncodeBatchDeterministic(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v: EncodeBatch with %d workers differs from 1 worker", scheme, workers)
+				t.Fatalf("%v: EncodeSeeded at GOMAXPROCS %d differs from GOMAXPROCS 1", scheme, procs)
 			}
 		}
 	}
@@ -68,57 +75,59 @@ func TestParallelEncodeBatchDeterministic(t *testing.T) {
 func TestParallelEncodeBatchSparseDeterministic(t *testing.T) {
 	enc := testEncoder(t, PLC, []int{8, 8, 16}, 128, WithSparsity(LogSparsity(32)))
 	p := NewUniformDistribution(3)
-	pe1, _ := NewParallelEncoder(enc, 1)
-	pe4, _ := NewParallelEncoder(enc, 4)
-	a, err := pe1.EncodeBatch(777, p, 64)
+	setProcs(t, 1)
+	a, err := enc.EncodeSeeded(777, p, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := pe4.EncodeBatch(777, p, 64)
+	setProcs(t, 4)
+	b, err := enc.EncodeSeeded(777, p, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("sparse EncodeBatch differs across worker counts")
+		t.Fatal("sparse EncodeSeeded differs across GOMAXPROCS")
 	}
 }
 
-// TestParallelEncodeMatchesSequential verifies the striped single-block
-// path is bit-identical to Encoder.Encode from the same generator state,
-// using a payload big enough to cross the striping threshold.
+// TestParallelEncodeMatchesSequential pins EncodeSeeded's algorithm: the
+// seed's stream yields each block's level and then its private seed, and
+// the block is Encode from a generator on that seed. Replaying the
+// prologue by hand on one goroutine must give the same batch.
 func TestParallelEncodeMatchesSequential(t *testing.T) {
-	enc := testEncoder(t, PLC, []int{2, 3, 3}, 3*stripeMinBytes+123)
-	pe, err := NewParallelEncoder(enc, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for level := 0; level < 3; level++ {
-		seq, err := enc.Encode(rand.New(rand.NewSource(5)), level)
+	setProcs(t, 4)
+	for _, opts := range [][]EncoderOption{nil, {WithSparsity(3)}, {WithBand(4)}} {
+		enc := testEncoder(t, PLC, []int{2, 6, 8}, 96, opts...)
+		p := PriorityDistribution{0.2, 0.3, 0.5}
+		const seed, count = 5, 48
+		got, err := enc.EncodeSeeded(seed, p, count)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := pe.Encode(rand.New(rand.NewSource(5)), level)
+		sampler, err := dist.NewCategorical(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(seq.Coeff, par.Coeff) {
-			t.Fatalf("level %d: striped Encode drew different coefficients", level)
-		}
-		if !bytes.Equal(seq.Payload, par.Payload) {
-			t.Fatalf("level %d: striped Encode produced different payload", level)
+		parent := rand.New(rand.NewSource(seed))
+		for i := range count {
+			level := sampler.Draw(parent)
+			want, err := enc.Encode(rand.New(rand.NewSource(parent.Int63())), level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("block %d differs from the sequential replay", i)
+			}
 		}
 	}
 }
 
-// TestParallelEncodeBatchDecodes runs the full loop: parallel-encoded
-// blocks must decode back to the sources.
+// TestParallelEncodeBatchDecodes runs the full loop: blocks encoded on
+// several workers must decode back to the sources.
 func TestParallelEncodeBatchDecodes(t *testing.T) {
+	setProcs(t, 4)
 	enc := testEncoder(t, PLC, []int{4, 6, 6}, 64)
-	pe, err := NewParallelEncoder(enc, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks, err := pe.EncodeBatch(31337, NewUniformDistribution(3), 80)
+	blocks, err := enc.EncodeSeeded(31337, NewUniformDistribution(3), 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,9 +157,10 @@ func TestParallelEncodeBatchDecodes(t *testing.T) {
 	}
 }
 
-// TestParallelEncoderCoefficientOnly covers payloadLen == 0 (Monte-Carlo
-// mode): batches still generate and stay deterministic.
-func TestParallelEncoderCoefficientOnly(t *testing.T) {
+// TestEncodeSeededCoefficientOnly covers payloadLen == 0 (Monte-Carlo
+// mode): batches still generate and stay deterministic, and an empty batch
+// or a bad request behaves like EncodeBatch's.
+func TestEncodeSeededCoefficientOnly(t *testing.T) {
 	levels, err := NewLevels(5, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -159,25 +169,31 @@ func TestParallelEncoderCoefficientOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe, err := NewParallelEncoder(enc, 3)
+	setProcs(t, 3)
+	a, err := enc.EncodeSeeded(1, NewUniformDistribution(2), 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := pe.EncodeBatch(1, NewUniformDistribution(2), 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := pe.EncodeBatch(1, NewUniformDistribution(2), 30)
+	b, err := enc.EncodeSeeded(1, NewUniformDistribution(2), 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("coefficient-only EncodeBatch not reproducible")
+		t.Fatal("coefficient-only EncodeSeeded not reproducible")
 	}
 	for _, blk := range a {
 		if blk.Payload == nil || len(blk.Payload) != 0 {
 			t.Fatal("coefficient-only block should carry empty non-nil payload")
 		}
+	}
+	if out, err := enc.EncodeSeeded(1, NewUniformDistribution(2), 0); err != nil || len(out) != 0 {
+		t.Fatalf("empty batch: %d blocks, %v", len(out), err)
+	}
+	if _, err := enc.EncodeSeeded(1, NewUniformDistribution(2), -1); err == nil {
+		t.Error("negative count accepted")
+	}
+	if _, err := enc.EncodeSeeded(1, PriorityDistribution{1}, 10); err == nil {
+		t.Error("distribution of the wrong length accepted")
 	}
 }
 

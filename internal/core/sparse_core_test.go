@@ -211,9 +211,9 @@ func TestRecombineSparseInputs(t *testing.T) {
 	}
 }
 
-// TestParallelEncoderSparseBitIdentical pins that the parallel encode path
-// produces byte-identical sparse blocks to the sequential one.
-func TestParallelEncoderSparseBitIdentical(t *testing.T) {
+// TestEncodeSeededBandBitIdentical pins that EncodeSeeded produces
+// byte-identical band blocks, still carried sparsely, whatever GOMAXPROCS.
+func TestEncodeSeededBandBitIdentical(t *testing.T) {
 	l := mustLevels(t, 16, 16)
 	sources := make([][]byte, 32)
 	rng := rand.New(rand.NewSource(17))
@@ -225,16 +225,14 @@ func TestParallelEncoderSparseBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe, err := NewParallelEncoder(e, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := PriorityDistribution{0.5, 0.5}
-	batch1, err := pe.EncodeBatch(99, p, 50)
+	setProcs(t, 1)
+	batch1, err := e.EncodeSeeded(99, p, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch2, err := pe.EncodeBatch(99, p, 50)
+	setProcs(t, 4)
+	batch2, err := e.EncodeSeeded(99, p, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +242,7 @@ func TestParallelEncoderSparseBitIdentical(t *testing.T) {
 			t.Fatalf("block %d: representation mismatch", i)
 		}
 		if !bytes.Equal(a.Payload, b.Payload) || !bytes.Equal(a.DenseCoeff(), b.DenseCoeff()) {
-			t.Fatalf("block %d: batches differ across runs", i)
+			t.Fatalf("block %d: batches differ across GOMAXPROCS", i)
 		}
 	}
 }

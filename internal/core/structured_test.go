@@ -8,7 +8,7 @@ import (
 
 // Tests for the structure-aware decode path at the scheme level: SLC
 // sub-decoder aggregation under partial recovery, and bit-identical output
-// across payload worker counts.
+// whatever GOMAXPROCS the striped payload folds fan out over.
 
 // TestSLCPartialLevelRecovery pins down the sub-decoder aggregation: with
 // level 0's small system complete and level 1's underdetermined, exactly
@@ -95,8 +95,8 @@ func TestSLCPartialLevelRecovery(t *testing.T) {
 }
 
 // TestDecodeWorkersBitIdentical: for payloads above the striping threshold
-// the decoded sources must be byte-identical whatever SetWorkers was given,
-// for every scheme.
+// the decoded sources must be byte-identical whatever GOMAXPROCS, for every
+// scheme.
 func TestDecodeWorkersBitIdentical(t *testing.T) {
 	const plen = 20 << 10 // above the gfmat striping threshold
 	levels, err := NewLevels(2, 3, 3)
@@ -128,13 +128,11 @@ func TestDecodeWorkersBitIdentical(t *testing.T) {
 			}
 		}
 
-		decode := func(workers int) [][]byte {
+		decode := func(procs int) [][]byte {
+			setProcs(t, procs)
 			dec, err := NewDecoder(scheme, levels, plen)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if workers != 0 {
-				dec.SetWorkers(workers)
 			}
 			for _, b := range blocks {
 				if _, err := dec.Add(b); err != nil {
@@ -153,11 +151,11 @@ func TestDecodeWorkersBitIdentical(t *testing.T) {
 				t.Fatalf("%v: source %d decoded incorrectly", scheme, i)
 			}
 		}
-		for _, workers := range []int{0, 2, 4} {
-			got := decode(workers)
+		for _, procs := range []int{2, 3, 4, 7} {
+			got := decode(procs)
 			for i := range base {
 				if !bytes.Equal(base[i], got[i]) {
-					t.Fatalf("%v: source %d differs between 1 and %d workers", scheme, i, workers)
+					t.Fatalf("%v: source %d differs between GOMAXPROCS 1 and %d", scheme, i, procs)
 				}
 			}
 		}

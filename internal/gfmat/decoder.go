@@ -64,9 +64,6 @@ type Decoder struct {
 	// have decided the outcome (see fold).
 	ops []payloadOp
 
-	// workers is the payload-striping pool size; see SetPayloadWorkers.
-	workers int
-
 	// decodedPrefix is the number of leading columns that all have a pivot
 	// row; every one of those rows is solved. solved counts the unit rows,
 	// the prefix plus those solved on demand past it.

@@ -13,12 +13,13 @@ import (
 // only on byte i of the inputs. The decoder therefore records the folds
 // (d.ops) while reducing coefficients and applies them afterwards, and
 // both payload jobs it has — an incoming row's forward folds and a row's
-// solve — write a single destination row. For large payloads that one
-// fold is striped across a worker pool: each worker runs the complete
-// chain restricted to its own byte range, so stripes never read or write
-// each other's memory and the result is bit-identical to the sequential
-// fold for any worker count. This mirrors the payload striping of
-// core.ParallelEncoder one layer down.
+// solve — write a single destination row. For payloads of at least
+// payloadStripeMin bytes that one fold is striped across GOMAXPROCS
+// goroutines: each runs the complete chain restricted to its own byte
+// range, so stripes never read or write each other's memory and the
+// result is bit-identical to the sequential fold on any machine. Below
+// the threshold the fan-out costs more than it saves, and the fold stays
+// on the caller's goroutine.
 
 // payloadStripeMin is the payload size below which striping is not worth
 // the goroutine fan-out; smaller payloads fold sequentially.
@@ -29,32 +30,26 @@ const payloadStripeMin = 16 << 10
 // lines.
 const payloadStripeAlign = 64
 
-// SetPayloadWorkers configures the payload-striping pool: payload folds
-// are striped across up to n goroutines when the payload length is at
-// least payloadStripeMin bytes. n <= 0 selects GOMAXPROCS; n == 1 restores
-// the sequential fold. Decoded output is bit-identical for any setting.
-// Not safe to call concurrently with Add.
-func (d *Decoder) SetPayloadWorkers(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
+// stripeWorkers is how many goroutines fold a payload of plen bytes: one
+// below payloadStripeMin, GOMAXPROCS from there on.
+func stripeWorkers(plen int) int {
+	if plen < payloadStripeMin {
+		return 1
 	}
-	d.workers = n
+	return runtime.GOMAXPROCS(0)
 }
-
-// PayloadWorkers returns the configured payload-striping pool size
-// (0 = never configured, sequential).
-func (d *Decoder) PayloadWorkers() int { return d.workers }
 
 // fold applies the recorded payload folds to one destination row:
 // dst = scale · (start + Σ v · rows[row].payload over d.ops), where start
 // is src, or dst's own contents when src is nil.
 func (d *Decoder) fold(dst, src []byte, scale byte) {
 	plen := d.payloadLen
-	if d.workers <= 1 || plen < payloadStripeMin {
+	workers := stripeWorkers(plen)
+	if workers <= 1 {
 		d.foldStripe(dst, src, scale, 0, plen)
 		return
 	}
-	stripe := (plen + d.workers - 1) / d.workers
+	stripe := (plen + workers - 1) / workers
 	stripe = (stripe + payloadStripeAlign - 1) &^ (payloadStripeAlign - 1)
 	var wg sync.WaitGroup
 	for lo := 0; lo < plen; lo += stripe {

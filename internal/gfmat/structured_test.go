@@ -364,21 +364,26 @@ func TestDecodedCountIncremental(t *testing.T) {
 	}
 }
 
-// TestPayloadWorkersBitIdentical: with payloads above the striping
-// threshold, decoded output must be byte-identical for any worker count.
-func TestPayloadWorkersBitIdentical(t *testing.T) {
+// setProcs sets GOMAXPROCS to n until the test ends. The striped folds
+// take their fan-out from it, so this is how a test picks a worker count.
+func setProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestPayloadStripesBitIdentical: with payloads above the striping
+// threshold, decoded output must be byte-identical for any GOMAXPROCS.
+func TestPayloadStripesBitIdentical(t *testing.T) {
 	const n, nLevels, plen = 6, 3, payloadStripeMin + 777
 	rng := rand.New(rand.NewSource(34))
 	symbols := randomSymbols(rng, n, plen)
 	blocks := randomLevelBlocks(rng, symbols, n, nLevels, plen, n/nLevels+1, false)
 
-	decode := func(workers int) *Decoder {
+	decode := func(procs int) *Decoder {
+		setProcs(t, procs)
 		d, err := NewDecoder(n, plen)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if workers != 0 {
-			d.SetPayloadWorkers(workers)
 		}
 		for _, b := range blocks {
 			if _, err := d.AddBounded(b.coeff, b.payload, b.bound); err != nil {
@@ -401,23 +406,23 @@ func TestPayloadWorkersBitIdentical(t *testing.T) {
 			t.Fatalf("symbol %d decoded incorrectly", i)
 		}
 	}
-	for _, workers := range []int{0, 2, 3, 7} {
-		compareDecoders(t, base, decode(workers), "sequential vs striped")
+	for _, procs := range []int{2, 3, 4, 7} {
+		compareDecoders(t, base, decode(procs), fmt.Sprintf("GOMAXPROCS 1 vs %d", procs))
 	}
 }
 
 // TestStripedMatchesRef: with payloads above the striping threshold and
-// four workers, both payload jobs — an arrival's forward folds and the
-// prefix solve — run striped, and every answer after every Add matches
-// the sequential reference. Run under -race, this also checks the stripes
-// stay disjoint.
+// GOMAXPROCS at four, both payload jobs — an arrival's forward folds and
+// the prefix solve — run striped, and every answer after every Add
+// matches the sequential reference. Run under -race, this also checks the
+// stripes stay disjoint.
 func TestStripedMatchesRef(t *testing.T) {
 	const n, nLevels, plen = 8, 4, payloadStripeMin + 4097
+	setProcs(t, 4)
 	rng := rand.New(rand.NewSource(39))
 	symbols := randomSymbols(rng, n, plen)
 	blocks := randomLevelBlocks(rng, symbols, n, nLevels, plen, n/nLevels+1, false)
 	d, ref := newPair(t, n, plen)
-	d.SetPayloadWorkers(4)
 	for i, b := range blocks {
 		addBoth(t, d, ref, b)
 		compareDecoders(t, d, ref, fmt.Sprintf("after block %d", i))
@@ -432,21 +437,16 @@ func TestStripedMatchesRef(t *testing.T) {
 	}
 }
 
-func TestSetPayloadWorkersDefaults(t *testing.T) {
-	d, err := NewDecoder(2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.PayloadWorkers(); got != 0 {
-		t.Errorf("fresh decoder PayloadWorkers = %d, want 0", got)
-	}
-	d.SetPayloadWorkers(0)
-	if got := d.PayloadWorkers(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("SetPayloadWorkers(0): PayloadWorkers = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	d.SetPayloadWorkers(3)
-	if got := d.PayloadWorkers(); got != 3 {
-		t.Errorf("SetPayloadWorkers(3): PayloadWorkers = %d", got)
+// TestStripeWorkers pins the fan-out rule: sequential below the striping
+// threshold, GOMAXPROCS from it on.
+func TestStripeWorkers(t *testing.T) {
+	setProcs(t, 3)
+	for _, tc := range []struct{ plen, want int }{
+		{0, 1}, {4 << 10, 1}, {payloadStripeMin - 1, 1}, {payloadStripeMin, 3}, {1 << 20, 3},
+	} {
+		if got := stripeWorkers(tc.plen); got != tc.want {
+			t.Errorf("stripeWorkers(%d) = %d, want %d", tc.plen, got, tc.want)
+		}
 	}
 }
 
