@@ -96,7 +96,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	blocksDir := filepath.Join(t.TempDir(), "blocks")
 	if err := run([]string{
 		"encode", "-in", in, "-out", blocksDir,
-		"-blocks", "40", "-coded", "70", "-levels", "0.2,0.8", "-scheme", "plc",
+		"-blocks", "40", "-coded", "70", "-levels", "0.2,0.8", "-dist", "0.2,0.8", "-scheme", "plc",
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func Example() {
 	}
 	fmt.Printf("source 0 = %v\n", payload)
 	// Output:
-	// critical level decoded after 4 blocks, everything after 22
+	// critical level decoded after 4 blocks, everything after 24
 	// source 0 = [0 0]
 }
 

@@ -21,8 +21,10 @@ import (
 // The coefficients are carried in exactly one of two representations:
 // dense in Coeff, or canonical sparse in SpCoeff (with Coeff nil). Sparse
 // blocks stay sparse through marshaling (the v3 wire encoding), decode
-// (gfmat.Decoder.AddSparse) and recombination; dense blocks keep the v1
-// wire encoding bit for bit.
+// (gfmat.Decoder.AddSparse) and recombination. A dense block the Encoder
+// drew also carries the seed its Coeff was expanded from, and marshals as
+// the 16-byte-coded v5 frame while Coeff still matches it; any other
+// dense block keeps the v1 wire encoding bit for bit.
 type CodedBlock struct {
 	// Object names the logical data object the block belongs to. The zero
 	// object is the key-less legacy namespace: it marshals as the original
@@ -32,6 +34,12 @@ type CodedBlock struct {
 	Coeff   []byte
 	SpCoeff *SparseCoeff
 	Payload []byte
+
+	// seed, when seeded is set, is the seed Coeff was expanded from (see
+	// seedcoeff.go). MarshalBinary re-checks the match, so a block whose
+	// Coeff changed since simply marshals dense.
+	seed   uint64
+	seeded bool
 }
 
 // IsSparse reports whether the block carries its coefficients sparsely.
@@ -56,12 +64,12 @@ func (b *CodedBlock) DenseCoeff() []byte {
 	return b.Coeff
 }
 
-// Clone returns a deep copy of the block. Nil-ness and emptiness of the
-// slices are preserved: a nil Coeff stays nil and an empty non-nil Payload
-// stays empty non-nil, so clones remain reflect.DeepEqual to marshaled
-// round-trips of the original.
+// Clone returns a deep copy of the block, its seed included, so a clone
+// marshals to the original's bytes. Nil-ness and emptiness of the slices
+// are preserved: a nil Coeff stays nil and an empty non-nil Payload stays
+// empty non-nil.
 func (b *CodedBlock) Clone() *CodedBlock {
-	c := &CodedBlock{Object: b.Object, Level: b.Level}
+	c := &CodedBlock{Object: b.Object, Level: b.Level, seed: b.seed, seeded: b.seeded}
 	if b.Coeff != nil {
 		c.Coeff = make([]byte, len(b.Coeff))
 		copy(c.Coeff, b.Coeff)
@@ -182,10 +190,12 @@ func (e *Encoder) Levels() *Levels { return e.levels }
 func (e *Encoder) PayloadLen() int { return e.payloadLen }
 
 // Encode generates one coded block for the given level. Coefficients are
-// drawn uniformly from the nonzero field elements over the scheme's support
-// (or over a sparse random subset / a random band of it when WithSparsity
-// or WithBand is set, in which case the block carries its coefficients in
-// sparse form and never materializes the dense vector).
+// uniform over the nonzero field elements on the scheme's support: a
+// dense block's are the expansion of one rng.Uint64() seed, which the
+// block keeps for the v5 wire frame. With WithSparsity or WithBand they
+// cover a sparse random subset / a random band of the support instead,
+// drawn value by value, and the block carries them in sparse form without
+// ever materializing the dense vector.
 func (e *Encoder) Encode(rng *rand.Rand, level int) (*CodedBlock, error) {
 	var t0 time.Time
 	if e.met.encodeNs != nil {
@@ -195,7 +205,7 @@ func (e *Encoder) Encode(rng *rand.Rand, level int) (*CodedBlock, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &CodedBlock{Level: level, Coeff: cd.dense, SpCoeff: cd.sp}
+	b := &CodedBlock{Level: level, Coeff: cd.dense, SpCoeff: cd.sp, seed: cd.seed, seeded: cd.dense != nil}
 	if e.payloadLen > 0 {
 		b.Payload = make([]byte, e.payloadLen)
 		e.foldPayload(b.Payload, cd)
@@ -210,12 +220,14 @@ func (e *Encoder) Encode(rng *rand.Rand, level int) (*CodedBlock, error) {
 	return b, nil
 }
 
-// coeffDraw is one drawn coefficient vector: dense over [lo, hi), or
-// canonical sparse with dense == nil. Exactly one of the two is set.
+// coeffDraw is one drawn coefficient vector: dense over [lo, hi) and
+// expanded from seed, or canonical sparse with dense == nil. Exactly one
+// of the two is set.
 type coeffDraw struct {
 	dense  []byte
 	sp     *SparseCoeff
 	lo, hi int
+	seed   uint64
 }
 
 // drawCoeff draws one coded block's coefficient vector for the given level
@@ -267,10 +279,9 @@ func (e *Encoder) drawCoeff(rng *rand.Rand, level int) (coeffDraw, error) {
 		return coeffDraw{sp: s, lo: start, hi: start + w}, nil
 	}
 	coeff := make([]byte, e.levels.Total())
-	for j := lo; j < hi; j++ {
-		coeff[j] = byte(1 + rng.Intn(255))
-	}
-	return coeffDraw{dense: coeff, lo: lo, hi: hi}, nil
+	seed := rng.Uint64()
+	expandSeed(coeff[lo:hi], seed)
+	return coeffDraw{dense: coeff, lo: lo, hi: hi, seed: seed}, nil
 }
 
 // foldPayload accumulates the coded payload into dst: dst ^=

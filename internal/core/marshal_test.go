@@ -222,9 +222,11 @@ func TestUnmarshalDenseBitIdentical(t *testing.T) {
 
 // FuzzUnmarshalBinary hardens the wire parser: arbitrary input must never
 // panic, and accepted input must re-marshal identically. The aliasing
-// entry point must accept exactly the same frames, re-marshal to the same
-// bytes (the seeds cover v1–v4), leave its input untouched, and hand out
-// sections that cannot grow into one another.
+// entry point and CheckWire must accept exactly the same frames, the
+// former re-marshal to the same bytes (the seeds cover v1–v5), leave its
+// input untouched, and hand out sections that cannot grow into one
+// another. What an accepted frame makes the parser build is bounded by
+// the frame itself, plus at most maxSeedCoeffLen expanded coefficients.
 func FuzzUnmarshalBinary(f *testing.F) {
 	seed := &CodedBlock{Level: 3, Coeff: []byte{1, 0, 2}, Payload: []byte{9, 9}}
 	data, err := seed.MarshalBinary()
@@ -242,7 +244,18 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	sparseSpan := &CodedBlock{Level: 2, SpCoeff: SparsifyCoeff(band), Payload: []byte{}}
 	keyedDense := &CodedBlock{Object: NamedObject("fuzz"), Level: 1, Coeff: []byte{1, 0, 2}, Payload: []byte{9}}
 	keyedSparse := &CodedBlock{Object: NamedObject("fuzz"), Level: 2, SpCoeff: SparsifyCoeff([]byte{0, 7, 0, 0, 0, 0, 0, 9}), Payload: []byte{4}}
-	for _, sb := range []*CodedBlock{sparsePairs, sparseSpan, keyedDense, keyedSparse} {
+	seeded := testEncoder(f, PLC, []int{16, 48}, 4)
+	keyedSeed, err := seeded.Encode(rand.New(rand.NewSource(3)), 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	keyedSeed.Object = NamedObject("fuzz")
+	zeroSeed, err := seeded.Encode(rand.New(rand.NewSource(4)), 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seedFrame(NamedObject("fuzz"), maxSeedCoeffLen, 1, coeffKindSeed, 0, maxSeedCoeffLen, 5))
+	for _, sb := range []*CodedBlock{sparsePairs, sparseSpan, keyedDense, keyedSparse, keyedSeed, zeroSeed} {
 		sdata, err := sb.MarshalBinary()
 		if err != nil {
 			f.Fatal(err)
@@ -256,8 +269,25 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		if aerr := a.UnmarshalBinaryAlias(in); (err == nil) != (aerr == nil) {
 			t.Fatalf("copying unmarshal: %v, aliasing unmarshal: %v", err, aerr)
 		}
+		obj, level, cerr := CheckWire(in)
+		if (err == nil) != (cerr == nil) {
+			t.Fatalf("unmarshal: %v, CheckWire: %v", err, cerr)
+		}
 		if err != nil {
 			return
+		}
+		if obj != b.Object || level != b.Level {
+			t.Fatalf("CheckWire names %v level %d, unmarshal %v level %d", obj, level, b.Object, b.Level)
+		}
+		// A span-mode nonzero reads one byte and builds five (index and
+		// value); only a seed frame builds more, at most maxSeedCoeffLen
+		// coefficients.
+		built := len(b.Coeff) + len(b.Payload)
+		if b.SpCoeff != nil {
+			built += 5 * b.SpCoeff.NNZ()
+		}
+		if built > 5*len(in)+maxSeedCoeffLen {
+			t.Fatalf("a %d-byte frame built %d bytes of block", len(in), built)
 		}
 		for name, blk := range map[string]*CodedBlock{"copy": &b, "alias": &a} {
 			out, err := blk.MarshalBinary()

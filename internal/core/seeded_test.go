@@ -10,7 +10,7 @@ import (
 	"repro/internal/dist"
 )
 
-func testSources(t *testing.T, n, payloadLen int, seed int64) [][]byte {
+func testSources(t testing.TB, n, payloadLen int, seed int64) [][]byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	out := make([][]byte, n)
@@ -21,7 +21,7 @@ func testSources(t *testing.T, n, payloadLen int, seed int64) [][]byte {
 	return out
 }
 
-func testEncoder(t *testing.T, scheme Scheme, sizes []int, payloadLen int, opts ...EncoderOption) *Encoder {
+func testEncoder(t testing.TB, scheme Scheme, sizes []int, payloadLen int, opts ...EncoderOption) *Encoder {
 	t.Helper()
 	levels, err := NewLevels(sizes...)
 	if err != nil {

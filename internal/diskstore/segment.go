@@ -172,40 +172,6 @@ func tombstoneObj(wire []byte) (core.ObjectID, bool) {
 	return core.ObjectID(binary.BigEndian.Uint64(wire[8:])), true
 }
 
-// Block wire frame geometry mirrored from the core marshal layer: the
-// header is magic "PB" + version; key-less versions (1 dense, 3 sparse)
-// put the BE level right after, keyed versions (2 dense, 4 sparse)
-// insert the 8-byte BE object ID between version and level.
-const (
-	wireMinLegacy = 13 // "PB" + ver + level + 2×uint32 counts
-	wireMinKeyed  = wireMinLegacy + 8
-)
-
-// wireMeta extracts the object and priority level from a block wire
-// frame without a full unmarshal. The store validated the frame before
-// Put, and recovery re-checks exactly this much before trusting a
-// record.
-func wireMeta(wire []byte) (core.ObjectID, int, bool) {
-	if len(wire) < wireMinLegacy || wire[0] != 'P' || wire[1] != 'B' {
-		return 0, 0, false
-	}
-	switch wire[2] {
-	case 1, 3:
-		return core.ZeroObject, int(binary.BigEndian.Uint16(wire[3:5])), true
-	case 2, 4:
-		if len(wire) < wireMinKeyed {
-			return 0, 0, false
-		}
-		obj := core.ObjectID(binary.BigEndian.Uint64(wire[3:11]))
-		if obj == core.ZeroObject || obj == core.AllObjects {
-			return 0, 0, false // non-canonical keyed frame
-		}
-		return obj, int(binary.BigEndian.Uint16(wire[11:13])), true
-	default:
-		return 0, 0, false
-	}
-}
-
 // scanResult is what loading one segment yields.
 type scanResult struct {
 	seg       *segment
@@ -267,8 +233,8 @@ func loadSegment(path string, id uint64, maxRecord int) (scanResult, error) {
 		if crc32.ChecksumIEEE(wire) != wantCRC {
 			break // payload corrupted
 		}
-		obj, level, ok := wireMeta(wire)
-		if !ok {
+		obj, level, err := core.WireMeta(wire)
+		if err != nil {
 			if tobj, isTomb := tombstoneObj(wire); isTomb {
 				// A delete committed here: every record of the object
 				// earlier in the log dies; later records (a re-put)

@@ -18,8 +18,10 @@ import (
 // goldenMoverInventory is the SHA-256 over every node's sorted wire
 // inventory after the seeded join + migration below, recorded at the
 // commit before repair and mover were folded onto one loop and one
-// fill: same draws, same order, same blocks placed across commits.
-const goldenMoverInventory = "2f71bf52179413b7f86b2d45bf158518c6c5cd8ff7cfc0feb5b63cc74290a198"
+// fill, and re-recorded once when encoded dense blocks began to draw
+// their coefficients from a per-block seed (v5 frames): same draws, same
+// order, same blocks placed across commits.
+const goldenMoverInventory = "5edb0d98845e0cc87dd553c7b79750dd23ce36b8ef8f6b07193bea688abd1c16"
 
 // nodeInventory reads one node's every block, one object at a time: a
 // read names one object, so the whole inventory is a walk over the

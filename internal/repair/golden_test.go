@@ -14,10 +14,12 @@ import (
 
 // goldenRepairInventory is the SHA-256 over every replica's sorted wire
 // inventory after the seeded heal below, recorded at the commit before
-// repair and mover were folded onto one loop and one fill. Two runs of
-// one binary agreeing is TestChurnAcceptance's job; this constant makes
-// two *commits* agree: same draws, same order, same blocks placed.
-const goldenRepairInventory = "1de65f4d1f230656c9995f8127cafc2e46fd417a922627e75e404e220c804e19"
+// repair and mover were folded onto one loop and one fill, and
+// re-recorded once when encoded dense blocks began to draw their
+// coefficients from a per-block seed (v5 frames). Two runs of one binary
+// agreeing is TestChurnAcceptance's job; this constant makes two
+// *commits* agree: same draws, same order, same blocks placed.
+const goldenRepairInventory = "0e9b0099f65cc6b716bf863c67cd8cca2f95ec9354adbc71d36239d48fbca696"
 
 // replicaInventory reads one replica's every block, one object at a
 // time: a read names one object, so the whole inventory is a walk over

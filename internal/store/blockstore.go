@@ -169,7 +169,9 @@ func (m *MemStore) Delete(obj core.ObjectID) (int, error) {
 	blocks := m.objects[obj]
 	for _, sb := range blocks {
 		m.bytes -= int64(len(sb.data))
-		delete(m.seen, string(sb.data))
+		// sb.data views its dedup key's storage (see Put), so the key is
+		// that storage read back as a string, not a copy of it.
+		delete(m.seen, unsafe.String(unsafe.SliceData(sb.data), len(sb.data)))
 		delete(m.tallies, objLevel{obj, sb.level})
 	}
 	m.blocks -= len(blocks)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -95,6 +96,7 @@ type Client struct {
 	cfg    ClientConfig
 	dialer Dialer
 	met    clientMetrics
+	ids    atomic.Uint32 // the last request id handed out
 
 	mu     sync.Mutex
 	idle   []net.Conn
@@ -140,14 +142,30 @@ func (c *Client) Close() error {
 // Put stores one coded block, retrying transient failures. Retries are
 // idempotent because the server deduplicates identical blocks.
 func (c *Client) Put(ctx context.Context, b *core.CodedBlock) error {
-	if b == nil {
-		return fmt.Errorf("%w: nil block", ErrBadRequest)
-	}
-	body, err := b.MarshalBinary()
+	wire, err := marshalPut(b)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return err
 	}
-	_, err = c.do(ctx, "put", framePut, body, frameOK)
+	return c.putWire(ctx, wire)
+}
+
+// marshalPut is the wire encoding a put sends, with a block the wire
+// cannot carry reported as ErrBadRequest.
+func marshalPut(b *core.CodedBlock) ([]byte, error) {
+	if b == nil {
+		return nil, fmt.Errorf("%w: nil block", ErrBadRequest)
+	}
+	wire, err := b.MarshalBinary()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return wire, nil
+}
+
+// putWire stores one block already in its wire encoding, so a put to
+// several replicas marshals once.
+func (c *Client) putWire(ctx context.Context, wire []byte) error {
+	_, err := c.do(ctx, "put", framePut, wire, frameOK)
 	return err
 }
 
@@ -171,23 +189,28 @@ func (c *Client) PutAll(ctx context.Context, blocks []*core.CodedBlock) (int, er
 // DefaultMaxFrame: the server refuses to build it.
 //
 // The returned blocks alias the response they arrived in (see
-// decodeBlockList): decoders copy what they keep, but a caller that holds
-// on to one block for long pins the whole response and should Clone it.
+// parseBlocks): decoders copy what they keep, but a caller that holds on
+// to one block for long pins the whole response and should Clone it.
 func (c *Client) GetObject(ctx context.Context, obj core.ObjectID, maxLevel int) ([]*core.CodedBlock, error) {
-	list, err := c.getList(ctx, obj, maxLevel)
+	wires, err := c.getWires(ctx, obj, maxLevel)
+	if err != nil {
+		return nil, err
+	}
+	list, err := parseBlocks(wires)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*core.CodedBlock, len(list))
 	for i := range list {
-		out[i] = &list[i].CodedBlock
+		out[i] = &list[i]
 	}
 	return out, nil
 }
 
-// getList is GetObject keeping each block's wire bytes, which is what
-// Replicated collects.
-func (c *Client) getList(ctx context.Context, obj core.ObjectID, maxLevel int) ([]wireBlock, error) {
+// getWires is GetObject stopping short of parsing: the answer's blocks as
+// the wire bytes they arrived as, which Replicated de-duplicates before
+// parsing any.
+func (c *Client) getWires(ctx context.Context, obj core.ObjectID, maxLevel int) ([][]byte, error) {
 	if obj == core.AllObjects {
 		return nil, fmt.Errorf("%w: get needs a concrete object", ErrBadRequest)
 	}
@@ -198,7 +221,7 @@ func (c *Client) getList(ctx context.Context, obj core.ObjectID, maxLevel int) (
 	if err != nil {
 		return nil, err
 	}
-	return decodeBlockList(resp)
+	return splitBlockList(resp)
 }
 
 // Ping checks liveness.
@@ -341,7 +364,10 @@ func staleConn(ctx context.Context, err error) bool {
 
 // exchange sends one request on conn and reads its response, returning
 // conn to the pool when the stream is still in sync and closing it
-// otherwise. A failure before any response byte wraps noFrameError.
+// otherwise. A failure before any response byte wraps noFrameError. An
+// answer carrying another request's id is a corrupt frame — the stream
+// is out of step with its requests — except a connection-level error
+// frame, which carries id 0.
 func (c *Client) exchange(ctx context.Context, conn net.Conn, reqType byte, body []byte, wantResp byte) ([]byte, error) {
 	// Order matters: set the op deadline FIRST, then arm the poison. The
 	// poison (a past deadline) interrupts a blocked read the moment the
@@ -351,14 +377,19 @@ func (c *Client) exchange(ctx context.Context, conn net.Conn, reqType byte, body
 	conn.SetDeadline(time.Now().Add(c.cfg.OpTimeout))
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
 	defer stop()
-	if err := writeFrame(conn, reqType, body); err != nil {
+	id := c.nextID()
+	if err := writeFrame(conn, reqType, id, body); err != nil {
 		conn.Close()
 		return nil, c.ctxOr(ctx, noFrameError{err})
 	}
-	typ, resp, err := readFrame(conn, DefaultMaxFrame)
+	typ, respID, resp, err := readFrame(conn, DefaultMaxFrame)
 	if err != nil {
 		conn.Close()
 		return nil, c.ctxOr(ctx, err)
+	}
+	if respID != id && (typ != frameErr || respID != 0) {
+		conn.Close()
+		return nil, fmt.Errorf("%w: %q answer carries request id %d, want %d", ErrCorruptFrame, typ, respID, id)
 	}
 	switch typ {
 	case wantResp:
@@ -378,6 +409,15 @@ func (c *Client) exchange(ctx context.Context, conn net.Conn, reqType byte, body
 	default:
 		conn.Close()
 		return nil, fmt.Errorf("%w: unexpected %q response frame", ErrCorruptFrame, typ)
+	}
+}
+
+// nextID hands out the next request id, skipping 0 (see frame.go).
+func (c *Client) nextID() uint32 {
+	for {
+		if id := c.ids.Add(1); id != 0 {
+			return id
+		}
 	}
 }
 

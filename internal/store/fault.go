@@ -159,8 +159,9 @@ func (c *faultConn) Write(p []byte) (int, error) {
 	}
 	corruptAt := -1
 	// A frame write is one Write call (see writeFrame); flipping a byte
-	// at offset >= 4 corrupts type, CRC or body — always CRC-detectable,
-	// never the length prefix (which would stall the reader instead).
+	// at offset >= 4 corrupts op, CRC, request id or body — always
+	// CRC-detectable, never the length prefix (which would stall the
+	// reader instead).
 	if f.cfg.CorruptProb > 0 && len(p) > frameHeader && f.rng.Float64() < f.cfg.CorruptProb {
 		corruptAt = 4 + f.rng.Intn(len(p)-4)
 		f.framesMauled++

@@ -13,18 +13,25 @@ import (
 
 // Wire framing. Every message on a store connection is one frame:
 //
-//	length  uint32 BE   bytes after this field: 1 (type) + 4 (crc) + body
-//	type    byte        frame type (see the frame* constants)
-//	crc32   uint32 BE   IEEE CRC over the type byte and the body
-//	body    length-5 bytes
+//	length  uint32 BE   bytes after this field: 1 (op) + 4 (crc) + 4 (id) + body
+//	op      byte        frame type: a request's op, a response's kind (see
+//	                    the frame* constants)
+//	crc32   uint32 BE   IEEE CRC over the op byte, the request id and the body
+//	id      uint32 BE   request id: the client's, echoed by the answer
+//	body    length-9 bytes
 //
-// The CRC covers the type byte so a flipped opcode is caught like any
-// other corruption. Block bodies reuse the core CodedBlock wire format
-// (version byte preserved), so the store never invents a second
+// The CRC covers the op byte and the id, so a flipped opcode or id is
+// caught like any other corruption. A client numbers its requests from 1
+// and treats an answer carrying another id as a corrupt frame; id 0 is
+// never a request's, and marks the server's connection-level errors —
+// busy at accept, a request that failed its CRC — which answer no
+// request in particular. Block bodies reuse the core CodedBlock wire
+// format (version byte preserved), so the store never invents a second
 // serialization of the same data.
 const (
-	frameOverhead = 1 + 4     // type + crc, covered by the length field
-	frameHeader   = 4 + 1 + 4 // length + type + crc
+	frameOverhead = 1 + 4 + 4         // op + crc + id, covered by the length field
+	frameHeader   = 4 + frameOverhead // length + op + crc + id
+	frameIDOffset = frameHeader - 4   // where the id sits in a frame
 
 	// DefaultMaxFrame bounds a single frame body (16 MiB) — on the
 	// client, on the server and for a disk record alike, so whatever one
@@ -34,8 +41,10 @@ const (
 	DefaultMaxFrame = 16 << 20
 )
 
-// Frame types. Requests are uppercase-ish mnemonics, responses follow
-// shell conventions ('+' ok, '!' error).
+// Frame types, the op byte. Requests are uppercase-ish mnemonics,
+// responses follow shell conventions ('+' ok, '!' error). Held for the
+// ops of the one wire revision still to come, and unassigned until then:
+// 'M' multi-block put, 'R' recombine, 'O' object manifest.
 const (
 	framePut      = 'P' // body: one CodedBlock (core wire format)
 	frameGet      = 'G' // body: uint16 max level (0xFFFF = all) + uint64 object ID
@@ -72,19 +81,20 @@ var frameBufPool = sync.Pool{
 
 const maxPooledBuf = 1 << 20
 
-// beginFrame starts a frame of the given type in buf: the header with
-// its length and CRC fields still zero. The caller appends the body and
-// calls sealFrame, so a body assembled from parts (a block list) is
-// built in place instead of in a buffer of its own.
-func beginFrame(buf []byte, typ byte) []byte {
-	return append(buf, 0, 0, 0, 0, typ, 0, 0, 0, 0)
+// beginFrame starts a frame of the given type and request id in buf: the
+// header with its length and CRC fields still zero. The caller appends
+// the body and calls sealFrame, so a body assembled from parts (a block
+// list) is built in place instead of in a buffer of its own.
+func beginFrame(buf []byte, typ byte, id uint32) []byte {
+	buf = append(buf, 0, 0, 0, 0, typ, 0, 0, 0, 0)
+	return binary.BigEndian.AppendUint32(buf, id)
 }
 
 // sealFrame patches the length and CRC of the frame that starts at
 // buf[0] and ends at len(buf).
 func sealFrame(buf []byte) {
 	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
-	crc := crc32.Update(crc32.ChecksumIEEE(buf[4:5]), crc32.IEEETable, buf[frameHeader:])
+	crc := crc32.Update(crc32.ChecksumIEEE(buf[4:5]), crc32.IEEETable, buf[frameIDOffset:])
 	binary.BigEndian.PutUint32(buf[5:], crc)
 }
 
@@ -102,9 +112,9 @@ func sendFrame(w io.Writer, bp *[]byte, buf []byte) error {
 }
 
 // writeFrame serializes one frame into a pooled buffer and writes it.
-func writeFrame(w io.Writer, typ byte, body []byte) error {
+func writeFrame(w io.Writer, typ byte, id uint32, body []byte) error {
 	bp := frameBufPool.Get().(*[]byte)
-	buf := append(beginFrame((*bp)[:0], typ), body...)
+	buf := append(beginFrame((*bp)[:0], typ, id), body...)
 	sealFrame(buf)
 	return sendFrame(w, bp, buf)
 }
@@ -116,7 +126,7 @@ func writeFrame(w io.Writer, typ byte, body []byte) error {
 // is built or written: no client could read it, so sending it only
 // burns the client's retries. (The bound also keeps the uint32 count and
 // length fields from truncating.)
-func writeBlockList(w io.Writer, blocks [][]byte) error {
+func writeBlockList(w io.Writer, id uint32, blocks [][]byte) error {
 	size := frameHeader + 4
 	for _, b := range blocks {
 		size += 4 + len(b)
@@ -130,7 +140,7 @@ func writeBlockList(w io.Writer, blocks [][]byte) error {
 	if cap(buf) < size {
 		buf = make([]byte, 0, size)
 	}
-	buf = beginFrame(buf, frameBlocks)
+	buf = beginFrame(buf, frameBlocks, id)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(blocks)))
 	for _, b := range blocks {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
@@ -140,13 +150,13 @@ func writeBlockList(w io.Writer, blocks [][]byte) error {
 	return sendFrame(w, bp, buf)
 }
 
-// readFrame reads and validates one frame, allocating a fresh body.
-// Length-field violations and CRC mismatches wrap ErrCorruptFrame;
-// after either, the stream is out of sync and the connection must be
-// closed.
-func readFrame(r io.Reader, maxFrame int) (byte, []byte, error) {
-	typ, body, _, err := readFrameBuf(r, maxFrame, nil)
-	return typ, body, err
+// readFrame reads and validates one frame, allocating a fresh body, and
+// returns its type, request id and body. Length-field violations and CRC
+// mismatches wrap ErrCorruptFrame; after either, the stream is out of
+// sync and the connection must be closed.
+func readFrame(r io.Reader, maxFrame int) (byte, uint32, []byte, error) {
+	typ, id, body, _, err := readFrameBuf(r, maxFrame, nil)
+	return typ, id, body, err
 }
 
 // noFrameError marks an exchange that failed before the first byte of a
@@ -163,46 +173,45 @@ func (e noFrameError) Unwrap() error { return e.error }
 // request with zero steady-state allocations. The body is only valid
 // until the next call with the same buffer; callers that retain block
 // bytes (the put path) must copy, which they already do to own them.
-func readFrameBuf(r io.Reader, maxFrame int, scratch []byte) (byte, []byte, []byte, error) {
+func readFrameBuf(r io.Reader, maxFrame int, scratch []byte) (byte, uint32, []byte, []byte, error) {
 	var lenBuf [4]byte
 	if n, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		if n == 0 {
 			err = noFrameError{err}
 		}
-		return 0, nil, scratch, err
+		return 0, 0, nil, scratch, err
 	}
 	n := int(binary.BigEndian.Uint32(lenBuf[:]))
 	if n < frameOverhead {
-		return 0, nil, scratch, fmt.Errorf("%w: frame length %d below header", ErrCorruptFrame, n)
+		return 0, 0, nil, scratch, fmt.Errorf("%w: frame length %d below header", ErrCorruptFrame, n)
 	}
 	if n > maxFrame+frameOverhead {
-		return 0, nil, scratch, fmt.Errorf("%w: frame length %d exceeds limit %d", ErrCorruptFrame, n, maxFrame)
+		return 0, 0, nil, scratch, fmt.Errorf("%w: frame length %d exceeds limit %d", ErrCorruptFrame, n, maxFrame)
 	}
 	if cap(scratch) < n {
 		scratch = make([]byte, n)
 	}
 	rest := scratch[:n]
 	if _, err := io.ReadFull(r, rest); err != nil {
-		return 0, nil, scratch, err
+		return 0, 0, nil, scratch, err
 	}
 	typ := rest[0]
 	want := binary.BigEndian.Uint32(rest[1:5])
-	crc := crc32.NewIEEE()
-	crc.Write(rest[:1])
-	crc.Write(rest[5:])
-	if crc.Sum32() != want {
-		return 0, nil, scratch, fmt.Errorf("%w: crc mismatch on %q frame", ErrCorruptFrame, typ)
+	crc := crc32.Update(crc32.ChecksumIEEE(rest[:1]), crc32.IEEETable, rest[5:])
+	if crc != want {
+		return 0, 0, nil, scratch, fmt.Errorf("%w: crc mismatch on %q frame", ErrCorruptFrame, typ)
 	}
-	return typ, rest[5:], scratch, nil
+	return typ, binary.BigEndian.Uint32(rest[5:9]), rest[9:], scratch, nil
 }
 
-// writeErrFrame best-effort sends an error response; failures are
-// ignored because the connection is usually about to close anyway.
-func writeErrFrame(w io.Writer, code byte, msg string) {
+// writeErrFrame best-effort sends an error response to request id (0
+// for a connection-level error); failures are ignored because the
+// connection is usually about to close anyway.
+func writeErrFrame(w io.Writer, id uint32, code byte, msg string) {
 	body := make([]byte, 0, 1+len(msg))
 	body = append(body, code)
 	body = append(body, msg...)
-	_ = writeFrame(w, frameErr, body)
+	_ = writeFrame(w, frameErr, id, body)
 }
 
 // decodeErrFrame maps a frameErr body to a typed error.
@@ -231,23 +240,14 @@ func decodeErrFrame(body []byte) error {
 // frame it arrived in).
 const minBlockEntry = 4 + 13
 
-// wireBlock is one block of a get response next to the wire bytes it
-// was parsed from; Replicated de-duplicates copies on those bytes.
-type wireBlock struct {
-	core.CodedBlock
-	wire []byte
-}
-
-// decodeBlockList unpacks a frameBlocks body into CodedBlocks that alias
-// it (core.UnmarshalBinaryAlias), all held in one array: a get costs the
-// response body, this array and whatever the sparse blocks must build,
-// not two allocations and two copies per block. body must therefore be
-// the caller's to give away — readFrame allocates a fresh one per
-// response; a reused scratch buffer (the server's request loop) is not.
-// The body already passed the frame CRC, so a parse failure here means a
-// peer bug rather than line noise; it is still reported as corruption so
-// clients retry elsewhere.
-func decodeBlockList(body []byte) ([]wireBlock, error) {
+// splitBlockList cuts a frameBlocks body into its entries' wire bytes,
+// each a capacity-clipped sub-slice of body; no block is parsed. body
+// must therefore be the caller's to give away — readFrame allocates a
+// fresh one per response; a reused scratch buffer (the server's request
+// loop) is not. The body already passed the frame CRC, so a malformed
+// list means a peer bug rather than line noise; it is still reported as
+// corruption so clients retry elsewhere.
+func splitBlockList(body []byte) ([][]byte, error) {
 	if len(body) < 4 {
 		return nil, fmt.Errorf("%w: block list truncated", ErrCorruptFrame)
 	}
@@ -261,7 +261,7 @@ func decodeBlockList(body []byte) ([]wireBlock, error) {
 			ErrCorruptFrame, n, len(body)/minBlockEntry)
 	}
 	off := 4
-	out := make([]wireBlock, n)
+	out := make([][]byte, n)
 	for i := range out {
 		if len(body)-off < 4 {
 			return nil, fmt.Errorf("%w: block list truncated at entry %d", ErrCorruptFrame, i)
@@ -271,14 +271,26 @@ func decodeBlockList(body []byte) ([]wireBlock, error) {
 		if len(body)-off < l {
 			return nil, fmt.Errorf("%w: block %d length %d overruns body", ErrCorruptFrame, i, l)
 		}
-		out[i].wire = body[off : off+l : off+l]
-		if err := out[i].UnmarshalBinaryAlias(out[i].wire); err != nil {
-			return nil, fmt.Errorf("%w: block %d: %v", ErrCorruptFrame, i, err)
-		}
+		out[i] = body[off : off+l : off+l]
 		off += l
 	}
 	if off != len(body) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after block list", ErrCorruptFrame, len(body)-off)
+	}
+	return out, nil
+}
+
+// parseBlocks unmarshals wire entries into blocks that alias them
+// (core.UnmarshalBinaryAlias), all held in one array: a get costs the
+// response body, this array and what seed and sparse blocks must build,
+// not two allocations and two copies per block. One bad entry fails the
+// whole list with ErrCorruptFrame: an answer is all or nothing.
+func parseBlocks(wires [][]byte) ([]core.CodedBlock, error) {
+	out := make([]core.CodedBlock, len(wires))
+	for i, w := range wires {
+		if err := out[i].UnmarshalBinaryAlias(w); err != nil {
+			return nil, fmt.Errorf("%w: block %d: %v", ErrCorruptFrame, i, err)
+		}
 	}
 	return out, nil
 }
@@ -543,7 +555,7 @@ func encodeStats(st Stats) ([]byte, error) {
 
 // readLevelCounts parses the uint16-counted entry list at body[off:],
 // returning it and the offset past it. The claimed count is bounded by
-// the bytes present before anything is read, decodeBlockList-style.
+// the bytes present before anything is read, splitBlockList-style.
 func readLevelCounts(body []byte, off int) ([]LevelCount, int, error) {
 	if len(body)-off < 2 {
 		return nil, 0, fmt.Errorf("%w: stats level list truncated", ErrCorruptFrame)

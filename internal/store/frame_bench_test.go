@@ -16,14 +16,17 @@ import (
 
 // writeFrameAlloc is writeFrame without the buffer pool: one fresh
 // build buffer per call, exactly what the code did before reuse.
-func writeFrameAlloc(w io.Writer, typ byte, body []byte) error {
+func writeFrameAlloc(w io.Writer, typ byte, id uint32, body []byte) error {
 	buf := make([]byte, 0, frameHeader+len(body))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(frameOverhead+len(body)))
 	buf = append(buf, typ)
+	idb := binary.BigEndian.AppendUint32(nil, id)
 	crc := crc32.NewIEEE()
 	crc.Write([]byte{typ})
+	crc.Write(idb)
 	crc.Write(body)
 	buf = binary.BigEndian.AppendUint32(buf, crc.Sum32())
+	buf = append(buf, idb...)
 	buf = append(buf, body...)
 	_, err := w.Write(buf)
 	return err
@@ -41,7 +44,7 @@ func BenchmarkFrameWrite(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if err := writeFrame(io.Discard, framePut, body); err != nil {
+			if err := writeFrame(io.Discard, framePut, 1, body); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -54,7 +57,7 @@ func BenchmarkFrameWriteRef(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if err := writeFrameAlloc(io.Discard, framePut, body); err != nil {
+			if err := writeFrameAlloc(io.Discard, framePut, 1, body); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -64,7 +67,7 @@ func BenchmarkFrameWriteRef(b *testing.B) {
 func BenchmarkFrameRead(b *testing.B) {
 	body := benchBody(4096)
 	var wire bytes.Buffer
-	if err := writeFrame(&wire, framePut, body); err != nil {
+	if err := writeFrame(&wire, framePut, 1, body); err != nil {
 		b.Fatal(err)
 	}
 	raw := wire.Bytes()
@@ -75,7 +78,7 @@ func BenchmarkFrameRead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.Reset(raw)
 		var err error
-		_, _, scratch, err = readFrameBuf(r, DefaultMaxFrame, scratch)
+		_, _, _, scratch, err = readFrameBuf(r, DefaultMaxFrame, scratch)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,7 +88,7 @@ func BenchmarkFrameRead(b *testing.B) {
 func BenchmarkFrameReadRef(b *testing.B) {
 	body := benchBody(4096)
 	var wire bytes.Buffer
-	if err := writeFrame(&wire, framePut, body); err != nil {
+	if err := writeFrame(&wire, framePut, 1, body); err != nil {
 		b.Fatal(err)
 	}
 	raw := wire.Bytes()
@@ -94,7 +97,7 @@ func BenchmarkFrameReadRef(b *testing.B) {
 	r := bytes.NewReader(raw)
 	for i := 0; i < b.N; i++ {
 		r.Reset(raw)
-		if _, _, err := readFrame(r, DefaultMaxFrame); err != nil {
+		if _, _, _, err := readFrame(r, DefaultMaxFrame); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -18,14 +19,17 @@ const (
 	fuzzSegmentList
 	fuzzDeleteBody
 	fuzzErrFrame
+	fuzzFrame
 	storeFrameKinds
 )
 
-// FuzzStoreFrames feeds hostile bodies to every store frame decoder. No
-// decoder may panic, and every body one accepts must come back byte for
-// byte from its encoder: each value has exactly one spelling on the
-// wire. The seeds are current bodies of every kind plus the layouts the
-// store no longer speaks (the 2-byte get, stat bodies v1 and v2), which
+// FuzzStoreFrames feeds hostile bodies to every store frame decoder, and
+// hostile whole frames — length, op, CRC, request id — to the frame
+// reader. No decoder may panic, and every body or frame one accepts must
+// come back byte for byte from its encoder: each value has exactly one
+// spelling on the wire, the request id included. The seeds are current
+// bodies of every kind plus the layouts the store no longer speaks (the
+// 2-byte get, stat bodies v1 and v2, a frame without a request id), which
 // must stay rejected.
 func FuzzStoreFrames(f *testing.F) {
 	add := func(kind byte, body []byte) { f.Add(append([]byte{kind}, body...)) }
@@ -71,6 +75,21 @@ func FuzzStoreFrames(f *testing.F) {
 	add(fuzzDeleteBody, encodeDeleteBody(core.NamedObject("fuzz")))
 	add(fuzzErrFrame, append([]byte{errCodeFull}, "store full"...))
 	add(fuzzErrFrame, nil)
+	for _, fr := range []struct {
+		typ  byte
+		id   uint32
+		body []byte
+	}{{framePing, 1, nil}, {frameGet, 0xFFFFFFFF, encodeGetBody(core.NamedObject("fuzz"), 3)}, {frameErr, 0, []byte{errCodeCorrupt}}} {
+		var frame bytes.Buffer
+		if err := writeFrame(&frame, fr.typ, fr.id, fr.body); err != nil {
+			f.Fatal(err)
+		}
+		add(fuzzFrame, frame.Bytes())
+		// The same frame as a reader without request ids framed it.
+		old := append([]byte(nil), frame.Bytes()[:frameIDOffset]...)
+		binary.BigEndian.PutUint32(old, uint32(len(old)-4+len(fr.body)))
+		add(fuzzFrame, append(old, fr.body...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -88,19 +107,16 @@ func FuzzStoreFrames(f *testing.F) {
 				sameBody(t, "stats", body, re, err)
 			}
 		case fuzzBlockList:
-			list, err := decodeBlockList(body)
+			wires, err := splitBlockList(body)
 			if err != nil {
 				return
 			}
-			wires := make([][]byte, len(list))
-			for i := range list {
-				wires[i] = list[i].wire
-			}
+			parseBlocks(wires) // must not panic on any entry
 			var frame bytes.Buffer
-			if err := writeBlockList(&frame, wires); err != nil {
+			if err := writeBlockList(&frame, 1, wires); err != nil {
 				t.Fatalf("block list: re-encode: %v", err)
 			}
-			_, re, err := readFrame(&frame, DefaultMaxFrame)
+			_, _, re, err := readFrame(&frame, DefaultMaxFrame)
 			sameBody(t, "block list", body, re, err)
 		case fuzzSegmentList:
 			if segs, err := decodeSegmentList(body); err == nil {
@@ -128,9 +144,17 @@ func FuzzStoreFrames(f *testing.F) {
 				return // unknown codes read as bad requests; nothing to re-encode
 			}
 			var frame bytes.Buffer
-			writeErrFrame(&frame, code, string(body[1:]))
-			_, re, err := readFrame(&frame, DefaultMaxFrame)
+			writeErrFrame(&frame, 0, code, string(body[1:]))
+			_, _, re, err := readFrame(&frame, DefaultMaxFrame)
 			sameBody(t, "error frame", body, re, err)
+		case fuzzFrame:
+			typ, id, fb, err := readFrame(bytes.NewReader(body), DefaultMaxFrame)
+			if err != nil {
+				return
+			}
+			var frame bytes.Buffer
+			err = writeFrame(&frame, typ, id, fb)
+			sameBody(t, "frame", body[:frameHeader+len(fb)], frame.Bytes(), err)
 		}
 	})
 }

@@ -16,6 +16,16 @@ import (
 	"repro/internal/metrics"
 )
 
+// decodeBlockList is a get answer's path through the client: the list
+// split into entries, then every entry parsed.
+func decodeBlockList(body []byte) ([]core.CodedBlock, error) {
+	wires, err := splitBlockList(body)
+	if err != nil {
+		return nil, err
+	}
+	return parseBlocks(wires)
+}
+
 // TestDecodeBlockListHostileCount pins the pre-allocation clamp: a body
 // whose wire count claims billions of entries must fail fast with
 // ErrCorruptFrame instead of sizing a multi-GB slice from a 12-byte
@@ -184,6 +194,84 @@ func TestStoreSparseEndToEnd(t *testing.T) {
 	checkCriticalLevel(t, dec, levels, sources)
 }
 
+// TestStoreSeedFramesEndToEnd puts seed-coded (v5) blocks through live
+// servers: each is stored as the bytes it was put as, a collect returns
+// every distinct one exactly once, re-marshaling to those bytes, and they
+// decode.
+func TestStoreSeedFramesEndToEnd(t *testing.T) {
+	ctx := context.Background()
+	levels, err := core.NewLevels(16, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	sources := make([][]byte, levels.Total())
+	for i := range sources {
+		sources[i] = make([]byte, 32)
+		rng.Read(sources[i])
+	}
+	enc, err := core.NewEncoder(core.PLC, levels, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := enc.EncodeBatch(rng, core.PriorityDistribution{0.3, 0.7}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := core.NamedObject("seeded")
+	put := make(map[string]bool, len(blocks))
+	for _, b := range blocks {
+		b.Object = obj
+		w, err := b.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w[2] != 5 || len(w) != 38+32 {
+			t.Fatalf("64-source block marshals as v%d of %d bytes, want a 70-byte v5 frame", w[2], len(w))
+		}
+		put[string(w)] = true
+	}
+	clients := make([]*Client, 3)
+	for i := range clients {
+		clients[i] = newTestClient(t, newTestServer(t, ServerConfig{}).Addr(), nil)
+	}
+	repl, err := NewReplicated(clients, levels.Count(), ReplicatedConfig{Tolerance: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repl.PutAll(ctx, blocks); err != nil {
+		t.Fatal(err)
+	}
+	got, err := repl.CollectObject(ctx, obj, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(put) {
+		t.Fatalf("collected %d blocks, want the %d put", len(got), len(put))
+	}
+	dec, err := core.NewDecoder(core.PLC, levels, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range got {
+		w, err := b.MarshalBinary()
+		if err != nil || !put[string(w)] {
+			t.Fatalf("collected block re-marshals to bytes that were never put (%v)", err)
+		}
+		if _, err := dec.Add(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !dec.Complete() {
+		t.Fatalf("decoded %d/%d source blocks", dec.DecodedBlocks(), levels.Total())
+	}
+	for i := range sources {
+		if s, err := dec.Source(i); err != nil || !bytes.Equal(s, sources[i]) {
+			t.Fatalf("source %d decoded wrong (%v)", i, err)
+		}
+	}
+}
+
 // TestEncodeBlockListBounds pins the encoder side of the block list: the
 // frame writeBlockList builds in place (length and CRC patched in after
 // the body) is one the reader accepts, with the body wrapBlockList spells
@@ -192,10 +280,10 @@ func TestStoreSparseEndToEnd(t *testing.T) {
 func TestEncodeBlockListBounds(t *testing.T) {
 	blocks := [][]byte{{1, 2}, {3}}
 	var wire bytes.Buffer
-	if err := writeBlockList(&wire, blocks); err != nil {
+	if err := writeBlockList(&wire, 1, blocks); err != nil {
 		t.Fatal(err)
 	}
-	typ, body, err := readFrame(&wire, DefaultMaxFrame)
+	typ, _, body, err := readFrame(&wire, DefaultMaxFrame)
 	if err != nil || typ != frameBlocks {
 		t.Fatalf("read back: type %q, err %v", typ, err)
 	}
@@ -211,13 +299,13 @@ func TestEncodeBlockListBounds(t *testing.T) {
 	for i := range big {
 		big[i] = mib
 	}
-	if err := writeBlockList(&wire, big); !errors.Is(err, ErrBadRequest) {
+	if err := writeBlockList(&wire, 1, big); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("17 MiB answer: err = %v, want ErrBadRequest", err)
 	}
 	if wire.Len() != 0 {
 		t.Fatalf("a refused answer wrote %d bytes", wire.Len())
 	}
-	if err := writeBlockList(&wire, big[:15]); err != nil {
+	if err := writeBlockList(&wire, 1, big[:15]); err != nil {
 		t.Fatalf("15 MiB answer: %v", err)
 	}
 }

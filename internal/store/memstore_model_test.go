@@ -99,3 +99,30 @@ func TestMemStorePutKeepsOneCopy(t *testing.T) {
 		t.Fatalf("put after delete: stored=%v err=%v; want stored", stored, err)
 	}
 }
+
+// TestMemStoreDeleteCopiesNothing pins the other end of that one copy:
+// Delete finds each block's dedup key through the stored bytes, which
+// view the key's storage, without building a string of them.
+func TestMemStoreDeleteCopiesNothing(t *testing.T) {
+	const puts, size = 512, 4096
+	eng := store.NewMemStore(0)
+	wire := make([]byte, size)
+	for i := 0; i < puts; i++ {
+		binary.LittleEndian.PutUint32(wire, uint32(i))
+		if _, err := eng.Put(7, i%3, wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if n, err := eng.Delete(7); err != nil || n != puts {
+		t.Fatalf("Delete = %d, %v; want %d", n, err, puts)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > size {
+		t.Errorf("deleting %d blocks of %d bytes allocated %d bytes; want no copies", puts, size, got)
+	}
+	if stored, err := eng.Put(7, 0, wire); err != nil || !stored {
+		t.Fatalf("put after delete: stored=%v err=%v; want stored", stored, err)
+	}
+}

@@ -53,8 +53,9 @@ func BenchmarkGetOneObjectAmongMany(b *testing.B) {
 // BenchmarkCollectDedup is the client side of one mixed-steady collect
 // with the sockets taken out: three replicas answer 23 blocks of 1 KiB
 // each, 26 distinct blocks among the 69 (62 % duplicate copies); each
-// iteration parses the three responses and merges them. allocs/op is the
-// number to watch — the response bodies themselves are not part of it.
+// iteration splits the three responses and merges them, parsing the
+// first copy of each block only. allocs/op is the number to watch — the
+// response bodies themselves are not part of it.
 func BenchmarkCollectDedup(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	distinct := make([][]byte, 26)
@@ -79,16 +80,17 @@ func BenchmarkCollectDedup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	perReplica := make([][]wireBlock, len(bodies))
+	answers := make([][][]byte, len(bodies))
+	errs := make([]error, len(bodies))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for r, body := range bodies {
-			if perReplica[r], err = decodeBlockList(body); err != nil {
+			if answers[r], err = splitBlockList(body); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if out := repl.mergeCopies(perReplica); len(out) != len(distinct) {
+		if out := repl.mergeCopies(answers, errs); len(out) != len(distinct) {
 			b.Fatalf("merged %d blocks, want %d", len(out), len(distinct))
 		}
 	}

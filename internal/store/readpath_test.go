@@ -218,12 +218,13 @@ func answerOnceListener(t *testing.T) string {
 			}
 			t.Cleanup(func() { conn.Close() })
 			go func() {
-				if _, _, err := readFrame(conn, DefaultMaxFrame); err != nil {
+				_, id, _, err := readFrame(conn, DefaultMaxFrame)
+				if err != nil {
 					return
 				}
-				writeFrame(conn, frameOK, nil)
+				writeFrame(conn, frameOK, id, nil)
 				for {
-					if _, _, err := readFrame(conn, DefaultMaxFrame); err != nil {
+					if _, _, _, err := readFrame(conn, DefaultMaxFrame); err != nil {
 						return
 					}
 				}
@@ -315,5 +316,97 @@ func TestClosedEngineAnswersUnavailable(t *testing.T) {
 	eng.Close()
 	if got, err := cl.GetObject(context.Background(), core.ZeroObject, -1); !errors.Is(err, ErrStoreUnavailable) {
 		t.Fatalf("get from a closed engine = %d blocks, %v; want ErrStoreUnavailable", len(got), err)
+	}
+}
+
+// wrongIDListener answers every request with an OK frame carrying the
+// request's id plus one: a peer whose answers are out of step with its
+// requests.
+func wrongIDListener(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			t.Cleanup(func() { conn.Close() })
+			go func() {
+				for {
+					_, id, _, err := readFrame(conn, DefaultMaxFrame)
+					if err != nil {
+						return
+					}
+					writeFrame(conn, frameOK, id+1, nil)
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestMismatchedRequestIDIsCorrupt pins the client side of the request
+// id: an answer to another request is a corrupt frame, and the
+// connection it came on is closed, never pooled.
+func TestMismatchedRequestIDIsCorrupt(t *testing.T) {
+	reg := metrics.NewRegistry()
+	cfg := fastClientCfg(wrongIDListener(t), nil)
+	cfg.Metrics = reg
+	cfg.Retry.MaxAttempts = 2
+	cl, err := NewClient(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Ping(context.Background()); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("ping answered under another id: err = %v, want ErrCorruptFrame", err)
+	}
+	cl.mu.Lock()
+	idle := len(cl.idle)
+	cl.mu.Unlock()
+	if idle != 0 {
+		t.Fatalf("%d connections pooled after out-of-step answers", idle)
+	}
+	if dials := reg.Counter("store_client_dials_total").Value(); dials != 2 {
+		t.Fatalf("%d dials for 2 attempts: a connection was reused", dials)
+	}
+}
+
+// TestMergeCopiesKeepsAnswersWhole pins dedup-before-parse against a bad
+// answer: replica 0 answers block A and a frame that does not parse, so
+// its whole answer is dropped — and A, which it saw first, must still come
+// back from replica 1 instead of being dropped as a copy of a block that
+// was never kept. Copies in kept answers are counted, the bad answer's
+// are not.
+func TestMergeCopiesKeepsAnswersWhole(t *testing.T) {
+	reg := metrics.NewRegistry()
+	repl, err := NewReplicated([]*Client{{}, {}, {}}, 2, ReplicatedConfig{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, blocks := keyedBlocks(t, 7, 3)
+	w := wireOf(t, blocks)
+	bad := []byte("PB\x09 not a block")
+	answers := [][][]byte{{w[0], bad}, {w[0], w[1]}, {w[1], w[2], w[2]}}
+	errs := make([]error, len(answers))
+	got := repl.mergeCopies(answers, errs)
+	if !errors.Is(errs[0], ErrCorruptFrame) || errs[1] != nil || errs[2] != nil {
+		t.Fatalf("answer errors %v, want only replica 0's, as ErrCorruptFrame", errs)
+	}
+	if len(got) != 3 {
+		t.Fatalf("merged %d blocks, want A, B and C", len(got))
+	}
+	for i, wire := range wireOf(t, got) {
+		if !bytes.Equal(wire, w[i]) {
+			t.Fatalf("merged block %d is not the put block %d", i, i)
+		}
+	}
+	if dups := reg.Counter("store_replicated_collect_dup_blocks_total").Value(); dups != 2 {
+		t.Fatalf("%d copies counted, want 2 (B and C again on replica 2)", dups)
 	}
 }

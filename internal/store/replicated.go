@@ -152,10 +152,12 @@ func (r *Replicated) Put(ctx context.Context, b *core.CodedBlock) error {
 // indices first, in order, before falling back to the rotating window.
 // Out-of-range and duplicate indices are ignored. The repair daemon uses
 // it to steer regenerated blocks onto the replicas its audit found
-// under-provisioned, instead of re-crowding the healthy ones.
+// under-provisioned, instead of re-crowding the healthy ones. The block
+// is marshaled once, and every replica is sent those bytes.
 func (r *Replicated) PutPreferring(ctx context.Context, b *core.CodedBlock, prefer []int) error {
-	if b == nil {
-		return fmt.Errorf("%w: nil block", ErrBadRequest)
+	wire, err := marshalPut(b)
+	if err != nil {
+		return err
 	}
 	targets := r.ReplicasFor(b.Level)
 	start := int((r.next.Add(1) - 1) % uint64(len(r.clients)))
@@ -185,7 +187,7 @@ func (r *Replicated) PutPreferring(ctx context.Context, b *core.CodedBlock, pref
 		if n >= targets && stored >= r.cfg.MinWrites {
 			break
 		}
-		err := r.clients[idx].Put(ctx, b)
+		err := r.clients[idx].putWire(ctx, wire)
 		r.met.perReplica[idx].put(err)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -240,25 +242,27 @@ func (r *Replicated) StatAll(ctx context.Context) ([]Stats, []error) {
 // (maxLevel < 0 for all) from every replica concurrently, deduplicates
 // the replicated copies, and returns the union. It fails only when every
 // replica fails. Copies of a block are recognized by the bytes they
-// arrived as (wireSet), never by marshalling them again. Dedup spares
-// the decoder non-innovative adds; nothing depends on it for
-// correctness, and it never merges two blocks that differ.
+// arrived as (wireSet) before any is parsed, so a copy costs neither an
+// unmarshal nor a seed expansion. Dedup spares the decoder
+// non-innovative adds; nothing depends on it for correctness, and it
+// never merges two blocks that differ.
 func (r *Replicated) CollectObject(ctx context.Context, obj core.ObjectID, maxLevel int) ([]*core.CodedBlock, error) {
-	perReplica := make([][]wireBlock, len(r.clients))
+	answers := make([][][]byte, len(r.clients))
 	errs := make([]error, len(r.clients))
 	var wg sync.WaitGroup
 	for i, cl := range r.clients {
 		wg.Add(1)
 		go func(i int, cl *Client) {
 			defer wg.Done()
-			perReplica[i], errs[i] = cl.getList(ctx, obj, maxLevel)
-			r.met.perReplica[i].get(errs[i])
+			answers[i], errs[i] = cl.getWires(ctx, obj, maxLevel)
 		}(i, cl)
 	}
 	wg.Wait()
+	out := r.mergeCopies(answers, errs)
 	r.met.collects.Inc()
 	ok := 0
-	for _, err := range errs {
+	for i, err := range errs {
+		r.met.perReplica[i].get(err)
 		if err == nil {
 			ok++
 		}
@@ -271,29 +275,51 @@ func (r *Replicated) CollectObject(ctx context.Context, obj core.ObjectID, maxLe
 		return nil, fmt.Errorf("store: collect: all %d replicas failed: %w",
 			len(r.clients), errors.Join(append([]error{ErrStoreUnavailable}, errs...)...))
 	}
-	out := r.mergeCopies(perReplica)
 	r.met.collectBlocks.Add(uint64(len(out)))
 	return out, nil
 }
 
 // mergeCopies is the union of the replicas' answers (a failed replica's
-// is nil), first copy of each block kept, replica order then response
-// order. The returned blocks point into the lists.
-func (r *Replicated) mergeCopies(perReplica [][]wireBlock) []*core.CodedBlock {
+// is skipped), first copy of each block kept, replica order then
+// response order. Only the entries no earlier answer holds are parsed,
+// and an answer is all or nothing: when one of its new entries does not
+// parse, errs records it for that replica and none of the answer is
+// kept — so its entries never shadow another replica's copies. The
+// returned blocks alias the answers.
+func (r *Replicated) mergeCopies(answers [][][]byte, errs []error) []*core.CodedBlock {
 	fetched := 0
-	for _, list := range perReplica {
-		fetched += len(list)
+	for _, wires := range answers {
+		fetched += len(wires)
 	}
 	seen := wireSet{hash: r.wireHash, first: make(map[uint64][]byte, fetched)}
 	out := make([]*core.CodedBlock, 0, fetched)
-	for _, list := range perReplica {
-		for i := range list {
-			if !seen.add(list[i].wire) {
-				r.met.collectDups.Inc()
-				continue
-			}
-			out = append(out, &list[i].CodedBlock)
+	var fresh [][]byte
+	var hashes []uint64
+	for i, wires := range answers {
+		if errs[i] != nil {
+			continue
 		}
+		fresh, hashes = fresh[:0], hashes[:0]
+		for _, w := range wires {
+			if h := seen.hash(w); !seen.has(h, w) {
+				fresh = append(fresh, w)
+				hashes = append(hashes, h)
+			}
+		}
+		blocks, err := parseBlocks(fresh)
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		dups := len(wires) - len(fresh)
+		for j, w := range fresh {
+			if seen.add(hashes[j], w) {
+				out = append(out, &blocks[j])
+			} else {
+				dups++ // a copy within this one answer
+			}
+		}
+		r.met.collectDups.Add(uint64(dups))
 	}
 	return out
 }
@@ -308,22 +334,32 @@ type wireSet struct {
 	spill [][]byte          // encodings whose hash another one had taken
 }
 
-// add inserts wire and reports whether it was new.
-func (s *wireSet) add(wire []byte) bool {
-	h := s.hash(wire)
+// has reports whether wire, whose hash is h, is in the set.
+func (s *wireSet) has(h uint64, wire []byte) bool {
 	prev, taken := s.first[h]
 	if !taken {
-		s.first[h] = wire
-		return true
+		return false
 	}
 	if bytes.Equal(prev, wire) {
-		return false
+		return true
 	}
 	for _, other := range s.spill {
 		if bytes.Equal(other, wire) {
-			return false
+			return true
 		}
 	}
-	s.spill = append(s.spill, wire)
+	return false
+}
+
+// add inserts wire, whose hash is h, and reports whether it was new.
+func (s *wireSet) add(h uint64, wire []byte) bool {
+	if s.has(h, wire) {
+		return false
+	}
+	if _, taken := s.first[h]; taken {
+		s.spill = append(s.spill, wire)
+	} else {
+		s.first[h] = wire
+	}
 	return true
 }

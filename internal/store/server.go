@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -173,7 +174,7 @@ func (s *Server) acceptLoop() {
 		if len(s.conns) >= s.cfg.MaxConns || s.drainingNow() {
 			s.mu.Unlock()
 			s.met.connsRejected.Inc()
-			writeErrFrame(conn, errCodeUnavailable, "server busy or draining")
+			writeErrFrame(conn, 0, errCodeUnavailable, "server busy or draining")
 			conn.Close()
 			continue
 		}
@@ -207,49 +208,54 @@ func (s *Server) handleConn(raw net.Conn) {
 			return
 		}
 		conn.SetReadDeadline(time.Now().Add(idleTimeout))
-		var typ byte
-		var body []byte
-		var err error
-		typ, body, scratch, err = readFrameBuf(conn, DefaultMaxFrame, scratch)
+		var (
+			typ  byte
+			id   uint32
+			body []byte
+			err  error
+		)
+		typ, id, body, scratch, err = readFrameBuf(conn, DefaultMaxFrame, scratch)
 		if err != nil {
 			if errors.Is(err, ErrCorruptFrame) {
-				// The stream is out of sync: report and hang up. The
-				// client's retry lands on a fresh connection.
+				// The stream is out of sync and the request id is not to be
+				// trusted: report on id 0 and hang up. The client's retry
+				// lands on a fresh connection.
 				s.met.crcFailures.Inc()
 				conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-				writeErrFrame(conn, errCodeCorrupt, err.Error())
+				writeErrFrame(conn, 0, errCodeCorrupt, err.Error())
 			}
 			return
 		}
 		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		t0 := time.Now()
 		shutdown := false
+		rep := reply{conn, id}
 		switch typ {
 		case framePut:
 			s.met.puts.Inc()
-			err = s.handlePut(conn, body)
+			err = s.handlePut(rep, body)
 		case frameGet:
 			s.met.gets.Inc()
-			err = s.handleGet(conn, body)
+			err = s.handleGet(rep, body)
 		case frameStat:
 			s.met.stats.Inc()
-			err = s.handleStat(conn)
+			err = s.handleStat(rep)
 		case frameSegments:
 			s.met.segments.Inc()
-			err = s.handleSegments(conn)
+			err = s.handleSegments(rep)
 		case frameDelete:
 			s.met.deletes.Inc()
-			err = s.handleDelete(conn, body)
+			err = s.handleDelete(rep, body)
 		case framePing:
 			s.met.pings.Inc()
-			err = writeFrame(conn, frameOK, nil)
+			err = rep.frame(frameOK, nil)
 		case frameShutdown:
 			s.met.shutdowns.Inc()
-			err = writeFrame(conn, frameOK, nil)
+			err = rep.frame(frameOK, nil)
 			shutdown = true
 		default:
 			s.met.unknown.Inc()
-			writeErrFrame(conn, errCodeBad, fmt.Sprintf("unknown frame type %q", typ))
+			rep.fail(errCodeBad, fmt.Sprintf("unknown frame type %q", typ))
 			return
 		}
 		s.met.requestNs.ObserveSince(t0)
@@ -267,25 +273,39 @@ func (s *Server) handleConn(raw net.Conn) {
 	}
 }
 
-func (s *Server) handlePut(conn net.Conn, body []byte) error {
-	var b core.CodedBlock
-	if err := b.UnmarshalBinary(body); err != nil {
+// reply answers one request: every frame it writes carries the
+// request's id.
+type reply struct {
+	w  io.Writer
+	id uint32
+}
+
+func (r reply) frame(typ byte, body []byte) error { return writeFrame(r.w, typ, r.id, body) }
+
+func (r reply) fail(code byte, msg string) { writeErrFrame(r.w, r.id, code, msg) }
+
+// handlePut validates the block frame in place (core.CheckWire: no copy
+// of its sections, no seed expansion) and hands its bytes to the engine,
+// which copies what it keeps.
+func (s *Server) handlePut(rep reply, body []byte) error {
+	obj, level, err := core.CheckWire(body)
+	if err != nil {
 		s.met.putsBad.Inc()
-		writeErrFrame(conn, errCodeBad, fmt.Sprintf("bad block: %v", err))
+		rep.fail(errCodeBad, fmt.Sprintf("bad block: %v", err))
 		return nil
 	}
-	stored, err := s.blocks.Put(b.Object, b.Level, body)
+	stored, err := s.blocks.Put(obj, level, body)
 	switch {
 	case errors.Is(err, ErrStoreFull):
 		s.met.putsRejected.Inc()
 		s.met.putsFull.Inc()
-		writeErrFrame(conn, errCodeFull, err.Error())
+		rep.fail(errCodeFull, err.Error())
 		return nil
 	case err != nil:
 		// Engine failure (a disk write that did not land): the block is
 		// not durable, so the client must not treat it as stored.
 		s.met.putsRejected.Inc()
-		writeErrFrame(conn, errCodeUnavailable, err.Error())
+		rep.fail(errCodeUnavailable, err.Error())
 		return nil
 	case stored:
 		s.met.putsStored.Inc()
@@ -294,22 +314,22 @@ func (s *Server) handlePut(conn net.Conn, body []byte) error {
 	default:
 		s.met.putsDeduped.Inc()
 	}
-	return writeFrame(conn, frameOK, nil)
+	return rep.frame(frameOK, nil)
 }
 
-func (s *Server) handleGet(conn net.Conn, body []byte) error {
+func (s *Server) handleGet(rep reply, body []byte) error {
 	obj, maxLevel, err := decodeGetBody(body)
 	if err != nil {
-		writeErrFrame(conn, errCodeBad, err.Error())
+		rep.fail(errCodeBad, err.Error())
 		return nil
 	}
 	out, err := s.blocks.Get(obj, maxLevel)
 	if err != nil {
-		writeErrFrame(conn, errCodeUnavailable, err.Error())
+		rep.fail(errCodeUnavailable, err.Error())
 		return nil
 	}
-	if err = writeBlockList(conn, out); errors.Is(err, ErrBadRequest) {
-		writeErrFrame(conn, errCodeBad, err.Error())
+	if err = writeBlockList(rep.w, rep.id, out); errors.Is(err, ErrBadRequest) {
+		rep.fail(errCodeBad, err.Error())
 		return nil
 	}
 	return err
@@ -318,19 +338,19 @@ func (s *Server) handleGet(conn net.Conn, body []byte) error {
 // handleDelete reclaims one object's blocks from the engine — the
 // migration mover's release op against an old owner. Idempotent: a
 // retried delete of an already-gone object answers 0 removed.
-func (s *Server) handleDelete(conn net.Conn, body []byte) error {
+func (s *Server) handleDelete(rep reply, body []byte) error {
 	obj, err := decodeDeleteBody(body)
 	if err != nil {
-		writeErrFrame(conn, errCodeBad, err.Error())
+		rep.fail(errCodeBad, err.Error())
 		return nil
 	}
 	removed, err := s.blocks.Delete(obj)
 	switch {
 	case errors.Is(err, ErrBadRequest):
-		writeErrFrame(conn, errCodeBad, err.Error())
+		rep.fail(errCodeBad, err.Error())
 		return nil
 	case err != nil:
-		writeErrFrame(conn, errCodeUnavailable, err.Error())
+		rep.fail(errCodeUnavailable, err.Error())
 		return nil
 	}
 	if removed > 0 {
@@ -338,31 +358,31 @@ func (s *Server) handleDelete(conn net.Conn, body []byte) error {
 		s.met.blocks.Set(int64(s.blocks.Len()))
 		s.met.blockBytes.Set(s.blocks.Bytes())
 	}
-	return writeFrame(conn, frameDeleted, encodeDeleted(removed))
+	return rep.frame(frameDeleted, encodeDeleted(removed))
 }
 
 // handleSegments answers the segment inspection op. An engine without
 // segments (the in-memory store) is a semantic rejection, not an empty
 // list: the operator asked a question this daemon cannot answer.
-func (s *Server) handleSegments(conn net.Conn) error {
+func (s *Server) handleSegments(rep reply) error {
 	lister, ok := s.blocks.(SegmentLister)
 	if !ok {
-		writeErrFrame(conn, errCodeBad, "storage engine has no segments (in-memory store; run with -data-dir)")
+		rep.fail(errCodeBad, "storage engine has no segments (in-memory store; run with -data-dir)")
 		return nil
 	}
 	body, err := encodeSegmentList(lister.SegmentInfos())
 	if err != nil {
-		writeErrFrame(conn, errCodeBad, err.Error())
+		rep.fail(errCodeBad, err.Error())
 		return nil
 	}
-	return writeFrame(conn, frameSegList, body)
+	return rep.frame(frameSegList, body)
 }
 
-func (s *Server) handleStat(conn net.Conn) error {
+func (s *Server) handleStat(rep reply) error {
 	body, err := encodeStats(s.Stats())
 	if err != nil {
-		writeErrFrame(conn, errCodeBad, err.Error())
+		rep.fail(errCodeBad, err.Error())
 		return nil
 	}
-	return writeFrame(conn, frameStats, body)
+	return rep.frame(frameStats, body)
 }

@@ -114,29 +114,30 @@ func checkCriticalLevel(t *testing.T, dec *core.Decoder, levels *core.Levels, so
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	body := []byte("hello frames")
-	if err := writeFrame(&buf, framePut, body); err != nil {
+	if err := writeFrame(&buf, framePut, 0xC0FFEE, body); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := readFrame(&buf, DefaultMaxFrame)
+	typ, id, got, err := readFrame(&buf, DefaultMaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != framePut || !bytes.Equal(got, body) {
-		t.Fatalf("round trip gave type %q body %q", typ, got)
+	if typ != framePut || id != 0xC0FFEE || !bytes.Equal(got, body) {
+		t.Fatalf("round trip gave type %q id %#x body %q", typ, id, got)
 	}
 }
 
 func TestFrameCorruptionDetected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, framePut, []byte("payload under test")); err != nil {
+	if err := writeFrame(&buf, framePut, 7, []byte("payload under test")); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	// Flip every byte past the length prefix in turn: CRC must catch all.
+	// Flip every byte past the length prefix in turn — op, CRC, request id
+	// and body: the CRC must catch all.
 	for i := 4; i < len(raw); i++ {
 		mauled := append([]byte(nil), raw...)
 		mauled[i] ^= 0xA5
-		_, _, err := readFrame(bytes.NewReader(mauled), DefaultMaxFrame)
+		_, _, _, err := readFrame(bytes.NewReader(mauled), DefaultMaxFrame)
 		if !errors.Is(err, ErrCorruptFrame) {
 			t.Fatalf("flip at %d: err = %v, want ErrCorruptFrame", i, err)
 		}
@@ -145,10 +146,10 @@ func TestFrameCorruptionDetected(t *testing.T) {
 
 func TestFrameTooLargeRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, framePut, make([]byte, 1024)); err != nil {
+	if err := writeFrame(&buf, framePut, 1, make([]byte, 1024)); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := readFrame(&buf, 512)
+	_, _, _, err := readFrame(&buf, 512)
 	if !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("oversize frame err = %v, want ErrCorruptFrame", err)
 	}
