@@ -84,15 +84,16 @@ bench-metrics:
 	| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_metrics.json -by "make bench-metrics" \
 	    -note "MeteredX runs with a live metrics registry, MeteredXRef with metrics detached; speedup = ref/metered is the inverse instrumentation overhead, budget >= 0.95 (5%) per pair"
 
-# Sparse-coding perf baseline: sparse (O(ln N) nonzeros), band
-# (perpetual-style contiguous runs) and expander-chunked decode against
-# the structure-blind dense elimination (Ref) of the identical block
-# stream, plus coefficient wire bytes per block (v3 sparse frames vs the
-# dense v1 encoding), captured as BENCH_sparse.json.
+# Sparse-coding perf baseline: sparse (O(ln N) nonzeros) and
+# expander-chunked decode against the structure-blind dense elimination
+# (Ref) of the identical block stream, coefficient wire bytes per block
+# (v3 sparse frames vs the dense v1 encoding), and the three codings
+# core.AutoCoding picks between on one PLC file (DecodeFile: encode and
+# decode time and coded blocks consumed), captured as BENCH_sparse.json.
 bench-sparse:
-	$(GO) test -run='^$$' -bench 'BenchmarkDecode(Sparse|Band|Chunked)N|BenchmarkWire(Sparse|Chunked)N' -benchtime=5x ./internal/core \
+	$(GO) test -run='^$$' -bench 'BenchmarkDecode(Sparse|Chunked)N|BenchmarkDecodeFile|BenchmarkWire(Sparse|Chunked)N' -benchtime=5x ./internal/core \
 	| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_sparse.json -by "make bench-sparse" \
-	    -note "DecodeXN vs DecodeXNRef is the sparse-aware elimination vs dense RefDecoder over the same densified stream; 64 B payloads keep elimination dominant; wire-B/block metrics are coefficient wire bytes per block, WireSparseN1024Ref being the dense v1 frames of the same vectors; ChunkedN4096 has no Ref (dense baseline impractical at that N)"
+	    -note "DecodeXN vs DecodeXNRef is the sparse-aware elimination vs dense RefDecoder over the same densified stream; 64 B payloads keep elimination dominant; wire-B/block metrics are coefficient wire bytes per block, WireSparseN1024Ref being the dense v1 frames of the same vectors; ChunkedN4096 has no Ref (dense baseline impractical at that N); DecodeFile{Dense,Sparse,Chunked}Nk encode a PLC 0.1/0.2/0.7 file of N x 1 KiB into 3N blocks and decode until complete (enc-ms, dec-ms, blocks consumed)"
 
 # Disk-engine perf baseline: group-commit puts against the fsync-per-put
 # durability baseline (Ref) under the identical 32-connection load, the

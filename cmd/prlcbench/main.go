@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
 	"repro/internal/core"
@@ -34,15 +33,14 @@ func main() {
 }
 
 type config struct {
-	fig     string
-	table   int
-	all     bool
-	trials  int
-	scale   int
-	stride  int
-	seed    int64
-	csvDir  string
-	workers int
+	fig    string
+	table  int
+	all    bool
+	trials int
+	scale  int
+	stride int
+	seed   int64
+	csvDir string
 }
 
 func run(args []string) error {
@@ -56,7 +54,6 @@ func run(args []string) error {
 	fs.IntVar(&cfg.stride, "stride", 100, "checkpoint stride in coded blocks")
 	fs.Int64Var(&cfg.seed, "seed", 1, "random seed")
 	fs.StringVar(&cfg.csvDir, "csv", "", "directory to write CSV copies into")
-	fs.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "simulation worker count (results are seed-deterministic for any value)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -92,11 +89,10 @@ func run(args []string) error {
 
 func figOpts(cfg config) exper.FigureOptions {
 	return exper.FigureOptions{
-		Trials:  cfg.trials,
-		Seed:    cfg.seed,
-		Scale:   cfg.scale,
-		Stride:  cfg.stride,
-		Workers: cfg.workers,
+		Trials: cfg.trials,
+		Seed:   cfg.seed,
+		Scale:  cfg.scale,
+		Stride: cfg.stride,
 	}
 }
 

@@ -657,7 +657,6 @@ type healOpts struct {
 	tolerance  int
 	minWrites  int
 	budget     int
-	sample     int
 	replicas   int
 	seed       int64
 	timeout    time.Duration
@@ -683,7 +682,6 @@ func (o *healOpts) register(fs *flag.FlagSet, addrsFlag string, interval time.Du
 	fs.IntVar(&o.tolerance, "f", 1, "replica losses the last level must survive")
 	fs.IntVar(&o.minWrites, "min-writes", 1, "copies that must land per regenerated block")
 	fs.IntVar(&o.budget, "budget", 0, "max blocks regenerated per round (0 = default)")
-	fs.IntVar(&o.sample, "sample", 0, "survivors sampled per recombination (0 = default)")
 	fs.IntVar(&o.replicas, "replicas", 3, "ring successors each keyed object is placed on")
 	fs.Int64Var(&o.seed, "seed", 1, "random seed for recombination")
 	fs.DurationVar(&o.timeout, "timeout", 5*time.Second, "per-attempt timeout")
@@ -759,7 +757,6 @@ func (o *healOpts) daemon(p *store.Placed, obj core.ObjectID) (*repair.Daemon, e
 		Targets:     o.targets,
 		Interval:    o.interval,
 		BlockBudget: o.budget,
-		SampleSize:  o.sample,
 		Seed:        o.seed,
 		Metrics:     o.metrics,
 	})
@@ -777,7 +774,6 @@ func (o *healOpts) mover(p *store.Placed) (*mover.Mover, error) {
 		Interval:    o.interval,
 		Workers:     o.workers,
 		RateLimit:   o.rate,
-		SampleSize:  o.sample,
 		Seed:        o.seed,
 		Metrics:     o.metrics,
 	})

@@ -130,8 +130,8 @@ func TestPutGetRoundTripWithDeadReplica(t *testing.T) {
 	}
 }
 
-// TestChunkedPutGet ships a 1,000-block file into 2 daemons with
-// -coding chunked and recovers it bit-exactly by running the get command
+// TestChunkedPutGet ships a 1,100-block file into 2 daemons, which
+// chunk codes it, and recovers it bit-exactly by running the get command
 // the put printed, so the banner and the get flags cannot drift apart.
 func TestChunkedPutGet(t *testing.T) {
 	addrs := startDaemons(t, 2)
@@ -141,7 +141,7 @@ func TestChunkedPutGet(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
 		"store", "put", "-addrs", strings.Join(addrs, ","), "-in", in,
-		"-blocks", "1000", "-coding", "chunked",
+		"-blocks", "1100",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)

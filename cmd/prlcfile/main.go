@@ -27,10 +27,10 @@ import (
 // Block-file format: the file's cliutil.Geometry followed by the block in
 // the standard CodedBlock wire encoding (MarshalBinary), so the file
 // format and the store's network format share one serialization. Version
-// 2 covers the level-structured codings (dense, sparse, band — the block
-// wire encoding tells them apart); version 3 appends the chunk layout
-// (size and overlap, uint32 each) that chunk-coded blocks need to route
-// their Level-as-chunk-index on decode.
+// 2 covers the level-structured codings (dense and sparse, plus the band
+// coding older builds wrote — the block wire encoding tells them apart);
+// version 3 appends the chunk layout (size and overlap, uint32 each) that
+// chunk-coded blocks need to route their Level-as-chunk-index on decode.
 const (
 	magic            = "PRLC"
 	formatVer        = 2

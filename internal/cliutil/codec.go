@@ -77,7 +77,7 @@ func GeometryFlags(fs *flag.FlagSet) func() (Geometry, error) {
 	scheme := fs.String("scheme", "plc", "coding scheme used at put time")
 	sizes := fs.String("sizes", "", "per-level block counts from put time")
 	fs.Uint64Var(&g.FileSize, "size", 0, "original file size (0 = keep padding)")
-	chunks := fs.String("chunks", "", "size,overlap of the chunk layout when put used -coding chunked")
+	chunks := fs.String("chunks", "", "size,overlap of the chunk layout when put chunk coded the file (more than 1024 blocks)")
 	return func() (Geometry, error) {
 		var err error
 		if g.Scheme, err = core.ParseScheme(*scheme); err != nil {
@@ -103,9 +103,9 @@ func GeometryFlags(fs *flag.FlagSet) func() (Geometry, error) {
 // EncodeFlags are the encode-side flags prlcfile encode and prlcd store
 // put share.
 type EncodeFlags struct {
-	Blocks, Coded                int
-	Levels, Dist, Scheme, Coding string
-	Seed                         int64
+	Blocks, Coded        int
+	Levels, Dist, Scheme string
+	Seed                 int64
 }
 
 // Register adds the flags to fs.
@@ -115,12 +115,12 @@ func (f *EncodeFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Levels, "levels", "0.1,0.2,0.7", "comma-separated level fractions of the file, most important first")
 	fs.StringVar(&f.Dist, "dist", "", "priority distribution over levels (default uniform)")
 	fs.StringVar(&f.Scheme, "scheme", "plc", "coding scheme: rlc, slc or plc")
-	fs.StringVar(&f.Coding, "coding", "auto", "coefficient generator: auto, dense, sparse, band or chunked (auto picks by generation size)")
 	fs.Int64Var(&f.Seed, "seed", 1, "random seed")
 }
 
 // EncodeFile splits the file at path into source blocks and encodes
 // them, returning the coded blocks and the geometry that decodes them.
+// core.AutoCoding picks the coefficient generator from the block count.
 // The blocks are a function of the flags alone: level-structured codings
 // run Encoder.EncodeSeeded, bit-identical for any GOMAXPROCS.
 func (f EncodeFlags) EncodeFile(path string) (Geometry, []*core.CodedBlock, error) {
@@ -166,13 +166,7 @@ func (f EncodeFlags) EncodeFile(path string) (Geometry, []*core.CodedBlock, erro
 	if err := dist.Validate(levels); err != nil {
 		return Geometry{}, nil, err
 	}
-	coding, err := core.ParseCoding(f.Coding)
-	if err != nil {
-		return Geometry{}, nil, err
-	}
-	if coding == core.CodingAuto {
-		coding = core.AutoCoding(blocks)
-	}
+	coding := core.AutoCoding(blocks)
 
 	sources := SplitPayloads(data, blocks)
 	g := Geometry{Scheme: scheme, LevelSizes: sizes, FileSize: uint64(len(data)), PayloadLen: len(sources[0])}
@@ -192,11 +186,8 @@ func (f EncodeFlags) EncodeFile(path string) (Geometry, []*core.CodedBlock, erro
 		return g, cb, err
 	}
 	var opts []core.EncoderOption
-	switch coding {
-	case core.CodingSparse:
+	if coding == core.CodingSparse {
 		opts = append(opts, core.WithSparsity(core.LogSparsity(blocks)))
-	case core.CodingBand:
-		opts = append(opts, core.WithBand(core.DefaultBandWidth))
 	}
 	enc, err := core.NewEncoder(scheme, levels, sources, opts...)
 	if err != nil {

@@ -275,18 +275,6 @@ func TestAutoCoding(t *testing.T) {
 			t.Errorf("AutoCoding(%d) = %v, want %v", tc.n, got, tc.want)
 		}
 	}
-	for _, s := range []string{"auto", "dense", "sparse", "band", "chunked"} {
-		c, err := ParseCoding(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.String() != s {
-			t.Errorf("ParseCoding(%q).String() = %q", s, c)
-		}
-	}
-	if _, err := ParseCoding("bogus"); err == nil {
-		t.Error("bogus coding accepted")
-	}
 	cl, err := DefaultChunkLayout(100)
 	if err != nil || cl.Size != 100 || cl.Count != 1 {
 		t.Errorf("DefaultChunkLayout(100) = %+v, %v", cl, err)

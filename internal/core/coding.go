@@ -2,34 +2,29 @@ package core
 
 import "fmt"
 
-// Coding selects how coefficient vectors are generated and represented
-// for a stored object — the knob prlcfile and prlcd expose.
+// Coding names how a stored object's coefficient vectors are generated
+// and represented. AutoCoding picks it from the generation size; nothing
+// else selects it.
 type Coding int
 
 const (
-	// CodingAuto defers the choice to AutoCoding at encode time.
-	CodingAuto Coding = iota
 	// CodingDense draws dense vectors over the full scheme support (the
-	// classic PRLC generator, v1 wire frames).
-	CodingDense
+	// classic PRLC generator, v5 seed frames).
+	CodingDense Coding = iota
 	// CodingSparse draws LogSparsity(N) nonzero positions per block (the
 	// Dimakis-style O(ln N) generator, v3 pairs frames).
 	CodingSparse
-	// CodingBand draws a contiguous DefaultBandWidth band per block (the
-	// perpetual-codes generator, v3 span frames).
-	CodingBand
 	// CodingChunked covers the object with overlapping chunks and codes
 	// each chunk separately (expander chunked codes).
 	CodingChunked
 )
 
-// Defaults for the generators the Coding values select. The auto
-// thresholds follow the cost model: dense elimination is cubic in N, so
-// it is only the right default while N is small; the sparse generator
-// keeps decode cheap into the low thousands; beyond that only chunking
-// keeps the per-byte cost flat.
+// The chunk layout AutoCoding's chunked coding uses, and AutoCoding's
+// thresholds. These follow the cost model: dense elimination is cubic in
+// N, so it is only the right default while N is small; the sparse
+// generator keeps decode cheap into the low thousands; beyond that only
+// chunking keeps the per-byte cost flat.
 const (
-	DefaultBandWidth    = 64
 	DefaultChunkSize    = 256
 	DefaultChunkOverlap = 32
 
@@ -39,14 +34,10 @@ const (
 
 func (c Coding) String() string {
 	switch c {
-	case CodingAuto:
-		return "auto"
 	case CodingDense:
 		return "dense"
 	case CodingSparse:
 		return "sparse"
-	case CodingBand:
-		return "band"
 	case CodingChunked:
 		return "chunked"
 	default:
@@ -54,26 +45,8 @@ func (c Coding) String() string {
 	}
 }
 
-// ParseCoding parses a -coding flag value.
-func ParseCoding(s string) (Coding, error) {
-	switch s {
-	case "auto":
-		return CodingAuto, nil
-	case "dense":
-		return CodingDense, nil
-	case "sparse":
-		return CodingSparse, nil
-	case "band":
-		return CodingBand, nil
-	case "chunked":
-		return CodingChunked, nil
-	default:
-		return 0, fmt.Errorf("core: unknown coding %q (want auto, dense, sparse, band or chunked)", s)
-	}
-}
-
-// AutoCoding resolves CodingAuto for a generation of n source blocks:
-// dense up to 256, sparse up to 1024, chunked beyond.
+// AutoCoding picks the coding for a generation of n source blocks: dense
+// up to 256, sparse up to 1024, chunked beyond.
 func AutoCoding(n int) Coding {
 	switch {
 	case n <= autoDenseMax:

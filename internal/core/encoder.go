@@ -89,7 +89,6 @@ type EncoderOption func(*encoderConfig)
 
 type encoderConfig struct {
 	sparsity int
-	band     int
 }
 
 // WithSparsity limits each coded block to at most d nonzero coefficients,
@@ -114,19 +113,6 @@ func LogSparsity(n int) int {
 	return d
 }
 
-// WithBand restricts each coded block to a contiguous coefficient band of
-// width w placed uniformly at random within the block's support — the
-// perpetual-codes generator. The band's center is drawn uniformly and the
-// band is clamped to the support, so edge columns keep coverage instead
-// of the ~w/2 starvation a uniform start position would give them. A band
-// is the sparsity pattern elimination exploits best: the decoder's
-// active-span machinery keeps every row operation within O(w) columns.
-// w <= 0 means dense (the default); w covering the whole support
-// degenerates to dense. Mutually exclusive with WithSparsity.
-func WithBand(w int) EncoderOption {
-	return func(c *encoderConfig) { c.band = w }
-}
-
 // Encoder produces coded blocks for a fixed scheme, level structure and
 // source payload set. It is safe for concurrent use only with external
 // synchronization of the *rand.Rand passed to Encode.
@@ -136,7 +122,6 @@ type Encoder struct {
 	sources    [][]byte // nil when payloadLen == 0 (coefficient-only experiments)
 	payloadLen int
 	sparsity   int
-	band       int
 	met        encoderMetrics
 }
 
@@ -154,14 +139,10 @@ func NewEncoder(scheme Scheme, levels *Levels, sources [][]byte, opts ...Encoder
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.sparsity > 0 && cfg.band > 0 {
-		return nil, fmt.Errorf("core: WithSparsity and WithBand are mutually exclusive")
-	}
 	e := &Encoder{
 		scheme:   scheme,
 		levels:   levels,
 		sparsity: cfg.sparsity,
-		band:     cfg.band,
 	}
 	if len(sources) > 0 {
 		if len(sources) != levels.Total() {
@@ -192,10 +173,10 @@ func (e *Encoder) PayloadLen() int { return e.payloadLen }
 // Encode generates one coded block for the given level. Coefficients are
 // uniform over the nonzero field elements on the scheme's support: a
 // dense block's are the expansion of one rng.Uint64() seed, which the
-// block keeps for the v5 wire frame. With WithSparsity or WithBand they
-// cover a sparse random subset / a random band of the support instead,
-// drawn value by value, and the block carries them in sparse form without
-// ever materializing the dense vector.
+// block keeps for the v5 wire frame. With WithSparsity they cover a
+// sparse random subset of the support instead, drawn value by value, and
+// the block carries them in sparse form without ever materializing the
+// dense vector.
 func (e *Encoder) Encode(rng *rand.Rand, level int) (*CodedBlock, error) {
 	var t0 time.Time
 	if e.met.encodeNs != nil {
@@ -258,25 +239,6 @@ func (e *Encoder) drawCoeff(rng *rand.Rand, level int) (coeffDraw, error) {
 			s.Val[i] = val[p]
 		}
 		return coeffDraw{sp: s, lo: pos[0], hi: pos[d-1] + 1}, nil
-	}
-	if e.band > 0 && e.band < span {
-		// Band: a contiguous run of w nonzero coefficients whose center is
-		// uniform over the support, clamped so the run stays inside it.
-		w := e.band
-		center := lo + rng.Intn(span)
-		start := center - w/2
-		if start < lo {
-			start = lo
-		}
-		if start > hi-w {
-			start = hi - w
-		}
-		s := &SparseCoeff{Len: e.levels.Total(), Idx: make([]uint32, w), Val: make([]byte, w)}
-		for i := 0; i < w; i++ {
-			s.Idx[i] = uint32(start + i)
-			s.Val[i] = byte(1 + rng.Intn(255))
-		}
-		return coeffDraw{sp: s, lo: start, hi: start + w}, nil
 	}
 	coeff := make([]byte, e.levels.Total())
 	seed := rng.Uint64()

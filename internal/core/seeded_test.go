@@ -96,7 +96,7 @@ func TestParallelEncodeBatchSparseDeterministic(t *testing.T) {
 // prologue by hand on one goroutine must give the same batch.
 func TestParallelEncodeMatchesSequential(t *testing.T) {
 	setProcs(t, 4)
-	for _, opts := range [][]EncoderOption{nil, {WithSparsity(3)}, {WithBand(4)}} {
+	for _, opts := range [][]EncoderOption{nil, {WithSparsity(3)}} {
 		enc := testEncoder(t, PLC, []int{2, 6, 8}, 96, opts...)
 		p := PriorityDistribution{0.2, 0.3, 0.5}
 		const seed, count = 5, 48

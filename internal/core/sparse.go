@@ -9,7 +9,7 @@ import (
 // SparseCoeff is a coefficient vector in canonical sparse form: the dense
 // length plus the strictly increasing positions of its nonzero entries and
 // their values. It is the representation predist's O(ln N) dissemination
-// vectors and the perpetual-style band generator produce, the v3 wire
+// vectors, WithSparsity and the chunked encoder produce, the v3 wire
 // encoding ships, and gfmat.Decoder.AddSparse consumes — end to end
 // without ever materializing the dense vector on the hot path.
 //

@@ -7,7 +7,7 @@ import (
 	"repro/internal/gfmat"
 )
 
-// Sparse/band/chunked decode benchmarks, captured by `make bench-sparse`
+// Sparse/chunked decode benchmarks, captured by `make bench-sparse`
 // into BENCH_sparse.json. Each benchmark decodes a deterministic
 // full-rank block stream through the sparse-aware path (core.Decoder's
 // AddSparse / ChunkedDecoder's global sparse elimination); its Ref twin
@@ -183,7 +183,6 @@ func benchmarkChunkedDecodeRef(b *testing.B, n, size, overlap int) {
 }
 
 func sparseOpts(n int) []EncoderOption { return []EncoderOption{WithSparsity(LogSparsity(n))} }
-func bandOpts() []EncoderOption        { return []EncoderOption{WithBand(DefaultBandWidth)} }
 
 func BenchmarkDecodeSparseN512(b *testing.B)    { benchmarkSparseDecode(b, 512, sparseOpts(512)...) }
 func BenchmarkDecodeSparseN512Ref(b *testing.B) { benchmarkSparseDecodeRef(b, 512, sparseOpts(512)...) }
@@ -195,13 +194,6 @@ func BenchmarkDecodeSparseN2048(b *testing.B) { benchmarkSparseDecode(b, 2048, s
 func BenchmarkDecodeSparseN2048Ref(b *testing.B) {
 	benchmarkSparseDecodeRef(b, 2048, sparseOpts(2048)...)
 }
-
-func BenchmarkDecodeBandN512(b *testing.B)     { benchmarkSparseDecode(b, 512, bandOpts()...) }
-func BenchmarkDecodeBandN512Ref(b *testing.B)  { benchmarkSparseDecodeRef(b, 512, bandOpts()...) }
-func BenchmarkDecodeBandN1024(b *testing.B)    { benchmarkSparseDecode(b, 1024, bandOpts()...) }
-func BenchmarkDecodeBandN1024Ref(b *testing.B) { benchmarkSparseDecodeRef(b, 1024, bandOpts()...) }
-func BenchmarkDecodeBandN2048(b *testing.B)    { benchmarkSparseDecode(b, 2048, bandOpts()...) }
-func BenchmarkDecodeBandN2048Ref(b *testing.B) { benchmarkSparseDecodeRef(b, 2048, bandOpts()...) }
 
 func BenchmarkDecodeChunkedN512(b *testing.B) { benchmarkChunkedDecode(b, 512, 128, 16) }
 func BenchmarkDecodeChunkedN512Ref(b *testing.B) {

@@ -54,8 +54,6 @@ type CurveConfig struct {
 	// WithAnalysis also evaluates the analytical model at every
 	// checkpoint.
 	WithAnalysis bool
-	// Workers bounds simulation parallelism (0 = GOMAXPROCS).
-	Workers int
 }
 
 func (c CurveConfig) validate() error {
@@ -82,8 +80,9 @@ func (c CurveConfig) validate() error {
 // SimulateCurve runs the Monte-Carlo experiment: for each trial it streams
 // randomly generated coded blocks into a partial decoder, recording the
 // decoded-level count at every checkpoint, then aggregates means and 95%
-// confidence intervals. Trials run in parallel; results are independent of
-// the worker count because each trial derives its own seeded generator.
+// confidence intervals. Trials run in parallel on GOMAXPROCS workers (at
+// most one per trial); results do not depend on GOMAXPROCS because each
+// trial derives its own seeded generator.
 func SimulateCurve(cfg CurveConfig) (*Curve, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -92,13 +91,7 @@ func SimulateCurve(cfg CurveConfig) (*Curve, error) {
 	if trials == 0 {
 		trials = 100
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
-	}
+	workers := min(runtime.GOMAXPROCS(0), trials)
 
 	ms := append([]int(nil), cfg.Ms...)
 	sort.Ints(ms)

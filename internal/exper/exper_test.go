@@ -3,6 +3,7 @@ package exper
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -93,16 +94,18 @@ func TestSimulateCurveBasicShape(t *testing.T) {
 }
 
 // TestSimulateDeterministicAcrossWorkerCounts: trial seeding makes results
-// identical whether run on 1 worker or many.
+// identical whether the trials run on 1 worker or many (GOMAXPROCS 1 or 8).
 func TestSimulateDeterministicAcrossWorkerCounts(t *testing.T) {
 	l, err := core.UniformLevels(2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) *Curve {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	run := func(procs int) *Curve {
+		runtime.GOMAXPROCS(procs)
 		c, err := SimulateCurve(CurveConfig{
 			Scheme: core.SLC, Levels: l, Dist: core.NewUniformDistribution(2),
-			Ms: Steps(0, 24, 4), Trials: 20, Seed: 7, Workers: workers,
+			Ms: Steps(0, 24, 4), Trials: 20, Seed: 7,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -245,34 +248,6 @@ func TestRenderTable1Formatting(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 1 output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestRenderChurnAndCSV(t *testing.T) {
-	pts := []ChurnPoint{
-		{T: 0, AliveFrac: 1, Mean: 3, CI95: 0},
-		{T: 10, AliveFrac: 0.5, Mean: 1.5, CI95: 0.2},
-	}
-	var buf bytes.Buffer
-	if err := RenderChurn(&buf, "timeline", pts); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"timeline", "alive%", "1.50±0.20", "100"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("churn table missing %q:\n%s", want, out)
-		}
-	}
-	if err := RenderChurn(&buf, "x", nil); err == nil {
-		t.Error("empty churn render succeeded")
-	}
-	buf.Reset()
-	if err := WriteChurnCSV(&buf, pts); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 || lines[0] != "t,aliveFrac,mean,ci95" {
-		t.Errorf("churn CSV:\n%s", buf.String())
 	}
 }
 

@@ -20,9 +20,6 @@ type FigureOptions struct {
 	// Scale divides the paper's problem size (0 or 1 = full N = 1000;
 	// e.g. 10 runs N = 100 with level sizes scaled accordingly).
 	Scale int
-	// Workers bounds simulation parallelism (0 = GOMAXPROCS). Results are
-	// independent of the worker count.
-	Workers int
 }
 
 func (o FigureOptions) withDefaults() FigureOptions {
@@ -70,7 +67,6 @@ func AnalysisVsSimulation(scheme core.Scheme, nLevels int, opts FigureOptions) (
 		Trials:       opts.Trials,
 		Seed:         opts.Seed,
 		WithAnalysis: true,
-		Workers:      opts.Workers,
 	})
 }
 
@@ -86,14 +82,13 @@ func SLCvsPLC(nLevels int, opts FigureOptions) (slc, plc *Curve, err error) {
 	n := levels.Total()
 	mk := func(scheme core.Scheme) (*Curve, error) {
 		return SimulateCurve(CurveConfig{
-			Name:    fmt.Sprintf("%s n=%d", scheme, nLevels),
-			Scheme:  scheme,
-			Levels:  levels,
-			Dist:    core.NewUniformDistribution(nLevels),
-			Ms:      Steps(0, 2*n, opts.scaled(opts.Stride)),
-			Trials:  opts.Trials,
-			Seed:    opts.Seed,
-			Workers: opts.Workers,
+			Name:   fmt.Sprintf("%s n=%d", scheme, nLevels),
+			Scheme: scheme,
+			Levels: levels,
+			Dist:   core.NewUniformDistribution(nLevels),
+			Ms:     Steps(0, 2*n, opts.scaled(opts.Stride)),
+			Trials: opts.Trials,
+			Seed:   opts.Seed,
 		})
 	}
 	if slc, err = mk(core.SLC); err != nil {
@@ -184,14 +179,13 @@ func Fig7(dists []core.PriorityDistribution, names []string, opts FigureOptions)
 	out := make([]*Curve, 0, len(dists))
 	for i, p := range dists {
 		c, err := SimulateCurve(CurveConfig{
-			Name:    names[i],
-			Scheme:  core.PLC,
-			Levels:  levels,
-			Dist:    p,
-			Ms:      Steps(0, opts.scaled(1000), opts.scaled(min(opts.Stride, 50))),
-			Trials:  opts.Trials,
-			Seed:    opts.Seed + int64(i),
-			Workers: opts.Workers,
+			Name:   names[i],
+			Scheme: core.PLC,
+			Levels: levels,
+			Dist:   p,
+			Ms:     Steps(0, opts.scaled(1000), opts.scaled(min(opts.Stride, 50))),
+			Trials: opts.Trials,
+			Seed:   opts.Seed + int64(i),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", names[i], err)
@@ -199,11 +193,4 @@ func Fig7(dists []core.PriorityDistribution, names []string, opts FigureOptions)
 		out = append(out, c)
 	}
 	return out, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

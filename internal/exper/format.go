@@ -111,44 +111,6 @@ func fmtDist(p []float64) string {
 	return strings.Join(parts, "/")
 }
 
-// RenderChurn renders a churn timeline as an aligned ASCII table.
-func RenderChurn(w io.Writer, title string, pts []ChurnPoint) error {
-	if len(pts) == 0 {
-		return fmt.Errorf("exper: no churn points to render")
-	}
-	header := []string{"time", "alive%", "levels"}
-	rows := make([][]string, 0, len(pts))
-	for _, p := range pts {
-		rows = append(rows, []string{
-			strconv.FormatFloat(p.T, 'f', 1, 64),
-			fmt.Sprintf("%.0f", p.AliveFrac*100),
-			fmt.Sprintf("%.2f±%.2f", p.Mean, p.CI95),
-		})
-	}
-	return renderTable(w, title, header, rows)
-}
-
-// WriteChurnCSV emits a churn timeline as CSV.
-func WriteChurnCSV(w io.Writer, pts []ChurnPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"t", "aliveFrac", "mean", "ci95"}); err != nil {
-		return err
-	}
-	for _, p := range pts {
-		rec := []string{
-			strconv.FormatFloat(p.T, 'g', 8, 64),
-			strconv.FormatFloat(p.AliveFrac, 'g', 8, 64),
-			strconv.FormatFloat(p.Mean, 'g', 8, 64),
-			strconv.FormatFloat(p.CI95, 'g', 8, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // renderTable prints an aligned ASCII table.
 func renderTable(w io.Writer, title string, header []string, rows [][]string) error {
 	widths := make([]int, len(header))

@@ -93,7 +93,7 @@ func (m *Mover) migrateObject(ctx context.Context, op ObjectPlan, rng *rand.Rand
 			}
 		}
 		fill := repair.Fill{
-			Shard: shard, Scheme: m.cfg.Scheme, Levels: m.cfg.Levels, SampleSize: m.cfg.SampleSize,
+			Shard: shard, Scheme: m.cfg.Scheme, Levels: m.cfg.Levels,
 			Rng: rng, Survivors: survivors, Deficient: deficient, Copyable: lacking, Charge: m.throttleWait,
 		}
 		if err := fill.Run(ctx, &res.Tally); err != nil {

@@ -71,8 +71,6 @@ type Config struct {
 	// gets within their latency budget while the fleet rebalances. The
 	// token bucket holds max(RateLimit, 1 MiB).
 	RateLimit int64
-	// SampleSize is how many survivors feed each recombination. Default 8.
-	SampleSize int
 	// Seed seeds recombination (0 means 1); each object derives its own
 	// generator from Seed and its ID, so bounded concurrency does not
 	// perturb determinism.
@@ -98,9 +96,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 2
-	}
-	if c.SampleSize <= 0 {
-		c.SampleSize = 8
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

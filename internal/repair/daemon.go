@@ -34,10 +34,6 @@ type Config struct {
 	// deficit cannot starve the critical levels of later rounds (the
 	// budget is spent most-critical-level-first). Default 64.
 	BlockBudget int
-	// SampleSize is how many surviving blocks feed each recombination.
-	// Small samples keep repair bandwidth near the regenerated volume;
-	// larger ones raise the entropy of each regenerated block. Default 8.
-	SampleSize int
 	// Seed seeds the recombination generator (0 means 1), so a repair
 	// history is reproducible given a reproducible fleet — whether the
 	// loop or RunOnce drives the rounds: the loop's jitter draws from a
@@ -58,9 +54,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.BlockBudget <= 0 {
 		c.BlockBudget = 64
-	}
-	if c.SampleSize <= 0 {
-		c.SampleSize = 8
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -189,7 +182,7 @@ func (d *Daemon) round(ctx context.Context) (*Report, error) {
 		rep.BytesCollected += int64(b.WireSize())
 	}
 	fill := Fill{
-		Shard: shard, Scheme: d.cfg.Scheme, Levels: d.cfg.Levels, SampleSize: d.cfg.SampleSize,
+		Shard: shard, Scheme: d.cfg.Scheme, Levels: d.cfg.Levels,
 		Rng: d.rng, Survivors: survivors, Deficient: deficient, Budget: d.cfg.BlockBudget,
 	}
 	err = fill.Run(ctx, &rep.Tally)

@@ -57,11 +57,10 @@ func (t *Tally) Add(o Tally) {
 // who is calling.
 type Fill struct {
 	// Shard is where blocks are placed, Scheme and Levels the code it
-	// holds, SampleSize how many survivors feed each recombination.
-	Shard      *store.Replicated
-	Scheme     core.Scheme
-	Levels     *core.Levels
-	SampleSize int
+	// holds.
+	Shard  *store.Replicated
+	Scheme core.Scheme
+	Levels *core.Levels
 	// Rng drives sampling and recombination — per deficient level, per
 	// block: Perm(anchors), Perm(padding) when padding is taken, then
 	// RecombineRanked — so a seeded caller replays bit-identically.
@@ -158,19 +157,21 @@ func (f *Fill) Run(ctx context.Context, t *Tally) error {
 	return nil
 }
 
-// sample draws up to SampleSize blocks: at least one anchor of the
+// sampleSize is how many survivors feed each recombination. Small
+// samples keep the bytes collected near the regenerated volume; larger
+// ones raise the entropy of each regenerated block.
+const sampleSize = 8
+
+// sample draws up to sampleSize blocks: at least one anchor of the
 // target level (so the output keeps that level), padded with
 // lower-level survivors when the scheme allows mixing.
 func (f *Fill) sample(anchors, padding []*core.CodedBlock) []*core.CodedBlock {
-	take := f.SampleSize
-	if take > len(anchors) {
-		take = len(anchors)
-	}
-	out := make([]*core.CodedBlock, 0, f.SampleSize)
+	take := min(sampleSize, len(anchors))
+	out := make([]*core.CodedBlock, 0, sampleSize)
 	for _, i := range f.Rng.Perm(len(anchors))[:take] {
 		out = append(out, anchors[i])
 	}
-	if pad := f.SampleSize - len(out); pad > 0 && len(padding) > 0 {
+	if pad := sampleSize - len(out); pad > 0 && len(padding) > 0 {
 		if pad > len(padding) {
 			pad = len(padding)
 		}

@@ -342,7 +342,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.cfg.Interval <= 0 || d.cfg.BlockBudget <= 0 || d.cfg.SampleSize <= 0 {
+	if d.cfg.Interval <= 0 || d.cfg.BlockBudget <= 0 {
 		t.Fatalf("defaults not filled: %+v", d.cfg)
 	}
 }
