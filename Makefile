@@ -113,15 +113,16 @@ bench-disk:
 # parallel encoder, the networked store, the placement ring and its
 # failure detector, the disk engine's group-commit writer, the repair
 # daemon, the ring rebalancer, the shared metrics registry they all
-# write to, and the load-and-chaos harness that exercises all of them
-# at once), then build and test the coding stack with -tags purego: the
+# write to, the load-and-chaos harness that exercises all of them at
+# once, and the collector the Monte-Carlo trials drive on GOMAXPROCS
+# goroutines), then build and test the coding stack with -tags purego: the
 # pure-Go kernel path every non-amd64 platform runs, which an amd64 CI
 # box otherwise never compiles.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) test -race ./internal/gf256 ./internal/gfmat ./internal/core ./internal/chord ./internal/gossip ./internal/store ./internal/diskstore ./internal/repair ./internal/mover ./internal/metrics ./internal/loadgen
+	$(GO) test -race ./internal/gf256 ./internal/gfmat ./internal/core ./internal/chord ./internal/gossip ./internal/store ./internal/diskstore ./internal/repair ./internal/mover ./internal/metrics ./internal/loadgen ./internal/collect ./internal/exper
 	$(GO) test -tags purego ./internal/gf256 ./internal/gfmat ./internal/core
 
 # Every builtin scenario against real prlcd daemons: steady-state,

@@ -414,7 +414,7 @@ func BenchmarkPersistenceUnderFailure(b *testing.B) {
 				}
 			}
 			blocks := d.CodedBlocks(func(n int) bool { return !dead[n] })
-			res, _, err := Collect(rng, PLC, levels, blocks, CollectOptions{})
+			res, err := Collect(rng, mustDecoder(b, levels, 0), blocks, CollectOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -549,7 +549,7 @@ func BenchmarkCorrelatedFailures(b *testing.B) {
 	}
 	collectLevels := func(dead map[int]bool) float64 {
 		blocks := d.CodedBlocks(func(n int) bool { return !dead[n] })
-		res, _, err := Collect(rng, PLC, levels, blocks, CollectOptions{})
+		res, err := Collect(rng, mustDecoder(b, levels, 0), blocks, CollectOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -626,7 +626,7 @@ func BenchmarkGossipVsRouting(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		res, _, err := Collect(rng, PLC, levels, dep.CodedBlocks(nil), CollectOptions{})
+		res, err := Collect(rng, mustDecoder(b, levels, 0), dep.CodedBlocks(nil), CollectOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -647,7 +647,7 @@ func BenchmarkGossipVsRouting(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		res, _, err = Collect(rng, PLC, levels, gdep.CodedBlocks(nil), CollectOptions{})
+		res, err = Collect(rng, mustDecoder(b, levels, 0), gdep.CodedBlocks(nil), CollectOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

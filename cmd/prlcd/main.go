@@ -55,6 +55,7 @@ import (
 	"time"
 
 	"repro/internal/cliutil"
+	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/diskstore"
 	"repro/internal/metrics"
@@ -627,21 +628,22 @@ func getCmd(args []string, out io.Writer) error {
 		return fmt.Errorf("get: daemons hold no blocks")
 	}
 	g.PayloadLen = len(blocks[0].Payload)
-	dec, err := cliutil.NewFileDecoder(g)
+	dec, err := g.Decoder()
 	if err != nil {
 		return err
 	}
-	for _, b := range blocks {
-		if err := dec.Add(b); err != nil {
-			fmt.Fprintf(out, "get: skipping block: %v\n", err)
-		} else if dec.Complete() {
-			break
-		}
-	}
-	if err := os.WriteFile(outPath, dec.Prefix(), 0o644); err != nil {
+	res, err := collect.Run(collect.Slice(blocks), dec, collect.Options{})
+	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "collected %d blocks from %d daemons; wrote %s: %s\n", len(blocks), len(addrs), outPath, dec.Summary())
+	for _, r := range res.Rejected {
+		fmt.Fprintf(out, "get: skipping block: %v\n", r.Err)
+	}
+	file, summary := g.Recovered(dec, res)
+	if err := os.WriteFile(outPath, file, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "collected %d blocks from %d daemons; wrote %s: %s\n", len(blocks), len(addrs), outPath, summary)
 	return nil
 }
 

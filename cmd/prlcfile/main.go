@@ -15,12 +15,14 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 
 	"repro/internal/cliutil"
+	"repro/internal/collect"
 	"repro/internal/core"
 )
 
@@ -89,9 +91,10 @@ func encode(args []string) error {
 	return nil
 }
 
-// decode feeds the block files to one decoder in name order, stopping
-// once the file is complete. The first readable file fixes the geometry;
-// unreadable, mismatched or rejected files are skipped and reported.
+// decode collects the block files in name order, stopping once the file
+// is complete. The first file that reads and builds a decoder fixes the
+// geometry; unreadable, mismatched or rejected files are skipped and
+// reported.
 func decode(args []string) error {
 	fs := flag.NewFlagSet("prlcfile decode", flag.ContinueOnError)
 	in := fs.String("in", "", "directory of block files")
@@ -106,40 +109,58 @@ func decode(args []string) error {
 	if err != nil {
 		return err
 	}
-	var (
-		dec *cliutil.FileDecoder
-		g0  cliutil.Geometry
-	)
+	var paths []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), blockSuffix) {
-			continue
-		}
-		path := filepath.Join(*in, e.Name())
-		g, b, err := readBlock(path)
-		switch {
-		case err != nil:
-		case dec == nil:
-			if dec, err = cliutil.NewFileDecoder(g); err == nil {
-				g0, err = g, dec.Add(b)
-			}
-		case !reflect.DeepEqual(g, g0):
-			err = fmt.Errorf("geometry differs from the first block file's")
-		default:
-			err = dec.Add(b)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prlcfile: skipping %s: %v\n", path, err)
-		} else if dec.Complete() {
-			break
+		if !e.IsDir() && strings.HasSuffix(e.Name(), blockSuffix) {
+			paths = append(paths, filepath.Join(*in, e.Name()))
 		}
 	}
-	if dec == nil {
+	skip := func(path string, err error) {
+		fmt.Fprintf(os.Stderr, "prlcfile: skipping %s: %v\n", path, err)
+	}
+	var (
+		g0  cliutil.Geometry
+		dec cliutil.Decoder
+	)
+	for ; len(paths) > 0; paths = paths[1:] {
+		g, _, err := readBlock(paths[0])
+		if err == nil {
+			if dec, err = g.Decoder(); err == nil {
+				g0 = g
+				break
+			}
+		}
+		skip(paths[0], err)
+	}
+	if len(paths) == 0 {
 		return fmt.Errorf("decode: no readable %s block files in %s", blockSuffix, *in)
 	}
-	if err := os.WriteFile(*out, dec.Prefix(), 0o644); err != nil {
+	// The collection starts at the file that fixed the geometry and reads
+	// the rest lazily: once the file is complete, no more files.
+	next := 0
+	src := func() (*core.CodedBlock, error) {
+		if next == len(paths) {
+			return nil, io.EOF
+		}
+		next++
+		g, b, err := readBlock(paths[next-1])
+		if err == nil && !reflect.DeepEqual(g, g0) {
+			err = fmt.Errorf("geometry differs from the first block file's")
+		}
+		return b, err
+	}
+	res, err := collect.Run(src, dec, collect.Options{})
+	if err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: %s\n", *out, dec.Summary())
+	for _, r := range res.Rejected {
+		skip(paths[r.Draw], r.Err)
+	}
+	file, summary := g0.Recovered(dec, res)
+	if err := os.WriteFile(*out, file, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s: %s\n", *out, summary)
 	return nil
 }
 
@@ -189,45 +210,32 @@ func readBlock(path string) (cliutil.Geometry, *core.CodedBlock, error) {
 	if ver != formatVer && ver != formatVerChunked {
 		return cliutil.Geometry{}, nil, fmt.Errorf("unsupported format version %d", ver)
 	}
-	off := 5
-	need := func(n int) error {
-		if len(data)-off < n {
-			return fmt.Errorf("truncated block file")
+	// The header: scheme, level count and sizes, file size, payload
+	// length, and in v3 the chunk size and overlap.
+	hdr := 8
+	if len(data) >= hdr {
+		hdr += 4*int(binary.BigEndian.Uint16(data[6:])) + 8 + 4
+		if ver == formatVerChunked {
+			hdr += 8
 		}
-		return nil
 	}
-	var g cliutil.Geometry
-	g.Scheme = core.Scheme(data[off])
-	off++
-	if err := need(2); err != nil {
-		return cliutil.Geometry{}, nil, err
+	if len(data) < hdr {
+		return cliutil.Geometry{}, nil, fmt.Errorf("truncated block file")
 	}
-	nLevels := int(binary.BigEndian.Uint16(data[off:]))
-	off += 2
-	if err := need(4 * nLevels); err != nil {
-		return cliutil.Geometry{}, nil, err
-	}
-	g.LevelSizes = make([]int, nLevels)
-	for i := range g.LevelSizes {
-		g.LevelSizes[i] = int(binary.BigEndian.Uint32(data[off:]))
+	off := 8
+	u32 := func() int {
 		off += 4
+		return int(binary.BigEndian.Uint32(data[off-4:]))
 	}
-	if err := need(8 + 4); err != nil {
-		return cliutil.Geometry{}, nil, err
+	g := cliutil.Geometry{Scheme: core.Scheme(data[5]), LevelSizes: make([]int, binary.BigEndian.Uint16(data[6:]))}
+	for i := range g.LevelSizes {
+		g.LevelSizes[i] = u32()
 	}
 	g.FileSize = binary.BigEndian.Uint64(data[off:])
 	off += 8
-	g.PayloadLen = int(binary.BigEndian.Uint32(data[off:]))
-	off += 4
+	g.PayloadLen = u32()
 	if ver == formatVerChunked {
-		if err := need(8); err != nil {
-			return cliutil.Geometry{}, nil, err
-		}
-		g.ChunkSize = int(binary.BigEndian.Uint32(data[off:]))
-		off += 4
-		g.ChunkOverlap = int(binary.BigEndian.Uint32(data[off:]))
-		off += 4
-		if g.ChunkSize <= 0 {
+		if g.ChunkSize, g.ChunkOverlap = u32(), u32(); g.ChunkSize <= 0 {
 			return cliutil.Geometry{}, nil, fmt.Errorf("chunked block file with chunk size %d", g.ChunkSize)
 		}
 	}

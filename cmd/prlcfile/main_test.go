@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cliutil"
@@ -192,9 +194,30 @@ func TestDecodeSkipsCorruptFiles(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(blocksDir, "junk.prlc"), []byte("PRLC\x09"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	outFile := filepath.Join(t.TempDir(), "out.bin")
-	if err := run([]string{"decode", "-in", blocksDir, "-out", outFile}); err != nil {
+	// A well-formed file of the same geometry but another object, read
+	// right after the file that fixes the geometry: the decoder refuses it.
+	g, b, err := readBlock(filepath.Join(blocksDir, "block_00003.prlc"))
+	if err != nil {
 		t.Fatal(err)
+	}
+	b.Object = core.NamedObject("another file")
+	alien := filepath.Join(blocksDir, "block_00002x.prlc")
+	if err := writeBlock(alien, g, b); err != nil {
+		t.Fatal(err)
+	}
+	outFile := filepath.Join(t.TempDir(), "out.bin")
+	stderr := captureStderr(t, func() {
+		if err := run([]string{"decode", "-in", blocksDir, "-out", outFile}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, name := range []string{"block_00000.prlc", "block_00001.prlc", "block_00002x.prlc"} {
+		if !strings.Contains(stderr, "prlcfile: skipping "+filepath.Join(blocksDir, name)+": ") {
+			t.Errorf("no skip line for %s in:\n%s", name, stderr)
+		}
+	}
+	if !strings.Contains(stderr, alien+": "+core.ErrObjectMismatch.Error()) {
+		t.Errorf("the other object's file is not skipped as a decoder reject:\n%s", stderr)
 	}
 	got, err := os.ReadFile(outFile)
 	if err != nil {
@@ -207,6 +230,26 @@ func TestDecodeSkipsCorruptFiles(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("decode with corrupt files present lost data")
 	}
+}
+
+// captureStderr returns what fn writes to os.Stderr.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(saved *os.File) { os.Stderr = saved }(os.Stderr)
+	os.Stderr = w
+	out := make(chan string)
+	go func() {
+		var buf bytes.Buffer
+		io.Copy(&buf, r)
+		out <- buf.String()
+	}()
+	fn()
+	w.Close()
+	return <-out
 }
 
 func TestBlockFileRoundTrip(t *testing.T) {

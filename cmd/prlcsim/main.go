@@ -235,8 +235,11 @@ func run(args []string) error {
 			}
 			blocks := dep.CodedBlocks(func(n int) bool { return !dead[n] })
 			caches = len(blocks)
-			res, _, err := collect.Run(rng, cfg.scheme, levels, blocks,
-				collect.Options{PayloadLen: cfg.payload})
+			dec, err := core.NewDecoder(cfg.scheme, levels, cfg.payload)
+			if err != nil {
+				return err
+			}
+			res, err := collect.Run(collect.Shuffle(rng, blocks), dec, collect.Options{})
 			if err != nil {
 				return err
 			}

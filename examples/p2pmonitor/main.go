@@ -108,8 +108,11 @@ func run() error {
 			}
 		}
 		blocks := dep.CodedBlocks(func(peer int) bool { return !departed[peer] })
-		res, dec, err := prlc.Collect(rng, prlc.PLC, levels, blocks,
-			prlc.CollectOptions{PayloadLen: payloadLen})
+		dec, err := prlc.NewDecoder(prlc.PLC, levels, payloadLen)
+		if err != nil {
+			return err
+		}
+		res, err := prlc.Collect(rng, dec, blocks, prlc.CollectOptions{})
 		if err != nil {
 			return err
 		}

@@ -90,8 +90,11 @@ func run() error {
 			}
 		}
 		blocks := dep.CodedBlocks(func(node int) bool { return !dead[node] })
-		res, dec, err := prlc.Collect(rng, prlc.PLC, levels, blocks,
-			prlc.CollectOptions{PayloadLen: payloadLen})
+		dec, err := prlc.NewDecoder(prlc.PLC, levels, payloadLen)
+		if err != nil {
+			return err
+		}
+		res, err := prlc.Collect(rng, dec, blocks, prlc.CollectOptions{})
 		if err != nil {
 			return err
 		}

@@ -112,8 +112,11 @@ func run(addrs []string) error {
 	if err != nil {
 		return err
 	}
-	res, dec, err := prlc.Collect(rng, prlc.PLC, levels, survived,
-		prlc.CollectOptions{Context: ctx, PayloadLen: 32})
+	dec, err := prlc.NewDecoder(prlc.PLC, levels, 32)
+	if err != nil {
+		return err
+	}
+	res, err := prlc.Collect(rng, dec, survived, prlc.CollectOptions{Context: ctx})
 	if err != nil {
 		return err
 	}

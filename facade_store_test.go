@@ -109,7 +109,8 @@ func TestFacadeStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, dec, err := Collect(rng, PLC, levels, survived, CollectOptions{Context: ctx, PayloadLen: 16})
+	dec := mustDecoder(t, levels, 16)
+	res, err := Collect(rng, dec, survived, CollectOptions{Context: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestFacadeStoreRoundTrip(t *testing.T) {
 	// Context plumbing: a canceled collection run stops with ctx.Err().
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, _, err := Collect(rng, PLC, levels, survived, CollectOptions{Context: cctx, PayloadLen: 16}); !errors.Is(err, context.Canceled) {
+	if _, err := Collect(rng, mustDecoder(t, levels, 16), survived, CollectOptions{Context: cctx}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled Collect = %v, want context.Canceled", err)
 	}
 

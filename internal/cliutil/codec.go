@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/collect"
 	"repro/internal/core"
 )
 
@@ -197,82 +198,61 @@ func (f EncodeFlags) EncodeFile(path string) (Geometry, []*core.CodedBlock, erro
 	return g, cb, err
 }
 
-// FileDecoder recovers a file's prefix from coded blocks of a known
-// geometry, through the chunked or the level-structured decoder.
-type FileDecoder struct {
-	geo Geometry
-	dec interface {
-		Add(*core.CodedBlock) (bool, error)
-		Complete() bool
-		Sources() [][]byte
-	}
+// Decoder is a file's decoder: collect.Run feeds it, Recovered reads it.
+type Decoder interface {
+	collect.Decoder
+	Sources() [][]byte
 }
 
-// NewFileDecoder builds the decoder for g.
-func NewFileDecoder(g Geometry) (*FileDecoder, error) {
+// Decoder builds the decoder g's blocks need: the chunked decoder for a
+// chunk-coded file, else the level-structured one.
+func (g Geometry) Decoder() (Decoder, error) {
 	levels, err := core.NewLevels(g.LevelSizes...)
 	if err != nil {
 		return nil, err
 	}
-	d := &FileDecoder{geo: g}
-	if g.Chunked() {
-		layout, err := g.layout()
+	if !g.Chunked() {
+		dec, err := core.NewDecoder(g.Scheme, levels, g.PayloadLen)
 		if err != nil {
 			return nil, err
 		}
-		if d.dec, err = core.NewChunkedDecoder(layout, g.PayloadLen); err != nil {
-			return nil, err
-		}
-		return d, nil
+		return dec, nil
 	}
-	if d.dec, err = core.NewDecoder(g.Scheme, levels, g.PayloadLen); err != nil {
+	layout, err := g.layout()
+	if err != nil {
 		return nil, err
 	}
-	return d, nil
+	dec, err := core.NewChunkedDecoder(layout, g.PayloadLen)
+	if err != nil {
+		return nil, err
+	}
+	return dec, nil
 }
 
-// Add absorbs one block. A block the decoder rejects is skipped, and the
-// reason returned for the caller to report; decoding goes on without it.
-func (d *FileDecoder) Add(b *core.CodedBlock) error {
-	_, err := d.dec.Add(b)
-	return err
-}
-
-// Complete reports whether every source block is decoded.
-func (d *FileDecoder) Complete() bool { return d.dec.Complete() }
-
-// Prefix is the recovered file: the decoded source blocks from the front
-// up to the first gap, cut to the file size.
-func (d *FileDecoder) Prefix() []byte {
+// Recovered is the file a decode recovered — the decoded source blocks
+// from the front up to the first gap, cut to the file size — and its
+// one-line report.
+func (g Geometry) Recovered(dec Decoder, res collect.Result) ([]byte, string) {
 	var buf []byte
-	for _, p := range d.dec.Sources() {
+	for _, p := range dec.Sources() {
 		if p == nil {
 			break
 		}
 		buf = append(buf, p...)
 	}
-	if d.geo.FileSize > 0 && uint64(len(buf)) > d.geo.FileSize {
-		buf = buf[:d.geo.FileSize]
+	if g.FileSize > 0 && uint64(len(buf)) > g.FileSize {
+		buf = buf[:g.FileSize]
 	}
-	return buf
-}
-
-// Summary is the one-line decode report.
-func (d *FileDecoder) Summary() string {
-	decoded, note := 0, "chunked"
-	switch dec := d.dec.(type) {
-	case *core.Decoder:
-		decoded, note = dec.DecodedBlocks(), fmt.Sprintf("%d levels", dec.DecodedLevels())
-	case *core.ChunkedDecoder:
-		decoded = dec.DecodedCount()
+	note := "chunked"
+	if !g.Chunked() {
+		note = fmt.Sprintf("%d levels", res.DecodedLevels)
 	}
-	n := len(d.Prefix())
-	s := fmt.Sprintf("decoded %d/%d source blocks (%s), %d bytes", decoded, d.geo.Total(), note, n)
+	s := fmt.Sprintf("decoded %d/%d source blocks (%s), %d bytes", res.DecodedBlocks, g.Total(), note, len(buf))
 	switch {
-	case d.Complete():
+	case res.Complete:
 		s += " (complete file)"
-	case d.geo.FileSize > 0:
-		s += fmt.Sprintf(" (partial recovery: %.1f%% of the file)", 100*float64(n)/float64(d.geo.FileSize))
+	case g.FileSize > 0:
+		s += fmt.Sprintf(" (partial recovery: %.1f%% of the file)", 100*float64(len(buf))/float64(g.FileSize))
 	}
-	return s
+	return buf, s
 }

@@ -231,8 +231,8 @@ func (cd *ChunkedDecoder) Rank() int { return cd.dec.Rank() }
 // Complete reports whether every source block is decoded.
 func (cd *ChunkedDecoder) Complete() bool { return cd.dec.Complete() }
 
-// DecodedCount returns the number of individually decoded source blocks.
-func (cd *ChunkedDecoder) DecodedCount() int { return cd.dec.DecodedCount() }
+// DecodedBlocks returns the number of individually decoded source blocks.
+func (cd *ChunkedDecoder) DecodedBlocks() int { return cd.dec.DecodedCount() }
 
 // ChunkDecoded reports whether every source block of chunk i is decoded.
 func (cd *ChunkedDecoder) ChunkDecoded(i int) bool {

@@ -67,9 +67,9 @@ func addChunkedBoth(t *testing.T, cd *ChunkedDecoder, ref *gfmat.RefDecoder, b *
 	if i1 != i2 {
 		t.Fatalf("innovation: chunked %v, reference %v", i1, i2)
 	}
-	if cd.Rank() != ref.Rank() || cd.Complete() != ref.Complete() || cd.DecodedCount() != ref.DecodedCount() {
+	if cd.Rank() != ref.Rank() || cd.Complete() != ref.Complete() || cd.DecodedBlocks() != ref.DecodedCount() {
 		t.Fatalf("rank/complete/decoded: chunked %d/%v/%d, reference %d/%v/%d",
-			cd.Rank(), cd.Complete(), cd.DecodedCount(), ref.Rank(), ref.Complete(), ref.DecodedCount())
+			cd.Rank(), cd.Complete(), cd.DecodedBlocks(), ref.Rank(), ref.Complete(), ref.DecodedCount())
 	}
 	for i := 0; i < cd.Layout().Count; i++ {
 		lo, hi := cd.Layout().Span(i)
@@ -183,7 +183,7 @@ func TestChunkedOverlapRescue(t *testing.T) {
 		}
 	}
 	if !cd.Complete() {
-		t.Fatalf("overlap rescue failed: rank %d/12, decoded %d", cd.Rank(), cd.DecodedCount())
+		t.Fatalf("overlap rescue failed: rank %d/12, decoded %d", cd.Rank(), cd.DecodedBlocks())
 	}
 	for i, want := range sources {
 		got, err := cd.Source(i)

@@ -98,8 +98,11 @@ func TestServerRestartSurvivesTornTail(t *testing.T) {
 
 	// Level 0 — the critical prefix — must decode bit-exact from what
 	// survived.
-	res, dec, err := collect.Run(rand.New(rand.NewSource(3)), core.PLC, levels, got,
-		collect.Options{PayloadLen: len(sources[0])})
+	dec, err := core.NewDecoder(core.PLC, levels, len(sources[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := collect.Run(collect.Shuffle(rand.New(rand.NewSource(3)), got), dec, collect.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,7 +192,11 @@ func churnTrial(cfg ChurnConfig, times []float64, seed int64, record func(int, f
 		i, t := i, t
 		if err := engine.ScheduleAt(t, func() {
 			blocks := dep.CodedBlocks(func(n int) bool { return alive[n] })
-			res, _, err := collect.Run(rng, cfg.Scheme, cfg.Levels, blocks, collect.Options{})
+			var res collect.Result
+			dec, err := core.NewDecoder(cfg.Scheme, cfg.Levels, 0)
+			if err == nil {
+				res, err = collect.Run(collect.Shuffle(rng, blocks), dec, collect.Options{})
+			}
 			if err != nil {
 				if sampleErr == nil {
 					sampleErr = err

@@ -8,12 +8,14 @@ package exper
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
 
 	"repro/internal/analysis"
+	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/dist"
 )
@@ -95,40 +97,25 @@ func SimulateCurve(cfg CurveConfig) (*Curve, error) {
 
 	ms := append([]int(nil), cfg.Ms...)
 	sort.Ints(ms)
-	maxM := ms[len(ms)-1]
 
-	// levelsAt[t][i] is trial t's decoded-level count at checkpoint i.
+	// levelsAt[t][i] is trial t's decoded-level count at checkpoint i;
+	// worker w runs trials w, w+workers, ...
 	levelsAt := make([][]int, trials)
-	var (
-		wg   sync.WaitGroup
-		errs = make([]error, workers)
-	)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		w := w
+	errs := make([]error, trials)
+	var wg sync.WaitGroup
+	for w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for t := range next {
-				rec, err := runTrial(cfg, ms, maxM, cfg.Seed+int64(t)*1_000_003)
-				if err != nil {
-					if errs[w] == nil {
-						errs[w] = fmt.Errorf("trial %d: %w", t, err)
-					}
-					continue
-				}
-				levelsAt[t] = rec
+			for t := w; t < trials; t += workers {
+				levelsAt[t], errs[t] = runTrial(cfg, ms, cfg.Seed+int64(t)*1_000_003)
 			}
 		}()
 	}
-	for t := 0; t < trials; t++ {
-		next <- t
-	}
-	close(next)
 	wg.Wait()
-	for _, err := range errs {
+	for t, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("trial %d: %w", t, err)
 		}
 	}
 
@@ -140,9 +127,7 @@ func SimulateCurve(cfg CurveConfig) (*Curve, error) {
 		}
 		s := dist.Summarize(samples)
 		curve.Points[i] = CurvePoint{M: float64(m), Mean: s.Mean, CI95: s.CI95}
-	}
-	if cfg.WithAnalysis {
-		for i, m := range ms {
+		if cfg.WithAnalysis {
 			r, err := analysis.Eval(cfg.Scheme, cfg.Levels, cfg.Dist, m)
 			if err != nil {
 				return nil, err
@@ -154,9 +139,9 @@ func SimulateCurve(cfg CurveConfig) (*Curve, error) {
 	return curve, nil
 }
 
-// runTrial streams maxM random coded blocks into a decoder and returns the
-// decoded-level count at each checkpoint.
-func runTrial(cfg CurveConfig, ms []int, maxM int, seed int64) ([]int, error) {
+// runTrial collects up to the last checkpoint's count of freshly encoded
+// random blocks and returns the decoded-level count at each checkpoint.
+func runTrial(cfg CurveConfig, ms []int, seed int64) ([]int, error) {
 	rng := rand.New(rand.NewSource(seed))
 	enc, err := core.NewEncoder(cfg.Scheme, cfg.Levels, nil)
 	if err != nil {
@@ -170,38 +155,24 @@ func runTrial(cfg CurveConfig, ms []int, maxM int, seed int64) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := make([]int, len(ms))
-	ci := 0
-	for processed := 0; processed <= maxM && ci < len(ms); processed++ {
-		for ci < len(ms) && ms[ci] == processed {
-			rec[ci] = dec.DecodedLevels()
-			ci++
+	// A block is only generated when the collector asks for one, so a
+	// trial that completes early draws nothing more.
+	drawn := 0
+	src := func() (*core.CodedBlock, error) {
+		if drawn == ms[len(ms)-1] {
+			return nil, io.EOF
 		}
-		if processed == maxM {
-			break
-		}
-		// Generating a block only matters while the decoder is incomplete;
-		// once complete, every checkpoint reads n levels anyway.
-		if dec.Complete() {
-			for ci < len(ms) {
-				rec[ci] = dec.DecodedLevels()
-				ci++
-			}
-			break
-		}
-		b, err := enc.Encode(rng, sampler.Draw(rng))
-		if err != nil {
-			return nil, err
-		}
-		if _, err := dec.Add(b); err != nil {
-			return nil, err
-		}
+		drawn++
+		return enc.Encode(rng, sampler.Draw(rng))
 	}
-	for ci < len(ms) {
-		rec[ci] = dec.DecodedLevels()
-		ci++
+	res, err := collect.Run(src, dec, collect.Options{Checkpoints: ms})
+	if err != nil {
+		return nil, err
 	}
-	return rec, nil
+	if len(res.Rejected) > 0 {
+		return nil, res.Rejected[0].Err
+	}
+	return res.LevelsAt, nil
 }
 
 // Steps returns the inclusive integer sweep {from, from+step, ..., to},

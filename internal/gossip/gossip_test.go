@@ -250,7 +250,11 @@ func TestGossipEndToEnd(t *testing.T) {
 	}
 
 	// Full collection decodes everything.
-	res, dec, err := collect.Run(rng, core.PLC, l, d.CodedBlocks(nil), collect.Options{PayloadLen: 8})
+	dec, err := core.NewDecoder(core.PLC, l, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := collect.Run(collect.Shuffle(rng, d.CodedBlocks(nil)), dec, collect.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,8 +278,10 @@ func TestGossipEndToEnd(t *testing.T) {
 			dead[i] = true
 		}
 	}
-	res, _, err = collect.Run(rng, core.PLC, l,
-		d.CodedBlocks(func(n int) bool { return !dead[n] }), collect.Options{PayloadLen: 8})
+	if dec, err = core.NewDecoder(core.PLC, l, 8); err != nil {
+		t.Fatal(err)
+	}
+	res, err = collect.Run(collect.Shuffle(rng, d.CodedBlocks(func(n int) bool { return !dead[n] })), dec, collect.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -269,16 +269,18 @@ func spotCheck(ctx context.Context, placed *store.Placed, obj core.ObjectID, lev
 	if err != nil {
 		return 0, fmt.Errorf("collect: %w", err)
 	}
-	res, dec, err := collect.Run(rand.New(rand.NewSource(seed)), core.PLC, levels, blocks, collect.Options{
-		Context:      cctx,
-		TargetLevels: 1,
-		PayloadLen:   payloadLen,
-	})
+	dec, err := core.NewDecoder(core.PLC, levels, payloadLen)
+	if err != nil {
+		return len(blocks), fmt.Errorf("decode: %w", err)
+	}
+	res, err := collect.Run(collect.Shuffle(rand.New(rand.NewSource(seed)), blocks), dec,
+		collect.Options{Context: cctx, TargetLevels: 1})
 	if err != nil {
 		return len(blocks), fmt.Errorf("decode: %w", err)
 	}
 	if res.DecodedLevels < 1 {
-		return len(blocks), fmt.Errorf("level 0 undecodable from %d blocks (%d innovative)", len(blocks), res.Innovative)
+		return len(blocks), fmt.Errorf("level 0 undecodable from %d blocks (%d innovative, %d rejected)",
+			len(blocks), res.Innovative, len(res.Rejected))
 	}
 	got := dec.Sources()
 	for i := 0; i < levels.Size(0); i++ {

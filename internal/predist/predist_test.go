@@ -177,7 +177,11 @@ func endToEnd(t *testing.T, scheme core.Scheme, tr Transport, cfg Config, seed i
 		}
 	}
 	blocks := d.CodedBlocks(nil)
-	res, dec, err := collect.Run(rng, scheme, cfg.Levels, blocks, collect.Options{PayloadLen: cfg.PayloadLen})
+	dec, err := core.NewDecoder(scheme, cfg.Levels, cfg.PayloadLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := collect.Run(collect.Shuffle(rng, blocks), dec, collect.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +283,11 @@ func TestFanoutReducesMessages(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, _, err := collect.Run(rng, core.PLC, l, d.CodedBlocks(nil), collect.Options{})
+		dec, err := core.NewDecoder(core.PLC, l, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := collect.Run(collect.Shuffle(rng, d.CodedBlocks(nil)), dec, collect.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +367,11 @@ func TestPartialRecoveryUnderFailures(t *testing.T) {
 		}
 	}
 	blocks := d.CodedBlocks(func(node int) bool { return !dead[node] })
-	res, dec, err := collect.Run(rng, core.PLC, l, blocks, collect.Options{PayloadLen: 4})
+	dec, err := core.NewDecoder(core.PLC, l, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := collect.Run(collect.Shuffle(rng, blocks), dec, collect.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

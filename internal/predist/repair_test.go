@@ -101,8 +101,11 @@ func TestRepairRestoresRedundancy(t *testing.T) {
 	}
 
 	// The collector decodes everything from the survivors.
-	res, dec, err := collect.Run(rng, core.PLC, d.cfg.Levels,
-		d.CodedBlocks(alive), collect.Options{PayloadLen: 8})
+	dec, err := core.NewDecoder(core.PLC, d.cfg.Levels, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := collect.Run(collect.Shuffle(rng, d.CodedBlocks(alive)), dec, collect.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +139,10 @@ func TestRepairRestoresRedundancy(t *testing.T) {
 			dead[i] = true
 		}
 	}
-	res, dec, err = collect.Run(rng, core.PLC, d.cfg.Levels,
-		d.CodedBlocks(alive), collect.Options{PayloadLen: 8})
+	if dec, err = core.NewDecoder(core.PLC, d.cfg.Levels, 8); err != nil {
+		t.Fatal(err)
+	}
+	res, err = collect.Run(collect.Shuffle(rng, d.CodedBlocks(alive)), dec, collect.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -340,10 +340,10 @@ func NewDHTTransport(r *ChordRing) (Transport, error) {
 // NewDeployment derives the seeded cache locations for a deployment.
 func NewDeployment(cfg DeployConfig) (*Deployment, error) { return predist.NewDeployment(cfg) }
 
-// Collect pulls coded blocks in random order into a fresh decoder,
-// stopping when the options' target is met.
-func Collect(rng *rand.Rand, scheme Scheme, levels *Levels, blocks []*CodedBlock, opts CollectOptions) (CollectResult, *Decoder, error) {
-	return collect.Run(rng, scheme, levels, blocks, opts)
+// Collect pulls coded blocks into dec in random order, stopping when the
+// options' target is met; a block dec refuses is skipped and counted.
+func Collect(rng *rand.Rand, dec *Decoder, blocks []*CodedBlock, opts CollectOptions) (CollectResult, error) {
+	return collect.Run(collect.Shuffle(rng, blocks), dec, opts)
 }
 
 // Store layer: the networked priority block store of internal/store — a

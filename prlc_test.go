@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// mustDecoder is a fresh PLC decoder for a test collection.
+func mustDecoder(tb testing.TB, levels *Levels, payloadLen int) *Decoder {
+	tb.Helper()
+	dec, err := NewDecoder(PLC, levels, payloadLen)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dec
+}
+
 // TestFacadeRoundTrip exercises the coding layer through the public API
 // only: encode three levels of payloads, lose the stream early, and
 // recover the most important level first.
@@ -126,7 +136,7 @@ func TestFacadeSensorProtocol(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, _, err := Collect(rng, PLC, levels, dep.CodedBlocks(nil), CollectOptions{PayloadLen: 4})
+	res, err := Collect(rng, mustDecoder(t, levels, 4), dep.CodedBlocks(nil), CollectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
