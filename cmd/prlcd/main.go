@@ -620,7 +620,9 @@ func getCmd(args []string, out io.Writer) error {
 		return err
 	}
 	defer placed.Close()
-	blocks, err := placed.Collect(context.Background(), obj, -1)
+	// A read of every level stops at the owners whose answers already
+	// decode them all.
+	blocks, err := placed.Collect(context.Background(), obj, g.Groups()-1)
 	if err != nil {
 		return err
 	}

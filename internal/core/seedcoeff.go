@@ -91,7 +91,7 @@ func seedMatches(coeff []byte, seed uint64) bool {
 // expansion byte makes the support the first and last nonzero columns.
 func (b *CodedBlock) seedSupport() (lo, hi int, ok bool) {
 	n := len(b.Coeff)
-	if !b.seeded || b.SpCoeff != nil || n > maxSeedCoeffLen || wireSeedHeader >= headerSize(b.Object)+n {
+	if !b.seeded || b.SpCoeff != nil || !seedFrameFits(b.Object, n) {
 		return 0, 0, false
 	}
 	if lo = gf256.NextNonzero(b.Coeff, 0); lo == n {
@@ -99,4 +99,11 @@ func (b *CodedBlock) seedSupport() (lo, hi int, ok bool) {
 	}
 	hi = gf256.LastNonzero(b.Coeff, lo) + 1
 	return lo, hi, seedMatches(b.Coeff[lo:hi], b.seed)
+}
+
+// seedFrameFits reports whether a dense block of obj with n coefficients
+// marshals as a v5 seed frame when it carries its seed: the frame exists
+// for n and is smaller than the v1/v2 one.
+func seedFrameFits(obj ObjectID, n int) bool {
+	return n <= maxSeedCoeffLen && wireSeedHeader < headerSize(obj)+n
 }

@@ -265,7 +265,7 @@ func decodeCheck(ctx context.Context, placed *store.Placed, objs []core.ObjectID
 func spotCheck(ctx context.Context, placed *store.Placed, obj core.ObjectID, levels *core.Levels, sources [][]byte, seed int64, payloadLen int) (int, error) {
 	cctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
-	blocks, err := placed.Collect(cctx, obj, levels.Count()-1)
+	blocks, err := placed.Collect(cctx, obj, 0)
 	if err != nil {
 		return 0, fmt.Errorf("collect: %w", err)
 	}

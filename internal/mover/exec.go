@@ -59,7 +59,7 @@ func (m *Mover) migrateObject(ctx context.Context, op ObjectPlan, rng *rand.Rand
 			res.BytesCollected += int64(moved)
 			return moved
 		}
-		ownerBlocks, err := shard.CollectObject(ctx, op.Object, maxLevel)
+		ownerBlocks, err := shard.CollectAll(ctx, op.Object, maxLevel)
 		if err != nil {
 			return fmt.Errorf("mover: collect %s from owners: %w", op.Object, err)
 		}

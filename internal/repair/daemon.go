@@ -173,7 +173,7 @@ func (d *Daemon) round(ctx context.Context) (*Report, error) {
 
 	// One collect covers every deficient level: survivors of level k
 	// also serve as sample padding for deeper PLC levels.
-	survivors, err := shard.CollectObject(ctx, d.cfg.Object, deficient[len(deficient)-1].Level)
+	survivors, err := shard.CollectAll(ctx, d.cfg.Object, deficient[len(deficient)-1].Level)
 	if err != nil {
 		return rep, err
 	}

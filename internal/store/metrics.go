@@ -129,7 +129,11 @@ type replicatedMetrics struct {
 	collectErrors *metrics.Counter
 	collectBlocks *metrics.Counter
 	collectDups   *metrics.Counter
-	perReplica    []replicaMetrics
+	// collectOwners counts the owners each collect asked, and
+	// collectWidened the bounded collects that asked past their first wave.
+	collectOwners  *metrics.Counter
+	collectWidened *metrics.Counter
+	perReplica     []replicaMetrics
 }
 
 // newReplicatedMetrics labels per-replica series positionally
@@ -137,13 +141,15 @@ type replicatedMetrics struct {
 // the placement layer's per-shard form, stable across membership churn.
 func newReplicatedMetrics(r *metrics.Registry, replicas int, labels []string) replicatedMetrics {
 	m := replicatedMetrics{
-		puts:          r.Counter("store_replicated_puts_total"),
-		putErrors:     r.Counter("store_replicated_put_errors_total"),
-		collects:      r.Counter("store_replicated_collects_total"),
-		collectErrors: r.Counter("store_replicated_collect_errors_total"),
-		collectBlocks: r.Counter("store_replicated_collect_blocks_total"),
-		collectDups:   r.Counter("store_replicated_collect_dup_blocks_total"),
-		perReplica:    make([]replicaMetrics, replicas),
+		puts:           r.Counter("store_replicated_puts_total"),
+		putErrors:      r.Counter("store_replicated_put_errors_total"),
+		collects:       r.Counter("store_replicated_collects_total"),
+		collectErrors:  r.Counter("store_replicated_collect_errors_total"),
+		collectBlocks:  r.Counter("store_replicated_collect_blocks_total"),
+		collectDups:    r.Counter("store_replicated_collect_dup_blocks_total"),
+		collectOwners:  r.Counter("store_replicated_collect_owners_asked_total"),
+		collectWidened: r.Counter("store_replicated_collect_widened_total"),
+		perReplica:     make([]replicaMetrics, replicas),
 	}
 	for i := range m.perReplica {
 		l := fmt.Sprintf(`{replica="%d"}`, i)

@@ -417,8 +417,10 @@ func (p *Placed) PutAll(ctx context.Context, blocks []*core.CodedBlock) (int, er
 	return len(blocks), nil
 }
 
-// Collect fetches one object's blocks with Level <= maxLevel (maxLevel
-// < 0 for all) from its shard, deduplicated.
+// Collect fetches one object's blocks with Level <= maxLevel from its
+// shard, deduplicated: a level-bounded read stops at the owners whose
+// answers already decode levels 0..maxLevel, and maxLevel < 0 reads
+// every block from every owner (see Replicated.CollectObject).
 func (p *Placed) Collect(ctx context.Context, obj core.ObjectID, maxLevel int) ([]*core.CodedBlock, error) {
 	repl, err := p.Shard(obj)
 	if err != nil {

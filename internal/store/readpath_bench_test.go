@@ -1,11 +1,13 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 )
 
 // benchWire marshals one keyed dense block with a random payload.
@@ -90,8 +92,76 @@ func BenchmarkCollectDedup(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if out := repl.mergeCopies(answers, errs); len(out) != len(distinct) {
+		if out := mergeAnswers(repl, answers, errs); len(out) != len(distinct) {
 			b.Fatalf("merged %d blocks, want %d", len(out), len(distinct))
 		}
+	}
+}
+
+// BenchmarkCollectPrefix is a level-bounded collect on a healthy 3-owner
+// MemStore fleet holding one PLC object of N = 64 in four levels (seed
+// frames): owners/op is how many owners each read asked — 1 for level 0,
+// which every owner holds, 2 for all levels — and fetched-blocks/op how
+// many blocks the answers it consumed carried, copies included.
+func BenchmarkCollectPrefix(b *testing.B) {
+	ctx := context.Background()
+	levels, err := core.NewLevels(16, 16, 16, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	sources := make([][]byte, levels.Total())
+	for i := range sources {
+		sources[i] = make([]byte, 1024)
+		rng.Read(sources[i])
+	}
+	enc, err := core.NewEncoder(core.PLC, levels, sources)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blocks, err := enc.EncodeBatch(rng, core.PriorityDistribution{0.25, 0.25, 0.25, 0.25}, 96)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	clients := make([]*Client, 3)
+	for i := range clients {
+		srv, err := NewServer(ServerConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Shutdown(ctx)
+		if clients[i], err = NewClient(ClientConfig{Addr: srv.Addr()}); err != nil {
+			b.Fatal(err)
+		}
+		defer clients[i].Close()
+	}
+	repl, err := NewReplicated(clients, levels.Count(), ReplicatedConfig{Tolerance: 1, Metrics: reg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := repl.PutAll(ctx, blocks); err != nil {
+		b.Fatal(err)
+	}
+	owners := reg.Counter("store_replicated_collect_owners_asked_total")
+	fetched := func() uint64 {
+		return reg.Counter("store_replicated_collect_blocks_total").Value() +
+			reg.Counter("store_replicated_collect_dup_blocks_total").Value()
+	}
+	for _, maxLevel := range []int{0, levels.Count() - 1} {
+		name := "level=0"
+		if maxLevel > 0 {
+			name = "level=all"
+		}
+		b.Run(name, func(b *testing.B) {
+			owners0, fetched0 := owners.Value(), fetched()
+			for i := 0; i < b.N; i++ {
+				if _, err := repl.CollectObject(ctx, core.ZeroObject, maxLevel); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(owners.Value()-owners0)/float64(b.N), "owners/op")
+			b.ReportMetric(float64(fetched()-fetched0)/float64(b.N), "fetched-blocks/op")
+		})
 	}
 }

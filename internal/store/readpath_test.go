@@ -377,6 +377,18 @@ func TestMismatchedRequestIDIsCorrupt(t *testing.T) {
 	}
 }
 
+// mergeAnswers merges answers in order the way a collect does, recording
+// the error of each answer that did not merge.
+func mergeAnswers(repl *Replicated, answers [][][]byte, errs []error) []*core.CodedBlock {
+	m := repl.newMerger()
+	for i, wires := range answers {
+		if errs[i] == nil {
+			_, errs[i] = m.add(wires)
+		}
+	}
+	return m.out
+}
+
 // TestMergeCopiesKeepsAnswersWhole pins dedup-before-parse against a bad
 // answer: replica 0 answers block A and a frame that does not parse, so
 // its whole answer is dropped — and A, which it saw first, must still come
@@ -394,7 +406,7 @@ func TestMergeCopiesKeepsAnswersWhole(t *testing.T) {
 	bad := []byte("PB\x09 not a block")
 	answers := [][][]byte{{w[0], bad}, {w[0], w[1]}, {w[1], w[2], w[2]}}
 	errs := make([]error, len(answers))
-	got := repl.mergeCopies(answers, errs)
+	got := mergeAnswers(repl, answers, errs)
 	if !errors.Is(errs[0], ErrCorruptFrame) || errs[1] != nil || errs[2] != nil {
 		t.Fatalf("answer errors %v, want only replica 0's, as ErrCorruptFrame", errs)
 	}

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"io"
 	"math"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/metrics"
 )
@@ -45,7 +47,8 @@ type Replicated struct {
 	levels  int
 	cfg     ReplicatedConfig
 	met     replicatedMetrics
-	next    atomic.Uint64
+	next    atomic.Uint64 // rotates the put window
+	reads   atomic.Uint64 // rotates a bounded read's first owner
 	// wireHash keys collect's dedup. Only speed rides on its quality —
 	// wireSet compares bytes on every hit — so tests swap in a constant
 	// one to force collisions.
@@ -219,7 +222,7 @@ func (r *Replicated) PutAll(ctx context.Context, blocks []*core.CodedBlock) (int
 
 // StatAll fetches every replica's inventory snapshot concurrently. The
 // two slices are indexed by replica: errs[i] is non-nil (and stats[i]
-// zero) where a replica was unreachable. Unlike CollectObject, reaching zero
+// zero) where a replica was unreachable. Unlike a collect, reaching zero
 // replicas is not an error here — an audit of a fully dark fleet is
 // still an audit; callers decide how much reachability they need.
 func (r *Replicated) StatAll(ctx context.Context) ([]Stats, []error) {
@@ -238,90 +241,228 @@ func (r *Replicated) StatAll(ctx context.Context) ([]Stats, []error) {
 	return stats, errs
 }
 
-// CollectObject fetches one object's blocks with Level <= maxLevel
-// (maxLevel < 0 for all) from every replica concurrently, deduplicates
-// the replicated copies, and returns the union. It fails only when every
-// replica fails. Copies of a block are recognized by the bytes they
-// arrived as (wireSet) before any is parsed, so a copy costs neither an
-// unmarshal nor a seed expansion. Dedup spares the decoder
-// non-innovative adds; nothing depends on it for correctness, and it
-// never merges two blocks that differ.
+// CollectObject fetches one object's blocks with Level <= maxLevel and
+// returns the distinct ones. A negative maxLevel reads every stored block
+// of the object from every owner (CollectAll). A level-bounded read asks
+// the fewest owners that can hold the prefix and stops once the prefix
+// has full rank: ReplicasFor never increases with level, so every block
+// of level <= maxLevel whose put window fully landed sits on at least
+// ReplicasFor(maxLevel) owners, and any n-ReplicasFor(maxLevel)+1 of them
+// cover it — one owner for level 0. Their answers feed a coefficient-only
+// core.RankTest through collect.Run; when an owner fails or answers
+// nothing, or the answers leave levels 0..maxLevel short of full rank,
+// every remaining owner is asked at once. So the result decodes the
+// levels an exhaustive read's does (core.RankTest names the one
+// improbable exception), and a read the first owners cannot settle costs
+// one extra round trip. Answers are consumed in owner order, from a
+// start owner that rotates read by read; requests still in flight when
+// the read stops finish and are dropped. It fails only when every owner
+// asked fails.
 func (r *Replicated) CollectObject(ctx context.Context, obj core.ObjectID, maxLevel int) ([]*core.CodedBlock, error) {
-	answers := make([][][]byte, len(r.clients))
-	errs := make([]error, len(r.clients))
-	var wg sync.WaitGroup
-	for i, cl := range r.clients {
-		wg.Add(1)
-		go func(i int, cl *Client) {
-			defer wg.Done()
-			answers[i], errs[i] = cl.getWires(ctx, obj, maxLevel)
-		}(i, cl)
+	if maxLevel < 0 {
+		return r.CollectAll(ctx, obj, maxLevel)
 	}
-	wg.Wait()
-	out := r.mergeCopies(answers, errs)
-	r.met.collects.Inc()
-	ok := 0
-	for i, err := range errs {
-		r.met.perReplica[i].get(err)
-		if err == nil {
-			ok++
+	n := len(r.clients)
+	start := int((r.reads.Add(1) - 1) % uint64(n))
+	rd := r.newOwnerRead(ctx, obj, maxLevel, start)
+	wave := n - r.ReplicasFor(maxLevel) + 1
+	rd.ask(wave)
+	var queue []*core.CodedBlock
+	src := func() (*core.CodedBlock, error) {
+		for len(queue) == 0 {
+			if rd.consumed == rd.asked {
+				if rd.asked == n {
+					return nil, io.EOF
+				}
+				rd.ask(n) // the target is short
+				continue
+			}
+			blocks, answered, err := rd.consume()
+			if err != nil {
+				return nil, err
+			}
+			if !answered {
+				rd.ask(n)
+			}
+			queue = blocks
 		}
+		b := queue[0]
+		queue = queue[1:]
+		return b, nil
 	}
-	if ok == 0 {
-		r.met.collectErrors.Inc()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("store: collect: all %d replicas failed: %w",
-			len(r.clients), errors.Join(append([]error{ErrStoreUnavailable}, errs...)...))
+	_, err := collect.Run(src, &core.RankTest{}, collect.Options{Context: ctx, TargetLevels: maxLevel + 1})
+	if rd.asked > wave {
+		r.met.collectWidened.Inc()
 	}
-	r.met.collectBlocks.Add(uint64(len(out)))
-	return out, nil
+	return rd.finish(err)
 }
 
-// mergeCopies is the union of the replicas' answers (a failed replica's
-// is skipped), first copy of each block kept, replica order then
-// response order. Only the entries no earlier answer holds are parsed,
-// and an answer is all or nothing: when one of its new entries does not
-// parse, errs records it for that replica and none of the answer is
-// kept — so its entries never shadow another replica's copies. The
-// returned blocks alias the answers.
-func (r *Replicated) mergeCopies(answers [][][]byte, errs []error) []*core.CodedBlock {
-	fetched := 0
-	for _, wires := range answers {
-		fetched += len(wires)
+// CollectAll fetches one object's blocks with Level <= maxLevel (maxLevel
+// < 0 for all) from every owner and returns the distinct ones: the
+// exhaustive read. Inventory checks and audits read this way, and so do
+// repair and the mover, which collect survivors rather than decode. It
+// fails only when every owner fails.
+func (r *Replicated) CollectAll(ctx context.Context, obj core.ObjectID, maxLevel int) ([]*core.CodedBlock, error) {
+	rd := r.newOwnerRead(ctx, obj, maxLevel, 0)
+	rd.ask(len(r.clients))
+	var err error
+	for rd.consumed < rd.asked && err == nil {
+		_, _, err = rd.consume()
 	}
-	seen := wireSet{hash: r.wireHash, first: make(map[uint64][]byte, fetched)}
-	out := make([]*core.CodedBlock, 0, fetched)
-	var fresh [][]byte
-	var hashes []uint64
-	for i, wires := range answers {
-		if errs[i] != nil {
-			continue
-		}
-		fresh, hashes = fresh[:0], hashes[:0]
-		for _, w := range wires {
-			if h := seen.hash(w); !seen.has(h, w) {
-				fresh = append(fresh, w)
-				hashes = append(hashes, h)
-			}
-		}
-		blocks, err := parseBlocks(fresh)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		dups := len(wires) - len(fresh)
-		for j, w := range fresh {
-			if seen.add(hashes[j], w) {
-				out = append(out, &blocks[j])
-			} else {
-				dups++ // a copy within this one answer
-			}
-		}
-		r.met.collectDups.Add(uint64(dups))
+	return rd.finish(err)
+}
+
+// ownerRead is one collect in progress: the owners in the order their
+// answers are consumed, which of them were asked, and the merge of the
+// answers consumed so far.
+type ownerRead struct {
+	r        *Replicated
+	ctx      context.Context
+	obj      core.ObjectID
+	maxLevel int
+	order    []int         // owner indices, from the start owner on
+	answers  []ownerAnswer // by position in order
+	asked    int           // order[:asked] were asked
+	consumed int           // order[:consumed] were merged
+	errs     []error       // of the consumed answers that did not merge
+	merge    merger
+}
+
+// ownerAnswer is one owner's answer to a get, filled in by the request's
+// goroutine before done closes.
+type ownerAnswer struct {
+	done  chan struct{}
+	wires [][]byte
+	err   error
+	// dropped hands the outcome of an answer the read never consumed to
+	// the metrics: the request's goroutine and finish each add one, and
+	// whichever comes second records it.
+	dropped atomic.Int32
+}
+
+func (r *Replicated) newOwnerRead(ctx context.Context, obj core.ObjectID, maxLevel, start int) *ownerRead {
+	n := len(r.clients)
+	rd := &ownerRead{
+		r: r, ctx: ctx, obj: obj, maxLevel: maxLevel,
+		order:   make([]int, n),
+		answers: make([]ownerAnswer, n),
+		merge:   r.newMerger(),
 	}
-	return out
+	for k := range rd.order {
+		rd.order[k] = (start + k) % n
+	}
+	return rd
+}
+
+// ask sends the get to every owner up to position upTo in order that was
+// not asked yet, all at once.
+func (rd *ownerRead) ask(upTo int) {
+	for ; rd.asked < upTo; rd.asked++ {
+		a := &rd.answers[rd.asked]
+		a.done = make(chan struct{})
+		idx := rd.order[rd.asked]
+		go func() {
+			a.wires, a.err = rd.r.clients[idx].getWires(rd.ctx, rd.obj, rd.maxLevel)
+			close(a.done)
+			if a.dropped.Add(1) == 2 {
+				rd.r.met.perReplica[idx].get(a.err)
+			}
+		}()
+	}
+}
+
+// consume waits for the next owner's answer in order and merges it,
+// returning the blocks no earlier answer held and whether the owner
+// answered anything at all. A failed owner, or one whose answer does not
+// parse, is recorded and answers nothing; only the context ending is an
+// error.
+func (rd *ownerRead) consume() ([]*core.CodedBlock, bool, error) {
+	a := &rd.answers[rd.consumed]
+	select {
+	case <-a.done:
+	case <-rd.ctx.Done():
+		return nil, false, rd.ctx.Err()
+	}
+	idx := rd.order[rd.consumed]
+	rd.consumed++
+	var blocks []*core.CodedBlock
+	err := a.err
+	if err == nil {
+		blocks, err = rd.merge.add(a.wires)
+	}
+	rd.r.met.perReplica[idx].get(err)
+	if err != nil {
+		rd.errs = append(rd.errs, err)
+		return nil, false, nil
+	}
+	return blocks, len(a.wires) > 0, nil
+}
+
+// finish settles the read's metrics and result; err is how the read
+// loop ended.
+func (rd *ownerRead) finish(err error) ([]*core.CodedBlock, error) {
+	r := rd.r
+	for k := rd.consumed; k < rd.asked; k++ {
+		if a := &rd.answers[k]; a.dropped.Add(1) == 2 {
+			r.met.perReplica[rd.order[k]].get(a.err)
+		}
+	}
+	r.met.collects.Inc()
+	r.met.collectOwners.Add(uint64(rd.asked))
+	if err == nil && len(rd.errs) == rd.consumed {
+		err = fmt.Errorf("store: collect: all %d replicas failed: %w",
+			len(r.clients), errors.Join(append([]error{ErrStoreUnavailable}, rd.errs...)...))
+	}
+	if err != nil {
+		r.met.collectErrors.Inc()
+		return nil, err
+	}
+	r.met.collectBlocks.Add(uint64(len(rd.merge.out)))
+	return rd.merge.out, nil
+}
+
+// merger is the union of the answers added to it, first copy of each
+// block kept, in the order added. Only the entries no earlier answer
+// holds are parsed, and an answer is all or nothing: when one of its new
+// entries does not parse, add fails and none of the answer is kept — so
+// its entries never shadow another owner's copies. The blocks alias the
+// answers.
+type merger struct {
+	seen   wireSet
+	out    []*core.CodedBlock
+	dups   *metrics.Counter
+	fresh  [][]byte
+	hashes []uint64
+}
+
+func (r *Replicated) newMerger() merger {
+	return merger{seen: wireSet{hash: r.wireHash, first: make(map[uint64][]byte)}, dups: r.met.collectDups}
+}
+
+// add merges one answer and returns the blocks it added.
+func (m *merger) add(wires [][]byte) ([]*core.CodedBlock, error) {
+	m.fresh, m.hashes = m.fresh[:0], m.hashes[:0]
+	for _, w := range wires {
+		if h := m.seen.hash(w); !m.seen.has(h, w) {
+			m.fresh = append(m.fresh, w)
+			m.hashes = append(m.hashes, h)
+		}
+	}
+	blocks, err := parseBlocks(m.fresh)
+	if err != nil {
+		return nil, err
+	}
+	dups := len(wires) - len(m.fresh)
+	added := len(m.out)
+	for j, w := range m.fresh {
+		if m.seen.add(m.hashes[j], w) {
+			m.out = append(m.out, &blocks[j])
+		} else {
+			dups++ // a copy within this one answer
+		}
+	}
+	m.dups.Add(uint64(dups))
+	return m.out[added:], nil
 }
 
 // wireSet is an exact set of wire encodings keyed by a 64-bit hash. The
