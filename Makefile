@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench benchmark heal-smoke bench-kernels bench-decode bench-repair bench-metrics bench-sparse bench-disk check fuzz-smoke loadtest loadtest-smoke daemon-demo repair-demo migrate-demo figures examples clean
+.PHONY: all build vet test race bench benchmark heal-smoke check fuzz-smoke loadtest loadtest-smoke daemon-demo repair-demo migrate-demo figures examples clean
 
 all: build vet test
 
@@ -20,7 +20,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One testing.B per paper table/figure plus the extension benches.
+# One testing.B per paper table/figure plus the extension benches. One
+# family alone is `go test -run='^$' -bench REGEX ./PKG`; each bench
+# file's header names its regex and the X-against-XRef pairs it forms.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -39,74 +41,6 @@ benchmark:
 heal-smoke:
 	bash benchmark/run.sh -workload heal-after-loss -seconds 3 -trace 0 | tail -1 \
 	| python3 -c "import json, sys; r = json.load(sys.stdin); assert r['correct'] is True and r['failed'] == 0, r"
-
-# Kernel-layer perf baseline: GF(2^8) vector kernels (fast vs scalar
-# reference, 4 B to 64 KiB plus the 288-source 4 KiB fold of the
-# publish-recover workload) and the encode/decode pipeline at
-# N=64/256/1024, captured as BENCH_kernels.json (which records the kernel
-# tier and CPU count of the box) so later perf PRs have numbers to diff
-# against. benchjson is built first: `go run` would compile and link it
-# on the same two CPUs while the first (nanosecond-scale) benchmarks run.
-bench-kernels:
-	@mkdir -p .bench_build
-	$(GO) build -o .bench_build/benchjson ./cmd/benchjson
-	{ $(GO) test -run='^$$' -bench 'Benchmark(Add)?MulSlice' -benchtime=500ms ./internal/gf256 && \
-	  $(GO) test -run='^$$' -bench 'Benchmark(Encode|Decode)N' -benchtime=5x ./internal/core ; } \
-	| tee /dev/stderr | .bench_build/benchjson -out BENCH_kernels.json \
-	    -note "Ref benchmarks are the pre-kernel scalar baseline; WorkersK pair against the 1-worker pipeline and are bounded by num_cpu"
-
-# Decode-path perf baseline: structure-aware progressive decoding (level
-# truncation + per-level SLC sub-decoders) against the dense structure-blind
-# elimination (Ref), the payload-striping pipeline, and the publish-recover
-# workload's decode (PLCN512x4KiB: 512 × 4 KiB, 8 levels, every source
-# read), captured as BENCH_decode.json.
-bench-decode:
-	$(GO) test -run='^$$' -bench 'BenchmarkDecode(PLC|SLC|Striped)N' -benchtime=10x ./internal/core \
-	| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_decode.json -by "make bench-decode" \
-	    -note "DecodeXXXNk vs DecodeXXXNkRef is structured (level-truncated, per-level) vs dense RefDecoder decode of the same block stream; 64 B payloads keep elimination dominant except PLCN512x4KiB (the publish-recover decode: 4 KiB payloads, 84 blocks per level, every source read); StripedNk WorkersK pair against the 1-worker pipeline and are bounded by num_cpu"
-
-# Repair-layer economics: regenerating one block by recombining an
-# 8-survivor sample vs the decode-then-re-encode baseline (the whole
-# code), captured as BENCH_repair.json. MB/s numbers are bytes *moved*
-# per regenerated block, so the Ref line's denominator is every block.
-bench-repair:
-	$(GO) test -run='^$$' -bench 'Benchmark(Regenerate|AuditRank)' -benchtime=100x ./internal/repair \
-	| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_repair.json -by "make bench-repair" \
-	    -note "Regenerate recombines one fresh block from an 8-survivor sample; RegenerateRef decodes all 96 blocks and re-encodes; B/op-style MB/s are bytes moved per regenerated block"
-
-# Observability overhead: each Metered benchmark runs the hot path with a
-# live registry attached, its Ref twin with metrics detached, so the paired
-# "speedup" in BENCH_metrics.json is the inverse of the instrumentation
-# overhead (0.95 = metrics cost 5%; the budget is ≤5% on every pair).
-bench-metrics:
-	{ $(GO) test -run='^$$' -bench 'BenchmarkMetered(Encode|Decode)' -benchtime=500ms ./internal/core && \
-	  $(GO) test -run='^$$' -bench 'BenchmarkMeteredRoundtrip' -benchtime=500ms ./internal/store ; } \
-	| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_metrics.json -by "make bench-metrics" \
-	    -note "MeteredX runs with a live metrics registry, MeteredXRef with metrics detached; speedup = ref/metered is the inverse instrumentation overhead, budget >= 0.95 (5%) per pair"
-
-# Sparse-coding perf baseline: sparse (O(ln N) nonzeros) and
-# expander-chunked decode against the structure-blind dense elimination
-# (Ref) of the identical block stream, coefficient wire bytes per block
-# (v3 sparse frames vs the dense v1 encoding), and the three codings
-# core.AutoCoding picks between on one PLC file (DecodeFile: encode and
-# decode time and coded blocks consumed), captured as BENCH_sparse.json.
-bench-sparse:
-	$(GO) test -run='^$$' -bench 'BenchmarkDecode(Sparse|Chunked)N|BenchmarkDecodeFile|BenchmarkWire(Sparse|Chunked)N' -benchtime=5x ./internal/core \
-	| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_sparse.json -by "make bench-sparse" \
-	    -note "DecodeXN vs DecodeXNRef is the sparse-aware elimination vs dense RefDecoder over the same densified stream; 64 B payloads keep elimination dominant; wire-B/block metrics are coefficient wire bytes per block, WireSparseN1024Ref being the dense v1 frames of the same vectors; ChunkedN4096 has no Ref (dense baseline impractical at that N); DecodeFile{Dense,Sparse,Chunked}Nk encode a PLC 0.1/0.2/0.7 file of N x 1 KiB into 3N blocks and decode until complete (enc-ms, dec-ms, blocks consumed)"
-
-# Disk-engine perf baseline: group-commit puts against the fsync-per-put
-# durability baseline (Ref) under the identical 32-connection load, the
-# beyond-RAM capacity run (10x an in-memory cap per iteration, heap
-# growth reported), and the frame buffer-reuse pairs (-benchmem so the
-# B/op delta of the pool and read-scratch paths lands in the snapshot),
-# captured as BENCH_disk.json.
-bench-disk:
-	{ $(GO) test -run='^$$' -bench 'BenchmarkDiskPutGroupCommit' -benchtime=2000x ./internal/diskstore && \
-	  $(GO) test -run='^$$' -bench 'BenchmarkDiskPutBeyondRAM' -benchtime=1x ./internal/diskstore && \
-	  $(GO) test -run='^$$' -bench 'BenchmarkFrame(Write|Read)' -benchtime=1000x -benchmem ./internal/store ; } \
-	| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_disk.json -by "make bench-disk" \
-	    -note "DiskPutGroupCommit vs Ref is one fsync per coalesced batch vs one per put, same 32 concurrent putters; DiskPutBeyondRAM ingests 10x a 1024-block RAM cap per iteration (capacity-x = stored blocks / cap, heap-MB = heap growth vs stored-MB on disk); FrameWrite/Read vs Ref are the pooled build buffer and caller-owned read scratch vs fresh allocations per frame"
 
 # Fast correctness gate: formatting (any file gofmt -l lists fails it),
 # vet everything, race-test the packages with concurrent hot paths (the word-parallel kernels, the row arenas, the

@@ -7,16 +7,19 @@ import (
 	"repro/internal/gfmat"
 )
 
-// Dense-vs-truncated decode benchmarks, captured by `make bench-decode`
-// into BENCH_decode.json. Each structured benchmark (core.Decoder: level
-// boundary hints for PLC, per-level sub-decoders for SLC) pairs with a Ref
-// twin that feeds the identical block stream through the dense
-// structure-blind elimination (gfmat.RefDecoder) over the full N-wide
-// system — the decode path as it was before level truncation. Payloads are
-// 64 B so the coefficient-side elimination dominates, which is the regime
-// of the paper's Monte-Carlo loops (N = 1000 × 100 trials per curve
-// point); DecodeStriped covers the opposite, payload-dominated regime, and
-// DecodePLCN512x4KiB the benchmark's publish-recover decode.
+// Dense-vs-truncated decode benchmarks. Each structured benchmark
+// (DecodePLCNk, DecodeSLCNk: core.Decoder with level boundary hints for
+// PLC, per-level sub-decoders for SLC) pairs with a Ref twin
+// (DecodePLCNkRef, DecodeSLCNkRef) that feeds the identical block stream
+// through the dense structure-blind elimination (gfmat.RefDecoder) over
+// the full N-wide system — the decode path as it was before level
+// truncation. Payloads are 64 B so the coefficient-side elimination
+// dominates, which is the regime of the paper's Monte-Carlo loops
+// (N = 1000 × 100 trials per curve point); DecodeStriped covers the
+// opposite, payload-dominated regime, and DecodePLCN512x4KiB the
+// benchmark's publish-recover decode.
+//
+//	go test -run='^$' -bench 'BenchmarkDecode(PLC|SLC|Striped)N' -benchtime=10x ./internal/core
 
 // decodeBenchLevels splits n blocks into nLevels levels as evenly as
 // possible (the first n%nLevels levels get one extra block).
@@ -200,9 +203,9 @@ func BenchmarkDecodeSLCN1024Ref(b *testing.B) {
 
 // DecodeStriped exercises the payload-parallel pipeline: 128 KiB payloads,
 // where the payload-side AddMulSlice work dominates and the decoder stripes
-// it across GOMAXPROCS goroutines. WorkersK runs at GOMAXPROCS K and pairs
-// against the GOMAXPROCS-1 run in BENCH_decode.json (bounded by num_cpu,
-// like the encode pipeline).
+// it across GOMAXPROCS goroutines. DecodeStripedN64WorkersK runs at
+// GOMAXPROCS K and pairs against DecodeStripedN64, the GOMAXPROCS-1 run
+// (bounded by the CPU count, like the encode pipeline).
 func benchmarkStripedDecode(b *testing.B, procs int) {
 	const n, nLevels, payloadLen = 64, 8, 128 << 10
 	setProcs(b, procs)

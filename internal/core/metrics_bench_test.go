@@ -7,12 +7,13 @@ import (
 	"repro/internal/metrics"
 )
 
-// Metrics-overhead benchmarks, captured by `make bench-metrics` into
-// BENCH_metrics.json. Each Metered benchmark runs the hot path with a
-// live registry attached; its Ref twin runs the identical workload with
-// metrics detached. The paired "speedup" (ref_ns / metered_ns) is
-// therefore the inverse of the instrumentation overhead: a value of
-// 0.95 means metrics cost 5%. The issue budget is ≤5% on every pair.
+// Metrics-overhead benchmarks. Each Metered benchmark runs the hot path
+// with a live registry attached; its Ref twin runs the identical workload
+// with metrics detached. The ratio ref_ns / metered_ns is therefore the
+// inverse of the instrumentation overhead: a value of 0.95 means metrics
+// cost 5%. The budget is ≤5% on every pair:
+//
+//	go test -run='^$' -bench 'BenchmarkMetered(Encode|Decode)' ./internal/core
 
 func benchmarkMeteredEncode(b *testing.B, instrumented bool) {
 	levels := decodeBenchLevels(b, 64, 8)

@@ -9,8 +9,10 @@ import (
 // decode a full-rank accumulation, at the three N the kernel work targets.
 // Payloads are 1 KiB — the regime where the word-parallel kernels carry the
 // run — and the coded-block count is 1.25·N so decode always completes.
-// EncodeN* run EncodeSeeded at GOMAXPROCS 1; EncodeN256WorkersK at K, the
-// pairing BENCH_kernels.json records.
+// EncodeN* run EncodeSeeded at GOMAXPROCS 1; EncodeN256WorkersK at K
+// pairs against EncodeN256 (bounded by the CPU count):
+//
+//	go test -run='^$' -bench 'Benchmark(Encode|Decode)N' -benchtime=5x ./internal/core
 
 func benchLevels(b *testing.B, n int) *Levels {
 	b.Helper()

@@ -7,8 +7,7 @@ import (
 	"repro/internal/gfmat"
 )
 
-// Sparse/chunked decode benchmarks, captured by `make bench-sparse`
-// into BENCH_sparse.json. Each benchmark decodes a deterministic
+// Sparse/chunked decode benchmarks. Each benchmark decodes a deterministic
 // full-rank block stream through the sparse-aware path (core.Decoder's
 // AddSparse / ChunkedDecoder's global sparse elimination); its Ref twin
 // feeds the identical stream, densified, through the structure-blind
@@ -16,8 +15,10 @@ import (
 // before the sparse representation. Payloads are 64 B so elimination
 // dominates, the regime the O(ln N) dissemination vectors live in. The
 // Wire benchmarks report coefficient wire bytes per block via
-// ReportMetric, pairing the v3 sparse frames against the dense v1
-// encoding of the same vectors.
+// ReportMetric, pairing the v3 sparse frames (WireSparseN1024) against
+// the dense v1 encoding of the same vectors (WireSparseN1024Ref):
+//
+//	go test -run='^$' -bench 'BenchmarkDecode(Sparse|Chunked)N|BenchmarkWire(Sparse|Chunked)N' -benchtime=5x ./internal/core
 
 const sparseBenchPayload = 64
 

@@ -11,12 +11,13 @@ import (
 	"testing"
 )
 
-// Disk-engine benchmarks, captured as BENCH_disk.json by `make
-// bench-disk`. The headline pair is group commit vs fsync-per-put:
-// DiskPutGroupCommit and its Ref run the identical concurrent put load,
-// differing only in FsyncMode, so the benchjson speedup is exactly the
-// batching win. DiskPutBeyondRAM proves sustained ingest far past an
-// in-memory cap with bounded heap.
+// Disk-engine benchmarks. The headline pair is group commit against
+// fsync-per-put: DiskPutGroupCommit and DiskPutGroupCommitRef run the
+// identical concurrent put load, differing only in FsyncMode, so their
+// ratio is exactly the batching win. DiskPutBeyondRAM proves sustained
+// ingest far past an in-memory cap with bounded heap.
+//
+//	go test -run='^$' -bench 'BenchmarkDiskPut(GroupCommit|BeyondRAM)' ./internal/diskstore
 
 const benchWireBytes = 1024
 

@@ -85,8 +85,8 @@ func (s *Store) writerLoop() {
 
 // flush commits one batch: records are serialized into one buffer and
 // written with one Write call, then fsynced per the configured mode
-// (FsyncAlways degrades to write+fsync per record — the baseline the
-// group-commit speedup in BENCH_disk.json is measured against).
+// (FsyncAlways degrades to write+fsync per record — the baseline
+// BenchmarkDiskPutGroupCommitRef measures group commit against).
 func (s *Store) flush(batch []*writeReq, bytes int) {
 	seg, err := s.activeForAppend(int64(bytes) + int64(len(batch)*recHeaderLen))
 	if err != nil {

@@ -12,8 +12,10 @@ import (
 // The repair benchmarks quantify the tentpole claim: regenerating a
 // block by recombination moves a sample's worth of data and a little
 // GF(2^8) arithmetic, while the classic path decodes the whole code and
-// re-encodes. BenchmarkRegenerate pairs against BenchmarkRegenerateRef
-// (the decode-then-re-encode baseline) in BENCH_repair.json.
+// re-encodes. BenchmarkRegenerate pairs against BenchmarkRegenerateRef,
+// the decode-then-re-encode baseline:
+//
+//	go test -run='^$' -bench 'Benchmark(Regenerate|AuditRank)' -benchtime=100x ./internal/repair
 
 const benchPayload = 4096
 

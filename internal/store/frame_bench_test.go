@@ -2,32 +2,23 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"io"
 	"math/rand"
 	"testing"
 )
 
-// Frame-path allocation benchmarks. The *Ref variants reimplement the
-// pre-pool behavior (fresh buffer per frame) so `benchjson` can pair
-// them and report the speedup and B/op delta of the reuse paths; run
-// with -benchmem via `make bench-disk`.
+// Frame-path allocation benchmarks. FrameWrite pairs against
+// FrameWriteRef and FrameRead against FrameReadRef; the Ref variants
+// reimplement the pre-pool behavior (fresh buffer per frame), so each
+// pair's time and B/op delta is what the reuse paths save:
+//
+//	go test -run='^$' -bench 'BenchmarkFrame(Write|Read)' -benchmem ./internal/store
 
 // writeFrameAlloc is writeFrame without the buffer pool: one fresh
 // build buffer per call, exactly what the code did before reuse.
 func writeFrameAlloc(w io.Writer, typ byte, id uint32, body []byte) error {
-	buf := make([]byte, 0, frameHeader+len(body))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(frameOverhead+len(body)))
-	buf = append(buf, typ)
-	idb := binary.BigEndian.AppendUint32(nil, id)
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{typ})
-	crc.Write(idb)
-	crc.Write(body)
-	buf = binary.BigEndian.AppendUint32(buf, crc.Sum32())
-	buf = append(buf, idb...)
-	buf = append(buf, body...)
+	buf := append(beginFrame(make([]byte, 0, frameHeader+len(body)), typ, id), body...)
+	sealFrame(buf)
 	_, err := w.Write(buf)
 	return err
 }
@@ -101,4 +92,48 @@ func BenchmarkFrameReadRef(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestFrameBuffersReused pins what the FrameWrite and FrameRead pairs
+// exist to show: per 4 KiB frame, writeFrame with a warm pool allocates
+// less than writeFrameAlloc's fresh build buffer, and readFrameBuf with a
+// warm scratch less than readFrame's fresh body.
+func TestFrameBuffersReused(t *testing.T) {
+	body := benchBody(4096)
+	writeAllocs := func(write func(io.Writer, byte, uint32, []byte) error) float64 {
+		return testing.AllocsPerRun(1000, func() {
+			if err := write(io.Discard, framePut, 1, body); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	pooled, built := writeAllocs(writeFrame), writeAllocs(writeFrameAlloc)
+	if pooled >= built {
+		t.Errorf("writeFrame: %.2f allocs per frame, writeFrameAlloc %.2f: the pooled buffer is not reused", pooled, built)
+	}
+
+	var wire bytes.Buffer
+	if err := writeFrame(&wire, framePut, 1, body); err != nil {
+		t.Fatal(err)
+	}
+	raw := wire.Bytes()
+	r := bytes.NewReader(raw)
+	var scratch []byte
+	reused := testing.AllocsPerRun(1000, func() {
+		r.Reset(raw)
+		var err error
+		if _, _, _, scratch, err = readFrameBuf(r, DefaultMaxFrame, scratch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	fresh := testing.AllocsPerRun(1000, func() {
+		r.Reset(raw)
+		if _, _, _, err := readFrame(r, DefaultMaxFrame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if reused >= fresh {
+		t.Errorf("readFrameBuf: %.2f allocs per frame, readFrame %.2f: the scratch is not reused", reused, fresh)
+	}
+	t.Logf("allocs per 4 KiB frame: write %.2f pooled, %.2f fresh; read %.2f scratch, %.2f fresh", pooled, built, reused, fresh)
 }

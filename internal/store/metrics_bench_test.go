@@ -10,13 +10,14 @@ import (
 	"repro/internal/metrics"
 )
 
-// Metrics-overhead benchmark for the wire path, captured by `make
-// bench-metrics` into BENCH_metrics.json. MeteredRoundtrip drives a
+// Metrics-overhead benchmark for the wire path. MeteredRoundtrip drives a
 // put/get round trip over loopback with server AND client sharing one
 // live registry (every frame crosses two meterConns and touches a dozen
 // counters plus two latency histograms); its Ref twin runs the identical
 // round trip fully uninstrumented. ref_ns / metered_ns ≥ 0.95 means the
-// whole observability seam costs ≤5% of a network round trip.
+// whole observability seam costs ≤5% of a network round trip:
+//
+//	go test -run='^$' -bench 'BenchmarkMeteredRoundtrip' ./internal/store
 
 func benchmarkMeteredRoundtrip(b *testing.B, reg *metrics.Registry) {
 	srv, err := NewServer(ServerConfig{Metrics: reg})
