@@ -41,7 +41,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -949,21 +948,9 @@ func metricsCmd(args []string, out io.Writer) error {
 	addr := fs.Arg(0)
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/metrics.json", nil)
+	snap, err := metrics.Fetch(ctx, addr)
 	if err != nil {
 		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return fmt.Errorf("metrics: fetch %s: %w", addr, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("metrics: %s returned %s", addr, resp.Status)
-	}
-	var snap metrics.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return fmt.Errorf("metrics: decode snapshot from %s: %w", addr, err)
 	}
 	printSnapshot(out, addr, snap)
 	return nil

@@ -25,7 +25,6 @@ import (
 	"hash/fnv"
 	"log"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -145,9 +144,7 @@ type Store struct {
 	byHash     map[uint64][]blockRef
 	byObj      map[core.ObjectID][]blockRef // live records per object, log order
 	pending    map[uint64][]*writeReq
-	tallies    map[objLevel]levelTally
-	blocks     int
-	bytes      int64
+	inv        store.Inventory
 	pendBlocks int
 	closed     bool
 	putters    sync.WaitGroup // in-flight senders on reqCh
@@ -163,18 +160,6 @@ type Store struct {
 	reqCh   chan *writeReq
 	stopRet chan struct{}
 	wg      sync.WaitGroup
-}
-
-// levelTally mirrors the store package's per-level inventory slice.
-type levelTally struct {
-	count int
-	bytes int64
-}
-
-// objLevel keys the per-object per-level inventory.
-type objLevel struct {
-	obj   core.ObjectID
-	level int
 }
 
 // blockRef locates one committed block record.
@@ -201,7 +186,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		byHash:  make(map[uint64][]blockRef),
 		byObj:   make(map[core.ObjectID][]blockRef),
 		pending: make(map[uint64][]*writeReq),
-		tallies: make(map[objLevel]levelTally),
 		cache:   newBlockCache(opts.CacheBytes),
 		scratch: make([]byte, 0, maxBatchBytes),
 		reqCh:   make(chan *writeReq, queueDepth),
@@ -212,8 +196,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.met.recoveryNs.Set(time.Since(t0).Nanoseconds())
-	s.met.recoveredBlocks.Add(uint64(s.blocks))
-	s.met.setInventory(s.blocks, s.bytes, len(s.segs))
+	s.met.recoveredBlocks.Add(uint64(s.inv.Blocks()))
+	s.met.setInventory(&s.inv, len(s.segs))
 	s.wg.Add(1)
 	go s.writerLoop()
 	if opts.Retention > 0 {
@@ -275,9 +259,9 @@ func (s *Store) Put(obj core.ObjectID, level int, wire []byte) (bool, error) {
 		s.met.putsDeduped.Inc()
 		return false, nil
 	}
-	if s.opts.MaxBlocks > 0 && s.blocks+s.pendBlocks >= s.opts.MaxBlocks {
+	if s.opts.MaxBlocks > 0 && s.inv.Blocks()+s.pendBlocks >= s.opts.MaxBlocks {
 		s.mu.Unlock()
-		return false, fmt.Errorf("%w: %d blocks stored, cap %d", store.ErrStoreFull, s.blocks, s.opts.MaxBlocks)
+		return false, fmt.Errorf("%w: %d blocks stored, cap %d", store.ErrStoreFull, s.inv.Blocks(), s.opts.MaxBlocks)
 	}
 	req := &writeReq{
 		kind:  reqPut,
@@ -415,63 +399,26 @@ func (s *Store) Delete(obj core.ObjectID) (int, error) {
 	return req.removed, req.err
 }
 
-// Stats returns an inventory snapshot: aggregate PerLevel ascending by
-// level plus PerObject ascending by object ID, matching the MemStore
-// contract so the stat wire path is engine-agnostic.
+// Stats returns an inventory snapshot, assembled by the same
+// store.Inventory as MemStore's, so the stat wire path is engine-agnostic.
 func (s *Store) Stats() store.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := store.Stats{Blocks: s.blocks}
-	agg := make(map[int]levelTally)
-	perObj := make(map[core.ObjectID]map[int]levelTally)
-	for k, tally := range s.tallies {
-		st.Bytes += tally.bytes
-		a := agg[k.level]
-		a.count += tally.count
-		a.bytes += tally.bytes
-		agg[k.level] = a
-		po := perObj[k.obj]
-		if po == nil {
-			po = make(map[int]levelTally)
-			perObj[k.obj] = po
-		}
-		po[k.level] = tally
-	}
-	st.PerLevel = levelCounts(agg)
-	for obj, po := range perObj {
-		os := store.ObjectStats{Object: obj, PerLevel: levelCounts(po)}
-		for _, lc := range os.PerLevel {
-			os.Blocks += lc.Count
-			os.Bytes += lc.Bytes
-		}
-		st.PerObject = append(st.PerObject, os)
-	}
-	sort.Slice(st.PerObject, func(i, j int) bool { return st.PerObject[i].Object < st.PerObject[j].Object })
-	return st
-}
-
-// levelCounts flattens a per-level tally map, sorted ascending by level.
-func levelCounts(perLevel map[int]levelTally) []store.LevelCount {
-	out := make([]store.LevelCount, 0, len(perLevel))
-	for lvl, tally := range perLevel {
-		out = append(out, store.LevelCount{Level: lvl, Count: tally.count, Bytes: tally.bytes})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Level < out[j].Level })
-	return out
+	return s.inv.Stats()
 }
 
 // Len returns the number of stored blocks.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.blocks
+	return s.inv.Blocks()
 }
 
 // Bytes returns the total stored wire bytes.
 func (s *Store) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.bytes
+	return s.inv.Bytes()
 }
 
 // Segments returns how many segment files currently exist.

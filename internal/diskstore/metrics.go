@@ -1,6 +1,9 @@
 package diskstore
 
-import "repro/internal/metrics"
+import (
+	"repro/internal/metrics"
+	"repro/internal/store"
+)
 
 // diskMetrics is the disk engine's metrics seam, following the store
 // package's pattern: names resolve once at construction, every field
@@ -74,8 +77,8 @@ func newDiskMetrics(r *metrics.Registry) diskMetrics {
 }
 
 // setInventory refreshes the three inventory gauges.
-func (m *diskMetrics) setInventory(blocks int, bytes int64, segments int) {
-	m.blocks.Set(int64(blocks))
-	m.blockBytes.Set(bytes)
+func (m *diskMetrics) setInventory(inv *store.Inventory, segments int) {
+	m.blocks.Set(int64(inv.Blocks()))
+	m.blockBytes.Set(inv.Bytes())
 	m.segments.Set(int64(segments))
 }

@@ -66,7 +66,7 @@ func (s *Store) enforceRetention(now time.Time) {
 		s.pruneObjLocked(obj, gone)
 	}
 	if len(expired) > 0 {
-		s.met.setInventory(s.blocks, s.bytes, len(s.segs))
+		s.met.setInventory(&s.inv, len(s.segs))
 	}
 	s.mu.Unlock()
 
@@ -115,8 +115,8 @@ func (s *Store) pruneObjLocked(obj core.ObjectID, gone map[*segment]bool) {
 	s.byObj[obj] = kept
 }
 
-// dropRefLocked removes one expired or deleted record from byHash, the
-// tallies and the totals. byObj is the caller's to update, because both
+// dropRefLocked removes one expired or deleted record from byHash and
+// the inventory. byObj is the caller's to update, because both
 // callers can do it once per object instead of once per record.
 func (s *Store) dropRefLocked(seg *segment, r rec) {
 	refs := s.byHash[r.hash]
@@ -132,17 +132,7 @@ func (s *Store) dropRefLocked(seg *segment, r rec) {
 	} else {
 		s.byHash[r.hash] = refs
 	}
-	k := objLevel{r.obj, int(r.level)}
-	tally := s.tallies[k]
-	tally.count--
-	tally.bytes -= int64(r.n)
-	if tally.count <= 0 {
-		delete(s.tallies, k)
-	} else {
-		s.tallies[k] = tally
-	}
-	s.blocks--
-	s.bytes -= int64(r.n)
+	s.inv.Remove(r.obj, int(r.level), int(r.n))
 }
 
 // requestRotate asks the writer to seal the active segment; a no-op on

@@ -148,17 +148,11 @@ func (s *Store) flush(batch []*writeReq, bytes int) {
 		s.byHash[r.hash] = append(s.byHash[r.hash], ref)
 		s.byObj[r.obj] = append(s.byObj[r.obj], ref)
 		s.removePendingLocked(r)
-		k := objLevel{r.obj, r.level}
-		tally := s.tallies[k]
-		tally.count++
-		tally.bytes += int64(len(r.wire))
-		s.tallies[k] = tally
-		s.blocks++
-		s.bytes += int64(len(r.wire))
+		s.inv.Add(r.obj, r.level, len(r.wire))
 		off += recHeaderLen + int64(len(r.wire))
 	}
 	seg.size = off
-	s.met.setInventory(s.blocks, s.bytes, len(s.segs))
+	s.met.setInventory(&s.inv, len(s.segs))
 	s.mu.Unlock()
 
 	s.met.flushes.Inc()
@@ -276,7 +270,7 @@ func (s *Store) applyDelete(obj core.ObjectID) (int, error) {
 	}
 	delete(s.byObj, obj)
 	removed := len(refs)
-	s.met.setInventory(s.blocks, s.bytes, len(s.segs))
+	s.met.setInventory(&s.inv, len(s.segs))
 	s.mu.Unlock()
 	s.met.deletes.Inc()
 	s.met.blocksDeleted.Add(uint64(removed))
@@ -316,7 +310,7 @@ func (s *Store) compactDeadSegments() {
 	}
 	s.segs = keep
 	if len(drop) > 0 {
-		s.met.setInventory(s.blocks, s.bytes, len(s.segs))
+		s.met.setInventory(&s.inv, len(s.segs))
 	}
 	s.mu.Unlock()
 
@@ -396,7 +390,7 @@ func (s *Store) rotate() error {
 	s.wf = wf
 	s.mu.Lock()
 	s.segs = append(s.segs, seg)
-	s.met.setInventory(s.blocks, s.bytes, len(s.segs))
+	s.met.setInventory(&s.inv, len(s.segs))
 	s.mu.Unlock()
 	s.met.segmentsCreated.Inc()
 	return nil
@@ -463,13 +457,7 @@ func (s *Store) recover() error {
 			ref := blockRef{seg: seg, idx: idx}
 			s.byHash[r.hash] = append(s.byHash[r.hash], ref)
 			s.byObj[r.obj] = append(s.byObj[r.obj], ref)
-			k := objLevel{r.obj, int(r.level)}
-			tally := s.tallies[k]
-			tally.count++
-			tally.bytes += int64(r.n)
-			s.tallies[k] = tally
-			s.blocks++
-			s.bytes += int64(r.n)
+			s.inv.Add(r.obj, int(r.level), int(r.n))
 		}
 	}
 	// Reopen the last segment for append if it still has room; a full

@@ -19,8 +19,8 @@ import (
 // measurement data at t = 0, then die at exponentially distributed times
 // (the memoryless churn model); a collector snapshots the network at the
 // configured sample times and records how many priority levels the
-// surviving caches still decode. The discrete-event engine orders failure
-// and sampling events deterministically per trial.
+// surviving caches still decode. A sample at time t sees exactly the
+// nodes whose lifetime exceeds t.
 
 // ChurnConfig parameterizes a persistence-under-churn run on a sensor
 // field.
@@ -165,49 +165,35 @@ func churnTrial(cfg ChurnConfig, times []float64, seed int64, record func(int, f
 	}
 
 	// Timeline: failures at exponential lifetimes, snapshots at the
-	// sample times. The event engine interleaves them in time order.
-	engine := netsim.NewEngine()
+	// ascending sample times.
 	lifetimes, err := netsim.Lifetimes(rng, cfg.Nodes, cfg.MeanLifetime)
 	if err != nil {
 		return err
 	}
-	alive := make([]bool, cfg.Nodes)
-	aliveCount := cfg.Nodes
-	for i := range alive {
-		alive[i] = true
-	}
-	for node, life := range lifetimes {
-		node := node
-		if err := engine.ScheduleAt(life, func() {
-			if alive[node] {
-				alive[node] = false
-				aliveCount--
-			}
-		}); err != nil {
-			return err
-		}
-	}
-	var sampleErr error
 	for i, t := range times {
-		i, t := i, t
-		if err := engine.ScheduleAt(t, func() {
-			blocks := dep.CodedBlocks(func(n int) bool { return alive[n] })
-			var res collect.Result
-			dec, err := core.NewDecoder(cfg.Scheme, cfg.Levels, 0)
-			if err == nil {
-				res, err = collect.Run(collect.Shuffle(rng, blocks), dec, collect.Options{})
-			}
-			if err != nil {
-				if sampleErr == nil {
-					sampleErr = err
-				}
-				return
-			}
-			record(i, float64(aliveCount)/float64(cfg.Nodes), float64(res.DecodedLevels))
-		}); err != nil {
+		alive, aliveCount := survivors(lifetimes, t)
+		blocks := dep.CodedBlocks(alive)
+		dec, err := core.NewDecoder(cfg.Scheme, cfg.Levels, 0)
+		if err != nil {
 			return err
 		}
+		res, err := collect.Run(collect.Shuffle(rng, blocks), dec, collect.Options{})
+		if err != nil {
+			return err
+		}
+		record(i, float64(aliveCount)/float64(cfg.Nodes), float64(res.DecodedLevels))
 	}
-	engine.Run()
-	return sampleErr
+	return nil
+}
+
+// survivors reports which nodes are alive at time t, and how many: a node
+// is alive iff its lifetime exceeds t, so a death at a sample's own
+// instant counts before the snapshot.
+func survivors(lifetimes []float64, t float64) (alive func(int) bool, count int) {
+	for _, life := range lifetimes {
+		if life > t {
+			count++
+		}
+	}
+	return func(node int) bool { return lifetimes[node] > t }, count
 }

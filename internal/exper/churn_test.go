@@ -102,3 +102,21 @@ func TestPersistenceUnderChurnDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// A lifetime equal to a sample time counts as dead at that sample: the
+// death fires before the snapshot taken at the same instant.
+func TestChurnDeathAtSampleInstantCounts(t *testing.T) {
+	lifetimes := []float64{5, 2, 9}
+	alive, n := survivors(lifetimes, 5)
+	if n != 1 {
+		t.Errorf("%d alive at t = 5, want 1 (only the node living to 9)", n)
+	}
+	for node, want := range []bool{false, false, true} {
+		if got := alive(node); got != want {
+			t.Errorf("node %d (lifetime %g) alive at t = 5: %v, want %v", node, lifetimes[node], got, want)
+		}
+	}
+	if _, n := survivors(lifetimes, 0); n != 3 {
+		t.Errorf("%d alive at t = 0, want 3", n)
+	}
+}

@@ -1,5 +1,5 @@
-// Package gfmat provides dense linear algebra over GF(2^8): matrices,
-// rank and inversion by Gaussian elimination, and an incremental decoder
+// Package gfmat provides dense linear algebra over GF(2^8): matrices and
+// their rank by Gaussian elimination, and an incremental decoder
 // that keeps arriving coded blocks in row-echelon form keyed on each row's
 // last nonzero column, enabling the progressive partial decoding described
 // in Sec. 3.2 of the paper.
@@ -25,18 +25,6 @@ func New(rows, cols int) (*Matrix, error) {
 		return nil, fmt.Errorf("gfmat: invalid dimensions %dx%d", rows, cols)
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]byte, rows*cols)}, nil
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) (*Matrix, error) {
-	m, err := New(n, n)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m, nil
 }
 
 // FromRows builds a matrix from row slices, which must all have the same
@@ -70,20 +58,6 @@ func Random(rng *rand.Rand, rows, cols int) (*Matrix, error) {
 	return m, nil
 }
 
-// RandomNonzero returns an r×c matrix with entries drawn uniformly from the
-// 255 nonzero elements, matching the paper's "nonzero random number
-// uniformly chosen from a Galois field" coefficient model.
-func RandomNonzero(rng *rand.Rand, rows, cols int) (*Matrix, error) {
-	m, err := New(rows, cols)
-	if err != nil {
-		return nil, err
-	}
-	for i := range m.data {
-		m.data[i] = byte(1 + rng.Intn(255))
-	}
-	return m, nil
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -92,9 +66,6 @@ func (m *Matrix) Cols() int { return m.cols }
 
 // At returns the element at (i, j).
 func (m *Matrix) At(i, j int) byte { return m.data[i*m.cols+j] }
-
-// Set assigns the element at (i, j).
-func (m *Matrix) Set(i, j int, v byte) { m.data[i*m.cols+j] = v }
 
 // Row returns a mutable view of row i (not a copy).
 func (m *Matrix) Row(i int) []byte {
@@ -119,40 +90,6 @@ func (m *Matrix) Equal(o *Matrix) bool {
 		}
 	}
 	return true
-}
-
-// MulVec returns m·v. v must have length m.Cols().
-func (m *Matrix) MulVec(v []byte) ([]byte, error) {
-	if len(v) != m.cols {
-		return nil, fmt.Errorf("gfmat: MulVec: vector length %d, want %d", len(v), m.cols)
-	}
-	out := make([]byte, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = gf256.Dot(m.Row(i), v)
-	}
-	return out, nil
-}
-
-// Mul returns the matrix product m·o.
-func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
-	if m.cols != o.rows {
-		return nil, fmt.Errorf("gfmat: Mul: %dx%d by %dx%d", m.rows, m.cols, o.rows, o.cols)
-	}
-	p, err := New(m.rows, o.cols)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < m.rows; i++ {
-		mrow := m.Row(i)
-		prow := p.Row(i)
-		for k, a := range mrow {
-			if a == 0 {
-				continue
-			}
-			gf256.AddMulSlice(prow, o.Row(k), a)
-		}
-	}
-	return p, nil
 }
 
 // Rank returns the rank of m. m is not modified.
@@ -219,50 +156,6 @@ func (w *Matrix) swapRows(i, j int) {
 	for k := range ri {
 		ri[k], rj[k] = rj[k], ri[k]
 	}
-}
-
-// Inverse returns the inverse of a square matrix, or an error if m is not
-// square or is singular.
-func (m *Matrix) Inverse() (*Matrix, error) {
-	if m.rows != m.cols {
-		return nil, fmt.Errorf("gfmat: Inverse of non-square %dx%d matrix", m.rows, m.cols)
-	}
-	n := m.rows
-	w := m.Clone()
-	inv, err := Identity(n)
-	if err != nil {
-		return nil, err
-	}
-	for col := 0; col < n; col++ {
-		pivot := -1
-		for r := col; r < n; r++ {
-			if w.At(r, col) != 0 {
-				pivot = r
-				break
-			}
-		}
-		if pivot < 0 {
-			return nil, fmt.Errorf("gfmat: matrix is singular (no pivot in column %d)", col)
-		}
-		w.swapRows(pivot, col)
-		inv.swapRows(pivot, col)
-		pv, ierr := gf256.Inv(w.At(col, col))
-		if ierr != nil {
-			return nil, fmt.Errorf("gfmat: invert pivot: %w", ierr)
-		}
-		gf256.ScaleInPlace(w.Row(col), pv)
-		gf256.ScaleInPlace(inv.Row(col), pv)
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			if c := w.At(r, col); c != 0 {
-				gf256.AddMulSlice(w.Row(r), w.Row(col), c)
-				gf256.AddMulSlice(inv.Row(r), inv.Row(col), c)
-			}
-		}
-	}
-	return inv, nil
 }
 
 // IsRREF reports whether m is in reduced row-echelon form: pivots are 1,

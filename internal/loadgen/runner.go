@@ -295,39 +295,30 @@ func spotCheck(ctx context.Context, placed *store.Placed, obj core.ObjectID, lev
 // shared client registry into the report — the registry is the only
 // place per-round reports accumulate across the whole run.
 func migrationCheck(rounds int, reg *metrics.Registry) *MigrationCheck {
-	mc := &MigrationCheck{Rounds: rounds}
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		return mc
+	snap := reg.Snapshot()
+	count := func(name string) float64 { return float64(snap.CounterTotal(name)) }
+	return &MigrationCheck{
+		Rounds:            rounds,
+		RoundErrors:       count("mover_round_errors_total"),
+		Kicks:             count("mover_kicks_total"),
+		ObjectsPlanned:    count("mover_objects_planned_total"),
+		ObjectsMigrated:   count("mover_objects_migrated_total"),
+		ObjectErrors:      count("mover_object_errors_total"),
+		BlocksRegenerated: count("mover_blocks_regenerated_total"),
+		BlocksCopied:      count("mover_blocks_copied_total"),
+		DeletesIssued:     count("mover_deletes_issued_total"),
+		BlocksReclaimed:   count("mover_blocks_reclaimed_total"),
 	}
-	samples, err := metrics.ParsePromText(&buf)
-	if err != nil {
-		return mc
-	}
-	mc.RoundErrors = samples.Value("mover_round_errors_total")
-	mc.Kicks = samples.Value("mover_kicks_total")
-	mc.ObjectsPlanned = samples.Value("mover_objects_planned_total")
-	mc.ObjectsMigrated = samples.Value("mover_objects_migrated_total")
-	mc.ObjectErrors = samples.Value("mover_object_errors_total")
-	mc.BlocksRegenerated = samples.Value("mover_blocks_regenerated_total")
-	mc.BlocksCopied = samples.Value("mover_blocks_copied_total")
-	mc.DeletesIssued = samples.Value("mover_deletes_issued_total")
-	mc.BlocksReclaimed = samples.Value("mover_blocks_reclaimed_total")
-	return mc
 }
 
 // scrapeCheck cross-validates the generator's own success count against
-// the client registry and each daemon's scraped request totals. Kill
-// faults may reset a process-backed daemon's registry, so the
+// the client registry and each daemon's /metrics.json request totals.
+// Kill faults may reset a process-backed daemon's registry, so the
 // server-side bound only applies to kill-free schedules.
 func scrapeCheck(ctx context.Context, fleet Fleet, clientReg *metrics.Registry, genOK int, schedule []ScheduledFault) ScrapeCheck {
-	sck := ScrapeCheck{GeneratorOK: genOK}
-
-	var buf bytes.Buffer
-	if err := clientReg.WritePrometheus(&buf); err == nil {
-		if samples, err := metrics.ParsePromText(&buf); err == nil {
-			sck.ClientOpsOK = samples.Value("store_client_ops_ok_total")
-		}
+	sck := ScrapeCheck{
+		GeneratorOK: genOK,
+		ClientOpsOK: float64(clientReg.Snapshot().CounterTotal("store_client_ops_ok_total")),
 	}
 
 	hasKills := false
@@ -350,7 +341,7 @@ func scrapeCheck(ctx context.Context, fleet Fleet, clientReg *metrics.Registry, 
 		}
 		sck.Nodes++
 		sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		samples, err := metrics.Scrape(sctx, a)
+		snap, err := metrics.Fetch(sctx, a)
 		cancel()
 		if err != nil {
 			sck.ScrapeErrors++
@@ -358,7 +349,7 @@ func scrapeCheck(ctx context.Context, fleet Fleet, clientReg *metrics.Registry, 
 			continue
 		}
 		scraped = true
-		sck.ServerOps += samples.SumPrefix("store_server_requests_total")
+		sck.ServerOps += float64(snap.CounterTotal("store_server_requests_total"))
 	}
 
 	switch {

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/store"
 )
 
@@ -288,5 +290,37 @@ func TestLoadScenariosFile(t *testing.T) {
 	os.WriteFile(bad, []byte(`{"name":"bad","seed":1,"duration":"1s"}`), 0o644)
 	if _, err := LoadScenarios(bad); err == nil {
 		t.Error("invalid scenario loaded")
+	}
+}
+
+// The cross-check must catch a fleet that served fewer requests than the
+// generator completed: each daemon's labeled request counters, read from
+// its /metrics.json, are summed and compared with the generator's count.
+func TestScrapeCheckCatchesShortFleet(t *testing.T) {
+	fleet := testFleet(t, 2)
+	clientReg := metrics.NewRegistry()
+	clientReg.Counter("store_client_ops_ok_total").Add(5)
+	for _, reg := range fleet.regs {
+		reg.Counter(`store_server_requests_total{op="put"}`).Add(1)
+		reg.Counter(`store_server_requests_total{op="get"}`).Add(1)
+	}
+
+	sck := scrapeCheck(context.Background(), fleet, clientReg, 5, nil)
+	if sck.Consistent {
+		t.Fatalf("fleet served %g requests for 5 generator ops, yet consistent: %+v", sck.ServerOps, sck)
+	}
+	if sck.ServerOps != 4 || sck.ClientOpsOK != 5 || sck.Nodes != 2 {
+		t.Errorf("check read %g server reqs, %g client ok, %d nodes; want 4, 5, 2", sck.ServerOps, sck.ClientOpsOK, sck.Nodes)
+	}
+	if !strings.Contains(sck.Detail, "fleet served") {
+		t.Errorf("detail %q does not name the short fleet", sck.Detail)
+	}
+
+	// One more request per node lifts the fleet past the generator.
+	for _, reg := range fleet.regs {
+		reg.Counter(`store_server_requests_total{op="stat"}`).Add(1)
+	}
+	if sck := scrapeCheck(context.Background(), fleet, clientReg, 5, nil); !sck.Consistent {
+		t.Errorf("fleet served %g requests for 5 generator ops, yet inconsistent: %s", sck.ServerOps, sck.Detail)
 	}
 }

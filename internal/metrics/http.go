@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -47,4 +49,28 @@ func Handler(r *Registry) http.Handler {
 		fmt.Fprintln(w, "  /debug/pprof/  runtime profiles")
 	})
 	return mux
+}
+
+// Fetch GETs the /metrics.json snapshot a Handler serves at addr (the
+// `prlcd serve -metrics` address). It is the one way a daemon's counts
+// are read back: `prlcd metrics` renders the snapshot, and the load
+// harness cross-checks its own counts against it.
+func Fetch(ctx context.Context, addr string) (Snapshot, error) {
+	var snap Snapshot
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/metrics.json", nil)
+	if err != nil {
+		return snap, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return snap, fmt.Errorf("metrics: fetch %s: %w", addr, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return snap, fmt.Errorf("metrics: %s returned %s", addr, resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		return snap, fmt.Errorf("metrics: decode snapshot from %s: %w", addr, err)
+	}
+	return snap, nil
 }

@@ -28,6 +28,7 @@ package metrics
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -255,4 +256,18 @@ func (r *Registry) Snapshot() Snapshot {
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
+}
+
+// CounterTotal sums the counter named base and its labeled variants
+// `base{...}` — `store_server_requests_total` totals the per-op series.
+// A longer name (`base_foo`) does not ride along, and a counter that
+// never registered reads as zero.
+func (s Snapshot) CounterTotal(base string) uint64 {
+	var total uint64
+	for _, c := range s.Counters {
+		if c.Name == base || strings.HasPrefix(c.Name, base+"{") {
+			total += c.Value
+		}
+	}
+	return total
 }

@@ -2,9 +2,13 @@ package metrics
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -310,5 +314,141 @@ func TestRecordingAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("hot-path recording allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestScrapeLiveHandler reads a live endpoint the way the load harness
+// and `prlcd metrics` do: Fetch decodes /metrics.json into exactly the
+// registry's snapshot, and the text endpoint external scrapers read
+// stays byte-for-byte the exposition below.
+func TestScrapeLiveHandler(t *testing.T) {
+	r := NewRegistry()
+	r.Counter(`pin_requests_total{op="get"}`).Add(4)
+	r.Counter(`pin_requests_total{op="put"}`).Add(3)
+	r.Gauge("pin_active").Set(-2)
+	h := r.Histogram("pin_lat_ns")
+	for _, v := range []int64{100, 2000, 30000} {
+		h.Observe(v)
+	}
+	srv := httptest.NewServer(Handler(r))
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	snap, err := Fetch(ctx, strings.TrimPrefix(srv.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := r.Snapshot(); !reflect.DeepEqual(snap, want) {
+		t.Errorf("fetched snapshot %+v, registry holds %+v", snap, want)
+	}
+	if got := snap.CounterTotal("pin_requests_total"); got != 7 {
+		t.Errorf("CounterTotal(pin_requests_total) = %d, want 7", got)
+	}
+
+	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `# TYPE pin_requests_total counter
+pin_requests_total{op="get"} 4
+pin_requests_total{op="put"} 3
+# TYPE pin_active gauge
+pin_active -2
+# TYPE pin_lat_ns summary
+pin_lat_ns{quantile="0.5"} 2047
+pin_lat_ns{quantile="0.95"} 30719
+pin_lat_ns{quantile="0.99"} 30719
+pin_lat_ns_sum 32100
+pin_lat_ns_count 3
+`
+	if string(text) != want {
+		t.Errorf("/metrics served\n%s\nwant\n%s", text, want)
+	}
+}
+
+// TestFetchRoundTrip reads each kind of metric back through Fetch: a
+// plain and a labelled counter, their total, a gauge and a histogram's
+// count and upper quantile come back as the registry recorded them.
+func TestFetchRoundTrip(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("loadtest_ops_total").Add(42)
+	reg.Counter(`loadtest_errs_total{kind="put"}`).Add(3)
+	reg.Counter(`loadtest_errs_total{kind="get"}`).Add(4)
+	reg.Gauge("loadtest_active").Set(7)
+	h := reg.Histogram("loadtest_lat_ns")
+	for i := 0; i < 100; i++ {
+		h.Observe(int64(i) * 1000)
+	}
+	srv := httptest.NewServer(Handler(reg))
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	snap, err := Fetch(ctx, strings.TrimPrefix(srv.URL, "http://"))
+	if err != nil {
+		t.Fatalf("Fetch from our own handler: %v", err)
+	}
+
+	counters := map[string]uint64{}
+	for _, c := range snap.Counters {
+		counters[c.Name] = c.Value
+	}
+	if got := counters["loadtest_ops_total"]; got != 42 {
+		t.Errorf("ops_total = %d, want 42", got)
+	}
+	if got := counters[`loadtest_errs_total{kind="put"}`]; got != 3 {
+		t.Errorf("errs{put} = %d, want 3", got)
+	}
+	if got := snap.CounterTotal("loadtest_errs_total"); got != 7 {
+		t.Errorf("CounterTotal(errs) = %d, want 7", got)
+	}
+	if len(snap.Gauges) != 1 || snap.Gauges[0].Name != "loadtest_active" || snap.Gauges[0].Value != 7 {
+		t.Errorf("gauges = %+v, want loadtest_active = 7", snap.Gauges)
+	}
+	if len(snap.Histograms) != 1 || snap.Histograms[0].Name != "loadtest_lat_ns" {
+		t.Fatalf("histograms = %+v, want loadtest_lat_ns", snap.Histograms)
+	}
+	lat := snap.Histograms[0]
+	if lat.Count != 100 {
+		t.Errorf("lat count = %d, want 100", lat.Count)
+	}
+	if lat.P99 <= 0 {
+		t.Errorf("p99 missing, got %d", lat.P99)
+	}
+}
+
+func TestFetchRejectsGarbage(t *testing.T) {
+	for name, h := range map[string]http.HandlerFunc{
+		"not json":  func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "x_total 1\n") },
+		"not found": http.NotFound,
+	} {
+		srv := httptest.NewServer(h)
+		if _, err := Fetch(context.Background(), strings.TrimPrefix(srv.URL, "http://")); err == nil {
+			t.Errorf("%s: Fetch accepted the response", name)
+		}
+		srv.Close()
+	}
+	if _, err := Fetch(context.Background(), "127.0.0.1:1"); err == nil {
+		t.Error("Fetch from a closed port succeeded")
+	}
+}
+
+// TestCounterTotalDoesNotMatchLongerNames pins the label boundary: a
+// base name sums itself and its `base{...}` variants, never `base_foo`.
+func TestCounterTotalDoesNotMatchLongerNames(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("foo_total").Add(1)
+	r.Counter("foo_total_extra").Add(10)
+	r.Counter(`foo_total{op="x"}`).Add(2)
+	if got := r.Snapshot().CounterTotal("foo_total"); got != 3 {
+		t.Errorf("CounterTotal = %d, want 3 (base + labeled only)", got)
+	}
+	if got := r.Snapshot().CounterTotal("absent_total"); got != 0 {
+		t.Errorf("CounterTotal of an unregistered counter = %d, want 0", got)
 	}
 }

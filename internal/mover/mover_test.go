@@ -104,11 +104,16 @@ func newTestFleetOver(t *testing.T, n, placedN, levels int, dialer store.Dialer)
 	return f
 }
 
+// maxNameSearch bounds pickMovingNames' search for names that move.
+const maxNameSearch = 1000
+
 // pickMovingNames returns n object names for a fleet whose third node
 // is about to join, guaranteeing at least one of them changes owners.
 // A scratch placement ring over all three addresses predicts post-join
-// ownership; names whose pre-join owner set survives the join intact
-// are kept only to fill out the count.
+// ownership. The search runs until n names move — a joiner on a short
+// ring arc can leave a handful of consecutive names in place — bounded
+// by maxNameSearch; names whose pre-join owner set survives the join
+// intact are kept only to fill out the count.
 func pickMovingNames(t *testing.T, f *testFleet, n int) []string {
 	t.Helper()
 	clients := make([]*store.Client, len(f.addrs))
@@ -126,7 +131,7 @@ func pickMovingNames(t *testing.T, f *testFleet, n int) []string {
 	defer scratch.Close()
 
 	var movers, stayers []string
-	for i := 0; len(movers)+len(stayers) < 4*n && len(movers) < n; i++ {
+	for i := 0; i < maxNameSearch && len(movers) < n; i++ {
 		name := fmt.Sprintf("migrate-%d", i)
 		obj := core.NamedObject(name)
 		before, err := f.placed.ReplicasForObject(obj)

@@ -1,114 +1,15 @@
-// Package netsim provides a deterministic discrete-event simulation engine
-// and node-churn processes for the persistence experiments: nodes produce
-// measurements over time, disseminate coded blocks, fail unpredictably,
-// and a collector later retrieves what survived (Sec. 2's network model).
+// Package netsim provides the node-failure processes for the persistence
+// experiments: nodes disseminate coded blocks, fail unpredictably —
+// independently, as a random fraction, or as a correlated region — and a
+// collector later retrieves what survived (Sec. 2's network model).
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 
 	"repro/internal/geom"
 )
-
-// Engine is a single-threaded discrete-event scheduler. Events fire in
-// timestamp order; ties break in scheduling order, so a simulation driven
-// by a seeded rand.Rand is fully reproducible.
-type Engine struct {
-	now    float64
-	events eventHeap
-	seq    uint64
-}
-
-type event struct {
-	at  float64
-	seq uint64
-	fn  func()
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// NewEngine returns an engine at time zero with no pending events.
-func NewEngine() *Engine { return &Engine{} }
-
-// Now returns the current simulation time.
-func (e *Engine) Now() float64 { return e.now }
-
-// Pending returns the number of scheduled events not yet fired.
-func (e *Engine) Pending() int { return len(e.events) }
-
-// Schedule fires fn after the given delay (>= 0) of simulated time.
-func (e *Engine) Schedule(delay float64, fn func()) error {
-	if delay < 0 {
-		return fmt.Errorf("netsim: negative delay %g", delay)
-	}
-	return e.ScheduleAt(e.now+delay, fn)
-}
-
-// ScheduleAt fires fn at absolute simulation time t (>= Now).
-func (e *Engine) ScheduleAt(t float64, fn func()) error {
-	if t < e.now {
-		return fmt.Errorf("netsim: time %g is in the past (now %g)", t, e.now)
-	}
-	if fn == nil {
-		return fmt.Errorf("netsim: nil event function")
-	}
-	heap.Push(&e.events, event{at: t, seq: e.seq, fn: fn})
-	e.seq++
-	return nil
-}
-
-// Step fires the next event; it reports false when none remain.
-func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
-		return false
-	}
-	ev := heap.Pop(&e.events).(event)
-	e.now = ev.at
-	ev.fn()
-	return true
-}
-
-// Run fires events until none remain, returning the number fired.
-func (e *Engine) Run() int {
-	n := 0
-	for e.Step() {
-		n++
-	}
-	return n
-}
-
-// RunUntil fires events with timestamps <= t, then advances the clock to
-// t. It returns the number of events fired.
-func (e *Engine) RunUntil(t float64) int {
-	n := 0
-	for len(e.events) > 0 && e.events[0].at <= t {
-		e.Step()
-		n++
-	}
-	if t > e.now {
-		e.now = t
-	}
-	return n
-}
 
 // Lifetimes draws node lifetimes from an exponential distribution with the
 // given mean — the standard memoryless churn model for both sensor

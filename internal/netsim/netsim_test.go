@@ -3,115 +3,10 @@ package netsim
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/geom"
 )
-
-func TestScheduleValidation(t *testing.T) {
-	e := NewEngine()
-	if err := e.Schedule(-1, func() {}); err == nil {
-		t.Error("negative delay accepted")
-	}
-	if err := e.ScheduleAt(-1, func() {}); err == nil {
-		t.Error("past time accepted")
-	}
-	if err := e.Schedule(1, nil); err == nil {
-		t.Error("nil event function accepted")
-	}
-}
-
-func TestEventsFireInTimestampOrder(t *testing.T) {
-	e := NewEngine()
-	var fired []float64
-	for _, d := range []float64{5, 1, 3, 2, 4} {
-		d := d
-		if err := e.Schedule(d, func() { fired = append(fired, d) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := e.Run(); n != 5 {
-		t.Fatalf("Run fired %d events, want 5", n)
-	}
-	if !sort.Float64sAreSorted(fired) {
-		t.Errorf("events fired out of order: %v", fired)
-	}
-	if e.Now() != 5 {
-		t.Errorf("Now = %g after run, want 5", e.Now())
-	}
-}
-
-func TestTiesFireInScheduleOrder(t *testing.T) {
-	e := NewEngine()
-	var fired []int
-	for i := 0; i < 10; i++ {
-		i := i
-		if err := e.Schedule(1, func() { fired = append(fired, i) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Run()
-	for i, v := range fired {
-		if v != i {
-			t.Fatalf("tie-broken order %v, want ascending", fired)
-		}
-	}
-}
-
-func TestNestedScheduling(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		if count < 5 {
-			if err := e.Schedule(1, tick); err != nil {
-				t.Error(err)
-			}
-		}
-	}
-	if err := e.Schedule(1, tick); err != nil {
-		t.Fatal(err)
-	}
-	e.Run()
-	if count != 5 {
-		t.Errorf("ticked %d times, want 5", count)
-	}
-	if e.Now() != 5 {
-		t.Errorf("Now = %g, want 5", e.Now())
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	for i := 1; i <= 10; i++ {
-		if err := e.Schedule(float64(i), func() { fired++ }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := e.RunUntil(5.5); n != 5 || fired != 5 {
-		t.Errorf("RunUntil fired %d (%d), want 5", n, fired)
-	}
-	if e.Now() != 5.5 {
-		t.Errorf("Now = %g, want 5.5", e.Now())
-	}
-	if e.Pending() != 5 {
-		t.Errorf("Pending = %d, want 5", e.Pending())
-	}
-	// RunUntil earlier than now just reports zero.
-	if n := e.RunUntil(1); n != 0 {
-		t.Errorf("backward RunUntil fired %d", n)
-	}
-}
-
-func TestStepOnEmpty(t *testing.T) {
-	e := NewEngine()
-	if e.Step() {
-		t.Error("Step on empty engine returned true")
-	}
-}
 
 func TestLifetimesStatistics(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -161,34 +56,6 @@ func TestFailFraction(t *testing.T) {
 	all, err := FailFraction(rng, 10, 1)
 	if err != nil || len(all) != 10 {
 		t.Errorf("full kill = %v, %v", all, err)
-	}
-}
-
-func TestDeterministicReplay(t *testing.T) {
-	run := func() []float64 {
-		e := NewEngine()
-		rng := rand.New(rand.NewSource(7))
-		var trace []float64
-		var tick func()
-		tick = func() {
-			trace = append(trace, e.Now())
-			if len(trace) < 50 {
-				if err := e.Schedule(rng.ExpFloat64(), tick); err != nil {
-					t.Error(err)
-				}
-			}
-		}
-		if err := e.Schedule(0, tick); err != nil {
-			t.Fatal(err)
-		}
-		e.Run()
-		return trace
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("replay diverged at event %d: %g vs %g", i, a[i], b[i])
-		}
 	}
 }
 

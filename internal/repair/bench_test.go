@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gfmat"
-	"repro/internal/predist"
 )
 
 // The repair benchmarks quantify the tentpole claim: regenerating a
@@ -118,7 +117,3 @@ func BenchmarkAuditRank(b *testing.B) {
 		}
 	}
 }
-
-// (*predist.Deployment).Repair is the whole-deployment variant of the
-// RegenerateRef baseline: it too needs the decoded sources in hand.
-var _ = (*predist.Deployment).Repair

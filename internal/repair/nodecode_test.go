@@ -11,9 +11,9 @@ import (
 
 // TestRepairNeverDecodes pins the package's defining property in the
 // source itself: the repair path is decode-free. It must not import the
-// decode-then-re-encode machinery (internal/predist, whose Repair is the
-// baseline this package replaces, or the Gaussian-elimination layer in
-// internal/gfmat), and it must never construct a core.Decoder. A human
+// decode-then-re-encode machinery (internal/predist, the simulator whose
+// decoding repair this package replaced, or the Gaussian-elimination
+// layer in internal/gfmat), and it must never construct a core.Decoder. A human
 // adding a "just decode it here" shortcut trips this test, not a code
 // reviewer three months later.
 func TestRepairNeverDecodes(t *testing.T) {

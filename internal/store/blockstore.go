@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"unsafe"
 
@@ -61,12 +60,6 @@ type BlockStore interface {
 	Close() error
 }
 
-// objLevel keys the per-object per-level inventory.
-type objLevel struct {
-	obj   core.ObjectID
-	level int
-}
-
 // storedBlock is one block held by MemStore.
 type storedBlock struct {
 	level int
@@ -87,9 +80,7 @@ type MemStore struct {
 	mu      sync.Mutex
 	objects map[core.ObjectID][]storedBlock
 	seen    map[string]struct{}
-	tallies map[objLevel]levelTally
-	blocks  int
-	bytes   int64
+	inv     Inventory
 	closed  bool
 }
 
@@ -100,7 +91,6 @@ func NewMemStore(maxBlocks int) *MemStore {
 		maxBlocks: maxBlocks,
 		objects:   make(map[core.ObjectID][]storedBlock),
 		seen:      make(map[string]struct{}),
-		tallies:   make(map[objLevel]levelTally),
 	}
 }
 
@@ -114,8 +104,8 @@ func (m *MemStore) Put(obj core.ObjectID, level int, wire []byte) (bool, error) 
 	if _, dup := m.seen[string(wire)]; dup {
 		return false, nil
 	}
-	if m.maxBlocks > 0 && m.blocks >= m.maxBlocks {
-		return false, fmt.Errorf("%w: %d blocks stored, cap %d", ErrStoreFull, m.blocks, m.maxBlocks)
+	if m.maxBlocks > 0 && m.inv.Blocks() >= m.maxBlocks {
+		return false, fmt.Errorf("%w: %d blocks stored, cap %d", ErrStoreFull, m.inv.Blocks(), m.maxBlocks)
 	}
 	// One copy of wire: the stored bytes are never written again (Get's
 	// contract makes them read-only), so the data slice views the dedup
@@ -124,13 +114,7 @@ func (m *MemStore) Put(obj core.ObjectID, level int, wire []byte) (bool, error) 
 	m.seen[key] = struct{}{}
 	data := unsafe.Slice(unsafe.StringData(key), len(key))
 	m.objects[obj] = append(m.objects[obj], storedBlock{level: level, data: data})
-	k := objLevel{obj, level}
-	tally := m.tallies[k]
-	tally.count++
-	tally.bytes += int64(len(wire))
-	m.tallies[k] = tally
-	m.blocks++
-	m.bytes += int64(len(wire))
+	m.inv.Add(obj, level, len(wire))
 	return true, nil
 }
 
@@ -168,13 +152,11 @@ func (m *MemStore) Delete(obj core.ObjectID) (int, error) {
 	}
 	blocks := m.objects[obj]
 	for _, sb := range blocks {
-		m.bytes -= int64(len(sb.data))
 		// sb.data views its dedup key's storage (see Put), so the key is
 		// that storage read back as a string, not a copy of it.
 		delete(m.seen, unsafe.String(unsafe.SliceData(sb.data), len(sb.data)))
-		delete(m.tallies, objLevel{obj, sb.level})
+		m.inv.Remove(obj, sb.level, len(sb.data))
 	}
-	m.blocks -= len(blocks)
 	delete(m.objects, obj)
 	return len(blocks), nil
 }
@@ -183,21 +165,21 @@ func (m *MemStore) Delete(obj core.ObjectID) (int, error) {
 func (m *MemStore) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return statsFromTallies(m.blocks, m.tallies)
+	return m.inv.Stats()
 }
 
 // Len returns the number of stored blocks.
 func (m *MemStore) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.blocks
+	return m.inv.Blocks()
 }
 
 // Bytes returns the total stored wire bytes.
 func (m *MemStore) Bytes() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.bytes
+	return m.inv.Bytes()
 }
 
 // Close marks the engine closed; stored blocks are dropped.
@@ -205,52 +187,6 @@ func (m *MemStore) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.closed = true
-	m.objects, m.seen, m.tallies, m.blocks, m.bytes = nil, nil, nil, 0, 0
+	m.objects, m.seen, m.inv = nil, nil, Inventory{}
 	return nil
-}
-
-// statsFromTallies assembles a Stats snapshot from per-object per-level
-// tallies: the aggregate PerLevel sums over objects, and PerObject holds
-// each object's own breakdown, both sorted ascending (the wire
-// encoding's order).
-func statsFromTallies(blocks int, tallies map[objLevel]levelTally) Stats {
-	st := Stats{Blocks: blocks}
-	agg := make(map[int]levelTally)
-	perObj := make(map[core.ObjectID]map[int]levelTally)
-	for k, tally := range tallies {
-		st.Bytes += tally.bytes
-		a := agg[k.level]
-		a.count += tally.count
-		a.bytes += tally.bytes
-		agg[k.level] = a
-		po := perObj[k.obj]
-		if po == nil {
-			po = make(map[int]levelTally)
-			perObj[k.obj] = po
-		}
-		po[k.level] = tally
-	}
-	st.PerLevel = levelCounts(agg)
-	for obj, po := range perObj {
-		os := ObjectStats{Object: obj, PerLevel: levelCounts(po)}
-		for _, lc := range os.PerLevel {
-			os.Blocks += lc.Count
-			os.Bytes += lc.Bytes
-		}
-		st.PerObject = append(st.PerObject, os)
-	}
-	sort.Slice(st.PerObject, func(i, j int) bool {
-		return st.PerObject[i].Object < st.PerObject[j].Object
-	})
-	return st
-}
-
-// levelCounts flattens a per-level tally map, sorted ascending by level.
-func levelCounts(perLevel map[int]levelTally) []LevelCount {
-	out := make([]LevelCount, 0, len(perLevel))
-	for lvl, tally := range perLevel {
-		out = append(out, LevelCount{Level: lvl, Count: tally.count, Bytes: tally.bytes})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Level < out[j].Level })
-	return out
 }

@@ -55,12 +55,6 @@ const (
 	writeTimeout = 10 * time.Second
 )
 
-// levelTally is the per-level slice of a server's inventory.
-type levelTally struct {
-	count int
-	bytes int64 // wire bytes, coefficient vectors included
-}
-
 // Server is a TCP block-store daemon: it accepts frames (see frame.go),
 // hands coded blocks to its BlockStore engine (in-memory by default,
 // disk-backed via diskstore), and drains gracefully on Shutdown.
