@@ -665,13 +665,11 @@ type healOpts struct {
 	timeout    time.Duration
 	interval   time.Duration
 	rate       int64             // mover only
-	workers    int               // mover only
 	metrics    *metrics.Registry // set programmatically, not a flag
 
 	// The code the flags describe, parsed by open.
 	scheme  core.Scheme
 	levels  *core.Levels
-	dist    core.PriorityDistribution
 	targets []int
 }
 
@@ -694,45 +692,44 @@ func (o *healOpts) register(fs *flag.FlagSet, addrsFlag string, interval time.Du
 // registerMover adds the flags only the migration mover reads.
 func (o *healOpts) registerMover(fs *flag.FlagSet) {
 	fs.Int64Var(&o.rate, "rate", 8<<20, "migration byte-rate cap in bytes/second (0 = unlimited)")
-	fs.IntVar(&o.workers, "workers", 2, "objects migrated concurrently")
 }
 
 // code parses the shared code-description flags: scheme, levels, and
 // the provisioning targets (explicit, or a distribution over -total).
-func (o *healOpts) code(name string) (core.Scheme, *core.Levels, core.PriorityDistribution, []int, error) {
+func (o *healOpts) code(name string) (core.Scheme, *core.Levels, []int, error) {
 	scheme, err := core.ParseScheme(o.schemeStr)
 	if err != nil {
-		return 0, nil, nil, nil, err
+		return 0, nil, nil, err
 	}
 	sizes, err := cliutil.ParseInts(o.sizesStr)
 	if err != nil {
-		return 0, nil, nil, nil, fmt.Errorf("%s: -sizes: %w", name, err)
+		return 0, nil, nil, fmt.Errorf("%s: -sizes: %w", name, err)
 	}
 	levels, err := core.NewLevels(sizes...)
 	if err != nil {
-		return 0, nil, nil, nil, err
+		return 0, nil, nil, err
 	}
-	var dist core.PriorityDistribution
-	var targets []int
 	if o.targetsStr != "" {
-		if targets, err = cliutil.ParseInts(o.targetsStr); err != nil {
-			return 0, nil, nil, nil, fmt.Errorf("%s: -targets: %w", name, err)
+		targets, err := cliutil.ParseInts(o.targetsStr)
+		if err != nil {
+			return 0, nil, nil, fmt.Errorf("%s: -targets: %w", name, err)
 		}
-	} else {
-		if o.total <= 0 {
-			return 0, nil, nil, nil, fmt.Errorf("%s: -total (or -targets) is required", name)
-		}
-		if o.distStr == "" {
-			dist = core.NewUniformDistribution(levels.Count())
-		} else {
-			vals, err := cliutil.ParseFloats(o.distStr)
-			if err != nil {
-				return 0, nil, nil, nil, fmt.Errorf("%s: -dist: %w", name, err)
-			}
-			dist = core.PriorityDistribution(vals)
+		return scheme, levels, targets, nil
+	}
+	if o.total <= 0 {
+		return 0, nil, nil, fmt.Errorf("%s: -total (or -targets) is required", name)
+	}
+	dist := []float64(core.NewUniformDistribution(levels.Count()))
+	if o.distStr != "" {
+		if dist, err = cliutil.ParseFloats(o.distStr); err != nil {
+			return 0, nil, nil, fmt.Errorf("%s: -dist: %w", name, err)
 		}
 	}
-	return scheme, levels, dist, targets, nil
+	targets, err := repair.Apportion(dist, o.total)
+	if err != nil {
+		return 0, nil, nil, fmt.Errorf("%s: -dist: %w", name, err)
+	}
+	return scheme, levels, targets, nil
 }
 
 // open parses the code flags and dials the fleet: the one ring a
@@ -744,7 +741,7 @@ func (o *healOpts) open(name string, replicas int) (*store.Placed, error) {
 		return nil, fmt.Errorf("%s: fleet addresses and -sizes are required", name)
 	}
 	var err error
-	if o.scheme, o.levels, o.dist, o.targets, err = o.code(name); err != nil {
+	if o.scheme, o.levels, o.targets, err = o.code(name); err != nil {
 		return nil, err
 	}
 	return openPlaced(addrs, o.levels.Count(), replicas, o.tolerance, o.minWrites, o.timeout, o.metrics)
@@ -755,8 +752,6 @@ func (o *healOpts) daemon(p *store.Placed, obj core.ObjectID) (*repair.Daemon, e
 	return repair.NewObject(p, obj, repair.Config{
 		Scheme:      o.scheme,
 		Levels:      o.levels,
-		Dist:        o.dist,
-		TotalBlocks: o.total,
 		Targets:     o.targets,
 		Interval:    o.interval,
 		BlockBudget: o.budget,
@@ -769,16 +764,13 @@ func (o *healOpts) daemon(p *store.Placed, obj core.ObjectID) (*repair.Daemon, e
 // the membership hook so ring changes kick immediate rounds.
 func (o *healOpts) mover(p *store.Placed) (*mover.Mover, error) {
 	m, err := mover.New(p, mover.Config{
-		Scheme:      o.scheme,
-		Levels:      o.levels,
-		Dist:        o.dist,
-		TotalBlocks: o.total,
-		Targets:     o.targets,
-		Interval:    o.interval,
-		Workers:     o.workers,
-		RateLimit:   o.rate,
-		Seed:        o.seed,
-		Metrics:     o.metrics,
+		Scheme:    o.scheme,
+		Levels:    o.levels,
+		Targets:   o.targets,
+		Interval:  o.interval,
+		RateLimit: o.rate,
+		Seed:      o.seed,
+		Metrics:   o.metrics,
 	})
 	if err != nil {
 		return nil, err
@@ -868,17 +860,15 @@ func repairCmd(args []string, out io.Writer) error {
 // runOrWatch is the tail `prlcd repair` and `prlcd migrate` share: one
 // round by default, bounded by 8x -timeout, or with -watch the
 // background loop until interrupted; either way the last report is
-// printed.
+// printed — a failed round's too, since its partial work is what waits
+// for the next round.
 func runOrWatch[R any](out io.Writer, name string, l *repair.Loop[R], watch bool, opts *healOpts, print func(io.Writer, R)) error {
 	if !watch {
 		ctx, cancel := context.WithTimeout(context.Background(), 8*opts.timeout)
 		defer cancel()
 		rep, err := l.RunOnce(ctx)
-		if err != nil {
-			return err
-		}
 		print(out, rep)
-		return nil
+		return err
 	}
 	l.Start()
 	fmt.Fprintf(out, "%s: watching %d daemons every %v (interrupt to stop)\n",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,6 +44,10 @@ func TestUsageErrors(t *testing.T) {
 		{"store", "ping"},             // missing -addr
 		{"store", "put", "-in", "x"},  // missing -addrs
 		{"store", "get", "-out", "x"}, // missing -addrs/-sizes
+		// Non-finite shares would apportion negative targets.
+		{"repair", "-addrs", "127.0.0.1:1", "-sizes", "6,14", "-dist", "nan,1", "-total", "10"},
+		{"repair", "-addrs", "127.0.0.1:1", "-sizes", "6,14", "-dist", "inf,1", "-total", "10"},
+		{"migrate", "-addrs", "127.0.0.1:1", "-sizes", "6,14", "-dist", "1,-inf", "-total", "10"},
 	} {
 		if err := run(args, &out); err == nil {
 			t.Errorf("run(%v) accepted bad usage", args)
@@ -705,5 +710,30 @@ func TestRepairCLI(t *testing.T) {
 				t.Fatalf("recovered %d bytes differ from input after repair (output: %q)", len(got), out.String())
 			}
 		})
+	}
+}
+
+// TestRepairCLIPrintsFailedRound checks that a one-shot round that
+// fails still prints its report — the audit and partial work an
+// operator needs, since the failure waits for the next round — before
+// returning the error.
+func TestRepairCLIPrintsFailedRound(t *testing.T) {
+	// Two addresses nothing listens on: every stat is refused at once.
+	dark := make([]string, 2)
+	for i := range dark {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dark[i] = ln.Addr().String()
+		ln.Close()
+	}
+	var out bytes.Buffer
+	err := run([]string{"repair", "-addrs", strings.Join(dark, ","), "-sizes", "6,14", "-total", "40", "-timeout", "500ms"}, &out)
+	if err == nil {
+		t.Fatalf("repair of a dark fleet succeeded:\n%s", out.String())
+	}
+	if s := out.String(); !strings.Contains(s, "audit: 0/2 replicas reachable") || !strings.Contains(s, "level 0: 0/") {
+		t.Fatalf("failed round printed no report: %q (err %v)", s, err)
 	}
 }

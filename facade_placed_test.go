@@ -98,7 +98,7 @@ func TestFacadePlacementRoundTrip(t *testing.T) {
 	}
 
 	d, err := NewObjectRepairDaemon(placed, obj, RepairConfig{
-		Scheme: PLC, Levels: levels, TotalBlocks: 24, Dist: UniformDistribution(2), Seed: 2,
+		Scheme: PLC, Levels: levels, Targets: []int{12, 12}, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,11 +5,13 @@ package cliutil
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
 
-// ParseFloats parses a comma-separated float list ("0.1,0.2,0.7").
+// ParseFloats parses a comma-separated list of finite floats
+// ("0.1,0.2,0.7"); NaN and ±Inf are rejected.
 func ParseFloats(s string) ([]float64, error) {
 	parts := strings.Split(s, ",")
 	out := make([]float64, 0, len(parts))
@@ -17,6 +19,9 @@ func ParseFloats(s string) ([]float64, error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
 			return nil, err
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("%q is not a finite number", strings.TrimSpace(p))
 		}
 		out = append(out, v)
 	}
@@ -57,10 +62,13 @@ func FractionsToSizes(fracs []float64, blocks int) ([]int, error) {
 	}
 	sum := 0.0
 	for _, f := range fracs {
-		if f <= 0 {
-			return nil, fmt.Errorf("level fraction %g, want > 0", f)
+		if !(f > 0) || math.IsInf(f, 1) {
+			return nil, fmt.Errorf("level fraction %g, want finite and > 0", f)
 		}
 		sum += f
+	}
+	if math.IsInf(sum, 1) {
+		return nil, fmt.Errorf("level fractions sum to %g, want finite", sum)
 	}
 	sizes := make([]int, len(fracs))
 	used := 0

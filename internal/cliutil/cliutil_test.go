@@ -3,6 +3,7 @@ package cliutil
 import (
 	"bytes"
 	"flag"
+	"math"
 	"reflect"
 	"testing"
 
@@ -17,8 +18,10 @@ func TestParseFloats(t *testing.T) {
 	if len(got) != 3 || got[0] != 0.1 || got[2] != 0.7 {
 		t.Fatalf("ParseFloats = %v", got)
 	}
-	if _, err := ParseFloats("1,x"); err == nil {
-		t.Fatal("bad float accepted")
+	for _, bad := range []string{"1,x", "nan,1", "0.5, NaN", "inf,1", "1,-Inf", "+inf"} {
+		if got, err := ParseFloats(bad); err == nil {
+			t.Fatalf("ParseFloats(%q) = %v, want an error", bad, got)
+		}
 	}
 }
 
@@ -60,8 +63,16 @@ func TestFractionsToSizes(t *testing.T) {
 	if _, err := FractionsToSizes([]float64{1, 1, 1, 1}, 3); err == nil {
 		t.Fatal("more levels than blocks accepted")
 	}
-	if _, err := FractionsToSizes([]float64{0, 1}, 10); err == nil {
-		t.Fatal("zero fraction accepted")
+	for _, bad := range [][]float64{
+		{0, 1},
+		{math.NaN(), 1},
+		{math.Inf(1), 1},
+		{1, math.Inf(-1)},
+		{math.MaxFloat64, math.MaxFloat64},
+	} {
+		if got, err := FractionsToSizes(bad, 10); err == nil {
+			t.Fatalf("FractionsToSizes(%v, 10) = %v, want an error", bad, got)
+		}
 	}
 	// Tiny fractions round up to one block.
 	sizes, err = FractionsToSizes([]float64{0.001, 0.999}, 10)

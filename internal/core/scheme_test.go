@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -91,6 +92,9 @@ func TestPriorityDistributionValidate(t *testing.T) {
 	}
 	if err := (PriorityDistribution{0.5, 0.6, -0.1}).Validate(l); err == nil {
 		t.Error("negative entry accepted")
+	}
+	if err := (PriorityDistribution{math.NaN(), 0.5, 0.5}).Validate(l); err == nil {
+		t.Error("NaN entry accepted")
 	}
 	// Table 1 Case 2 has a zero entry — must be legal.
 	if err := (PriorityDistribution{0, 0.6149, 0.3851}).Validate(l); err != nil {

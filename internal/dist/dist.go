@@ -100,11 +100,14 @@ func BinomialPMFRow(n int, p float64) []float64 {
 	return row
 }
 
-// Simplex validates that p is a probability vector: nonnegative entries
-// summing to 1 within tol.
+// Simplex validates that p is a probability vector: finite,
+// nonnegative entries summing to 1 within tol.
 func Simplex(p []float64, tol float64) error {
 	sum := 0.0
 	for i, v := range p {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("dist: non-finite probability p[%d] = %g", i, v)
+		}
 		if v < -tol {
 			return fmt.Errorf("dist: negative probability p[%d] = %g", i, v)
 		}

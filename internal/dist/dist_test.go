@@ -95,6 +95,16 @@ func TestSimplex(t *testing.T) {
 	if err := Simplex([]float64{-0.1, 1.1}, 1e-9); err == nil {
 		t.Error("negative entry accepted")
 	}
+	for _, p := range [][]float64{
+		{math.NaN(), 1},
+		{math.Inf(1), 1},
+		{math.Inf(-1), 1},
+		{0.5, math.NaN(), 0.5},
+	} {
+		if err := Simplex(p, 1e-9); err == nil {
+			t.Errorf("non-finite entry accepted: %v", p)
+		}
+	}
 }
 
 func TestProjectToSimplexFixedPoints(t *testing.T) {

@@ -141,16 +141,19 @@ func Run(ctx context.Context, fleet Fleet, sc Scenario, logf func(format string,
 	}
 	controller := NewController(schedule, newFleetInjector(fleet, dialer, placed.Join, sc.Spares))
 
+	targets, err := repair.Apportion(seedDist, seedBlocks)
+	if err != nil {
+		return nil, err
+	}
 	var repairer *repair.Daemon
 	if sc.Repair {
 		repairer, err = repair.NewObject(placed, objs[0], repair.Config{
-			Scheme:      core.PLC,
-			Levels:      levels,
-			Dist:        seedDist,
-			TotalBlocks: seedBlocks,
-			Interval:    sc.RepairInterval.D(),
-			Seed:        sc.Seed,
-			Metrics:     clientReg,
+			Scheme:   core.PLC,
+			Levels:   levels,
+			Targets:  targets,
+			Interval: sc.RepairInterval.D(),
+			Seed:     sc.Seed,
+			Metrics:  clientReg,
 		})
 		if err != nil {
 			return nil, err
@@ -164,14 +167,13 @@ func Run(ctx context.Context, fleet Fleet, sc Scenario, logf func(format string,
 	var mv *mover.Mover
 	if sc.Migrate {
 		mv, err = mover.New(placed, mover.Config{
-			Scheme:      core.PLC,
-			Levels:      levels,
-			Dist:        seedDist,
-			TotalBlocks: seedBlocks,
-			Interval:    sc.MigrateInterval.D(),
-			RateLimit:   sc.MigrateRateBytes,
-			Seed:        sc.Seed,
-			Metrics:     clientReg,
+			Scheme:    core.PLC,
+			Levels:    levels,
+			Targets:   targets,
+			Interval:  sc.MigrateInterval.D(),
+			RateLimit: sc.MigrateRateBytes,
+			Seed:      sc.Seed,
+			Metrics:   clientReg,
 		})
 		if err != nil {
 			return nil, err

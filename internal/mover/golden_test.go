@@ -115,11 +115,10 @@ func TestGoldenMoverInventory(t *testing.T) {
 	}
 
 	m, err := New(placed, Config{
-		Scheme:      core.PLC,
-		Levels:      levels,
-		Dist:        testDist,
-		TotalBlocks: blocksPerObject,
-		Seed:        7,
+		Scheme:  core.PLC,
+		Levels:  levels,
+		Targets: testTargets(t, blocksPerObject),
+		Seed:    7,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,17 +16,13 @@
 //     stale holder; the object joins the work list, ordered
 //     most-critical-level-first (an object whose level-0 copies all sit
 //     on stale holders outranks one missing only its tail levels).
-//  2. transfer: for each planned object, audit the new owners and fill
-//     their per-level deficits by recombining survivors collected from
-//     the stale holders — fresh blocks, the paper's regeneration
-//     primitive, not verbatim moves (with a verbatim-copy fallback when
-//     the survivors are at minimum rank and recombination is
-//     degenerate). Concurrency is bounded, transfers retry with
-//     backoff, and a shared token bucket caps the byte rate.
-//  3. verify + reclaim: re-audit the owners against the provisioning
-//     targets; only when every level meets its copy target are the
-//     stale holders sent Delete. A failed verification leaves the old
-//     copies in place — migration never destroys the only copy.
+//  2. heal: each planned object runs repair's per-object heal step
+//     (repair.Heal.Object) with its stale holders given: fill the new
+//     owners by recombining survivors from owners and stale holders,
+//     verify the owners, and only then delete the stale copies. A
+//     failed object keeps them — migration never destroys the only
+//     copy — and is re-planned next round. Two objects move at a time
+//     under one token bucket capping the byte rate.
 //
 // Planning from inventories (not from membership events) makes rounds
 // idempotent and restart-safe: whatever a crashed mover left half-done
@@ -53,18 +49,15 @@ type Config struct {
 	// Scheme and Levels describe the code the fleet holds.
 	Scheme core.Scheme
 	Levels *core.Levels
-	// Dist and TotalBlocks (or Targets) define the provisioning targets
-	// migrated objects are verified against — the same knobs as
-	// repair.AuditConfig, and they should carry the same values.
-	Dist        core.PriorityDistribution
-	TotalBlocks int
-	Targets     []int
+	// Targets are the per-level distinct-block targets migrated objects
+	// are verified against — the same as repair.Config's, and they
+	// should carry the same values (repair.Apportion derives them from
+	// a priority distribution).
+	Targets []int
 	// Interval is the pause between successful rounds; failed rounds
 	// back off from it, doubling up to 16x. Default 5s; a membership
 	// change cuts the wait short via Kick.
 	Interval time.Duration
-	// Workers bounds how many objects migrate concurrently. Default 2.
-	Workers int
 	// RateLimit caps the mover's aggregate byte rate (collected plus
 	// placed wire bytes) in bytes/second; 0 means unlimited. Migration
 	// is background work — the cap is what keeps foreground puts and
@@ -72,7 +65,7 @@ type Config struct {
 	// token bucket holds max(RateLimit, 1 MiB).
 	RateLimit int64
 	// Seed seeds recombination (0 means 1); each object derives its own
-	// generator from Seed and its ID, so bounded concurrency does not
+	// generator from Seed and its ID, so concurrent objects do not
 	// perturb determinism.
 	Seed int64
 	// Metrics, when non-nil, receives the mover_* series (DESIGN.md §15).
@@ -80,22 +73,17 @@ type Config struct {
 }
 
 // Knobs nobody set, now constants at their old defaults: the bound on
-// one loop-driven plan+migrate round, the token bucket's floor, how
-// many times one object's migration is tried per round before it is
-// counted failed, and the base delay between tries (doubling).
+// one loop-driven plan+migrate round, the token bucket's floor, and how
+// many objects migrate at once.
 const (
 	roundTimeout = 60 * time.Second
 	minBurst     = 1 << 20
-	attempts     = 3
-	retryBackoff = 250 * time.Millisecond
+	workers      = 2
 )
 
 func (c *Config) fillDefaults() {
 	if c.Interval <= 0 {
 		c.Interval = 5 * time.Second
-	}
-	if c.Workers <= 0 {
-		c.Workers = 2
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -109,32 +97,24 @@ type Report struct {
 	// Migrated counts objects fully re-homed, verified, and reclaimed.
 	Migrated int
 	// Failed counts objects whose migration did not complete this
-	// round; they stay planned (the stale holdings persist) and retry
-	// next round.
+	// round; they keep their stale holdings and are re-planned next
+	// round.
 	Failed int
-	// Tally is what the round's fills placed on new owners, failed
-	// attempts included: Regenerated fresh recombinations and Copied
-	// verbatim blocks (the minimum-rank fallback), the Copies they aimed
-	// at, BytesCollected and BytesPlaced, and the SkippedLevels — one
-	// entry per level transfer skipped for lack of a usable survivor:
-	// lost data, which migration cannot conjure back.
+	// Tally is what the round's heal steps moved, failed objects
+	// included, down to the stale copies their releases reclaimed.
 	repair.Tally
-	// DeletesIssued counts reclaim calls to stale holders;
-	// BlocksReclaimed the copies they removed.
-	DeletesIssued   int
-	BlocksReclaimed int
 }
 
 // Mover is the background migration loop over a placement ring. Every
 // interval — or immediately upon Kick — it plans and executes one
 // migration round. Failed rounds back off exponentially with jitter.
-// Start, Stop, Rounds and LastReport come from the embedded
+// Start, Stop, RunOnce, Rounds and LastReport come from the embedded
 // repair.Loop, the control loop it shares with the repair daemon.
 type Mover struct {
 	*repair.Loop[Report]
 	placed  *store.Placed
 	cfg     Config
-	targets []int // cfg's provisioning targets, resolved once
+	heal    repair.Heal
 	met     moverMetrics
 	limiter *throttle
 }
@@ -145,27 +125,16 @@ func New(p *store.Placed, cfg Config) (*Mover, error) {
 	if p == nil {
 		return nil, fmt.Errorf("mover: nil placed store")
 	}
-	if !cfg.Scheme.Valid() {
-		return nil, fmt.Errorf("mover: invalid scheme %v", cfg.Scheme)
-	}
-	if cfg.Levels == nil {
-		return nil, fmt.Errorf("mover: nil levels")
-	}
-	if cfg.Levels.Count() != p.Levels() {
-		return nil, fmt.Errorf("mover: code has %d levels, store replicates %d", cfg.Levels.Count(), p.Levels())
-	}
-	acfg := repair.AuditConfig{Dist: cfg.Dist, TotalBlocks: cfg.TotalBlocks, Targets: cfg.Targets}
-	targets, err := acfg.DistinctTargets(p.Levels())
-	if err != nil {
-		return nil, fmt.Errorf("mover: %w", err)
-	}
 	cfg.fillDefaults()
 	m := &Mover{
 		placed:  p,
 		cfg:     cfg,
-		targets: targets,
 		met:     newMoverMetrics(cfg.Metrics),
 		limiter: newThrottle(cfg.RateLimit, minBurst),
+	}
+	m.heal = repair.Heal{Scheme: cfg.Scheme, Levels: cfg.Levels, Targets: cfg.Targets, Charge: m.throttleWait}
+	if err := m.heal.Validate(p.Levels()); err != nil {
+		return nil, fmt.Errorf("mover: %w", err)
 	}
 	m.Loop = repair.NewLoop("mover", cfg.Metrics, cfg.Interval, roundTimeout, cfg.Seed, m.round)
 	return m, nil
@@ -179,13 +148,11 @@ func (m *Mover) Kick() {
 	m.Loop.Kick()
 }
 
-// RunOnce performs one migration round — plan, transfer, verify,
-// reclaim — and returns its report. The error is non-nil when planning
-// failed or any object's migration did, which the loop answers with
-// backoff; partially-migrated objects stay visible as stale holdings
-// and are re-planned next round.
-func (m *Mover) RunOnce(ctx context.Context) (Report, error) { return m.Loop.RunOnce(ctx) }
-
+// round is one migration round — plan, then a heal step per planned
+// object — run by the embedded Loop's RunOnce. The error is non-nil
+// when planning failed or any object's migration did, which the loop
+// answers with backoff; a failed object keeps its stale holdings and is
+// re-planned next round.
 func (m *Mover) round(ctx context.Context) (*Report, error) {
 	plan, err := m.plan(ctx)
 	if err != nil {
@@ -199,36 +166,37 @@ func (m *Mover) round(ctx context.Context) (*Report, error) {
 
 	// Objects start in plan order as worker slots free up, so the most
 	// critical ones start first even though completions interleave.
-	results := make([]Report, len(plan.Objects))
+	tallies := make([]repair.Tally, len(plan.Objects))
 	errs := make([]error, len(plan.Objects))
-	slots := make(chan struct{}, m.cfg.Workers)
+	slots := make(chan struct{}, workers)
 	var wg sync.WaitGroup
-	for i := range plan.Objects {
+	started := 0
+	for i, op := range plan.Objects {
 		slots <- struct{}{}
 		if ctx.Err() != nil {
 			break
 		}
+		started++
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			results[i], errs[i] = m.migrateAttempts(ctx, plan.Objects[i])
+			errs[i] = m.migrateObject(ctx, op, &tallies[i])
 			<-slots
-		}(i)
+		}()
 	}
 	wg.Wait()
 
 	var firstErr error
-	for i, res := range results {
-		rep.Add(res.Tally)
-		rep.DeletesIssued += res.DeletesIssued
-		rep.BlocksReclaimed += res.BlocksReclaimed
-		rep.Migrated += res.Migrated
-		if errs[i] != nil {
-			rep.Failed++
-			m.met.objectErrors.Inc()
-			if firstErr == nil {
-				firstErr = errs[i]
-			}
+	for i := range started {
+		rep.Add(tallies[i])
+		if errs[i] == nil {
+			rep.Migrated++
+			continue
+		}
+		rep.Failed++
+		m.met.objectErrors.Inc()
+		if firstErr == nil {
+			firstErr = errs[i]
 		}
 	}
 	m.Record(rep.Tally)
@@ -239,35 +207,68 @@ func (m *Mover) round(ctx context.Context) (*Report, error) {
 	if firstErr != nil {
 		return rep, fmt.Errorf("mover: %d/%d objects failed: %w", rep.Failed, len(plan.Objects), firstErr)
 	}
-	if err := ctx.Err(); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	return rep, ctx.Err()
 }
 
-// migrateAttempts drives one object through up to `attempts` tries with
-// doubling backoff. Each object recombines from its own generator,
-// seeded by Seed and the object ID, so worker interleaving never
-// changes what gets placed.
-func (m *Mover) migrateAttempts(ctx context.Context, op ObjectPlan) (Report, error) {
-	rng := rand.New(rand.NewSource(m.cfg.Seed ^ int64(op.Object)))
-	var res Report
-	var err error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			timer := time.NewTimer(retryBackoff << (attempt - 1))
-			select {
-			case <-ctx.Done():
-				timer.Stop()
-				return res, err
-			case <-timer.C:
-			}
-		}
-		// Every attempt accumulates into the one result: work done by a
-		// failed attempt still moved bytes and is accounted.
-		if err = m.migrateObject(ctx, op, rng, &res); err == nil || ctx.Err() != nil {
-			break
+// migrateObject re-homes one object: the heal step over its current
+// owners with its stale holders given, adding what it moved to t. The
+// object recombines from its own generator, seeded by Seed and the
+// object ID, so worker interleaving never changes what gets placed.
+func (m *Mover) migrateObject(ctx context.Context, op ObjectPlan, t *repair.Tally) error {
+	shard, err := m.placed.Shard(op.Object)
+	if err != nil {
+		return fmt.Errorf("mover: resolve shard %s: %w", op.Object, err)
+	}
+	stale := make([]*store.Client, len(op.Stale))
+	for i, addr := range op.Stale {
+		if stale[i], err = m.placed.ClientFor(addr); err != nil {
+			return fmt.Errorf("mover: %s: %w", op.Object, err)
 		}
 	}
-	return res, err
+	rng := rand.New(rand.NewSource(m.cfg.Seed ^ int64(op.Object)))
+	if _, err := m.heal.Object(ctx, shard, op.Object, stale, rng, t); err != nil {
+		return fmt.Errorf("mover: %s: %w", op.Object, err)
+	}
+	return nil
+}
+
+// throttleWait charges n bytes against the rate limit and records the
+// stall.
+func (m *Mover) throttleWait(ctx context.Context, n int) error {
+	slept, err := m.limiter.wait(ctx, n)
+	if slept > 0 {
+		m.met.throttleWaitNs.Observe(int64(slept))
+	}
+	return err
+}
+
+// moverMetrics is the mover's own series — the round, backoff and fill
+// series it shares with the repair daemon are registered by repair.Loop
+// under the "mover" prefix. Names resolve once at construction, and a
+// nil registry yields all-nil fields with every recording call a no-op.
+// The name catalog lives in DESIGN.md §15.
+type moverMetrics struct {
+	kicks           *metrics.Counter
+	objectsPlanned  *metrics.Counter
+	objectsMigrated *metrics.Counter
+	objectsSkipped  *metrics.Counter
+	objectErrors    *metrics.Counter
+	blocksCopied    *metrics.Counter
+	deletesIssued   *metrics.Counter
+	blocksReclaimed *metrics.Counter
+	throttleWaitNs  *metrics.Histogram
+}
+
+func newMoverMetrics(r *metrics.Registry) moverMetrics {
+	return moverMetrics{
+		kicks:           r.Counter("mover_kicks_total"),
+		objectsPlanned:  r.Counter("mover_objects_planned_total"),
+		objectsMigrated: r.Counter("mover_objects_migrated_total"),
+		objectsSkipped:  r.Counter("mover_objects_skipped_total"),
+		objectErrors:    r.Counter("mover_object_errors_total"),
+		blocksCopied:    r.Counter("mover_blocks_copied_total"),
+		deletesIssued:   r.Counter("mover_deletes_issued_total"),
+		blocksReclaimed: r.Counter("mover_blocks_reclaimed_total"),
+		throttleWaitNs:  r.Histogram("mover_throttle_wait_ns"),
+	}
 }

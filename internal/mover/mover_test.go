@@ -15,6 +15,17 @@ import (
 
 var testDist = core.PriorityDistribution{0.3, 0.3, 0.4}
 
+// testTargets apportions testDist over n blocks: the provisioning
+// targets of an n-block testCode batch.
+func testTargets(t *testing.T, n int) []int {
+	t.Helper()
+	targets, err := repair.Apportion(testDist, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return targets
+}
+
 func testCode(t *testing.T, seed int64, n int) (*core.Levels, [][]byte, []*core.CodedBlock) {
 	t.Helper()
 	levels, err := core.NewLevels(3, 5, 8)
@@ -239,12 +250,10 @@ func TestMigrateOnJoin(t *testing.T) {
 	}
 
 	m, err := New(f.placed, Config{
-		Scheme:      core.PLC,
-		Levels:      levels,
-		Dist:        testDist,
-		TotalBlocks: blocksPerObject,
-		Workers:     3,
-		Seed:        7,
+		Scheme:  core.PLC,
+		Levels:  levels,
+		Targets: testTargets(t, blocksPerObject),
+		Seed:    7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -372,12 +381,11 @@ func TestKickOnMembershipChange(t *testing.T) {
 	}
 
 	m, err := New(f.placed, Config{
-		Scheme:      core.PLC,
-		Levels:      levels,
-		Dist:        testDist,
-		TotalBlocks: 16,
-		Interval:    time.Hour, // only Kick can trigger further rounds
-		Seed:        11,
+		Scheme:   core.PLC,
+		Levels:   levels,
+		Targets:  testTargets(t, 16),
+		Interval: time.Hour, // only Kick can trigger further rounds
+		Seed:     11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -463,7 +471,8 @@ func TestBlockKeyAndSortDeterminism(t *testing.T) {
 	repair.SortBlocks(a)
 	repair.SortBlocks(b)
 	for i := range a {
-		if blockKey(a[i]) != blockKey(b[i]) {
+		x, y := a[i], b[i]
+		if x.Level != y.Level || !bytes.Equal(x.DenseCoeff(), y.DenseCoeff()) || !bytes.Equal(x.Payload, y.Payload) {
 			t.Fatalf("SortBlocks not order-insensitive at %d", i)
 		}
 	}

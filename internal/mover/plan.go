@@ -58,16 +58,15 @@ func (m *Mover) plan(ctx context.Context) (*Plan, error) {
 			results[i].err = store.ErrStoreUnavailable
 			continue
 		}
-		cl, err := m.placed.ClientFor(mem.Addr)
-		if err != nil {
-			results[i].err = err
-			continue
-		}
 		wg.Add(1)
-		go func(i int, cl *store.Client) {
+		go func() {
 			defer wg.Done()
-			results[i].st, results[i].err = cl.Stat(ctx)
-		}(i, cl)
+			cl, err := m.placed.ClientFor(mem.Addr)
+			if err == nil {
+				results[i].st, err = cl.Stat(ctx)
+			}
+			results[i].err = err
+		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -129,7 +128,7 @@ func (m *Mover) plan(ctx context.Context) (*Plan, error) {
 		}
 		sort.Strings(op.Stale)
 		for lvl := 0; lvl < levels; lvl++ {
-			if have[lvl] < m.targets[lvl]*shard.ReplicasFor(lvl) {
+			if have[lvl] < m.heal.Targets[lvl]*shard.ReplicasFor(lvl) {
 				op.Critical = lvl
 				break
 			}

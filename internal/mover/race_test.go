@@ -31,13 +31,12 @@ func TestMoverRepairPutRace(t *testing.T) {
 	}
 
 	m, err := New(f.placed, Config{
-		Scheme:      core.PLC,
-		Levels:      levels,
-		Dist:        testDist,
-		TotalBlocks: blocksPerObject,
-		Interval:    20 * time.Millisecond,
-		RateLimit:   8 << 20,
-		Seed:        31,
+		Scheme:    core.PLC,
+		Levels:    levels,
+		Targets:   testTargets(t, blocksPerObject),
+		Interval:  20 * time.Millisecond,
+		RateLimit: 8 << 20,
+		Seed:      31,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,12 +45,11 @@ func TestMoverRepairPutRace(t *testing.T) {
 	m.Start()
 
 	rd, err := repair.NewObject(f.placed, obj, repair.Config{
-		Scheme:      core.PLC,
-		Levels:      levels,
-		Dist:        testDist,
-		TotalBlocks: blocksPerObject,
-		Interval:    20 * time.Millisecond,
-		Seed:        41,
+		Scheme:   core.PLC,
+		Levels:   levels,
+		Targets:  testTargets(t, blocksPerObject),
+		Interval: 20 * time.Millisecond,
+		Seed:     41,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,8 @@ package mover
 import (
 	"context"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -64,8 +66,11 @@ func (c *tripConn) Write(p []byte) (int, error) {
 // feeds: after a round that fails half-way (the joining owner is cut
 // off between the audit and the verification) and after the round that
 // finishes the migration, every mover_* fill counter equals the sum of
-// the Reports' fields — work done by failed attempts is still counted,
-// the same way the repair daemon counts it.
+// the Reports' fields — work done by a failed round is still counted,
+// the same way the repair daemon counts it. It also holds verify before
+// release across rounds: the failed round deletes nothing and every
+// stale holder keeps its blocks; once the owner heals, the next round
+// migrates and reclaims them.
 func TestTallyMatchesCounters(t *testing.T) {
 	ctx := context.Background()
 	trip := &tripDialer{}
@@ -84,10 +89,40 @@ func TestTallyMatchesCounters(t *testing.T) {
 	if err := f.placed.Join(joiner); err != nil {
 		t.Fatal(err)
 	}
+	owners, err := f.placed.ReplicasForObject(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := func(addr string) int {
+		t.Helper()
+		cl, err := f.placed.ClientFor(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := cl.Stat(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, os := range st.PerObject {
+			if os.Object == obj {
+				return os.Blocks
+			}
+		}
+		return 0
+	}
+	staleBlocks := make(map[string]int)
+	for _, addr := range f.addrs[:2] {
+		if !slices.Contains(owners, addr) {
+			staleBlocks[addr] = held(addr)
+		}
+	}
+	if len(staleBlocks) == 0 {
+		t.Fatal("the join left no stale holder")
+	}
 	reg := metrics.NewRegistry()
 	m, err := New(f.placed, Config{
-		Scheme: core.PLC, Levels: levels, Dist: testDist, TotalBlocks: 24,
-		Workers: 1, Seed: 7, Metrics: reg,
+		Scheme: core.PLC, Levels: levels, Targets: testTargets(t, 24),
+		Seed: 7, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +143,8 @@ func TestTallyMatchesCounters(t *testing.T) {
 			"mover_bytes_collected_total":    sum.BytesCollected,
 			"mover_bytes_placed_total":       sum.BytesPlaced,
 			"mover_levels_skipped_total":     int64(len(sum.SkippedLevels)),
+			"mover_deletes_issued_total":     int64(sum.DeletesIssued),
+			"mover_blocks_reclaimed_total":   int64(sum.BlocksReclaimed),
 		} {
 			if got := int64(reg.Counter(name).Value()); got != want {
 				t.Errorf("%s: %s = %d, reports sum to %d", when, name, got, want)
@@ -125,6 +162,17 @@ func TestTallyMatchesCounters(t *testing.T) {
 	if failed.Regenerated == 0 || failed.BytesCollected == 0 {
 		t.Fatalf("cut came too early to leave partial work: %+v", failed)
 	}
+	if !strings.Contains(err.Error(), "verify") {
+		t.Fatalf("round failed before its verification: %v", err)
+	}
+	if failed.DeletesIssued != 0 || failed.BlocksReclaimed != 0 {
+		t.Fatalf("failed verification still released: %d deletes, %d blocks", failed.DeletesIssued, failed.BlocksReclaimed)
+	}
+	for addr, n := range staleBlocks {
+		if got := held(addr); got != n {
+			t.Fatalf("stale holder %s holds %d blocks after a failed verification, had %d", addr, got, n)
+		}
+	}
 	sum.Add(failed.Tally)
 	check("after the failed round")
 
@@ -135,6 +183,17 @@ func TestTallyMatchesCounters(t *testing.T) {
 	}
 	if rep.Migrated != 1 {
 		t.Fatalf("healed round migrated %d objects, want 1", rep.Migrated)
+	}
+	reclaimed := 0
+	for addr, n := range staleBlocks {
+		reclaimed += n
+		if got := held(addr); got != 0 {
+			t.Fatalf("stale holder %s still holds %d blocks after the migration", addr, got)
+		}
+	}
+	if rep.DeletesIssued != len(staleBlocks) || rep.BlocksReclaimed != reclaimed {
+		t.Fatalf("released with %d deletes, %d blocks; want %d, %d",
+			rep.DeletesIssued, rep.BlocksReclaimed, len(staleBlocks), reclaimed)
 	}
 	sum.Add(rep.Tally)
 	check("after the migration")

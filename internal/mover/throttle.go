@@ -24,9 +24,7 @@ func newThrottle(rate, burst int64) *throttle {
 	if rate <= 0 {
 		return nil
 	}
-	if burst < rate {
-		burst = rate // at least one second of headroom
-	}
+	burst = max(burst, rate) // at least one second of headroom
 	return &throttle{
 		rate:   float64(rate),
 		burst:  float64(burst),

@@ -22,11 +22,9 @@ type Config struct {
 	// Scheme and Levels describe the code the store holds.
 	Scheme core.Scheme
 	Levels *core.Levels
-	// Dist and TotalBlocks (or Targets) define the audit's provisioning
-	// targets — see AuditConfig.
-	Dist        core.PriorityDistribution
-	TotalBlocks int
-	Targets     []int
+	// Targets are the per-level distinct-block targets the audit
+	// measures against — see AuditConfig.
+	Targets []int
 	// Interval is the pause between successful rounds; failed rounds
 	// back off from it, doubling up to 16x. Default 2s.
 	Interval time.Duration
@@ -64,9 +62,8 @@ func (c *Config) fillDefaults() {
 type Report struct {
 	// Audit is the inventory scan the round acted on.
 	Audit *Audit
-	// Tally is what the round's fill moved: Regenerated, Copies,
-	// BytesCollected, BytesPlaced, SkippedLevels, Truncated. Repair has
-	// no copy path, so Copied stays 0.
+	// Tally is what the round's heal step moved; with no copy path and
+	// no stale holders, Copied and the reclaim counts stay 0.
 	Tally
 }
 
@@ -74,16 +71,16 @@ type Report struct {
 // the fleet and regenerates missing redundancy by recombination,
 // most-critical-level-first. Failed rounds back off exponentially with
 // jitter. The daemon never decodes: its only data operations are
-// collect, recombine, put. Start, Stop, Kick, Rounds and LastReport
-// come from the embedded Loop.
+// collect, recombine, put. Start, Stop, Kick, RunOnce, Rounds and
+// LastReport come from the embedded Loop.
 type Daemon struct {
 	*Loop[Report]
 	// shard resolves the replica set each round operates on: constant
 	// for a static Replicated store, re-resolved through the placement
 	// ring for an object shard — so repair follows membership churn.
-	shard   func() (*store.Replicated, error)
-	cfg     Config
-	targets []int // cfg's provisioning targets, resolved once
+	shard  func() (*store.Replicated, error)
+	object core.ObjectID
+	heal   Heal
 	// rng is the recombination generator, one per daemon across rounds;
 	// rounds are serialized by the Loop, which is all that guards it.
 	rng       *rand.Rand
@@ -116,82 +113,44 @@ func NewObject(p *store.Placed, obj core.ObjectID, cfg Config) (*Daemon, error) 
 }
 
 func newDaemon(shard func() (*store.Replicated, error), levels int, cfg Config) (*Daemon, error) {
-	if !cfg.Scheme.Valid() {
-		return nil, fmt.Errorf("repair: invalid scheme %v", cfg.Scheme)
-	}
-	if cfg.Levels == nil {
-		return nil, fmt.Errorf("repair: nil levels")
-	}
-	if cfg.Levels.Count() != levels {
-		return nil, fmt.Errorf("repair: code has %d levels, store replicates %d", cfg.Levels.Count(), levels)
-	}
-	targets, err := (&AuditConfig{Dist: cfg.Dist, TotalBlocks: cfg.TotalBlocks, Targets: cfg.Targets}).DistinctTargets(levels)
-	if err != nil {
-		return nil, err
-	}
 	cfg.fillDefaults()
 	d := &Daemon{
 		shard:     shard,
-		cfg:       cfg,
-		targets:   targets,
+		object:    cfg.Object,
+		heal:      Heal{Scheme: cfg.Scheme, Levels: cfg.Levels, Targets: cfg.Targets, Budget: cfg.BlockBudget},
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		truncated: cfg.Metrics.Counter("repair_rounds_truncated_total"),
+	}
+	if err := d.heal.Validate(levels); err != nil {
+		return nil, err
 	}
 	d.Loop = NewLoop("repair", cfg.Metrics, cfg.Interval, roundTimeout, cfg.Seed, d.round)
 	return d, nil
 }
 
-// RunOnce performs one audit+repair round: scan the fleet, and for each
-// deficient level (most critical first, within the block budget) sample
-// surviving blocks, recombine fresh ones, and place them preferring the
-// under-provisioned replicas. It returns the round's report; the error
-// is non-nil when the fleet was unreachable or a regenerated block
-// could not be placed, which the loop answers with backoff.
-//
-// RunOnce never decodes: a level none of whose survivors remain is
-// skipped (and reported), not reconstructed.
-func (d *Daemon) RunOnce(ctx context.Context) (Report, error) { return d.Loop.RunOnce(ctx) }
-
-// round is audit → collect → fill.
+// round is one heal step over the object's current owners, with no
+// stale holders, run by the embedded Loop's RunOnce: scan the owners,
+// and for each deficient level (most critical first, within the block
+// budget) sample surviving blocks, recombine fresh ones, and place them
+// preferring the under-provisioned replicas. The error is non-nil when
+// no owner answered or a regenerated block could not be placed, which
+// the loop answers with backoff. A level none of whose survivors remain
+// is skipped (and reported), never decoded.
 func (d *Daemon) round(ctx context.Context) (*Report, error) {
 	shard, err := d.shard()
 	if err != nil {
 		return nil, fmt.Errorf("repair: resolve shard: %w", err)
 	}
-	audit, err := AuditFleet(ctx, shard, AuditConfig{Object: d.cfg.Object, Targets: d.targets})
-	if err != nil {
+	var rep Report
+	if rep.Audit, err = d.heal.Object(ctx, shard, d.object, nil, d.rng, &rep.Tally); rep.Audit == nil {
 		return nil, err
 	}
-	rep := &Report{Audit: audit}
-	deficient := audit.Deficient()
-	if len(deficient) == 0 {
-		return rep, nil
-	}
-	if audit.Reachable == 0 {
-		return rep, fmt.Errorf("repair: %w: all %d replicas unreachable", store.ErrStoreUnavailable, audit.Unreachable)
-	}
-
-	// One collect covers every deficient level: survivors of level k
-	// also serve as sample padding for deeper PLC levels.
-	survivors, err := shard.CollectAll(ctx, d.cfg.Object, deficient[len(deficient)-1].Level)
-	if err != nil {
-		return rep, err
-	}
-	SortBlocks(survivors) // deterministic sampling under a fixed seed
-	for _, b := range survivors {
-		rep.BytesCollected += int64(b.WireSize())
-	}
-	fill := Fill{
-		Shard: shard, Scheme: d.cfg.Scheme, Levels: d.cfg.Levels,
-		Rng: d.rng, Survivors: survivors, Deficient: deficient, Budget: d.cfg.BlockBudget,
-	}
-	err = fill.Run(ctx, &rep.Tally)
 	d.Record(rep.Tally)
 	if rep.Truncated {
 		d.truncated.Inc()
 	}
 	if err != nil {
-		return rep, fmt.Errorf("repair: %w", err)
+		return &rep, fmt.Errorf("repair: %w", err)
 	}
-	return rep, nil
+	return &rep, nil
 }

@@ -18,20 +18,21 @@
 //   - recombination: core.Recombine / core.RecombineRanked (the
 //     algebra lives next to the encoder, in internal/core);
 //   - audit: AuditFleet compares each replica's per-level inventory
-//     against targets derived from the priority distribution and the
-//     store's replication policy, yielding a deficit report ordered
-//     most-critical-level-first;
-//   - fill: Fill recombines survivors of each deficient level and
-//     places the regenerated blocks on the replicas the audit found
-//     under-provisioned — the one transfer primitive, which the
-//     migration mover (internal/mover) runs too;
-//   - loop: Loop is the one background control loop; Daemon hangs
-//     audit → collect → fill on it, the mover its plan and reclaim.
+//     against per-level targets (Apportion derives them from the
+//     priority distribution) and the store's replication policy,
+//     yielding a deficit report ordered most-critical-level-first;
+//   - heal: Heal.Object is the one per-object step — audit, gather
+//     survivors, recombine fresh blocks for the deficient levels and
+//     place them on the under-provisioned owners, and, given stale
+//     holders, verify and release — which the repair daemon runs as
+//     its round and the migration mover (internal/mover) per object;
+//   - loop: Loop is the one background control loop both hang on.
 package repair
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/core"
@@ -44,28 +45,10 @@ type AuditConfig struct {
 	// read from that object's section of each replica's inventory. The
 	// zero value audits the key-less namespace, object zero.
 	Object core.ObjectID
-	// Dist is the priority distribution the deployment was provisioned
-	// with: level k's target share of distinct coded blocks.
-	Dist core.PriorityDistribution
-	// TotalBlocks is M, the number of distinct coded blocks at full
-	// provisioning; per-level distinct targets are apportioned from
-	// Dist by largest remainder.
-	TotalBlocks int
-	// Targets, when non-nil, overrides the apportionment with exact
-	// per-level distinct-block targets (len = store levels). Useful when
-	// the put-time level draw is known precisely.
+	// Targets are the per-level distinct-block targets (len = store
+	// levels): the put-time level draw when it is known exactly, or
+	// Apportion of the priority distribution over the block count.
 	Targets []int
-}
-
-// perLevelFor selects the audited object's section of one replica's
-// inventory (nil when the replica holds none of it).
-func (cfg *AuditConfig) perLevelFor(st store.Stats) []store.LevelCount {
-	for _, os := range st.PerObject {
-		if os.Object == cfg.Object {
-			return os.PerLevel
-		}
-	}
-	return nil
 }
 
 // LevelReport is one level's audit line.
@@ -124,10 +107,15 @@ func (a *Audit) TotalDeficit() int {
 	return n
 }
 
-// apportion splits total into len(shares) integer parts proportional to
-// shares, summing exactly to total (largest-remainder rounding; ties go
-// to the more critical level).
-func apportion(shares []float64, total int) ([]int, error) {
+// Apportion splits total into len(shares) integer parts proportional
+// to shares, summing exactly to total (largest-remainder rounding; ties
+// go to the more critical level): the per-level distinct-block targets
+// of M = total blocks provisioned over priority distribution shares.
+// Shares must be finite and non-negative with a positive sum.
+func Apportion(shares []float64, total int) ([]int, error) {
+	if total < 0 {
+		return nil, fmt.Errorf("repair: %d blocks to apportion, want >= 0", total)
+	}
 	sum := 0.0
 	for i, s := range shares {
 		if s < 0 {
@@ -135,8 +123,9 @@ func apportion(shares []float64, total int) ([]int, error) {
 		}
 		sum += s
 	}
-	if sum <= 0 {
-		return nil, fmt.Errorf("repair: priority distribution sums to %g, want > 0", sum)
+	// A NaN or +Inf share makes the sum NaN or +Inf.
+	if !(sum > 0) || math.IsInf(sum, 1) {
+		return nil, fmt.Errorf("repair: priority distribution sums to %g, want finite and > 0", sum)
 	}
 	out := make([]int, len(shares))
 	type rem struct {
@@ -163,29 +152,18 @@ func apportion(shares []float64, total int) ([]int, error) {
 	return out, nil
 }
 
-// DistinctTargets resolves the per-level distinct-block targets the
-// audit measures against — Targets verbatim when set, otherwise Dist
-// apportioned over TotalBlocks by largest remainder. Exported so the
-// migration mover verifies against exactly the targets repair enforces.
-func (cfg *AuditConfig) DistinctTargets(levels int) ([]int, error) {
-	if cfg.Targets != nil {
-		if len(cfg.Targets) != levels {
-			return nil, fmt.Errorf("repair: %d explicit targets, want %d levels", len(cfg.Targets), levels)
+// checkTargets validates per-level distinct-block targets against the
+// store's level count.
+func checkTargets(targets []int, levels int) error {
+	if len(targets) != levels {
+		return fmt.Errorf("repair: %d targets, want %d levels", len(targets), levels)
+	}
+	for i, t := range targets {
+		if t < 0 {
+			return fmt.Errorf("repair: negative target %d at level %d", t, i)
 		}
-		for i, t := range cfg.Targets {
-			if t < 0 {
-				return nil, fmt.Errorf("repair: negative target %d at level %d", t, i)
-			}
-		}
-		return cfg.Targets, nil
 	}
-	if len(cfg.Dist) != levels {
-		return nil, fmt.Errorf("repair: distribution has %d entries, want %d levels", len(cfg.Dist), levels)
-	}
-	if cfg.TotalBlocks <= 0 {
-		return nil, fmt.Errorf("repair: TotalBlocks %d, want > 0", cfg.TotalBlocks)
-	}
-	return apportion(cfg.Dist, cfg.TotalBlocks)
+	return nil
 }
 
 // AuditFleet scans every replica's per-level inventory (concurrently,
@@ -198,29 +176,36 @@ func AuditFleet(ctx context.Context, r *store.Replicated, cfg AuditConfig) (*Aud
 		return nil, fmt.Errorf("repair: nil replicated store")
 	}
 	n := r.Levels()
-	distinct, err := cfg.DistinctTargets(n)
-	if err != nil {
+	if err := checkTargets(cfg.Targets, n); err != nil {
 		return nil, err
 	}
 	stats, errs := r.StatAll(ctx)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// held is each reachable replica's section of the audited object's
+	// inventory (nil when it holds none); unreachable ones stay out.
 	audit := &Audit{Levels: make([]LevelReport, n)}
+	held := make([][]store.LevelCount, len(stats))
 	reachable := make([]bool, len(stats))
-	for i, e := range errs {
-		if e == nil {
-			reachable[i] = true
-			audit.Reachable++
-		} else {
+	for i, st := range stats {
+		if reachable[i] = errs[i] == nil; !reachable[i] {
 			audit.Unreachable++
+			continue
+		}
+		audit.Reachable++
+		for _, os := range st.PerObject {
+			if os.Object == cfg.Object {
+				held[i] = os.PerLevel
+				break
+			}
 		}
 	}
 	for lvl := 0; lvl < n; lvl++ {
 		lr := LevelReport{
 			Level:      lvl,
 			Replicas:   r.ReplicasFor(lvl),
-			Distinct:   distinct[lvl],
+			Distinct:   cfg.Targets[lvl],
 			PerReplica: make([]int, len(stats)),
 		}
 		lr.WantCopies = lr.Distinct * lr.Replicas
@@ -229,7 +214,7 @@ func AuditFleet(ctx context.Context, r *store.Replicated, cfg AuditConfig) (*Aud
 				lr.PerReplica[i] = -1
 				continue
 			}
-			for _, lc := range cfg.perLevelFor(stats[i]) {
+			for _, lc := range held[i] {
 				if lc.Level == lvl {
 					lr.PerReplica[i] = lc.Count
 					lr.HaveCopies += lc.Count

@@ -3,6 +3,7 @@ package repair
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -209,48 +210,54 @@ func TestApportion(t *testing.T) {
 		{[]float64{0.9, 0.1}, 0, []int{0, 0}},
 	}
 	for _, c := range cases {
-		got, err := apportion(c.shares, c.total)
+		got, err := Apportion(c.shares, c.total)
 		if err != nil {
-			t.Fatalf("apportion(%v, %d): %v", c.shares, c.total, err)
+			t.Fatalf("Apportion(%v, %d): %v", c.shares, c.total, err)
 		}
 		if !reflect.DeepEqual(got, c.want) {
-			t.Fatalf("apportion(%v, %d) = %v, want %v", c.shares, c.total, got, c.want)
+			t.Fatalf("Apportion(%v, %d) = %v, want %v", c.shares, c.total, got, c.want)
 		}
 		sum := 0
 		for _, n := range got {
 			sum += n
 		}
 		if sum != c.total {
-			t.Fatalf("apportion(%v, %d) sums to %d", c.shares, c.total, sum)
+			t.Fatalf("Apportion(%v, %d) sums to %d", c.shares, c.total, sum)
 		}
 	}
-	if _, err := apportion([]float64{0.5, -0.1}, 10); err == nil {
-		t.Fatal("negative share accepted")
-	}
-	if _, err := apportion([]float64{0, 0}, 10); err == nil {
-		t.Fatal("zero-sum distribution accepted")
+	for _, bad := range []struct {
+		why    string
+		shares []float64
+		total  int
+	}{
+		{"negative share", []float64{0.5, -0.1}, 10},
+		{"zero-sum distribution", []float64{0, 0}, 10},
+		{"NaN share", []float64{math.NaN(), 1}, 10},
+		{"+Inf share", []float64{math.Inf(1), 1}, 10},
+		{"-Inf share", []float64{math.Inf(-1), 1}, 10},
+		{"overflowing sum", []float64{math.MaxFloat64, math.MaxFloat64}, 10},
+		{"negative total", []float64{1, 1}, -1},
+	} {
+		if got, err := Apportion(bad.shares, bad.total); err == nil {
+			t.Fatalf("%s accepted: Apportion(%v, %d) = %v", bad.why, bad.shares, bad.total, got)
+		}
 	}
 }
 
 func TestDistinctTargets(t *testing.T) {
-	cfg := &AuditConfig{Targets: []int{4, 6}}
-	got, err := cfg.DistinctTargets(2)
-	if err != nil || !reflect.DeepEqual(got, []int{4, 6}) {
-		t.Fatalf("explicit targets = %v, %v", got, err)
+	if err := checkTargets([]int{4, 6}, 2); err != nil {
+		t.Fatalf("explicit targets rejected: %v", err)
 	}
-	if _, err := cfg.DistinctTargets(3); err == nil {
+	if err := checkTargets([]int{4, 6}, 3); err == nil {
 		t.Fatal("target/level length mismatch accepted")
 	}
-	if _, err := (&AuditConfig{Targets: []int{4, -1}}).DistinctTargets(2); err == nil {
+	if err := checkTargets([]int{4, -1}, 2); err == nil {
 		t.Fatal("negative target accepted")
 	}
-	if _, err := (&AuditConfig{Dist: core.PriorityDistribution{1}, TotalBlocks: 5}).DistinctTargets(2); err == nil {
-		t.Fatal("distribution/level length mismatch accepted")
+	if err := checkTargets(nil, 2); err == nil {
+		t.Fatal("missing targets accepted")
 	}
-	if _, err := (&AuditConfig{Dist: core.PriorityDistribution{1, 1}, TotalBlocks: 0}).DistinctTargets(2); err == nil {
-		t.Fatal("zero TotalBlocks accepted")
-	}
-	got, err = (&AuditConfig{Dist: core.PriorityDistribution{0.25, 0.75}, TotalBlocks: 8}).DistinctTargets(2)
+	got, err := Apportion(core.PriorityDistribution{0.25, 0.75}, 8)
 	if err != nil || !reflect.DeepEqual(got, []int{2, 6}) {
 		t.Fatalf("apportioned targets = %v, %v", got, err)
 	}
@@ -342,8 +349,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.cfg.Interval <= 0 || d.cfg.BlockBudget <= 0 {
-		t.Fatalf("defaults not filled: %+v", d.cfg)
+	if d.interval <= 0 || d.heal.Budget <= 0 {
+		t.Fatalf("defaults not filled: interval %v, budget %d", d.interval, d.heal.Budget)
 	}
 }
 

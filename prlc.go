@@ -465,8 +465,8 @@ func NewGossipMonitor(addrs []string, p GossipProber, cfg GossipMonitorConfig) (
 // "Network Coding for Distributed Storage Systems") — no source block
 // is ever reconstructed on the repair path.
 type (
-	// RepairConfig parameterizes a RepairDaemon (interval, backoff,
-	// jitter, per-round block budget, sample size, seed).
+	// RepairConfig parameterizes a RepairDaemon (code, per-level
+	// targets, interval, per-round block budget, seed).
 	RepairConfig = repair.Config
 	// RepairDaemon is the background audit+recombine+place loop.
 	RepairDaemon = repair.Daemon
