@@ -57,6 +57,7 @@ import (
 	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/diskstore"
+	"repro/internal/dist"
 	"repro/internal/metrics"
 	"repro/internal/mover"
 	"repro/internal/repair"
@@ -169,13 +170,14 @@ func serve(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "prlcd: disk store %s: recovered %d blocks in %d segments (%v, fsync=%s)\n",
 			dataDir, eng.Len(), eng.Segments(), time.Since(t0).Round(time.Millisecond), fsyncMode)
 		engine = eng
+	} else {
+		engine = store.NewMemStore(maxBlocks)
 	}
 	srv, err := store.NewServer(store.ServerConfig{
-		Addr:      addr,
-		MaxConns:  maxConns,
-		MaxBlocks: maxBlocks,
-		Blocks:    engine,
-		Metrics:   reg,
+		Addr:     addr,
+		MaxConns: maxConns,
+		Blocks:   engine,
+		Metrics:  reg,
 	})
 	if err != nil {
 		return err
@@ -389,7 +391,7 @@ func shutdownCmd(args []string, out io.Writer) error {
 // replicas is the ring's R, the successors each object is placed on; 0,
 // or more than the fleet has, means every node: the flat fleet is the
 // ring with R = n.
-func openPlaced(addrs []string, levels, replicas, tolerance, minWrites int, timeout time.Duration, reg *metrics.Registry) (*store.Placed, error) {
+func openPlaced(addrs []string, levels, replicas, tolerance int, timeout time.Duration, reg *metrics.Registry) (*store.Placed, error) {
 	if replicas <= 0 || replicas > len(addrs) {
 		replicas = len(addrs)
 	}
@@ -407,7 +409,6 @@ func openPlaced(addrs []string, levels, replicas, tolerance, minWrites int, time
 	p, err := store.NewPlaced(clients, levels, store.PlacedConfig{
 		Replication: replicas,
 		Tolerance:   tolerance,
-		MinWrites:   minWrites,
 		Metrics:     reg,
 	})
 	if err != nil {
@@ -452,7 +453,7 @@ func ringCmd(args []string, out io.Writer) error {
 	if len(addrs) == 0 {
 		return fmt.Errorf("ring: -addrs is required")
 	}
-	placed, err := openPlaced(addrs, 1, replicas, 0, 1, timeout, nil)
+	placed, err := openPlaced(addrs, 1, replicas, 0, timeout, nil)
 	if err != nil {
 		return err
 	}
@@ -517,7 +518,6 @@ func putCmd(args []string, out io.Writer) error {
 		objectStr string
 		replicas  int
 		tolerance int
-		minWrites int
 		timeout   time.Duration
 		ef        cliutil.EncodeFlags
 	)
@@ -526,7 +526,6 @@ func putCmd(args []string, out io.Writer) error {
 	fs.StringVar(&objectStr, "object", "", "object namespace: a name to hash or canonical obj-<16 hex> (empty = object zero, the key-less file, on every daemon)")
 	fs.IntVar(&replicas, "replicas", 3, "ring successors the object is placed on when -object is set")
 	fs.IntVar(&tolerance, "f", 1, "replica losses the last level must survive")
-	fs.IntVar(&minWrites, "min-writes", 1, "copies that must land per block")
 	fs.DurationVar(&timeout, "timeout", 5*time.Second, "per-attempt timeout")
 	ef.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -550,7 +549,7 @@ func putCmd(args []string, out io.Writer) error {
 	for _, b := range cb {
 		b.Object = obj
 	}
-	placed, err := openPlaced(addrs, g.Groups(), ringWidth(obj, replicas), tolerance, minWrites, timeout, nil)
+	placed, err := openPlaced(addrs, g.Groups(), ringWidth(obj, replicas), tolerance, timeout, nil)
 	if err != nil {
 		return err
 	}
@@ -614,7 +613,7 @@ func getCmd(args []string, out io.Writer) error {
 	// Resolve the object's shard on the same ring geometry the put used
 	// and collect only that namespace's blocks — object zero for the
 	// key-less file: the decoder cannot tell two objects' blocks apart.
-	placed, err := openPlaced(addrs, g.Groups(), ringWidth(obj, replicas), 1, 1, timeout, nil)
+	placed, err := openPlaced(addrs, g.Groups(), ringWidth(obj, replicas), 1, timeout, nil)
 	if err != nil {
 		return err
 	}
@@ -651,21 +650,19 @@ func getCmd(args []string, out io.Writer) error {
 // healOpts collects the fleet, code and loop flags shared by `prlcd
 // repair`, `prlcd migrate` and `prlcd serve -repair/-migrate`.
 type healOpts struct {
-	addrsStr   string
-	schemeStr  string
-	sizesStr   string
-	distStr    string
-	total      int
-	targetsStr string
-	tolerance  int
-	minWrites  int
-	budget     int
-	replicas   int
-	seed       int64
-	timeout    time.Duration
-	interval   time.Duration
-	rate       int64             // mover only
-	metrics    *metrics.Registry // set programmatically, not a flag
+	addrsStr  string
+	schemeStr string
+	sizesStr  string
+	distStr   string
+	total     int
+	tolerance int
+	budget    int
+	replicas  int
+	seed      int64
+	timeout   time.Duration
+	interval  time.Duration
+	rate      int64             // mover only
+	metrics   *metrics.Registry // set programmatically, not a flag
 
 	// The code the flags describe, parsed by open.
 	scheme  core.Scheme
@@ -679,9 +676,7 @@ func (o *healOpts) register(fs *flag.FlagSet, addrsFlag string, interval time.Du
 	fs.StringVar(&o.sizesStr, "sizes", "", "per-level source block counts from put time")
 	fs.StringVar(&o.distStr, "dist", "", "priority distribution from put time (default uniform)")
 	fs.IntVar(&o.total, "total", 0, "coded blocks at full provisioning (M)")
-	fs.StringVar(&o.targetsStr, "targets", "", "exact per-level distinct-block targets (overrides -dist/-total)")
 	fs.IntVar(&o.tolerance, "f", 1, "replica losses the last level must survive")
-	fs.IntVar(&o.minWrites, "min-writes", 1, "copies that must land per regenerated block")
 	fs.IntVar(&o.budget, "budget", 0, "max blocks regenerated per round (0 = default)")
 	fs.IntVar(&o.replicas, "replicas", 3, "ring successors each keyed object is placed on")
 	fs.Int64Var(&o.seed, "seed", 1, "random seed for recombination")
@@ -695,7 +690,7 @@ func (o *healOpts) registerMover(fs *flag.FlagSet) {
 }
 
 // code parses the shared code-description flags: scheme, levels, and
-// the provisioning targets (explicit, or a distribution over -total).
+// the provisioning targets (the distribution apportioned over -total).
 func (o *healOpts) code(name string) (core.Scheme, *core.Levels, []int, error) {
 	scheme, err := core.ParseScheme(o.schemeStr)
 	if err != nil {
@@ -709,23 +704,16 @@ func (o *healOpts) code(name string) (core.Scheme, *core.Levels, []int, error) {
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	if o.targetsStr != "" {
-		targets, err := cliutil.ParseInts(o.targetsStr)
-		if err != nil {
-			return 0, nil, nil, fmt.Errorf("%s: -targets: %w", name, err)
-		}
-		return scheme, levels, targets, nil
-	}
 	if o.total <= 0 {
-		return 0, nil, nil, fmt.Errorf("%s: -total (or -targets) is required", name)
+		return 0, nil, nil, fmt.Errorf("%s: -total is required", name)
 	}
-	dist := []float64(core.NewUniformDistribution(levels.Count()))
+	shares := []float64(core.NewUniformDistribution(levels.Count()))
 	if o.distStr != "" {
-		if dist, err = cliutil.ParseFloats(o.distStr); err != nil {
+		if shares, err = cliutil.ParseFloats(o.distStr); err != nil {
 			return 0, nil, nil, fmt.Errorf("%s: -dist: %w", name, err)
 		}
 	}
-	targets, err := repair.Apportion(dist, o.total)
+	targets, err := dist.Apportion(shares, o.total)
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("%s: -dist: %w", name, err)
 	}
@@ -744,7 +732,7 @@ func (o *healOpts) open(name string, replicas int) (*store.Placed, error) {
 	if o.scheme, o.levels, o.targets, err = o.code(name); err != nil {
 		return nil, err
 	}
-	return openPlaced(addrs, o.levels.Count(), replicas, o.tolerance, o.minWrites, o.timeout, o.metrics)
+	return openPlaced(addrs, o.levels.Count(), replicas, o.tolerance, o.timeout, o.metrics)
 }
 
 // daemon constructs the repair daemon maintaining obj on the opened ring.

@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
+	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/exper"
 	"repro/internal/feasibility"
@@ -67,14 +68,16 @@ func parseOptions(args []string) (options, error) {
 	if levelsStr == "" {
 		return options{}, fmt.Errorf("-levels is required")
 	}
-	for _, part := range strings.Split(levelsStr, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return options{}, fmt.Errorf("-levels: %w", err)
-		}
-		o.levels = append(o.levels, v)
-	}
 	var err error
+	if o.levels, err = cliutil.ParseInts(levelsStr); err != nil {
+		return options{}, fmt.Errorf("-levels: %w", err)
+	}
+	if err := cliutil.Finite("-alpha", o.alpha); err != nil {
+		return options{}, err
+	}
+	if err := cliutil.Finite("-eps", o.epsilon); err != nil {
+		return options{}, err
+	}
 	if o.scheme, err = core.ParseScheme(schemeStr); err != nil {
 		return options{}, err
 	}
@@ -91,6 +94,9 @@ func parseOptions(args []string) (options, error) {
 			k, err := strconv.ParseFloat(mk[1], 64)
 			if err != nil {
 				return options{}, fmt.Errorf("-constraints: %w", err)
+			}
+			if err := cliutil.Finite("-constraints", k); err != nil {
+				return options{}, err
 			}
 			o.constraints = append(o.constraints, feasibility.Constraint{M: m, MinLevels: k})
 		}
@@ -115,13 +121,9 @@ func parseUtility(spec string, levels *core.Levels) (feasibility.Utility, error)
 		}
 		return feasibility.GeometricUtility(levels.Count(), base)
 	default:
-		var u feasibility.Utility
-		for _, part := range strings.Split(spec, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil {
-				return nil, fmt.Errorf("-utility: %w", err)
-			}
-			u = append(u, v)
+		u, err := cliutil.ParseFloats(spec)
+		if err != nil {
+			return nil, fmt.Errorf("-utility: %w", err)
 		}
 		return u, nil
 	}

@@ -16,6 +16,9 @@ func TestParseOptionsErrors(t *testing.T) {
 		{"-levels", "5,5", "-utility", "1,1"}, // utility without budget
 		{"-levels", "5,5"},                    // nothing to design
 		{"-levels", "5,5", "-not-a-flag"},     // flag error
+		{"-levels", "10,40,150", "-constraints", "60:nan"},
+		{"-levels", "10,40,150", "-alpha", "nan"},
+		{"-levels", "10,40,150", "-alpha", "2", "-eps", "nan"},
 	}
 	for i, args := range cases {
 		if _, err := parseOptions(args); err == nil {

@@ -17,10 +17,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/chord"
+	"repro/internal/cliutil"
 	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/exper"
@@ -83,54 +82,34 @@ func parseConfig(args []string) (config, error) {
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
+	if err := cliutil.Finite("-radius", cfg.radius); err != nil {
+		return config{}, err
+	}
+	if err := cliutil.Finite("-lifetime", cfg.lifetime); err != nil {
+		return config{}, err
+	}
 	if timesStr != "" {
 		var err error
-		if cfg.times, err = parseFloats(timesStr); err != nil {
+		if cfg.times, err = cliutil.ParseFloats(timesStr); err != nil {
 			return config{}, fmt.Errorf("-times: %w", err)
 		}
 	}
 	var err error
-	if cfg.levels, err = parseInts(levelsStr); err != nil {
+	if cfg.levels, err = cliutil.ParseInts(levelsStr); err != nil {
 		return config{}, fmt.Errorf("-levels: %w", err)
 	}
 	if distStr == "" {
 		cfg.dist = core.NewUniformDistribution(len(cfg.levels))
-	} else if cfg.dist, err = parseFloats(distStr); err != nil {
+	} else if cfg.dist, err = cliutil.ParseFloats(distStr); err != nil {
 		return config{}, fmt.Errorf("-dist: %w", err)
 	}
 	if cfg.scheme, err = core.ParseScheme(schemeStr); err != nil {
 		return config{}, err
 	}
-	if cfg.fails, err = parseFloats(failStr); err != nil {
+	if cfg.fails, err = cliutil.ParseFloats(failStr); err != nil {
 		return config{}, fmt.Errorf("-fail: %w", err)
 	}
 	return cfg, nil
-}
-
-func parseInts(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func run(args []string) error {
@@ -219,7 +198,7 @@ func run(args []string) error {
 	// Failure sweep.
 	fmt.Printf("\n%-8s %-10s %-14s %-14s %-12s\n", "fail", "caches", "levels(mean)", "blocks(mean)", "full-recovery")
 	for _, f := range cfg.fails {
-		if f < 0 || f > 1 {
+		if !(f >= 0 && f <= 1) {
 			return fmt.Errorf("failure fraction %g outside [0, 1]", f)
 		}
 		var sumLevels, sumBlocks, full float64

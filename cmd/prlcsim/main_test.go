@@ -27,6 +27,11 @@ func TestParseConfigErrors(t *testing.T) {
 		{"-dist", "xyz"},
 		{"-scheme", "bogus"},
 		{"-fail", "0.1,oops"},
+		{"-fail", "nan"},
+		{"-times", "0,nan"},
+		{"-lifetime", "nan"},
+		{"-lifetime", "inf"},
+		{"-radius", "nan"},
 	}
 	for i, args := range cases {
 		if _, err := parseConfig(args); err == nil {
@@ -41,6 +46,7 @@ func TestRunValidationErrors(t *testing.T) {
 		{"-dist", "0.5,0.5,0.5"},               // wrong-length distribution
 		{"-network", "carrier-pigeon"},         // unknown substrate
 		{"-fail", "1.5", "-trials", "1"},       // failure fraction > 1
+		{"-fail", "nan", "-trials", "1"},       // NaN failure fraction
 		{"-levels", "2,2", "-dist", "0.9,0.2"}, // not a distribution
 	}
 	for i, args := range cases {

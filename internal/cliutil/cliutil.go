@@ -1,6 +1,6 @@
 // Package cliutil is the file codec and flag helpers the command-line
-// tools (prlcfile, prlcd) share: one encoder, one decoder and one
-// Geometry describing the code between them.
+// tools share: one encoder, one decoder and one Geometry describing the
+// code between them (prlcfile, prlcd), and one parser per list flag.
 package cliutil
 
 import (
@@ -26,6 +26,14 @@ func ParseFloats(s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// Finite rejects a NaN or infinite value of the named flag.
+func Finite(name string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("%s: %g is not a finite number", name, v)
+	}
+	return nil
 }
 
 // ParseInts parses a comma-separated int list ("4,12").

@@ -9,6 +9,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // LogFactorial returns ln(n!) using the log-gamma function.
@@ -117,6 +118,52 @@ func Simplex(p []float64, tol float64) error {
 		return fmt.Errorf("dist: probabilities sum to %g, want 1 (tolerance %g)", sum, tol)
 	}
 	return nil
+}
+
+// Apportion splits total into len(shares) integer parts proportional
+// to shares, summing exactly to total (largest-remainder rounding; ties
+// go to the more critical level): how a priority distribution becomes
+// per-level counts — repair's distinct-block targets, pre-distribution's
+// cache slots and gossip's nodes per level part. Shares must be finite
+// and non-negative with a positive sum.
+func Apportion(shares []float64, total int) ([]int, error) {
+	if total < 0 {
+		return nil, fmt.Errorf("dist: total %d to apportion, want >= 0", total)
+	}
+	sum := 0.0
+	for i, s := range shares {
+		if s < 0 {
+			return nil, fmt.Errorf("dist: negative share %g at level %d", s, i)
+		}
+		sum += s
+	}
+	// A NaN or +Inf share makes the sum NaN or +Inf.
+	if !(sum > 0) || math.IsInf(sum, 1) {
+		return nil, fmt.Errorf("dist: priority distribution sums to %g, want finite and > 0", sum)
+	}
+	out := make([]int, len(shares))
+	type rem struct {
+		level int
+		frac  float64
+	}
+	rems := make([]rem, len(shares))
+	used := 0
+	for i, s := range shares {
+		exact := s / sum * float64(total)
+		out[i] = int(exact)
+		used += out[i]
+		rems[i] = rem{level: i, frac: exact - float64(out[i])}
+	}
+	sort.SliceStable(rems, func(i, j int) bool {
+		if rems[i].frac != rems[j].frac {
+			return rems[i].frac > rems[j].frac
+		}
+		return rems[i].level < rems[j].level
+	})
+	for i := 0; i < total-used; i++ {
+		out[rems[i%len(rems)].level]++
+	}
+	return out, nil
 }
 
 // ProjectToSimplex returns the Euclidean projection of v onto the

@@ -3,6 +3,7 @@ package dist
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -103,6 +104,57 @@ func TestSimplex(t *testing.T) {
 	} {
 		if err := Simplex(p, 1e-9); err == nil {
 			t.Errorf("non-finite entry accepted: %v", p)
+		}
+	}
+}
+
+func TestApportion(t *testing.T) {
+	cases := []struct {
+		shares []float64
+		total  int
+		want   []int
+	}{
+		{[]float64{0.5, 0.5}, 10, []int{5, 5}},
+		{[]float64{0.3, 0.3, 0.4}, 10, []int{3, 3, 4}},
+		// Largest remainder: 1/3 of 10 = 3.33 each; the extra unit goes
+		// to the most critical level on a remainder tie.
+		{[]float64{1, 1, 1}, 10, []int{4, 3, 3}},
+		// Unnormalized shares are fine — only ratios matter.
+		{[]float64{2, 6}, 4, []int{1, 3}},
+		{[]float64{1}, 7, []int{7}},
+		{[]float64{0.9, 0.1}, 0, []int{0, 0}},
+	}
+	for _, c := range cases {
+		got, err := Apportion(c.shares, c.total)
+		if err != nil {
+			t.Fatalf("Apportion(%v, %d): %v", c.shares, c.total, err)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("Apportion(%v, %d) = %v, want %v", c.shares, c.total, got, c.want)
+		}
+		sum := 0
+		for _, n := range got {
+			sum += n
+		}
+		if sum != c.total {
+			t.Fatalf("Apportion(%v, %d) sums to %d", c.shares, c.total, sum)
+		}
+	}
+	for _, bad := range []struct {
+		why    string
+		shares []float64
+		total  int
+	}{
+		{"negative share", []float64{0.5, -0.1}, 10},
+		{"zero-sum distribution", []float64{0, 0}, 10},
+		{"NaN share", []float64{math.NaN(), 1}, 10},
+		{"+Inf share", []float64{math.Inf(1), 1}, 10},
+		{"-Inf share", []float64{math.Inf(-1), 1}, 10},
+		{"overflowing sum", []float64{math.MaxFloat64, math.MaxFloat64}, 10},
+		{"negative total", []float64{1, 1}, -1},
+	} {
+		if got, err := Apportion(bad.shares, bad.total); err == nil {
+			t.Fatalf("%s accepted: Apportion(%v, %d) = %v", bad.why, bad.shares, bad.total, got)
 		}
 	}
 }

@@ -50,6 +50,9 @@ func (p Problem) validate() error {
 	if !p.Scheme.Valid() {
 		return fmt.Errorf("feasibility: invalid scheme %v", p.Scheme)
 	}
+	if math.IsNaN(p.Alpha) || math.IsInf(p.Alpha, 0) || math.IsNaN(p.Epsilon) || math.IsInf(p.Epsilon, 0) {
+		return fmt.Errorf("feasibility: alpha %g and epsilon %g must be finite", p.Alpha, p.Epsilon)
+	}
 	if len(p.Decoding) == 0 && p.Alpha <= 0 {
 		return fmt.Errorf("feasibility: no constraints given")
 	}
@@ -58,7 +61,7 @@ func (p Problem) validate() error {
 		if c.M < 0 {
 			return fmt.Errorf("feasibility: constraint %d has negative M %d", i, c.M)
 		}
-		if c.MinLevels < 0 || c.MinLevels > n {
+		if !(c.MinLevels >= 0 && c.MinLevels <= n) {
 			return fmt.Errorf("feasibility: constraint %d wants %g levels, range [0, %g]",
 				i, c.MinLevels, n)
 		}

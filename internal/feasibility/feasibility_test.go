@@ -36,6 +36,11 @@ func TestProblemValidation(t *testing.T) {
 		{Scheme: core.PLC, Levels: l, Decoding: []Constraint{{M: 10, MinLevels: 9}}},
 		{Scheme: core.PLC, Levels: l, Decoding: good.Decoding, Alpha: 2, Epsilon: 0},
 		{Scheme: core.PLC, Levels: l, Decoding: good.Decoding, Alpha: 2, Epsilon: 1},
+		{Scheme: core.PLC, Levels: l, Decoding: []Constraint{{M: 60, MinLevels: math.NaN()}}},
+		{Scheme: core.PLC, Levels: l, Alpha: math.NaN(), Epsilon: 0.01},
+		{Scheme: core.PLC, Levels: l, Decoding: good.Decoding, Alpha: math.NaN(), Epsilon: 0.01},
+		{Scheme: core.PLC, Levels: l, Decoding: good.Decoding, Alpha: math.Inf(1), Epsilon: 0.01},
+		{Scheme: core.PLC, Levels: l, Decoding: good.Decoding, Alpha: 2, Epsilon: math.NaN()},
 	}
 	for i, p := range bad {
 		if err := p.validate(); err == nil {

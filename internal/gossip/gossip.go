@@ -27,6 +27,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/geom"
 	"repro/internal/gf256"
 )
@@ -196,6 +197,12 @@ func NewDeployment(w *Walker, cfg Config) (*Deployment, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("gossip: empty graph")
 	}
+	// Common-seed part assignment: shuffle node indices and slice into
+	// parts sized by the largest-remainder apportionment of Dist.
+	sizes, err := dist.Apportion(cfg.Dist, n)
+	if err != nil {
+		return nil, fmt.Errorf("gossip: %w", err)
+	}
 	d := &Deployment{
 		cfg:     cfg,
 		w:       w,
@@ -203,9 +210,6 @@ func NewDeployment(w *Walker, cfg Config) (*Deployment, error) {
 		coeff:   make([][]byte, n),
 		payload: make([][]byte, n),
 	}
-	// Common-seed part assignment: shuffle node indices and slice into
-	// parts sized by the largest-remainder apportionment of Dist.
-	sizes := apportion(n, cfg.Dist)
 	order := rand.New(rand.NewSource(cfg.Seed)).Perm(n)
 	part, used := 0, 0
 	for _, node := range order {
@@ -221,31 +225,6 @@ func NewDeployment(w *Walker, cfg Config) (*Deployment, error) {
 		d.payload[i] = make([]byte, cfg.PayloadLen)
 	}
 	return d, nil
-}
-
-func apportion(m int, p []float64) []int {
-	n := len(p)
-	sizes := make([]int, n)
-	rem := make([]float64, n)
-	total := 0
-	for i, pi := range p {
-		exact := pi * float64(m)
-		sizes[i] = int(exact)
-		rem[i] = exact - float64(sizes[i])
-		total += sizes[i]
-	}
-	for total < m {
-		best := 0
-		for i := 1; i < n; i++ {
-			if rem[i] > rem[best] {
-				best = i
-			}
-		}
-		sizes[best]++
-		rem[best] = -1
-		total++
-	}
-	return sizes
 }
 
 // PartOf returns the level part assigned to node i.

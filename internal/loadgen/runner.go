@@ -10,6 +10,7 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/collect"
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/metrics"
 	"repro/internal/mover"
 	"repro/internal/repair"
@@ -71,13 +72,11 @@ func Run(ctx context.Context, fleet Fleet, sc Scenario, logf func(format string,
 	clientReg := metrics.NewRegistry()
 	dial := func(a string, seedOff int64) (*store.Client, error) {
 		return store.NewClient(store.ClientConfig{
-			Addr:        a,
-			Dialer:      dialer,
-			DialTimeout: time.Second,
-			OpTimeout:   opTimeout,
-			Retry:       store.RetryPolicy{MaxAttempts: 4, BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond},
-			Seed:        sc.Seed + seedOff,
-			Metrics:     clientReg,
+			Addr:      a,
+			Dialer:    dialer,
+			OpTimeout: opTimeout,
+			Seed:      sc.Seed + seedOff,
+			Metrics:   clientReg,
 		})
 	}
 
@@ -102,7 +101,6 @@ func Run(ctx context.Context, fleet Fleet, sc Scenario, logf func(format string,
 	placed, err := store.NewPlaced(ringClients, levels.Count(), store.PlacedConfig{
 		Replication: replication,
 		Tolerance:   sc.Tolerance,
-		MinWrites:   1,
 		// Joined spares dial through the same fault-injected transport
 		// and metrics registry as the founding members.
 		NewClient: func(addr string) (*store.Client, error) { return dial(addr, int64(len(addrs))) },
@@ -141,7 +139,7 @@ func Run(ctx context.Context, fleet Fleet, sc Scenario, logf func(format string,
 	}
 	controller := NewController(schedule, newFleetInjector(fleet, dialer, placed.Join, sc.Spares))
 
-	targets, err := repair.Apportion(seedDist, seedBlocks)
+	targets, err := dist.Apportion(seedDist, seedBlocks)
 	if err != nil {
 		return nil, err
 	}

@@ -20,9 +20,9 @@
 //
 // Metric names follow Prometheus conventions (snake_case, unit-suffixed,
 // `_total` for counters) and may carry a fixed label set inline:
-// `store_replica_put_errors_total{replica="2"}`. Labels are part of the
-// registry key — there is no dynamic label indexing, which keeps lookup
-// out of hot paths by construction.
+// `store_replica_put_errors_total{node="10.0.0.2:7071"}`. Labels are
+// part of the registry key — there is no dynamic label indexing, which
+// keeps lookup out of hot paths by construction.
 package metrics
 
 import (

@@ -78,10 +78,9 @@ func TestGoldenMoverInventory(t *testing.T) {
 	}
 	newClient := func(name string) (*store.Client, error) {
 		return store.NewClient(store.ClientConfig{
-			Addr:        name,
-			Dialer:      dialer,
-			DialTimeout: time.Second,
-			OpTimeout:   2 * time.Second,
+			Addr:      name,
+			Dialer:    dialer,
+			OpTimeout: 2 * time.Second,
 		})
 	}
 	clients := make([]*store.Client, nodes-1)

@@ -51,7 +51,7 @@ type Config struct {
 	Levels *core.Levels
 	// Targets are the per-level distinct-block targets migrated objects
 	// are verified against — the same as repair.Config's, and they
-	// should carry the same values (repair.Apportion derives them from
+	// should carry the same values (dist.Apportion derives them from
 	// a priority distribution).
 	Targets []int
 	// Interval is the pause between successful rounds; failed rounds

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/repair"
 	"repro/internal/store"
 )
@@ -19,7 +20,7 @@ var testDist = core.PriorityDistribution{0.3, 0.3, 0.4}
 // targets of an n-block testCode batch.
 func testTargets(t *testing.T, n int) []int {
 	t.Helper()
-	targets, err := repair.Apportion(testDist, n)
+	targets, err := dist.Apportion(testDist, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +77,9 @@ func newTestFleetOver(t *testing.T, n, placedN, levels int, dialer store.Dialer)
 	}
 	newClient := func(addr string) (*store.Client, error) {
 		return store.NewClient(store.ClientConfig{
-			Addr:        addr,
-			Dialer:      dialer,
-			DialTimeout: time.Second,
-			OpTimeout:   2 * time.Second,
+			Addr:      addr,
+			Dialer:    dialer,
+			OpTimeout: 2 * time.Second,
 			Retry: store.RetryPolicy{
 				MaxAttempts: 3,
 				BaseDelay:   time.Millisecond,

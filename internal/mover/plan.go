@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/repair"
 	"repro/internal/store"
 )
 
@@ -74,19 +75,16 @@ func (m *Mover) plan(ctx context.Context) (*Plan, error) {
 	}
 
 	plan := &Plan{}
-	holders := make(map[core.ObjectID]map[string][]store.LevelCount)
+	byAddr := make(map[string]statResult, len(results))
+	holders := make(map[core.ObjectID][]string)
 	for _, r := range results {
+		byAddr[r.addr] = r
 		if r.err != nil {
 			plan.Unreachable = append(plan.Unreachable, r.addr)
 			continue
 		}
 		for _, os := range r.st.PerObject {
-			byAddr := holders[os.Object]
-			if byAddr == nil {
-				byAddr = make(map[string][]store.LevelCount)
-				holders[os.Object] = byAddr
-			}
-			byAddr[r.addr] = os.PerLevel
+			holders[os.Object] = append(holders[os.Object], r.addr)
 		}
 	}
 
@@ -106,32 +104,31 @@ func (m *Mover) plan(ctx context.Context) (*Plan, error) {
 			m.met.objectsSkipped.Inc()
 			continue
 		}
-		ownerSet := make(map[string]bool)
-		for _, a := range shard.ReplicaLabels() {
+		owners := shard.ReplicaLabels()
+		ownerSet := make(map[string]bool, len(owners))
+		for _, a := range owners {
 			ownerSet[a] = true
 		}
 		op := ObjectPlan{Object: obj, Critical: levels}
-		have := make([]int, levels)
-		for addr, perLevel := range holders[obj] {
+		for _, addr := range holders[obj] {
 			if !ownerSet[addr] {
 				op.Stale = append(op.Stale, addr)
-				continue
-			}
-			for _, lc := range perLevel {
-				if lc.Level >= 0 && lc.Level < levels {
-					have[lc.Level] += lc.Count
-				}
 			}
 		}
 		if len(op.Stale) == 0 {
 			continue // nothing misplaced; owner-side deficits are repair's job
 		}
 		sort.Strings(op.Stale)
-		for lvl := 0; lvl < levels; lvl++ {
-			if have[lvl] < m.heal.Targets[lvl]*shard.ReplicasFor(lvl) {
-				op.Critical = lvl
-				break
-			}
+		// The owners' copies are audited by repair's rule, from the
+		// inventories already fetched.
+		stats := make([]store.Stats, len(owners))
+		errs := make([]error, len(owners))
+		for i, a := range owners {
+			stats[i], errs[i] = byAddr[a].st, byAddr[a].err
+		}
+		audit := repair.AuditStats(shard, repair.AuditConfig{Object: obj, Targets: m.heal.Targets}, stats, errs)
+		if deficient := audit.Deficient(); len(deficient) > 0 {
+			op.Critical = deficient[0].Level
 		}
 		plan.Objects = append(plan.Objects, op)
 	}

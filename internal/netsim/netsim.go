@@ -29,7 +29,7 @@ func Lifetimes(rng *rand.Rand, n int, mean float64) ([]float64, error) {
 // drawn without replacement — the paper's "random subset of existing
 // nodes" failure snapshot.
 func FailFraction(rng *rand.Rand, n int, f float64) ([]int, error) {
-	if f < 0 || f > 1 {
+	if !(f >= 0 && f <= 1) {
 		return nil, fmt.Errorf("netsim: failure fraction %g outside [0, 1]", f)
 	}
 	k := int(f * float64(n))

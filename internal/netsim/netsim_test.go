@@ -53,6 +53,9 @@ func TestFailFraction(t *testing.T) {
 	if _, err := FailFraction(rng, 10, 1.1); err == nil {
 		t.Error("fraction > 1 accepted")
 	}
+	if _, err := FailFraction(rng, 10, math.NaN()); err == nil {
+		t.Error("NaN fraction accepted")
+	}
 	all, err := FailFraction(rng, 10, 1)
 	if err != nil || len(all) != 10 {
 		t.Errorf("full kill = %v, %v", all, err)

@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/geom"
 	"repro/internal/gf256"
 )
@@ -116,7 +117,12 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	n := cfg.Levels.Count()
+	// Largest-remainder apportionment of the M slots over the level parts
+	// so part sizes match M·p_i as closely as integers allow.
+	sizes, err := dist.Apportion(cfg.Dist, cfg.M)
+	if err != nil {
+		return nil, fmt.Errorf("predist: %w", err)
+	}
 	d := &Deployment{
 		cfg:     cfg,
 		partOf:  make([]int, cfg.M),
@@ -136,13 +142,10 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		d.coeff[i] = make(map[int]byte)
 		d.payload[i] = make([]byte, cfg.PayloadLen)
 	}
-	// Largest-remainder apportionment of the M slots over the n parts so
-	// part sizes match M·p_i as closely as integers allow.
-	sizes := apportion(cfg.M, cfg.Dist)
 	part := 0
 	used := 0
 	for i := 0; i < cfg.M; i++ {
-		for part < n-1 && used >= sizes[part] {
+		for part < len(sizes)-1 && used >= sizes[part] {
 			part++
 			used = 0
 		}
@@ -150,32 +153,6 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		used++
 	}
 	return d, nil
-}
-
-// apportion splits m slots over the distribution by largest remainder.
-func apportion(m int, p []float64) []int {
-	n := len(p)
-	sizes := make([]int, n)
-	rem := make([]float64, n)
-	total := 0
-	for i, pi := range p {
-		exact := pi * float64(m)
-		sizes[i] = int(exact)
-		rem[i] = exact - float64(sizes[i])
-		total += sizes[i]
-	}
-	for total < m {
-		best := 0
-		for i := 1; i < n; i++ {
-			if rem[i] > rem[best] {
-				best = i
-			}
-		}
-		sizes[best]++
-		rem[best] = -1
-		total++
-	}
-	return sizes
 }
 
 // M returns the number of cache locations.

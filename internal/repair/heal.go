@@ -64,7 +64,7 @@ func (t *Tally) Add(o Tally) {
 type Heal struct {
 	// Scheme and Levels describe the code the fleet holds; Targets are
 	// the per-level distinct-block targets the owners are audited
-	// against (Apportion derives them from a priority distribution).
+	// against (dist.Apportion derives them from a priority distribution).
 	Scheme  core.Scheme
 	Levels  *core.Levels
 	Targets []int

@@ -31,9 +31,8 @@ func TestPlacementChurnEndToEnd(t *testing.T) {
 		servers[i] = srv
 		addrs[i] = srv.Addr()
 		cl, err := store.NewClient(store.ClientConfig{
-			Addr:        srv.Addr(),
-			DialTimeout: time.Second,
-			OpTimeout:   2 * time.Second,
+			Addr:      srv.Addr(),
+			OpTimeout: 2 * time.Second,
 			Retry: store.RetryPolicy{
 				MaxAttempts: 3,
 				BaseDelay:   time.Millisecond,

@@ -18,7 +18,7 @@
 //   - recombination: core.Recombine / core.RecombineRanked (the
 //     algebra lives next to the encoder, in internal/core);
 //   - audit: AuditFleet compares each replica's per-level inventory
-//     against per-level targets (Apportion derives them from the
+//     against per-level targets (dist.Apportion derives them from the
 //     priority distribution) and the store's replication policy,
 //     yielding a deficit report ordered most-critical-level-first;
 //   - heal: Heal.Object is the one per-object step — audit, gather
@@ -32,8 +32,6 @@ package repair
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/store"
@@ -47,7 +45,7 @@ type AuditConfig struct {
 	Object core.ObjectID
 	// Targets are the per-level distinct-block targets (len = store
 	// levels): the put-time level draw when it is known exactly, or
-	// Apportion of the priority distribution over the block count.
+	// dist.Apportion of the priority distribution over the block count.
 	Targets []int
 }
 
@@ -107,51 +105,6 @@ func (a *Audit) TotalDeficit() int {
 	return n
 }
 
-// Apportion splits total into len(shares) integer parts proportional
-// to shares, summing exactly to total (largest-remainder rounding; ties
-// go to the more critical level): the per-level distinct-block targets
-// of M = total blocks provisioned over priority distribution shares.
-// Shares must be finite and non-negative with a positive sum.
-func Apportion(shares []float64, total int) ([]int, error) {
-	if total < 0 {
-		return nil, fmt.Errorf("repair: %d blocks to apportion, want >= 0", total)
-	}
-	sum := 0.0
-	for i, s := range shares {
-		if s < 0 {
-			return nil, fmt.Errorf("repair: negative share %g at level %d", s, i)
-		}
-		sum += s
-	}
-	// A NaN or +Inf share makes the sum NaN or +Inf.
-	if !(sum > 0) || math.IsInf(sum, 1) {
-		return nil, fmt.Errorf("repair: priority distribution sums to %g, want finite and > 0", sum)
-	}
-	out := make([]int, len(shares))
-	type rem struct {
-		level int
-		frac  float64
-	}
-	rems := make([]rem, len(shares))
-	used := 0
-	for i, s := range shares {
-		exact := s / sum * float64(total)
-		out[i] = int(exact)
-		used += out[i]
-		rems[i] = rem{level: i, frac: exact - float64(out[i])}
-	}
-	sort.SliceStable(rems, func(i, j int) bool {
-		if rems[i].frac != rems[j].frac {
-			return rems[i].frac > rems[j].frac
-		}
-		return rems[i].level < rems[j].level
-	})
-	for i := 0; i < total-used; i++ {
-		out[rems[i%len(rems)].level]++
-	}
-	return out, nil
-}
-
 // checkTargets validates per-level distinct-block targets against the
 // store's level count.
 func checkTargets(targets []int, levels int) error {
@@ -167,22 +120,29 @@ func checkTargets(targets []int, levels int) error {
 }
 
 // AuditFleet scans every replica's per-level inventory (concurrently,
-// tolerating unreachable replicas) and compares it against the targets:
-// level k should exist as Distinct(k) distinct blocks with
-// ReplicasFor(k) copies each. Copies sitting on unreachable replicas do
-// not count — they are exactly what churn takes away.
+// tolerating unreachable replicas) and audits it with AuditStats.
 func AuditFleet(ctx context.Context, r *store.Replicated, cfg AuditConfig) (*Audit, error) {
 	if r == nil {
 		return nil, fmt.Errorf("repair: nil replicated store")
 	}
-	n := r.Levels()
-	if err := checkTargets(cfg.Targets, n); err != nil {
+	if err := checkTargets(cfg.Targets, r.Levels()); err != nil {
 		return nil, err
 	}
 	stats, errs := r.StatAll(ctx)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	return AuditStats(r, cfg, stats, errs), nil
+}
+
+// AuditStats compares the replicas' inventory snapshots — stats[i] and
+// errs[i] for r's replica i, as StatAll returns them — against the
+// targets: level k should exist as Distinct(k) distinct blocks with
+// ReplicasFor(k) copies each. Copies sitting on unreachable replicas do
+// not count — they are exactly what churn takes away. cfg.Targets must
+// hold one target per level of r.
+func AuditStats(r *store.Replicated, cfg AuditConfig, stats []store.Stats, errs []error) *Audit {
+	n := r.Levels()
 	// held is each reachable replica's section of the audited object's
 	// inventory (nil when it holds none); unreachable ones stay out.
 	audit := &Audit{Levels: make([]LevelReport, n)}
@@ -227,5 +187,5 @@ func AuditFleet(ctx context.Context, r *store.Replicated, cfg AuditConfig) (*Aud
 		}
 		audit.Levels[lvl] = lr
 	}
-	return audit, nil
+	return audit
 }

@@ -3,13 +3,13 @@ package repair
 import (
 	"bytes"
 	"context"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/metrics"
 	"repro/internal/store"
 )
@@ -79,10 +79,9 @@ func newFleetOver(t *testing.T, n, levels int, base store.Dialer) *fleet {
 		f.servers[i] = srv
 		f.addrs[i] = srv.Addr()
 		cl, err := store.NewClient(store.ClientConfig{
-			Addr:        srv.Addr(),
-			Dialer:      f.dialer,
-			DialTimeout: time.Second,
-			OpTimeout:   2 * time.Second,
+			Addr:      srv.Addr(),
+			Dialer:    f.dialer,
+			OpTimeout: 2 * time.Second,
 			Retry: store.RetryPolicy{
 				MaxAttempts: 3,
 				BaseDelay:   time.Millisecond,
@@ -191,58 +190,7 @@ func checkCriticalLevel(t *testing.T, dec *core.Decoder, levels *core.Levels, so
 	}
 }
 
-// --- apportionment ---------------------------------------------------------
-
-func TestApportion(t *testing.T) {
-	cases := []struct {
-		shares []float64
-		total  int
-		want   []int
-	}{
-		{[]float64{0.5, 0.5}, 10, []int{5, 5}},
-		{[]float64{0.3, 0.3, 0.4}, 10, []int{3, 3, 4}},
-		// Largest remainder: 1/3 of 10 = 3.33 each; the extra unit goes
-		// to the most critical level on a remainder tie.
-		{[]float64{1, 1, 1}, 10, []int{4, 3, 3}},
-		// Unnormalized shares are fine — only ratios matter.
-		{[]float64{2, 6}, 4, []int{1, 3}},
-		{[]float64{1}, 7, []int{7}},
-		{[]float64{0.9, 0.1}, 0, []int{0, 0}},
-	}
-	for _, c := range cases {
-		got, err := Apportion(c.shares, c.total)
-		if err != nil {
-			t.Fatalf("Apportion(%v, %d): %v", c.shares, c.total, err)
-		}
-		if !reflect.DeepEqual(got, c.want) {
-			t.Fatalf("Apportion(%v, %d) = %v, want %v", c.shares, c.total, got, c.want)
-		}
-		sum := 0
-		for _, n := range got {
-			sum += n
-		}
-		if sum != c.total {
-			t.Fatalf("Apportion(%v, %d) sums to %d", c.shares, c.total, sum)
-		}
-	}
-	for _, bad := range []struct {
-		why    string
-		shares []float64
-		total  int
-	}{
-		{"negative share", []float64{0.5, -0.1}, 10},
-		{"zero-sum distribution", []float64{0, 0}, 10},
-		{"NaN share", []float64{math.NaN(), 1}, 10},
-		{"+Inf share", []float64{math.Inf(1), 1}, 10},
-		{"-Inf share", []float64{math.Inf(-1), 1}, 10},
-		{"overflowing sum", []float64{math.MaxFloat64, math.MaxFloat64}, 10},
-		{"negative total", []float64{1, 1}, -1},
-	} {
-		if got, err := Apportion(bad.shares, bad.total); err == nil {
-			t.Fatalf("%s accepted: Apportion(%v, %d) = %v", bad.why, bad.shares, bad.total, got)
-		}
-	}
-}
+// --- targets --------------------------------------------------------------
 
 func TestDistinctTargets(t *testing.T) {
 	if err := checkTargets([]int{4, 6}, 2); err != nil {
@@ -257,7 +205,7 @@ func TestDistinctTargets(t *testing.T) {
 	if err := checkTargets(nil, 2); err == nil {
 		t.Fatal("missing targets accepted")
 	}
-	got, err := Apportion(core.PriorityDistribution{0.25, 0.75}, 8)
+	got, err := dist.Apportion(core.PriorityDistribution{0.25, 0.75}, 8)
 	if err != nil || !reflect.DeepEqual(got, []int{2, 6}) {
 		t.Fatalf("apportioned targets = %v, %v", got, err)
 	}

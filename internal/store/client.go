@@ -31,6 +31,8 @@ const (
 	maxIdleConns = 4
 	// retryJitter is the randomized fraction of each backoff delay.
 	retryJitter = 0.5
+	// dialTimeout bounds each dial attempt.
+	dialTimeout = 2 * time.Second
 )
 
 // RetryPolicy tunes the client's exponential backoff with jitter.
@@ -64,8 +66,6 @@ type ClientConfig struct {
 	Addr string
 	// Dialer defaults to a plain net.Dialer.
 	Dialer Dialer
-	// DialTimeout bounds each dial attempt. Default 2s.
-	DialTimeout time.Duration
 	// OpTimeout bounds each request/response attempt. Default 5s.
 	OpTimeout time.Duration
 	// Retry tunes per-operation retries.
@@ -80,9 +80,6 @@ type ClientConfig struct {
 }
 
 func (c *ClientConfig) fillDefaults() {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
 	if c.OpTimeout <= 0 {
 		c.OpTimeout = 5 * time.Second
 	}
@@ -455,7 +452,7 @@ func (c *Client) getConn(ctx context.Context) (conn net.Conn, reused bool, err e
 }
 
 func (c *Client) dial(ctx context.Context) (net.Conn, error) {
-	dctx, cancel := context.WithTimeout(ctx, c.cfg.DialTimeout)
+	dctx, cancel := context.WithTimeout(ctx, dialTimeout)
 	defer cancel()
 	c.met.dials.Inc()
 	conn, err := c.dialer.DialContext(dctx, "tcp", c.cfg.Addr)

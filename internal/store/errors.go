@@ -34,7 +34,7 @@ var (
 	ErrClientClosed = errors.New("store: client closed")
 
 	// ErrStoreFull reports a put rejected because the storage engine is at
-	// capacity (MaxBlocks on either engine). It is
+	// capacity (NewMemStore's cap or diskstore's MaxBlocks). It is
 	// deliberately distinguishable from other put failures: a client gives
 	// up on the replica immediately instead of burning retries on a store
 	// that cannot un-fill, while errors.Is(err, ErrStoreUnavailable) still

@@ -611,7 +611,7 @@ func TestReplicatedMetricsPerReplica(t *testing.T) {
 	srv := newTestServer(t, ServerConfig{})
 	up := newTestClient(t, srv.Addr(), nil)
 	down := newTestClient(t, "127.0.0.1:1", nil)
-	repl, err := NewReplicated([]*Client{up, down}, 1, ReplicatedConfig{MinWrites: 1, Metrics: reg})
+	repl, err := NewReplicated([]*Client{up, down}, 1, ReplicatedConfig{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,11 +619,11 @@ func TestReplicatedMetricsPerReplica(t *testing.T) {
 	if err := repl.Put(context.Background(), blocks[0]); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter(`store_replica_put_ok_total{replica="0"}`).Value(); got != 1 {
-		t.Errorf("replica 0 ok = %d, want 1", got)
+	if got := reg.Counter(`store_replica_put_ok_total{node="` + srv.Addr() + `"}`).Value(); got != 1 {
+		t.Errorf("live replica ok = %d, want 1", got)
 	}
-	if got := reg.Counter(`store_replica_put_errors_total{replica="1"}`).Value(); got != 1 {
-		t.Errorf("replica 1 errors = %d, want 1", got)
+	if got := reg.Counter(`store_replica_put_errors_total{node="127.0.0.1:1"}`).Value(); got != 1 {
+		t.Errorf("dead replica errors = %d, want 1", got)
 	}
 }
 

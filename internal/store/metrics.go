@@ -114,7 +114,7 @@ func newClientMetrics(r *metrics.Registry) clientMetrics {
 }
 
 // replicaMetrics is one replica's outcome counters inside a Replicated
-// store, labeled by replica index.
+// store, labeled by the replica's address.
 type replicaMetrics struct {
 	putOK, putErr   *metrics.Counter
 	getOK, getErr   *metrics.Counter
@@ -136,10 +136,10 @@ type replicatedMetrics struct {
 	perReplica     []replicaMetrics
 }
 
-// newReplicatedMetrics labels per-replica series positionally
-// ({replica="i"}) by default, or {node="addr"} when labels are given —
-// the placement layer's per-shard form, stable across membership churn.
-func newReplicatedMetrics(r *metrics.Registry, replicas int, labels []string) replicatedMetrics {
+// newReplicatedMetrics labels per-replica series {node="addr"} by the
+// replicas' addresses, so a node's series stay the same across the
+// placement shards it serves and across membership churn.
+func newReplicatedMetrics(r *metrics.Registry, addrs []string) replicatedMetrics {
 	m := replicatedMetrics{
 		puts:           r.Counter("store_replicated_puts_total"),
 		putErrors:      r.Counter("store_replicated_put_errors_total"),
@@ -149,13 +149,10 @@ func newReplicatedMetrics(r *metrics.Registry, replicas int, labels []string) re
 		collectDups:    r.Counter("store_replicated_collect_dup_blocks_total"),
 		collectOwners:  r.Counter("store_replicated_collect_owners_asked_total"),
 		collectWidened: r.Counter("store_replicated_collect_widened_total"),
-		perReplica:     make([]replicaMetrics, replicas),
+		perReplica:     make([]replicaMetrics, len(addrs)),
 	}
-	for i := range m.perReplica {
-		l := fmt.Sprintf(`{replica="%d"}`, i)
-		if labels != nil {
-			l = fmt.Sprintf(`{node=%q}`, labels[i])
-		}
+	for i, addr := range addrs {
+		l := fmt.Sprintf(`{node=%q}`, addr)
 		m.perReplica[i] = replicaMetrics{
 			putOK:   r.Counter("store_replica_put_ok_total" + l),
 			putErr:  r.Counter("store_replica_put_errors_total" + l),

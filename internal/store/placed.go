@@ -54,11 +54,9 @@ type PlacedConfig struct {
 	// Replication is R, the successor-list size each object is spread
 	// over. Default 3, clamped to the fleet size at lookup time.
 	Replication int
-	// Tolerance and MinWrites configure each object's shard exactly like
-	// ReplicatedConfig (MinWrites is additionally clamped to the shard
-	// size when churn shrinks a shard below it).
+	// Tolerance configures each object's shard exactly like
+	// ReplicatedConfig.
 	Tolerance int
-	MinWrites int
 	// NewClient dials a client for a node joining after construction.
 	// Default: NewClient(ClientConfig{Addr: addr}).
 	NewClient func(addr string) (*Client, error)
@@ -113,9 +111,6 @@ func NewPlaced(clients []*Client, levels int, cfg PlacedConfig) (*Placed, error)
 	}
 	if cfg.Tolerance <= 0 {
 		cfg.Tolerance = 1
-	}
-	if cfg.MinWrites <= 0 {
-		cfg.MinWrites = 1
 	}
 	if cfg.NewClient == nil {
 		cfg.NewClient = func(addr string) (*Client, error) {
@@ -271,7 +266,7 @@ func (p *Placed) Leave(addr string) error { return p.SetAlive(addr, false) }
 func (p *Placed) bumpLocked() {
 	p.gen++
 	for obj, e := range p.shards {
-		old := e.repl.cfg.ReplicaLabels
+		old := e.repl.clients
 		idxs, err := p.ring.Successors(ringKey(obj), p.cfg.Replication)
 		if err != nil {
 			// No alive successor remains: the shard is unplaceable.
@@ -280,7 +275,7 @@ func (p *Placed) bumpLocked() {
 		}
 		same := len(idxs) == len(old)
 		for i, idx := range idxs {
-			if same && p.addrOf[idx] != old[i] {
+			if same && p.clients[idx] != old[i] {
 				same = false
 			}
 		}
@@ -361,20 +356,12 @@ func (p *Placed) Shard(obj core.ObjectID) (*Replicated, error) {
 		return nil, fmt.Errorf("store: place %s: %w", obj, err)
 	}
 	clients := make([]*Client, len(idxs))
-	labels := make([]string, len(idxs))
 	for i, idx := range idxs {
 		clients[i] = p.clients[idx]
-		labels[i] = p.addrOf[idx]
-	}
-	minWrites := p.cfg.MinWrites
-	if minWrites > len(clients) {
-		minWrites = len(clients)
 	}
 	repl, err := NewReplicated(clients, p.levels, ReplicatedConfig{
-		Tolerance:     p.cfg.Tolerance,
-		MinWrites:     minWrites,
-		Metrics:       p.cfg.Metrics,
-		ReplicaLabels: labels,
+		Tolerance: p.cfg.Tolerance,
+		Metrics:   p.cfg.Metrics,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("store: shard %s: %w", obj, err)
@@ -390,7 +377,7 @@ func (p *Placed) ReplicasForObject(obj core.ObjectID) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return append([]string(nil), repl.cfg.ReplicaLabels...), nil
+	return repl.ReplicaLabels(), nil
 }
 
 // Put routes one block to its object's shard.

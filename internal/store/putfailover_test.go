@@ -8,7 +8,7 @@ import (
 
 // A last-level put whose entire rotating window is partitioned must
 // fail over to the remaining replicas instead of surfacing an error —
-// the fleet still has reachable nodes and MinWrites is 1.
+// the fleet still has reachable nodes and a put needs one copy.
 func TestPutFailsOverPastDeadWindow(t *testing.T) {
 	levels, _, blocks := testCode(t, 24)
 	dialer := NewFaultDialer(nil, FaultConfig{Seed: 1})
@@ -18,7 +18,7 @@ func TestPutFailsOverPastDeadWindow(t *testing.T) {
 		srvs[i] = newTestServer(t, ServerConfig{})
 		clients[i] = newTestClient(t, srvs[i].Addr(), dialer)
 	}
-	repl, err := NewReplicated(clients, levels.Count(), ReplicatedConfig{Tolerance: 1, MinWrites: 1})
+	repl, err := NewReplicated(clients, levels.Count(), ReplicatedConfig{Tolerance: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestPutFailsOverPastDeadWindow(t *testing.T) {
 	}
 
 	// Healed, the provisioned window is used again: a full put writes
-	// ReplicasFor copies, not just MinWrites.
+	// ReplicasFor copies, not just one.
 	for _, s := range srvs {
 		dialer.Heal(s.Addr())
 	}

@@ -22,19 +22,10 @@ type ReplicatedConfig struct {
 	// least-important level must survive: the last level is stored on
 	// f+1 replicas. Default 1.
 	Tolerance int
-	// MinWrites is how many copies must land for Put to succeed; the
-	// remainder is best-effort, absorbed by retries and later repair.
-	// Default 1.
-	MinWrites int
 	// Metrics, when non-nil, receives fan-out and per-replica outcome
-	// counters (see DESIGN.md §10).
+	// counters (see DESIGN.md §10), each replica's labelled
+	// {node="<addr>"} by its client's address.
 	Metrics *metrics.Registry
-	// ReplicaLabels, when set (length must match the client count), labels
-	// each replica's metric series {node="<label>"} instead of the default
-	// positional {replica="<i>"}. The placement layer passes node
-	// addresses here so per-shard series stay meaningful as membership
-	// shifts replicas between shards.
-	ReplicaLabels []string
 }
 
 // Replicated fans one logical store out over several servers with a
@@ -67,23 +58,15 @@ func NewReplicated(clients []*Client, levels int, cfg ReplicatedConfig) (*Replic
 	if cfg.Tolerance <= 0 {
 		cfg.Tolerance = 1
 	}
-	if cfg.MinWrites <= 0 {
-		cfg.MinWrites = 1
-	}
-	if cfg.MinWrites > len(clients) {
-		return nil, fmt.Errorf("store: MinWrites %d exceeds %d replicas", cfg.MinWrites, len(clients))
-	}
-	if cfg.ReplicaLabels != nil && len(cfg.ReplicaLabels) != len(clients) {
-		return nil, fmt.Errorf("store: %d replica labels for %d clients", len(cfg.ReplicaLabels), len(clients))
-	}
 	seed := maphash.MakeSeed()
-	return &Replicated{
+	r := &Replicated{
 		clients:  append([]*Client(nil), clients...),
 		levels:   levels,
 		cfg:      cfg,
-		met:      newReplicatedMetrics(cfg.Metrics, len(clients), cfg.ReplicaLabels),
 		wireHash: func(wire []byte) uint64 { return maphash.Bytes(seed, wire) },
-	}, nil
+	}
+	r.met = newReplicatedMetrics(cfg.Metrics, r.ReplicaLabels())
+	return r, nil
 }
 
 // Clients returns the per-replica clients as a fresh slice — mutating it
@@ -96,14 +79,15 @@ func (r *Replicated) Clients() []*Client {
 // Levels returns the number of priority levels the store was built for.
 func (r *Replicated) Levels() int { return r.levels }
 
-// ReplicaLabels returns the replica labels as a fresh slice — for a
-// placement shard, the node addresses in successor order. Nil when the
-// store was built without labels (positional replicas).
+// ReplicaLabels returns the replicas' addresses, in replica order — for a
+// placement shard, the node addresses in successor order. They label the
+// per-replica metric series.
 func (r *Replicated) ReplicaLabels() []string {
-	if r.cfg.ReplicaLabels == nil {
-		return nil
+	labels := make([]string, len(r.clients))
+	for i, c := range r.clients {
+		labels[i] = c.Addr()
 	}
-	return append([]string(nil), r.cfg.ReplicaLabels...)
+	return labels
 }
 
 // Close closes every client.
@@ -141,12 +125,12 @@ func (r *Replicated) ReplicasFor(level int) int {
 
 // Put stores one block on ReplicasFor(b.Level) replicas, chosen by a
 // rotating window so load spreads evenly. Writes are sequential and the
-// call succeeds once MinWrites copies landed; per-replica failures
-// beyond that are absorbed (retries already ran inside each client).
-// When the window itself cannot supply MinWrites copies, Put fails over
-// to the remaining replicas rather than failing the write — an outage
-// only surfaces to the caller once fewer than MinWrites replicas in the
-// whole fleet accept the block.
+// call succeeds once one copy landed; per-replica failures beyond that
+// are absorbed (retries already ran inside each client, and repair
+// restores the missing copies). When no replica in the window accepts
+// the block, Put fails over to the remaining replicas rather than
+// failing the write — an outage only surfaces to the caller once no
+// replica in the whole fleet accepts the block.
 func (r *Replicated) Put(ctx context.Context, b *core.CodedBlock) error {
 	return r.PutPreferring(ctx, b, nil)
 }
@@ -183,11 +167,11 @@ func (r *Replicated) PutPreferring(ctx context.Context, b *core.CodedBlock, pref
 	var errs []error
 	for n, idx := range order {
 		// The first `targets` replicas are the level's provisioned
-		// window; the rest are failover-only, tried while the durability
-		// floor is unmet — so a put survives any outage that leaves
-		// MinWrites replicas reachable, and the repair daemon later
-		// migrates the copies back onto the window.
-		if n >= targets && stored >= r.cfg.MinWrites {
+		// window; the rest are failover-only, tried until one copy has
+		// landed — so a put survives any outage that leaves one replica
+		// reachable, and the repair daemon later migrates the copies
+		// back onto the window.
+		if n >= targets && stored > 0 {
 			break
 		}
 		err := r.clients[idx].putWire(ctx, wire)
@@ -201,12 +185,12 @@ func (r *Replicated) PutPreferring(ctx context.Context, b *core.CodedBlock, pref
 		}
 		stored++
 	}
-	if stored >= r.cfg.MinWrites {
+	if stored > 0 {
 		return nil
 	}
 	r.met.putErrors.Inc()
-	return fmt.Errorf("store: put level %d stored %d/%d copies (want >= %d): %w",
-		b.Level, stored, targets, r.cfg.MinWrites, errors.Join(append([]error{ErrStoreUnavailable}, errs...)...))
+	return fmt.Errorf("store: put level %d stored 0/%d copies: %w",
+		b.Level, targets, errors.Join(append([]error{ErrStoreUnavailable}, errs...)...))
 }
 
 // PutAll stores blocks in order, returning how many succeeded and the

@@ -21,12 +21,8 @@ type ServerConfig struct {
 	// MaxConns bounds concurrently served connections; excess accepts
 	// are rejected with an unavailable error frame. Default 64.
 	MaxConns int
-	// MaxBlocks caps stored blocks (0 = unlimited); once full, puts are
-	// rejected with ErrStoreFull so clients fail over to another replica.
-	// Only consulted when Blocks is nil (it caps the default MemStore).
-	MaxBlocks int
-	// Blocks is the storage engine. Nil means a fresh in-memory store
-	// capped at MaxBlocks. The server does NOT close an injected engine
+	// Blocks is the storage engine. Nil means a fresh, unbounded
+	// in-memory store. The server does NOT close an injected engine
 	// on Shutdown — whoever opened it (e.g. prlcd wiring a disk store)
 	// closes it after the drain, so a restart can reopen the same data.
 	Blocks BlockStore
@@ -82,7 +78,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	cfg.fillDefaults()
 	blocks := cfg.Blocks
 	if blocks == nil {
-		blocks = NewMemStore(cfg.MaxBlocks)
+		blocks = NewMemStore(0)
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {

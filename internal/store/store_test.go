@@ -31,10 +31,9 @@ func newTestServer(t *testing.T, cfg ServerConfig) *Server {
 
 func fastClientCfg(addr string, d Dialer) ClientConfig {
 	return ClientConfig{
-		Addr:        addr,
-		Dialer:      d,
-		DialTimeout: time.Second,
-		OpTimeout:   2 * time.Second,
+		Addr:      addr,
+		Dialer:    d,
+		OpTimeout: 2 * time.Second,
 		Retry: RetryPolicy{
 			MaxAttempts: 8,
 			BaseDelay:   time.Millisecond,
