@@ -16,8 +16,9 @@ import (
 // truncation. Payloads are 64 B so the coefficient-side elimination
 // dominates, which is the regime of the paper's Monte-Carlo loops
 // (N = 1000 × 100 trials per curve point); DecodeStriped covers the
-// opposite, payload-dominated regime, and DecodePLCN512x4KiB the
-// benchmark's publish-recover decode.
+// opposite, payload-dominated regime. The benchmark's publish-recover
+// decode, DecodePLCN512x4KiB, is in internal/gfmat, where it can report
+// the decoder's payload folds.
 //
 //	go test -run='^$' -bench 'BenchmarkDecode(PLC|SLC|Striped)N' -benchtime=10x ./internal/core
 
@@ -114,54 +115,6 @@ func benchmarkDenseDecodeRef(b *testing.B, scheme Scheme, n, nLevels, payloadLen
 }
 
 const decodeBenchPayload = 64
-
-// benchmarkWorkloadDecode is the decode of the benchmark's publish-recover
-// workload: N = 512 sources of 4 KiB in 8 PLC levels, ceil(1.3·64) = 84
-// blocks per level shuffled, decoded to completion and every source read
-// back. ref runs the same stream through gfmat.RefDecoder.
-func benchmarkWorkloadDecode(b *testing.B, ref bool) {
-	const n, nLevels, payloadLen, extra = 512, 8, 4 << 10, 20
-	levels := decodeBenchLevels(b, n, nLevels)
-	blocks := decodeBenchBlocks(b, PLC, levels, payloadLen, extra)
-	b.SetBytes(int64(len(blocks)) * payloadLen)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var add func(*CodedBlock) error
-		var complete func() bool
-		var source func(int) ([]byte, error)
-		if ref {
-			dec, err := gfmat.NewRefDecoder(n, payloadLen)
-			if err != nil {
-				b.Fatal(err)
-			}
-			add = func(blk *CodedBlock) error { _, err := dec.Add(blk.Coeff, blk.Payload); return err }
-			complete, source = dec.Complete, dec.Symbol
-		} else {
-			dec, err := NewDecoder(PLC, levels, payloadLen)
-			if err != nil {
-				b.Fatal(err)
-			}
-			add = func(blk *CodedBlock) error { _, err := dec.Add(blk); return err }
-			complete, source = dec.Complete, dec.Source
-		}
-		for _, blk := range blocks {
-			if err := add(blk); err != nil {
-				b.Fatal(err)
-			}
-			if complete() {
-				break
-			}
-		}
-		for j := 0; j < n; j++ {
-			if _, err := source(j); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkDecodePLCN512x4KiB(b *testing.B)    { benchmarkWorkloadDecode(b, false) }
-func BenchmarkDecodePLCN512x4KiBRef(b *testing.B) { benchmarkWorkloadDecode(b, true) }
 
 func BenchmarkDecodePLCN64(b *testing.B) {
 	benchmarkStructuredDecode(b, PLC, 64, 8, decodeBenchPayload)

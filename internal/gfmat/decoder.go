@@ -29,11 +29,11 @@ var ErrDimensionMismatch = errors.New("gfmat: dimension mismatch")
 // rows from its right end leftwards and stops at the first column without
 // a pivot row, which becomes its pivot; nothing is ever back-substituted
 // into stored rows. When the decoded prefix grows, the newly decodable
-// rows are solved to unit rows in increasing column order — each one a
-// single fold of already-solved rows into one destination — so a prefix's
-// payloads are final the moment DecodedPrefix reports it. Symbols past the
-// prefix (SLC-style partial decodes, chunk overlaps) are answered on
-// demand by Decoded, DecodedCount and Symbol.
+// rows form a unit lower-triangular system over the solved rows left of
+// them, which solveAdvance solves as one, solveGroup rows at a time, so a
+// prefix's payloads are final the moment DecodedPrefix reports it.
+// Symbols past the prefix (SLC-style partial decodes, chunk overlaps) are
+// answered on demand by Decoded, DecodedCount and Symbol.
 //
 // Payload work is recorded while the coefficients are reduced and applied
 // afterwards, so a dependent block is rejected on its coefficients alone.
@@ -69,6 +69,11 @@ type Decoder struct {
 	// the prefix plus those solved on demand past it.
 	decodedPrefix int
 	solved        int
+
+	// folds counts payload folds: each AddMulSlice of one row's whole
+	// payload into another's, counted once however many stripes run it.
+	// Only tests read it.
+	folds int
 }
 
 type decRow struct {
@@ -227,13 +232,90 @@ func (d *Decoder) eliminate(payload []byte, lo, hi int) (bool, error) {
 		d.fold(rp, payload, inv)
 	}
 
-	// Every row left of a decoded prefix is a unit row, so each newly
-	// decodable row solves with one fold, in increasing column order.
-	for d.decodedPrefix < d.numSymbols && d.pivotRow[d.decodedPrefix] >= 0 {
-		d.solve(d.decodedPrefix)
-		d.decodedPrefix++
+	end := d.decodedPrefix
+	for end < d.numSymbols && d.pivotRow[end] >= 0 {
+		end++
+	}
+	if end > d.decodedPrefix {
+		d.solveAdvance(d.decodedPrefix, end)
+		d.decodedPrefix = end
 	}
 	return true, nil
+}
+
+// solveGroup is how many rows of a prefix advance solveAdvance solves
+// together. Each solved row's payload is then read once per group instead
+// of once per row below it, while the group's own payloads stay in L1: at
+// 4 KiB payloads 8 rows are 32 KiB, which with the source row fits a
+// 48 KiB L1d. On a 2-vCPU Xeon with that cache, BenchmarkDecodePLCN512x4KiB
+// took 21.8 ms solving row by row and 17.8 / 17.2 / 17.0 / 16.6 / 20.7 ms
+// in groups of 2 / 4 / 6 / 8 / 12 (medians of 5 interleaved runs).
+const solveGroup = 8
+
+// solveAdvance turns the pivot rows of columns [p, e) into unit rows.
+// Every column left of p has a unit row, so the rows form a unit
+// lower-triangular system whose solve needs nothing reduced: row i's
+// payload gains each solved row j < i times its entry at j. The payload
+// folds run group by group (solveStripe), striped like fold with one
+// fan-out for the whole advance, and the coefficients are cleared
+// afterwards. The folds run in another order than one row at a time, but
+// they are the same folds and GF(2^8) addition commutes, so the bytes and
+// the fold count are the same too.
+func (d *Decoder) solveAdvance(p, e int) {
+	if d.payloadLen > 0 {
+		if w := stripeWorkers(d.payloadLen); w > 1 {
+			d.fanOut(w, func(lo, hi int) { d.solveStripe(p, e, lo, hi) })
+		} else {
+			d.solveStripe(p, e, 0, d.payloadLen)
+		}
+	}
+	for i := p; i < e; i++ {
+		r := &d.rows[d.pivotRow[i]]
+		if r.lo == i {
+			continue // solved already: on arrival, or on demand past the prefix
+		}
+		if d.payloadLen > 0 {
+			for _, v := range r.coeff[r.lo:i] {
+				if v != 0 {
+					d.folds++
+				}
+			}
+		}
+		clear(r.coeff[r.lo:i])
+		r.lo = i
+		d.solved++
+	}
+}
+
+// solveStripe runs solveAdvance's payload folds on bytes [lo, hi). For
+// each group of solveGroup rows it first folds every unit row left of the
+// group into the group rows that have an entry there, one source row at a
+// time, and then solves the triangle inside the group in order.
+func (d *Decoder) solveStripe(p, e, lo, hi int) {
+	var group [solveGroup]*decRow
+	for g0 := p; g0 < e; g0 += solveGroup {
+		g := group[:min(solveGroup, e-g0)]
+		first := g0
+		for k := range g {
+			g[k] = &d.rows[d.pivotRow[g0+k]]
+			first = min(first, g[k].lo)
+		}
+		for j := first; j < g0; j++ {
+			src := d.rows[d.pivotRow[j]].payload[lo:hi]
+			for _, r := range g {
+				if v := r.coeff[j]; v != 0 {
+					gf256.AddMulSlice(r.payload[lo:hi], src, v)
+				}
+			}
+		}
+		for k, r := range g {
+			for j, src := range g[:k] {
+				if v := r.coeff[g0+j]; v != 0 {
+					gf256.AddMulSlice(r.payload[lo:hi], src.payload[lo:hi], v)
+				}
+			}
+		}
+	}
 }
 
 // reduce folds pivot rows into the scratch row — nonzero only within
@@ -264,13 +346,11 @@ func (d *Decoder) reduce(lo, hi int) (col, newLo int) {
 	return -1, lo
 }
 
-// solve reports whether symbol i is decodable, turning its pivot row into
-// a unit row if it is. Past the decoded prefix, the row's part left of
-// column i is reduced against the pivot rows to its left on the scratch
-// row, and only a result with nothing left is committed, together with its
-// payload fold. At the prefix's edge (i == decodedPrefix, the case the
-// prefix advance relies on) every row to the left is already a unit row,
-// so the solve is one fold into one destination and always succeeds.
+// solve reports whether symbol i, at or past the decoded prefix, is
+// decodable, turning its pivot row into a unit row if it is. The row's
+// part left of column i is reduced against the pivot rows to its left on
+// the scratch row, and only a result with nothing left is committed,
+// together with its payload fold.
 func (d *Decoder) solve(i int) bool {
 	ri := d.pivotRow[i]
 	if ri < 0 {
@@ -281,20 +361,11 @@ func (d *Decoder) solve(i int) bool {
 		return true
 	}
 	d.ops = d.ops[:0]
-	switch {
-	case i > d.decodedPrefix:
-		c := d.scratch
-		copy(c[r.lo:i], r.coeff[r.lo:i])
-		if col, lo := d.reduce(r.lo, i); col >= 0 {
-			clear(c[lo : col+1])
-			return false
-		}
-	case d.payloadLen > 0:
-		// Every column left of i has a unit row, so there is nothing to
-		// reduce: the fold adds each of them times the row's entry there.
-		for j := gf256.NextNonzero(r.coeff[:i], r.lo); j < i; j = gf256.NextNonzero(r.coeff[:i], j+1) {
-			d.ops = append(d.ops, payloadOp{row: d.pivotRow[j], v: r.coeff[j]})
-		}
+	c := d.scratch
+	copy(c[r.lo:i], r.coeff[r.lo:i])
+	if col, lo := d.reduce(r.lo, i); col >= 0 {
+		clear(c[lo : col+1])
+		return false
 	}
 	clear(r.coeff[r.lo:i])
 	r.lo = i

@@ -22,6 +22,9 @@ func FuzzDecoderEquivBatch(f *testing.F) {
 	f.Add(int64(7), uint8(1), uint8(1), uint8(0), uint8(1), true)
 	f.Add(int64(42), uint8(3), uint8(2), uint8(8), uint8(5), false)
 	f.Add(int64(99), uint8(4), uint8(4), uint8(2), uint8(0), true)
+	// 4 PLC levels of 4 whose prefix stays empty until the 16th pivot
+	// lands, then advances by all 16 columns: two solve groups.
+	f.Add(int64(23), uint8(3), uint8(3), uint8(8), uint8(0), false)
 
 	f.Fuzz(func(t *testing.T, seed int64, nLevelsRaw, perRaw, plenRaw, extraRaw uint8, slcShaped bool) {
 		rng := rand.New(rand.NewSource(seed))
