@@ -112,7 +112,8 @@ daemon-demo: build
 # The repair story end to end: provision a file across three daemons
 # (bulk level weighted so it has decoding headroom), kill one and
 # replace it with a blank node (churn), regenerate its redundancy by
-# decode-free recombination, then prove the regenerated blocks carry
+# decode-free recombination (one `prlcd heal` round: the file is short
+# on its owners, not displaced), then prove the regenerated blocks carry
 # real information by killing an *original* replica and recovering the
 # full file from the repaired node plus the last survivor — a loss
 # pattern the fleet does NOT survive without the repair step.
@@ -130,8 +131,8 @@ repair-demo: build
 	@sleep 1
 	@/tmp/prlcd serve -addr 127.0.0.1:7182 & echo $$! > /tmp/prlcd_r2.pid
 	@sleep 1
-	/tmp/prlcd repair -addrs 127.0.0.1:7181,127.0.0.1:7182,127.0.0.1:7183 \
-	    -scheme plc -sizes 10,90 -dist 0.2,0.8 -total 160 -budget 128
+	/tmp/prlcd heal -addrs 127.0.0.1:7181,127.0.0.1:7182,127.0.0.1:7183 \
+	    -scheme plc -sizes 10,90 -dist 0.2,0.8 -total 160
 	/tmp/prlcd store shutdown -addr 127.0.0.1:7181
 	/tmp/prlcd store get -addrs 127.0.0.1:7182,127.0.0.1:7183 \
 	    -scheme plc -sizes 10,90 -size 16384 -out /tmp/repair_demo_out.bin
@@ -141,9 +142,9 @@ repair-demo: build
 	@rm -f /tmp/repair_demo.bin /tmp/repair_demo_out.bin
 
 # The fleet-growth story end to end: a file is provisioned across a
-# two-daemon ring, two fresh daemons widen the ring, and `prlcd
-# migrate` re-homes every displaced object (regenerating blocks on the
-# new owners, wiping the stale holders). A second round proves the
+# two-daemon ring, two fresh daemons widen the ring, and `prlcd heal`
+# re-homes every displaced object (regenerating blocks on the new
+# owners, wiping the stale holders). A second round proves the
 # placement is settled, then an *original* daemon goes away and the
 # file still recovers bit-exactly from the grown fleet — the migrated
 # copies carry the data now, not the wiped originals.
@@ -158,9 +159,9 @@ migrate-demo: build
 	/tmp/prlcd store put -addrs 127.0.0.1:7191,127.0.0.1:7192 \
 	    -in /tmp/migrate_demo.bin -object demo-grow -blocks 100 -coded 160 \
 	    -levels 0.1,0.9 -dist 0.2,0.8 -scheme plc -replicas 2
-	/tmp/prlcd migrate -addrs 127.0.0.1:7191,127.0.0.1:7192,127.0.0.1:7193,127.0.0.1:7194 \
+	/tmp/prlcd heal -addrs 127.0.0.1:7191,127.0.0.1:7192,127.0.0.1:7193,127.0.0.1:7194 \
 	    -replicas 2 -scheme plc -sizes 10,90 -dist 0.2,0.8 -total 160
-	/tmp/prlcd migrate -addrs 127.0.0.1:7191,127.0.0.1:7192,127.0.0.1:7193,127.0.0.1:7194 \
+	/tmp/prlcd heal -addrs 127.0.0.1:7191,127.0.0.1:7192,127.0.0.1:7193,127.0.0.1:7194 \
 	    -replicas 2 -scheme plc -sizes 10,90 -dist 0.2,0.8 -total 160
 	/tmp/prlcd store shutdown -addr 127.0.0.1:7191
 	/tmp/prlcd store get -addrs 127.0.0.1:7191,127.0.0.1:7192,127.0.0.1:7193,127.0.0.1:7194 \

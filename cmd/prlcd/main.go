@@ -2,8 +2,9 @@
 // (`prlcd serve`) plus client subcommands (`prlcd store ...`) that ship
 // a file into a replicated daemon fleet with priority-differentiated
 // replication and pull it back out, tolerating dead replicas, and a
-// maintenance subcommand (`prlcd repair`) that regenerates redundancy
-// lost to churn by decode-free recombination of surviving blocks.
+// maintenance subcommand (`prlcd heal`) that re-homes objects the ring
+// displaced and regenerates redundancy lost to churn, by decode-free
+// recombination of surviving blocks.
 //
 // Usage:
 //
@@ -15,13 +16,9 @@
 //	prlcd store stat -addr 127.0.0.1:7071
 //	prlcd store segments -addr 127.0.0.1:7071     # disk segment inventory
 //	prlcd store shutdown -addr 127.0.0.1:7071
-//	prlcd repair -addrs ... -scheme plc -sizes ... -total 160        # one round
-//	prlcd repair -addrs ... -sizes ... -total 160 -watch             # loop
-//	prlcd repair -addrs ... -object report.pdf -replicas 3 ...       # one keyed object
-//	prlcd serve -addr ... -repair -peers ... -sizes ... -total 160   # serve + repair
-//	prlcd migrate -addrs ... -sizes ... -total 160                   # one migration round
-//	prlcd migrate -addrs ... -sizes ... -total 160 -watch            # migration loop
-//	prlcd serve -addr ... -migrate -peers ... -sizes ... -total 160  # serve + migrate
+//	prlcd heal -addrs ... -scheme plc -sizes ... -total 160          # one round
+//	prlcd heal -addrs ... -sizes ... -total 160 -watch               # loop
+//	prlcd serve -addr ... -heal -peers ... -sizes ... -total 160     # serve + heal
 //	prlcd serve -addr ... -metrics 127.0.0.1:7091                    # + observability
 //	prlcd serve -addr ... -data-dir /var/lib/prlcd -retention 24h    # + persistence
 //	prlcd metrics 127.0.0.1:7091                                     # metrics table
@@ -30,13 +27,13 @@
 // `store put` prints the exact `store get` invocation that recovers the
 // file, so the decode side needs no side-channel metadata.
 //
-// Every fleet-facing command goes through the placement ring. With
-// `-object NAME`, put/get/repair address one object namespace: its
-// blocks land on the object's `-replicas` ring successors, so many
-// objects share one fleet without mixing. Without -object they address
-// object zero — the key-less namespace — on the ring with R = n, i.e.
-// the whole fleet. `prlcd ring` shows the ring — node IDs, ownership
-// ranges, and (with -object) an object's replica set.
+// Every fleet-facing command goes through the placement ring, and every
+// object lives on its `-replicas` ring successors, so many objects
+// share one fleet without mixing. With `-object NAME`, put/get address
+// one object namespace; without, object zero — the key-less namespace.
+// `prlcd heal` heals every object the fleet holds. `prlcd ring` shows
+// the ring — node IDs, ownership ranges, and (with -object) an object's
+// replica set.
 package main
 
 import (
@@ -60,7 +57,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/metrics"
 	"repro/internal/mover"
-	"repro/internal/repair"
 	"repro/internal/store"
 )
 
@@ -73,23 +69,21 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: prlcd serve|store|repair|migrate|ring|metrics [flags]")
+		return fmt.Errorf("usage: prlcd serve|store|heal|ring|metrics [flags]")
 	}
 	switch args[0] {
 	case "serve":
 		return serve(args[1:], out)
 	case "store":
 		return storeCmd(args[1:], out)
-	case "repair":
-		return repairCmd(args[1:], out)
-	case "migrate":
-		return migrateCmd(args[1:], out)
+	case "heal":
+		return healCmd(args[1:], out)
 	case "ring":
 		return ringCmd(args[1:], out)
 	case "metrics":
 		return metricsCmd(args[1:], out)
 	default:
-		return fmt.Errorf("unknown subcommand %q (want serve, store, repair, migrate, ring or metrics)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want serve, store, heal, ring or metrics)", args[0])
 	}
 }
 
@@ -100,28 +94,25 @@ func serve(args []string, out io.Writer) error {
 		maxConns     int
 		maxBlocks    int
 		metricsAddr  string
-		withRepair   bool
+		withHeal     bool
 		dataDir      string
 		fsyncStr     string
 		retention    time.Duration
 		segmentBytes int64
 		pidFile      string
 		opts         healOpts
-		withMigrate  bool
 	)
 	fs.StringVar(&addr, "addr", "127.0.0.1:7071", "listen address")
 	fs.IntVar(&maxConns, "max-conns", 64, "maximum concurrent connections")
 	fs.IntVar(&maxBlocks, "max-blocks", 0, "maximum stored blocks (0 = unlimited)")
 	fs.StringVar(&metricsAddr, "metrics", "", "observability listen address (Prometheus /metrics, /metrics.json, /debug/pprof)")
-	fs.BoolVar(&withRepair, "repair", false, "run a repair daemon client loop over -peers alongside serving")
-	fs.BoolVar(&withMigrate, "migrate", false, "run a migration mover loop over -peers alongside serving (shares the repair flags)")
+	fs.BoolVar(&withHeal, "heal", false, "run the heal loop over -peers alongside serving: re-home displaced objects, refill short ones")
 	fs.StringVar(&dataDir, "data-dir", "", "persist blocks to segment files under this directory (empty = in-memory)")
 	fs.StringVar(&fsyncStr, "fsync", "batch", "disk durability: batch (group commit), always (per put) or none")
 	fs.DurationVar(&retention, "retention", 0, "delete disk segments older than this rolling window (0 = keep forever)")
 	fs.Int64Var(&segmentBytes, "segment-bytes", 0, "disk segment rotation threshold in bytes (0 = 64 MiB default)")
 	fs.StringVar(&pidFile, "pid-file", "", "write the daemon PID here once serving (for process supervisors and chaos controllers)")
 	opts.register(fs, "peers", 10*time.Second)
-	opts.registerMover(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -183,51 +174,31 @@ func serve(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "prlcd: serving on %s\n", srv.Addr())
-	if withRepair || withMigrate {
-		// The serve-side client loops share one ring over -peers (which
-		// should list every daemon, itself included). The mover's -replicas
-		// is the ring's width; a repair loop alone keeps object zero on
-		// every peer.
-		fail := func(err error) error {
+	if withHeal {
+		// This daemon heals every object on the ring over -peers (which
+		// should list every daemon, itself included) while serving its own
+		// blocks. Safe to run on every daemon — the heal step verifies
+		// before reclaiming, deletes are idempotent, and per-daemon jitter
+		// in the loop desynchronizes a fleet that all do this.
+		placed, m, err := opts.healer("serve -heal")
+		if err != nil {
 			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			srv.Shutdown(sctx)
 			return err
 		}
-		replicas := 0
-		if withMigrate {
-			replicas = opts.replicas
-		}
-		placed, err := opts.open("serve -repair/-migrate", replicas)
-		if err != nil {
-			return fail(err)
-		}
 		defer placed.Close()
-		peers := len(placed.Members())
-		if withRepair {
-			// This daemon audits and repairs the key-less object in the
-			// background while serving its own blocks. Per-daemon jitter in
-			// the loop desynchronizes a fleet that all do this.
-			d, err := opts.daemon(placed, core.ZeroObject)
-			if err != nil {
-				return fail(err)
+		m.Start()
+		fmt.Fprintf(out, "prlcd: healing %d peers every %v\n", len(placed.Members()), opts.interval)
+		defer func() {
+			sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := m.Stop(sctx); err != nil {
+				fmt.Fprintf(out, "prlcd: heal stop: %v\n", err)
+				return
 			}
-			d.Start()
-			fmt.Fprintf(out, "prlcd: repairing %d peers every %v\n", peers, opts.interval)
-			defer stopLoop(out, "repair daemon", d)
-		}
-		if withMigrate {
-			// This daemon re-homes displaced objects whenever ring ownership
-			// and data placement disagree. Safe to run on every daemon — the
-			// mover verifies before reclaiming and deletes are idempotent.
-			m, err := opts.mover(placed)
-			if err != nil {
-				return fail(err)
-			}
-			m.Start()
-			fmt.Fprintf(out, "prlcd: migrating across %d peers every %v\n", peers, opts.interval)
-			defer stopLoop(out, "mover", m)
-		}
+			fmt.Fprintf(out, "prlcd: heal stopped after %d rounds\n", m.Rounds())
+		}()
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -419,16 +390,6 @@ func openPlaced(addrs []string, levels, replicas, tolerance int, timeout time.Du
 	return p, err
 }
 
-// ringWidth is the R a command opens the ring with for one object: a
-// keyed object lives on its -replicas successors, the key-less file
-// (object zero) on the whole fleet.
-func ringWidth(obj core.ObjectID, replicas int) int {
-	if obj == core.ZeroObject {
-		return 0
-	}
-	return replicas
-}
-
 // ringCmd renders the placement ring for a fleet: each node's ring ID,
 // liveness (probed over the store wire path), and the hash range it
 // owns, plus — with -object — one object's replica set. Placement is a
@@ -523,8 +484,8 @@ func putCmd(args []string, out io.Writer) error {
 	)
 	fs.StringVar(&addrsStr, "addrs", "", "comma-separated daemon addresses")
 	fs.StringVar(&in, "in", "", "input file")
-	fs.StringVar(&objectStr, "object", "", "object namespace: a name to hash or canonical obj-<16 hex> (empty = object zero, the key-less file, on every daemon)")
-	fs.IntVar(&replicas, "replicas", 3, "ring successors the object is placed on when -object is set")
+	fs.StringVar(&objectStr, "object", "", "object namespace: a name to hash or canonical obj-<16 hex> (empty = object zero, the key-less file)")
+	fs.IntVar(&replicas, "replicas", 3, "ring successors the object is placed on")
 	fs.IntVar(&tolerance, "f", 1, "replica losses the last level must survive")
 	fs.DurationVar(&timeout, "timeout", 5*time.Second, "per-attempt timeout")
 	ef.Register(fs)
@@ -544,12 +505,11 @@ func putCmd(args []string, out io.Writer) error {
 		return fmt.Errorf("put: -object: %w", err)
 	}
 	// Stamp every block with the object and route through the placement
-	// ring: the blocks land on the object's -replicas ring successors, or
-	// for the key-less file (object zero) on the whole fleet.
+	// ring: the blocks land on the object's -replicas ring successors.
 	for _, b := range cb {
 		b.Object = obj
 	}
-	placed, err := openPlaced(addrs, g.Groups(), ringWidth(obj, replicas), tolerance, timeout, nil)
+	placed, err := openPlaced(addrs, g.Groups(), replicas, tolerance, timeout, nil)
 	if err != nil {
 		return err
 	}
@@ -571,9 +531,9 @@ func putCmd(args []string, out io.Writer) error {
 	owners := shard.ReplicaLabels()
 	fmt.Fprintf(out, "stored %d coded blocks (%d replica copies) of %s on %d/%d daemons: %s\n",
 		len(cb), copies, obj, len(owners), len(addrs), strings.Join(owners, ", "))
-	objArgs := ""
+	objArgs := fmt.Sprintf(" -replicas %d", placed.Replication())
 	if obj != core.ZeroObject {
-		objArgs = fmt.Sprintf(" -object %s -replicas %d", objectStr, placed.Replication())
+		objArgs = fmt.Sprintf(" -object %s%s", objectStr, objArgs)
 	}
 	fmt.Fprintf(out, "recover with:\n  prlcd store get -addrs %s -out FILE %s%s\n",
 		addrsStr, strings.Join(g.Args(), " "), objArgs)
@@ -592,7 +552,7 @@ func getCmd(args []string, out io.Writer) error {
 	fs.StringVar(&addrsStr, "addrs", "", "comma-separated daemon addresses")
 	fs.StringVar(&outPath, "out", "", "output file for the recovered prefix")
 	fs.StringVar(&objectStr, "object", "", "object namespace from put time: a name to hash or canonical obj-<16 hex>")
-	fs.IntVar(&replicas, "replicas", 3, "ring successors used at put time when -object is set")
+	fs.IntVar(&replicas, "replicas", 3, "ring successors used at put time")
 	fs.DurationVar(&timeout, "timeout", 5*time.Second, "per-attempt timeout")
 	geometry := cliutil.GeometryFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -613,7 +573,7 @@ func getCmd(args []string, out io.Writer) error {
 	// Resolve the object's shard on the same ring geometry the put used
 	// and collect only that namespace's blocks — object zero for the
 	// key-less file: the decoder cannot tell two objects' blocks apart.
-	placed, err := openPlaced(addrs, g.Groups(), ringWidth(obj, replicas), 1, timeout, nil)
+	placed, err := openPlaced(addrs, g.Groups(), replicas, 1, timeout, nil)
 	if err != nil {
 		return err
 	}
@@ -648,7 +608,7 @@ func getCmd(args []string, out io.Writer) error {
 }
 
 // healOpts collects the fleet, code and loop flags shared by `prlcd
-// repair`, `prlcd migrate` and `prlcd serve -repair/-migrate`.
+// heal` and `prlcd serve -heal`.
 type healOpts struct {
 	addrsStr  string
 	schemeStr string
@@ -656,18 +616,12 @@ type healOpts struct {
 	distStr   string
 	total     int
 	tolerance int
-	budget    int
 	replicas  int
 	seed      int64
 	timeout   time.Duration
 	interval  time.Duration
-	rate      int64             // mover only
+	rate      int64
 	metrics   *metrics.Registry // set programmatically, not a flag
-
-	// The code the flags describe, parsed by open.
-	scheme  core.Scheme
-	levels  *core.Levels
-	targets []int
 }
 
 func (o *healOpts) register(fs *flag.FlagSet, addrsFlag string, interval time.Duration) {
@@ -677,16 +631,11 @@ func (o *healOpts) register(fs *flag.FlagSet, addrsFlag string, interval time.Du
 	fs.StringVar(&o.distStr, "dist", "", "priority distribution from put time (default uniform)")
 	fs.IntVar(&o.total, "total", 0, "coded blocks at full provisioning (M)")
 	fs.IntVar(&o.tolerance, "f", 1, "replica losses the last level must survive")
-	fs.IntVar(&o.budget, "budget", 0, "max blocks regenerated per round (0 = default)")
-	fs.IntVar(&o.replicas, "replicas", 3, "ring successors each keyed object is placed on")
+	fs.IntVar(&o.replicas, "replicas", 3, "ring successors each object is placed on")
 	fs.Int64Var(&o.seed, "seed", 1, "random seed for recombination")
 	fs.DurationVar(&o.timeout, "timeout", 5*time.Second, "per-attempt timeout")
-	fs.DurationVar(&o.interval, "interval", interval, "pause between repair rounds")
-}
-
-// registerMover adds the flags only the migration mover reads.
-func (o *healOpts) registerMover(fs *flag.FlagSet) {
-	fs.Int64Var(&o.rate, "rate", 8<<20, "migration byte-rate cap in bytes/second (0 = unlimited)")
+	fs.DurationVar(&o.interval, "interval", interval, "pause between heal rounds")
+	fs.Int64Var(&o.rate, "rate", 8<<20, "heal byte-rate cap in bytes/second (0 = unlimited)")
 }
 
 // code parses the shared code-description flags: scheme, levels, and
@@ -720,194 +669,117 @@ func (o *healOpts) code(name string) (core.Scheme, *core.Levels, []int, error) {
 	return scheme, levels, targets, nil
 }
 
-// open parses the code flags and dials the fleet: the one ring a
-// command's repair daemon and mover both run over, `replicas` wide (see
-// openPlaced).
-func (o *healOpts) open(name string, replicas int) (*store.Placed, error) {
+// healer parses the code flags, dials the fleet as a -replicas wide
+// ring, and returns it with the stopped heal loop over it, wired to the
+// membership hook so ring changes kick immediate rounds. The caller
+// closes the ring.
+func (o *healOpts) healer(name string) (*store.Placed, *mover.Mover, error) {
 	addrs := cliutil.SplitAddrs(o.addrsStr)
 	if len(addrs) == 0 || o.sizesStr == "" {
-		return nil, fmt.Errorf("%s: fleet addresses and -sizes are required", name)
+		return nil, nil, fmt.Errorf("%s: fleet addresses and -sizes are required", name)
 	}
-	var err error
-	if o.scheme, o.levels, o.targets, err = o.code(name); err != nil {
-		return nil, err
+	scheme, levels, targets, err := o.code(name)
+	if err != nil {
+		return nil, nil, err
 	}
-	return openPlaced(addrs, o.levels.Count(), replicas, o.tolerance, o.timeout, o.metrics)
-}
-
-// daemon constructs the repair daemon maintaining obj on the opened ring.
-func (o *healOpts) daemon(p *store.Placed, obj core.ObjectID) (*repair.Daemon, error) {
-	return repair.NewObject(p, obj, repair.Config{
-		Scheme:      o.scheme,
-		Levels:      o.levels,
-		Targets:     o.targets,
-		Interval:    o.interval,
-		BlockBudget: o.budget,
-		Seed:        o.seed,
-		Metrics:     o.metrics,
-	})
-}
-
-// mover constructs the migration mover over the opened ring, wired to
-// the membership hook so ring changes kick immediate rounds.
-func (o *healOpts) mover(p *store.Placed) (*mover.Mover, error) {
+	p, err := openPlaced(addrs, levels.Count(), o.replicas, o.tolerance, o.timeout, o.metrics)
+	if err != nil {
+		return nil, nil, err
+	}
 	m, err := mover.New(p, mover.Config{
-		Scheme:    o.scheme,
-		Levels:    o.levels,
-		Targets:   o.targets,
+		Scheme:    scheme,
+		Levels:    levels,
+		Targets:   targets,
 		Interval:  o.interval,
 		RateLimit: o.rate,
 		Seed:      o.seed,
 		Metrics:   o.metrics,
 	})
 	if err != nil {
-		return nil, err
+		p.Close()
+		return nil, nil, err
 	}
 	p.SetMembershipHook(m.Kick)
-	return m, nil
+	return p, m, nil
 }
 
-// migrateCmd diffs data placement against ring ownership and re-homes
-// displaced objects — one round by default, a background loop with
-// -watch. Old copies are reclaimed only after the new owners verify
-// against the provisioning targets.
-func migrateCmd(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("prlcd migrate", flag.ContinueOnError)
+// healCmd heals every object the fleet holds: it re-homes the objects
+// the ring displaced and refills those short on their owners, by
+// decode-free recombination — one round by default, bounded by 8x
+// -timeout, or with -watch the background loop until interrupted.
+// Stale copies are reclaimed only after the new owners verify against
+// the provisioning targets. Either way the last report is printed — a
+// failed round's too, since its partial work is what waits for the
+// next round.
+func healCmd(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("prlcd heal", flag.ContinueOnError)
 	var opts healOpts
 	opts.register(fs, "addrs", 5*time.Second)
-	opts.registerMover(fs)
-	watch := fs.Bool("watch", false, "keep migrating until interrupted")
+	watch := fs.Bool("watch", false, "keep healing until interrupted")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	placed, err := opts.open("migrate", opts.replicas)
+	placed, m, err := opts.healer("heal")
 	if err != nil {
 		return err
 	}
 	defer placed.Close()
-	m, err := opts.mover(placed)
-	if err != nil {
-		return err
-	}
-	return runOrWatch(out, "migrate", m.Loop, *watch, &opts, printMigrateReport)
-}
-
-func printMigrateReport(out io.Writer, rep mover.Report) {
-	if rep.Plan == nil {
-		fmt.Fprintln(out, "migrate: no round completed yet")
-		return
-	}
-	fmt.Fprintf(out, "migrate: %d objects displaced, %d migrated, %d failed\n",
-		len(rep.Plan.Objects), rep.Migrated, rep.Failed)
-	for _, op := range rep.Plan.Objects {
-		fmt.Fprintf(out, "  %s: %d stale holders (%s), critical level %d\n",
-			op.Object, len(op.Stale), strings.Join(op.Stale, ", "), op.Critical)
-	}
-	fmt.Fprintf(out, "migrate: regenerated %d + copied %d blocks (%d copies), collected %d bytes, placed %d bytes\n",
-		rep.Regenerated, rep.Copied, rep.Copies, rep.BytesCollected, rep.BytesPlaced)
-	fmt.Fprintf(out, "migrate: %d reclaim deletes removed %d stale blocks\n",
-		rep.DeletesIssued, rep.BlocksReclaimed)
-	if n := len(rep.SkippedLevels); n > 0 {
-		fmt.Fprintf(out, "migrate: %d level transfers skipped — no surviving blocks\n", n)
-	}
-	if len(rep.Plan.Unreachable) > 0 {
-		fmt.Fprintf(out, "migrate: unreachable during planning: %s\n", strings.Join(rep.Plan.Unreachable, ", "))
-	}
-}
-
-// repairCmd audits one object's owners against its provisioning targets
-// and regenerates missing redundancy by decode-free recombination — one
-// round by default, a background loop with -watch. With -object that is
-// a keyed object on its -replicas ring successors; without, object zero
-// (the key-less file) on all of -addrs.
-func repairCmd(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("prlcd repair", flag.ContinueOnError)
-	var opts healOpts
-	opts.register(fs, "addrs", 10*time.Second)
-	objectStr := fs.String("object", "", "object to repair: a name to hash or canonical obj-<16 hex> (empty = object zero, the key-less file, on every daemon)")
-	watch := fs.Bool("watch", false, "keep repairing until interrupted")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	obj, err := core.ParseObjectID(*objectStr)
-	if err != nil {
-		return fmt.Errorf("repair: -object: %w", err)
-	}
-	placed, err := opts.open("repair", ringWidth(obj, opts.replicas))
-	if err != nil {
-		return err
-	}
-	defer placed.Close()
-	d, err := opts.daemon(placed, obj)
-	if err != nil {
-		return err
-	}
-	return runOrWatch(out, "repair", d.Loop, *watch, &opts, printRepairReport)
-}
-
-// runOrWatch is the tail `prlcd repair` and `prlcd migrate` share: one
-// round by default, bounded by 8x -timeout, or with -watch the
-// background loop until interrupted; either way the last report is
-// printed — a failed round's too, since its partial work is what waits
-// for the next round.
-func runOrWatch[R any](out io.Writer, name string, l *repair.Loop[R], watch bool, opts *healOpts, print func(io.Writer, R)) error {
-	if !watch {
+	if !*watch {
 		ctx, cancel := context.WithTimeout(context.Background(), 8*opts.timeout)
 		defer cancel()
-		rep, err := l.RunOnce(ctx)
-		print(out, rep)
+		rep, err := m.RunOnce(ctx)
+		printHealReport(out, rep)
 		return err
 	}
-	l.Start()
-	fmt.Fprintf(out, "%s: watching %d daemons every %v (interrupt to stop)\n",
-		name, len(cliutil.SplitAddrs(opts.addrsStr)), opts.interval)
+	m.Start()
+	fmt.Fprintf(out, "heal: watching %d daemons every %v (interrupt to stop)\n",
+		len(placed.Members()), opts.interval)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	<-ctx.Done()
 	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := l.Stop(sctx); err != nil {
+	if err := m.Stop(sctx); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "%s: stopped after %d rounds\n", name, l.Rounds())
-	print(out, l.LastReport())
+	fmt.Fprintf(out, "heal: stopped after %d rounds\n", m.Rounds())
+	printHealReport(out, m.LastReport())
 	return nil
 }
 
-// stopLoop is the deferred shutdown of a serve-side repair or migration
-// loop: let the in-flight round finish, within 30 s.
-func stopLoop(out io.Writer, what string, l interface {
-	Stop(context.Context) error
-	Rounds() int
-}) {
-	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := l.Stop(sctx); err != nil {
-		fmt.Fprintf(out, "prlcd: %s stop: %v\n", what, err)
+// printHealReport renders one heal round: the plan, one line per planned
+// object with its owners' audit and any stale holders, then what the
+// round moved and reclaimed.
+func printHealReport(out io.Writer, rep mover.Report) {
+	if rep.Plan == nil {
+		fmt.Fprintln(out, "heal: no round completed yet")
 		return
 	}
-	fmt.Fprintf(out, "prlcd: %s stopped after %d rounds\n", what, l.Rounds())
-}
-
-func printRepairReport(out io.Writer, rep repair.Report) {
-	a := rep.Audit
-	if a == nil {
-		fmt.Fprintln(out, "repair: no round completed yet")
-		return
+	displaced := 0
+	for _, op := range rep.Plan.Objects {
+		if len(op.Stale) > 0 {
+			displaced++
+		}
 	}
-	fmt.Fprintf(out, "audit: %d/%d replicas reachable, total deficit %d copies\n",
-		a.Reachable, a.Reachable+a.Unreachable, a.TotalDeficit())
-	for _, lr := range a.Levels {
-		fmt.Fprintf(out, "  level %d: %d/%d copies (x%d replication), deficit %d\n",
-			lr.Level, lr.HaveCopies, lr.WantCopies, lr.Replicas, lr.Deficit)
+	fmt.Fprintf(out, "heal: %d objects planned (%d displaced, %d short), %d healed, %d failed\n",
+		len(rep.Plan.Objects), displaced, len(rep.Plan.Objects)-displaced, rep.Migrated, rep.Failed)
+	for _, op := range rep.Plan.Objects {
+		a := op.Audit
+		fmt.Fprintf(out, "  %s: critical level %d, %d/%d owners reachable, deficit %d copies",
+			op.Object, op.Critical, a.Reachable, a.Reachable+a.Unreachable, a.TotalDeficit())
+		if len(op.Stale) > 0 {
+			fmt.Fprintf(out, ", stale on %s", strings.Join(op.Stale, ", "))
+		}
+		fmt.Fprintln(out)
 	}
-	fmt.Fprintf(out, "repair: regenerated %d blocks (%d copies), collected %d bytes, placed %d bytes\n",
-		rep.Regenerated, rep.Copies, rep.BytesCollected, rep.BytesPlaced)
+	fmt.Fprintf(out, "heal: regenerated %d + copied %d blocks (%d copies), collected %d bytes, placed %d bytes\n",
+		rep.Regenerated, rep.Copied, rep.Copies, rep.BytesCollected, rep.BytesPlaced)
+	fmt.Fprintf(out, "heal: %d reclaim deletes removed %d stale blocks\n", rep.DeletesIssued, rep.BlocksReclaimed)
 	if len(rep.SkippedLevels) > 0 {
-		fmt.Fprintf(out, "repair: skipped levels %v — no usable survivors\n", rep.SkippedLevels)
+		fmt.Fprintf(out, "heal: skipped levels %v — no usable survivors\n", rep.SkippedLevels)
 	}
-	if rep.Truncated {
-		fmt.Fprintln(out, "repair: block budget exhausted; run again to continue")
+	if len(rep.Plan.Unreachable) > 0 {
+		fmt.Fprintf(out, "heal: unreachable during planning: %s\n", strings.Join(rep.Plan.Unreachable, ", "))
 	}
 }
 

@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -45,9 +47,9 @@ func TestUsageErrors(t *testing.T) {
 		{"store", "put", "-in", "x"},  // missing -addrs
 		{"store", "get", "-out", "x"}, // missing -addrs/-sizes
 		// Non-finite shares would apportion negative targets.
-		{"repair", "-addrs", "127.0.0.1:1", "-sizes", "6,14", "-dist", "nan,1", "-total", "10"},
-		{"repair", "-addrs", "127.0.0.1:1", "-sizes", "6,14", "-dist", "inf,1", "-total", "10"},
-		{"migrate", "-addrs", "127.0.0.1:1", "-sizes", "6,14", "-dist", "1,-inf", "-total", "10"},
+		{"heal", "-addrs", "127.0.0.1:1", "-sizes", "6,14", "-dist", "nan,1", "-total", "10"},
+		{"heal", "-addrs", "127.0.0.1:1", "-sizes", "6,14", "-dist", "inf,1", "-total", "10"},
+		{"heal", "-addrs", "127.0.0.1:1", "-sizes", "6,14", "-dist", "1,-inf", "-total", "10"},
 	} {
 		if err := run(args, &out); err == nil {
 			t.Errorf("run(%v) accepted bad usage", args)
@@ -366,55 +368,20 @@ func TestKeyedPutGetAndRing(t *testing.T) {
 	}
 }
 
-// TestMigrateCLI grows a fleet under keyed data: objects are stored
-// while only two daemons exist, two more join the ring, and `prlcd
-// migrate` re-homes whatever the wider ring placed elsewhere. Old
-// holders are wiped, a follow-up round finds nothing displaced, and
-// every file still recovers bit-exactly through the full fleet.
 // growNames returns n object names of which at least one changes
 // owners when the ring grows from the first narrow daemons to all of
 // them. Placement is pure ring math over the fleet's random ports, so
-// two scratch rings predict it without storing anything.
+// scratch rings predict it without storing anything.
 func growNames(t *testing.T, addrs []string, narrow, n int) []string {
 	t.Helper()
-	ring := func(addrs []string) *store.Placed {
-		clients := make([]*store.Client, len(addrs))
-		for i, addr := range addrs {
-			cl, err := store.NewClient(store.ClientConfig{Addr: addr})
-			if err != nil {
-				t.Fatal(err)
-			}
-			clients[i] = cl
-		}
-		p, err := store.NewPlaced(clients, 2, store.PlacedConfig{Replication: 2, Tolerance: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	before, after := ring(addrs[:narrow]), ring(addrs)
-	defer before.Close()
-	defer after.Close()
-
 	var movers, stayers []string
 	for i := 0; len(movers)+len(stayers) < 4*n && len(movers) < n; i++ {
 		name := "grow-" + string(rune('a'+i%26)) + strings.Repeat("z", i/26)
 		obj := core.NamedObject(name)
-		pre, err := before.ReplicasForObject(obj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		post, err := after.ReplicasForObject(obj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		postSet := map[string]bool{}
-		for _, a := range post {
-			postSet[a] = true
-		}
+		post := ownersOn(t, addrs, 2, obj)
 		moves := false
-		for _, a := range pre {
-			if !postSet[a] {
+		for _, a := range ownersOn(t, addrs[:narrow], 2, obj) {
+			if !slices.Contains(post, a) {
 				moves = true
 				break
 			}
@@ -432,6 +399,11 @@ func growNames(t *testing.T, addrs []string, narrow, n int) []string {
 	return names[:n]
 }
 
+// TestMigrateCLI grows a fleet under keyed data: objects are stored
+// while only two daemons exist, two more join the ring, and `prlcd
+// heal` re-homes whatever the wider ring placed elsewhere. Old holders
+// are wiped, a follow-up round finds nothing to do, and every file
+// still recovers bit-exactly through the full fleet.
 func TestMigrateCLI(t *testing.T) {
 	addrs := startDaemons(t, 4)
 	oldList := strings.Join(addrs[:2], ",")
@@ -458,35 +430,24 @@ func TestMigrateCLI(t *testing.T) {
 		}
 	}
 
+	heal := []string{"heal", "-addrs", fullList, "-replicas", "2", "-scheme", "plc", "-sizes", "6,14", "-total", "40"}
 	var out bytes.Buffer
-	err := run([]string{
-		"migrate", "-addrs", fullList, "-replicas", "2",
-		"-scheme", "plc", "-sizes", "6,14", "-total", "40",
-	}, &out)
-	if err != nil {
-		t.Fatalf("migrate: %v\n%s", err, out.String())
-	}
-	s := out.String()
-	if !strings.Contains(s, "objects displaced") || strings.Contains(s, "failed\n") && !strings.Contains(s, "0 failed") {
-		t.Fatalf("migrate report: %q", s)
+	if err := run(heal, &out); err != nil {
+		t.Fatalf("heal: %v\n%s", err, out.String())
 	}
 	// At least one name was picked to change owners, so a report of
 	// zero displacement means the ring diff is broken.
-	if strings.Contains(s, "0 objects displaced") {
-		t.Fatalf("no object displaced across the grown ring: %q", s)
+	if s := out.String(); !strings.Contains(s, " 0 failed") || strings.Contains(s, "(0 displaced") {
+		t.Fatalf("heal report: %q", s)
 	}
 
 	// A second round finds placement and data in agreement.
 	out.Reset()
-	err = run([]string{
-		"migrate", "-addrs", fullList, "-replicas", "2",
-		"-scheme", "plc", "-sizes", "6,14", "-total", "40",
-	}, &out)
-	if err != nil {
-		t.Fatalf("idempotent migrate: %v\n%s", err, out.String())
+	if err := run(heal, &out); err != nil {
+		t.Fatalf("idempotent heal: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "0 objects displaced") {
-		t.Fatalf("second migrate round still found work: %q", out.String())
+	if !strings.Contains(out.String(), "heal: 0 objects planned") {
+		t.Fatalf("second heal round still found work: %q", out.String())
 	}
 
 	// Every file recovers bit-exactly through the full fleet.
@@ -634,16 +595,136 @@ func wipeDaemon(t *testing.T, addr string) {
 	}
 }
 
+// ownersOn returns obj's owners on a ring of addrs, each object on
+// replicas successors: pure ring math, nothing stored.
+func ownersOn(t *testing.T, addrs []string, replicas int, obj core.ObjectID) []string {
+	t.Helper()
+	clients := make([]*store.Client, len(addrs))
+	for i, addr := range addrs {
+		cl, err := store.NewClient(store.ClientConfig{Addr: addr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = cl
+	}
+	p, err := store.NewPlaced(clients, 2, store.PlacedConfig{Replication: replicas, Tolerance: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	owners, err := p.ReplicasForObject(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return owners
+}
+
+// TestHealCLI is `make repair-demo` and `make migrate-demo` in one
+// round: a key-less file and a keyed object go onto three daemons, a
+// fourth widens the ring so that exactly one of them is displaced, one
+// owner both keep is wiped, and a single `prlcd heal` round over all
+// four re-homes the displaced object and refills the other. The stale
+// holder then shuts down, and both read back bit-exactly — the refilled
+// and re-homed copies carry the data.
+func TestHealCLI(t *testing.T) {
+	addrs := startDaemons(t, 4)
+	oldList, fullList := strings.Join(addrs[:3], ","), strings.Join(addrs, ",")
+	joiner := addrs[3]
+
+	// Object zero's place on the wider ring is fixed by the random ports;
+	// pick a keyed name whose fate is the other one.
+	zeroOwners := ownersOn(t, addrs, 3, core.ZeroObject)
+	zeroMoves := slices.Contains(zeroOwners, joiner)
+	name := ""
+	var keyedOwners []string
+	for i := 0; name == "" && i < 1000; i++ {
+		cand := fmt.Sprintf("heal-%d", i)
+		if keyedOwners = ownersOn(t, addrs, 3, core.NamedObject(cand)); slices.Contains(keyedOwners, joiner) != zeroMoves {
+			name = cand
+		}
+	}
+	if name == "" {
+		t.Fatal("no object name with the other placement on the wider ring")
+	}
+	displacedOwners := keyedOwners
+	if zeroMoves {
+		displacedOwners = zeroOwners
+	}
+	// The stale holder is the original node the displaced object leaves;
+	// the wiped node is an original owner both objects keep.
+	var stale, wiped string
+	for _, a := range addrs[:3] {
+		if !slices.Contains(displacedOwners, a) {
+			stale = a
+		} else if wiped == "" {
+			wiped = a
+		}
+	}
+
+	dir := t.TempDir()
+	type file struct {
+		data []byte
+		obj  []string // the -object flags put and get share
+	}
+	files := []file{{}, {obj: []string{"-object", name}}}
+	for i := range files {
+		in, data := writeRandomFile(t, dir, fmt.Sprintf("in%d.bin", i), 8192, int64(51+i))
+		files[i].data = data
+		var out bytes.Buffer
+		put := append([]string{
+			"store", "put", "-addrs", oldList, "-in", in, "-blocks", "50", "-coded", "80",
+			"-levels", "0.1,0.9", "-dist", "0.2,0.8", "-scheme", "plc",
+		}, files[i].obj...)
+		if err := run(put, &out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wipeDaemon(t, wiped)
+
+	var out bytes.Buffer
+	heal := []string{"heal", "-addrs", fullList, "-scheme", "plc", "-sizes", "5,45", "-dist", "0.2,0.8", "-total", "80"}
+	if err := run(heal, &out); err != nil {
+		t.Fatalf("heal: %v\n%s", err, out.String())
+	}
+	s := out.String()
+	if !strings.Contains(s, "heal: 2 objects planned (1 displaced, 1 short), 2 healed, 0 failed") ||
+		!strings.Contains(s, "stale on "+stale) || !strings.Contains(s, "heal: 1 reclaim deletes") {
+		t.Fatalf("heal report: %q", s)
+	}
+
+	if err := run([]string{"store", "shutdown", "-addr", stale}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range files {
+		rec := filepath.Join(dir, fmt.Sprintf("rec%d.bin", i))
+		out.Reset()
+		get := append([]string{
+			"store", "get", "-addrs", fullList, "-out", rec,
+			"-scheme", "plc", "-sizes", "5,45", "-size", "8192",
+		}, f.obj...)
+		if err := run(get, &out); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, f.data) {
+			t.Fatalf("object %v: recovered %d bytes differ from input after heal (output: %q)", f.obj, len(got), out.String())
+		}
+	}
+}
+
 // TestRepairCLI is `make repair-demo` as a test, for the key-less file
 // on the whole fleet and for a keyed object on its ring shard: put,
-// wipe one owner, one `prlcd repair` round, take an *original* owner
-// away, and the file decodes bit-exactly from the repaired owner plus
-// the last survivor.
+// wipe one owner, one `prlcd heal` round refills it, take an *original*
+// owner away, and the file decodes bit-exactly from the refilled owner
+// plus the last survivor.
 func TestRepairCLI(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		daemons int
-		keyed   []string // the -object/-replicas flags put, repair and get share
+		keyed   []string // the -object/-replicas flags put and get share
 	}{
 		{name: "keyless", daemons: 3},
 		{name: "keyed", daemons: 4, keyed: []string{"-object", "repair-me", "-replicas", "3"}},
@@ -678,18 +759,19 @@ func TestRepairCLI(t *testing.T) {
 			wipeDaemon(t, owners[1])
 
 			out.Reset()
-			repair := append([]string{
-				"repair", "-addrs", addrList, "-scheme", "plc", "-sizes", "5,45",
-				"-dist", "0.2,0.8", "-total", "80", "-budget", "128",
-			}, tc.keyed...)
-			if err := run(repair, &out); err != nil {
-				t.Fatalf("repair: %v\n%s", err, out.String())
+			heal := []string{
+				"heal", "-addrs", addrList, "-scheme", "plc", "-sizes", "5,45",
+				"-dist", "0.2,0.8", "-total", "80", "-replicas", "3",
 			}
-			if s := out.String(); !strings.Contains(s, "3/3 replicas reachable") || strings.Contains(s, "regenerated 0 blocks") {
-				t.Fatalf("repair report: %q", s)
+			if err := run(heal, &out); err != nil {
+				t.Fatalf("heal: %v\n%s", err, out.String())
+			}
+			if s := out.String(); !strings.Contains(s, "heal: 1 objects planned (0 displaced, 1 short), 1 healed, 0 failed") ||
+				!strings.Contains(s, "3/3 owners reachable") || strings.Contains(s, "regenerated 0 + copied 0 blocks") {
+				t.Fatalf("heal report: %q", s)
 			}
 
-			// An original owner goes away; the repaired one carries its share.
+			// An original owner goes away; the refilled one carries its share.
 			if err := run([]string{"store", "shutdown", "-addr", owners[0]}, &out); err != nil {
 				t.Fatal(err)
 			}
@@ -707,17 +789,17 @@ func TestRepairCLI(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, data) {
-				t.Fatalf("recovered %d bytes differ from input after repair (output: %q)", len(got), out.String())
+				t.Fatalf("recovered %d bytes differ from input after heal (output: %q)", len(got), out.String())
 			}
 		})
 	}
 }
 
-// TestRepairCLIPrintsFailedRound checks that a one-shot round that
-// fails still prints its report — the audit and partial work an
-// operator needs, since the failure waits for the next round — before
-// returning the error.
-func TestRepairCLIPrintsFailedRound(t *testing.T) {
+// TestHealCLIPrintsFailedRound checks that a one-shot round over a fleet
+// where no daemon answers fails, and still prints its report — the
+// plan and the unreachable members an operator needs, since the failure
+// waits for the next round — before returning the error.
+func TestHealCLIPrintsFailedRound(t *testing.T) {
 	// Two addresses nothing listens on: every stat is refused at once.
 	dark := make([]string, 2)
 	for i := range dark {
@@ -729,11 +811,17 @@ func TestRepairCLIPrintsFailedRound(t *testing.T) {
 		ln.Close()
 	}
 	var out bytes.Buffer
-	err := run([]string{"repair", "-addrs", strings.Join(dark, ","), "-sizes", "6,14", "-total", "40", "-timeout", "500ms"}, &out)
+	err := run([]string{"heal", "-addrs", strings.Join(dark, ","), "-sizes", "6,14", "-total", "40", "-timeout", "500ms"}, &out)
 	if err == nil {
-		t.Fatalf("repair of a dark fleet succeeded:\n%s", out.String())
+		t.Fatalf("heal of a dark fleet succeeded:\n%s", out.String())
 	}
-	if s := out.String(); !strings.Contains(s, "audit: 0/2 replicas reachable") || !strings.Contains(s, "level 0: 0/") {
+	s := out.String()
+	if !strings.Contains(s, "heal: 0 objects planned") || !strings.Contains(s, "unreachable during planning") {
 		t.Fatalf("failed round printed no report: %q (err %v)", s, err)
+	}
+	for _, a := range dark {
+		if !strings.Contains(s, a) {
+			t.Fatalf("report does not name unreachable %s: %q", a, s)
+		}
 	}
 }

@@ -210,11 +210,8 @@ func applyOverrides(sc *loadgen.Scenario, duration time.Duration, seed int64) {
 				sc.Faults[i].For = loadgen.Duration(float64(sc.Faults[i].For.D()) * scale)
 			}
 		}
-		if sc.RepairInterval > 0 {
-			sc.RepairInterval = loadgen.Duration(float64(sc.RepairInterval.D()) * scale)
-		}
-		if sc.MigrateInterval > 0 {
-			sc.MigrateInterval = loadgen.Duration(float64(sc.MigrateInterval.D()) * scale)
+		if sc.HealInterval > 0 {
+			sc.HealInterval = loadgen.Duration(float64(sc.HealInterval.D()) * scale)
 		}
 	}
 	if seed != 0 {

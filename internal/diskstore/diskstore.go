@@ -87,9 +87,6 @@ type Options struct {
 	// time is older than this are deleted, blocks included. 0 keeps
 	// everything forever.
 	Retention time.Duration
-	// RetentionCheck is how often the retention window is enforced.
-	// Default 1 minute (only consulted when Retention > 0).
-	RetentionCheck time.Duration
 	// MaxBlocks caps the stored inventory (0 = unbounded); puts beyond
 	// it are rejected with store.ErrStoreFull.
 	MaxBlocks int
@@ -107,9 +104,6 @@ type Options struct {
 func (o *Options) fillDefaults() {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 20
-	}
-	if o.RetentionCheck <= 0 {
-		o.RetentionCheck = time.Minute
 	}
 	if o.CacheBytes == 0 {
 		o.CacheBytes = 16 << 20

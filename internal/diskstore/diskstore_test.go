@@ -277,10 +277,9 @@ func TestRetentionExpiresSealedSegments(t *testing.T) {
 	s := openTest(t, dir, Options{
 		SegmentBytes: 1 << 10,
 		Retention:    50 * time.Millisecond,
-		// A long check interval: the test drives enforcement directly so
-		// it stays deterministic.
-		RetentionCheck: time.Hour,
-		Metrics:        reg,
+		// The test drives enforcement directly, well inside the loop's
+		// one-minute tick, so it stays deterministic.
+		Metrics: reg,
 	})
 	_, _, wires, lvls := testBlocks(t, 96)
 	putAll(t, s, wires, lvls)
@@ -342,8 +341,7 @@ func TestRetentionExpiresSealedSegments(t *testing.T) {
 func TestRetentionRotatesAgedActiveSegment(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Options{
-		Retention:      50 * time.Millisecond,
-		RetentionCheck: time.Hour,
+		Retention: 50 * time.Millisecond,
 	})
 	_, _, wires, lvls := testBlocks(t, 4)
 	putAll(t, s, wires, lvls)
@@ -513,10 +511,9 @@ func TestSegmentFilesReplayableWithCoreUnmarshal(t *testing.T) {
 // fails — expired blocks simply drop out of the result.
 func TestGetDuringRetention(t *testing.T) {
 	s := openTest(t, t.TempDir(), Options{
-		SegmentBytes:   2 << 10,
-		Retention:      time.Millisecond,
-		RetentionCheck: time.Hour,
-		CacheBytes:     -1, // force disk reads so the race is real
+		SegmentBytes: 2 << 10,
+		Retention:    time.Millisecond,
+		CacheBytes:   -1, // force disk reads so the race is real
 	})
 	_, _, wires, lvls := testBlocks(t, 48)
 	putAll(t, s, wires, lvls)

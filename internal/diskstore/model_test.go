@@ -22,11 +22,10 @@ func TestStoreMatchesScanModel(t *testing.T) {
 	const levels = 3
 	objs := []core.ObjectID{core.ZeroObject, 7, 8, core.NamedObject("model/a"), core.NamedObject("model/b")}
 	opts := Options{
-		Fsync:          FsyncNone,
-		Retention:      time.Millisecond,
-		RetentionCheck: time.Hour, // the test drives enforcement itself
-		CacheBytes:     1 << 10,   // small enough to evict, so reads hit the files too
-		Logf:           quiet,
+		Fsync:      FsyncNone,
+		Retention:  time.Millisecond,
+		CacheBytes: 1 << 10, // small enough to evict, so reads hit the files too
+		Logf:       quiet,
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -29,10 +29,9 @@ func fakeWire(rng *rand.Rand, level, size int) []byte {
 func TestConcurrentPutGetRotateRetention(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Options{
-		SegmentBytes:   8 << 10,
-		Retention:      30 * time.Millisecond,
-		RetentionCheck: 10 * time.Millisecond,
-		CacheBytes:     4 << 10, // small enough to force evictions
+		SegmentBytes: 8 << 10,
+		Retention:    30 * time.Millisecond,
+		CacheBytes:   4 << 10, // small enough to force evictions
 	})
 
 	const (
@@ -83,14 +82,18 @@ func TestConcurrentPutGetRotateRetention(t *testing.T) {
 			}
 		}
 	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < sweeps; i++ {
-			s.enforceRetention(time.Now())
-			time.Sleep(time.Millisecond)
-		}
-	}()
+	// Two sweepers: enforcement racing enforcement, as the store's own
+	// loop racing a second one would.
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < sweeps; i++ {
+				s.enforceRetention(time.Now())
+				time.Sleep(time.Millisecond)
+			}
+		}()
+	}
 	wg.Wait()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

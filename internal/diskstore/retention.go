@@ -13,10 +13,15 @@ import (
 // window while still unfilled, the loop asks the writer to rotate it
 // so its blocks become deletable on a later tick.
 
-// retentionLoop enforces the rolling window every RetentionCheck.
+// retentionCheck is how often the loop enforces the window (only when
+// Options.Retention > 0): a window is hours or days, so a minute's lag
+// in expiring a segment is noise.
+const retentionCheck = time.Minute
+
+// retentionLoop enforces the rolling window every retentionCheck.
 func (s *Store) retentionLoop() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.opts.RetentionCheck)
+	t := time.NewTicker(retentionCheck)
 	defer t.Stop()
 	for {
 		select {

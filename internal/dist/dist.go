@@ -54,53 +54,6 @@ func BinomialPMF(n, k int, p float64) float64 {
 	return math.Exp(LogBinomialPMF(n, k, p))
 }
 
-// BinomialCDF returns Pr(X <= k) for X ~ Binomial(n, p).
-func BinomialCDF(n, k int, p float64) float64 {
-	if k < 0 {
-		return 0
-	}
-	if k >= n {
-		return 1
-	}
-	sum := 0.0
-	for i := 0; i <= k; i++ {
-		sum += BinomialPMF(n, i, p)
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
-}
-
-// BinomialPMFRow returns the full PMF vector [Pr(X=0) ... Pr(X=n)] for
-// X ~ Binomial(n, p), computed with a multiplicative recurrence that is both
-// fast and numerically stable for the n (~2000) used by the analysis.
-func BinomialPMFRow(n int, p float64) []float64 {
-	row := make([]float64, n+1)
-	if p <= 0 {
-		row[0] = 1
-		return row
-	}
-	if p >= 1 {
-		row[n] = 1
-		return row
-	}
-	// Start at the mode in log space to avoid underflow for large n.
-	mode := int(float64(n+1) * p)
-	if mode > n {
-		mode = n
-	}
-	row[mode] = math.Exp(LogBinomialPMF(n, mode, p))
-	ratio := p / (1 - p)
-	for k := mode + 1; k <= n; k++ {
-		row[k] = row[k-1] * ratio * float64(n-k+1) / float64(k)
-	}
-	for k := mode - 1; k >= 0; k-- {
-		row[k] = row[k+1] / ratio * float64(k+1) / float64(n-k)
-	}
-	return row
-}
-
 // Simplex validates that p is a probability vector: finite,
 // nonnegative entries summing to 1 within tol.
 func Simplex(p []float64, tol float64) error {

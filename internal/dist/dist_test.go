@@ -54,38 +54,6 @@ func TestBinomialPMFSumsToOne(t *testing.T) {
 	}
 }
 
-func TestBinomialPMFRowMatchesPMF(t *testing.T) {
-	for _, tc := range []struct {
-		n int
-		p float64
-	}{{1, 0.5}, {10, 0.3}, {200, 0.05}, {2000, 0.5}, {50, 0}, {50, 1}} {
-		row := BinomialPMFRow(tc.n, tc.p)
-		if len(row) != tc.n+1 {
-			t.Fatalf("row length %d, want %d", len(row), tc.n+1)
-		}
-		for k := 0; k <= tc.n; k++ {
-			want := BinomialPMF(tc.n, k, tc.p)
-			if !almostEqual(row[k], want, 1e-9*(1+want)) {
-				t.Errorf("n=%d p=%g k=%d: row %g, pmf %g", tc.n, tc.p, k, row[k], want)
-			}
-		}
-	}
-}
-
-func TestBinomialCDF(t *testing.T) {
-	if got := BinomialCDF(10, -1, 0.5); got != 0 {
-		t.Errorf("CDF(k=-1) = %g, want 0", got)
-	}
-	if got := BinomialCDF(10, 10, 0.5); got != 1 {
-		t.Errorf("CDF(k=n) = %g, want 1", got)
-	}
-	// Symmetry at p = 0.5: Pr(X <= 4) + Pr(X <= 5) = 1 for n = 10.
-	got := BinomialCDF(10, 4, 0.5) + BinomialCDF(10, 5, 0.5)
-	if !almostEqual(got, 1, 1e-9) {
-		t.Errorf("symmetry check = %g, want 1", got)
-	}
-}
-
 func TestSimplex(t *testing.T) {
 	if err := Simplex([]float64{0.2, 0.3, 0.5}, 1e-9); err != nil {
 		t.Errorf("valid simplex rejected: %v", err)
@@ -300,11 +268,5 @@ func BenchmarkCategoricalDraw(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Draw(rng)
-	}
-}
-
-func BenchmarkBinomialPMFRow2000(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		BinomialPMFRow(2000, 0.37)
 	}
 }

@@ -32,16 +32,16 @@ type ScrapeCheck struct {
 	Detail       string
 }
 
-// MigrationCheck summarizes the mover's work during a run with a
-// placement ring: how often it woke, what it re-homed, and what it
-// reclaimed from stale holders. Counts come from the mover's own
-// metrics, so they cover every round of the run.
-type MigrationCheck struct {
+// HealCheck summarizes the healer's work during a run: how often it
+// woke, what it refilled and re-homed, and what it reclaimed from stale
+// holders. Counts come from the mover's own metrics, so they cover
+// every round of the run.
+type HealCheck struct {
 	Rounds            int
 	RoundErrors       float64
 	Kicks             float64
 	ObjectsPlanned    float64
-	ObjectsMigrated   float64
+	ObjectsHealed     float64
 	ObjectErrors      float64
 	BlocksRegenerated float64
 	BlocksCopied      float64
@@ -61,7 +61,7 @@ type Report struct {
 	OpsOK           int
 	ClientErrors    int
 	OverloadDropped int
-	Migration       *MigrationCheck
+	Heal            *HealCheck
 	Decode          DecodeCheck
 	ScheduleHash    string
 	Faults          []FaultRecord
@@ -110,9 +110,9 @@ func (r *Report) Text() string {
 			b.WriteString(line + "\n")
 		}
 	}
-	if m := r.Migration; m != nil {
-		fmt.Fprintf(&b, "  migration: %d rounds, %g kicks, %g/%g objects migrated (%g errors), %g regenerated + %g copied blocks, %g stale blocks reclaimed via %g deletes\n",
-			m.Rounds, m.Kicks, m.ObjectsMigrated, m.ObjectsPlanned, m.ObjectErrors,
+	if m := r.Heal; m != nil {
+		fmt.Fprintf(&b, "  heal: %d rounds, %g kicks, %g/%g objects healed (%g errors), %g regenerated + %g copied blocks, %g stale blocks reclaimed via %g deletes\n",
+			m.Rounds, m.Kicks, m.ObjectsHealed, m.ObjectsPlanned, m.ObjectErrors,
 			m.BlocksRegenerated, m.BlocksCopied, m.BlocksReclaimed, m.DeletesIssued)
 	}
 	decode := "bit-exact"

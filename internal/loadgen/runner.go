@@ -13,7 +13,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/metrics"
 	"repro/internal/mover"
-	"repro/internal/repair"
 	"repro/internal/store"
 )
 
@@ -143,33 +142,18 @@ func Run(ctx context.Context, fleet Fleet, sc Scenario, logf func(format string,
 	if err != nil {
 		return nil, err
 	}
-	var repairer *repair.Daemon
-	if sc.Repair {
-		repairer, err = repair.NewObject(placed, objs[0], repair.Config{
-			Scheme:   core.PLC,
-			Levels:   levels,
-			Targets:  targets,
-			Interval: sc.RepairInterval.D(),
-			Seed:     sc.Seed,
-			Metrics:  clientReg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		repairer.Start()
-	}
-
-	// Migration: the mover re-homes blocks whenever the ring grows,
-	// kicked synchronously by every membership change and throttled so
-	// it cannot starve the foreground traffic it shares clients with.
+	// Healing: the mover re-homes blocks whenever the ring changes and
+	// refills every object short on its owners, kicked synchronously by
+	// every membership change and throttled so it cannot starve the
+	// foreground traffic it shares clients with.
 	var mv *mover.Mover
-	if sc.Migrate {
+	if sc.Heal {
 		mv, err = mover.New(placed, mover.Config{
 			Scheme:    core.PLC,
 			Levels:    levels,
 			Targets:   targets,
-			Interval:  sc.MigrateInterval.D(),
-			RateLimit: sc.MigrateRateBytes,
+			Interval:  sc.HealInterval.D(),
+			RateLimit: sc.HealRateBytes,
 			Seed:      sc.Seed,
 			Metrics:   clientReg,
 		})
@@ -200,11 +184,6 @@ func Run(ctx context.Context, fleet Fleet, sc Scenario, logf func(format string,
 	// no-leaked-goroutines barrier).
 	stopChaos()
 	recs := <-recsCh
-	if repairer != nil {
-		stopCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		repairer.Stop(stopCtx)
-		cancel()
-	}
 	if mv != nil {
 		stopCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		if err := mv.Stop(stopCtx); err != nil {
@@ -233,7 +212,7 @@ func Run(ctx context.Context, fleet Fleet, sc Scenario, logf func(format string,
 	}
 	rep.OpsOK = rep.OpsRun - rep.ClientErrors
 	if mv != nil {
-		rep.Migration = migrationCheck(mv.Rounds(), clientReg)
+		rep.Heal = healCheck(mv.Rounds(), clientReg)
 	}
 	rep.Decode = decodeCheck(ctx, placed, objs, levels, sources, sc.Seed, sc.PayloadBytes)
 	rep.Scrape = scrapeCheck(ctx, fleet, clientReg, rep.OpsOK, schedule)
@@ -291,18 +270,18 @@ func spotCheck(ctx context.Context, placed *store.Placed, obj core.ObjectID, lev
 	return len(blocks), nil
 }
 
-// migrationCheck folds the mover's cumulative counters out of the
+// healCheck folds the mover's cumulative counters out of the
 // shared client registry into the report — the registry is the only
 // place per-round reports accumulate across the whole run.
-func migrationCheck(rounds int, reg *metrics.Registry) *MigrationCheck {
+func healCheck(rounds int, reg *metrics.Registry) *HealCheck {
 	snap := reg.Snapshot()
 	count := func(name string) float64 { return float64(snap.CounterTotal(name)) }
-	return &MigrationCheck{
+	return &HealCheck{
 		Rounds:            rounds,
 		RoundErrors:       count("mover_round_errors_total"),
 		Kicks:             count("mover_kicks_total"),
 		ObjectsPlanned:    count("mover_objects_planned_total"),
-		ObjectsMigrated:   count("mover_objects_migrated_total"),
+		ObjectsHealed:     count("mover_objects_migrated_total"),
 		ObjectErrors:      count("mover_object_errors_total"),
 		BlocksRegenerated: count("mover_blocks_regenerated_total"),
 		BlocksCopied:      count("mover_blocks_copied_total"),

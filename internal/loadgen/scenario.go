@@ -124,22 +124,18 @@ type Scenario struct {
 	// Replication is the ring's successor-list size R. 0 = the whole
 	// founding ring: every object on every node, the flat fleet.
 	Replication int `json:"replication,omitempty"`
-	// Migrate runs the migration mover over the ring for the whole run,
-	// kicked by every membership change — the grow-fleet shape.
-	Migrate bool `json:"migrate,omitempty"`
-	// MigrateInterval overrides the mover's round interval.
-	MigrateInterval Duration `json:"migrate_interval,omitempty"`
-	// MigrateRateBytes caps the mover's transfer bandwidth in bytes/sec
-	// so migration cannot starve foreground traffic; 0 = unthrottled.
-	MigrateRateBytes int64 `json:"migrate_rate_bytes,omitempty"`
+	// Heal runs the fleet's healer (the mover) over the ring for the
+	// whole run, kicked by every membership change: it re-homes
+	// displaced objects and refills every object short on its owners,
+	// never decoding — the repair-under-load and grow-fleet shape.
+	Heal bool `json:"heal,omitempty"`
+	// HealInterval overrides the healer's round interval.
+	HealInterval Duration `json:"heal_interval,omitempty"`
+	// HealRateBytes caps the healer's transfer bandwidth in bytes/sec so
+	// healing cannot starve foreground traffic; 0 = unthrottled.
+	HealRateBytes int64 `json:"heal_rate_bytes,omitempty"`
 	// Faults is the chaos schedule (see FaultSpec).
 	Faults []FaultSpec `json:"faults,omitempty"`
-	// Repair runs a decode-free repair daemon over object 0 for the
-	// whole run — the repair-under-load shape. The other objects pass
-	// the decode gate on replication alone.
-	Repair bool `json:"repair,omitempty"`
-	// RepairInterval overrides the repair daemon's round interval.
-	RepairInterval Duration `json:"repair_interval,omitempty"`
 	// ExpectZeroErrors marks scenarios whose SLO includes "no
 	// client-visible errors" (churn-storm); runners can gate on it.
 	ExpectZeroErrors bool `json:"expect_zero_errors,omitempty"`
@@ -172,8 +168,8 @@ func (s *Scenario) Validate() error {
 		return fmt.Errorf("loadgen: scenario %s: tolerance must be >= 0", s.Name)
 	case s.Spares < 0 || s.Replication < 0:
 		return fmt.Errorf("loadgen: scenario %s: spares and replication must be >= 0", s.Name)
-	case s.MigrateRateBytes < 0:
-		return fmt.Errorf("loadgen: scenario %s: migrate_rate_bytes must be >= 0", s.Name)
+	case s.HealRateBytes < 0:
+		return fmt.Errorf("loadgen: scenario %s: heal_rate_bytes must be >= 0", s.Name)
 	}
 	if len(s.LevelWeights) > 0 && len(s.LevelWeights) != len(s.LevelFractions) {
 		return fmt.Errorf("loadgen: scenario %s: %d level_weights for %d levels",
@@ -274,9 +270,9 @@ func Builtins() []Scenario {
 	repairUL := base
 	repairUL.Name = "repair-under-load"
 	repairUL.Seed = 4
-	repairUL.Description = "a daemon dies for good and a corruption window opens while a repair daemon regenerates redundancy mid-traffic"
-	repairUL.Repair = true
-	repairUL.RepairInterval = Duration(1 * time.Second)
+	repairUL.Description = "a daemon dies for good and a corruption window opens while the healer regenerates redundancy mid-traffic"
+	repairUL.Heal = true
+	repairUL.HealInterval = Duration(1 * time.Second)
 	repairUL.Faults = []FaultSpec{
 		{At: Duration(2 * time.Second), Kind: "kill", Node: -1}, // never restarted
 		{At: Duration(4 * time.Second), Kind: "corrupt", Node: -1, For: Duration(2 * time.Second), Prob: 0.02},
@@ -289,9 +285,9 @@ func Builtins() []Scenario {
 	grow.Objects = 10 // enough that some objects land on the new node with near-certainty
 	grow.Spares = 1
 	grow.Replication = 2
-	grow.Migrate = true
-	grow.MigrateInterval = Duration(500 * time.Millisecond)
-	grow.MigrateRateBytes = 8 << 20
+	grow.Heal = true
+	grow.HealInterval = Duration(500 * time.Millisecond)
+	grow.HealRateBytes = 8 << 20
 	grow.ExpectZeroErrors = true
 	grow.Faults = []FaultSpec{
 		{At: Duration(3 * time.Second), Kind: "join", Node: -1},

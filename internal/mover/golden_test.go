@@ -16,12 +16,16 @@ import (
 )
 
 // goldenMoverInventory is the SHA-256 over every node's sorted wire
-// inventory after the seeded join + migration below, recorded at the
-// commit before repair and mover were folded onto one loop and one
-// fill, and re-recorded once when encoded dense blocks began to draw
-// their coefficients from a per-block seed (v5 frames): same draws, same
-// order, same blocks placed across commits.
-const goldenMoverInventory = "5edb0d98845e0cc87dd553c7b79750dd23ce36b8ef8f6b07193bea688abd1c16"
+// inventory after the seeded join + heal below, recorded at the commit
+// before repair and mover were folded onto one loop and one fill,
+// re-recorded once when encoded dense blocks began to draw their
+// coefficients from a per-block seed (v5 frames), and once when the
+// mover began planning owner-short objects: golden-0, -7 and -9 are
+// displaced by the join and heal as before, and the other nine, short
+// of the apportioned targets by their random level draws, are now
+// refilled in the same round. Same draws, same order, same blocks
+// placed across commits.
+const goldenMoverInventory = "c61b7a16c0f9da5935d0e4ec2a3d71de111b54a5079f3c42fd414e149ccef8b8"
 
 // nodeInventory reads one node's every block, one object at a time: a
 // read names one object, so the whole inventory is a walk over the
@@ -55,9 +59,9 @@ func (d namedDialer) DialContext(ctx context.Context, network, addr string) (net
 	return (&net.Dialer{}).DialContext(ctx, network, real)
 }
 
-// TestGoldenMoverInventory pins what a seeded migration places: three
-// named nodes carry twelve objects, a fourth joins, RunOnce until the
-// plan is empty, hash every node.
+// TestGoldenMoverInventory pins what a seeded heal places: three named
+// nodes carry twelve objects, a fourth joins, RunOnce until the plan is
+// empty, hash every node.
 func TestGoldenMoverInventory(t *testing.T) {
 	ctx := context.Background()
 	const nodes, objects, blocksPerObject = 4, 12, 24

@@ -1,34 +1,39 @@
-// Package mover re-homes coded blocks when ring membership changes.
+// Package mover is the fleet's one healer: it re-homes coded blocks
+// when ring membership changes and refills owners that lost copies.
 //
 // Consistent hashing tells every node where an object lives *now*; it
 // says nothing about moving the blocks that landed under an older
-// membership. After a join, the new successor owns an object it holds
-// zero blocks of — reads still work only as long as the displaced
-// nodes stay up, which is exactly the assumption churn breaks. The
-// mover closes that gap: it diffs data placement against ring
-// ownership and migrates until they agree.
+// membership, nor about the copies a wiped or replaced owner lost.
+// After a join, the new successor owns an object it holds zero blocks
+// of — reads still work only as long as the displaced nodes stay up,
+// which is exactly the assumption churn breaks. The mover closes both
+// gaps: it diffs data placement against ring ownership, audits every
+// object's owners against the provisioning targets, and heals until
+// they agree.
 //
 // Each round:
 //
 //  1. plan: scan every reachable node's per-object inventory
-//     (Stats().PerObject) and diff it against the ring's current
-//     successor lists. A node holding an object it no longer owns is a
-//     stale holder; the object joins the work list, ordered
+//     (Stats().PerObject) once. An object held by a node outside its
+//     current successor list is displaced (that node is a stale
+//     holder); one whose owners fall short of the targets by repair's
+//     audit rule is short. Either puts it on the work list, ordered
 //     most-critical-level-first (an object whose level-0 copies all sit
 //     on stale holders outranks one missing only its tail levels).
 //  2. heal: each planned object runs repair's per-object heal step
-//     (repair.Heal.Object) with its stale holders given: fill the new
-//     owners by recombining survivors from owners and stale holders,
-//     verify the owners, and only then delete the stale copies. A
-//     failed object keeps them — migration never destroys the only
-//     copy — and is re-planned next round. Two objects move at a time
-//     under one token bucket capping the byte rate.
+//     (repair.Heal.Object) on the plan's audit. A short object is
+//     refilled by recombining its owners' survivors — a repair step. A
+//     displaced one also draws on its stale holders, verifies the
+//     owners, and only then deletes the stale copies. A failed object
+//     keeps them — migration never destroys the only copy — and is
+//     re-planned next round. Two objects heal at a time under one token
+//     bucket capping the byte rate.
 //
 // Planning from inventories (not from membership events) makes rounds
 // idempotent and restart-safe: whatever a crashed mover left half-done
-// is still visible as stale holdings to the next round. The placement
-// layer's membership hook only accelerates the loop via Kick; it is
-// never load-bearing for correctness.
+// is still visible to the next round. The placement layer's membership
+// hook only accelerates the loop via Kick; it is never load-bearing for
+// correctness.
 package mover
 
 import (
@@ -49,17 +54,16 @@ type Config struct {
 	// Scheme and Levels describe the code the fleet holds.
 	Scheme core.Scheme
 	Levels *core.Levels
-	// Targets are the per-level distinct-block targets migrated objects
-	// are verified against — the same as repair.Config's, and they
-	// should carry the same values (dist.Apportion derives them from
-	// a priority distribution).
+	// Targets are the per-level distinct-block targets every object's
+	// owners are audited and verified against (dist.Apportion derives
+	// them from a priority distribution).
 	Targets []int
 	// Interval is the pause between successful rounds; failed rounds
 	// back off from it, doubling up to 16x. Default 5s; a membership
 	// change cuts the wait short via Kick.
 	Interval time.Duration
 	// RateLimit caps the mover's aggregate byte rate (collected plus
-	// placed wire bytes) in bytes/second; 0 means unlimited. Migration
+	// placed wire bytes) in bytes/second; 0 means unlimited. Healing
 	// is background work — the cap is what keeps foreground puts and
 	// gets within their latency budget while the fleet rebalances. The
 	// token bucket holds max(RateLimit, 1 MiB).
@@ -73,8 +77,8 @@ type Config struct {
 }
 
 // Knobs nobody set, now constants at their old defaults: the bound on
-// one loop-driven plan+migrate round, the token bucket's floor, and how
-// many objects migrate at once.
+// one loop-driven plan+heal round, the token bucket's floor, and how
+// many objects heal at once.
 const (
 	roundTimeout = 60 * time.Second
 	minBurst     = 1 << 20
@@ -90,13 +94,14 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Report summarizes one migration round.
+// Report summarizes one heal round.
 type Report struct {
 	// Plan is the work list the round executed.
 	Plan *Plan
-	// Migrated counts objects fully re-homed, verified, and reclaimed.
+	// Migrated counts objects whose heal step completed: refilled, and
+	// when displaced also re-homed, verified, and reclaimed.
 	Migrated int
-	// Failed counts objects whose migration did not complete this
+	// Failed counts objects whose heal step did not complete this
 	// round; they keep their stale holdings and are re-planned next
 	// round.
 	Failed int
@@ -105,9 +110,9 @@ type Report struct {
 	repair.Tally
 }
 
-// Mover is the background migration loop over a placement ring. Every
-// interval — or immediately upon Kick — it plans and executes one
-// migration round. Failed rounds back off exponentially with jitter.
+// Mover is the background heal loop over a placement ring. Every
+// interval — or immediately upon Kick — it plans and executes one heal
+// round. Failed rounds back off exponentially with jitter.
 // Start, Stop, RunOnce, Rounds and LastReport come from the embedded
 // repair.Loop, the control loop it shares with the repair daemon.
 type Mover struct {
@@ -148,17 +153,20 @@ func (m *Mover) Kick() {
 	m.Loop.Kick()
 }
 
-// round is one migration round — plan, then a heal step per planned
-// object — run by the embedded Loop's RunOnce. The error is non-nil
-// when planning failed or any object's migration did, which the loop
-// answers with backoff; a failed object keeps its stale holdings and is
-// re-planned next round.
+// round is one heal round — plan, then a heal step per planned object —
+// run by the embedded Loop's RunOnce. The error is non-nil when
+// planning failed, no ring member answered, or any object's heal step
+// failed, which the loop answers with backoff; a failed object keeps
+// its stale holdings and is re-planned next round.
 func (m *Mover) round(ctx context.Context) (*Report, error) {
 	plan, err := m.plan(ctx)
-	if err != nil {
+	if plan == nil {
 		return nil, fmt.Errorf("mover: plan: %w", err)
 	}
 	rep := &Report{Plan: plan}
+	if err != nil {
+		return rep, fmt.Errorf("mover: %w", err)
+	}
 	m.met.objectsPlanned.Add(uint64(len(plan.Objects)))
 	if len(plan.Objects) == 0 {
 		return rep, nil
@@ -180,7 +188,7 @@ func (m *Mover) round(ctx context.Context) (*Report, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = m.migrateObject(ctx, op, &tallies[i])
+			errs[i] = m.healObject(ctx, op, &tallies[i])
 			<-slots
 		}()
 	}
@@ -210,14 +218,19 @@ func (m *Mover) round(ctx context.Context) (*Report, error) {
 	return rep, ctx.Err()
 }
 
-// migrateObject re-homes one object: the heal step over its current
-// owners with its stale holders given, adding what it moved to t. The
-// object recombines from its own generator, seeded by Seed and the
+// healObject runs the heal step on one planned object, over the owners
+// and audit the plan took, with its stale holders given, adding what it
+// moved to t. When membership moved the object's owners since the plan,
+// it fails without touching anything, and the next round re-plans it.
+// The object recombines from its own generator, seeded by Seed and the
 // object ID, so worker interleaving never changes what gets placed.
-func (m *Mover) migrateObject(ctx context.Context, op ObjectPlan, t *repair.Tally) error {
+func (m *Mover) healObject(ctx context.Context, op ObjectPlan, t *repair.Tally) error {
 	shard, err := m.placed.Shard(op.Object)
 	if err != nil {
 		return fmt.Errorf("mover: resolve shard %s: %w", op.Object, err)
+	}
+	if shard != op.shard {
+		return fmt.Errorf("mover: %s: owners changed since the plan", op.Object)
 	}
 	stale := make([]*store.Client, len(op.Stale))
 	for i, addr := range op.Stale {
@@ -226,7 +239,7 @@ func (m *Mover) migrateObject(ctx context.Context, op ObjectPlan, t *repair.Tall
 		}
 	}
 	rng := rand.New(rand.NewSource(m.cfg.Seed ^ int64(op.Object)))
-	if _, err := m.heal.Object(ctx, shard, op.Object, stale, rng, t); err != nil {
+	if err := m.heal.Object(ctx, shard, op.Object, op.Audit, stale, rng, t); err != nil {
 		return fmt.Errorf("mover: %s: %w", op.Object, err)
 	}
 	return nil

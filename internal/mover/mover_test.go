@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -249,10 +250,32 @@ func TestMigrateOnJoin(t *testing.T) {
 		t.Fatalf("join displaced no object across %d objects — ring diff broken", objects)
 	}
 
+	// The plan is the displaced objects plus the ones short on their
+	// owners: testCode draws each block's level at random, so most
+	// objects fall short of the apportioned targets by construction.
+	targets := testTargets(t, blocksPerObject)
+	want := len(moved)
+	for i, o := range objs {
+		if slices.Contains(moved, i) {
+			continue
+		}
+		shard, err := f.placed.Shard(o.obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		audit, err := repair.AuditFleet(ctx, shard, repair.AuditConfig{Object: o.obj, Targets: targets})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(audit.Deficient()) > 0 {
+			want++
+		}
+	}
+
 	m, err := New(f.placed, Config{
 		Scheme:  core.PLC,
 		Levels:  levels,
-		Targets: testTargets(t, blocksPerObject),
+		Targets: targets,
 		Seed:    7,
 	})
 	if err != nil {
@@ -260,13 +283,13 @@ func TestMigrateOnJoin(t *testing.T) {
 	}
 	rep, err := m.RunOnce(ctx)
 	if err != nil {
-		t.Fatalf("migration round: %v", err)
+		t.Fatalf("heal round: %v", err)
 	}
-	if got := len(rep.Plan.Objects); got != len(moved) {
-		t.Fatalf("planned %d objects, want the %d that moved", got, len(moved))
+	if got := len(rep.Plan.Objects); got != want {
+		t.Fatalf("planned %d objects, want the %d displaced or short", got, want)
 	}
-	if rep.Migrated != len(moved) || rep.Failed != 0 {
-		t.Fatalf("migrated %d, failed %d, want %d/0", rep.Migrated, rep.Failed, len(moved))
+	if rep.Migrated != want || rep.Failed != 0 {
+		t.Fatalf("healed %d, failed %d, want %d/0", rep.Migrated, rep.Failed, want)
 	}
 	if rep.DeletesIssued == 0 || rep.BlocksReclaimed == 0 {
 		t.Fatalf("nothing reclaimed: %+v", rep)
@@ -363,6 +386,110 @@ func TestMigrateOnJoin(t *testing.T) {
 				t.Fatalf("object %s: critical block %d corrupted by migration", o.obj, j)
 			}
 		}
+	}
+}
+
+// TestPlanRefillsShortObject: an object no join displaced but whose
+// owners hold too few copies is planned at its first deficient level,
+// with no stale holder, and refilled in place — a repair step, nothing
+// verified or released — while a fleet with nothing short and nothing
+// displaced plans nothing.
+func TestPlanRefillsShortObject(t *testing.T) {
+	ctx := context.Background()
+	f := newTestFleet(t, 2, 2, 3)
+	levels, _, blocks := testCode(t, 3, 24)
+	obj := core.NamedObject("short")
+	exact := make([]int, levels.Count())
+	for _, b := range blocks {
+		b.Object = obj
+		exact[b.Level]++
+	}
+	if _, err := f.placed.PutAll(ctx, blocks); err != nil {
+		t.Fatal(err)
+	}
+	round := func(m *Mover) Report {
+		t.Helper()
+		rep, err := m.RunOnce(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	newMover := func(targets []int) *Mover {
+		t.Helper()
+		m, err := New(f.placed, Config{Scheme: core.PLC, Levels: levels, Targets: targets, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	// Targets at the put-time draw: every owner is whole.
+	if rep := round(newMover(exact)); len(rep.Plan.Objects) != 0 {
+		t.Fatalf("a whole, placed fleet planned %+v", rep.Plan.Objects)
+	}
+
+	// Two more last-level blocks wanted: only level 2 is short.
+	short := slices.Clone(exact)
+	short[2] += 2
+	m := newMover(short)
+	rep := round(m)
+	if len(rep.Plan.Objects) != 1 {
+		t.Fatalf("planned %d objects, want the short one", len(rep.Plan.Objects))
+	}
+	if op := rep.Plan.Objects[0]; op.Object != obj || len(op.Stale) != 0 || op.Critical != 2 {
+		t.Fatalf("plan %+v, want %s at critical level 2 with no stale holder", op, obj)
+	}
+	if rep.Migrated != 1 || rep.Regenerated+rep.Copied != 2 || rep.DeletesIssued != 0 {
+		t.Fatalf("healed %d objects with %d+%d blocks and %d deletes, want 1 with 2 and 0",
+			rep.Migrated, rep.Regenerated, rep.Copied, rep.DeletesIssued)
+	}
+	if rep := round(m); len(rep.Plan.Objects) != 0 {
+		t.Fatalf("refilled object still planned: %+v", rep.Plan.Objects)
+	}
+}
+
+// TestHealObjectRefusesMovedOwners: when a join moves an object's owners
+// between the plan and its heal step, the step places nothing on the
+// owners the plan saw, and the next round heals the object where it now
+// lives.
+func TestHealObjectRefusesMovedOwners(t *testing.T) {
+	ctx := context.Background()
+	f := newTestFleet(t, 3, 2, 3)
+	obj := core.NamedObject(pickMovingNames(t, f, 1)[0])
+	levels, _, blocks := testCode(t, 9, 24)
+	for _, b := range blocks {
+		b.Object = obj
+	}
+	if _, err := f.placed.PutAll(ctx, blocks); err != nil {
+		t.Fatal(err)
+	}
+	targets := testTargets(t, 24)
+	targets[0] += 4 // short on level 0 whatever the draw
+	m, err := New(f.placed, Config{Scheme: core.PLC, Levels: levels, Targets: targets, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := m.plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Objects) != 1 {
+		t.Fatalf("planned %d objects, want the short one", len(plan.Objects))
+	}
+	if err := f.placed.Join(f.addrs[2]); err != nil {
+		t.Fatal(err)
+	}
+	var tally repair.Tally
+	if err := m.healObject(ctx, plan.Objects[0], &tally); err == nil || tally.BytesPlaced != 0 {
+		t.Fatalf("heal over moved owners: err %v, placed %d bytes", err, tally.BytesPlaced)
+	}
+	rep, err := m.RunOnce(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Migrated != 1 || rep.DeletesIssued == 0 {
+		t.Fatalf("next round healed %d objects with %d deletes, want 1 with a release", rep.Migrated, rep.DeletesIssued)
 	}
 }
 

@@ -2,6 +2,7 @@ package mover
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"sync"
 
@@ -10,13 +11,14 @@ import (
 	"repro/internal/store"
 )
 
-// ObjectPlan is one object's migration work order.
+// ObjectPlan is one object's heal work order.
 type ObjectPlan struct {
-	// Object is the namespace to re-home.
+	// Object is the namespace to heal.
 	Object core.ObjectID
 	// Stale lists reachable nodes holding the object's blocks without
 	// owning it anymore: the transfer sources and, after verification,
-	// the reclaim targets.
+	// the reclaim targets. Empty for an object that is only short on
+	// its owners.
 	Stale []string
 	// Critical is the lowest level whose copies on the current owners
 	// fall short of the provisioning targets, or the level count when
@@ -24,13 +26,19 @@ type ObjectPlan struct {
 	// round spends its bandwidth on the objects whose most critical
 	// data is least safe.
 	Critical int
+	// Audit is the owners' audit the plan computed from the round's
+	// inventory scan; the heal step acts on it without scanning again.
+	Audit *repair.Audit
+
+	shard *store.Replicated // the owners Audit was taken over
 }
 
-// Plan is one round's migration work, ordered most-critical-level-first
+// Plan is one round's heal work, ordered most-critical-level-first
 // (ties broken by object ID, so a fixed fleet state replans
 // identically).
 type Plan struct {
-	// Objects is the work list; empty means placement and data agree.
+	// Objects is the work list; empty means placement and data agree
+	// and every owner meets its targets.
 	Objects []ObjectPlan
 	// Unreachable lists ring members whose inventory could not be read.
 	// Their holdings are invisible to this plan, so objects they hold
@@ -38,12 +46,14 @@ type Plan struct {
 	Unreachable []string
 }
 
-// plan scans every reachable ring member's per-object inventory and
-// diffs it against current ring ownership: an object held by a node
-// outside its successor list needs migration. Enumerating from node
-// inventories — rather than replaying membership events — makes the
-// round idempotent and restart-safe: whatever the mover missed while
-// down is still visible as stale holdings.
+// plan scans every reachable ring member's per-object inventory once
+// and plans each object found there that needs healing: one held by a
+// node outside its successor list (displaced), or one whose owners fall
+// short of the targets by repair's audit rule (short). Enumerating from
+// node inventories — rather than replaying membership events — makes
+// the round idempotent and restart-safe: whatever the mover missed
+// while down is still visible as stale holdings or short owners. When
+// no member answers at all, plan returns the plan with an error.
 func (m *Mover) plan(ctx context.Context) (*Plan, error) {
 	members := m.placed.Members()
 	type statResult struct {
@@ -109,16 +119,12 @@ func (m *Mover) plan(ctx context.Context) (*Plan, error) {
 		for _, a := range owners {
 			ownerSet[a] = true
 		}
-		op := ObjectPlan{Object: obj, Critical: levels}
+		op := ObjectPlan{Object: obj, Critical: levels, shard: shard}
 		for _, addr := range holders[obj] {
 			if !ownerSet[addr] {
 				op.Stale = append(op.Stale, addr)
 			}
 		}
-		if len(op.Stale) == 0 {
-			continue // nothing misplaced; owner-side deficits are repair's job
-		}
-		sort.Strings(op.Stale)
 		// The owners' copies are audited by repair's rule, from the
 		// inventories already fetched.
 		stats := make([]store.Stats, len(owners))
@@ -126,10 +132,13 @@ func (m *Mover) plan(ctx context.Context) (*Plan, error) {
 		for i, a := range owners {
 			stats[i], errs[i] = byAddr[a].st, byAddr[a].err
 		}
-		audit := repair.AuditStats(shard, repair.AuditConfig{Object: obj, Targets: m.heal.Targets}, stats, errs)
-		if deficient := audit.Deficient(); len(deficient) > 0 {
+		op.Audit = repair.AuditStats(shard, repair.AuditConfig{Object: obj, Targets: m.heal.Targets}, stats, errs)
+		if deficient := op.Audit.Deficient(); len(deficient) > 0 {
 			op.Critical = deficient[0].Level
+		} else if len(op.Stale) == 0 {
+			continue // placed where it belongs, and whole
 		}
+		sort.Strings(op.Stale)
 		plan.Objects = append(plan.Objects, op)
 	}
 	sort.SliceStable(plan.Objects, func(i, j int) bool {
@@ -138,5 +147,8 @@ func (m *Mover) plan(ctx context.Context) (*Plan, error) {
 		}
 		return plan.Objects[i].Object < plan.Objects[j].Object
 	})
+	if len(plan.Unreachable) == len(members) {
+		return plan, fmt.Errorf("%w: all %d ring members unreachable", store.ErrStoreUnavailable, len(members))
+	}
 	return plan, nil
 }

@@ -129,10 +129,11 @@ func TestTallyMatchesCounters(t *testing.T) {
 	}
 
 	// The joiner holds nothing, so it is preferred: its frames this
-	// round are the plan's stat, the audit's stat, the collect's get,
-	// then puts. Cut it off at its third put — later placements land on
-	// the other owner alone and the verification finds it unreachable.
-	trip.arm(joiner, 6, func() { faults.Partition(joiner) })
+	// round are the plan's stat (the heal step audits from it), the
+	// collect's get, then puts. Cut it off at its third put — later
+	// placements land on the other owner alone and the verification
+	// finds it unreachable.
+	trip.arm(joiner, 5, func() { faults.Partition(joiner) })
 	var sum repair.Tally
 	check := func(when string) {
 		t.Helper()

@@ -142,9 +142,10 @@ func (d *Daemon) round(ctx context.Context) (*Report, error) {
 		return nil, fmt.Errorf("repair: resolve shard: %w", err)
 	}
 	var rep Report
-	if rep.Audit, err = d.heal.Object(ctx, shard, d.object, nil, d.rng, &rep.Tally); rep.Audit == nil {
+	if rep.Audit, err = AuditFleet(ctx, shard, AuditConfig{Object: d.object, Targets: d.heal.Targets}); err != nil {
 		return nil, err
 	}
+	err = d.heal.Object(ctx, shard, d.object, rep.Audit, nil, d.rng, &rep.Tally)
 	d.Record(rep.Tally)
 	if rep.Truncated {
 		d.truncated.Inc()

@@ -55,9 +55,9 @@ func (t *Tally) Add(o Tally) {
 }
 
 // Heal is the one per-object heal step under repair and migration:
-// audit the object's owners, gather survivors, fill the deficient
-// levels by recombination — never decoding — and, when stale holders
-// are given, verify the owners and release the stale copies. Budget
+// from the owners' audit, gather survivors, fill the deficient levels
+// by recombination — never decoding — and, when stale holders are
+// given, verify the owners and release the stale copies. Budget
 // and Charge are what the two callers differ in besides the stale
 // holders, passed as values: the zero value of each is its absence,
 // and the step never asks who is calling.
@@ -94,8 +94,9 @@ func (h *Heal) Validate(storeLevels int) error {
 
 // Object heals obj on shard, its current owners, drawing from rng, and
 // adds what it moved to t, which stays meaningful when Object returns
-// an error half-way. It returns the owners' audit, or nil when the
-// audit itself failed.
+// an error half-way. audit is the owners' inventory scan the caller
+// already holds — AuditFleet, or AuditStats over the same shard's
+// replicas in order — so a healed object costs no second scan.
 //
 // Without stale holders the step is one repair round: when a level is
 // deficient, collect the owners' survivors and fill; the only errors
@@ -105,14 +106,9 @@ func (h *Heal) Validate(storeLevels int) error {
 // stale holders, the owners are re-audited, and only when every level
 // meets its copy target are the stale copies deleted. Every step is
 // idempotent, so a failed call leaves the stale holdings for the next.
-func (h *Heal) Object(ctx context.Context, shard *store.Replicated, obj core.ObjectID, stale []*store.Client, rng *rand.Rand, t *Tally) (*Audit, error) {
-	acfg := AuditConfig{Object: obj, Targets: h.Targets}
-	audit, err := AuditFleet(ctx, shard, acfg)
-	if err != nil {
-		return nil, err
-	}
+func (h *Heal) Object(ctx context.Context, shard *store.Replicated, obj core.ObjectID, audit *Audit, stale []*store.Client, rng *rand.Rand, t *Tally) error {
 	if len(stale) > 0 && audit.Unreachable > 0 {
-		return audit, fmt.Errorf("%d owners unreachable, cannot verify a release", audit.Unreachable)
+		return fmt.Errorf("%d owners unreachable, cannot verify a release", audit.Unreachable)
 	}
 	// waived marks deficient levels with no survivor anywhere: their
 	// dimensions are already lost, so releasing the stale copies loses
@@ -120,13 +116,13 @@ func (h *Heal) Object(ctx context.Context, shard *store.Replicated, obj core.Obj
 	waived := make(map[int]bool)
 	if deficient := audit.Deficient(); len(deficient) > 0 {
 		if audit.Reachable == 0 {
-			return audit, fmt.Errorf("%w: all %d replicas unreachable", store.ErrStoreUnavailable, audit.Unreachable)
+			return fmt.Errorf("%w: all %d replicas unreachable", store.ErrStoreUnavailable, audit.Unreachable)
 		}
 		// One gather covers every deficient level: survivors of level k
 		// also serve as sample padding for deeper PLC levels.
 		survivors, lacking, err := h.gather(ctx, shard, obj, stale, deficient[len(deficient)-1].Level, t)
 		if err != nil {
-			return audit, err
+			return err
 		}
 		for _, lr := range deficient {
 			waived[lr.Level] = true
@@ -135,13 +131,13 @@ func (h *Heal) Object(ctx context.Context, shard *store.Replicated, obj core.Obj
 			delete(waived, b.Level)
 		}
 		if err := h.fill(ctx, shard, rng, survivors, lacking, deficient, t); err != nil {
-			return audit, err
+			return err
 		}
 	}
 	if len(stale) == 0 {
-		return audit, nil
+		return nil
 	}
-	return audit, h.release(ctx, shard, acfg, stale, waived, t)
+	return h.release(ctx, shard, AuditConfig{Object: obj, Targets: h.Targets}, stale, waived, t)
 }
 
 // gather collects obj's survivors up to maxLevel from the owners —

@@ -21,11 +21,11 @@
 //     against per-level targets (dist.Apportion derives them from the
 //     priority distribution) and the store's replication policy,
 //     yielding a deficit report ordered most-critical-level-first;
-//   - heal: Heal.Object is the one per-object step — audit, gather
-//     survivors, recombine fresh blocks for the deficient levels and
-//     place them on the under-provisioned owners, and, given stale
-//     holders, verify and release — which the repair daemon runs as
-//     its round and the migration mover (internal/mover) per object;
+//   - heal: Heal.Object is the one per-object step — given the owners'
+//     audit, gather survivors, recombine fresh blocks for the deficient
+//     levels and place them on the under-provisioned owners, and, given
+//     stale holders, verify and release — which the repair daemon runs
+//     as its round and the fleet's healer (internal/mover) per object;
 //   - loop: Loop is the one background control loop both hang on.
 package repair
 

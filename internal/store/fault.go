@@ -86,26 +86,11 @@ func (f *FaultDialer) SetCorruptProb(p float64) {
 	f.cfg.CorruptProb = p
 }
 
-// SetDialFailProb changes the dial-failure probability live.
-func (f *FaultDialer) SetDialFailProb(p float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.cfg.DialFailProb = p
-}
-
 // SetDelayProb changes the write-delay probability live.
 func (f *FaultDialer) SetDelayProb(p float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.cfg.DelayProb = p
-}
-
-// Partitioned reports whether addr is currently partitioned.
-func (f *FaultDialer) Partitioned(addr string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	_, cut := f.parts[addr]
-	return cut
 }
 
 // Injected returns how many dials were failed and frames corrupted.

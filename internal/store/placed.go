@@ -38,15 +38,9 @@ type Placed struct {
 	byAddr  map[string]int // addr → ring node index
 	addrOf  []string       // ring node index → addr
 	clients []*Client      // ring node index → client
-	gen     uint64         // bumped on every membership change
-	shards  map[core.ObjectID]*shardEntry
+	shards  map[core.ObjectID]*Replicated
 	hook    func() // see SetMembershipHook
 	closed  bool
-}
-
-type shardEntry struct {
-	gen  uint64
-	repl *Replicated
 }
 
 // PlacedConfig parameterizes a Placed store.
@@ -122,7 +116,7 @@ func NewPlaced(clients []*Client, levels int, cfg PlacedConfig) (*Placed, error)
 		cfg:     cfg,
 		met:     newPlacedMetrics(cfg.Metrics),
 		byAddr:  make(map[string]int, len(clients)),
-		shards:  make(map[core.ObjectID]*shardEntry),
+		shards:  make(map[core.ObjectID]*Replicated),
 		clients: append([]*Client(nil), clients...),
 	}
 	ids := make([]uint64, len(clients))
@@ -155,7 +149,7 @@ func (p *Placed) Close() error {
 	for _, cl := range p.clients {
 		cl.Close()
 	}
-	p.shards = map[core.ObjectID]*shardEntry{}
+	p.shards = map[core.ObjectID]*Replicated{}
 	return nil
 }
 
@@ -179,7 +173,7 @@ func (p *Placed) SetAlive(addr string, alive bool) error {
 		p.ring.Fail(idx)
 	}
 	p.ring.Stabilize()
-	p.bumpLocked()
+	p.invalidateLocked()
 	p.met.membershipEvents.Inc()
 	p.mu.Unlock()
 	p.notifyMembership()
@@ -197,7 +191,7 @@ func (p *Placed) Join(addr string) error {
 		}
 		p.reviveLocked(idx)
 		p.ring.Stabilize()
-		p.bumpLocked()
+		p.invalidateLocked()
 		p.met.membershipEvents.Inc()
 		p.mu.Unlock()
 		p.notifyMembership()
@@ -238,7 +232,7 @@ func (p *Placed) Join(addr string) error {
 	p.byAddr[addr] = idx
 	p.addrOf = append(p.addrOf, addr)
 	p.clients = append(p.clients, cl)
-	p.bumpLocked()
+	p.invalidateLocked()
 	p.met.membershipEvents.Inc()
 	p.met.nodes.Set(int64(len(p.clients)))
 	p.mu.Unlock()
@@ -258,15 +252,13 @@ func (p *Placed) reviveLocked(idx int) {
 // revives it without redialing).
 func (p *Placed) Leave(addr string) error { return p.SetAlive(addr, false) }
 
-// bumpLocked advances the placement generation and invalidates ONLY the
-// cached shards whose successor list actually changed — an event on the
-// far side of the ring must not cold-start every shard (and its
-// {node="addr"} metric series) on this one. Unchanged entries are
-// re-stamped with the new generation; changed ones are dropped.
-func (p *Placed) bumpLocked() {
-	p.gen++
-	for obj, e := range p.shards {
-		old := e.repl.clients
+// invalidateLocked invalidates ONLY the cached shards whose successor list
+// actually changed — an event on the far side of the ring must not
+// cold-start every shard (and its {node="addr"} metric series) on this
+// one. It runs under the write lock, so Shard never sees a stale entry.
+func (p *Placed) invalidateLocked() {
+	for obj, repl := range p.shards {
+		old := repl.clients
 		idxs, err := p.ring.Successors(ringKey(obj), p.cfg.Replication)
 		if err != nil {
 			// No alive successor remains: the shard is unplaceable.
@@ -279,11 +271,9 @@ func (p *Placed) bumpLocked() {
 				same = false
 			}
 		}
-		if same {
-			e.gen = p.gen
-			continue
+		if !same {
+			delete(p.shards, obj)
 		}
-		delete(p.shards, obj)
 	}
 }
 
@@ -337,9 +327,9 @@ func (p *Placed) Shard(obj core.ObjectID) (*Replicated, error) {
 		return nil, fmt.Errorf("%w: the all-objects wildcard has no shard", ErrBadRequest)
 	}
 	p.mu.RLock()
-	if e, hit := p.shards[obj]; hit && e.gen == p.gen {
+	if repl, hit := p.shards[obj]; hit {
 		p.mu.RUnlock()
-		return e.repl, nil
+		return repl, nil
 	}
 	p.mu.RUnlock()
 
@@ -348,8 +338,8 @@ func (p *Placed) Shard(obj core.ObjectID) (*Replicated, error) {
 	if p.closed {
 		return nil, ErrClientClosed
 	}
-	if e, hit := p.shards[obj]; hit && e.gen == p.gen {
-		return e.repl, nil
+	if repl, hit := p.shards[obj]; hit {
+		return repl, nil
 	}
 	idxs, err := p.ring.Successors(ringKey(obj), p.cfg.Replication)
 	if err != nil {
@@ -366,7 +356,7 @@ func (p *Placed) Shard(obj core.ObjectID) (*Replicated, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: shard %s: %w", obj, err)
 	}
-	p.shards[obj] = &shardEntry{gen: p.gen, repl: repl}
+	p.shards[obj] = repl
 	return repl, nil
 }
 

@@ -226,6 +226,38 @@ func TestPlacedChurnReroutesAndHeals(t *testing.T) {
 	}
 }
 
+// TestPlacedShardSurvivesUnrelatedChurn pins the cache's other half: a
+// membership event on a node outside obj's successor list leaves obj's
+// shard — and its per-node metric series — in place.
+func TestPlacedShardSurvivesUnrelatedChurn(t *testing.T) {
+	f := newPlacedFixture(t, 4, PlacedConfig{Replication: 2, Tolerance: 1})
+	obj := core.NamedObject("bystander")
+	shard, err := f.placed.Shard(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owners := shard.ReplicaLabels()
+	var outsider string
+	for _, a := range f.addrs {
+		if a != owners[0] && a != owners[1] {
+			outsider = a
+			break
+		}
+	}
+	for _, alive := range []bool{false, true} {
+		if err := f.placed.SetAlive(outsider, alive); err != nil {
+			t.Fatal(err)
+		}
+		again, err := f.placed.Shard(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != shard {
+			t.Fatalf("SetAlive(%s, %v) outside %v rebuilt the shard", outsider, alive, owners)
+		}
+	}
+}
+
 func TestPlacedProbe(t *testing.T) {
 	f := newPlacedFixture(t, 2, PlacedConfig{})
 	ctx := context.Background()
