@@ -219,46 +219,91 @@ func hashWire(wire []byte) uint64 {
 // followers wait for the leader's flush, so a dedup answer is never
 // less durable than a stored one.
 func (s *Store) Put(obj core.ObjectID, level int, wire []byte) (bool, error) {
-	if len(wire) == 0 {
-		return false, fmt.Errorf("%w: empty block", store.ErrBadRequest)
-	}
-	if obj == core.AllObjects {
-		return false, fmt.Errorf("%w: cannot store under the all-objects wildcard", store.ErrBadRequest)
-	}
-	if len(wire) > store.DefaultMaxFrame {
-		return false, fmt.Errorf("%w: block %d bytes exceeds record limit %d",
-			store.ErrBadRequest, len(wire), store.DefaultMaxFrame)
-	}
-	hash := hashWire(wire)
-	t0 := time.Now()
+	puts := []store.BatchPut{{Obj: obj, Level: level, Wire: wire}}
+	s.PutBatch(puts)
+	return puts[0].Stored, puts[0].Err
+}
 
+// PutBatch stores a multi-block put's blocks with Put's semantics, but
+// reserves and queues every one before it waits for any: the writer
+// takes them as one request into one batch, so FsyncBatch commits the
+// whole frame with one fsync. It implements store.BatchPutter.
+func (s *Store) PutBatch(puts []store.BatchPut) {
+	t0 := time.Now()
+	// wait[i] is the record puts[i] waits on: its own, or an unflushed
+	// identical one it joins (then it is a dedup).
+	wait := make([]*writeReq, len(puts))
+	var recs []*writeReq
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return false, fmt.Errorf("%w: engine closed", store.ErrStoreUnavailable)
+		for i := range puts {
+			puts[i].Err = fmt.Errorf("%w: engine closed", store.ErrStoreUnavailable)
+		}
+		return
 	}
+	for i := range puts {
+		p := &puts[i]
+		var fresh bool
+		if wait[i], fresh, p.Err = s.reserveLocked(p.Obj, p.Level, p.Wire); fresh {
+			recs = append(recs, wait[i])
+			p.Stored = true
+		}
+	}
+	if len(recs) > 0 {
+		s.putters.Add(1)
+	}
+	s.mu.Unlock()
+	if len(recs) > 0 {
+		s.reqCh <- &writeReq{kind: reqPut, recs: recs}
+		s.putters.Done()
+	}
+	for i, w := range wait {
+		if w == nil {
+			continue
+		}
+		<-w.done
+		if w.err != nil {
+			puts[i].Stored, puts[i].Err = false, w.err
+		}
+	}
+	if len(recs) > 0 {
+		s.met.putWaitNs.ObserveSince(t0)
+	}
+}
+
+// reserveLocked checks one block and reserves it for the writer. It
+// returns the record the put waits on — a fresh one to queue, or an
+// unflushed identical record it joins — or nil when the block needs no
+// write (a committed duplicate) or was refused (the error).
+func (s *Store) reserveLocked(obj core.ObjectID, level int, wire []byte) (rec *writeReq, fresh bool, err error) {
+	if len(wire) == 0 {
+		return nil, false, fmt.Errorf("%w: empty block", store.ErrBadRequest)
+	}
+	if obj == core.AllObjects {
+		return nil, false, fmt.Errorf("%w: cannot store under the all-objects wildcard", store.ErrBadRequest)
+	}
+	if len(wire) > store.DefaultMaxFrame {
+		return nil, false, fmt.Errorf("%w: block %d bytes exceeds record limit %d",
+			store.ErrBadRequest, len(wire), store.DefaultMaxFrame)
+	}
+	hash := hashWire(wire)
 	// Dup of an unflushed put: join its flush instead of re-writing.
 	for _, p := range s.pending[hash] {
 		if string(p.wire) == string(wire) {
-			s.mu.Unlock()
-			<-p.done
-			return false, p.err
+			return p, false, nil
 		}
 	}
 	if dup, err := s.dupLocked(hash, wire); err != nil {
-		s.mu.Unlock()
-		return false, err
+		return nil, false, err
 	} else if dup {
-		s.mu.Unlock()
 		s.met.putsDeduped.Inc()
-		return false, nil
+		return nil, false, nil
 	}
 	if s.opts.MaxBlocks > 0 && s.inv.Blocks()+s.pendBlocks >= s.opts.MaxBlocks {
-		s.mu.Unlock()
-		return false, fmt.Errorf("%w: %d blocks stored, cap %d", store.ErrStoreFull, s.inv.Blocks(), s.opts.MaxBlocks)
+		return nil, false, fmt.Errorf("%w: %d blocks stored, cap %d", store.ErrStoreFull, s.inv.Blocks(), s.opts.MaxBlocks)
 	}
 	req := &writeReq{
-		kind:  reqPut,
 		obj:   obj,
 		level: level,
 		hash:  hash,
@@ -267,17 +312,7 @@ func (s *Store) Put(obj core.ObjectID, level int, wire []byte) (bool, error) {
 	}
 	s.pending[hash] = append(s.pending[hash], req)
 	s.pendBlocks++
-	s.putters.Add(1)
-	s.mu.Unlock()
-
-	s.reqCh <- req
-	s.putters.Done()
-	<-req.done
-	s.met.putWaitNs.ObserveSince(t0)
-	if req.err != nil {
-		return false, req.err
-	}
-	return true, nil
+	return req, true, nil
 }
 
 // dupLocked reports whether an identical committed block exists. Hash

@@ -145,3 +145,42 @@ func serverTestCode(t *testing.T, n int) (*core.Levels, [][]byte, []*core.CodedB
 	}
 	return levels, sources, blocks
 }
+
+// TestMultiPutOneFsync pins the group commit a multi-block put reaches:
+// one 32-block put frame on an FsyncBatch engine costs one fsync, where
+// 32 single puts cost one each.
+func TestMultiPutOneFsync(t *testing.T) {
+	_, _, blocks := serverTestCode(t, 33)
+	reg := metrics.NewRegistry()
+	eng, err := Open(t.TempDir(), Options{Fsync: FsyncBatch, Logf: quiet, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	srv, err := store.NewServer(store.ServerConfig{Blocks: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	defer srv.Shutdown(ctx)
+	cli, err := store.NewClient(store.ClientConfig{Addr: srv.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	// The first put opens the segment; count from after it.
+	if err := cli.Put(ctx, blocks[0]); err != nil {
+		t.Fatal(err)
+	}
+	before := countVal(t, reg.Snapshot(), "diskstore_fsyncs_total")
+	if n, err := cli.PutAll(ctx, blocks[1:]); err != nil || n != 32 {
+		t.Fatalf("PutAll stored %d/32: %v", n, err)
+	}
+	if got := countVal(t, reg.Snapshot(), "diskstore_fsyncs_total") - before; got != 1 {
+		t.Fatalf("one 32-block put frame cost %d fsyncs, want 1", got)
+	}
+	if eng.Len() != 33 {
+		t.Fatalf("engine holds %d blocks, want 33", eng.Len())
+	}
+}

@@ -3,10 +3,12 @@ package diskstore
 import (
 	"encoding/binary"
 	"math/rand"
-	"repro/internal/core"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/store"
 )
 
 // fakeWire builds a distinct synthetic block wire frame: the engine
@@ -143,6 +145,60 @@ func TestConcurrentPutsDistinctAllStored(t *testing.T) {
 	wg.Wait()
 	if s.Len() != G*N {
 		t.Fatalf("Len = %d, want %d", s.Len(), G*N)
+	}
+}
+
+// TestConcurrentPutBatchesOverlap drives batches that share blocks —
+// within one batch and across concurrent ones — so entries join records
+// another batch (or an earlier entry of their own) reserved: every
+// block is stored exactly once, and every entry answers without error.
+func TestConcurrentPutBatchesOverlap(t *testing.T) {
+	s := openTest(t, t.TempDir(), Options{})
+	rng := rand.New(rand.NewSource(7))
+	const N, G = 64, 6
+	wires := make([][]byte, N)
+	for i := range wires {
+		wires[i] = fakeWire(rng, i%3, 48)
+	}
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		stored = make(map[string]int) // wire → entries that reported it stored
+	)
+	for g := 0; g < G; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var puts []store.BatchPut
+			for k := 0; k < N/2; k++ {
+				i := (g*7 + k*5) % N
+				puts = append(puts, store.BatchPut{Obj: core.ZeroObject, Level: i % 3, Wire: wires[i]})
+				if k%8 == 0 { // the same block twice in one batch
+					puts = append(puts, store.BatchPut{Obj: core.ZeroObject, Level: i % 3, Wire: wires[i]})
+				}
+			}
+			s.PutBatch(puts)
+			for _, p := range puts {
+				if p.Err != nil {
+					t.Errorf("batch %d: %v", g, p.Err)
+					return
+				}
+				if p.Stored {
+					mu.Lock()
+					stored[string(p.Wire)]++
+					mu.Unlock()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, n := range stored {
+		if n != 1 {
+			t.Errorf("a block was reported stored %d times", n)
+		}
+	}
+	if s.Len() != len(stored) {
+		t.Fatalf("Len = %d, but %d distinct blocks were reported stored", s.Len(), len(stored))
 	}
 }
 

@@ -14,18 +14,20 @@ import (
 type reqKind int
 
 const (
-	reqPut    reqKind = iota // append one block record
+	reqPut    reqKind = iota // append a put call's block records
 	reqSync                  // flush + fsync the active segment
 	reqRotate                // seal the active segment, open the next
 	reqDelete                // append a tombstone, drop the object's records
 )
 
-// writeReq is one unit of work for the writer goroutine. done is closed
-// once the request's outcome (err) is decided — for puts, that means
-// the batch holding the record reached the disk under the configured
-// fsync mode.
+// writeReq is one unit of work for the writer goroutine, or one block
+// record of a put. A put request carries its records in recs, and the
+// writer never splits them across batches; a record's done is closed
+// once the batch holding it reached the disk under the configured fsync
+// mode, a control request's once its outcome (err) is decided.
 type writeReq struct {
 	kind    reqKind
+	recs    []*writeReq // reqPut: the block records of one put call
 	obj     core.ObjectID
 	level   int
 	hash    uint64
@@ -42,19 +44,30 @@ type writeReq struct {
 // in the meantime — and commits the whole batch with one buffered
 // write and one fsync. Batch size is latency-bounded by construction
 // (nothing waits longer than one flush) and size-bounded by
-// maxBatchBlocks/maxBatchBytes.
+// maxBatchBlocks/maxBatchBytes, past which no further request joins: a
+// request's records are never split, so a multi-block put (PutBatch)
+// commits in one batch.
 func (s *Store) writerLoop() {
 	defer s.wg.Done()
 	defer s.sealActive()
 	batch := make([]*writeReq, 0, maxBatchBlocks)
+	var bytes int
+	// take adds a put request's records to the batch, and reports false
+	// for a control request.
+	take := func(r *writeReq) bool {
+		if r.kind != reqPut {
+			return false
+		}
+		for _, rec := range r.recs {
+			batch = append(batch, rec)
+			bytes += len(rec.wire)
+		}
+		return true
+	}
 	for first := range s.reqCh {
-		batch = batch[:0]
-		bytes := 0
+		batch, bytes = batch[:0], 0
 		var ctrl *writeReq
-		if first.kind == reqPut {
-			batch = append(batch, first)
-			bytes = len(first.wire)
-		} else {
+		if !take(first) {
 			ctrl = first
 		}
 	drain:
@@ -64,12 +77,10 @@ func (s *Store) writerLoop() {
 				if !ok {
 					break drain
 				}
-				if r.kind != reqPut {
+				if !take(r) {
 					ctrl = r // flush what we have, then honor the control request
 					break drain
 				}
-				batch = append(batch, r)
-				bytes += len(r.wire)
 			default:
 				break drain
 			}

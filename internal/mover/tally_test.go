@@ -14,22 +14,22 @@ import (
 	"repro/internal/store"
 )
 
-// tripDialer calls trip just before the after-th frame written to addr
-// since arm — the way to cut a node at a chosen point inside a round.
+// tripDialer calls trip just before the first frame with op byte op
+// written to addr since arm — the way to cut a node at a chosen frame
+// inside a round, whatever connections the round dials or finds stale.
 // It sits under the FaultDialer, so the tripping frame itself still
 // goes out and every later one meets the partition.
 type tripDialer struct {
-	mu    sync.Mutex
-	addr  string
-	after int
-	seen  int
-	trip  func()
+	mu   sync.Mutex
+	addr string
+	op   byte
+	trip func()
 }
 
-func (d *tripDialer) arm(addr string, after int, trip func()) {
+func (d *tripDialer) arm(addr string, op byte, trip func()) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.addr, d.after, d.seen, d.trip = addr, after, 0, trip
+	d.addr, d.op, d.trip = addr, op, trip
 }
 
 func (d *tripDialer) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
@@ -50,10 +50,9 @@ func (c *tripConn) Write(p []byte) (int, error) {
 	d := c.d
 	d.mu.Lock()
 	var trip func()
-	if c.addr == d.addr {
-		if d.seen++; d.seen == d.after {
-			trip = d.trip
-		}
+	// A frame is one Write: 4 length bytes, then the op byte.
+	if c.addr == d.addr && len(p) > 4 && p[4] == d.op {
+		trip, d.trip = d.trip, nil
 	}
 	d.mu.Unlock()
 	if trip != nil {
@@ -128,12 +127,11 @@ func TestTallyMatchesCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The joiner holds nothing, so it is preferred: its frames this
-	// round are the plan's stat (the heal step audits from it), the
-	// collect's get, then puts. Cut it off at its third put — later
-	// placements land on the other owner alone and the verification
-	// finds it unreachable.
-	trip.arm(joiner, 5, func() { faults.Partition(joiner) })
+	// The joiner holds nothing, so it is preferred: the round's
+	// placement sends it the first multi-block put. Cut it off at that
+	// put: the frame still lands, the other owner takes its share, and
+	// the verification finds the joiner unreachable.
+	trip.arm(joiner, 'M', func() { faults.Partition(joiner) })
 	var sum repair.Tally
 	check := func(when string) {
 		t.Helper()

@@ -186,10 +186,12 @@ func (h *Heal) gather(ctx context.Context, shard *store.Replicated, obj core.Obj
 }
 
 // fill recombines fresh blocks from the sorted survivors for each
-// deficient level, most critical first, and places them preferring the
-// under-provisioned owners. Per deficient level, per block, rng draws
-// Perm(anchors), Perm(padding) when padding is taken, then
-// RecombineRanked's — so a seeded caller replays bit-identically.
+// deficient level, most critical first, then places them all with one
+// call, each preferring its level's under-provisioned owners — one
+// multi-block put per owner — and tallies the blocks that landed. Per
+// deficient level, per block, rng draws Perm(anchors), Perm(padding)
+// when padding is taken, then RecombineRanked's — so a seeded caller
+// replays bit-identically.
 func (h *Heal) fill(ctx context.Context, shard *store.Replicated, rng *rand.Rand, survivors, copyable []*core.CodedBlock, deficient []LevelReport, t *Tally) error {
 	byLevel := make(map[int][]*core.CodedBlock)
 	for _, b := range survivors {
@@ -203,6 +205,14 @@ func (h *Heal) fill(ctx context.Context, shard *store.Replicated, rng *rand.Rand
 	if budget <= 0 {
 		budget = math.MaxInt
 	}
+	// The batch: each block with its preference order, its level's
+	// replication factor and whether it is a verbatim copy.
+	var (
+		batch    []*core.CodedBlock
+		prefer   [][]int
+		replicas []int
+		raws     []bool
+	)
 	for _, lr := range deficient {
 		if budget <= 0 {
 			t.Truncated = true
@@ -223,7 +233,7 @@ func (h *Heal) fill(ctx context.Context, shard *store.Replicated, rng *rand.Rand
 			}
 		}
 		verbatim := verbatimByLevel[lr.Level]
-		prefer := preferOrder(lr.PerReplica)
+		pref := preferOrder(lr.PerReplica)
 		need := (lr.Deficit + lr.Replicas - 1) / lr.Replicas
 		for ; need > 0 && budget > 0; need-- {
 			nb, _, err := core.RecombineRanked(rng, h.Scheme, h.Levels, sample(rng, anchors, padding))
@@ -239,27 +249,36 @@ func (h *Heal) fill(ctx context.Context, shard *store.Replicated, rng *rand.Rand
 			} else if err != nil {
 				return fmt.Errorf("recombine level %d: %w", lr.Level, err)
 			}
-			placed := nb.WireSize() * lr.Replicas
 			if h.Charge != nil {
-				if err := h.Charge(ctx, placed); err != nil {
+				if err := h.Charge(ctx, nb.WireSize()*lr.Replicas); err != nil {
 					return err
 				}
 			}
-			if err := shard.PutPreferring(ctx, nb, prefer); err != nil {
-				return fmt.Errorf("place level-%d block: %w", lr.Level, err)
-			}
+			batch = append(batch, nb)
+			prefer = append(prefer, pref)
+			replicas = append(replicas, lr.Replicas)
+			raws = append(raws, raw)
 			budget--
-			if raw {
-				t.Copied++
-			} else {
-				t.Regenerated++
-			}
-			t.Copies += lr.Replicas
-			t.BytesPlaced += int64(placed)
 		}
 		if need > 0 && budget <= 0 {
 			t.Truncated = true
 		}
+	}
+	landed, err := shard.PutAllPreferring(ctx, batch, prefer)
+	for i, ok := range landed {
+		if !ok {
+			continue
+		}
+		if raws[i] {
+			t.Copied++
+		} else {
+			t.Regenerated++
+		}
+		t.Copies += replicas[i]
+		t.BytesPlaced += int64(batch[i].WireSize() * replicas[i])
+	}
+	if err != nil {
+		return fmt.Errorf("place: %w", err)
 	}
 	return nil
 }

@@ -120,7 +120,7 @@ func TestMetricsSharedAcrossLayersRace(t *testing.T) {
 	if reg.Counter("repair_rounds_total").Value() == 0 {
 		t.Error("repair daemon recorded no rounds")
 	}
-	if got := reg.Counter(`store_server_requests_total{op="put"}`).Value(); got == 0 {
+	if got := reg.Counter("store_server_puts_stored_total").Value(); got == 0 {
 		t.Error("server recorded no puts")
 	}
 }

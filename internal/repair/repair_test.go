@@ -116,6 +116,13 @@ func newFleetOver(t *testing.T, n, levels int, base store.Dialer) *fleet {
 // blank-disk replacement, the churn the repair daemon exists for.
 func (f *fleet) kill(i int) {
 	f.t.Helper()
+	f.killOnto(i, nil)
+}
+
+// killOnto is kill with the replacement serving engine (nil for a fresh
+// MemStore).
+func (f *fleet) killOnto(i int, engine store.BlockStore) {
+	f.t.Helper()
 	f.dialer.Partition(f.addrs[i])
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -124,7 +131,7 @@ func (f *fleet) kill(i int) {
 	}
 	var err error
 	for attempt := 0; attempt < 50; attempt++ {
-		f.servers[i], err = store.NewServer(store.ServerConfig{Addr: f.addrs[i]})
+		f.servers[i], err = store.NewServer(store.ServerConfig{Addr: f.addrs[i], Blocks: engine})
 		if err == nil {
 			return
 		}

@@ -4,27 +4,30 @@ import (
 	"context"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/store"
 )
 
-// tripDialer calls trip just before the after-th frame written to addr
-// since arm — the way to cut a fleet at a chosen point inside a round.
+// tripDialer calls trip just before the first frame with op byte op
+// written to addr since arm — the way to cut a fleet at a chosen frame
+// inside a round, whatever connections the round dials or finds stale.
 // It sits under the FaultDialer, so the tripping frame itself still
 // goes out and every later one meets the partition.
 type tripDialer struct {
-	mu    sync.Mutex
-	addr  string
-	after int
-	seen  int
-	trip  func()
+	mu   sync.Mutex
+	addr string
+	op   byte
+	trip func()
 }
 
-func (d *tripDialer) arm(addr string, after int, trip func()) {
+func (d *tripDialer) arm(addr string, op byte, trip func()) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.addr, d.after, d.seen, d.trip = addr, after, 0, trip
+	d.addr, d.op, d.trip = addr, op, trip
 }
 
 func (d *tripDialer) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
@@ -45,16 +48,45 @@ func (c *tripConn) Write(p []byte) (int, error) {
 	d := c.d
 	d.mu.Lock()
 	var trip func()
-	if c.addr == d.addr {
-		if d.seen++; d.seen == d.after {
-			trip = d.trip
-		}
+	// A frame is one Write: 4 length bytes, then the op byte.
+	if c.addr == d.addr && len(p) > 4 && p[4] == d.op {
+		trip, d.trip = d.trip, nil
 	}
 	d.mu.Unlock()
 	if trip != nil {
 		trip()
 	}
 	return c.Conn.Write(p)
+}
+
+// quotaStore is a MemStore that, once given a quota, stores that many
+// more blocks and answers every later put as full; a negative quota is
+// no limit.
+type quotaStore struct {
+	*store.MemStore
+	quota atomic.Int64
+}
+
+func newQuotaStore() *quotaStore {
+	q := &quotaStore{MemStore: store.NewMemStore(0)}
+	q.quota.Store(-1)
+	return q
+}
+
+func (q *quotaStore) Put(obj core.ObjectID, level int, wire []byte) (bool, error) {
+	for {
+		left := q.quota.Load()
+		if left < 0 {
+			break
+		}
+		if left == 0 {
+			return false, store.ErrStoreFull
+		}
+		if q.quota.CompareAndSwap(left, left-1) {
+			break
+		}
+	}
+	return q.MemStore.Put(obj, level, wire)
 }
 
 // TestTallyMatchesCounters checks the one tally against the counters it
@@ -72,13 +104,17 @@ func TestTallyMatchesCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.kill(2)
+	wiped := newQuotaStore()
+	f.killOnto(2, wiped)
 	f.heal(2)
 
-	// The wiped replica is preferred, so its frames this round are the
-	// audit's stat, the collect's get, then puts: cut the whole fleet
-	// at its third put.
-	trip.arm(f.addrs[2], 5, func() {
+	// The wiped replica is preferred for every level, so the round's
+	// placement sends it the first multi-block put, holding every block.
+	// Cut the whole fleet at that put and let the wiped replica store
+	// only three of its blocks: those land, and the rest find every
+	// other replica gone.
+	trip.arm(f.addrs[2], 'M', func() {
+		wiped.quota.Store(3)
 		for _, a := range f.addrs {
 			f.dialer.Partition(a)
 		}
@@ -107,9 +143,13 @@ func TestTallyMatchesCounters(t *testing.T) {
 	if rep.Regenerated == 0 || rep.BytesCollected == 0 {
 		t.Fatalf("cut came too early to leave partial work: %+v", rep)
 	}
+	if rep.Regenerated != 3 {
+		t.Fatalf("failed round regenerated %d blocks, want the 3 the wiped replica took", rep.Regenerated)
+	}
 	sum.Add(rep.Tally)
 	check("after the failed round")
 
+	wiped.quota.Store(-1)
 	for _, a := range f.addrs {
 		f.dialer.Heal(a)
 	}

@@ -60,6 +60,27 @@ type BlockStore interface {
 	Close() error
 }
 
+// BatchPutter is the optional BlockStore facet behind the multi-block
+// put: an engine that commits several blocks more cheaply together than
+// one by one (diskstore: one group commit, one fsync) takes a frame's
+// blocks in one call. The server finds it by type assertion and falls
+// back to one Put per block, so an engine wrapper that embeds BlockStore
+// keeps seeing every block.
+type BatchPutter interface {
+	// PutBatch stores every entry with Put's semantics and fills in each
+	// one's Stored and Err. It must not retain any Wire.
+	PutBatch(puts []BatchPut)
+}
+
+// BatchPut is one entry of a PutBatch: Put's arguments, then its results.
+type BatchPut struct {
+	Obj    core.ObjectID
+	Level  int
+	Wire   []byte
+	Stored bool
+	Err    error
+}
+
 // storedBlock is one block held by MemStore.
 type storedBlock struct {
 	level int

@@ -170,15 +170,65 @@ func (c *Client) putWire(ctx context.Context, wire []byte) error {
 	return err
 }
 
-// PutAll stores blocks sequentially, returning how many landed and the
-// first error encountered.
+// PutAll stores blocks with one multi-block put — more than one only
+// when they exceed DefaultMaxFrame together — and returns how many the
+// server stored or already held, and the first failed block's error.
 func (c *Client) PutAll(ctx context.Context, blocks []*core.CodedBlock) (int, error) {
+	wires := make([][]byte, len(blocks))
 	for i, b := range blocks {
-		if err := c.Put(ctx, b); err != nil {
-			return i, err
+		wire, err := marshalPut(b)
+		if err != nil {
+			return 0, err
+		}
+		wires[i] = wire
+	}
+	n := 0
+	var first error
+	for i, err := range c.putWires(ctx, wires) {
+		if err == nil {
+			n++
+		} else if first == nil {
+			first = fmt.Errorf("block %d: %w", i, err)
 		}
 	}
-	return len(blocks), nil
+	return n, first
+}
+
+// putWires stores blocks already in their wire encoding with multi-block
+// puts, as many per frame as DefaultMaxFrame holds, and returns each
+// block's outcome: nil once the server stored or already held it. A
+// frame that fails as a whole fails every block it carried; a block
+// rejected alone fails alone and is not retried here. Retrying a frame is
+// idempotent, like a single put's retry.
+func (c *Client) putWires(ctx context.Context, wires [][]byte) []error {
+	errs := make([]error, len(wires))
+	for start := 0; start < len(wires); {
+		end, size := start+1, 4+4+len(wires[start])
+		for end < len(wires) && size+4+len(wires[end]) <= DefaultMaxFrame {
+			size += 4 + len(wires[end])
+			end++
+		}
+		c.putFrame(ctx, wires[start:end], errs[start:end])
+		start = end
+	}
+	return errs
+}
+
+// putFrame sends one multi-block put and spreads its answer over errs.
+func (c *Client) putFrame(ctx context.Context, wires [][]byte, errs []error) {
+	body := appendBlockList(make([]byte, 0, blockListSize(wires)), wires)
+	resp, err := c.do(ctx, "multiput", frameMultiPut, body, framePutAcks)
+	var status []byte
+	if err == nil {
+		status, err = decodePutAcks(resp, len(wires))
+	}
+	for i := range errs {
+		if err != nil {
+			errs[i] = err
+		} else if e := ackErr(status[i]); e != nil {
+			errs[i] = fmt.Errorf("store: put %s: %w", c.cfg.Addr, e)
+		}
+	}
 }
 
 // GetObject fetches the stored blocks of one object with Level <=

@@ -113,8 +113,8 @@ func TestPartitionThenHeal(t *testing.T) {
 }
 
 // runChurnScenario is the acceptance scenario: 5% frame corruption on
-// every client write, replica 0 killed a third of the way through the
-// puts. It returns the per-server block counts, the collected set and
+// every client write, replica 0 killed a third of the way through a
+// stream of single-block puts. It returns the per-server block counts, the collected set and
 // the number of corrupted frames, failing the test on any client-visible
 // error.
 func runChurnScenario(t *testing.T, seed int64) (counts []int, collected []string, mauled int) {
@@ -124,12 +124,13 @@ func runChurnScenario(t *testing.T, seed int64) (counts []int, collected []strin
 	ctx := context.Background()
 
 	third := len(blocks) / 3
-	if n, err := fc.repl.PutAll(ctx, blocks[:third]); err != nil || n != third {
-		t.Fatalf("puts before the kill: %d, %v", n, err)
-	}
-	fc.kill(t, 0)
-	if n, err := fc.repl.PutAll(ctx, blocks[third:]); err != nil || n != len(blocks)-third {
-		t.Fatalf("puts under churn must see zero client-visible errors: %d, %v", n, err)
+	for i, b := range blocks {
+		if i == third {
+			fc.kill(t, 0)
+		}
+		if err := fc.repl.Put(ctx, b); err != nil {
+			t.Fatalf("put %d under churn must see zero client-visible errors: %v", i, err)
+		}
 	}
 
 	got, err := fc.repl.CollectObject(ctx, core.ZeroObject, -1)

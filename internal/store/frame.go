@@ -44,9 +44,10 @@ const (
 // Frame types, the op byte. Requests are uppercase-ish mnemonics,
 // responses follow shell conventions ('+' ok, '!' error). Held for the
 // ops of the one wire revision still to come, and unassigned until then:
-// 'M' multi-block put, 'R' recombine, 'O' object manifest.
+// 'R' recombine, 'O' object manifest.
 const (
 	framePut      = 'P' // body: one CodedBlock (core wire format)
+	frameMultiPut = 'M' // body: the frameBlocks layout; answered by framePutAcks
 	frameGet      = 'G' // body: uint16 max level (0xFFFF = all) + uint64 object ID
 	frameStat     = 'S' // body: empty
 	framePing     = 'i' // body: empty
@@ -60,6 +61,7 @@ const (
 	frameStats   = 's' // body: the inventory layout of encodeStats
 	frameSegList = 'e' // body: uint16 n, n x segListEntry bytes (see encodeSegmentList)
 	frameDeleted = 'd' // body: uint32 removed block count
+	framePutAcks = 'm' // body: uint32 n, then n status bytes (ackStored or an error code)
 )
 
 // Error codes carried in frameErr bodies. The code tells the client
@@ -69,6 +71,10 @@ const (
 	errCodeBad         = 2 // semantic rejection: do not retry
 	errCodeUnavailable = 3 // server draining or I/O trouble: try another replica
 	errCodeFull        = 4 // storage engine at capacity: fail over, do not retry here
+
+	// ackStored is a framePutAcks status: the block is stored, or was
+	// already. Every other status is one of the error codes above.
+	ackStored = 0
 )
 
 // frameBufPool recycles frame build buffers across writeFrame calls —
@@ -119,6 +125,26 @@ func writeFrame(w io.Writer, typ byte, id uint32, body []byte) error {
 	return sendFrame(w, bp, buf)
 }
 
+// blockListSize is the body size of a frameBlocks list of blocks.
+func blockListSize(blocks [][]byte) int {
+	size := 4
+	for _, b := range blocks {
+		size += 4 + len(b)
+	}
+	return size
+}
+
+// appendBlockList appends the frameBlocks layout of blocks to buf — the
+// one encoder of a get's answer and a multi-block put's request.
+func appendBlockList(buf []byte, blocks [][]byte) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(blocks)))
+	for _, b := range blocks {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
+		buf = append(buf, b...)
+	}
+	return buf
+}
+
 // writeBlockList answers a get: a frameBlocks frame built straight from
 // the engine's wire slices into the pooled buffer — each block is copied
 // once, into the bytes the socket sees. An answer whose body would
@@ -127,25 +153,17 @@ func writeFrame(w io.Writer, typ byte, id uint32, body []byte) error {
 // burns the client's retries. (The bound also keeps the uint32 count and
 // length fields from truncating.)
 func writeBlockList(w io.Writer, id uint32, blocks [][]byte) error {
-	size := frameHeader + 4
-	for _, b := range blocks {
-		size += 4 + len(b)
-	}
-	if size-frameHeader > DefaultMaxFrame {
+	body := blockListSize(blocks)
+	if body > DefaultMaxFrame {
 		return fmt.Errorf("%w: %d blocks of one object (%d bytes) exceed the frame limit %d bytes",
-			ErrBadRequest, len(blocks), size-frameHeader, DefaultMaxFrame)
+			ErrBadRequest, len(blocks), body, DefaultMaxFrame)
 	}
 	bp := frameBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
-	if cap(buf) < size {
-		buf = make([]byte, 0, size)
+	if cap(buf) < frameHeader+body {
+		buf = make([]byte, 0, frameHeader+body)
 	}
-	buf = beginFrame(buf, frameBlocks, id)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(blocks)))
-	for _, b := range blocks {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
-		buf = append(buf, b...)
-	}
+	buf = appendBlockList(beginFrame(buf, frameBlocks, id), blocks)
 	sealFrame(buf)
 	return sendFrame(w, bp, buf)
 }
@@ -293,6 +311,42 @@ func parseBlocks(wires [][]byte) ([]core.CodedBlock, error) {
 		}
 	}
 	return out, nil
+}
+
+// encodePutAcks builds a framePutAcks body: the count, then one status
+// per block of the multi-block put it answers, in request order.
+func encodePutAcks(status []byte) []byte {
+	body := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(status)), uint32(len(status)))
+	return append(body, status...)
+}
+
+// decodePutAcks parses a framePutAcks body answering a put of n blocks.
+// The count must be n and the body exactly that long; a status that is
+// neither ackStored nor an error code is corruption.
+func decodePutAcks(body []byte, n int) ([]byte, error) {
+	if len(body) < 4 {
+		return nil, fmt.Errorf("%w: put acks truncated", ErrCorruptFrame)
+	}
+	if got := binary.BigEndian.Uint32(body); uint64(got) != uint64(n) || len(body)-4 != n {
+		return nil, fmt.Errorf("%w: put acks claim %d statuses in %d bytes, want %d",
+			ErrCorruptFrame, got, len(body)-4, n)
+	}
+	status := body[4:]
+	for i, st := range status {
+		if st > errCodeFull {
+			return nil, fmt.Errorf("%w: put ack %d has status %d", ErrCorruptFrame, i, st)
+		}
+	}
+	return status, nil
+}
+
+// ackErr maps one framePutAcks status to the error a single put would
+// have answered: nil for ackStored.
+func ackErr(status byte) error {
+	if status == ackStored {
+		return nil
+	}
+	return decodeErrFrame(append([]byte{status}, "block rejected"...))
 }
 
 // getBodyLen is the frameGet request body: a uint16 max level (0xFFFF =

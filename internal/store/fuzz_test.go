@@ -20,12 +20,15 @@ const (
 	fuzzDeleteBody
 	fuzzErrFrame
 	fuzzFrame
+	fuzzMultiPutBody
+	fuzzPutAcks
 	storeFrameKinds
 )
 
 // FuzzStoreFrames feeds hostile bodies to every store frame decoder, and
 // hostile whole frames — length, op, CRC, request id — to the frame
-// reader. No decoder may panic, and every body or frame one accepts must
+// reader. A multi-block put body also goes through the server's handler,
+// which must answer one status per entry. No decoder may panic, and every body or frame one accepts must
 // come back byte for byte from its encoder: each value has exactly one
 // spelling on the wire, the request id included. The seeds are current
 // bodies of every kind plus the layouts the store no longer speaks (the
@@ -72,6 +75,10 @@ func FuzzStoreFrames(f *testing.F) {
 		f.Fatal(err)
 	}
 	add(fuzzSegmentList, segs)
+	add(fuzzMultiPutBody, appendBlockList(nil, [][]byte{dense, []byte("not a block"), dense}))
+	add(fuzzMultiPutBody, appendBlockList(nil, nil))
+	add(fuzzPutAcks, encodePutAcks([]byte{ackStored, errCodeBad, errCodeFull}))
+	add(fuzzPutAcks, encodePutAcks(nil))
 	add(fuzzDeleteBody, encodeDeleteBody(core.NamedObject("fuzz")))
 	add(fuzzErrFrame, append([]byte{errCodeFull}, "store full"...))
 	add(fuzzErrFrame, nil)
@@ -155,6 +162,38 @@ func FuzzStoreFrames(f *testing.F) {
 			var frame bytes.Buffer
 			err = writeFrame(&frame, typ, id, fb)
 			sameBody(t, "frame", body[:frameHeader+len(fb)], frame.Bytes(), err)
+		case fuzzMultiPutBody:
+			srv := &Server{blocks: NewMemStore(0)}
+			var frame bytes.Buffer
+			if err := srv.handleMultiPut(reply{&frame, 1}, body); err != nil {
+				t.Fatalf("multi-put: answer write: %v", err)
+			}
+			typ, _, answer, err := readFrame(&frame, DefaultMaxFrame)
+			if err != nil {
+				t.Fatalf("multi-put: answer unreadable: %v", err)
+			}
+			wires, err := splitBlockList(body)
+			if err != nil {
+				if typ != frameErr {
+					t.Fatalf("multi-put: malformed body answered %q", typ)
+				}
+				return
+			}
+			if _, err := decodePutAcks(answer, len(wires)); typ != framePutAcks || err != nil {
+				t.Fatalf("multi-put: %d entries answered %q: %v", len(wires), typ, err)
+			}
+			sameBody(t, "multi-put", body, appendBlockList(nil, wires), nil)
+		case fuzzPutAcks:
+			if len(body) < 4 {
+				return
+			}
+			n := int(binary.BigEndian.Uint32(body))
+			if _, err := decodePutAcks(body, n+1); err == nil {
+				t.Fatalf("put acks %x accepted for %d blocks", body, n+1)
+			}
+			if status, err := decodePutAcks(body, n); err == nil {
+				sameBody(t, "put acks", body, encodePutAcks(status), nil)
+			}
 		}
 	})
 }

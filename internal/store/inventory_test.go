@@ -243,8 +243,9 @@ func TestPutPreferringSteersPlacement(t *testing.T) {
 		t.Fatalf("ReplicasFor(1) = %d, want 2", rf)
 	}
 	// Duplicate and out-of-range preferences must be tolerated.
-	if err := repl.PutPreferring(ctx, bulk, []int{2, 2, -1, 9, 1}); err != nil {
-		t.Fatal(err)
+	landed, err := repl.PutAllPreferring(ctx, []*core.CodedBlock{bulk}, [][]int{{2, 2, -1, 9, 1}})
+	if err != nil || !landed[0] {
+		t.Fatalf("landed %v: %v", landed, err)
 	}
 	if n := servers[0].Len(); n != 0 {
 		t.Fatalf("non-preferred replica 0 holds %d blocks, want 0", n)

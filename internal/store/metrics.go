@@ -25,6 +25,7 @@ type serverMetrics struct {
 	crcFailures *metrics.Counter
 
 	puts         *metrics.Counter
+	multiPuts    *metrics.Counter
 	putsStored   *metrics.Counter
 	putsDeduped  *metrics.Counter
 	putsRejected *metrics.Counter
@@ -54,6 +55,7 @@ func newServerMetrics(r *metrics.Registry) serverMetrics {
 		bytesOut:       r.Counter("store_server_frame_bytes_out_total"),
 		crcFailures:    r.Counter("store_server_crc_failures_total"),
 		puts:           r.Counter(`store_server_requests_total{op="put"}`),
+		multiPuts:      r.Counter(`store_server_requests_total{op="multiput"}`),
 		gets:           r.Counter(`store_server_requests_total{op="get"}`),
 		stats:          r.Counter(`store_server_requests_total{op="stat"}`),
 		segments:       r.Counter(`store_server_requests_total{op="segments"}`),

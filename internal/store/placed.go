@@ -383,15 +383,36 @@ func (p *Placed) Put(ctx context.Context, b *core.CodedBlock) error {
 	return repl.Put(ctx, b)
 }
 
-// PutAll stores blocks in order, returning how many succeeded and the
-// first error.
+// PutAll stores blocks on their objects' shards, each object's blocks
+// together through Replicated.PutAll — one multi-block put per owner —
+// objects in the order they first appear. It returns how many landed and
+// stops at the first object with an error.
 func (p *Placed) PutAll(ctx context.Context, blocks []*core.CodedBlock) (int, error) {
-	for i, b := range blocks {
-		if err := p.Put(ctx, b); err != nil {
-			return i, err
+	var objs []core.ObjectID
+	byObj := make(map[core.ObjectID][]*core.CodedBlock)
+	for _, b := range blocks {
+		if b == nil {
+			return 0, fmt.Errorf("%w: nil block", ErrBadRequest)
+		}
+		if _, seen := byObj[b.Object]; !seen {
+			objs = append(objs, b.Object)
+		}
+		byObj[b.Object] = append(byObj[b.Object], b)
+	}
+	n := 0
+	for _, obj := range objs {
+		repl, err := p.Shard(obj)
+		if err != nil {
+			return n, err
+		}
+		p.met.puts.Add(uint64(len(byObj[obj])))
+		landed, err := repl.PutAll(ctx, byObj[obj])
+		n += landed
+		if err != nil {
+			return n, err
 		}
 	}
-	return len(blocks), nil
+	return n, nil
 }
 
 // Collect fetches one object's blocks with Level <= maxLevel from its

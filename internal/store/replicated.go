@@ -130,38 +130,15 @@ func (r *Replicated) ReplicasFor(level int) int {
 // restores the missing copies). When no replica in the window accepts
 // the block, Put fails over to the remaining replicas rather than
 // failing the write — an outage only surfaces to the caller once no
-// replica in the whole fleet accepts the block.
+// replica in the whole fleet accepts the block. The block is marshaled
+// once, and every replica is sent those bytes.
 func (r *Replicated) Put(ctx context.Context, b *core.CodedBlock) error {
-	return r.PutPreferring(ctx, b, nil)
-}
-
-// PutPreferring stores one block like Put but tries the given replica
-// indices first, in order, before falling back to the rotating window.
-// Out-of-range and duplicate indices are ignored. The repair daemon uses
-// it to steer regenerated blocks onto the replicas its audit found
-// under-provisioned, instead of re-crowding the healthy ones. The block
-// is marshaled once, and every replica is sent those bytes.
-func (r *Replicated) PutPreferring(ctx context.Context, b *core.CodedBlock, prefer []int) error {
 	wire, err := marshalPut(b)
 	if err != nil {
 		return err
 	}
 	targets := r.ReplicasFor(b.Level)
-	start := int((r.next.Add(1) - 1) % uint64(len(r.clients)))
-	order := make([]int, 0, len(r.clients))
-	taken := make([]bool, len(r.clients))
-	for _, i := range prefer {
-		if i >= 0 && i < len(r.clients) && !taken[i] {
-			taken[i] = true
-			order = append(order, i)
-		}
-	}
-	for i := 0; i < len(r.clients); i++ {
-		if j := (start + i) % len(r.clients); !taken[j] {
-			taken[j] = true
-			order = append(order, j)
-		}
-	}
+	order := r.putOrder(nil)
 	r.met.puts.Inc()
 	stored := 0
 	var errs []error
@@ -193,15 +170,141 @@ func (r *Replicated) PutPreferring(ctx context.Context, b *core.CodedBlock, pref
 		b.Level, targets, errors.Join(append([]error{ErrStoreUnavailable}, errs...)...))
 }
 
-// PutAll stores blocks in order, returning how many succeeded and the
-// first error.
-func (r *Replicated) PutAll(ctx context.Context, blocks []*core.CodedBlock) (int, error) {
-	for i, b := range blocks {
-		if err := r.Put(ctx, b); err != nil {
-			return i, err
+// putOrder is the replica order one block's put tries: the preferred
+// indices first, in order (out-of-range and duplicate ones ignored),
+// then every other replica from the rotating window's next start. Each
+// call advances the window by one.
+func (r *Replicated) putOrder(prefer []int) []int {
+	start := int((r.next.Add(1) - 1) % uint64(len(r.clients)))
+	order := make([]int, 0, len(r.clients))
+	taken := make([]bool, len(r.clients))
+	for _, i := range prefer {
+		if i >= 0 && i < len(r.clients) && !taken[i] {
+			taken[i] = true
+			order = append(order, i)
 		}
 	}
-	return len(blocks), nil
+	for i := 0; i < len(r.clients); i++ {
+		if j := (start + i) % len(r.clients); !taken[j] {
+			taken[j] = true
+			order = append(order, j)
+		}
+	}
+	return order
+}
+
+// PutAll stores blocks like PutAllPreferring with no preference and
+// returns how many landed.
+func (r *Replicated) PutAll(ctx context.Context, blocks []*core.CodedBlock) (int, error) {
+	landed, err := r.PutAllPreferring(ctx, blocks, nil)
+	n := 0
+	for _, ok := range landed {
+		if ok {
+			n++
+		}
+	}
+	return n, err
+}
+
+// PutAllPreferring stores blocks with Put's placement — each block's
+// replica order and window exactly as one Put of it would draw them, in
+// order, with prefer[i] tried first for blocks[i] (prefer is nil or
+// holds one entry per block) — but sends each replica its window copies
+// together, in one multi-block put, one replica after another in the
+// order the blocks first name them (so the preferred replicas first). A
+// block no window replica accepted then fails over along the rest of
+// its order, one replica at a time, each replica again taking its share
+// in one frame. Repair uses the preferences to steer regenerated blocks
+// onto the replicas its audit found under-provisioned.
+//
+// landed[i] reports whether blocks[i] is on at least one replica. The
+// error is non-nil when the context ended or some block landed nowhere.
+func (r *Replicated) PutAllPreferring(ctx context.Context, blocks []*core.CodedBlock, prefer [][]int) (landed []bool, err error) {
+	wires := make([][]byte, len(blocks))
+	for i, b := range blocks {
+		if wires[i], err = marshalPut(b); err != nil {
+			return make([]bool, len(blocks)), err
+		}
+	}
+	orders := make([][]int, len(blocks))
+	targets := make([]int, len(blocks))
+	for i, b := range blocks {
+		var p []int
+		if prefer != nil {
+			p = prefer[i]
+		}
+		orders[i], targets[i] = r.putOrder(p), r.ReplicasFor(b.Level)
+	}
+	r.met.puts.Add(uint64(len(blocks)))
+	landed = make([]bool, len(blocks))
+	failed := make([][]error, len(blocks))
+	send := make([][]int, len(r.clients)) // per replica, the blocks it is sent next
+	var seq []int                         // replicas with blocks to send, in the order the blocks first name them
+	queue := func(idx, i int) {
+		if len(send[idx]) == 0 {
+			seq = append(seq, idx)
+		}
+		send[idx] = append(send[idx], i)
+	}
+	flush := func() error {
+		for _, idx := range seq {
+			sel := send[idx]
+			ws := make([][]byte, len(sel))
+			for k, i := range sel {
+				ws[k] = wires[i]
+			}
+			for k, err := range r.clients[idx].putWires(ctx, ws) {
+				r.met.perReplica[idx].put(err)
+				if err == nil {
+					landed[sel[k]] = true
+				} else {
+					failed[sel[k]] = append(failed[sel[k]], err)
+				}
+			}
+			send[idx] = sel[:0]
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		seq = seq[:0]
+		return nil
+	}
+	for i, order := range orders {
+		for _, idx := range order[:targets[i]] {
+			queue(idx, i)
+		}
+	}
+	if err := flush(); err != nil {
+		return landed, err
+	}
+	for pos := 0; ; pos++ {
+		for i, order := range orders {
+			if !landed[i] && targets[i]+pos < len(order) {
+				queue(order[targets[i]+pos], i)
+			}
+		}
+		if len(seq) == 0 {
+			break
+		}
+		if err := flush(); err != nil {
+			return landed, err
+		}
+	}
+	lost, first := 0, -1
+	for i, ok := range landed {
+		if !ok {
+			if lost++; first < 0 {
+				first = i
+			}
+		}
+	}
+	if lost == 0 {
+		return landed, nil
+	}
+	r.met.putErrors.Add(uint64(lost))
+	return landed, fmt.Errorf("store: put: %d/%d blocks stored 0 copies, the first at level %d of %d targets: %w",
+		lost, len(blocks), blocks[first].Level, targets[first],
+		errors.Join(append([]error{ErrStoreUnavailable}, failed[first]...)...))
 }
 
 // StatAll fetches every replica's inventory snapshot concurrently. The

@@ -224,6 +224,9 @@ func (s *Server) handleConn(raw net.Conn) {
 		case framePut:
 			s.met.puts.Inc()
 			err = s.handlePut(rep, body)
+		case frameMultiPut:
+			s.met.multiPuts.Inc()
+			err = s.handleMultiPut(rep, body)
 		case frameGet:
 			s.met.gets.Inc()
 			err = s.handleGet(rep, body)
@@ -285,18 +288,63 @@ func (s *Server) handlePut(rep reply, body []byte) error {
 		return nil
 	}
 	stored, err := s.blocks.Put(obj, level, body)
+	if code := s.putOutcome(stored, err); code != ackStored {
+		rep.fail(code, err.Error())
+		return nil
+	}
+	return rep.frame(frameOK, nil)
+}
+
+// handleMultiPut serves a multi-block put: every entry is checked and
+// stored as handlePut would — all in one engine call when the engine is
+// a BatchPutter — and answered with one status per entry, so a rejected
+// block fails alone. Only a body that is not a block list fails the
+// whole frame.
+func (s *Server) handleMultiPut(rep reply, body []byte) error {
+	wires, err := splitBlockList(body)
+	if err != nil {
+		rep.fail(errCodeBad, fmt.Sprintf("bad block list: %v", err))
+		return nil
+	}
+	status := make([]byte, len(wires))
+	puts := make([]BatchPut, 0, len(wires))
+	entry := make([]int, 0, len(wires)) // puts[k] is wires[entry[k]]
+	for i, w := range wires {
+		obj, level, err := core.CheckWire(w)
+		if err != nil {
+			s.met.putsBad.Inc()
+			status[i] = errCodeBad
+			continue
+		}
+		puts = append(puts, BatchPut{Obj: obj, Level: level, Wire: w})
+		entry = append(entry, i)
+	}
+	if bp, ok := s.blocks.(BatchPutter); ok {
+		bp.PutBatch(puts)
+	} else {
+		for k := range puts {
+			puts[k].Stored, puts[k].Err = s.blocks.Put(puts[k].Obj, puts[k].Level, puts[k].Wire)
+		}
+	}
+	for k, p := range puts {
+		status[entry[k]] = s.putOutcome(p.Stored, p.Err)
+	}
+	return rep.frame(framePutAcks, encodePutAcks(status))
+}
+
+// putOutcome counts one engine put's outcome and returns its status:
+// ackStored, or the error code the client acts on. An engine failure (a
+// disk write that did not land) is unavailable: the block is not
+// durable, so the client must not treat it as stored.
+func (s *Server) putOutcome(stored bool, err error) byte {
 	switch {
 	case errors.Is(err, ErrStoreFull):
 		s.met.putsRejected.Inc()
 		s.met.putsFull.Inc()
-		rep.fail(errCodeFull, err.Error())
-		return nil
+		return errCodeFull
 	case err != nil:
-		// Engine failure (a disk write that did not land): the block is
-		// not durable, so the client must not treat it as stored.
 		s.met.putsRejected.Inc()
-		rep.fail(errCodeUnavailable, err.Error())
-		return nil
+		return errCodeUnavailable
 	case stored:
 		s.met.putsStored.Inc()
 		s.met.blocks.Set(int64(s.blocks.Len()))
@@ -304,7 +352,7 @@ func (s *Server) handlePut(rep reply, body []byte) error {
 	default:
 		s.met.putsDeduped.Inc()
 	}
-	return rep.frame(frameOK, nil)
+	return ackStored
 }
 
 func (s *Server) handleGet(rep reply, body []byte) error {
