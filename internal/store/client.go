@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -140,14 +141,17 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// Put stores one coded block, retrying transient failures. Retries are
-// idempotent because the server deduplicates identical blocks.
+// Put stores one coded block — a multi-block put of one — retrying
+// transient failures. Retries are idempotent because the server
+// deduplicates identical blocks.
 func (c *Client) Put(ctx context.Context, b *core.CodedBlock) error {
 	wire, err := marshalPut(b)
 	if err != nil {
 		return err
 	}
-	return c.putWire(ctx, wire)
+	var errs [1]error
+	c.putWires(ctx, [][]byte{wire}, errs[:])
+	return errs[0]
 }
 
 // marshalPut is the wire encoding a put sends, with a block the wire
@@ -163,13 +167,6 @@ func marshalPut(b *core.CodedBlock) ([]byte, error) {
 	return wire, nil
 }
 
-// putWire stores one block already in its wire encoding, so a put to
-// several replicas marshals once.
-func (c *Client) putWire(ctx context.Context, wire []byte) error {
-	_, err := c.do(ctx, "put", framePut, wire, frameOK)
-	return err
-}
-
 // PutAll stores blocks with one multi-block put — more than one only
 // when they exceed DefaultMaxFrame together — and returns how many the
 // server stored or already held, and the first failed block's error.
@@ -182,9 +179,11 @@ func (c *Client) PutAll(ctx context.Context, blocks []*core.CodedBlock) (int, er
 		}
 		wires[i] = wire
 	}
+	errs := make([]error, len(wires))
+	c.putWires(ctx, wires, errs)
 	n := 0
 	var first error
-	for i, err := range c.putWires(ctx, wires) {
+	for i, err := range errs {
 		if err == nil {
 			n++
 		} else if first == nil {
@@ -195,13 +194,12 @@ func (c *Client) PutAll(ctx context.Context, blocks []*core.CodedBlock) (int, er
 }
 
 // putWires stores blocks already in their wire encoding with multi-block
-// puts, as many per frame as DefaultMaxFrame holds, and returns each
-// block's outcome: nil once the server stored or already held it. A
+// puts, as many per frame as DefaultMaxFrame holds, and sets errs[i] to
+// blocks[i]'s outcome: nil once the server stored or already held it. A
 // frame that fails as a whole fails every block it carried; a block
 // rejected alone fails alone and is not retried here. Retrying a frame is
-// idempotent, like a single put's retry.
-func (c *Client) putWires(ctx context.Context, wires [][]byte) []error {
-	errs := make([]error, len(wires))
+// idempotent: the server deduplicates.
+func (c *Client) putWires(ctx context.Context, wires [][]byte, errs []error) {
 	for start := 0; start < len(wires); {
 		end, size := start+1, 4+4+len(wires[start])
 		for end < len(wires) && size+4+len(wires[end]) <= DefaultMaxFrame {
@@ -211,22 +209,24 @@ func (c *Client) putWires(ctx context.Context, wires [][]byte) []error {
 		c.putFrame(ctx, wires[start:end], errs[start:end])
 		start = end
 	}
-	return errs
 }
 
 // putFrame sends one multi-block put and spreads its answer over errs.
 func (c *Client) putFrame(ctx context.Context, wires [][]byte, errs []error) {
-	body := appendBlockList(make([]byte, 0, blockListSize(wires)), wires)
-	resp, err := c.do(ctx, "multiput", frameMultiPut, body, framePutAcks)
+	resp, err := c.do(ctx, "put", request{op: frameMultiPut, blocks: wires}, framePutAcks)
 	var status []byte
 	if err == nil {
 		status, err = decodePutAcks(resp, len(wires))
 	}
 	for i := range errs {
-		if err != nil {
+		switch {
+		case err != nil:
 			errs[i] = err
-		} else if e := ackErr(status[i]); e != nil {
-			errs[i] = fmt.Errorf("store: put %s: %w", c.cfg.Addr, e)
+		case status[i] != ackStored: // an error code: the error frame it stands for
+			errs[i] = fmt.Errorf("store: put %s: %w", c.cfg.Addr,
+				decodeErrFrame(append([]byte{status[i]}, "block rejected"...)))
+		default:
+			errs[i] = nil
 		}
 	}
 }
@@ -268,22 +268,22 @@ func (c *Client) getWires(ctx context.Context, obj core.ObjectID, maxLevel int) 
 	if maxLevel >= 0xFFFF {
 		return nil, fmt.Errorf("%w: max level %d exceeds the wire limit %d", ErrBadRequest, maxLevel, 0xFFFE)
 	}
-	resp, err := c.do(ctx, "get", frameGet, encodeGetBody(obj, maxLevel), frameBlocks)
+	resp, err := c.do(ctx, "get", request{op: frameGet, body: encodeGetBody(obj, maxLevel)}, frameBlocks)
 	if err != nil {
 		return nil, err
 	}
-	return splitBlockList(resp)
+	return splitBlockList(nil, resp)
 }
 
 // Ping checks liveness.
 func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.do(ctx, "ping", framePing, nil, frameOK)
+	_, err := c.do(ctx, "ping", request{op: framePing}, frameOK)
 	return err
 }
 
 // Stat fetches the server's inventory snapshot.
 func (c *Client) Stat(ctx context.Context) (Stats, error) {
-	resp, err := c.do(ctx, "stat", frameStat, nil, frameStats)
+	resp, err := c.do(ctx, "stat", request{op: frameStat}, frameStats)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -299,7 +299,7 @@ func (c *Client) Delete(ctx context.Context, obj core.ObjectID) (int, error) {
 	if obj == core.AllObjects {
 		return 0, fmt.Errorf("%w: delete needs a concrete object", ErrBadRequest)
 	}
-	resp, err := c.do(ctx, "delete", frameDelete, encodeDeleteBody(obj), frameDeleted)
+	resp, err := c.do(ctx, "delete", request{op: frameDelete, body: encodeDeleteBody(obj)}, frameDeleted)
 	if err != nil {
 		return 0, err
 	}
@@ -309,7 +309,7 @@ func (c *Client) Delete(ctx context.Context, obj core.ObjectID) (int, error) {
 // Segments fetches the server's on-disk segment listing. Daemons running
 // the in-memory engine reject the request with ErrBadRequest.
 func (c *Client) Segments(ctx context.Context) ([]SegmentInfo, error) {
-	resp, err := c.do(ctx, "segments", frameSegments, nil, frameSegList)
+	resp, err := c.do(ctx, "segments", request{op: frameSegments}, frameSegList)
 	if err != nil {
 		return nil, err
 	}
@@ -319,27 +319,52 @@ func (c *Client) Segments(ctx context.Context) ([]SegmentInfo, error) {
 // Shutdown asks the server to drain and exit. The single attempt is not
 // retried: a dead server is already shut down.
 func (c *Client) Shutdown(ctx context.Context) error {
-	_, err := c.attempt(ctx, frameShutdown, nil, frameOK)
+	_, err := c.attempt(ctx, request{op: frameShutdown}, frameOK)
 	return err
+}
+
+// request is one request frame: its op and its body, given as bytes or,
+// for a put, as the blocks whose list writeBlockList builds straight
+// into the frame.
+type request struct {
+	op     byte
+	body   []byte
+	blocks [][]byte
+}
+
+// size is the request's body size.
+func (q request) size() int {
+	if q.blocks != nil {
+		return blockListSize(q.blocks)
+	}
+	return len(q.body)
+}
+
+// write sends the request as one frame carrying id.
+func (q request) write(w io.Writer, id uint32) error {
+	if q.blocks != nil {
+		return writeBlockList(w, q.op, id, q.blocks)
+	}
+	return writeFrame(w, q.op, id, q.body)
 }
 
 // do runs one request with retries. Retryable failures: dial errors,
 // I/O errors, corrupt frames, and unavailable responses. Semantic
 // rejections (ErrBadRequest) and context cancellation end immediately.
-func (c *Client) do(ctx context.Context, op string, reqType byte, body []byte, wantResp byte) ([]byte, error) {
+func (c *Client) do(ctx context.Context, op string, req request, wantResp byte) ([]byte, error) {
 	t0 := time.Now()
-	resp, err := c.doAttempts(ctx, op, reqType, body, wantResp)
+	resp, err := c.doAttempts(ctx, op, req, wantResp)
 	c.met.opNs.ObserveSince(t0)
 	pick(err, c.met.opOK, c.met.opErrors).Inc()
 	return resp, err
 }
 
-func (c *Client) doAttempts(ctx context.Context, op string, reqType byte, body []byte, wantResp byte) ([]byte, error) {
-	if len(body) > DefaultMaxFrame {
+func (c *Client) doAttempts(ctx context.Context, op string, req request, wantResp byte) ([]byte, error) {
+	if size := req.size(); size > DefaultMaxFrame {
 		// The server would hang up on the length field mid-send; no retry
 		// can shrink the frame.
 		return nil, fmt.Errorf("store: %s %s: %w: %d-byte request exceeds the frame limit %d",
-			op, c.cfg.Addr, ErrBadRequest, len(body), DefaultMaxFrame)
+			op, c.cfg.Addr, ErrBadRequest, size, DefaultMaxFrame)
 	}
 	var lastErr error
 	for i := 0; i < c.cfg.Retry.MaxAttempts; i++ {
@@ -355,7 +380,7 @@ func (c *Client) doAttempts(ctx context.Context, op string, reqType byte, body [
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		resp, err := c.attempt(ctx, reqType, body, wantResp)
+		resp, err := c.attempt(ctx, req, wantResp)
 		if err == nil {
 			return resp, nil
 		}
@@ -384,13 +409,13 @@ func (c *Client) doAttempts(ctx context.Context, op string, reqType byte, body [
 // rule). Every op is idempotent, so a request that did reach the old
 // server is harmless to repeat. A fresh connection gets no such second
 // chance: its faults are the server's and cost a retry.
-func (c *Client) attempt(ctx context.Context, reqType byte, body []byte, wantResp byte) ([]byte, error) {
+func (c *Client) attempt(ctx context.Context, req request, wantResp byte) ([]byte, error) {
 	conn, reused, err := c.getConn(ctx)
 	if err != nil {
 		return nil, err
 	}
 	c.met.attempts.Inc()
-	resp, err := c.exchange(ctx, conn, reqType, body, wantResp)
+	resp, err := c.exchange(ctx, conn, req, wantResp)
 	if err == nil || !reused || !staleConn(ctx, err) {
 		return resp, err
 	}
@@ -399,7 +424,7 @@ func (c *Client) attempt(ctx context.Context, reqType byte, body []byte, wantRes
 	if conn, err = c.dial(ctx); err != nil {
 		return nil, err
 	}
-	return c.exchange(ctx, conn, reqType, body, wantResp)
+	return c.exchange(ctx, conn, req, wantResp)
 }
 
 // staleConn reports whether err, from an exchange on a pooled
@@ -419,7 +444,7 @@ func staleConn(ctx context.Context, err error) bool {
 // answer carrying another request's id is a corrupt frame — the stream
 // is out of step with its requests — except a connection-level error
 // frame, which carries id 0.
-func (c *Client) exchange(ctx context.Context, conn net.Conn, reqType byte, body []byte, wantResp byte) ([]byte, error) {
+func (c *Client) exchange(ctx context.Context, conn net.Conn, req request, wantResp byte) ([]byte, error) {
 	// Order matters: set the op deadline FIRST, then arm the poison. The
 	// poison (a past deadline) interrupts a blocked read the moment the
 	// context dies; arming it before SetDeadline would let a cancellation
@@ -429,7 +454,7 @@ func (c *Client) exchange(ctx context.Context, conn net.Conn, reqType byte, body
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
 	defer stop()
 	id := c.nextID()
-	if err := writeFrame(conn, reqType, id, body); err != nil {
+	if err := req.write(conn, id); err != nil {
 		conn.Close()
 		return nil, c.ctxOr(ctx, noFrameError{err})
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -44,9 +45,9 @@ const (
 // Frame types, the op byte. Requests are uppercase-ish mnemonics,
 // responses follow shell conventions ('+' ok, '!' error). Held for the
 // ops of the one wire revision still to come, and unassigned until then:
-// 'R' recombine, 'O' object manifest.
+// 'R' recombine, 'O' object manifest. Retired, and never reassigned: 'P',
+// the single-block put, which a server answers like any unknown op.
 const (
-	framePut      = 'P' // body: one CodedBlock (core wire format)
 	frameMultiPut = 'M' // body: the frameBlocks layout; answered by framePutAcks
 	frameGet      = 'G' // body: uint16 max level (0xFFFF = all) + uint64 object ID
 	frameStat     = 'S' // body: empty
@@ -134,8 +135,7 @@ func blockListSize(blocks [][]byte) int {
 	return size
 }
 
-// appendBlockList appends the frameBlocks layout of blocks to buf — the
-// one encoder of a get's answer and a multi-block put's request.
+// appendBlockList appends the frameBlocks layout of blocks to buf.
 func appendBlockList(buf []byte, blocks [][]byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(blocks)))
 	for _, b := range blocks {
@@ -145,17 +145,18 @@ func appendBlockList(buf []byte, blocks [][]byte) []byte {
 	return buf
 }
 
-// writeBlockList answers a get: a frameBlocks frame built straight from
-// the engine's wire slices into the pooled buffer — each block is copied
-// once, into the bytes the socket sees. An answer whose body would
-// exceed DefaultMaxFrame is rejected with ErrBadRequest before anything
-// is built or written: no client could read it, so sending it only
-// burns the client's retries. (The bound also keeps the uint32 count and
-// length fields from truncating.)
-func writeBlockList(w io.Writer, id uint32, blocks [][]byte) error {
+// writeBlockList writes a typ frame whose body is the frameBlocks layout
+// of blocks — a get's answer (frameBlocks) or a put's request
+// (frameMultiPut) — built straight from the blocks' wire slices into the
+// pooled buffer, so each block is copied once, into the bytes the socket
+// sees. A body that would exceed DefaultMaxFrame is rejected with
+// ErrBadRequest before anything is built or written: no peer could read
+// it, so sending it only burns retries. (The bound also keeps the uint32
+// count and length fields from truncating.)
+func writeBlockList(w io.Writer, typ byte, id uint32, blocks [][]byte) error {
 	body := blockListSize(blocks)
 	if body > DefaultMaxFrame {
-		return fmt.Errorf("%w: %d blocks of one object (%d bytes) exceed the frame limit %d bytes",
+		return fmt.Errorf("%w: %d blocks (%d bytes) exceed the frame limit %d bytes",
 			ErrBadRequest, len(blocks), body, DefaultMaxFrame)
 	}
 	bp := frameBufPool.Get().(*[]byte)
@@ -163,7 +164,7 @@ func writeBlockList(w io.Writer, id uint32, blocks [][]byte) error {
 	if cap(buf) < frameHeader+body {
 		buf = make([]byte, 0, frameHeader+body)
 	}
-	buf = appendBlockList(beginFrame(buf, frameBlocks, id), blocks)
+	buf = appendBlockList(beginFrame(buf, typ, id), blocks)
 	sealFrame(buf)
 	return sendFrame(w, bp, buf)
 }
@@ -259,13 +260,14 @@ func decodeErrFrame(body []byte) error {
 const minBlockEntry = 4 + 13
 
 // splitBlockList cuts a frameBlocks body into its entries' wire bytes,
-// each a capacity-clipped sub-slice of body; no block is parsed. body
+// each a capacity-clipped sub-slice of body, returned in dst's storage
+// when it is large enough; no block is parsed. body
 // must therefore be the caller's to give away — readFrame allocates a
 // fresh one per response; a reused scratch buffer (the server's request
 // loop) is not. The body already passed the frame CRC, so a malformed
 // list means a peer bug rather than line noise; it is still reported as
 // corruption so clients retry elsewhere.
-func splitBlockList(body []byte) ([][]byte, error) {
+func splitBlockList(dst [][]byte, body []byte) ([][]byte, error) {
 	if len(body) < 4 {
 		return nil, fmt.Errorf("%w: block list truncated", ErrCorruptFrame)
 	}
@@ -279,7 +281,7 @@ func splitBlockList(body []byte) ([][]byte, error) {
 			ErrCorruptFrame, n, len(body)/minBlockEntry)
 	}
 	off := 4
-	out := make([][]byte, n)
+	out := slices.Grow(dst[:0], n)[:n]
 	for i := range out {
 		if len(body)-off < 4 {
 			return nil, fmt.Errorf("%w: block list truncated at entry %d", ErrCorruptFrame, i)
@@ -313,11 +315,12 @@ func parseBlocks(wires [][]byte) ([]core.CodedBlock, error) {
 	return out, nil
 }
 
-// encodePutAcks builds a framePutAcks body: the count, then one status
-// per block of the multi-block put it answers, in request order.
-func encodePutAcks(status []byte) []byte {
-	body := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(status)), uint32(len(status)))
-	return append(body, status...)
+// appendPutAcks appends to buf a framePutAcks body answering a put of n
+// blocks: the count, then one status per block, in request order, each
+// ackStored.
+func appendPutAcks(buf []byte, n int) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+	return append(buf, make([]byte, n)...)
 }
 
 // decodePutAcks parses a framePutAcks body answering a put of n blocks.
@@ -338,15 +341,6 @@ func decodePutAcks(body []byte, n int) ([]byte, error) {
 		}
 	}
 	return status, nil
-}
-
-// ackErr maps one framePutAcks status to the error a single put would
-// have answered: nil for ackStored.
-func ackErr(status byte) error {
-	if status == ackStored {
-		return nil
-	}
-	return decodeErrFrame(append([]byte{status}, "block rejected"...))
 }
 
 // getBodyLen is the frameGet request body: a uint16 max level (0xFFFF =

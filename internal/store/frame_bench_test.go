@@ -35,7 +35,7 @@ func BenchmarkFrameWrite(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if err := writeFrame(io.Discard, framePut, 1, body); err != nil {
+			if err := writeFrame(io.Discard, frameMultiPut, 1, body); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -48,7 +48,7 @@ func BenchmarkFrameWriteRef(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if err := writeFrameAlloc(io.Discard, framePut, 1, body); err != nil {
+			if err := writeFrameAlloc(io.Discard, frameMultiPut, 1, body); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -58,7 +58,7 @@ func BenchmarkFrameWriteRef(b *testing.B) {
 func BenchmarkFrameRead(b *testing.B) {
 	body := benchBody(4096)
 	var wire bytes.Buffer
-	if err := writeFrame(&wire, framePut, 1, body); err != nil {
+	if err := writeFrame(&wire, frameMultiPut, 1, body); err != nil {
 		b.Fatal(err)
 	}
 	raw := wire.Bytes()
@@ -79,7 +79,7 @@ func BenchmarkFrameRead(b *testing.B) {
 func BenchmarkFrameReadRef(b *testing.B) {
 	body := benchBody(4096)
 	var wire bytes.Buffer
-	if err := writeFrame(&wire, framePut, 1, body); err != nil {
+	if err := writeFrame(&wire, frameMultiPut, 1, body); err != nil {
 		b.Fatal(err)
 	}
 	raw := wire.Bytes()
@@ -102,7 +102,7 @@ func TestFrameBuffersReused(t *testing.T) {
 	body := benchBody(4096)
 	writeAllocs := func(write func(io.Writer, byte, uint32, []byte) error) float64 {
 		return testing.AllocsPerRun(1000, func() {
-			if err := write(io.Discard, framePut, 1, body); err != nil {
+			if err := write(io.Discard, frameMultiPut, 1, body); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -113,7 +113,7 @@ func TestFrameBuffersReused(t *testing.T) {
 	}
 
 	var wire bytes.Buffer
-	if err := writeFrame(&wire, framePut, 1, body); err != nil {
+	if err := writeFrame(&wire, frameMultiPut, 1, body); err != nil {
 		t.Fatal(err)
 	}
 	raw := wire.Bytes()

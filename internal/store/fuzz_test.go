@@ -77,8 +77,8 @@ func FuzzStoreFrames(f *testing.F) {
 	add(fuzzSegmentList, segs)
 	add(fuzzMultiPutBody, appendBlockList(nil, [][]byte{dense, []byte("not a block"), dense}))
 	add(fuzzMultiPutBody, appendBlockList(nil, nil))
-	add(fuzzPutAcks, encodePutAcks([]byte{ackStored, errCodeBad, errCodeFull}))
-	add(fuzzPutAcks, encodePutAcks(nil))
+	add(fuzzPutAcks, putAcks(ackStored, errCodeBad, errCodeFull))
+	add(fuzzPutAcks, putAcks())
 	add(fuzzDeleteBody, encodeDeleteBody(core.NamedObject("fuzz")))
 	add(fuzzErrFrame, append([]byte{errCodeFull}, "store full"...))
 	add(fuzzErrFrame, nil)
@@ -86,7 +86,12 @@ func FuzzStoreFrames(f *testing.F) {
 		typ  byte
 		id   uint32
 		body []byte
-	}{{framePing, 1, nil}, {frameGet, 0xFFFFFFFF, encodeGetBody(core.NamedObject("fuzz"), 3)}, {frameErr, 0, []byte{errCodeCorrupt}}} {
+	}{
+		{framePing, 1, nil},
+		{frameGet, 0xFFFFFFFF, encodeGetBody(core.NamedObject("fuzz"), 3)},
+		{frameErr, 0, []byte{errCodeCorrupt}},
+		{'P', 2, dense}, // the retired single-block put
+	} {
 		var frame bytes.Buffer
 		if err := writeFrame(&frame, fr.typ, fr.id, fr.body); err != nil {
 			f.Fatal(err)
@@ -114,13 +119,13 @@ func FuzzStoreFrames(f *testing.F) {
 				sameBody(t, "stats", body, re, err)
 			}
 		case fuzzBlockList:
-			wires, err := splitBlockList(body)
+			wires, err := splitBlockList(nil, body)
 			if err != nil {
 				return
 			}
 			parseBlocks(wires) // must not panic on any entry
 			var frame bytes.Buffer
-			if err := writeBlockList(&frame, 1, wires); err != nil {
+			if err := writeBlockList(&frame, frameBlocks, 1, wires); err != nil {
 				t.Fatalf("block list: re-encode: %v", err)
 			}
 			_, _, re, err := readFrame(&frame, DefaultMaxFrame)
@@ -165,14 +170,14 @@ func FuzzStoreFrames(f *testing.F) {
 		case fuzzMultiPutBody:
 			srv := &Server{blocks: NewMemStore(0)}
 			var frame bytes.Buffer
-			if err := srv.handleMultiPut(reply{&frame, 1}, body); err != nil {
+			if err := srv.handleMultiPut(reply{&frame, 1}, body, &putBatch{}); err != nil {
 				t.Fatalf("multi-put: answer write: %v", err)
 			}
 			typ, _, answer, err := readFrame(&frame, DefaultMaxFrame)
 			if err != nil {
 				t.Fatalf("multi-put: answer unreadable: %v", err)
 			}
-			wires, err := splitBlockList(body)
+			wires, err := splitBlockList(nil, body)
 			if err != nil {
 				if typ != frameErr {
 					t.Fatalf("multi-put: malformed body answered %q", typ)
@@ -192,10 +197,17 @@ func FuzzStoreFrames(f *testing.F) {
 				t.Fatalf("put acks %x accepted for %d blocks", body, n+1)
 			}
 			if status, err := decodePutAcks(body, n); err == nil {
-				sameBody(t, "put acks", body, encodePutAcks(status), nil)
+				sameBody(t, "put acks", body, putAcks(status...), nil)
 			}
 		}
 	})
+}
+
+// putAcks is the framePutAcks body carrying status.
+func putAcks(status ...byte) []byte {
+	body := appendPutAcks(nil, len(status))
+	copy(body[4:], status)
+	return body
 }
 
 // sameBody fails the fuzz case when an accepted body did not re-encode

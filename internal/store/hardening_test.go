@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"strings"
@@ -19,7 +20,7 @@ import (
 // decodeBlockList is a get answer's path through the client: the list
 // split into entries, then every entry parsed.
 func decodeBlockList(body []byte) ([]core.CodedBlock, error) {
-	wires, err := splitBlockList(body)
+	wires, err := splitBlockList(nil, body)
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +281,7 @@ func TestStoreSeedFramesEndToEnd(t *testing.T) {
 func TestEncodeBlockListBounds(t *testing.T) {
 	blocks := [][]byte{{1, 2}, {3}}
 	var wire bytes.Buffer
-	if err := writeBlockList(&wire, 1, blocks); err != nil {
+	if err := writeBlockList(&wire, frameBlocks, 1, blocks); err != nil {
 		t.Fatal(err)
 	}
 	typ, _, body, err := readFrame(&wire, DefaultMaxFrame)
@@ -299,13 +300,13 @@ func TestEncodeBlockListBounds(t *testing.T) {
 	for i := range big {
 		big[i] = mib
 	}
-	if err := writeBlockList(&wire, 1, big); !errors.Is(err, ErrBadRequest) {
+	if err := writeBlockList(&wire, frameBlocks, 1, big); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("17 MiB answer: err = %v, want ErrBadRequest", err)
 	}
 	if wire.Len() != 0 {
 		t.Fatalf("a refused answer wrote %d bytes", wire.Len())
 	}
-	if err := writeBlockList(&wire, 1, big[:15]); err != nil {
+	if err := writeBlockList(&wire, frameBlocks, 1, big[:15]); err != nil {
 		t.Fatalf("15 MiB answer: %v", err)
 	}
 }
@@ -375,6 +376,60 @@ func TestOversizedGetAnswerFailsFast(t *testing.T) {
 	// The connection stays in sync: the next request on it succeeds.
 	if err := cl.Ping(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnknownOpAnsweredBadRequest pins the server's answer to an op it
+// does not serve — the retired single-block put 'P', the held 'R' and
+// 'O', a response type, a zero byte: a bad request carrying the
+// request's id, counted as {op="unknown"}, and then the connection
+// closes. The server keeps serving other connections.
+func TestUnknownOpAnsweredBadRequest(t *testing.T) {
+	reg := metrics.NewRegistry()
+	srv := newTestServer(t, ServerConfig{Metrics: reg})
+	_, _, blocks := testCode(t, 1)
+	wire, err := blocks[0].MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []struct {
+		op   byte
+		body []byte
+	}{{'P', wire}, {'R', nil}, {'O', nil}, {framePutAcks, []byte{0, 0, 0, 0}}, {0, nil}}
+	for k, tc := range ops {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		id := uint32(100 + k)
+		if err := writeFrame(conn, tc.op, id, tc.body); err != nil {
+			t.Fatal(err)
+		}
+		typ, got, body, err := readFrame(conn, DefaultMaxFrame)
+		if err != nil {
+			t.Fatalf("op %q: reading the answer: %v", tc.op, err)
+		}
+		if typ != frameErr || got != id || !errors.Is(decodeErrFrame(body), ErrBadRequest) {
+			t.Fatalf("op %q answered %q on id %d (%v), want a bad request on id %d", tc.op, typ, got, decodeErrFrame(body), id)
+		}
+		if _, _, _, err := readFrame(conn, DefaultMaxFrame); !errors.Is(err, io.EOF) {
+			t.Errorf("op %q: after the answer, read %v; want the connection closed", tc.op, err)
+		}
+		conn.Close()
+	}
+	if got := reg.Counter(`store_server_requests_total{op="unknown"}`).Value(); got != uint64(len(ops)) {
+		t.Errorf(`store_server_requests_total{op="unknown"} = %d, want %d`, got, len(ops))
+	}
+	if got := reg.Counter(`store_server_requests_total{op="put"}`).Value(); got != 0 {
+		t.Errorf(`store_server_requests_total{op="put"} = %d after no put, want 0`, got)
+	}
+	cl := newTestClient(t, srv.Addr(), nil)
+	if err := cl.Put(context.Background(), blocks[0]); err != nil {
+		t.Fatal(err)
+	}
+	if srv.Len() != 1 {
+		t.Fatalf("server holds %d blocks, want the one put", srv.Len())
 	}
 }
 

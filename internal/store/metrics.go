@@ -25,7 +25,6 @@ type serverMetrics struct {
 	crcFailures *metrics.Counter
 
 	puts         *metrics.Counter
-	multiPuts    *metrics.Counter
 	putsStored   *metrics.Counter
 	putsDeduped  *metrics.Counter
 	putsRejected *metrics.Counter
@@ -55,7 +54,6 @@ func newServerMetrics(r *metrics.Registry) serverMetrics {
 		bytesOut:       r.Counter("store_server_frame_bytes_out_total"),
 		crcFailures:    r.Counter("store_server_crc_failures_total"),
 		puts:           r.Counter(`store_server_requests_total{op="put"}`),
-		multiPuts:      r.Counter(`store_server_requests_total{op="multiput"}`),
 		gets:           r.Counter(`store_server_requests_total{op="get"}`),
 		stats:          r.Counter(`store_server_requests_total{op="stat"}`),
 		segments:       r.Counter(`store_server_requests_total{op="segments"}`),

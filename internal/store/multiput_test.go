@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 )
 
 // frameCounter is a Dialer that counts the frames written to each
@@ -38,6 +40,17 @@ func (c *frameCounter) count(addr string, op byte) int {
 	return c.frames[addr][op]
 }
 
+// total returns how many frames of any op went to addr.
+func (c *frameCounter) total(addr string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, k := range c.frames[addr] {
+		n += k
+	}
+	return n
+}
+
 type countedConn struct {
 	net.Conn
 	c    *frameCounter
@@ -57,26 +70,92 @@ func (cc *countedConn) Write(p []byte) (int, error) {
 }
 
 // TestPlacedPutAllOneFramePerOwner is the write path's frame count: a
-// 200-block PutAll of one object sends each owner exactly one
-// multi-block put and no single put.
+// 200-block PutAll of one object, and a single-block Put at level 0 and
+// at the last level, send each window owner exactly one multi-block put
+// and nothing else, and the other owners nothing. The bytes the clients
+// write are exactly those frames: per owner, the header and count, then
+// a length and the wire of each block it holds — copies × (header + 8 +
+// wire) for one block.
 func TestPlacedPutAllOneFramePerOwner(t *testing.T) {
-	counter := newFrameCounter()
-	clients := make([]*Client, 3)
-	for i := range clients {
-		clients[i] = newTestClient(t, newTestServer(t, ServerConfig{}).Addr(), counter)
-	}
-	p, err := NewPlaced(clients, 2, PlacedConfig{Replication: 3, Tolerance: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, blocks := keyedBlocks(t, core.NamedObject("frames"), 200)
-	if n, err := p.PutAll(context.Background(), blocks); err != nil || n != len(blocks) {
-		t.Fatalf("PutAll landed %d/%d: %v", n, len(blocks), err)
-	}
-	for _, cl := range clients {
-		if m, single := counter.count(cl.Addr(), frameMultiPut), counter.count(cl.Addr(), framePut); m != 1 || single != 0 {
-			t.Errorf("owner %s was sent %d multi-block and %d single puts, want 1 and 0", cl.Addr(), m, single)
+	obj := core.NamedObject("frames")
+	_, _, blocks := keyedBlocks(t, obj, 200)
+	first := func(level int) []*core.CodedBlock {
+		for _, b := range blocks {
+			if b.Level == level {
+				return []*core.CodedBlock{b}
+			}
 		}
+		t.Fatalf("test code has no level-%d block", level)
+		return nil
+	}
+	for _, tc := range []struct {
+		name   string
+		blocks []*core.CodedBlock // one goes through Put, more through PutAll
+		copies int                // owners sent a frame; 0 for any
+	}{
+		{"PutAll", blocks, 0},
+		{"Put level 0", first(0), 3},
+		{"Put last level", first(1), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			counter := newFrameCounter()
+			servers := make([]*Server, 3)
+			clients := make([]*Client, 3)
+			for i := range clients {
+				servers[i] = newTestServer(t, ServerConfig{})
+				cfg := fastClientCfg(servers[i].Addr(), counter)
+				cfg.Metrics = reg
+				cl, err := NewClient(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { cl.Close() })
+				clients[i] = cl
+			}
+			p, err := NewPlaced(clients, 2, PlacedConfig{Replication: 3, Tolerance: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			if len(tc.blocks) == 1 {
+				err = p.Put(ctx, tc.blocks[0])
+			} else if n, perr := p.PutAll(ctx, tc.blocks); n != len(tc.blocks) {
+				err = fmt.Errorf("PutAll landed %d/%d: %v", n, len(tc.blocks), perr)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			owners, wantBytes := 0, uint64(0)
+			for i, cl := range clients {
+				held, _ := servers[i].blocks.Get(obj, -1)
+				want := 0
+				if len(held) > 0 {
+					want = 1
+					owners++
+					wantBytes += uint64(frameHeader + blockListSize(held))
+				}
+				if m, all := counter.count(cl.Addr(), frameMultiPut), counter.total(cl.Addr()); m != want || all != want {
+					t.Errorf("owner %s holds %d blocks and was sent %d multi-block puts of %d frames, want %d of %d",
+						cl.Addr(), len(held), m, all, want, want)
+				}
+			}
+			if tc.copies > 0 {
+				if owners != tc.copies {
+					t.Errorf("%d owners hold the block, want %d", owners, tc.copies)
+				}
+				wire, err := tc.blocks[0].MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if per := uint64(frameHeader + 8 + len(wire)); wantBytes != uint64(tc.copies)*per {
+					t.Errorf("owners hold %d frame bytes, want %d copies of %d", wantBytes, tc.copies, per)
+				}
+			}
+			if got := reg.Counter("store_client_frame_bytes_out_total").Value(); got != wantBytes {
+				t.Errorf("store_client_frame_bytes_out_total = %d, want %d", got, wantBytes)
+			}
+		})
 	}
 }
 
@@ -145,7 +224,8 @@ func TestMultiPutAcksPerBlock(t *testing.T) {
 	}
 	// held, stored, not a block, refused: the engine's cap is 2.
 	wires = [][]byte{wires[0], wires[1], []byte("not a block"), wires[2]}
-	errs := cl.putWires(ctx, wires)
+	errs := make([]error, len(wires))
+	cl.putWires(ctx, wires, errs)
 	if errs[0] != nil || errs[1] != nil {
 		t.Fatalf("held and fresh blocks answered %v, %v; want both stored", errs[0], errs[1])
 	}

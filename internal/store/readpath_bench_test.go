@@ -88,7 +88,7 @@ func BenchmarkCollectDedup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for r, body := range bodies {
-			if answers[r], err = splitBlockList(body); err != nil {
+			if answers[r], err = splitBlockList(nil, body); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"hash/maphash"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -123,70 +124,30 @@ func (r *Replicated) ReplicasFor(level int) int {
 	return rf
 }
 
-// Put stores one block on ReplicasFor(b.Level) replicas, chosen by a
-// rotating window so load spreads evenly. Writes are sequential and the
-// call succeeds once one copy landed; per-replica failures beyond that
-// are absorbed (retries already ran inside each client, and repair
-// restores the missing copies). When no replica in the window accepts
-// the block, Put fails over to the remaining replicas rather than
-// failing the write — an outage only surfaces to the caller once no
-// replica in the whole fleet accepts the block. The block is marshaled
-// once, and every replica is sent those bytes.
+// Put stores one block as PutAllPreferring stores a batch of one: on
+// ReplicasFor(b.Level) replicas, chosen by a rotating window so load
+// spreads evenly, failing over past the window only when no window
+// replica accepts it.
 func (r *Replicated) Put(ctx context.Context, b *core.CodedBlock) error {
-	wire, err := marshalPut(b)
-	if err != nil {
-		return err
-	}
-	targets := r.ReplicasFor(b.Level)
-	order := r.putOrder(nil)
-	r.met.puts.Inc()
-	stored := 0
-	var errs []error
-	for n, idx := range order {
-		// The first `targets` replicas are the level's provisioned
-		// window; the rest are failover-only, tried until one copy has
-		// landed — so a put survives any outage that leaves one replica
-		// reachable, and the repair daemon later migrates the copies
-		// back onto the window.
-		if n >= targets && stored > 0 {
-			break
-		}
-		err := r.clients[idx].putWire(ctx, wire)
-		r.met.perReplica[idx].put(err)
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			errs = append(errs, err)
-			continue
-		}
-		stored++
-	}
-	if stored > 0 {
-		return nil
-	}
-	r.met.putErrors.Inc()
-	return fmt.Errorf("store: put level %d stored 0/%d copies: %w",
-		b.Level, targets, errors.Join(append([]error{ErrStoreUnavailable}, errs...)...))
+	_, err := r.PutAllPreferring(ctx, []*core.CodedBlock{b}, nil)
+	return err
 }
 
-// putOrder is the replica order one block's put tries: the preferred
-// indices first, in order (out-of-range and duplicate ones ignored),
-// then every other replica from the rotating window's next start. Each
-// call advances the window by one.
-func (r *Replicated) putOrder(prefer []int) []int {
-	start := int((r.next.Add(1) - 1) % uint64(len(r.clients)))
-	order := make([]int, 0, len(r.clients))
-	taken := make([]bool, len(r.clients))
+// putOrder appends to order the replica order one block's put tries: the
+// preferred indices first, in order (out-of-range and duplicate ones
+// ignored), then every other replica from the rotating window's next
+// start. Each call advances the window by one.
+func (r *Replicated) putOrder(order, prefer []int) []int {
+	n := len(r.clients)
+	start := int((r.next.Add(1) - 1) % uint64(n))
+	base := len(order)
 	for _, i := range prefer {
-		if i >= 0 && i < len(r.clients) && !taken[i] {
-			taken[i] = true
+		if i >= 0 && i < n && !slices.Contains(order[base:], i) {
 			order = append(order, i)
 		}
 	}
-	for i := 0; i < len(r.clients); i++ {
-		if j := (start + i) % len(r.clients); !taken[j] {
-			taken[j] = true
+	for i := 0; i < n; i++ {
+		if j := (start + i) % n; !slices.Contains(order[base:], j) {
 			order = append(order, j)
 		}
 	}
@@ -206,88 +167,59 @@ func (r *Replicated) PutAll(ctx context.Context, blocks []*core.CodedBlock) (int
 	return n, err
 }
 
-// PutAllPreferring stores blocks with Put's placement — each block's
-// replica order and window exactly as one Put of it would draw them, in
-// order, with prefer[i] tried first for blocks[i] (prefer is nil or
-// holds one entry per block) — but sends each replica its window copies
+// PutAllPreferring stores each block on its level's window: the first
+// ReplicasFor(level) replicas of an order drawn as putOrder draws it, in
+// block order, with prefer[i] tried first for blocks[i] (prefer is nil or
+// holds one entry per block). Each replica is sent its window copies
 // together, in one multi-block put, one replica after another in the
 // order the blocks first name them (so the preferred replicas first). A
-// block no window replica accepted then fails over along the rest of
-// its order, one replica at a time, each replica again taking its share
-// in one frame. Repair uses the preferences to steer regenerated blocks
-// onto the replicas its audit found under-provisioned.
+// block no window replica accepted then fails over along the rest of its
+// order, one replica at a time, each replica again taking its share in
+// one frame — so a block lands while any replica in the fleet accepts it,
+// and repair later moves the copies back onto the window. A copy a
+// replica refuses is not retried there (its client already retried the
+// frame); per-replica failures after one copy landed are absorbed, and
+// repair restores the missing copies. Each block is marshaled once, and
+// every replica is sent those bytes. Repair uses the preferences to steer
+// regenerated blocks onto the replicas its audit found under-provisioned.
 //
 // landed[i] reports whether blocks[i] is on at least one replica. The
 // error is non-nil when the context ended or some block landed nowhere.
 func (r *Replicated) PutAllPreferring(ctx context.Context, blocks []*core.CodedBlock, prefer [][]int) (landed []bool, err error) {
+	n := len(r.clients)
 	wires := make([][]byte, len(blocks))
 	for i, b := range blocks {
 		if wires[i], err = marshalPut(b); err != nil {
 			return make([]bool, len(blocks)), err
 		}
 	}
-	orders := make([][]int, len(blocks))
-	targets := make([]int, len(blocks))
-	for i, b := range blocks {
+	// blocks[i]'s replica order is orders[i*n:][:n].
+	orders := make([]int, 0, len(blocks)*n)
+	for i := range blocks {
 		var p []int
 		if prefer != nil {
 			p = prefer[i]
 		}
-		orders[i], targets[i] = r.putOrder(p), r.ReplicasFor(b.Level)
+		orders = r.putOrder(orders, p)
 	}
 	r.met.puts.Add(uint64(len(blocks)))
 	landed = make([]bool, len(blocks))
-	failed := make([][]error, len(blocks))
-	send := make([][]int, len(r.clients)) // per replica, the blocks it is sent next
-	var seq []int                         // replicas with blocks to send, in the order the blocks first name them
-	queue := func(idx, i int) {
-		if len(send[idx]) == 0 {
-			seq = append(seq, idx)
-		}
-		send[idx] = append(send[idx], i)
-	}
-	flush := func() error {
-		for _, idx := range seq {
-			sel := send[idx]
-			ws := make([][]byte, len(sel))
-			for k, i := range sel {
-				ws[k] = wires[i]
-			}
-			for k, err := range r.clients[idx].putWires(ctx, ws) {
-				r.met.perReplica[idx].put(err)
-				if err == nil {
-					landed[sel[k]] = true
-				} else {
-					failed[sel[k]] = append(failed[sel[k]], err)
-				}
-			}
-			send[idx] = sel[:0]
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		seq = seq[:0]
-		return nil
-	}
-	for i, order := range orders {
-		for _, idx := range order[:targets[i]] {
-			queue(idx, i)
+	var failed [][]error
+	copies := make([]blockCopy, 0, len(blocks)*n)
+	for i, b := range blocks {
+		for _, idx := range orders[i*n:][:r.ReplicasFor(b.Level)] {
+			copies = append(copies, blockCopy{idx, i})
 		}
 	}
-	if err := flush(); err != nil {
-		return landed, err
-	}
-	for pos := 0; ; pos++ {
-		for i, order := range orders {
-			if !landed[i] && targets[i]+pos < len(order) {
-				queue(order[targets[i]+pos], i)
-			}
-		}
-		if len(seq) == 0 {
-			break
-		}
-		if err := flush(); err != nil {
+	for pos := 0; len(copies) > 0; pos++ {
+		if failed, err = r.sendCopies(ctx, copies, wires, landed, failed); err != nil {
 			return landed, err
+		}
+		copies = copies[:0]
+		for i, b := range blocks {
+			if k := r.ReplicasFor(b.Level) + pos; !landed[i] && k < n {
+				copies = append(copies, blockCopy{orders[i*n+k], i})
+			}
 		}
 	}
 	lost, first := 0, -1
@@ -303,8 +235,52 @@ func (r *Replicated) PutAllPreferring(ctx context.Context, blocks []*core.CodedB
 	}
 	r.met.putErrors.Add(uint64(lost))
 	return landed, fmt.Errorf("store: put: %d/%d blocks stored 0 copies, the first at level %d of %d targets: %w",
-		lost, len(blocks), blocks[first].Level, targets[first],
+		lost, len(blocks), blocks[first].Level, r.ReplicasFor(blocks[first].Level),
 		errors.Join(append([]error{ErrStoreUnavailable}, failed[first]...)...))
+}
+
+// blockCopy is one copy a put sends: blocks[block] to replica.
+type blockCopy struct{ replica, block int }
+
+// sendCopies sends each replica its copies in one multi-block put, one
+// replica after another in the order copies first names them, and marks
+// each copy that landed in landed. It appends each refused copy's error
+// to failed, by block (made at the first refusal), and returns it. Only
+// the context ending is an error. The copies are consumed.
+func (r *Replicated) sendCopies(ctx context.Context, copies []blockCopy, wires [][]byte, landed []bool, failed [][]error) ([][]error, error) {
+	sel := make([]int, 0, len(copies))   // one replica's blocks
+	ws := make([][]byte, 0, len(copies)) // and their wires
+	errs := make([]error, len(copies))
+	for j := range copies {
+		idx := copies[j].replica
+		if idx < 0 {
+			continue // sent with an earlier copy's replica
+		}
+		sel, ws = sel[:0], ws[:0]
+		for k := j; k < len(copies); k++ {
+			if copies[k].replica == idx {
+				copies[k].replica = -1
+				sel = append(sel, copies[k].block)
+				ws = append(ws, wires[copies[k].block])
+			}
+		}
+		r.clients[idx].putWires(ctx, ws, errs[:len(ws)])
+		for k, i := range sel {
+			r.met.perReplica[idx].put(errs[k])
+			if errs[k] == nil {
+				landed[i] = true
+				continue
+			}
+			if failed == nil {
+				failed = make([][]error, len(landed))
+			}
+			failed[i] = append(failed[i], errs[k])
+		}
+		if err := ctx.Err(); err != nil {
+			return failed, err
+		}
+	}
+	return failed, nil
 }
 
 // StatAll fetches every replica's inventory snapshot concurrently. The

@@ -191,8 +191,12 @@ func (s *Server) handleConn(raw net.Conn) {
 	conn := meterConn(raw, s.met.bytesIn, s.met.bytesOut)
 	// One frame buffer per connection, reused across requests: handlers
 	// either consume the body before the next read or copy what they
-	// keep (the put path stores its own copy).
-	var scratch []byte
+	// keep (the engine stores its own copy of a put block). The put
+	// path's own state is reused the same way.
+	var (
+		scratch []byte
+		batch   putBatch
+	)
 	for {
 		if s.drainingNow() {
 			return
@@ -221,12 +225,9 @@ func (s *Server) handleConn(raw net.Conn) {
 		shutdown := false
 		rep := reply{conn, id}
 		switch typ {
-		case framePut:
-			s.met.puts.Inc()
-			err = s.handlePut(rep, body)
 		case frameMultiPut:
-			s.met.multiPuts.Inc()
-			err = s.handleMultiPut(rep, body)
+			s.met.puts.Inc()
+			err = s.handleMultiPut(rep, body, &batch)
 		case frameGet:
 			s.met.gets.Inc()
 			err = s.handleGet(rep, body)
@@ -277,38 +278,30 @@ func (r reply) frame(typ byte, body []byte) error { return writeFrame(r.w, typ, 
 
 func (r reply) fail(code byte, msg string) { writeErrFrame(r.w, r.id, code, msg) }
 
-// handlePut validates the block frame in place (core.CheckWire: no copy
-// of its sections, no seed expansion) and hands its bytes to the engine,
-// which copies what it keeps.
-func (s *Server) handlePut(rep reply, body []byte) error {
-	obj, level, err := core.CheckWire(body)
-	if err != nil {
-		s.met.putsBad.Inc()
-		rep.fail(errCodeBad, fmt.Sprintf("bad block: %v", err))
-		return nil
-	}
-	stored, err := s.blocks.Put(obj, level, body)
-	if code := s.putOutcome(stored, err); code != ackStored {
-		rep.fail(code, err.Error())
-		return nil
-	}
-	return rep.frame(frameOK, nil)
+// putBatch is one connection's put state, reused from request to
+// request: the block list's entries, the batch handed to the engine and
+// the answer's body.
+type putBatch struct {
+	wires [][]byte
+	puts  []BatchPut
+	acks  []byte
 }
 
-// handleMultiPut serves a multi-block put: every entry is checked and
-// stored as handlePut would — all in one engine call when the engine is
-// a BatchPutter — and answered with one status per entry, so a rejected
-// block fails alone. Only a body that is not a block list fails the
-// whole frame.
-func (s *Server) handleMultiPut(rep reply, body []byte) error {
-	wires, err := splitBlockList(body)
+// handleMultiPut serves a put: every entry of the block list is
+// validated in place (core.CheckWire: no copy of its sections, no seed
+// expansion) and handed to the engine, which copies what it keeps — all
+// in one engine call when the engine is a BatchPutter — and answered
+// with one status per entry, so a rejected block fails alone. Only a
+// body that is not a block list fails the whole frame.
+func (s *Server) handleMultiPut(rep reply, body []byte, b *putBatch) error {
+	wires, err := splitBlockList(b.wires, body)
 	if err != nil {
 		rep.fail(errCodeBad, fmt.Sprintf("bad block list: %v", err))
 		return nil
 	}
-	status := make([]byte, len(wires))
-	puts := make([]BatchPut, 0, len(wires))
-	entry := make([]int, 0, len(wires)) // puts[k] is wires[entry[k]]
+	acks := appendPutAcks(b.acks[:0], len(wires))
+	status := acks[4:] // ackStored for the entries handed to the engine
+	puts := b.puts[:0]
 	for i, w := range wires {
 		obj, level, err := core.CheckWire(w)
 		if err != nil {
@@ -317,7 +310,6 @@ func (s *Server) handleMultiPut(rep reply, body []byte) error {
 			continue
 		}
 		puts = append(puts, BatchPut{Obj: obj, Level: level, Wire: w})
-		entry = append(entry, i)
 	}
 	if bp, ok := s.blocks.(BatchPutter); ok {
 		bp.PutBatch(puts)
@@ -326,10 +318,15 @@ func (s *Server) handleMultiPut(rep reply, body []byte) error {
 			puts[k].Stored, puts[k].Err = s.blocks.Put(puts[k].Obj, puts[k].Level, puts[k].Wire)
 		}
 	}
-	for k, p := range puts {
-		status[entry[k]] = s.putOutcome(p.Stored, p.Err)
+	k := 0
+	for i := range status {
+		if status[i] == ackStored {
+			status[i] = s.putOutcome(puts[k].Stored, puts[k].Err)
+			k++
+		}
 	}
-	return rep.frame(framePutAcks, encodePutAcks(status))
+	b.wires, b.puts, b.acks = wires, puts, acks
+	return rep.frame(framePutAcks, acks)
 }
 
 // putOutcome counts one engine put's outcome and returns its status:
@@ -366,7 +363,7 @@ func (s *Server) handleGet(rep reply, body []byte) error {
 		rep.fail(errCodeUnavailable, err.Error())
 		return nil
 	}
-	if err = writeBlockList(rep.w, rep.id, out); errors.Is(err, ErrBadRequest) {
+	if err = writeBlockList(rep.w, frameBlocks, rep.id, out); errors.Is(err, ErrBadRequest) {
 		rep.fail(errCodeBad, err.Error())
 		return nil
 	}

@@ -113,21 +113,21 @@ func checkCriticalLevel(t *testing.T, dec *core.Decoder, levels *core.Levels, so
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	body := []byte("hello frames")
-	if err := writeFrame(&buf, framePut, 0xC0FFEE, body); err != nil {
+	if err := writeFrame(&buf, frameMultiPut, 0xC0FFEE, body); err != nil {
 		t.Fatal(err)
 	}
 	typ, id, got, err := readFrame(&buf, DefaultMaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != framePut || id != 0xC0FFEE || !bytes.Equal(got, body) {
+	if typ != frameMultiPut || id != 0xC0FFEE || !bytes.Equal(got, body) {
 		t.Fatalf("round trip gave type %q id %#x body %q", typ, id, got)
 	}
 }
 
 func TestFrameCorruptionDetected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, framePut, 7, []byte("payload under test")); err != nil {
+	if err := writeFrame(&buf, frameMultiPut, 7, []byte("payload under test")); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -145,7 +145,7 @@ func TestFrameCorruptionDetected(t *testing.T) {
 
 func TestFrameTooLargeRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, framePut, 1, make([]byte, 1024)); err != nil {
+	if err := writeFrame(&buf, frameMultiPut, 1, make([]byte, 1024)); err != nil {
 		t.Fatal(err)
 	}
 	_, _, _, err := readFrame(&buf, 512)
