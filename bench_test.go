@@ -19,6 +19,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/exper"
+	"repro/internal/geom"
 	"repro/internal/gossip"
 	"repro/internal/growthcodes"
 	"repro/internal/netsim"
@@ -27,7 +28,7 @@ import (
 
 // netsimFailRegion forwards to netsim.FailRegion (aliased for readability
 // at the call site).
-func netsimFailRegion(rng *rand.Rand, pos []Point, radius float64) ([]int, error) {
+func netsimFailRegion(rng *rand.Rand, pos []geom.Point, radius float64) ([]int, error) {
 	return netsim.FailRegion(rng, pos, radius)
 }
 
@@ -527,7 +528,7 @@ func BenchmarkCorrelatedFailures(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pos := make([]Point, nodes)
+	pos := make([]geom.Point, nodes)
 	for i := range pos {
 		pos[i] = graph.Pos(i)
 	}

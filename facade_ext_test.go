@@ -5,10 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/feasibility"
 )
 
 func TestFacadeUtilityHelpers(t *testing.T) {
-	u, err := GeometricUtility(4, 0.5)
+	u, err := feasibility.GeometricUtility(4, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +101,7 @@ func TestFacadeStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sink bytes.Buffer
-	s, err := NewStream(PLC, levels, 2, &sink)
+	s, err := core.NewStream(PLC, levels, 2, &sink)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,10 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/gossip"
+	"repro/internal/store"
 )
 
 // TestFacadePlacementRoundTrip exercises the placement surface through
@@ -31,11 +35,11 @@ func TestFacadePlacementRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	obj := NamedObject("facade-object")
-	if obj == ZeroObject || obj == AllObjects {
+	obj := core.NamedObject("facade-object")
+	if obj == ZeroObject || obj == core.AllObjects {
 		t.Fatalf("NamedObject landed on a reserved value: %s", obj)
 	}
-	parsed, err := ParseObjectID(obj.String())
+	parsed, err := core.ParseObjectID(obj.String())
 	if err != nil || parsed != obj {
 		t.Fatalf("canonical form did not round-trip: %v, %v", parsed, err)
 	}
@@ -70,12 +74,12 @@ func TestFacadePlacementRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { placed.Close() })
-	if id := StoreNodeID(addrs[0]); placed.Members()[0].ID != id && placed.Members()[len(addrs)-1].ID != id &&
+	if id := store.NodeID(addrs[0]); placed.Members()[0].ID != id && placed.Members()[len(addrs)-1].ID != id &&
 		placed.Members()[1].ID != id {
 		t.Fatalf("StoreNodeID(%s) = %x not on the ring", addrs[0], id)
 	}
 
-	mon, err := NewGossipMonitor(addrs, placed, GossipMonitorConfig{Seed: 1})
+	mon, err := gossip.NewMonitor(addrs, placed, gossip.MonitorConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

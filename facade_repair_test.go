@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/repair"
 )
 
 // TestRecombineFacade pins the repair primitive on the facade: a
@@ -30,7 +33,7 @@ func TestRecombineFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, rank, err := RecombineRanked(rng, PLC, levels, blocks)
+	fresh, rank, err := core.RecombineRanked(rng, PLC, levels, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +57,7 @@ func TestRecombineFacade(t *testing.T) {
 	}
 
 	zero := &CodedBlock{Level: 0, Coeff: make([]byte, levels.Total()), Payload: make([]byte, 8)}
-	if _, _, err := RecombineRanked(rng, PLC, levels, []*CodedBlock{zero}); !errors.Is(err, ErrDegenerateInputs) {
+	if _, _, err := core.RecombineRanked(rng, PLC, levels, []*CodedBlock{zero}); !errors.Is(err, ErrDegenerateInputs) {
 		t.Fatalf("all-zero sample = %v, want errors.Is ErrDegenerateInputs", err)
 	}
 	if _, err := Recombine(rng, PLC, levels, blocks); err != nil {
@@ -123,7 +126,7 @@ func TestFacadeRepairRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	audit, err := AuditStore(ctx, repl, StoreAuditConfig{Targets: targets})
+	audit, err := repair.AuditFleet(ctx, repl, repair.AuditConfig{Targets: targets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +155,7 @@ func TestFacadeRepairRoundTrip(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	audit, err = AuditStore(ctx, repl, StoreAuditConfig{Targets: targets})
+	audit, err = repair.AuditFleet(ctx, repl, repair.AuditConfig{Targets: targets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +175,7 @@ func TestFacadeRepairRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var last repair.Report
 	for round := 0; ; round++ {
 		if round > 8 {
 			t.Fatalf("repair did not converge in %d rounds", round)
@@ -180,10 +184,11 @@ func TestFacadeRepairRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		last = rep
 		if len(rep.SkippedLevels) > 0 {
 			t.Fatalf("daemon skipped levels %v", rep.SkippedLevels)
 		}
-		audit, err = AuditStore(ctx, repl, StoreAuditConfig{Targets: targets})
+		audit, err = repair.AuditFleet(ctx, repl, repair.AuditConfig{Targets: targets})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,8 +196,8 @@ func TestFacadeRepairRoundTrip(t *testing.T) {
 			break
 		}
 	}
-	if rep := d.LastReport(); rep.Audit == nil {
-		t.Fatal("LastReport lost the audit")
+	if last.Audit == nil {
+		t.Fatal("the last round's report lost the audit")
 	}
 
 	// The repaired fleet decodes fully from a plain collect.

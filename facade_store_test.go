@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/store"
 )
 
 // TestErrDisconnectedIs pins the typed-error contract: an impossible
@@ -69,7 +71,7 @@ func TestFacadeStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fault := NewFaultDialer(nil, FaultConfig{Seed: 5})
+	fault := store.NewFaultDialer(nil, store.FaultConfig{Seed: 5})
 	var servers []*StoreServer
 	var clients []*StoreClient
 	for i := 0; i < 3; i++ {
@@ -85,7 +87,7 @@ func TestFacadeStoreRoundTrip(t *testing.T) {
 		cl, err := NewStoreClient(StoreClientConfig{
 			Addr:   srv.Addr(),
 			Dialer: fault,
-			Retry:  StoreRetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
+			Retry:  store.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -135,7 +137,7 @@ func TestFacadeStoreRoundTrip(t *testing.T) {
 	// Unreachable fleet: typed unavailability.
 	dead, err := NewStoreClient(StoreClientConfig{
 		Addr:  "127.0.0.1:1",
-		Retry: StoreRetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
+		Retry: store.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

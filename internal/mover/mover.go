@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -77,12 +78,17 @@ type Config struct {
 }
 
 // Knobs nobody set, now constants at their old defaults: the bound on
-// one loop-driven plan+heal round, the token bucket's floor, and how
-// many objects heal at once.
+// one loop-driven plan+heal round, the token bucket's floor, how many
+// objects heal at once, and the schedule's shape — failed rounds back
+// off up to backoffCap × the interval, and a random share of up to
+// jitterFraction is shaved off each wait so a fleet of movers
+// desynchronizes.
 const (
-	roundTimeout = 60 * time.Second
-	minBurst     = 1 << 20
-	workers      = 2
+	roundTimeout   = 60 * time.Second
+	minBurst       = 1 << 20
+	workers        = 2
+	backoffCap     = 16
+	jitterFraction = 0.2
 )
 
 func (c *Config) fillDefaults() {
@@ -112,16 +118,38 @@ type Report struct {
 
 // Mover is the background heal loop over a placement ring. Every
 // interval — or immediately upon Kick — it plans and executes one heal
-// round. Failed rounds back off exponentially with jitter.
-// Start, Stop, RunOnce, Rounds and LastReport come from the embedded
-// repair.Loop, the control loop it shares with the repair daemon.
+// round; RunOnce runs one on the caller's goroutine, serialized with
+// the loop's. Failed rounds back off exponentially with jitter.
 type Mover struct {
-	*repair.Loop[Report]
 	placed  *store.Placed
 	cfg     Config
 	heal    repair.Heal
 	met     moverMetrics
 	limiter *throttle
+	// round is the round RunOnce runs, (*Mover).healRound; tests swap in
+	// a stand-in to drive the schedule without a fleet's timing.
+	round func(context.Context) (*Report, error)
+
+	mu       sync.Mutex // serializes rounds and guards the fields below
+	last     Report
+	runs     int
+	failures int // consecutive failed rounds
+
+	// started is outside mu, which a round holds throughout: Stop must
+	// read it without waiting the round out.
+	started atomic.Bool
+
+	// jitter is the loop goroutine's own generator, never a
+	// recombination one: a seeded history must not depend on whether
+	// the loop or RunOnce drove a round.
+	jitter *rand.Rand
+
+	ctx      context.Context
+	cancel   context.CancelFunc
+	kick     chan struct{}
+	stop     chan struct{}
+	done     chan struct{}
+	stopOnce sync.Once
 }
 
 // New validates the configuration and returns a stopped mover; call
@@ -131,18 +159,53 @@ func New(p *store.Placed, cfg Config) (*Mover, error) {
 		return nil, fmt.Errorf("mover: nil placed store")
 	}
 	cfg.fillDefaults()
+	ctx, cancel := context.WithCancel(context.Background())
 	m := &Mover{
 		placed:  p,
 		cfg:     cfg,
 		met:     newMoverMetrics(cfg.Metrics),
 		limiter: newThrottle(cfg.RateLimit, minBurst),
+		jitter:  rand.New(rand.NewSource(cfg.Seed)),
+		ctx:     ctx,
+		cancel:  cancel,
+		kick:    make(chan struct{}, 1),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	m.heal = repair.Heal{Scheme: cfg.Scheme, Levels: cfg.Levels, Targets: cfg.Targets, Charge: m.throttleWait}
 	if err := m.heal.Validate(p.Levels()); err != nil {
 		return nil, fmt.Errorf("mover: %w", err)
 	}
-	m.Loop = repair.NewLoop("mover", cfg.Metrics, cfg.Interval, roundTimeout, cfg.Seed, m.round)
+	m.round = m.healRound
 	return m, nil
+}
+
+// Start launches the background loop. The first round runs immediately.
+// Start is idempotent.
+func (m *Mover) Start() {
+	if !m.started.Swap(true) {
+		go m.run()
+	}
+}
+
+// Stop shuts the loop down gracefully: it exits after the in-flight
+// round completes, and starts no further one. If ctx expires first, the
+// round is cancelled and Stop returns the context error once the loop
+// has exited. Safe to call more than once, and before Start.
+func (m *Mover) Stop(ctx context.Context) error {
+	m.stopOnce.Do(func() { close(m.stop) })
+	defer m.cancel()
+	if !m.started.Load() {
+		return nil
+	}
+	select {
+	case <-m.done:
+		return nil
+	case <-ctx.Done():
+		m.cancel()
+		<-m.done
+		return ctx.Err()
+	}
 }
 
 // Kick requests an immediate round, collapsing any pending wait or
@@ -150,15 +213,115 @@ func New(p *store.Placed, cfg Config) (*Mover, error) {
 // starts the moment placement shifts. Never blocks; kicks coalesce.
 func (m *Mover) Kick() {
 	m.met.kicks.Inc()
-	m.Loop.Kick()
+	select {
+	case m.kick <- struct{}{}:
+	default:
+	}
 }
 
-// round is one heal round — plan, then a heal step per planned object —
-// run by the embedded Loop's RunOnce. The error is non-nil when
-// planning failed, no ring member answered, or any object's heal step
-// failed, which the loop answers with backoff; a failed object keeps
-// its stale holdings and is re-planned next round.
-func (m *Mover) round(ctx context.Context) (*Report, error) {
+// Rounds returns how many rounds have run, loop-driven or manual.
+func (m *Mover) Rounds() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.runs
+}
+
+// LastReport returns the most recent round's report.
+func (m *Mover) LastReport() Report {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.last
+}
+
+// RunOnce runs one round now, on the caller's goroutine, serialized
+// with the loop's own, and returns its report. A failed round counts
+// toward the loop's backoff like one the loop drove; one that failed
+// before having a report returns an empty one and leaves LastReport
+// alone.
+func (m *Mover) RunOnce(ctx context.Context) (Report, error) {
+	t0 := time.Now()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.runs++
+	rep, err := m.round(ctx)
+	if rep != nil {
+		m.last = *rep
+	} else {
+		rep = new(Report)
+	}
+	m.met.Round(t0, rep.Tally, err)
+	if err != nil {
+		m.failures++
+	} else {
+		m.failures = 0
+	}
+	m.met.consecutiveFailures.Set(int64(m.failures))
+	m.met.backoffNs.Set(int64(nextWait(m.cfg.Interval, m.failures)))
+	return *rep, err
+}
+
+func (m *Mover) run() {
+	defer close(m.done)
+	timer := time.NewTimer(0) // first round immediately
+	defer timer.Stop()
+	for {
+		select {
+		case <-m.stop:
+			return
+		case <-timer.C:
+		case <-m.kick:
+			// A kick outranks the schedule: run now. The timer is drained
+			// so the reset below starts clean.
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
+		}
+		// select picks at random among ready cases: without this check a
+		// Stop racing a due or kicked round could start it and wait it out.
+		select {
+		case <-m.stop:
+			return
+		default:
+		}
+		rctx, rcancel := context.WithTimeout(m.ctx, roundTimeout)
+		m.RunOnce(rctx) // the outcome is in m.failures
+		rcancel()
+		if m.ctx.Err() != nil {
+			return
+		}
+		m.mu.Lock()
+		wait := nextWait(m.cfg.Interval, m.failures)
+		m.mu.Unlock()
+		timer.Reset(jittered(m.jitter, wait))
+	}
+}
+
+// nextWait is the pause before the next round: interval after a
+// success or a first failure, doubling per further consecutive failure
+// up to backoffCap × interval — a dark fleet is probed gently.
+func nextWait(interval time.Duration, failures int) time.Duration {
+	wait := interval
+	for i := 1; i < failures && wait < backoffCap*interval; i++ {
+		wait *= 2
+	}
+	return wait
+}
+
+// jittered shaves a random share of up to jitterFraction off wait.
+func jittered(rng *rand.Rand, wait time.Duration) time.Duration {
+	return time.Duration(float64(wait) * (1 - jitterFraction*rng.Float64()))
+}
+
+// healRound is one heal round — plan, then a heal step per planned
+// object. The error is non-nil when planning failed, no ring member
+// answered, or any object's heal step failed, which the loop answers
+// with backoff; a failed object keeps its stale holdings and is
+// re-planned next round. It returns no report when planning failed
+// before having a plan.
+func (m *Mover) healRound(ctx context.Context) (*Report, error) {
 	plan, err := m.plan(ctx)
 	if plan == nil {
 		return nil, fmt.Errorf("mover: plan: %w", err)
@@ -207,7 +370,6 @@ func (m *Mover) round(ctx context.Context) (*Report, error) {
 			firstErr = errs[i]
 		}
 	}
-	m.Record(rep.Tally)
 	m.met.blocksCopied.Add(uint64(rep.Copied))
 	m.met.objectsMigrated.Add(uint64(rep.Migrated))
 	m.met.deletesIssued.Add(uint64(rep.DeletesIssued))
@@ -255,12 +417,16 @@ func (m *Mover) throttleWait(ctx context.Context, n int) error {
 	return err
 }
 
-// moverMetrics is the mover's own series — the round, backoff and fill
-// series it shares with the repair daemon are registered by repair.Loop
-// under the "mover" prefix. Names resolve once at construction, and a
-// nil registry yields all-nil fields with every recording call a no-op.
-// The name catalog lives in DESIGN.md §15.
+// moverMetrics is the mover_* series: the round and fill series, which
+// repair.Counters registers for both healers, then the schedule's
+// backoff gauges and the mover's own. Names resolve once at
+// construction, and a nil registry yields all-nil fields with every
+// recording call a no-op. The name catalog lives in DESIGN.md §15.
 type moverMetrics struct {
+	repair.Counters
+	consecutiveFailures *metrics.Gauge
+	backoffNs           *metrics.Gauge
+
 	kicks           *metrics.Counter
 	objectsPlanned  *metrics.Counter
 	objectsMigrated *metrics.Counter
@@ -274,14 +440,17 @@ type moverMetrics struct {
 
 func newMoverMetrics(r *metrics.Registry) moverMetrics {
 	return moverMetrics{
-		kicks:           r.Counter("mover_kicks_total"),
-		objectsPlanned:  r.Counter("mover_objects_planned_total"),
-		objectsMigrated: r.Counter("mover_objects_migrated_total"),
-		objectsSkipped:  r.Counter("mover_objects_skipped_total"),
-		objectErrors:    r.Counter("mover_object_errors_total"),
-		blocksCopied:    r.Counter("mover_blocks_copied_total"),
-		deletesIssued:   r.Counter("mover_deletes_issued_total"),
-		blocksReclaimed: r.Counter("mover_blocks_reclaimed_total"),
-		throttleWaitNs:  r.Histogram("mover_throttle_wait_ns"),
+		Counters:            repair.NewCounters(r, "mover"),
+		consecutiveFailures: r.Gauge("mover_consecutive_failures"),
+		backoffNs:           r.Gauge("mover_backoff_ns"),
+		kicks:               r.Counter("mover_kicks_total"),
+		objectsPlanned:      r.Counter("mover_objects_planned_total"),
+		objectsMigrated:     r.Counter("mover_objects_migrated_total"),
+		objectsSkipped:      r.Counter("mover_objects_skipped_total"),
+		objectErrors:        r.Counter("mover_object_errors_total"),
+		blocksCopied:        r.Counter("mover_blocks_copied_total"),
+		deletesIssued:       r.Counter("mover_deletes_issued_total"),
+		blocksReclaimed:     r.Counter("mover_blocks_reclaimed_total"),
+		throttleWaitNs:      r.Histogram("mover_throttle_wait_ns"),
 	}
 }

@@ -517,6 +517,16 @@ func TestKickOnMembershipChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ran := make(chan struct{}, 1)
+	heal := m.round
+	m.round = func(ctx context.Context) (*Report, error) {
+		rep, err := heal(ctx)
+		select { // never block a round: RunOnce holds the mover's lock
+		case ran <- struct{}{}:
+		default:
+		}
+		return rep, err
+	}
 	f.placed.SetMembershipHook(m.Kick)
 	m.Start()
 	defer func() {
@@ -527,22 +537,19 @@ func TestKickOnMembershipChange(t *testing.T) {
 		}
 	}()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for m.Rounds() < 1 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	base := m.Rounds()
-	if base < 1 {
+	timeout := time.After(5 * time.Second)
+	select {
+	case <-ran:
+	case <-timeout:
 		t.Fatal("initial round never ran")
 	}
 	if err := f.placed.Join(f.addrs[2]); err != nil {
 		t.Fatal(err)
 	}
-	for m.Rounds() <= base && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if m.Rounds() <= base {
-		t.Fatalf("join did not kick a round within the deadline (still %d)", base)
+	select {
+	case <-ran:
+	case <-timeout:
+		t.Fatalf("join did not kick a round within the deadline (still %d)", m.Rounds())
 	}
 }
 

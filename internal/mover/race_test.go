@@ -11,11 +11,11 @@ import (
 	"repro/internal/repair"
 )
 
-// TestMoverRepairPutRace runs the mover daemon, a repair daemon, and a
-// stream of foreground puts over the same placement layer while a node
-// joins mid-load — the full contention triangle the migration layer
-// must survive under the race detector, with zero client-visible
-// errors.
+// TestMoverRepairPutRace runs the mover's loop, a repair daemon's
+// rounds from a goroutine, and a stream of foreground puts over the
+// same placement layer while a node joins mid-load — the full
+// contention triangle the migration layer must survive under the race
+// detector, with zero client-visible errors.
 func TestMoverRepairPutRace(t *testing.T) {
 	ctx := context.Background()
 	const blocksPerObject = 16
@@ -41,24 +41,50 @@ func TestMoverRepairPutRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// ran hears of finished mover rounds, so the test waits on rounds
+	// rather than on the clock; a signal the test is not waiting for is
+	// dropped, and the next round sends another.
+	ran := make(chan struct{}, 1)
+	heal := m.round
+	m.round = func(ctx context.Context) (*Report, error) {
+		rep, err := heal(ctx)
+		select {
+		case ran <- struct{}{}:
+		default:
+		}
+		return rep, err
+	}
 	f.placed.SetMembershipHook(m.Kick)
 	m.Start()
 
 	rd, err := repair.NewObject(f.placed, obj, repair.Config{
-		Scheme:   core.PLC,
-		Levels:   levels,
-		Targets:  testTargets(t, blocksPerObject),
-		Interval: 20 * time.Millisecond,
-		Seed:     41,
+		Scheme:  core.PLC,
+		Levels:  levels,
+		Targets: testTargets(t, blocksPerObject),
+		Seed:    41,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd.Start()
 
 	stop := make(chan struct{})
 	errCh := make(chan error, 4)
+	loaded := make(chan struct{}, 1) // a foreground put has landed
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the repair daemon, one round per tick; a failed round is retried
+		defer wg.Done()
+		tick := time.NewTicker(20 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				rd.RunOnce(ctx)
+			}
+		}
+	}()
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -79,6 +105,10 @@ func TestMoverRepairPutRace(t *testing.T) {
 					errCh <- fmt.Errorf("put during churn: %w", err)
 					return
 				}
+				select {
+				case loaded <- struct{}{}:
+				default:
+				}
 				if _, err := f.placed.Collect(ctx, o, 0); err != nil {
 					errCh <- fmt.Errorf("collect during churn: %w", err)
 					return
@@ -87,11 +117,28 @@ func TestMoverRepairPutRace(t *testing.T) {
 		}(w)
 	}
 
-	time.Sleep(50 * time.Millisecond)
+	awaitRounds := func(n int) {
+		t.Helper()
+		timeout := time.After(10 * time.Second)
+		for i := 0; i < n; i++ {
+			select {
+			case <-ran:
+			case <-timeout:
+				t.Fatalf("the mover finished %d of %d rounds in 10s", i, n)
+			}
+		}
+	}
+	awaitRounds(1)
+	select {
+	case <-loaded:
+	case err := <-errCh:
+		t.Fatalf("client-visible error before the join: %v", err)
+	}
 	if err := f.placed.Join(f.addrs[2]); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(400 * time.Millisecond)
+	// The join's kick, then two scheduled rounds, all under load.
+	awaitRounds(3)
 
 	close(stop)
 	wg.Wait()
@@ -100,15 +147,9 @@ func TestMoverRepairPutRace(t *testing.T) {
 	if err := m.Stop(sctx); err != nil {
 		t.Fatalf("mover stop: %v", err)
 	}
-	if err := rd.Stop(sctx); err != nil {
-		t.Fatalf("repair stop: %v", err)
-	}
 	select {
 	case err := <-errCh:
 		t.Fatalf("client-visible error during migration: %v", err)
 	default:
-	}
-	if m.Rounds() == 0 {
-		t.Fatal("mover never ran a round")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"testing"
-	"time"
 )
 
 // This file is the tentpole acceptance test: a replicated deployment
@@ -35,9 +34,9 @@ func (tr *churnTrace) digest() string {
 }
 
 // runChurnScenario drives churnRounds kill/heal rounds against a
-// 3-replica fleet with the daemon's RunOnce driven synchronously (the
-// daemon loop is timer-jittered by design; driving rounds directly is
-// what makes the scenario bit-reproducible). After every single repair
+// 3-replica fleet with the daemon's RunOnce driven synchronously, one
+// round at a time, which makes the scenario bit-reproducible. After
+// every single repair
 // round the critical level must decode from a plain client collect with
 // zero client-visible errors; after convergence the whole code must.
 func runChurnScenario(t *testing.T, seed int64) string {
@@ -183,69 +182,6 @@ func TestChurnAcceptance(t *testing.T) {
 	second := runChurnScenario(t, 23)
 	if first != second {
 		t.Fatalf("same seed, different churn history:\n  %s\n  %s", first, second)
-	}
-}
-
-// TestChurnWithDaemonLoop replays the kill/heal cycle against the
-// free-running daemon loop: no manual rounds, just Start, churn, and
-// wait for the audit to report health again after every kill.
-func TestChurnWithDaemonLoop(t *testing.T) {
-	if testing.Short() {
-		t.Skip("churn scenario needs real TCP round trips")
-	}
-	levels, sources, blocks, targets := testCode(t, 29, 24)
-	f := newFleet(t, 3, levels.Count())
-	cfg := f.seed(levels, blocks, targets)
-	baseline := decodeAll(t, levels, blocks).DecodedLevels()
-	cfg.Interval = 2 * time.Millisecond
-	d, err := New(f.repl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Start()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := d.Stop(ctx); err != nil {
-			t.Errorf("stop: %v", err)
-		}
-	}()
-
-	ctx := context.Background()
-	for round := 0; round < churnRounds; round++ {
-		victim := round % len(f.servers)
-		f.kill(victim)
-		f.heal(victim)
-
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			audit, err := AuditFleet(ctx, f.repl, AuditConfig{Targets: targets})
-			if err == nil && audit.TotalDeficit() == 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("churn round %d: daemon did not restore health in 10s (audit err %v)", round, err)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-
-		got, err := f.collect(ctx, -1)
-		if err != nil {
-			t.Fatalf("churn round %d: client-visible collect error: %v", round, err)
-		}
-		// The critical level is a hard guarantee (it lives on every
-		// replica, so single-replica churn can never erase it). Deeper
-		// levels depend on how daemon rounds interleave with the kills;
-		// the deterministic scenario above pins their recovery exactly.
-		dec := decodeAll(t, levels, got)
-		checkCriticalLevel(t, dec, levels, sources)
-		if dec.DecodedLevels() < 1 || dec.DecodedLevels() > baseline {
-			t.Fatalf("churn round %d: fleet decodes %d levels, provisioning decoded %d",
-				round, dec.DecodedLevels(), baseline)
-		}
-	}
-	if d.Rounds() == 0 {
-		t.Fatal("daemon loop never ran a round")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -25,31 +26,19 @@ type Config struct {
 	// Targets are the per-level distinct-block targets the audit
 	// measures against — see AuditConfig.
 	Targets []int
-	// Interval is the pause between successful rounds; failed rounds
-	// back off from it, doubling up to 16x. Default 2s.
-	Interval time.Duration
 	// BlockBudget caps the blocks regenerated per round, so one huge
 	// deficit cannot starve the critical levels of later rounds (the
 	// budget is spent most-critical-level-first). Default 64.
 	BlockBudget int
 	// Seed seeds the recombination generator (0 means 1), so a repair
-	// history is reproducible given a reproducible fleet — whether the
-	// loop or RunOnce drives the rounds: the loop's jitter draws from a
-	// generator of its own.
+	// history is reproducible given a reproducible fleet.
 	Seed int64
-	// Metrics, when non-nil, receives round counters, regeneration
-	// volumes, and backoff state (see DESIGN.md §10).
+	// Metrics, when non-nil, receives round counters and regeneration
+	// volumes (see DESIGN.md §10).
 	Metrics *metrics.Registry
 }
 
-// roundTimeout bounds one loop-driven audit+repair round (the default
-// of the RoundTimeout knob nobody set).
-const roundTimeout = 30 * time.Second
-
 func (c *Config) fillDefaults() {
-	if c.Interval <= 0 {
-		c.Interval = 2 * time.Second
-	}
 	if c.BlockBudget <= 0 {
 		c.BlockBudget = 64
 	}
@@ -67,29 +56,27 @@ type Report struct {
 	Tally
 }
 
-// Daemon is the background maintenance loop: every interval it audits
-// the fleet and regenerates missing redundancy by recombination,
-// most-critical-level-first. Failed rounds back off exponentially with
-// jitter. The daemon never decodes: its only data operations are
-// collect, recombine, put. Start, Stop, Kick, RunOnce, Rounds and
-// LastReport come from the embedded Loop.
+// Daemon runs one object's repair round on demand: it audits the
+// object's owners and regenerates missing redundancy by recombination,
+// most-critical-level-first. It never decodes: its only data operations
+// are collect, recombine, put. The fleet's background healer is the
+// mover (internal/mover); a Daemon has no schedule of its own.
 type Daemon struct {
-	*Loop[Report]
 	// shard resolves the replica set each round operates on: constant
 	// for a static Replicated store, re-resolved through the placement
 	// ring for an object shard — so repair follows membership churn.
-	shard  func() (*store.Replicated, error)
-	object core.ObjectID
-	heal   Heal
-	// rng is the recombination generator, one per daemon across rounds;
-	// rounds are serialized by the Loop, which is all that guards it.
-	rng       *rand.Rand
+	shard     func() (*store.Replicated, error)
+	object    core.ObjectID
+	heal      Heal
+	met       Counters
 	truncated *metrics.Counter
+
+	mu  sync.Mutex // serializes rounds, and so guards rng
+	rng *rand.Rand // the recombination generator, one across rounds
 }
 
-// New validates the configuration and returns a stopped daemon over a
-// static replica set; call Start to launch the loop, or RunOnce to
-// drive rounds manually.
+// New validates the configuration and returns a daemon over a static
+// replica set; RunOnce drives its rounds.
 func New(r *store.Replicated, cfg Config) (*Daemon, error) {
 	if r == nil {
 		return nil, fmt.Errorf("repair: nil replicated store")
@@ -118,40 +105,49 @@ func newDaemon(shard func() (*store.Replicated, error), levels int, cfg Config) 
 		shard:     shard,
 		object:    cfg.Object,
 		heal:      Heal{Scheme: cfg.Scheme, Levels: cfg.Levels, Targets: cfg.Targets, Budget: cfg.BlockBudget},
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		met:       NewCounters(cfg.Metrics, "repair"),
 		truncated: cfg.Metrics.Counter("repair_rounds_truncated_total"),
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
 	}
 	if err := d.heal.Validate(levels); err != nil {
 		return nil, err
 	}
-	d.Loop = NewLoop("repair", cfg.Metrics, cfg.Interval, roundTimeout, cfg.Seed, d.round)
 	return d, nil
 }
 
-// round is one heal step over the object's current owners, with no
-// stale holders, run by the embedded Loop's RunOnce: scan the owners,
-// and for each deficient level (most critical first, within the block
-// budget) sample surviving blocks, recombine fresh ones, and place them
-// preferring the under-provisioned replicas. The error is non-nil when
-// no owner answered or a regenerated block could not be placed, which
-// the loop answers with backoff. A level none of whose survivors remain
-// is skipped (and reported), never decoded.
-func (d *Daemon) round(ctx context.Context) (*Report, error) {
+// RunOnce runs one round now, serialized with any other: one heal step
+// over the object's current owners, with no stale holders — scan the
+// owners, and for each deficient level (most critical first, within the
+// block budget) sample surviving blocks, recombine fresh ones, and
+// place them preferring the under-provisioned replicas. The error is
+// non-nil when no owner answered or a regenerated block could not be
+// placed; a report without an audit means the round failed before its
+// scan. A level none of whose survivors remain is skipped (and
+// reported), never decoded.
+func (d *Daemon) RunOnce(ctx context.Context) (rep Report, err error) {
+	t0 := time.Now()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	defer func() { d.met.Round(t0, rep.Tally, err) }()
 	shard, err := d.shard()
 	if err != nil {
-		return nil, fmt.Errorf("repair: resolve shard: %w", err)
+		return Report{}, fmt.Errorf("repair: resolve shard: %w", err)
 	}
-	var rep Report
-	if rep.Audit, err = AuditFleet(ctx, shard, AuditConfig{Object: d.object, Targets: d.heal.Targets}); err != nil {
-		return nil, err
+	audit, err := AuditFleet(ctx, shard, AuditConfig{Object: d.object, Targets: d.heal.Targets})
+	if err != nil {
+		return Report{}, err
 	}
-	err = d.heal.Object(ctx, shard, d.object, rep.Audit, nil, d.rng, &rep.Tally)
-	d.Record(rep.Tally)
+	rep.Audit = audit
+	err = d.heal.Object(ctx, shard, d.object, audit, nil, d.rng, &rep.Tally)
 	if rep.Truncated {
 		d.truncated.Inc()
 	}
 	if err != nil {
-		return &rep, fmt.Errorf("repair: %w", err)
+		return rep, fmt.Errorf("repair: %w", err)
 	}
-	return &rep, nil
+	return rep, nil
 }
+
+// Stop returns nil: a Daemon runs no goroutine, so there is nothing to
+// stop. It stays for callers written against the loop it once had.
+func (d *Daemon) Stop(context.Context) error { return nil }

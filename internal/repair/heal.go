@@ -8,8 +8,10 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/store"
 )
 
@@ -52,6 +54,47 @@ func (t *Tally) Add(o Tally) {
 	t.Truncated = t.Truncated || o.Truncated
 	t.DeletesIssued += o.DeletesIssued
 	t.BlocksReclaimed += o.BlocksReclaimed
+}
+
+// Counters is the round and fill series both healers register, under
+// their prefix ("repair", "mover"; catalog: DESIGN.md §10). Names
+// resolve once; a nil registry yields nil fields whose recording calls
+// are no-ops.
+type Counters struct {
+	rounds, roundErrors *metrics.Counter
+	roundNs             *metrics.Histogram
+
+	regenerated, copies, bytesCollected, bytesPlaced, levelsSkipped *metrics.Counter
+}
+
+// NewCounters registers the <prefix>_* round and fill series on reg.
+func NewCounters(reg *metrics.Registry, prefix string) Counters {
+	return Counters{
+		rounds:         reg.Counter(prefix + "_rounds_total"),
+		roundErrors:    reg.Counter(prefix + "_round_errors_total"),
+		roundNs:        reg.Histogram(prefix + "_round_ns"),
+		regenerated:    reg.Counter(prefix + "_blocks_regenerated_total"),
+		copies:         reg.Counter(prefix + "_copies_placed_total"),
+		bytesCollected: reg.Counter(prefix + "_bytes_collected_total"),
+		bytesPlaced:    reg.Counter(prefix + "_bytes_placed_total"),
+		levelsSkipped:  reg.Counter(prefix + "_levels_skipped_total"),
+	}
+}
+
+// Round records one round begun at t0: its duration and outcome, and
+// what its fills moved — work done before an error counts the same as
+// a clean round's.
+func (c Counters) Round(t0 time.Time, t Tally, err error) {
+	c.roundNs.ObserveSince(t0)
+	c.rounds.Inc()
+	if err != nil {
+		c.roundErrors.Inc()
+	}
+	c.regenerated.Add(uint64(t.Regenerated))
+	c.copies.Add(uint64(t.Copies))
+	c.bytesCollected.Add(uint64(t.BytesCollected))
+	c.bytesPlaced.Add(uint64(t.BytesPlaced))
+	c.levelsSkipped.Add(uint64(len(t.SkippedLevels)))
 }
 
 // Heal is the one per-object heal step under repair and migration:

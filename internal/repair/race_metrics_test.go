@@ -14,9 +14,10 @@ import (
 
 // TestMetricsSharedAcrossLayersRace is the whole-stack data-race canary
 // for the observability seam: one registry is updated concurrently by
-// instrumented server goroutines, retrying clients, and a
-// running repair daemon, while a reader keeps snapshotting and rendering
-// it. Run under -race via the Makefile check target.
+// instrumented server goroutines, retrying clients, and repair daemon
+// rounds run back to back from a goroutine, while a reader keeps
+// snapshotting and rendering it. Run under -race via the Makefile check
+// target.
 func TestMetricsSharedAcrossLayersRace(t *testing.T) {
 	reg := metrics.NewRegistry()
 	const replicas = 3
@@ -66,21 +67,24 @@ func TestMetricsSharedAcrossLayersRace(t *testing.T) {
 	}
 
 	d, err := New(repl, Config{
-		Scheme:   core.PLC,
-		Levels:   levels,
-		Targets:  targets,
-		Interval: time.Millisecond,
-		Metrics:  reg,
+		Scheme:  core.PLC,
+		Levels:  levels,
+		Targets: targets,
+		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Start()
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := d.Stop(sctx); err != nil {
-			t.Errorf("daemon stop: %v", err)
+	stop, rounds := make(chan struct{}), make(chan struct{})
+	go func() { // at least one round, then one after another until stopped
+		defer close(rounds)
+		for {
+			d.RunOnce(ctx)
+			select {
+			case <-stop:
+				return
+			default:
+			}
 		}
 	}()
 
@@ -116,6 +120,8 @@ func TestMetricsSharedAcrossLayersRace(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	close(stop)
+	<-rounds
 
 	if reg.Counter("repair_rounds_total").Value() == 0 {
 		t.Error("repair daemon recorded no rounds")

@@ -4,25 +4,35 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 )
 
-// TestDaemonConcurrentWithPuts runs the daemon loop against concurrent
-// client writes and churn. It asserts nothing beyond "no error, no
-// deadlock" — its job is to give the race detector (go test -race) a
-// dense interleaving of daemon rounds, puts, collects, and a kill/heal.
+// TestDaemonConcurrentWithPuts runs daemon rounds back to back from a
+// goroutine against concurrent client writes and churn. It asserts
+// little beyond "no error, no deadlock" — its job is to give the race
+// detector (go test -race) a dense interleaving of daemon rounds, puts,
+// collects, and a kill/heal — and that rounds then restore the critical
+// level.
 func TestDaemonConcurrentWithPuts(t *testing.T) {
 	levels, _, blocks, targets := testCode(t, 41, 36)
 	f := newFleet(t, 3, levels.Count())
-	cfg := f.seed(levels, blocks[:12], targets)
-	cfg.Interval = time.Millisecond
-	d, err := New(f.repl, cfg)
+	d, err := New(f.repl, f.seed(levels, blocks[:12], targets))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Start()
 
 	ctx := context.Background()
+	stop, rounds := make(chan struct{}), make(chan struct{})
+	go func() { // rounds racing the puts and the kill may fail; the next retries
+		defer close(rounds)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				d.RunOnce(ctx)
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
@@ -44,29 +54,23 @@ func TestDaemonConcurrentWithPuts(t *testing.T) {
 				t.Errorf("concurrent collect: %v", err)
 				return
 			}
-			d.LastReport()
-			d.Rounds()
 		}
 	}()
 	wg.Wait()
 
 	f.kill(1)
 	f.heal(1)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	close(stop)
+	<-rounds
+
+	for round := 0; ; round++ {
 		audit, err := AuditFleet(ctx, f.repl, AuditConfig{Targets: targets})
 		if err == nil && audit.Levels[0].Deficit == 0 {
 			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("daemon did not repair the critical level under concurrency")
+		if round == 8 {
+			t.Fatalf("8 rounds after the kill did not repair the critical level (audit err %v)", err)
 		}
-		time.Sleep(time.Millisecond)
-	}
-
-	stopCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := d.Stop(stopCtx); err != nil {
-		t.Fatalf("stop: %v", err)
+		d.RunOnce(ctx)
 	}
 }

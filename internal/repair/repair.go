@@ -13,7 +13,7 @@
 // blocks is itself a valid coded block, so redundancy is regenerated
 // from whatever survives, touching no source block.
 //
-// The package has four layers:
+// The package has three layers:
 //
 //   - recombination: core.Recombine / core.RecombineRanked (the
 //     algebra lives next to the encoder, in internal/core);
@@ -25,8 +25,9 @@
 //     audit, gather survivors, recombine fresh blocks for the deficient
 //     levels and place them on the under-provisioned owners, and, given
 //     stale holders, verify and release — which the repair daemon runs
-//     as its round and the fleet's healer (internal/mover) per object;
-//   - loop: Loop is the one background control loop both hang on.
+//     as its one-object round and the fleet's healer (internal/mover)
+//     per planned object. The background loop that schedules rounds is
+//     the mover's; Counters is the round and fill series both register.
 package repair
 
 import (

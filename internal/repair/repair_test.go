@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/metrics"
 	"repro/internal/store"
 )
 
@@ -304,8 +303,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.interval <= 0 || d.heal.Budget <= 0 {
-		t.Fatalf("defaults not filled: interval %v, budget %d", d.interval, d.heal.Budget)
+	if d.heal.Budget <= 0 {
+		t.Fatalf("defaults not filled: budget %d", d.heal.Budget)
 	}
 }
 
@@ -323,11 +322,8 @@ func TestRunOnceHealthyIsNoop(t *testing.T) {
 	if rep.Regenerated != 0 || rep.BytesCollected != 0 || rep.Truncated {
 		t.Fatalf("healthy round did work: %+v", rep)
 	}
-	if d.Rounds() != 1 {
-		t.Fatalf("Rounds() = %d, want 1", d.Rounds())
-	}
-	if got := d.LastReport(); !got.Audit.Healthy() {
-		t.Fatal("LastReport lost the audit")
+	if !rep.Audit.Healthy() {
+		t.Fatal("the report lost the audit")
 	}
 }
 
@@ -433,94 +429,5 @@ func TestRunOnceAllDarkErrors(t *testing.T) {
 	}
 	if _, err := d.RunOnce(context.Background()); err != nil {
 		t.Fatalf("healed fleet still errors: %v", err)
-	}
-}
-
-func TestDaemonStartStop(t *testing.T) {
-	levels, _, blocks, targets := testCode(t, 18, 12)
-	f := newFleet(t, 2, levels.Count())
-	cfg := f.seed(levels, blocks, targets)
-	cfg.Interval = 5 * time.Millisecond
-	d, err := New(f.repl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Start()
-	d.Start() // idempotent
-	deadline := time.Now().Add(5 * time.Second)
-	for d.Rounds() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon ran %d rounds in 5s", d.Rounds())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := d.Stop(ctx); err != nil {
-		t.Fatalf("graceful stop: %v", err)
-	}
-	if err := d.Stop(ctx); err != nil {
-		t.Fatalf("second stop: %v", err)
-	}
-	rounds := d.Rounds()
-	time.Sleep(20 * time.Millisecond)
-	if d.Rounds() != rounds {
-		t.Fatal("daemon kept running after Stop")
-	}
-}
-
-func TestDaemonStopBeforeStart(t *testing.T) {
-	levels, _, _, targets := testCode(t, 19, 8)
-	f := newFleet(t, 2, levels.Count())
-	d, err := New(f.repl, Config{Scheme: core.PLC, Levels: levels, Targets: targets})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Stop(context.Background()); err != nil {
-		t.Fatalf("stop before start: %v", err)
-	}
-}
-
-// TestDaemonBacksOffWhileDark drives dark rounds with RunOnce — not the
-// clock — and checks each returns an error and raises the backoff
-// state the loop schedules from; the schedule itself is TestNextWait's.
-func TestDaemonBacksOffWhileDark(t *testing.T) {
-	levels, _, blocks, targets := testCode(t, 20, 12)
-	f := newFleet(t, 2, levels.Count())
-	cfg := f.seed(levels, blocks, targets)
-	cfg.Interval = time.Millisecond
-	cfg.Metrics = metrics.NewRegistry()
-	d, err := New(f.repl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	failures := cfg.Metrics.Gauge("repair_consecutive_failures")
-	backoff := cfg.Metrics.Gauge("repair_backoff_ns")
-	for i := range f.addrs {
-		f.dialer.Partition(f.addrs[i])
-	}
-	ctx := context.Background()
-	for n := 1; n <= 3; n++ {
-		if _, err := d.RunOnce(ctx); err == nil {
-			t.Fatalf("dark round %d succeeded", n)
-		}
-		if got := failures.Value(); got != int64(n) {
-			t.Fatalf("after %d dark rounds repair_consecutive_failures = %d", n, got)
-		}
-		if got, want := backoff.Value(), int64(nextWait(cfg.Interval, n)); got != want {
-			t.Fatalf("after %d dark rounds repair_backoff_ns = %d, want %d", n, got, want)
-		}
-	}
-	if got := cfg.Metrics.Counter("repair_round_errors_total").Value(); got != 3 {
-		t.Fatalf("repair_round_errors_total = %d, want 3", got)
-	}
-	for i := range f.addrs {
-		f.dialer.Heal(f.addrs[i])
-	}
-	if _, err := d.RunOnce(ctx); err != nil {
-		t.Fatalf("healed fleet still errors: %v", err)
-	}
-	if failures.Value() != 0 || backoff.Value() != int64(cfg.Interval) {
-		t.Fatalf("healed round left backoff state at %d failures, %v wait", failures.Value(), time.Duration(backoff.Value()))
 	}
 }

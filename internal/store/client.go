@@ -449,9 +449,14 @@ func (c *Client) exchange(ctx context.Context, conn net.Conn, req request, wantR
 	// poison (a past deadline) interrupts a blocked read the moment the
 	// context dies; arming it before SetDeadline would let a cancellation
 	// firing in that window be overwritten by the fresh op deadline, and
-	// the attempt would ride out the full OpTimeout anyway.
+	// the attempt would ride out the full OpTimeout anyway. A context
+	// that can never be cancelled arms nothing: its stop always reports
+	// the poison prevented.
 	conn.SetDeadline(time.Now().Add(c.cfg.OpTimeout))
-	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
+	stop := neverPoisoned
+	if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
+	}
 	defer stop()
 	id := c.nextID()
 	if err := req.write(conn, id); err != nil {
@@ -487,6 +492,9 @@ func (c *Client) exchange(ctx context.Context, conn net.Conn, req request, wantR
 		return nil, fmt.Errorf("%w: unexpected %q response frame", ErrCorruptFrame, typ)
 	}
 }
+
+// neverPoisoned is exchange's stop when there is no poison to stop.
+func neverPoisoned() bool { return true }
 
 // nextID hands out the next request id, skipping 0 (see frame.go).
 func (c *Client) nextID() uint32 {

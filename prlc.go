@@ -13,41 +13,38 @@
 //     levels 1..k, decoding progressively via incremental elimination
 //     and strictly dominating SLC.
 //
-// The package exposes seven layers:
+// The package exposes six layers, each as much as the examples use:
 //
 //   - Coding: Levels, Encoder, Decoder, CodedBlock — encode source blocks
 //     into coded blocks and partially decode in priority order.
-//   - Analysis: ExpectedDecodedLevels and DecodingCurve — the Sec. 3.3
+//   - Analysis: ExpectedDecodedLevels and MinBlocks — the Sec. 3.3
 //     numerical model of decoding performance.
-//   - Design: DesignDistribution — the Sec. 3.4 feasibility solver that
-//     turns decoding constraints into a priority distribution.
+//   - Design: DesignDistribution and OptimizeDistribution — the Sec. 3.4
+//     feasibility solver that turns decoding constraints (or per-level
+//     utilities) into a priority distribution.
 //   - Protocol: Deployment plus the GPSR and Chord transports — the
 //     Sec. 4 pre-distribution protocol with decentralized encoding
 //     (c ← c + βx), O(ln N) fanout, and two-choices load balancing.
-//   - Store: StoreServer and StoreClient — a real-sockets block store
-//     daemon and its pooled, retrying client.
-//   - Placement: ObjectID, PlacedStore and GossipMonitor — the one
-//     front end of a fleet: an object-keyed namespace whose per-object
-//     replica sets are resolved by consistent hashing over a ring, with
-//     membership driven by a failure detector, so many objects share
-//     one dynamic fleet. Within a replica set (a ReplicatedStore) the
-//     replication factor decreases with priority level, so the critical
-//     prefix survives more node losses. A flat fleet is the ring with
-//     Replication = the node count; key-less data is ZeroObject on it.
-//   - Repair: Recombine, AuditStore and RepairDaemon — decode-free
+//   - Store: StoreServer, StoreClient and PlacedStore — a real-sockets
+//     block store daemon, its pooled, retrying client, and the one front
+//     end of a fleet: an object-keyed namespace (ObjectID) whose
+//     per-object replica sets are resolved by consistent hashing over a
+//     ring. Within a replica set the replication factor decreases with
+//     priority level, so the critical prefix survives more node losses;
+//     key-less data is ZeroObject on the ring.
+//   - Repair: Recombine and NewObjectRepairDaemon — decode-free
 //     regeneration of redundancy lost to churn, by randomly recombining
 //     surviving coded blocks, most critical level first.
 //
-// Everything is deterministic given explicit *rand.Rand seeds.
+// The rest of the implementation (metrics, the failure detector, the
+// fleet's healer) lives in internal packages that the cmd/ tools wire
+// up. Everything is deterministic given explicit *rand.Rand seeds.
 package prlc
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
 
 	"repro/internal/analysis"
 	"repro/internal/chord"
@@ -56,9 +53,7 @@ import (
 	"repro/internal/exper"
 	"repro/internal/feasibility"
 	"repro/internal/geom"
-	"repro/internal/gossip"
 	"repro/internal/gpsr"
-	"repro/internal/metrics"
 	"repro/internal/predist"
 	"repro/internal/repair"
 	"repro/internal/store"
@@ -99,7 +94,7 @@ type (
 	Encoder = core.Encoder
 	// Decoder partially decodes coded blocks in priority order.
 	Decoder = core.Decoder
-	// EncoderOption customizes an Encoder (see WithSparsity).
+	// EncoderOption customizes an Encoder.
 	EncoderOption = core.EncoderOption
 )
 
@@ -121,9 +116,6 @@ func NewLevels(sizes ...int) (*Levels, error) { return core.NewLevels(sizes...) 
 // UniformLevels returns n levels of perLevel blocks each.
 func UniformLevels(n, perLevel int) (*Levels, error) { return core.UniformLevels(n, perLevel) }
 
-// ParseScheme converts "RLC", "SLC" or "PLC" to a Scheme.
-func ParseScheme(name string) (Scheme, error) { return core.ParseScheme(name) }
-
 // UniformDistribution returns the uniform priority distribution over n
 // levels.
 func UniformDistribution(n int) PriorityDistribution { return core.NewUniformDistribution(n) }
@@ -139,19 +131,6 @@ func NewDecoder(scheme Scheme, levels *Levels, payloadLen int) (*Decoder, error)
 	return core.NewDecoder(scheme, levels, payloadLen)
 }
 
-// Stream couples a decoder with in-order payload delivery to an
-// io.Writer — the streaming face of progressive decoding.
-type Stream = core.Stream
-
-// NewStream constructs a streaming decoder writing decoded prefix
-// payloads to sink as coded blocks arrive.
-func NewStream(scheme Scheme, levels *Levels, payloadLen int, sink io.Writer) (*Stream, error) {
-	return core.NewStream(scheme, levels, payloadLen, sink)
-}
-
-// WithSparsity bounds each coded block to d nonzero coefficients.
-func WithSparsity(d int) EncoderOption { return core.WithSparsity(d) }
-
 // LogSparsity returns the 3·ln(N) coefficient budget of the sparse-code
 // result the protocol relies on.
 func LogSparsity(n int) int { return core.LogSparsity(n) }
@@ -166,11 +145,6 @@ type AnalysisResult = analysis.Result
 // of decoded priority levels from m randomly accumulated coded blocks.
 func ExpectedDecodedLevels(scheme Scheme, levels *Levels, p PriorityDistribution, m int) (AnalysisResult, error) {
 	return analysis.Eval(scheme, levels, p, m)
-}
-
-// DecodingCurve evaluates the model over a sweep of block counts.
-func DecodingCurve(scheme Scheme, levels *Levels, p PriorityDistribution, ms []int) ([]AnalysisResult, error) {
-	return analysis.Curve(scheme, levels, p, ms)
 }
 
 // MinBlocks returns the smallest number of coded blocks from which the
@@ -218,19 +192,11 @@ func OptimizeDistribution(prob OptimizeProblem, opts DesignOptions) (OptimizeSol
 	return feasibility.Optimize(prob, opts)
 }
 
-// GeometricUtility returns u_k = base^k — strict priority as base → 0,
-// volume maximization at base = 1.
-func GeometricUtility(n int, base float64) (Utility, error) {
-	return feasibility.GeometricUtility(n, base)
-}
-
 // ProportionalUtility weights each level by its block count.
 func ProportionalUtility(l *Levels) Utility { return feasibility.ProportionalUtility(l) }
 
 // Protocol layer.
 type (
-	// Point is a location in the unit square.
-	Point = geom.Point
 	// Graph is a geometric connectivity graph.
 	Graph = geom.Graph
 	// GeoRouter is a GPSR router over a sensor deployment.
@@ -243,8 +209,6 @@ type (
 	DeployConfig = predist.Config
 	// Deployment is the network-wide state of one pre-distribution run.
 	Deployment = predist.Deployment
-	// DeployStats is the dissemination bandwidth cost.
-	DeployStats = predist.Stats
 	// CollectOptions controls a collection run.
 	CollectOptions = collect.Options
 	// CollectResult summarizes a collection run.
@@ -347,9 +311,14 @@ func Collect(rng *rand.Rand, dec *Decoder, blocks []*CodedBlock, opts CollectOpt
 }
 
 // Store layer: the networked priority block store of internal/store — a
-// TCP daemon holding coded blocks, a pooled retrying client, and a
-// replicated store whose replication factor decreases with priority
-// level, so the critical prefix survives more node losses.
+// TCP daemon holding coded blocks, a pooled retrying client, and the
+// placement front end over a fleet of them. Every coded block belongs to
+// an ObjectID (ZeroObject is the key-less namespace), and a PlacedStore
+// resolves each object's replica set by consistent hashing — the ID's
+// successor list of alive nodes on a chord ring — with a replication
+// factor that decreases with priority level, so the critical prefix
+// survives more node losses. The same address list and membership
+// sequence yields the same assignment in every run.
 type (
 	// StoreServer is a TCP block-store daemon.
 	StoreServer = store.Server
@@ -360,22 +329,18 @@ type (
 	StoreClient = store.Client
 	// StoreClientConfig parameterizes a StoreClient.
 	StoreClientConfig = store.ClientConfig
-	// StoreRetryPolicy tunes client backoff (exponential with jitter).
-	StoreRetryPolicy = store.RetryPolicy
-	// StoreStats is a daemon inventory snapshot.
-	StoreStats = store.Stats
-	// StoreDialer abstracts connection establishment (fault injection).
-	StoreDialer = store.Dialer
-	// ReplicatedStore maps priority level to replication factor over a
-	// set of daemons: one object's replica set, as PlacedStore.Shard
-	// returns it and AuditStore takes it.
-	ReplicatedStore = store.Replicated
-	// FaultConfig parameterizes a fault-injecting dialer.
-	FaultConfig = store.FaultConfig
-	// FaultDialer injects seedable dial failures, frame corruption,
-	// delays and partitions — the robustness tests' network.
-	FaultDialer = store.FaultDialer
+	// ObjectID names one logical data object — the unit differentiated
+	// persistence is defined over and the unit placement hashes.
+	ObjectID = core.ObjectID
+	// PlacedStore is the consistent-hashing front end: per-object shards
+	// over a dynamic fleet.
+	PlacedStore = store.Placed
+	// PlacedStoreConfig parameterizes a PlacedStore.
+	PlacedStoreConfig = store.PlacedConfig
 )
+
+// ZeroObject is the key-less object every v1/v3 wire frame belongs to.
+const ZeroObject = core.ZeroObject
 
 // NewStoreServer starts a block-store daemon on cfg.Addr (empty for an
 // ephemeral loopback port). Shut it down with its Shutdown method.
@@ -385,78 +350,10 @@ func NewStoreServer(cfg StoreServerConfig) (*StoreServer, error) { return store.
 // lazily and pooled.
 func NewStoreClient(cfg StoreClientConfig) (*StoreClient, error) { return store.NewClient(cfg) }
 
-// NewFaultDialer wraps a dialer (nil for the network) with seedable
-// fault injection for robustness experiments.
-func NewFaultDialer(base StoreDialer, cfg FaultConfig) *FaultDialer {
-	return store.NewFaultDialer(base, cfg)
-}
-
-// Placement layer: the object-keyed namespace over the store fleet.
-// Every coded block belongs to an ObjectID (the zero object is the
-// key-less legacy namespace v1/v3 wire frames decode into), and a
-// PlacedStore resolves each object's replica set by consistent hashing
-// — the ID's successor list of R alive nodes on a chord ring — instead
-// of one static replica list for everything. A GossipMonitor probes the
-// fleet and reports liveness transitions; feeding them to SetAlive
-// keeps placement tracking membership, deterministically: the same
-// address list and membership sequence yields the same assignment in
-// every run.
-type (
-	// ObjectID names one logical data object — the unit differentiated
-	// persistence is defined over and the unit placement hashes.
-	ObjectID = core.ObjectID
-	// ObjectStats is one object's slice of a StoreStats snapshot.
-	ObjectStats = store.ObjectStats
-	// PlacedStore is the consistent-hashing front end: per-object shards
-	// over a dynamic fleet, each shard a ReplicatedStore.
-	PlacedStore = store.Placed
-	// PlacedStoreConfig parameterizes a PlacedStore.
-	PlacedStoreConfig = store.PlacedConfig
-	// RingMember is one node's placement-ring entry (address, ring ID,
-	// liveness).
-	RingMember = store.RingMember
-	// GossipMonitor is the seeded round-robin failure detector
-	// (Alive → Suspect → Dead on consecutive probe misses).
-	GossipMonitor = gossip.Monitor
-	// GossipMonitorConfig parameterizes a GossipMonitor.
-	GossipMonitorConfig = gossip.MonitorConfig
-	// GossipEvent is one liveness transition.
-	GossipEvent = gossip.Event
-	// GossipProber abstracts the probe a GossipMonitor sends; a
-	// PlacedStore satisfies it over the store wire path.
-	GossipProber = gossip.Prober
-)
-
-// The reserved object values: the key-less legacy object every v1/v3
-// wire frame belongs to, and the all-objects value that no block carries
-// and every store entry point refuses.
-const (
-	ZeroObject = core.ZeroObject
-	AllObjects = core.AllObjects
-)
-
-// NamedObject derives an ObjectID from a human-chosen name (FNV-64a,
-// remapped away from the reserved values).
-func NamedObject(name string) ObjectID { return core.NamedObject(name) }
-
-// ParseObjectID resolves an object spec: canonical "obj-<16 hex>" parses
-// exactly, anything else hashes as a name, empty is ZeroObject.
-func ParseObjectID(s string) (ObjectID, error) { return core.ParseObjectID(s) }
-
-// StoreNodeID maps a node address onto the placement ring (FNV-64a) —
-// exported so tools can predict ownership without a live fleet.
-func StoreNodeID(addr string) uint64 { return store.NodeID(addr) }
-
 // NewPlacedStore builds the placement layer over per-node clients for a
 // code with the given number of levels.
 func NewPlacedStore(clients []*StoreClient, levels int, cfg PlacedStoreConfig) (*PlacedStore, error) {
 	return store.NewPlaced(clients, levels, cfg)
-}
-
-// NewGossipMonitor builds a failure detector over the fleet's addresses;
-// Tick probes the next node round-robin, Run loops it.
-func NewGossipMonitor(addrs []string, p GossipProber, cfg GossipMonitorConfig) (*GossipMonitor, error) {
-	return gossip.NewMonitor(addrs, p, cfg)
 }
 
 // Repair layer: decode-free maintenance of a replicated deployment.
@@ -466,70 +363,26 @@ func NewGossipMonitor(addrs []string, p GossipProber, cfg GossipMonitorConfig) (
 // is ever reconstructed on the repair path.
 type (
 	// RepairConfig parameterizes a RepairDaemon (code, per-level
-	// targets, interval, per-round block budget, seed).
+	// targets, per-round block budget, seed).
 	RepairConfig = repair.Config
-	// RepairDaemon is the background audit+recombine+place loop.
+	// RepairDaemon runs one object's audit+recombine+place round.
 	RepairDaemon = repair.Daemon
-	// RepairReport summarizes one repair round.
-	RepairReport = repair.Report
-	// StoreAuditConfig defines the provisioning targets an audit
-	// compares the fleet against.
-	StoreAuditConfig = repair.AuditConfig
-	// StoreAudit is one fleet inventory scan: per-level copy counts vs.
-	// targets, most-critical-level-first.
-	StoreAudit = repair.Audit
-	// StoreLevelReport is one level's audit line.
-	StoreLevelReport = repair.LevelReport
 )
 
 // Recombine produces a fresh coded block as a random GF(2^8) linear
 // combination of compatible coded blocks — the decode-free repair
 // primitive. SLC inputs must share a level; PLC output takes the
 // maximum input level, its support the union of the input spans.
+// All-zero samples fail with ErrDegenerateInputs.
 func Recombine(rng *rand.Rand, scheme Scheme, levels *Levels, blocks []*CodedBlock) (*CodedBlock, error) {
 	return core.Recombine(rng, scheme, levels, blocks)
 }
 
-// RecombineRanked is Recombine plus the GF(2^8) rank of the input
-// sample — how many linearly independent fresh blocks it can yield.
-// All-zero samples fail with ErrDegenerateInputs.
-func RecombineRanked(rng *rand.Rand, scheme Scheme, levels *Levels, blocks []*CodedBlock) (*CodedBlock, int, error) {
-	return core.RecombineRanked(rng, scheme, levels, blocks)
-}
-
-// AuditStore scans every replica's per-level inventory and compares it
-// against the provisioning targets, returning the deficit report the
-// repair loop acts on.
-func AuditStore(ctx context.Context, r *ReplicatedStore, cfg StoreAuditConfig) (*StoreAudit, error) {
-	return repair.AuditFleet(ctx, r, cfg)
-}
-
 // NewObjectRepairDaemon validates the configuration and returns a
-// stopped repair daemon scoped to one object on a placed fleet
-// (ZeroObject for key-less data); Start launches the background loop,
-// RunOnce drives a single audit+repair round synchronously. Each round
+// repair daemon scoped to one object on a placed fleet (ZeroObject for
+// key-less data); RunOnce drives one audit+repair round. Each round
 // re-resolves the object's shard, so repair follows the ring through
 // churn and regenerated blocks land on the current owners.
 func NewObjectRepairDaemon(p *PlacedStore, obj ObjectID, cfg RepairConfig) (*RepairDaemon, error) {
 	return repair.NewObject(p, obj, cfg)
 }
-
-// Observability layer: a dependency-free metrics registry threaded
-// through every hot path. Pass one registry via the Metrics field of
-// StoreServerConfig, StoreClientConfig, PlacedStoreConfig and
-// RepairConfig (and SetMetrics on Encoder/Decoder) to aggregate a whole
-// process into one scrapeable view; a nil registry is a no-op.
-type (
-	// MetricsRegistry holds atomic counters, gauges and log-linear
-	// latency/size histograms, exposable as Prometheus text or JSON.
-	MetricsRegistry = metrics.Registry
-	// MetricsSnapshot is a point-in-time copy of every registered metric.
-	MetricsSnapshot = metrics.Snapshot
-)
-
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// MetricsHandler serves r on /metrics (Prometheus text), /metrics.json
-// and /debug/pprof/ — what `prlcd serve -metrics <addr>` listens with.
-func MetricsHandler(r *MetricsRegistry) http.Handler { return metrics.Handler(r) }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/core"
 )
 
 // mustDecoder is a fresh PLC decoder for a test collection.
@@ -71,7 +74,7 @@ func TestFacadeAnalysis(t *testing.T) {
 	if r.EX < 2.5 {
 		t.Errorf("E(X) at 2N blocks = %g, want near 3", r.EX)
 	}
-	curve, err := DecodingCurve(SLC, levels, UniformDistribution(3), []int{0, 30, 60})
+	curve, err := analysis.Curve(SLC, levels, UniformDistribution(3), []int{0, 30, 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +102,7 @@ func TestFacadeDesign(t *testing.T) {
 }
 
 func TestFacadeParseScheme(t *testing.T) {
-	s, err := ParseScheme("PLC")
+	s, err := core.ParseScheme("PLC")
 	if err != nil || s != PLC {
 		t.Errorf("ParseScheme = %v, %v", s, err)
 	}
@@ -164,7 +167,7 @@ func TestFacadeSparsityHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := NewEncoder(PLC, levels, nil, WithSparsity(LogSparsity(100)))
+	enc, err := NewEncoder(PLC, levels, nil, core.WithSparsity(LogSparsity(100)))
 	if err != nil {
 		t.Fatal(err)
 	}
