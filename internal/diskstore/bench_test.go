@@ -150,3 +150,42 @@ func BenchmarkGetOneObjectAmongMany(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkGetCold is ingest-disk's read-back at the engine: 64 objects
+// of 93 blocks of 1 KiB, read round-robin through a cache holding a
+// quarter of the stored bytes, so most records miss it and are read
+// from their segment. One op is one object's Get.
+//
+//	go test -run='^$' -bench BenchmarkGetCold -benchmem ./internal/diskstore
+func BenchmarkGetCold(b *testing.B) {
+	const (
+		objects   = 64
+		perObject = 93
+		wireBytes = 1024
+	)
+	s, err := Open(b.TempDir(), Options{
+		Fsync:      FsyncNone,
+		CacheBytes: objects * perObject * wireBytes / 4,
+		Logf:       quiet,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(1))
+	for obj := core.ObjectID(1); obj <= objects; obj++ {
+		for i := 0; i < perObject; i++ {
+			if _, err := s.Put(obj, i%4, fakeWire(rng, i%4, wireBytes)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := s.Get(core.ObjectID(i%objects+1), -1)
+		if err != nil || len(got) != perObject {
+			b.Fatalf("get: %d blocks, %v", len(got), err)
+		}
+	}
+}

@@ -11,8 +11,9 @@
 // one fsync per batch, so durability costs one disk flush per tens of
 // blocks instead of one per block (the same batching economics as the
 // word-parallel kernels, applied to I/O). Reads go through a small
-// byte-bounded block cache; old segments age out under a TTL rolling
-// window so measurement epochs reclaim their space.
+// byte-bounded block cache and copy a miss out of a read-only mapping of
+// its segment; old segments age out under a TTL rolling window so
+// measurement epochs reclaim their space.
 //
 // A Store implements store.BlockStore, so `prlcd serve -data-dir`
 // swaps it in behind the unchanged TCP surface: blocks on disk are
@@ -21,6 +22,7 @@
 package diskstore
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"log"
@@ -123,7 +125,28 @@ const (
 	// queueDepth is the put queue feeding the writer; while a flush is on
 	// the disk, up to this many puts pile up and form the next batch.
 	queueDepth = 1024
+	// maxPutBytes bounds the bytes one put request appends, record
+	// headers included. A put frame's body is at most
+	// store.DefaultMaxFrame and spends at least 4 bytes of length on each
+	// block where a record spends recHeaderLen = 8, so one frame's records
+	// take at most twice the frame. PutBatch cuts a larger call (only a
+	// caller of the Go API can make one) into requests of this size.
+	maxPutBytes = 2 * store.DefaultMaxFrame
+	// maxAppendBytes bounds one batch on disk. writerLoop takes requests
+	// while its batch holds fewer than maxBatchBlocks records and
+	// maxBatchBytes wire bytes, and the last request it takes appends at
+	// most maxPutBytes.
+	maxAppendBytes = maxBatchBytes + maxBatchBlocks*recHeaderLen + maxPutBytes
 )
+
+// activeMapLen is the length the active segment is mapped at, a bound
+// no size it can reach exceeds. activeForAppend appends to a segment
+// holding records only while it stays within SegmentBytes, and to an
+// empty one (segHeaderLen bytes) a single batch of at most
+// maxAppendBytes.
+func (s *Store) activeMapLen() int64 {
+	return s.opts.SegmentBytes + segHeaderLen + maxAppendBytes
+}
 
 // Store is the disk-backed block store. It is safe for concurrent use;
 // all mutation of the index happens under mu, all file appends happen
@@ -187,6 +210,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	t0 := time.Now()
 	if err := s.recover(); err != nil {
+		for _, seg := range s.segs {
+			seg.close()
+		}
 		return nil, err
 	}
 	s.met.recoveryNs.Set(time.Since(t0).Nanoseconds())
@@ -227,7 +253,9 @@ func (s *Store) Put(obj core.ObjectID, level int, wire []byte) (bool, error) {
 // PutBatch stores a multi-block put's blocks with Put's semantics, but
 // reserves and queues every one before it waits for any: the writer
 // takes them as one request into one batch, so FsyncBatch commits the
-// whole frame with one fsync. It implements store.BatchPutter.
+// whole frame with one fsync. A call past maxPutBytes, which no frame
+// reaches, is queued as several requests. It implements
+// store.BatchPutter.
 func (s *Store) PutBatch(puts []store.BatchPut) {
 	t0 := time.Now()
 	// wait[i] is the record puts[i] waits on: its own, or an unflushed
@@ -255,7 +283,14 @@ func (s *Store) PutBatch(puts []store.BatchPut) {
 	}
 	s.mu.Unlock()
 	if len(recs) > 0 {
-		s.reqCh <- &writeReq{kind: reqPut, recs: recs}
+		for rest := recs; len(rest) > 0; {
+			n, size := 1, recHeaderLen+len(rest[0].wire)
+			for ; n < len(rest) && size+recHeaderLen+len(rest[n].wire) <= maxPutBytes; n++ {
+				size += recHeaderLen + len(rest[n].wire)
+			}
+			s.reqCh <- &writeReq{kind: reqPut, recs: rest[:n]}
+			rest = rest[n:]
+		}
 		s.putters.Done()
 	}
 	for i, w := range wait {
@@ -325,9 +360,12 @@ func (s *Store) dupLocked(hash uint64, wire []byte) (bool, error) {
 			continue
 		}
 		data, err := s.readBlock(ref.seg, rec)
-		if err != nil {
+		if errors.Is(err, errSegmentGone) {
 			// The candidate aged out mid-check; it no longer blocks the put.
 			continue
+		}
+		if err != nil {
+			return false, err
 		}
 		if string(data) == string(wire) {
 			return true, nil
@@ -365,17 +403,20 @@ func (s *Store) Get(obj core.ObjectID, maxLevel int) ([][]byte, error) {
 	out := make([][]byte, 0, len(want))
 	for _, l := range want {
 		data, err := s.readBlock(l.seg, l.rec)
-		if err != nil {
+		if errors.Is(err, errSegmentGone) {
 			// The segment expired between the index snapshot and the read:
 			// its blocks are no longer part of the inventory.
 			continue
 		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", store.ErrStoreUnavailable, err)
+		}
 		out = append(out, data)
 	}
 	if len(out) < len(want) {
-		// A failed read also happens when Close takes the read handles away
-		// mid-Get; then what was skipped is still stored, and a short list
-		// would be a wrong answer, not a smaller inventory.
+		// A segment also reads as gone when Close unmaps it mid-Get; then
+		// what was skipped is still stored, and a short list would be a
+		// wrong answer, not a smaller inventory.
 		s.mu.Lock()
 		closed := s.closed
 		s.mu.Unlock()
@@ -495,9 +536,10 @@ func (s *Store) Sync() error {
 	return req.err
 }
 
-// Close drains the put queue, flushes and fsyncs the tail, and releases
-// every file handle. Puts racing Close either complete durably or
-// report the store closed.
+// Close drains the put queue, flushes and fsyncs the tail, and unmaps
+// every segment. Puts racing Close either complete durably or report the
+// store closed; Gets racing it return complete data or report the store
+// closed.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {

@@ -3,6 +3,7 @@ package diskstore
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -54,8 +55,9 @@ type rec struct {
 }
 
 // segment is one on-disk log file plus its index slice. recs is
-// guarded by the Store's mu; the read handle by fmu, so retention can
-// delete a segment out from under a concurrent Get without racing it.
+// guarded by the Store's mu; the mapping by fmu, so retention and Close
+// can unmap a segment out from under a concurrent Get without racing
+// it: reads copy under fmu's read lock, unmapping takes its write lock.
 type segment struct {
 	id        uint64
 	path      string
@@ -67,75 +69,62 @@ type segment struct {
 	live  int             // recs not marked dead
 	tombs []core.ObjectID // objects tombstoned in this segment, log order
 
-	fmu     sync.RWMutex
-	rf      *os.File // lazily-opened read handle
-	deleted bool
+	fmu sync.RWMutex
+	m   *segMap // the read-only mapping; nil once closed or removed
 }
 
-// readRecord fetches one record's wire bytes from the file.
+// mapAt maps the segment file at length bytes; recover and rotate call
+// it once per segment, before any reader can see the segment.
+func (g *segment) mapAt(length int64) error {
+	m, err := mapSegment(g.path, length)
+	if err != nil {
+		return err
+	}
+	g.m = m
+	return nil
+}
+
+// errSegmentGone is a read of a segment that Close, retention or
+// compaction has already unmapped.
+var errSegmentGone = errors.New("diskstore: segment closed or expired")
+
+// readRecord copies one record's wire bytes out of the mapping. The copy
+// is what lets the result outlive the lock: retention or Close may unmap
+// the segment the moment fmu is released, so no slice of the mapping
+// leaves this method.
 func (g *segment) readRecord(r rec) ([]byte, error) {
 	g.fmu.RLock()
-	if g.deleted {
-		g.fmu.RUnlock()
-		return nil, fmt.Errorf("diskstore: segment %d expired", g.id)
-	}
-	rf := g.rf
-	g.fmu.RUnlock()
-	if rf == nil {
-		g.fmu.Lock()
-		if g.deleted {
-			g.fmu.Unlock()
-			return nil, fmt.Errorf("diskstore: segment %d expired", g.id)
-		}
-		if g.rf == nil {
-			f, err := os.Open(g.path)
-			if err != nil {
-				g.fmu.Unlock()
-				return nil, err
-			}
-			g.rf = f
-		}
-		rf = g.rf
-		g.fmu.Unlock()
+	defer g.fmu.RUnlock()
+	if g.m == nil {
+		return nil, fmt.Errorf("%w: segment %d", errSegmentGone, g.id)
 	}
 	data := make([]byte, r.n)
-	// ReadAt is safe against the deleter: unlinking does not invalidate
-	// an open handle, and close waits on fmu below.
-	g.fmu.RLock()
-	defer g.fmu.RUnlock()
-	if g.deleted {
-		return nil, fmt.Errorf("diskstore: segment %d expired", g.id)
-	}
-	if _, err := rf.ReadAt(data, r.off+recHeaderLen); err != nil {
-		return nil, err
+	if err := g.m.copyAt(data, r.off+recHeaderLen); err != nil {
+		return nil, fmt.Errorf("diskstore: segment %d: %w", g.id, err)
 	}
 	return data, nil
 }
 
-// close releases the read handle.
+// close unmaps the segment, once; concurrent reads either finish their
+// copy first or are refused.
 func (g *segment) close() error {
 	g.fmu.Lock()
 	defer g.fmu.Unlock()
-	var err error
-	if g.rf != nil {
-		err = g.rf.Close()
-		g.rf = nil
+	if g.m == nil {
+		return nil
 	}
+	err := g.m.release()
+	g.m = nil
 	return err
 }
 
-// remove unlinks the segment file and closes its handle; concurrent
-// reads either finish against the still-open handle or observe deleted.
+// remove unmaps the segment and unlinks its file.
 func (g *segment) remove() error {
-	g.fmu.Lock()
-	defer g.fmu.Unlock()
-	g.deleted = true
-	err := os.Remove(g.path)
-	if g.rf != nil {
-		g.rf.Close()
-		g.rf = nil
+	uerr := g.close()
+	if err := os.Remove(g.path); err != nil {
+		return err
 	}
-	return err
+	return uerr
 }
 
 // appendRecord serializes one record into buf and returns it.

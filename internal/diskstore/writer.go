@@ -138,6 +138,9 @@ func (s *Store) flush(batch []*writeReq, bytes int) {
 		// The tail of the segment is now suspect. Drop the batch back to
 		// the callers (their blocks are NOT durable) and cut the file
 		// back to the last committed record so the log stays replayable.
+		// The cut only ever removes bytes past base, which no record in
+		// the index names: a batch is indexed after its write succeeds,
+		// so no read of the mapping can reach the truncated pages.
 		s.met.writeErrors.Inc()
 		os.Truncate(seg.path, base)
 		s.failBatch(batch, fmt.Errorf("%w: disk write: %v", store.ErrStoreUnavailable, werr))
@@ -252,6 +255,8 @@ func (s *Store) applyDelete(obj core.ObjectID) (int, error) {
 		return 0, err
 	}
 	base := seg.size
+	// A failed write or sync cuts the file back to base; like flush's cut,
+	// it removes only bytes no indexed record names.
 	if _, werr := s.wf.Write(appendRecord(s.scratch[:0], wire)); werr != nil {
 		s.met.writeErrors.Inc()
 		os.Truncate(seg.path, base)
@@ -374,7 +379,9 @@ func (s *Store) activeHasData() bool {
 }
 
 // rotate seals the active segment (final fsync, handle closed) and
-// opens the next one. Called from the writer goroutine only.
+// opens the next one, mapped at activeMapLen. A sealed segment keeps
+// the mapping it was written under. Called from the writer goroutine
+// only.
 func (s *Store) rotate() error {
 	if err := s.sealActive(); err != nil {
 		return err
@@ -390,14 +397,18 @@ func (s *Store) rotate() error {
 	if err := writeSegmentHeader(path, created); err != nil {
 		return fmt.Errorf("diskstore: create segment %d: %w", id, err)
 	}
+	seg := &segment{id: id, path: path, createdAt: created, size: segHeaderLen}
+	if err := seg.mapAt(s.activeMapLen()); err != nil {
+		return err
+	}
 	wf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
+		seg.close()
 		return fmt.Errorf("diskstore: open segment %d for append: %w", id, err)
 	}
 	if err := syncDir(s.dir); err != nil {
 		s.opts.Logf("diskstore: fsync data dir: %v", err)
 	}
-	seg := &segment{id: id, path: path, createdAt: created, size: segHeaderLen}
 	s.wf = wf
 	s.mu.Lock()
 	s.segs = append(s.segs, seg)
@@ -422,8 +433,9 @@ func (s *Store) sealActive() error {
 }
 
 // recover replays every segment under the data dir, rebuilding the
-// index and truncating torn tails, then reopens the last segment for
-// append (or defers creation of a fresh one to the first put).
+// index and truncating torn tails, maps each segment once, then reopens
+// the last segment for append (or defers creation of a fresh one to the
+// first put).
 func (s *Store) recover() error {
 	names, ids, err := listSegments(s.dir)
 	if err != nil {
@@ -472,8 +484,21 @@ func (s *Store) recover() error {
 		}
 	}
 	// Reopen the last segment for append if it still has room; a full
-	// (or absent) one is left sealed and the first flush rotates.
-	if n := len(s.segs); n > 0 && s.segs[n-1].size < s.opts.SegmentBytes {
+	// (or absent) one is left sealed and the first flush rotates. A
+	// sealed segment is mapped at its size, the reopened one at
+	// activeMapLen, since it takes appends again.
+	n := len(s.segs)
+	reopen := n > 0 && s.segs[n-1].size < s.opts.SegmentBytes
+	for i, seg := range s.segs {
+		length := seg.size
+		if reopen && i == n-1 {
+			length = s.activeMapLen()
+		}
+		if err := seg.mapAt(length); err != nil {
+			return err
+		}
+	}
+	if reopen {
 		wf, err := os.OpenFile(s.segs[n-1].path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("diskstore: reopen active segment: %w", err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -400,10 +401,11 @@ func decodeDeleteBody(body []byte) (core.ObjectID, error) {
 
 // encodeDeleted builds a frameDeleted response body.
 func encodeDeleted(removed int) []byte {
-	if removed < 0 || uint64(removed) > 0xFFFFFFFF {
-		removed = 0xFFFFFFFF
+	n := uint32(math.MaxUint32)
+	if removed >= 0 && uint64(removed) <= math.MaxUint32 {
+		n = uint32(removed)
 	}
-	return binary.BigEndian.AppendUint32(make([]byte, 0, 4), uint32(removed))
+	return binary.BigEndian.AppendUint32(make([]byte, 0, 4), n)
 }
 
 // decodeDeleted parses a frameDeleted response body.
