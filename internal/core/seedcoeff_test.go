@@ -160,12 +160,14 @@ func TestChangedCoeffMarshalsDense(t *testing.T) {
 }
 
 // seedFrame hand-assembles a v5 frame so tests can build the shapes
-// MarshalBinary refuses to emit.
-func seedFrame(obj ObjectID, nCoeff, nPay int, kind byte, lo, hi uint32, seed uint64) []byte {
+// MarshalBinary refuses to emit. nCoeff is the claimed coefficient
+// count, typed as its wire field so a claim past int32 builds on 32-bit
+// platforms too.
+func seedFrame(obj ObjectID, nCoeff uint32, nPay int, kind byte, lo, hi uint32, seed uint64) []byte {
 	out := []byte{'P', 'B', wireVersionSeed}
 	out = binary.BigEndian.AppendUint64(out, uint64(obj))
 	out = binary.BigEndian.AppendUint16(out, 3)
-	out = binary.BigEndian.AppendUint32(out, uint32(nCoeff))
+	out = binary.BigEndian.AppendUint32(out, nCoeff)
 	out = binary.BigEndian.AppendUint32(out, uint32(nPay))
 	out = append(out, kind)
 	out = binary.BigEndian.AppendUint32(out, lo)

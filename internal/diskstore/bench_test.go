@@ -4,11 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"repro/internal/core"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/store"
 )
 
 // Disk-engine benchmarks. The headline pair is group commit against
@@ -187,5 +189,64 @@ func BenchmarkGetCold(b *testing.B) {
 		if err != nil || len(got) != perObject {
 			b.Fatalf("get: %d blocks, %v", len(got), err)
 		}
+	}
+}
+
+// BenchmarkReopenAfterDeletes is a restart's replay cost once half the
+// objects are deleted: 1,000 keyed objects of 50 blocks in 256 KiB
+// segments, every other object deleted, so 500 tombstones sit at the
+// log's end behind 50,000 records. One op is one Open (Close untimed).
+// It uses only Open, PutBatch, Delete and Close, so it pairs against an
+// older commit copied beside it.
+//
+//	go test -run='^$' -bench BenchmarkReopenAfterDeletes ./internal/diskstore
+func BenchmarkReopenAfterDeletes(b *testing.B) {
+	const (
+		objects   = 1000
+		perObject = 50
+	)
+	dir := b.TempDir()
+	opts := Options{SegmentBytes: 256 << 10, Fsync: FsyncNone, Logf: quiet}
+	s, err := Open(dir, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < objects; i++ {
+		obj := core.NamedObject(fmt.Sprintf("reopen/%d", i))
+		wires, lvls := keyedBlocks(b, obj, perObject, int64(i))
+		puts := make([]store.BatchPut, len(wires))
+		for k, w := range wires {
+			puts[k] = store.BatchPut{Obj: obj, Level: lvls[k], Wire: w}
+		}
+		s.PutBatch(puts)
+		for _, p := range puts {
+			if p.Err != nil {
+				b.Fatal(p.Err)
+			}
+		}
+	}
+	for i := 0; i < objects; i += 2 {
+		if _, err := s.Delete(core.NamedObject(fmt.Sprintf("reopen/%d", i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	want := s.Len()
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := Open(dir, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if s.Len() != want {
+			b.Fatalf("reopened with %d blocks, want %d", s.Len(), want)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

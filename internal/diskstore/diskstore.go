@@ -165,6 +165,7 @@ type Store struct {
 	pendBlocks int
 	closed     bool
 	putters    sync.WaitGroup // in-flight senders on reqCh
+	dropMu     sync.Mutex     // serializes dropSegments
 
 	cache *blockCache
 

@@ -628,7 +628,7 @@ func TestTornTailTruncation(t *testing.T) {
 
 // keyedBlocks marshals n coded blocks stamped with obj (keyed wire
 // versions v2/v4).
-func keyedBlocks(t *testing.T, obj core.ObjectID, n int, seed int64) ([][]byte, []int) {
+func keyedBlocks(t testing.TB, obj core.ObjectID, n int, seed int64) ([][]byte, []int) {
 	t.Helper()
 	levels, err := core.NewLevels(4, 12)
 	if err != nil {

@@ -44,11 +44,14 @@ func TestConcurrentPutGetRotateRetention(t *testing.T) {
 		sweeps   = 25
 		wireSize = 192
 	)
-	var wg sync.WaitGroup
+	var wg, putWG sync.WaitGroup
+	// Each acked put leaves a token, and each sweep takes one: the sweeps
+	// spread over the puts instead of sleeping between each other.
+	acked, putsDone := make(chan struct{}, putters*perPut), make(chan struct{})
 	for g := 0; g < putters; g++ {
-		wg.Add(1)
+		putWG.Add(1)
 		go func(g int) {
-			defer wg.Done()
+			defer putWG.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < perPut; i++ {
 				w := fakeWire(rng, g%3, wireSize)
@@ -56,9 +59,14 @@ func TestConcurrentPutGetRotateRetention(t *testing.T) {
 					t.Errorf("putter %d: %v", g, err)
 					return
 				}
+				acked <- struct{}{}
 			}
 		}(g)
 	}
+	go func() {
+		putWG.Wait()
+		close(putsDone)
+	}()
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -85,18 +93,23 @@ func TestConcurrentPutGetRotateRetention(t *testing.T) {
 		}
 	}()
 	// Two sweepers: enforcement racing enforcement, as the store's own
-	// loop racing a second one would.
+	// loop racing a second one would. Each sweep expires every sealed
+	// segment, so rotation, expiry and the puts' flushes interleave.
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < sweeps; i++ {
-				s.enforceRetention(time.Now())
-				time.Sleep(time.Millisecond)
+				select {
+				case <-acked:
+				case <-putsDone:
+				}
+				s.enforceRetention(time.Now().Add(time.Hour))
 			}
 		}()
 	}
 	wg.Wait()
+	putWG.Wait()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -208,20 +221,22 @@ func TestConcurrentPutBatchesOverlap(t *testing.T) {
 func TestCloseRacingPuts(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Options{})
-	var wg sync.WaitGroup
+	var wg, started sync.WaitGroup
 	acked := make([][]byte, 16)
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
+		started.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(2000 + g)))
 			w := fakeWire(rng, 0, 64)
+			started.Done() // Close waits for every putter to reach its Put
 			if stored, err := s.Put(core.ZeroObject, 0, w); err == nil && stored {
 				acked[g] = w
 			}
 		}(g)
 	}
-	time.Sleep(time.Millisecond)
+	started.Wait()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -84,8 +84,8 @@ func (g *segment) mapAt(length int64) error {
 	return nil
 }
 
-// errSegmentGone is a read of a segment that Close, retention or
-// compaction has already unmapped.
+// errSegmentGone is a read of a segment that Close has unmapped, or
+// that dropSegments (retention's expiry or compaction) has unlinked.
 var errSegmentGone = errors.New("diskstore: segment closed or expired")
 
 // readRecord copies one record's wire bytes out of the mapping. The copy

@@ -295,57 +295,19 @@ func (s *Store) applyDelete(obj core.ObjectID) (int, error) {
 }
 
 // compactDeadSegments removes sealed segments with no live records —
-// the tombstone honored at compaction time. A segment carrying
-// tombstones is only droppable once no earlier segment still holds
-// physical records (dead ones included) of a tombstoned object: those
-// bytes are still on disk, and without the tombstone a replay would
-// resurrect them. Segments free up oldest-first as a consequence.
+// the tombstone honored at compaction time. dropSegments' guard keeps a
+// segment carrying tombstones while an earlier segment still holds
+// records of a tombstoned object, so segments free up oldest-first.
 func (s *Store) compactDeadSegments() {
-	s.mu.Lock()
-	var drop []*segment
-	keep := s.segs[:0]
-	for i, seg := range s.segs {
-		sealed := i < len(s.segs)-1
-		droppable := sealed && seg.live == 0 && (len(seg.recs) > 0 || len(seg.tombs) > 0)
-		if droppable {
-			for _, obj := range seg.tombs {
-				for _, prev := range keep { // earlier segments still present
-					for _, r := range prev.recs {
-						if r.obj == obj {
-							droppable = false
-						}
-					}
-				}
-			}
-		}
-		if droppable {
-			drop = append(drop, seg)
-			continue
-		}
-		keep = append(keep, seg)
-	}
-	s.segs = keep
-	if len(drop) > 0 {
-		s.met.setInventory(&s.inv, len(s.segs))
-	}
-	s.mu.Unlock()
-
-	for _, seg := range drop {
-		purged, size := s.cache.purgeSeg(seg.id)
-		s.met.cacheEvictions.Add(uint64(purged))
-		s.met.cacheBytes.Set(size)
-		if err := seg.remove(); err != nil {
+	s.dropSegments(func(seg *segment) bool {
+		return seg.live == 0 && (len(seg.recs) > 0 || len(seg.tombs) > 0)
+	}, func(seg *segment, err error) {
+		if err != nil {
 			s.opts.Logf("diskstore: compact dead segment %d: %v", seg.id, err)
 		}
-		s.met.segmentsDeleted.Inc()
 		s.met.segmentsCompacted.Inc()
 		s.opts.Logf("diskstore: compacted segment %d (all %d records dead)", seg.id, len(seg.recs))
-	}
-	if len(drop) > 0 {
-		if err := syncDir(s.dir); err != nil {
-			s.opts.Logf("diskstore: fsync data dir: %v", err)
-		}
-	}
+	})
 }
 
 // activeForAppend returns the active segment, rotating first when the
@@ -454,25 +416,23 @@ func (s *Store) recover() error {
 		}
 		s.segs = append(s.segs, res.seg)
 	}
-	// Apply each segment's tombstones to every EARLIER segment: all of a
-	// prior segment's records precede the tombstone in log order, so they
-	// die; records after it (same segment, handled in-stream by
-	// loadSegment, or any later segment — a re-put) survive.
+	// A tombstone kills every record of its object earlier in the log.
+	// loadSegment applied it within its own segment; across segments an
+	// object's horizon is the index of the last segment tombstoning it,
+	// and every record in an earlier segment dies. Records after the
+	// tombstone (a re-put) survive. A log without tombstones leaves the
+	// map empty, and every lookup misses at once.
+	horizon := make(map[core.ObjectID]int)
 	for i, seg := range s.segs {
 		for _, obj := range seg.tombs {
-			for j := 0; j < i; j++ {
-				prev := s.segs[j]
-				for k := range prev.recs {
-					if prev.recs[k].obj == obj {
-						prev.recs[k].dead = true
-					}
-				}
-			}
+			horizon[obj] = i
 		}
 	}
 	// Index the survivors.
-	for _, seg := range s.segs {
-		for idx, r := range seg.recs {
+	for i, seg := range s.segs {
+		for idx := range seg.recs {
+			r := &seg.recs[idx]
+			r.dead = r.dead || i < horizon[r.obj]
 			if r.dead {
 				continue
 			}
