@@ -1,12 +1,10 @@
 package prlc
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/feasibility"
 )
 
@@ -86,37 +84,6 @@ func TestFacadeSensorNetworkImpossible(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	if _, _, err := NewSensorNetwork(rng, 10, 1e-9); err == nil {
 		t.Error("impossible deployment accepted")
-	}
-}
-
-func TestFacadeStream(t *testing.T) {
-	levels, err := NewLevels(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	sources := [][]byte{{1, 2}, {3, 4}, {5, 6}}
-	enc, err := NewEncoder(PLC, levels, sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sink bytes.Buffer
-	s, err := core.NewStream(PLC, levels, 2, &sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist := UniformDistribution(2)
-	for !s.Complete() {
-		blocks, err := enc.EncodeBatch(rng, dist, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Add(blocks[0]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(sink.Bytes(), []byte{1, 2, 3, 4, 5, 6}) {
-		t.Errorf("stream sink = %v", sink.Bytes())
 	}
 }
 

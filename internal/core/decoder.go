@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/gfmat"
 )
@@ -28,7 +27,6 @@ type Decoder struct {
 	perLevel []*gfmat.Decoder // SLC
 	received int
 	object   ObjectID // the object of every accepted block, once received > 0
-	met      decoderMetrics
 
 	// spScratch is the reusable buffer SLC sparse adds shift their indices
 	// into level-local coordinates through.
@@ -82,25 +80,6 @@ func (d *Decoder) Received() int { return d.received }
 // indicates corruption or a scheme mismatch. So is a block of another
 // object than the first accepted block's (ErrObjectMismatch).
 func (d *Decoder) Add(b *CodedBlock) (bool, error) {
-	if d.met.addNs == nil {
-		return d.add(b)
-	}
-	// The latency histogram is sampled 1-in-addSampleEvery: two clock
-	// reads per Add would cost ~10% on small-payload decodes, and the
-	// quantiles of a 1-in-8 sample tell the same story. Counters and
-	// progress gauges stay exact.
-	var t0 time.Time
-	d.met.sample++
-	timed := d.met.sample&(addSampleEvery-1) == 0
-	if timed {
-		t0 = time.Now()
-	}
-	innovative, err := d.add(b)
-	d.recordAdd(t0, timed, innovative, err)
-	return innovative, err
-}
-
-func (d *Decoder) add(b *CodedBlock) (bool, error) {
 	if b == nil {
 		return false, fmt.Errorf("core: nil coded block")
 	}
@@ -248,20 +227,6 @@ func (d *Decoder) DecodedBlocks() int {
 		return n
 	}
 	return d.global.DecodedCount()
-}
-
-// solvedRows is the eliminations' solved-row count (gfmat's SolvedRows):
-// O(1), at most DecodedBlocks, and equal to it once every decodable block
-// has been read or counted.
-func (d *Decoder) solvedRows() int {
-	if d.scheme == SLC {
-		n := 0
-		for _, ld := range d.perLevel {
-			n += ld.SolvedRows()
-		}
-		return n
-	}
-	return d.global.SolvedRows()
 }
 
 // Source returns the decoded payload of source block i.

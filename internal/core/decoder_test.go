@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/metrics"
 )
 
 func TestNewDecoderValidation(t *testing.T) {
@@ -425,8 +423,8 @@ func TestSparseDecodesWithLogCoefficients(t *testing.T) {
 
 // TestDecoderOneObject: a decoder decodes the object of the first block
 // it accepts. A block of another object — same geometry, so nothing else
-// tells them apart — is refused with ErrObjectMismatch and counted as
-// rejected, and the first object still decodes bit-exact. The chunked
+// tells them apart — is refused with ErrObjectMismatch, and the first
+// object still decodes bit-exact. The chunked
 // decoder keeps the same rule.
 func TestDecoderOneObject(t *testing.T) {
 	l := mustLevels(t, 3, 5)
@@ -445,10 +443,7 @@ func TestDecoderOneObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := metrics.NewRegistry()
-	d.SetMetrics(reg)
 	p := NewUniformDistribution(l.Count())
-	rejected := uint64(0)
 	for i := 0; !d.Complete(); i++ {
 		if i > 100*l.Total() {
 			t.Fatalf("no completion after %d blocks", i)
@@ -469,10 +464,6 @@ func TestDecoderOneObject(t *testing.T) {
 		if _, err := d.Add(b[0]); !errors.Is(err, ErrObjectMismatch) {
 			t.Fatalf("block of another object: err = %v, want ErrObjectMismatch", err)
 		}
-		rejected++
-	}
-	if got := reg.Counter("core_decode_rejected_total").Value(); got != rejected {
-		t.Errorf("rejected = %d, want %d", got, rejected)
 	}
 	for i, want := range srcA {
 		if got, err := d.Source(i); err != nil || !bytes.Equal(got, want) {

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/dist"
 	"repro/internal/gf256"
@@ -122,7 +121,6 @@ type Encoder struct {
 	sources    [][]byte // nil when payloadLen == 0 (coefficient-only experiments)
 	payloadLen int
 	sparsity   int
-	met        encoderMetrics
 }
 
 // NewEncoder constructs an encoder. sources must either be nil/empty (for
@@ -178,10 +176,6 @@ func (e *Encoder) PayloadLen() int { return e.payloadLen }
 // the block carries them in sparse form without ever materializing the
 // dense vector.
 func (e *Encoder) Encode(rng *rand.Rand, level int) (*CodedBlock, error) {
-	var t0 time.Time
-	if e.met.encodeNs != nil {
-		t0 = time.Now()
-	}
 	cd, err := e.drawCoeff(rng, level)
 	if err != nil {
 		return nil, err
@@ -192,11 +186,6 @@ func (e *Encoder) Encode(rng *rand.Rand, level int) (*CodedBlock, error) {
 		e.foldPayload(b.Payload, cd)
 	} else {
 		b.Payload = []byte{}
-	}
-	if e.met.encodeNs != nil {
-		e.met.blocks.Inc()
-		e.met.bytes.Add(uint64(len(b.Payload)))
-		e.met.encodeNs.ObserveSince(t0)
 	}
 	return b, nil
 }

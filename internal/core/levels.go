@@ -111,17 +111,6 @@ func (l *Levels) ValidLevel(k int) error {
 	return nil
 }
 
-// PrefixLevels returns the number of complete levels covered by a decoded
-// prefix of `prefix` source blocks — the random variable X of Sec. 3.3
-// evaluated on a PLC decoding state.
-func (l *Levels) PrefixLevels(prefix int) int {
-	k := 0
-	for k < len(l.cum) && l.cum[k] <= prefix {
-		k++
-	}
-	return k
-}
-
 func (l *Levels) String() string {
 	return fmt.Sprintf("Levels{n=%d, N=%d, sizes=%v}", l.Count(), l.Total(), l.sizes)
 }

@@ -81,18 +81,6 @@ func TestLevelOf(t *testing.T) {
 	}
 }
 
-func TestPrefixLevels(t *testing.T) {
-	l := mustLevels(t, 50, 100, 350)
-	cases := []struct{ prefix, want int }{
-		{0, 0}, {49, 0}, {50, 1}, {149, 1}, {150, 2}, {499, 2}, {500, 3},
-	}
-	for _, tc := range cases {
-		if got := l.PrefixLevels(tc.prefix); got != tc.want {
-			t.Errorf("PrefixLevels(%d) = %d, want %d", tc.prefix, got, tc.want)
-		}
-	}
-}
-
 func TestUniformLevels(t *testing.T) {
 	l, err := UniformLevels(5, 200)
 	if err != nil {

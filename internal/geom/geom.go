@@ -1,8 +1,8 @@
 // Package geom provides the geometric-network primitives of Sec. 2 and
 // Sec. 4: points in the unit square, unit-disk connectivity graphs for
-// sensor networks, Gabriel-graph planarization (the planar subgraph GPSR's
-// perimeter mode traverses), and the common-random-seed generation of the
-// M cache locations that all nodes derive independently.
+// sensor networks, and the common-random-seed generation of the M cache
+// locations that all nodes derive independently. GPSR's planar subgraph
+// is derived over live nodes by the router itself (internal/gpsr).
 package geom
 
 import (
@@ -164,38 +164,4 @@ func (g *Graph) ClosestNode(p Point, alive func(int) bool) (int, error) {
 		return 0, fmt.Errorf("geom: no eligible node for location (%.3f, %.3f)", p.X, p.Y)
 	}
 	return best, nil
-}
-
-// Gabriel returns the Gabriel subgraph: edge (u,v) survives iff no third
-// node lies strictly inside the disk with diameter uv. The Gabriel graph
-// is planar and connected whenever the unit-disk graph is, which is what
-// GPSR's perimeter mode requires.
-func (g *Graph) Gabriel() *Graph {
-	out := &Graph{
-		pos: append([]Point(nil), g.pos...),
-		adj: make([][]int, len(g.pos)),
-	}
-	for u := range g.adj {
-		for _, v := range g.adj[u] {
-			if v <= u {
-				continue
-			}
-			mid := g.pos[u].Mid(g.pos[v])
-			r2 := g.pos[u].Dist2(g.pos[v]) / 4
-			blocked := false
-			// Witnesses must be common neighbors: any node inside the
-			// diameter disk is within the unit-disk range of both ends.
-			for _, w := range g.adj[u] {
-				if w != v && mid.Dist2(g.pos[w]) < r2-1e-15 {
-					blocked = true
-					break
-				}
-			}
-			if !blocked {
-				out.adj[u] = append(out.adj[u], v)
-				out.adj[v] = append(out.adj[v], u)
-			}
-		}
-	}
-	return out
 }

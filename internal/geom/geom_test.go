@@ -144,85 +144,6 @@ func TestClosestNode(t *testing.T) {
 	}
 }
 
-// TestGabrielSubsetAndPlanarityWitness checks Gabriel edges are a subset of
-// unit-disk edges and that every removed edge has a witness in the diameter
-// disk; every kept edge has none.
-func TestGabrielSubsetAndPlanarityWitness(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	pos := RandomPoints(rng, 150)
-	g, err := NewUnitDiskGraph(pos, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gg := g.Gabriel()
-	if gg.Len() != g.Len() {
-		t.Fatal("Gabriel changed node count")
-	}
-	udgEdge := func(u, v int) bool {
-		for _, w := range g.Neighbors(u) {
-			if w == v {
-				return true
-			}
-		}
-		return false
-	}
-	hasWitness := func(u, v int) bool {
-		mid := pos[u].Mid(pos[v])
-		r2 := pos[u].Dist2(pos[v]) / 4
-		for w := range pos {
-			if w != u && w != v && mid.Dist2(pos[w]) < r2-1e-15 {
-				return true
-			}
-		}
-		return false
-	}
-	for u := 0; u < gg.Len(); u++ {
-		for _, v := range gg.Neighbors(u) {
-			if !udgEdge(u, v) {
-				t.Fatalf("Gabriel edge (%d,%d) not in unit-disk graph", u, v)
-			}
-			if u < v && hasWitness(u, v) {
-				t.Fatalf("kept Gabriel edge (%d,%d) has a witness", u, v)
-			}
-		}
-		// Removed edges must have witnesses.
-		for _, v := range g.Neighbors(u) {
-			if u > v {
-				continue
-			}
-			kept := false
-			for _, w := range gg.Neighbors(u) {
-				if w == v {
-					kept = true
-					break
-				}
-			}
-			if !kept && !hasWitness(u, v) {
-				t.Fatalf("removed edge (%d,%d) has no witness", u, v)
-			}
-		}
-	}
-}
-
-// TestGabrielPreservesConnectivity: the Gabriel graph of a connected UDG
-// stays connected (a classical property GPSR relies on).
-func TestGabrielPreservesConnectivity(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 5; trial++ {
-		pos := RandomPoints(rng, 300)
-		g, err := NewUnitDiskGraph(pos, 0.15)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !g.Connected() {
-			continue
-		}
-		if !g.Gabriel().Connected() {
-			t.Fatal("Gabriel graph of connected UDG is disconnected")
-		}
-	}
-}
-
 func TestQuickUnitDiskSymmetric(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

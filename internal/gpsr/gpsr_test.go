@@ -146,7 +146,7 @@ func TestRouteSurvivesFailures(t *testing.T) {
 	}
 	// Check survivor connectivity via BFS over alive nodes; skip the test
 	// body if the failure pattern partitioned the network.
-	if !aliveConnected(g, alive) {
+	if !aliveConnected(alive, g.Neighbors) {
 		t.Skip("survivor topology partitioned for this seed")
 	}
 	delivered := 0
@@ -174,7 +174,9 @@ func TestRouteSurvivesFailures(t *testing.T) {
 	}
 }
 
-func aliveConnected(g *geom.Graph, alive []bool) bool {
+// aliveConnected reports whether the live nodes form one component of the
+// graph nbrs describes; edges to dead nodes are ignored.
+func aliveConnected(alive []bool, nbrs func(int) []int) bool {
 	start := -1
 	count := 0
 	for i, a := range alive {
@@ -188,14 +190,14 @@ func aliveConnected(g *geom.Graph, alive []bool) bool {
 	if count == 0 {
 		return true
 	}
-	seen := make([]bool, g.Len())
+	seen := make([]bool, len(alive))
 	seen[start] = true
 	stack := []int{start}
 	reached := 1
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range g.Neighbors(v) {
+		for _, w := range nbrs(v) {
 			if alive[w] && !seen[w] {
 				seen[w] = true
 				reached++

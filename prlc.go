@@ -36,9 +36,9 @@
 //     regeneration of redundancy lost to churn, by randomly recombining
 //     surviving coded blocks, most critical level first.
 //
-// The rest of the implementation (metrics, the failure detector, the
-// fleet's healer) lives in internal packages that the cmd/ tools wire
-// up. Everything is deterministic given explicit *rand.Rand seeds.
+// The rest of the implementation (metrics, the fleet's healer) lives in
+// internal packages that the cmd/ tools wire up. Everything is
+// deterministic given explicit *rand.Rand seeds.
 package prlc
 
 import (
