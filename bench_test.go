@@ -17,14 +17,37 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/exper"
 	"repro/internal/geom"
 	"repro/internal/gossip"
+	"repro/internal/gpsr"
 	"repro/internal/growthcodes"
 	"repro/internal/netsim"
 	"repro/internal/predist"
 )
+
+// sensorNetwork samples a connected unit-disk sensor field and its GPSR
+// router.
+func sensorNetwork(rng *rand.Rand, nodes int, radius float64) (*gpsr.Router, *geom.Graph, error) {
+	g, err := geom.ConnectedUnitDisk(rng, nodes, radius)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := gpsr.New(g)
+	return r, g, err
+}
+
+// mustDecoder is a fresh PLC decoder for one collection.
+func mustDecoder(tb testing.TB, levels *core.Levels, payloadLen int) *core.Decoder {
+	tb.Helper()
+	dec, err := core.NewDecoder(core.PLC, levels, payloadLen)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dec
+}
 
 // netsimFailRegion forwards to netsim.FailRegion (aliased for readability
 // at the call site).
@@ -297,7 +320,7 @@ func BenchmarkPredistCost(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(50))
-	router, _, err := NewSensorNetwork(rng, 150, 0.14)
+	router, _, err := sensorNetwork(rng, 150, 0.14)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -342,7 +365,7 @@ func BenchmarkTwoChoicesLoad(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(52))
-	router, _, err := NewSensorNetwork(rng, 120, 0.15)
+	router, _, err := sensorNetwork(rng, 120, 0.15)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -382,7 +405,7 @@ func BenchmarkPersistenceUnderFailure(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(54))
-	router, _, err := NewSensorNetwork(rng, 150, 0.14)
+	router, _, err := sensorNetwork(rng, 150, 0.14)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -415,7 +438,7 @@ func BenchmarkPersistenceUnderFailure(b *testing.B) {
 				}
 			}
 			blocks := d.CodedBlocks(func(n int) bool { return !dead[n] })
-			res, err := Collect(rng, mustDecoder(b, levels, 0), blocks, CollectOptions{})
+			res, err := collect.Run(collect.Shuffle(rng, blocks), mustDecoder(b, levels, 0), collect.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -520,7 +543,7 @@ func BenchmarkCorrelatedFailures(b *testing.B) {
 	}
 	const nodes = 200
 	rng := rand.New(rand.NewSource(80))
-	router, graph, err := NewSensorNetwork(rng, nodes, 0.14)
+	router, graph, err := sensorNetwork(rng, nodes, 0.14)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -550,7 +573,7 @@ func BenchmarkCorrelatedFailures(b *testing.B) {
 	}
 	collectLevels := func(dead map[int]bool) float64 {
 		blocks := d.CodedBlocks(func(n int) bool { return !dead[n] })
-		res, err := Collect(rng, mustDecoder(b, levels, 0), blocks, CollectOptions{})
+		res, err := collect.Run(collect.Shuffle(rng, blocks), mustDecoder(b, levels, 0), collect.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -596,7 +619,7 @@ func BenchmarkGossipVsRouting(b *testing.B) {
 	}
 	const nodes = 150
 	rng := rand.New(rand.NewSource(90))
-	router, graph, err := NewSensorNetwork(rng, nodes, 0.15)
+	router, graph, err := sensorNetwork(rng, nodes, 0.15)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -627,7 +650,7 @@ func BenchmarkGossipVsRouting(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		res, err := Collect(rng, mustDecoder(b, levels, 0), dep.CodedBlocks(nil), CollectOptions{})
+		res, err := collect.Run(collect.Shuffle(rng, dep.CodedBlocks(nil)), mustDecoder(b, levels, 0), collect.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -648,7 +671,7 @@ func BenchmarkGossipVsRouting(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		res, err = Collect(rng, mustDecoder(b, levels, 0), gdep.CodedBlocks(nil), CollectOptions{})
+		res, err = collect.Run(collect.Shuffle(rng, gdep.CodedBlocks(nil)), mustDecoder(b, levels, 0), collect.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -671,7 +694,7 @@ func BenchmarkPLCEventLowerBoundGap(b *testing.B) {
 	}
 	u := core.NewUniformDistribution(10)
 	for i := 0; i < b.N; i++ {
-		r, err := ExpectedDecodedLevels(PLC, levels, u, 100)
+		r, err := analysis.Eval(core.PLC, levels, u, 100)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -134,19 +134,9 @@ func run(args []string) error {
 	var tr predist.Transport
 	switch cfg.network {
 	case "sensor":
-		var g *geom.Graph
-		for attempt := 0; ; attempt++ {
-			pos := geom.RandomPoints(rng, cfg.nodes)
-			g, err = geom.NewUnitDiskGraph(pos, cfg.radius)
-			if err != nil {
-				return err
-			}
-			if g.Connected() {
-				break
-			}
-			if attempt > 200 {
-				return fmt.Errorf("could not sample a connected sensor field; raise -radius")
-			}
+		g, err := geom.ConnectedUnitDisk(rng, cfg.nodes, cfg.radius)
+		if err != nil {
+			return fmt.Errorf("%w; raise -radius", err)
 		}
 		router, err := gpsr.New(g)
 		if err != nil {

@@ -10,7 +10,9 @@ import (
 	"fmt"
 	"log"
 
-	prlc "repro"
+	"repro/internal/core"
+	"repro/internal/exper"
+	"repro/internal/feasibility"
 )
 
 func main() {
@@ -20,18 +22,18 @@ func main() {
 }
 
 func run() error {
-	levels, err := prlc.NewLevels(5, 10, 25) // N = 40
+	levels, err := core.NewLevels(5, 10, 25) // N = 40
 	if err != nil {
 		return err
 	}
 
 	// Design A: strict priority via decoding constraints — the critical
 	// level must be expected to survive with only 15 random caches.
-	strict, err := prlc.DesignDistribution(prlc.DesignProblem{
-		Scheme:   prlc.PLC,
+	strict, err := feasibility.Solve(feasibility.Problem{
+		Scheme:   core.PLC,
 		Levels:   levels,
-		Decoding: []prlc.DecodingConstraint{{M: 15, MinLevels: 1}},
-	}, prlc.DesignOptions{Seed: 1})
+		Decoding: []feasibility.Constraint{{M: 15, MinLevels: 1}},
+	}, feasibility.Options{Seed: 1})
 	if err != nil {
 		return err
 	}
@@ -42,12 +44,12 @@ func run() error {
 	// Design B: maximize expected utility at a 60-cache budget with
 	// utility proportional to level volume (recover as many blocks as
 	// possible, priorities soft).
-	volume, err := prlc.OptimizeDistribution(prlc.OptimizeProblem{
-		Scheme:  prlc.PLC,
+	volume, err := feasibility.Optimize(feasibility.OptimizeProblem{
+		Scheme:  core.PLC,
 		Levels:  levels,
-		Utility: prlc.ProportionalUtility(levels),
+		Utility: feasibility.ProportionalUtility(levels),
 		M:       60,
-	}, prlc.DesignOptions{Seed: 2})
+	}, feasibility.Options{Seed: 2})
 	if err != nil {
 		return err
 	}
@@ -58,9 +60,9 @@ func run() error {
 		volume.P[0], volume.P[1], volume.P[2], volume.ExpectedUtility)
 
 	sampleTimes := []float64{0, 5, 10, 20, 30, 50}
-	runTimeline := func(name string, dist prlc.PriorityDistribution) error {
-		pts, err := prlc.PersistenceUnderChurn(prlc.ChurnConfig{
-			Scheme:       prlc.PLC,
+	runTimeline := func(name string, dist core.PriorityDistribution) error {
+		pts, err := exper.PersistenceUnderChurn(exper.ChurnConfig{
+			Scheme:       core.PLC,
 			Levels:       levels,
 			Dist:         dist,
 			Nodes:        120,

@@ -11,7 +11,9 @@ import (
 	"log"
 	"math/rand"
 
-	prlc "repro"
+	"repro/internal/analysis"
+	"repro/internal/core"
+	"repro/internal/feasibility"
 )
 
 func main() {
@@ -21,30 +23,30 @@ func main() {
 }
 
 func run() error {
-	levels, err := prlc.NewLevels(50, 100, 350)
+	levels, err := core.NewLevels(50, 100, 350)
 	if err != nil {
 		return err
 	}
 
 	cases := []struct {
 		name        string
-		constraints []prlc.DecodingConstraint
+		constraints []feasibility.Constraint
 	}{
-		{"Case 1", []prlc.DecodingConstraint{{M: 130, MinLevels: 1}, {M: 950, MinLevels: 2}}},
-		{"Case 2", []prlc.DecodingConstraint{{M: 265, MinLevels: 1}, {M: 287, MinLevels: 2}}},
-		{"Case 3", []prlc.DecodingConstraint{{M: 240, MinLevels: 1}, {M: 450, MinLevels: 2}}},
+		{"Case 1", []feasibility.Constraint{{M: 130, MinLevels: 1}, {M: 950, MinLevels: 2}}},
+		{"Case 2", []feasibility.Constraint{{M: 265, MinLevels: 1}, {M: 287, MinLevels: 2}}},
+		{"Case 3", []feasibility.Constraint{{M: 240, MinLevels: 1}, {M: 450, MinLevels: 2}}},
 		// A deliberately impossible case: decode everything from N/2 blocks.
-		{"Impossible", []prlc.DecodingConstraint{{M: 250, MinLevels: 3}}},
+		{"Impossible", []feasibility.Constraint{{M: 250, MinLevels: 3}}},
 	}
 
 	for _, c := range cases {
-		sol, err := prlc.DesignDistribution(prlc.DesignProblem{
-			Scheme:   prlc.PLC,
+		sol, err := feasibility.Solve(feasibility.Problem{
+			Scheme:   core.PLC,
 			Levels:   levels,
 			Decoding: c.constraints,
 			Alpha:    2,
 			Epsilon:  0.01,
-		}, prlc.DesignOptions{Seed: 1})
+		}, feasibility.Options{Seed: 1})
 		if err != nil {
 			return err
 		}
@@ -60,7 +62,7 @@ func run() error {
 
 		// Validate analytically at each constraint point.
 		for _, d := range c.constraints {
-			r, err := prlc.ExpectedDecodedLevels(prlc.PLC, levels, sol.P, d.M)
+			r, err := analysis.Eval(core.PLC, levels, sol.P, d.M)
 			if err != nil {
 				return err
 			}
@@ -69,7 +71,7 @@ func run() error {
 
 		// Validate by simulating the actual code, 100 trials per point.
 		rng := rand.New(rand.NewSource(9))
-		enc, err := prlc.NewEncoder(prlc.PLC, levels, nil)
+		enc, err := core.NewEncoder(core.PLC, levels, nil)
 		if err != nil {
 			return err
 		}
@@ -77,7 +79,7 @@ func run() error {
 			sum := 0.0
 			const trials = 100
 			for trial := 0; trial < trials; trial++ {
-				dec, err := prlc.NewDecoder(prlc.PLC, levels, 0)
+				dec, err := core.NewDecoder(core.PLC, levels, 0)
 				if err != nil {
 					return err
 				}

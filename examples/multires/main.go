@@ -14,7 +14,8 @@ import (
 	"math/rand"
 	"strings"
 
-	prlc "repro"
+	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 const (
@@ -31,7 +32,7 @@ func main() {
 func run() error {
 	rng := rand.New(rand.NewSource(12))
 
-	field, err := prlc.NewSensorField(rng, 8)
+	field, err := trace.NewField(rng, 8)
 	if err != nil {
 		return err
 	}
@@ -39,7 +40,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	pyramid, err := prlc.BuildPyramid(grid, gridRes)
+	pyramid, err := trace.BuildPyramid(grid, gridRes)
 	if err != nil {
 		return err
 	}
@@ -47,7 +48,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	levels, err := prlc.NewLevels(layout.LevelSizes...)
+	levels, err := core.NewLevels(layout.LevelSizes...)
 	if err != nil {
 		return err
 	}
@@ -56,12 +57,12 @@ func run() error {
 
 	// Priority distribution: spend coded blocks where the resolution
 	// payoff is — slightly favoring the coarse levels.
-	dist := prlc.PriorityDistribution{0.1, 0.1, 0.15, 0.2, 0.2, 0.25}
-	enc, err := prlc.NewEncoder(prlc.PLC, levels, blocks)
+	dist := core.PriorityDistribution{0.1, 0.1, 0.15, 0.2, 0.2, 0.25}
+	enc, err := core.NewEncoder(core.PLC, levels, blocks)
 	if err != nil {
 		return err
 	}
-	dec, err := prlc.NewDecoder(prlc.PLC, levels, payloadLen)
+	dec, err := core.NewDecoder(core.PLC, levels, payloadLen)
 	if err != nil {
 		return err
 	}
@@ -82,7 +83,7 @@ func run() error {
 			if got == 0 {
 				continue
 			}
-			rebuilt, n, err := prlc.PyramidFromBlocks(dec.Sources(), layout, gridRes)
+			rebuilt, n, err := trace.FromBlocks(dec.Sources(), layout, gridRes)
 			if err != nil {
 				return err
 			}
@@ -90,7 +91,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			rmse, err := prlc.FieldRMSE(approx, grid)
+			rmse, err := trace.RMSE(approx, grid)
 			if err != nil {
 				return err
 			}
@@ -100,7 +101,7 @@ func run() error {
 	}
 
 	// Render the coarse vs full reconstruction as ASCII shading.
-	rebuilt, n, err := prlc.PyramidFromBlocks(dec.Sources(), layout, gridRes)
+	rebuilt, n, err := trace.FromBlocks(dec.Sources(), layout, gridRes)
 	if err != nil {
 		return err
 	}

@@ -11,7 +11,11 @@ import (
 	"log"
 	"math/rand"
 
-	prlc "repro"
+	"repro/internal/chord"
+	"repro/internal/collect"
+	"repro/internal/core"
+	"repro/internal/feasibility"
+	"repro/internal/predist"
 )
 
 const (
@@ -29,11 +33,11 @@ func main() {
 func run() error {
 	rng := rand.New(rand.NewSource(2026))
 
-	ring, err := prlc.NewChordOverlay(rng, numPeers)
+	ring, err := chord.NewRandom(rng, numPeers)
 	if err != nil {
 		return err
 	}
-	transport, err := prlc.NewDHTTransport(ring)
+	transport, err := predist.NewDHTTransport(ring)
 	if err != nil {
 		return err
 	}
@@ -41,7 +45,7 @@ func run() error {
 
 	// Monitoring data: 10 session summaries, 40 peer-quality records,
 	// 150 verbose trace chunks.
-	levels, err := prlc.NewLevels(10, 40, 150) // N = 200
+	levels, err := core.NewLevels(10, 40, 150) // N = 200
 	if err != nil {
 		return err
 	}
@@ -50,16 +54,16 @@ func run() error {
 	// summaries must be expected to decode from 100 random caches, the
 	// quality records from 300 — plus full recovery from 2N caches with
 	// probability 0.99 (eq. 10).
-	sol, err := prlc.DesignDistribution(prlc.DesignProblem{
-		Scheme: prlc.PLC,
+	sol, err := feasibility.Solve(feasibility.Problem{
+		Scheme: core.PLC,
 		Levels: levels,
-		Decoding: []prlc.DecodingConstraint{
+		Decoding: []feasibility.Constraint{
 			{M: 100, MinLevels: 1},
 			{M: 300, MinLevels: 2},
 		},
 		Alpha:   2,
 		Epsilon: 0.01,
-	}, prlc.DesignOptions{Seed: 5})
+	}, feasibility.Options{Seed: 5})
 	if err != nil {
 		return err
 	}
@@ -69,8 +73,8 @@ func run() error {
 	fmt.Printf("designed priority distribution: %.4f / %.4f / %.4f\n\n",
 		sol.P[0], sol.P[1], sol.P[2])
 
-	dep, err := prlc.NewDeployment(prlc.DeployConfig{
-		Scheme:     prlc.PLC,
+	dep, err := predist.NewDeployment(predist.Config{
+		Scheme:     core.PLC,
 		Levels:     levels,
 		Dist:       sol.P,
 		M:          numCaches,
@@ -108,11 +112,11 @@ func run() error {
 			}
 		}
 		blocks := dep.CodedBlocks(func(peer int) bool { return !departed[peer] })
-		dec, err := prlc.NewDecoder(prlc.PLC, levels, payloadLen)
+		dec, err := core.NewDecoder(core.PLC, levels, payloadLen)
 		if err != nil {
 			return err
 		}
-		res, err := prlc.Collect(rng, dec, blocks, prlc.CollectOptions{})
+		res, err := collect.Run(collect.Shuffle(rng, blocks), dec, collect.Options{})
 		if err != nil {
 			return err
 		}

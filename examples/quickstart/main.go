@@ -8,7 +8,8 @@ import (
 	"log"
 	"math/rand"
 
-	prlc "repro"
+	"repro/internal/analysis"
+	"repro/internal/core"
 )
 
 func main() {
@@ -19,7 +20,7 @@ func main() {
 
 func run() error {
 	// 60 source blocks: 10 critical, 20 important, 30 bulk.
-	levels, err := prlc.NewLevels(10, 20, 30)
+	levels, err := core.NewLevels(10, 20, 30)
 	if err != nil {
 		return err
 	}
@@ -29,18 +30,18 @@ func run() error {
 		sources[i] = []byte(fmt.Sprintf("measurement-%02d", i))
 	}
 
-	enc, err := prlc.NewEncoder(prlc.PLC, levels, sources)
+	enc, err := core.NewEncoder(core.PLC, levels, sources)
 	if err != nil {
 		return err
 	}
-	dec, err := prlc.NewDecoder(prlc.PLC, levels, len(sources[0]))
+	dec, err := core.NewDecoder(core.PLC, levels, len(sources[0]))
 	if err != nil {
 		return err
 	}
 
 	// Half the coded blocks carry the critical level: the paper's
 	// priority distribution in action.
-	dist := prlc.PriorityDistribution{0.5, 0.25, 0.25}
+	dist := core.PriorityDistribution{0.5, 0.25, 0.25}
 
 	fmt.Println("blocks  decoded-levels  decoded-sources")
 	for received := 0; !dec.Complete(); received++ {
@@ -74,7 +75,7 @@ func run() error {
 	fmt.Printf("first source block: %q\n", first)
 
 	// Contrast with plain RLC: nothing decodes below N blocks.
-	r, err := prlc.ExpectedDecodedLevels(prlc.RLC, levels, dist, levels.Total()-1)
+	r, err := analysis.Eval(core.RLC, levels, dist, levels.Total()-1)
 	if err != nil {
 		return err
 	}

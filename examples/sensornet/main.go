@@ -11,7 +11,11 @@ import (
 	"log"
 	"math/rand"
 
-	prlc "repro"
+	"repro/internal/collect"
+	"repro/internal/core"
+	"repro/internal/geom"
+	"repro/internal/gpsr"
+	"repro/internal/predist"
 )
 
 const (
@@ -31,11 +35,15 @@ func run() error {
 	rng := rand.New(rand.NewSource(7))
 
 	// Deploy the field.
-	router, graph, err := prlc.NewSensorNetwork(rng, numSensors, radioRange)
+	graph, err := geom.ConnectedUnitDisk(rng, numSensors, radioRange)
 	if err != nil {
 		return err
 	}
-	transport, err := prlc.NewGeoTransport(router, numSensors)
+	router, err := gpsr.New(graph)
+	if err != nil {
+		return err
+	}
+	transport, err := predist.NewGeoTransport(router, numSensors)
 	if err != nil {
 		return err
 	}
@@ -43,19 +51,19 @@ func run() error {
 		numSensors, radioRange, graph.Connected())
 
 	// Three measurement classes.
-	levels, err := prlc.NewLevels(8, 24, 68) // N = 100
+	levels, err := core.NewLevels(8, 24, 68) // N = 100
 	if err != nil {
 		return err
 	}
-	dist := prlc.PriorityDistribution{0.40, 0.30, 0.30}
+	dist := core.PriorityDistribution{0.40, 0.30, 0.30}
 
-	dep, err := prlc.NewDeployment(prlc.DeployConfig{
-		Scheme:     prlc.PLC,
+	dep, err := predist.NewDeployment(predist.Config{
+		Scheme:     core.PLC,
 		Levels:     levels,
 		Dist:       dist,
 		M:          numCaches,
 		Seed:       99, // the network-wide common random seed
-		Fanout:     3 * prlc.LogSparsity(levels.Total()),
+		Fanout:     3 * core.LogSparsity(levels.Total()),
 		TwoChoices: true,
 		PayloadLen: payloadLen,
 	})
@@ -90,11 +98,11 @@ func run() error {
 			}
 		}
 		blocks := dep.CodedBlocks(func(node int) bool { return !dead[node] })
-		dec, err := prlc.NewDecoder(prlc.PLC, levels, payloadLen)
+		dec, err := core.NewDecoder(core.PLC, levels, payloadLen)
 		if err != nil {
 			return err
 		}
-		res, err := prlc.Collect(rng, dec, blocks, prlc.CollectOptions{})
+		res, err := collect.Run(collect.Shuffle(rng, blocks), dec, collect.Options{})
 		if err != nil {
 			return err
 		}

@@ -1,5 +1,5 @@
-// Tcpstore: priority-coded persistence over real sockets, now as a thin
-// consumer of the prlc store layer. Three storage daemons hold coded
+// Tcpstore: priority-coded persistence over real sockets, as a thin
+// consumer of internal/store. Three storage daemons hold coded
 // blocks behind the placement ring (the critical level on every
 // replica, bulk data on f+1); a producer encodes prioritized
 // measurements and ships them over TCP; then one daemon fails and a
@@ -19,8 +19,10 @@ import (
 	"math/rand"
 	"time"
 
-	prlc "repro"
 	"repro/internal/cliutil"
+	"repro/internal/collect"
+	"repro/internal/core"
+	"repro/internal/store"
 )
 
 func main() {
@@ -35,10 +37,10 @@ func run(addrs []string) error {
 	ctx := context.Background()
 
 	// Storage fleet: external daemons, or three in-process ones.
-	var servers []*prlc.StoreServer
+	var servers []*store.Server
 	if len(addrs) == 0 {
 		for i := 0; i < 3; i++ {
-			srv, err := prlc.NewStoreServer(prlc.StoreServerConfig{})
+			srv, err := store.NewServer(store.ServerConfig{})
 			if err != nil {
 				return err
 			}
@@ -56,7 +58,7 @@ func run(addrs []string) error {
 	}
 
 	// Prioritized data: 3 critical + 9 bulk blocks of 32 bytes.
-	levels, err := prlc.NewLevels(3, 9)
+	levels, err := core.NewLevels(3, 9)
 	if err != nil {
 		return err
 	}
@@ -66,25 +68,25 @@ func run(addrs []string) error {
 		sources[i] = make([]byte, 32)
 		rng.Read(sources[i])
 	}
-	enc, err := prlc.NewEncoder(prlc.PLC, levels, sources)
+	enc, err := core.NewEncoder(core.PLC, levels, sources)
 	if err != nil {
 		return err
 	}
-	blocks, err := enc.EncodeBatch(rng, prlc.PriorityDistribution{0.4, 0.6}, 30)
+	blocks, err := enc.EncodeBatch(rng, core.PriorityDistribution{0.4, 0.6}, 30)
 	if err != nil {
 		return err
 	}
 
 	// The placement ring over the whole fleet (R = n): every daemon is a
 	// replica of the key-less object, critical level on all, bulk on f+1.
-	clients := make([]*prlc.StoreClient, len(addrs))
+	clients := make([]*store.Client, len(addrs))
 	for i, a := range addrs {
-		clients[i], err = prlc.NewStoreClient(prlc.StoreClientConfig{Addr: a})
+		clients[i], err = store.NewClient(store.ClientConfig{Addr: a})
 		if err != nil {
 			return err
 		}
 	}
-	placed, err := prlc.NewPlacedStore(clients, levels.Count(), prlc.PlacedStoreConfig{Replication: len(clients), Tolerance: 1})
+	placed, err := store.NewPlaced(clients, levels.Count(), store.PlacedConfig{Replication: len(clients), Tolerance: 1})
 	if err != nil {
 		return err
 	}
@@ -108,15 +110,15 @@ func run(addrs []string) error {
 	fmt.Println("daemon 0 failed; collecting from the survivors")
 
 	// Collect from the survivors and decode.
-	survived, err := placed.Collect(ctx, prlc.ZeroObject, -1)
+	survived, err := placed.Collect(ctx, core.ZeroObject, -1)
 	if err != nil {
 		return err
 	}
-	dec, err := prlc.NewDecoder(prlc.PLC, levels, 32)
+	dec, err := core.NewDecoder(core.PLC, levels, 32)
 	if err != nil {
 		return err
 	}
-	res, err := prlc.Collect(rng, dec, survived, prlc.CollectOptions{Context: ctx})
+	res, err := collect.Run(collect.Shuffle(rng, survived), dec, collect.Options{Context: ctx})
 	if err != nil {
 		return err
 	}

@@ -454,3 +454,24 @@ func TestPrEqIsADistribution(t *testing.T) {
 		}
 	}
 }
+
+func TestFacadeAnalysis(t *testing.T) {
+	levels, err := core.UniformLevels(3, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Eval(core.PLC, levels, core.NewUniformDistribution(3), 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.EX < 2.5 {
+		t.Errorf("E(X) at 2N blocks = %g, want near 3", r.EX)
+	}
+	curve, err := Curve(core.SLC, levels, core.NewUniformDistribution(3), []int{0, 30, 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(curve) != 3 || curve[0].EX != 0 {
+		t.Errorf("curve = %+v", curve)
+	}
+}

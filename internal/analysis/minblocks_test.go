@@ -94,3 +94,17 @@ func TestMinBlocksDefaultMaxM(t *testing.T) {
 		t.Errorf("full recovery with M=%d < N", m)
 	}
 }
+
+func TestFacadeMinBlocks(t *testing.T) {
+	levels, err := core.NewLevels(4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := MinBlocks(core.PLC, levels, core.NewUniformDistribution(2), 1, 0.9, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m < 4 {
+		t.Errorf("MinBlocks = %d, below the level size", m)
+	}
+}

@@ -271,3 +271,36 @@ func TestEncoderAccessors(t *testing.T) {
 		t.Errorf("accessors: %v %v %d", e.Scheme(), e.Levels(), e.PayloadLen())
 	}
 }
+
+// TestFacadeSparsityHelpers pins the 3·ln(N) budget's use: a sparse
+// encoder's block carries exactly LogSparsity(N) nonzero coefficients.
+func TestFacadeSparsityHelpers(t *testing.T) {
+	if LogSparsity(1000) < 2 {
+		t.Error("LogSparsity(1000) suspiciously small")
+	}
+	levels, err := UniformLevels(2, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := NewEncoder(PLC, levels, nil, WithSparsity(LogSparsity(100)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	b, err := enc.Encode(rng, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !b.IsSparse() {
+		t.Fatal("sparse encoder emitted a dense block")
+	}
+	nnz := 0
+	for _, c := range b.DenseCoeff() {
+		if c != 0 {
+			nnz++
+		}
+	}
+	if nnz != LogSparsity(100) {
+		t.Errorf("sparse block has %d nonzeros, want %d", nnz, LogSparsity(100))
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/binary"
 	"errors"
 	"math/rand"
@@ -307,4 +308,27 @@ func FuzzUnmarshalBinary(f *testing.F) {
 			t.Fatalf("aliasing unmarshal let an append write into its input:\n in=%x\nnow=%x", orig, in)
 		}
 	})
+}
+
+// TestCodedBlockBinaryMarshaler pins the standard-serialization contract
+// on the exported type.
+func TestCodedBlockBinaryMarshaler(t *testing.T) {
+	var b CodedBlock
+	var _ encoding.BinaryMarshaler = &b
+	var _ encoding.BinaryUnmarshaler = &b
+	if err := b.UnmarshalBinary([]byte("garbage")); !errors.Is(err, ErrWireFormat) {
+		t.Fatalf("err = %v, want errors.Is ErrWireFormat", err)
+	}
+	src := &CodedBlock{Level: 1, Coeff: []byte{0, 2, 3}, Payload: []byte{7}}
+	data, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back CodedBlock
+	if err := back.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if back.Level != 1 || string(back.Coeff) != string(src.Coeff) || string(back.Payload) != string(src.Payload) {
+		t.Fatalf("round trip drifted: %+v", back)
+	}
 }

@@ -288,3 +288,57 @@ func FuzzRecombineEquiv(f *testing.F) {
 		recombineEquiv(t, scheme, seed)
 	})
 }
+
+// TestRecombineFacade pins the repair primitive: a recombined block
+// decodes like a fresh one, and the degenerate-sample sentinel is
+// branchable with errors.Is.
+func TestRecombineFacade(t *testing.T) {
+	levels, err := NewLevels(2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	sources := make([][]byte, levels.Total())
+	for i := range sources {
+		sources[i] = make([]byte, 8)
+		rng.Read(sources[i])
+	}
+	enc, err := NewEncoder(PLC, levels, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := enc.EncodeBatch(rng, NewUniformDistribution(2), 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, rank, err := RecombineRanked(rng, PLC, levels, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rank < levels.Total() {
+		t.Fatalf("12-block sample has rank %d, want %d", rank, levels.Total())
+	}
+	dec, err := NewDecoder(PLC, levels, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dec.Add(fresh); err != nil {
+		t.Fatalf("decoder rejected recombined block: %v", err)
+	}
+	for _, b := range blocks {
+		if _, err := dec.Add(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !dec.Complete() {
+		t.Fatalf("recombined + original blocks decode %d levels", dec.DecodedLevels())
+	}
+
+	zero := &CodedBlock{Level: 0, Coeff: make([]byte, levels.Total()), Payload: make([]byte, 8)}
+	if _, _, err := RecombineRanked(rng, PLC, levels, []*CodedBlock{zero}); !errors.Is(err, ErrDegenerateInputs) {
+		t.Fatalf("all-zero sample = %v, want errors.Is ErrDegenerateInputs", err)
+	}
+	if _, err := Recombine(rng, PLC, levels, blocks); err != nil {
+		t.Fatalf("unranked recombine: %v", err)
+	}
+}

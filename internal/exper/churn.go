@@ -123,21 +123,9 @@ func PersistenceUnderChurn(cfg ChurnConfig) ([]ChurnPoint, error) {
 func churnTrial(cfg ChurnConfig, times []float64, seed int64, record func(int, float64, float64)) error {
 	rng := rand.New(rand.NewSource(seed))
 
-	// Sample a connected deployment.
-	var g *geom.Graph
-	for attempt := 0; ; attempt++ {
-		pos := geom.RandomPoints(rng, cfg.Nodes)
-		var err error
-		g, err = geom.NewUnitDiskGraph(pos, cfg.Radius)
-		if err != nil {
-			return err
-		}
-		if g.Connected() {
-			break
-		}
-		if attempt > 200 {
-			return fmt.Errorf("exper: could not sample a connected deployment")
-		}
+	g, err := geom.ConnectedUnitDisk(rng, cfg.Nodes, cfg.Radius)
+	if err != nil {
+		return err
 	}
 	router, err := gpsr.New(g)
 	if err != nil {

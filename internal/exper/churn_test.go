@@ -120,3 +120,34 @@ func TestChurnDeathAtSampleInstantCounts(t *testing.T) {
 		t.Errorf("%d alive at t = 0, want 3", n)
 	}
 }
+
+func TestFacadePersistenceUnderChurn(t *testing.T) {
+	levels, err := core.NewLevels(2, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := PersistenceUnderChurn(ChurnConfig{
+		Scheme:       core.PLC,
+		Levels:       levels,
+		Dist:         core.NewUniformDistribution(2),
+		Nodes:        60,
+		Radius:       0.22,
+		M:            30,
+		MeanLifetime: 10,
+		SampleTimes:  []float64{0, 30},
+		Trials:       5,
+		Seed:         2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 2 {
+		t.Fatalf("got %d points", len(pts))
+	}
+	if pts[0].AliveFrac != 1 {
+		t.Errorf("t=0 alive fraction %g", pts[0].AliveFrac)
+	}
+	if pts[1].AliveFrac >= pts[0].AliveFrac {
+		t.Errorf("no decay: %+v", pts)
+	}
+}

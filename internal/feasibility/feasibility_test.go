@@ -241,3 +241,21 @@ func TestSolveSmallSLCProblem(t *testing.T) {
 		t.Errorf("solution %v does not favor level 0 as expected", sol.P)
 	}
 }
+
+func TestFacadeDesign(t *testing.T) {
+	levels, err := core.NewLevels(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := Solve(Problem{
+		Scheme:   core.PLC,
+		Levels:   levels,
+		Decoding: []Constraint{{M: 6, MinLevels: 1}},
+	}, Options{Seed: 1, MaxEvals: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sol.Feasible {
+		t.Errorf("simple design problem infeasible: %+v", sol)
+	}
+}

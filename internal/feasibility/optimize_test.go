@@ -208,3 +208,43 @@ func TestOptimizeDeterministic(t *testing.T) {
 		}
 	}
 }
+
+func TestFacadeUtilityHelpers(t *testing.T) {
+	u, err := GeometricUtility(4, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(u) != 4 || u[0] != 1 || u[3] != 0.125 {
+		t.Errorf("GeometricUtility = %v", u)
+	}
+	levels, err := core.NewLevels(2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := ProportionalUtility(levels)
+	if p[0] != 2 || p[1] != 8 {
+		t.Errorf("ProportionalUtility = %v", p)
+	}
+}
+
+func TestFacadeOptimizeDistribution(t *testing.T) {
+	levels, err := core.NewLevels(3, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := Optimize(OptimizeProblem{
+		Scheme:  core.PLC,
+		Levels:  levels,
+		Utility: Utility{1, 0.05},
+		M:       6, // only the critical level can fit
+	}, Options{Seed: 1, MaxEvals: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.P[0] < 0.5 {
+		t.Errorf("critical-heavy utility produced %v", sol.P)
+	}
+	if sol.ExpectedUtility <= 0 || math.IsNaN(sol.ExpectedUtility) {
+		t.Errorf("E[U] = %g", sol.ExpectedUtility)
+	}
+}

@@ -6,10 +6,16 @@
 package geom
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 )
+
+// ErrDisconnected reports that ConnectedUnitDisk found no connected
+// deployment within its attempt bound; raise the radio range or the
+// node count.
+var ErrDisconnected = errors.New("geom: could not sample a connected deployment")
 
 // Point is a location in the unit square [0,1) x [0,1).
 type Point struct {
@@ -106,6 +112,22 @@ func NewUnitDiskGraph(pos []Point, radius float64) (*Graph, error) {
 		}
 	}
 	return g, nil
+}
+
+// ConnectedUnitDisk samples n uniform positions and their unit-disk
+// graph, re-sampling until the graph is connected. It fails with
+// ErrDisconnected after 200 samples.
+func ConnectedUnitDisk(rng *rand.Rand, n int, radius float64) (*Graph, error) {
+	for attempt := 0; attempt < 200; attempt++ {
+		g, err := NewUnitDiskGraph(RandomPoints(rng, n), radius)
+		if err != nil {
+			return nil, err
+		}
+		if g.Connected() {
+			return g, nil
+		}
+	}
+	return nil, fmt.Errorf("%w (%d nodes, radius %g)", ErrDisconnected, n, radius)
 }
 
 // Len returns the number of nodes.

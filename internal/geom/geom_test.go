@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -121,6 +122,27 @@ func TestConnectedDenseDeployment(t *testing.T) {
 	}
 	if !g.Connected() {
 		t.Error("dense deployment unexpectedly disconnected")
+	}
+}
+
+// TestErrDisconnectedIs pins the typed-error contract: an impossible
+// deployment fails with a sentinel callers can branch on.
+func TestErrDisconnectedIs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	_, err := ConnectedUnitDisk(rng, 40, 0.01)
+	if err == nil {
+		t.Fatal("a 0.01-radius 40-node deployment should not connect")
+	}
+	if !errors.Is(err, ErrDisconnected) {
+		t.Fatalf("err = %v, want errors.Is ErrDisconnected", err)
+	}
+}
+
+func TestFacadeSensorNetworkImpossible(t *testing.T) {
+	// Ten nodes with a vanishing radio range can never connect.
+	rng := rand.New(rand.NewSource(3))
+	if _, err := ConnectedUnitDisk(rng, 10, 1e-9); err == nil {
+		t.Error("impossible deployment accepted")
 	}
 }
 

@@ -13,17 +13,11 @@ import (
 
 func connectedGraph(t testing.TB, seed int64, n int, radius float64) *geom.Graph {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	for {
-		pos := geom.RandomPoints(rng, n)
-		g, err := geom.NewUnitDiskGraph(pos, radius)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.Connected() {
-			return g
-		}
+	g, err := geom.ConnectedUnitDisk(rand.New(rand.NewSource(seed)), n, radius)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return g
 }
 
 func mustLevels(t testing.TB, sizes ...int) *core.Levels {

@@ -1,4 +1,4 @@
-package prlc
+package gossip_test
 
 import (
 	"context"
@@ -8,15 +8,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gossip"
+	"repro/internal/repair"
 	"repro/internal/store"
 )
 
-// TestFacadePlacementRoundTrip exercises the placement surface through
-// the facade: named objects, a placed fleet, a gossip monitor driving
-// membership, keyed collect, and an object-scoped repair daemon.
+// TestFacadePlacementRoundTrip exercises the placement surface with a
+// gossip monitor driving membership: named objects, a placed fleet,
+// keyed collect, and an object-scoped repair daemon.
 func TestFacadePlacementRoundTrip(t *testing.T) {
 	ctx := context.Background()
-	levels, err := NewLevels(2, 6)
+	levels, err := core.NewLevels(2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,17 +27,17 @@ func TestFacadePlacementRoundTrip(t *testing.T) {
 		sources[i] = make([]byte, 16)
 		rng.Read(sources[i])
 	}
-	enc, err := NewEncoder(PLC, levels, sources)
+	enc, err := core.NewEncoder(core.PLC, levels, sources)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := enc.EncodeBatch(rng, UniformDistribution(2), 24)
+	blocks, err := enc.EncodeBatch(rng, core.NewUniformDistribution(2), 24)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	obj := core.NamedObject("facade-object")
-	if obj == ZeroObject || obj == core.AllObjects {
+	if obj == core.ZeroObject || obj == core.AllObjects {
 		t.Fatalf("NamedObject landed on a reserved value: %s", obj)
 	}
 	parsed, err := core.ParseObjectID(obj.String())
@@ -48,17 +49,17 @@ func TestFacadePlacementRoundTrip(t *testing.T) {
 	}
 
 	const n = 3
-	servers := make([]*StoreServer, n)
-	clients := make([]*StoreClient, n)
+	servers := make([]*store.Server, n)
+	clients := make([]*store.Client, n)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
-		srv, err := NewStoreServer(StoreServerConfig{})
+		srv, err := store.NewServer(store.ServerConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		servers[i] = srv
 		addrs[i] = srv.Addr()
-		if clients[i], err = NewStoreClient(StoreClientConfig{Addr: srv.Addr()}); err != nil {
+		if clients[i], err = store.NewClient(store.ClientConfig{Addr: srv.Addr()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,14 +70,14 @@ func TestFacadePlacementRoundTrip(t *testing.T) {
 			s.Shutdown(sctx)
 		}
 	})
-	placed, err := NewPlacedStore(clients, levels.Count(), PlacedStoreConfig{Replication: 3})
+	placed, err := store.NewPlaced(clients, levels.Count(), store.PlacedConfig{Replication: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { placed.Close() })
 	if id := store.NodeID(addrs[0]); placed.Members()[0].ID != id && placed.Members()[len(addrs)-1].ID != id &&
 		placed.Members()[1].ID != id {
-		t.Fatalf("StoreNodeID(%s) = %x not on the ring", addrs[0], id)
+		t.Fatalf("NodeID(%s) = %x not on the ring", addrs[0], id)
 	}
 
 	mon, err := gossip.NewMonitor(addrs, placed, gossip.MonitorConfig{Seed: 1})
@@ -101,8 +102,8 @@ func TestFacadePlacementRoundTrip(t *testing.T) {
 		}
 	}
 
-	d, err := NewObjectRepairDaemon(placed, obj, RepairConfig{
-		Scheme: PLC, Levels: levels, Targets: []int{12, 12}, Seed: 2,
+	d, err := repair.NewObject(placed, obj, repair.Config{
+		Scheme: core.PLC, Levels: levels, Targets: []int{12, 12}, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,18 +9,9 @@ import (
 
 func denseRouter(t testing.TB, seed int64, n int, radius float64) (*Router, *geom.Graph) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	var g *geom.Graph
-	for {
-		pos := geom.RandomPoints(rng, n)
-		var err error
-		g, err = geom.NewUnitDiskGraph(pos, radius)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.Connected() {
-			break
-		}
+	g, err := geom.ConnectedUnitDisk(rand.New(rand.NewSource(seed)), n, radius)
+	if err != nil {
+		t.Fatal(err)
 	}
 	r, err := New(g)
 	if err != nil {

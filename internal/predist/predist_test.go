@@ -475,3 +475,51 @@ func TestCodedBlocksStaySparse(t *testing.T) {
 		}
 	}
 }
+
+func TestFacadeSensorProtocol(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	g, err := geom.ConnectedUnitDisk(rng, 80, 0.18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := gpsr.New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewGeoTransport(router, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels, err := core.NewLevels(2, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := NewDeployment(Config{
+		Scheme: core.PLC, Levels: levels, Dist: core.NewUniformDistribution(2),
+		M: 24, Seed: 3, PayloadLen: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dep.ResolveOwners(tr); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < levels.Total(); i++ {
+		payload := make([]byte, 4)
+		rng.Read(payload)
+		if err := dep.Disseminate(rng, tr, rng.Intn(80), i, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dec, err := core.NewDecoder(core.PLC, levels, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := collect.Run(collect.Shuffle(rng, dep.CodedBlocks(nil)), dec, collect.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Complete {
+		t.Errorf("sensor protocol round trip incomplete: %+v", res)
+	}
+}

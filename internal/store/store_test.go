@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/collect"
 	"repro/internal/core"
 )
 
@@ -375,4 +376,116 @@ func TestReplicatedSpreadAndCollect(t *testing.T) {
 	}
 	dec := decodeAll(t, levels, got)
 	checkCriticalLevel(t, dec, levels, sources)
+}
+
+// TestFacadeStoreRoundTrip exercises the store surface over a flat fleet
+// (the ring with Replication = n, key-less data as core.ZeroObject): put
+// with a partitioned replica, heal, collect, decode.
+func TestFacadeStoreRoundTrip(t *testing.T) {
+	ctx := context.Background()
+	levels, err := core.NewLevels(2, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	sources := make([][]byte, levels.Total())
+	for i := range sources {
+		sources[i] = make([]byte, 16)
+		rng.Read(sources[i])
+	}
+	enc, err := core.NewEncoder(core.PLC, levels, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := enc.EncodeBatch(rng, core.NewUniformDistribution(2), 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newDecoder := func() *core.Decoder {
+		dec, err := core.NewDecoder(core.PLC, levels, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dec
+	}
+
+	fault := NewFaultDialer(nil, FaultConfig{Seed: 5})
+	var servers []*Server
+	var clients []*Client
+	for i := 0; i < 3; i++ {
+		srv, err := NewServer(ServerConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			sctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+			defer cancel()
+			srv.Shutdown(sctx)
+		}()
+		cl, err := NewClient(ClientConfig{
+			Addr:   srv.Addr(),
+			Dialer: fault,
+			Retry:  RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		servers = append(servers, srv)
+		clients = append(clients, cl)
+	}
+	placed, err := NewPlaced(clients, levels.Count(), PlacedConfig{Replication: len(clients), Tolerance: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fault.Partition(servers[2].Addr())
+	if _, err := placed.PutAll(ctx, blocks); err != nil {
+		t.Fatalf("puts during a partition must be absorbed: %v", err)
+	}
+	fault.Heal(servers[2].Addr())
+
+	survived, err := placed.Collect(ctx, core.ZeroObject, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := newDecoder()
+	res, err := collect.Run(collect.Shuffle(rng, survived), dec, collect.Options{Context: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DecodedLevels < 1 {
+		t.Fatalf("critical level lost: %+v", res)
+	}
+	got, err := dec.Source(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(sources[0]) {
+		t.Fatal("critical block corrupted")
+	}
+
+	// Context plumbing: a canceled collection run stops with ctx.Err().
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := collect.Run(collect.Shuffle(rng, survived), newDecoder(), collect.Options{Context: cctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled collect = %v, want context.Canceled", err)
+	}
+
+	// Unreachable fleet: typed unavailability.
+	dead, err := NewClient(ClientConfig{
+		Addr:  "127.0.0.1:1",
+		Retry: RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dead.Close()
+	deadFleet, err := NewPlaced([]*Client{dead}, levels.Count(), PlacedConfig{Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := deadFleet.Collect(ctx, core.ZeroObject, -1); !errors.Is(err, ErrStoreUnavailable) {
+		t.Fatalf("collect from dead fleet = %v, want ErrStoreUnavailable", err)
+	}
 }

@@ -342,3 +342,38 @@ func TestQuickPyramidMeanPreserved(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestFacadeSensorFieldPipeline(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	field, err := NewField(rng, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := field.SampleGrid(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pyr, err := BuildPyramid(grid, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, layout, err := pyr.ToBlocks(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, n, err := FromBlocks(blocks, layout, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := rebuilt.Reconstruct(n - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rmse, err := RMSE(full, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rmse > 1e-12 {
+		t.Errorf("pyramid round trip RMSE %g", rmse)
+	}
+}
