@@ -90,6 +90,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz FuzzUnmarshalBinary -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz FuzzDecoderEquivBatch -fuzztime $(FUZZTIME) ./internal/gfmat
 	$(GO) test -run='^$$' -fuzz FuzzAddMulSliceEquiv -fuzztime $(FUZZTIME) ./internal/gf256
+	$(GO) test -run='^$$' -fuzz FuzzAddMulSlicesEquiv -fuzztime $(FUZZTIME) ./internal/gf256
 	$(GO) test -run='^$$' -fuzz FuzzRecombineEquiv -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz FuzzSparseDenseEquiv -fuzztime $(FUZZTIME) ./internal/gfmat
 	$(GO) test -run='^$$' -fuzz FuzzChunkedDecodeEquiv -fuzztime $(FUZZTIME) ./internal/core

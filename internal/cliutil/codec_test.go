@@ -16,7 +16,9 @@ import (
 // is scheduled must not. The block count picks the coding (core.AutoCoding):
 // dense at 200, sparse at 300, chunked at 1100. The dense hashes were
 // re-recorded when dense coefficients became the expansion of one
-// per-block seed shipped in v5 frames.
+// per-block seed shipped in v5 frames, and again when that seed became
+// the block's private seed from EncodeSeeded's prologue itself, with no
+// math/rand source seeded per dense block (ROADMAP item 15(a)).
 func TestEncodeFileGolden(t *testing.T) {
 	data := make([]byte, 6000)
 	rand.New(rand.NewSource(3)).Read(data)
@@ -30,10 +32,10 @@ func TestEncodeFileGolden(t *testing.T) {
 		seed          int64
 		want          string
 	}{
-		{200, 400, "plc", 1, "43b56cc4f98bbe1c6c9d0a6c69fee6a3716306599b0adb183c65aaad67196ce5"},
-		{200, 400, "plc", 7, "5fa16d4e31c1abce023b3fed6ff5a82447ef86c1c2aa5404a3fa1858327ff8f7"},
-		{200, 400, "slc", 1, "bfb0bc5a29d79a6c4539c35b0a65cff08fdd0ebd4fb0b451e575a5d962586f12"},
-		{200, 400, "rlc", 1, "5318ccf0e74e3c5e12adae17994bf75e5895b9a749f73b793bceeb597c7b8ae7"},
+		{200, 400, "plc", 1, "907cee08342ea92a537840580291686111815be22df762bf3b1546d88276a73b"},
+		{200, 400, "plc", 7, "3701fbaeb41a096e23ba669ab1f57832cce76031c22e7c983e8744266114bcb8"},
+		{200, 400, "slc", 1, "7bed58efc12b80345bb75230c07ff79383f412503f6c61647429b80c201a2ad8"},
+		{200, 400, "rlc", 1, "5d1598ad38aa3aae0961e28e869828d8717758bcd8794fd47ab46290dd83e68b"},
 		{300, 400, "plc", 1, "e0cfd1f2d8141c23e76fd71e3a10fa70da54cf15d861fe49f2ce333efe3f2908"},
 		{300, 400, "plc", 7, "3705cd90a9040048a0503d2554dfffc3b36b0f755cc784e61b862db213fa1f14"},
 		{1100, 1400, "plc", 1, "52cc4360f69f6313103c66701fe60b3fc698a0d68a4e721837155750eebd68a7"},

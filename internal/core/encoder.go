@@ -180,6 +180,11 @@ func (e *Encoder) Encode(rng *rand.Rand, level int) (*CodedBlock, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.encodeDraw(level, cd), nil
+}
+
+// encodeDraw builds the coded block of one coefficient draw.
+func (e *Encoder) encodeDraw(level int, cd coeffDraw) *CodedBlock {
 	b := &CodedBlock{Level: level, Coeff: cd.dense, SpCoeff: cd.sp, seed: cd.seed, seeded: cd.dense != nil}
 	if e.payloadLen > 0 {
 		b.Payload = make([]byte, e.payloadLen)
@@ -187,7 +192,7 @@ func (e *Encoder) Encode(rng *rand.Rand, level int) (*CodedBlock, error) {
 	} else {
 		b.Payload = []byte{}
 	}
-	return b, nil
+	return b
 }
 
 // coeffDraw is one drawn coefficient vector: dense over [lo, hi) and
@@ -209,7 +214,7 @@ func (e *Encoder) drawCoeff(rng *rand.Rand, level int) (coeffDraw, error) {
 		return coeffDraw{}, err
 	}
 	span := hi - lo
-	if e.sparsity > 0 && e.sparsity < span {
+	if e.sparseOver(span) {
 		// Sparse: choose e.sparsity distinct positions within the support.
 		// The positions come out of Perm in random order (the order the
 		// historical dense path consumed values in, kept so fixed seeds
@@ -229,10 +234,20 @@ func (e *Encoder) drawCoeff(rng *rand.Rand, level int) (coeffDraw, error) {
 		}
 		return coeffDraw{sp: s, lo: pos[0], hi: pos[d-1] + 1}, nil
 	}
+	return e.denseDraw(lo, hi, rng.Uint64()), nil
+}
+
+// sparseOver reports whether a block whose support spans span columns is
+// drawn sparse: only with WithSparsity, and only where the sparsity is
+// below the span.
+func (e *Encoder) sparseOver(span int) bool { return e.sparsity > 0 && e.sparsity < span }
+
+// denseDraw is the dense coefficient vector over [lo, hi) expanded from
+// seed.
+func (e *Encoder) denseDraw(lo, hi int, seed uint64) coeffDraw {
 	coeff := make([]byte, e.levels.Total())
-	seed := rng.Uint64()
 	expandSeed(coeff[lo:hi], seed)
-	return coeffDraw{dense: coeff, lo: lo, hi: hi, seed: seed}, nil
+	return coeffDraw{dense: coeff, lo: lo, hi: hi, seed: seed}
 }
 
 // foldPayload accumulates the coded payload into dst: dst ^=
@@ -276,7 +291,9 @@ func (e *Encoder) EncodeBatch(rng *rand.Rand, p PriorityDistribution, count int)
 // encoded on GOMAXPROCS workers. One sequential pass over the seed's
 // stream pins every block's level and private seed before any worker
 // starts; workers then encode whole blocks, each from its own seed, so the
-// output does not depend on the worker count or the scheduling. The batch
+// output does not depend on the worker count or the scheduling. A dense
+// block's private seed is its coefficient seed; a sparse block draws its
+// positions and values from a math/rand source seeded with it. The batch
 // is not the one EncodeBatch draws from the same seed.
 func (e *Encoder) EncodeSeeded(seed int64, p PriorityDistribution, count int) ([]*CodedBlock, error) {
 	sampler, err := e.batchSampler(p, count)
@@ -304,8 +321,7 @@ func (e *Encoder) EncodeSeeded(seed int64, p PriorityDistribution, count int) ([
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(0))
 			for i := int(next.Add(1) - 1); i < count; i = int(next.Add(1) - 1) {
-				rng.Seed(seeds[i])
-				b, err := e.Encode(rng, levels[i])
+				b, err := e.seededBlock(rng, seeds[i], levels[i])
 				if err != nil {
 					errs[w] = fmt.Errorf("core: encode block %d: %w", i, err)
 					return
@@ -321,6 +337,22 @@ func (e *Encoder) EncodeSeeded(seed int64, p PriorityDistribution, count int) ([
 		}
 	}
 	return out, nil
+}
+
+// seededBlock encodes one block of an EncodeSeeded batch from its private
+// seed. Seeding a math/rand source runs hundreds of rounds of its
+// generator, so only a sparse block, which draws from one, re-seeds the
+// worker's rng.
+func (e *Encoder) seededBlock(rng *rand.Rand, seed int64, level int) (*CodedBlock, error) {
+	lo, hi, err := e.scheme.Support(e.levels, level)
+	if err != nil {
+		return nil, err
+	}
+	if !e.sparseOver(hi - lo) {
+		return e.encodeDraw(level, e.denseDraw(lo, hi, uint64(seed))), nil
+	}
+	rng.Seed(seed)
+	return e.Encode(rng, level)
 }
 
 // batchSampler validates a batch request and builds its level sampler.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/gf256"
 )
 
 func testSources(t testing.TB, n, payloadLen int, seed int64) [][]byte {
@@ -91,9 +92,11 @@ func TestParallelEncodeBatchSparseDeterministic(t *testing.T) {
 }
 
 // TestParallelEncodeMatchesSequential pins EncodeSeeded's algorithm: the
-// seed's stream yields each block's level and then its private seed, and
-// the block is Encode from a generator on that seed. Replaying the
-// prologue by hand on one goroutine must give the same batch.
+// seed's stream yields each block's level and then its private seed. A
+// dense block's coefficients are that seed's expansion over the level's
+// support and its payload their fold; a sparse block is Encode from a
+// generator on that seed. Replaying the prologue by hand on one goroutine
+// must give the same batch.
 func TestParallelEncodeMatchesSequential(t *testing.T) {
 	setProcs(t, 4)
 	for _, opts := range [][]EncoderOption{nil, {WithSparsity(3)}} {
@@ -111,9 +114,24 @@ func TestParallelEncodeMatchesSequential(t *testing.T) {
 		parent := rand.New(rand.NewSource(seed))
 		for i := range count {
 			level := sampler.Draw(parent)
-			want, err := enc.Encode(rand.New(rand.NewSource(parent.Int63())), level)
+			private := parent.Int63()
+			lo, hi, err := PLC.Support(enc.Levels(), level)
 			if err != nil {
 				t.Fatal(err)
+			}
+			var want *CodedBlock
+			if enc.sparseOver(hi - lo) {
+				if want, err = enc.Encode(rand.New(rand.NewSource(private)), level); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				coeff := make([]byte, enc.Levels().Total())
+				expandSeed(coeff[lo:hi], uint64(private))
+				payload := make([]byte, enc.PayloadLen())
+				for j := lo; j < hi; j++ {
+					gf256.AddMulSliceRef(payload, enc.sources[j], coeff[j])
+				}
+				want = &CodedBlock{Level: level, Coeff: coeff, Payload: payload, seed: uint64(private), seeded: true}
 			}
 			if !reflect.DeepEqual(got[i], want) {
 				t.Fatalf("block %d differs from the sequential replay", i)

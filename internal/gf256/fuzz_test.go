@@ -48,3 +48,48 @@ func FuzzAddMulSliceEquiv(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAddMulSlicesEquiv asserts that AddMulSlices on every kernel tier is
+// byte-identical to one AddMulSliceRef per destination, for arbitrary
+// payloads, lengths, alignments and 1–8 coefficients (zeros, ones and
+// repeats included).
+func FuzzAddMulSlicesEquiv(f *testing.F) {
+	f.Add([]byte{}, []byte{0}, uint8(0))
+	f.Add([]byte{1, 2, 3}, []byte{1}, uint8(0))
+	f.Add(bytes.Repeat([]byte{0xff}, 99), []byte{0x1d, 0, 1}, uint8(1))
+	f.Add(bytes.Repeat([]byte{0xa5, 0x00, 0x5a}, 300), []byte{2, 2, 0, 1, 0x80, 0xff, 0x53, 7}, uint8(17))
+
+	f.Fuzz(func(t *testing.T, data, c []byte, offset uint8) {
+		if len(c) == 0 {
+			return
+		}
+		c = c[:min(len(c), maxSlices)]
+		if int(offset) > len(data) {
+			offset = uint8(len(data))
+		}
+		data = data[offset:]
+		// src, then one destination per coefficient, all n bytes long.
+		n := len(data) / (1 + len(c))
+		src := data[:n]
+		want := make([][]byte, len(c))
+		for k := range c {
+			want[k] = append([]byte(nil), data[(1+k)*n:(2+k)*n]...)
+			AddMulSliceRef(want[k], src, c[k])
+		}
+
+		defer func(prev kernel) { active = prev }(active)
+		for _, kn := range kernels {
+			active = kn
+			dst := make([][]byte, len(c))
+			for k := range c {
+				dst[k] = append([]byte(nil), data[(1+k)*n:(2+k)*n]...)
+			}
+			AddMulSlices(dst, src, c)
+			for k := range c {
+				if !bytes.Equal(dst[k], want[k]) {
+					t.Fatalf("%s: AddMulSlices destination %d diverges from reference: n=%d c=%x", kn.name, k, n, c)
+				}
+			}
+		}
+	})
+}

@@ -88,19 +88,40 @@ func (t *nibTables) mulWord(s uint64) uint64 {
 }
 
 // kernel is one tier of the slice kernels: an implementation of the
-// AddMulSlice and MulSlice bodies for c ∉ {0, 1} on equal-length slices of
-// at least min bytes. Shorter slices stay on the scalar log/exp loops.
+// AddMulSlice, AddMulSlices and MulSlice bodies on equal-length slices of
+// at least min bytes. addMul and addMuls take any c ≠ 0 (c == 1 is the
+// XOR of AddSlice), mul any c ∉ {0, 1}. Shorter slices stay on the scalar
+// log/exp loops.
 type kernel struct {
-	name   string
-	min    int
-	addMul func(dst, src []byte, c byte) // dst[i] ^= c·src[i]
-	mul    func(dst, src []byte, c byte) // dst[i] = c·src[i]; dst may alias src exactly
+	name    string
+	min     int
+	addMul  func(dst, src []byte, c byte)     // dst[i] ^= c·src[i]
+	addMuls func(dst [][]byte, src, c []byte) // dst[k][i] ^= c[k]·src[i], 1 ≤ len(dst) ≤ 8
+	mul     func(dst, src []byte, c byte)     // dst[i] = c·src[i]; dst may alias src exactly
 }
 
 // wordKernel is the portable tier, present on every platform.
-var wordKernel = kernel{name: "word", min: wordKernelMin, addMul: addMulSliceWords, mul: mulSliceWords}
+var wordKernel = kernel{name: "word", min: wordKernelMin, addMul: addMulSliceWords, addMuls: addMulSlicesWords, mul: mulSliceWords}
 
-func addMulSliceWords(dst, src []byte, c byte) { addMulWords(dst, src, nibblesFor(c)) }
+func addMulSliceWords(dst, src []byte, c byte) {
+	if c == 1 {
+		xorWords(dst, src)
+		return
+	}
+	addMulWords(dst, src, nibblesFor(c))
+}
+
+func addMulSlicesWords(dst [][]byte, src, c []byte) { addMulEach(addMulSliceWords, dst, src, c) }
+
+// addMulEach is the body of AddMulSlices on a tier without a
+// multi-destination kernel: one addMul call per destination with c[k] ≠ 0.
+func addMulEach(addMul func(dst, src []byte, c byte), dst [][]byte, src, c []byte) {
+	for k, d := range dst {
+		if c[k] != 0 {
+			addMul(d, src, c[k])
+		}
+	}
+}
 
 func mulSliceWords(dst, src []byte, c byte) { mulWords(dst, src, nibblesFor(c)) }
 
@@ -128,6 +149,21 @@ func addMulWords(dst, src []byte, t *nibTables) {
 	}
 	for ; i < n; i++ {
 		dst[i] ^= t.mulByte(src[i])
+	}
+}
+
+// xorWords is the word-parallel body of AddSlice: dst[i] ^= src[i], 8
+// bytes per iteration, then a byte loop for the last 0–7.
+func xorWords(dst, src []byte) {
+	n := len(dst)
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		s := binary.LittleEndian.Uint64(src[i:])
+		d := binary.LittleEndian.Uint64(dst[i:])
+		binary.LittleEndian.PutUint64(dst[i:], d^s)
+	}
+	for ; i < n; i++ {
+		dst[i] ^= src[i]
 	}
 }
 

@@ -9,7 +9,8 @@ package gf256
 //   - gfni-avx512: VGF2P8AFFINEQB multiplies 64 bytes by one coefficient in
 //     a single instruction, given the coefficient as an 8×8 bit matrix. A
 //     masked last iteration covers lengths that are not a multiple of 64,
-//     so one assembly call handles any length.
+//     so one assembly call handles any length. Its AddMulSlices body loads
+//     each 64-byte source chunk once for up to eight destinations.
 //   - avx2: the split-nibble tables of kernels.go map directly onto
 //     VPSHUFB — one shuffle resolves 32 nibble lookups — for the
 //     32-byte-aligned bulk; the word loop finishes the last 0–31 bytes.
@@ -20,6 +21,9 @@ func addMulGFNI(dst, src *byte, n int, mat uint64)
 
 //go:noescape
 func mulGFNI(dst, src *byte, n int, mat uint64)
+
+//go:noescape
+func addMulsGFNI(dst *[8]*byte, nd int, src *byte, n int, mats *[8]uint64)
 
 //go:noescape
 func addMulNibblesAVX2(dst, src *byte, n int, tab *nibTables)
@@ -68,16 +72,28 @@ func availableKernels() []kernel {
 	avx2, gfni512 := detectSIMD()
 	var ks []kernel
 	if gfni512 {
-		ks = append(ks, kernel{name: "gfni-avx512", min: gfniMin, addMul: addMulSliceGFNI, mul: mulSliceGFNI})
+		ks = append(ks, kernel{name: "gfni-avx512", min: gfniMin, addMul: addMulSliceGFNI, addMuls: addMulSlicesGFNI, mul: mulSliceGFNI})
 	}
 	if avx2 {
-		ks = append(ks, kernel{name: "avx2", min: wordKernelMin, addMul: addMulSliceAVX2, mul: mulSliceAVX2})
+		ks = append(ks, kernel{name: "avx2", min: wordKernelMin, addMul: addMulSliceAVX2, addMuls: addMulSlicesAVX2, mul: mulSliceAVX2})
 	}
 	return append(ks, wordKernel)
 }
 
 func addMulSliceGFNI(dst, src []byte, c byte) {
 	addMulGFNI(&dst[0], &src[0], len(dst), gfniMat[c])
+}
+
+// addMulSlicesGFNI hands the kernel one pointer and one bit matrix per
+// destination; a zero coefficient is the zero matrix, whose destination
+// is read and written back unchanged.
+func addMulSlicesGFNI(dst [][]byte, src, c []byte) {
+	var ptrs [8]*byte
+	var mats [8]uint64
+	for k, d := range dst {
+		ptrs[k], mats[k] = &d[0], gfniMat[c[k]]
+	}
+	addMulsGFNI(&ptrs, len(dst), &src[0], len(src), &mats)
 }
 
 func mulSliceGFNI(dst, src []byte, c byte) {
@@ -92,6 +108,8 @@ func addMulSliceAVX2(dst, src []byte, c byte) {
 	}
 	addMulWords(dst, src, t)
 }
+
+func addMulSlicesAVX2(dst [][]byte, src, c []byte) { addMulEach(addMulSliceAVX2, dst, src, c) }
 
 func mulSliceAVX2(dst, src []byte, c byte) {
 	t := nibblesFor(c)

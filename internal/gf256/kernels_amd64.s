@@ -198,6 +198,124 @@ mul_gfni_done:
 	VZEROUPPER
 	RET
 
+// The multi-destination fold: one source into up to eight destinations,
+// dst[k][i] ^= c[k]·src[i]. The eight matrices are broadcast once (a
+// zero coefficient's is the zero matrix), each 64-byte source chunk is
+// loaded once and multiplied, XORed and stored into every destination in
+// turn, and the last 1–63 bytes run once more under the byte mask, as in
+// addMulGFNI. One offset register indexes the source and all eight
+// destination pointers. Destinations past nd are never touched.
+
+// ADDMULS_STEP folds the source chunk in Z8 times mat into ptr's chunk.
+#define ADDMULS_STEP(mat, ptr) \
+	VGF2P8AFFINEQB $0, mat, Z8, Z9; \
+	VPXORQ         (ptr)(AX*1), Z9, Z9; \
+	VMOVDQU64      Z9, (ptr)(AX*1)
+
+// ADDMULS_TAIL is ADDMULS_STEP for the bytes K1 selects.
+#define ADDMULS_TAIL(mat, ptr) \
+	VMOVDQU8.Z     (ptr)(AX*1), K1, Z10; \
+	VGF2P8AFFINEQB $0, mat, Z8, Z9; \
+	VPXORQ         Z10, Z9, Z9; \
+	VMOVDQU8       Z9, K1, (ptr)(AX*1)
+
+// func addMulsGFNI(dst *[8]*byte, nd int, src *byte, n int, mats *[8]uint64)
+// dst[k][i] ^= c[k]·src[i] for k in [0, nd), i in [0, n); 1 ≤ nd ≤ 8, and
+// src overlaps no destination.
+TEXT ·addMulsGFNI(SB), NOSPLIT, $0-40
+	MOVQ mats+32(FP), AX
+	VPBROADCASTQ 0(AX), Z0
+	VPBROADCASTQ 8(AX), Z1
+	VPBROADCASTQ 16(AX), Z2
+	VPBROADCASTQ 24(AX), Z3
+	VPBROADCASTQ 32(AX), Z4
+	VPBROADCASTQ 40(AX), Z5
+	VPBROADCASTQ 48(AX), Z6
+	VPBROADCASTQ 56(AX), Z7
+
+	MOVQ  n+24(FP), CX
+	MOVQ  CX, DX
+	ANDQ  $63, DX
+	MOVQ  $-1, AX
+	BZHIQ DX, AX, AX             // one mask bit per byte past the last whole chunk
+	KMOVQ AX, K1
+	ANDQ  $-64, CX               // end of the whole chunks
+
+	MOVQ src+16(FP), SI
+	MOVQ nd+8(FP), DX
+	MOVQ dst+0(FP), AX
+	MOVQ 0(AX), DI
+	MOVQ 8(AX), BX
+	MOVQ 16(AX), R8
+	MOVQ 24(AX), R9
+	MOVQ 32(AX), R10
+	MOVQ 40(AX), R11
+	MOVQ 48(AX), R12
+	MOVQ 56(AX), R13
+	XORQ AX, AX                  // byte offset into src and every dst
+
+	CMPQ AX, CX
+	JEQ  addmuls_gfni_tail
+addmuls_gfni_loop:
+	VMOVDQU64 (SI)(AX*1), Z8
+	ADDMULS_STEP(Z0, DI)
+	CMPQ DX, $1
+	JEQ  addmuls_gfni_next
+	ADDMULS_STEP(Z1, BX)
+	CMPQ DX, $2
+	JEQ  addmuls_gfni_next
+	ADDMULS_STEP(Z2, R8)
+	CMPQ DX, $3
+	JEQ  addmuls_gfni_next
+	ADDMULS_STEP(Z3, R9)
+	CMPQ DX, $4
+	JEQ  addmuls_gfni_next
+	ADDMULS_STEP(Z4, R10)
+	CMPQ DX, $5
+	JEQ  addmuls_gfni_next
+	ADDMULS_STEP(Z5, R11)
+	CMPQ DX, $6
+	JEQ  addmuls_gfni_next
+	ADDMULS_STEP(Z6, R12)
+	CMPQ DX, $7
+	JEQ  addmuls_gfni_next
+	ADDMULS_STEP(Z7, R13)
+addmuls_gfni_next:
+	ADDQ $64, AX
+	CMPQ AX, CX
+	JNE  addmuls_gfni_loop
+
+addmuls_gfni_tail:
+	KORTESTQ K1, K1
+	JZ       addmuls_gfni_done
+	VMOVDQU8.Z (SI)(AX*1), K1, Z8
+	ADDMULS_TAIL(Z0, DI)
+	CMPQ DX, $1
+	JEQ  addmuls_gfni_done
+	ADDMULS_TAIL(Z1, BX)
+	CMPQ DX, $2
+	JEQ  addmuls_gfni_done
+	ADDMULS_TAIL(Z2, R8)
+	CMPQ DX, $3
+	JEQ  addmuls_gfni_done
+	ADDMULS_TAIL(Z3, R9)
+	CMPQ DX, $4
+	JEQ  addmuls_gfni_done
+	ADDMULS_TAIL(Z4, R10)
+	CMPQ DX, $5
+	JEQ  addmuls_gfni_done
+	ADDMULS_TAIL(Z5, R11)
+	CMPQ DX, $6
+	JEQ  addmuls_gfni_done
+	ADDMULS_TAIL(Z6, R12)
+	CMPQ DX, $7
+	JEQ  addmuls_gfni_done
+	ADDMULS_TAIL(Z7, R13)
+
+addmuls_gfni_done:
+	VZEROUPPER
+	RET
+
 // func cpuidex(op, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL op+0(FP), AX

@@ -66,6 +66,40 @@ func benchFold(b *testing.B, f func(dst, src []byte, c byte)) {
 	}
 }
 
+// BenchmarkAddMulSlices_8x4KiB is the shape of the decoder's group solve:
+// one 4 KiB source row folded into a group of eight 4 KiB rows, with one
+// AddMulSlices call; the …Ref twin makes the eight AddMulSlice calls it
+// replaces. Bytes are counted per destination.
+func BenchmarkAddMulSlices_8x4KiB(b *testing.B) {
+	benchGroup(b, AddMulSlices)
+}
+
+func BenchmarkAddMulSlicesRef_8x4KiB(b *testing.B) {
+	benchGroup(b, func(dst [][]byte, src, c []byte) {
+		for k, d := range dst {
+			AddMulSlice(d, src, c[k])
+		}
+	})
+}
+
+func benchGroup(b *testing.B, f func(dst [][]byte, src, c []byte)) {
+	const n = 4096
+	src := benchPayload(n, false)
+	dst := make([][]byte, maxSlices)
+	for k := range dst {
+		dst[k] = benchPayload(n+k, false)[:n]
+	}
+	c := make([]byte, maxSlices)
+	b.SetBytes(maxSlices * n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range c {
+			c[k] = byte(2 + (i+k)%253)
+		}
+		f(dst, src, c)
+	}
+}
+
 func BenchmarkAddMulSliceRef_4B(b *testing.B)    { benchAddMul(b, 4, false, AddMulSliceRef) }
 func BenchmarkAddMulSliceRef_8B(b *testing.B)    { benchAddMul(b, 8, false, AddMulSliceRef) }
 func BenchmarkAddMulSliceRef_17B(b *testing.B)   { benchAddMul(b, 17, false, AddMulSliceRef) }

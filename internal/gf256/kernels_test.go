@@ -114,6 +114,93 @@ func TestEveryKernelMatchesRef(t *testing.T) {
 	})
 }
 
+// TestEveryKernelAddMulSlicesMatchesRef is TestEveryKernelMatchesRef for
+// AddMulSlices: every tier, 1–8 destinations, coefficient sets with zeros,
+// ones and repeats, every length 0…321 and every start offset within a
+// 64-byte block. Each destination sits at its own offset between guard
+// bytes that must come back untouched, and must equal the scalar
+// reference's products XORed in.
+func TestEveryKernelAddMulSlicesMatchesRef(t *testing.T) {
+	const maxLen, offsets, guard = 321, 64, 64
+	const region = guard + offsets + maxLen + guard
+	offStep := 1
+	if raceEnabled {
+		offStep = 9
+	}
+	rng := rand.New(rand.NewSource(49))
+	src := make([]byte, offsets+maxLen)
+	rng.Read(src)
+	template := make([]byte, maxSlices*region)
+	rng.Read(template)
+	coeffSets := [][maxSlices]byte{
+		{0x53, 0x02, 0xca, 0x8e, 0x1d, 0xff, 0x37, 0x80}, // distinct
+		{0, 1, 0x53, 0, 1, 0x1d, 0, 0xff},                // zeros and ones
+		{0x9a, 0x9a, 0x9a, 0x9a, 0x9a, 0x9a, 0x9a, 0x9a}, // one repeated
+		{0, 0, 0, 0, 0, 0, 0, 0},                         // nothing to fold
+	}
+
+	forEachKernel(t, func(t *testing.T) {
+		got := append([]byte(nil), template...)
+		want := append([]byte(nil), template...)
+		prod := make([]byte, len(src))
+		dst := make([][]byte, maxSlices)
+		for _, cs := range coeffSets {
+			for nd := 1; nd <= maxSlices; nd++ {
+				for n := 0; n <= maxLen; n++ {
+					for off := 0; off < offsets; off += offStep {
+						so := offsets - 1 - off // src and dst alignments differ
+						s := src[so : so+n]
+						for k := range nd {
+							lo := k*region + guard + (off+7*k)%offsets
+							dst[k] = got[lo : lo+n]
+							MulSliceRef(prod[:n], s, cs[k])
+							subtle.XORBytes(want[lo:lo+n], want[lo:lo+n], prod[:n])
+						}
+						AddMulSlices(dst[:nd], s, cs[:nd])
+						if !bytes.Equal(got, want) {
+							t.Fatalf("AddMulSlices(c=%x, n=%d, offset=%d) diverges from reference", cs[:nd], n, off)
+						}
+						for k := range nd {
+							lo := k*region + guard + (off+7*k)%offsets
+							copy(got[lo:lo+n], template[lo:lo+n])
+							copy(want[lo:lo+n], template[lo:lo+n])
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestAddSliceEveryKernel checks AddSlice and AddMulSlice with c = 1 — a
+// kernel call from the tier's min bytes on — against a plain XOR on every
+// tier, for every length 0…321.
+func TestAddSliceEveryKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	src := make([]byte, 321)
+	rng.Read(src)
+	init := make([]byte, len(src))
+	rng.Read(init)
+	forEachKernel(t, func(t *testing.T) {
+		for n := 0; n <= len(src); n++ {
+			want := make([]byte, n)
+			for i := range want {
+				want[i] = init[i] ^ src[i]
+			}
+			for name, f := range map[string]func(dst, src []byte){
+				"AddSlice":       AddSlice,
+				"AddMulSlice(1)": func(dst, src []byte) { AddMulSlice(dst, src, 1) },
+			} {
+				dst := append([]byte(nil), init[:n]...)
+				f(dst, src[:n])
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("%s(n=%d) is not the XOR of its inputs", name, n)
+				}
+			}
+		}
+	})
+}
+
 // TestAddMulSliceMatchesGeneric drives the dispatching AddMulSlice across
 // lengths that exercise the SIMD bulk loops, their tails (masked, word and
 // byte) and the short-slice generic path, and cross-checks every byte

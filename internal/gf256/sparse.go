@@ -89,3 +89,22 @@ func LastNonzero(v []byte, from int) int {
 	}
 	return from - 1
 }
+
+// CountNonzero returns how many bytes of v are nonzero, a word at a time.
+func CountNonzero(v []byte) int {
+	const low7 = 0x7f7f7f7f7f7f7f7f
+	n, i := 0, 0
+	for ; i+8 <= len(v); i += 8 {
+		w := binary.LittleEndian.Uint64(v[i:])
+		// Bit 7 of a byte of hi is set when the byte is nonzero: its low
+		// seven bits carry into bit 7 if any is set, and w supplies bit 7.
+		hi := ((w & low7) + low7 | w) &^ low7
+		n += int((hi >> 7) * 0x0101010101010101 >> 56) // the sum of the 0/1 bytes
+	}
+	for ; i < len(v); i++ {
+		if v[i] != 0 {
+			n++
+		}
+	}
+	return n
+}

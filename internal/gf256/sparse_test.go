@@ -129,3 +129,40 @@ func TestLastNonzero(t *testing.T) {
 		t.Errorf("LastNonzero(nil) = %d, want -1", got)
 	}
 }
+
+// TestCountNonzero checks the word-at-a-time count against a byte loop:
+// every byte value at every position of a 17-byte vector (a word, a word
+// and a tail), then random vectors of mixed zero runs.
+func TestCountNonzero(t *testing.T) {
+	count := func(v []byte) int {
+		n := 0
+		for _, x := range v {
+			if x != 0 {
+				n++
+			}
+		}
+		return n
+	}
+	v := make([]byte, 17)
+	for pos := range v {
+		for b := 0; b < 256; b++ {
+			v[pos] = byte(b)
+			if got, want := CountNonzero(v), count(v); got != want {
+				t.Fatalf("CountNonzero with %#02x at %d = %d, want %d", b, pos, got, want)
+			}
+		}
+		v[pos] = 0
+	}
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 300; trial++ {
+		v := make([]byte, rng.Intn(70))
+		for j := range v {
+			if rng.Intn(3) == 0 {
+				v[j] = byte(1 + rng.Intn(255))
+			}
+		}
+		if got, want := CountNonzero(v), count(v); got != want {
+			t.Fatalf("CountNonzero(%v) = %d, want %d", v, got, want)
+		}
+	}
+}

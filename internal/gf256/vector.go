@@ -56,15 +56,46 @@ func AddMulSlice(dst, src []byte, c byte) {
 	if c == 0 {
 		return
 	}
-	if c == 1 {
-		AddSlice(dst, src)
-		return
-	}
 	if len(dst) >= active.min {
 		active.addMul(dst, src, c)
 		return
 	}
+	if c == 1 {
+		addSliceGeneric(dst, src)
+		return
+	}
 	addMulSliceGeneric(dst, src, c)
+}
+
+// maxSlices is the most destinations one AddMulSlices call takes.
+const maxSlices = 8
+
+// AddMulSlices sets dst[k][i] ^= c[k] * src[i] for every k and i: one
+// source folded into up to 8 destinations, the shape of a triangular
+// solve that holds a group of rows. On the gfni-avx512 tier each chunk of
+// src is loaded once for all of them; elsewhere it is one AddMulSlice per
+// destination, and the bytes are the same either way. c has one entry per
+// destination, every destination is as long as src, and src must not
+// overlap any destination.
+func AddMulSlices(dst [][]byte, src, c []byte) {
+	if len(dst) != len(c) || len(dst) > maxSlices {
+		panic("gf256: AddMulSlices needs one coefficient per destination, at most 8")
+	}
+	for _, d := range dst {
+		if len(d) != len(src) {
+			panic("gf256: AddMulSlices length mismatch")
+		}
+	}
+	if len(dst) == 0 {
+		return
+	}
+	if len(src) >= active.min {
+		active.addMuls(dst, src, c)
+		return
+	}
+	for k, d := range dst {
+		AddMulSlice(d, src, c[k])
+	}
 }
 
 // addMulSliceGeneric is the scalar log/exp kernel behind AddMulSlice,
@@ -113,35 +144,31 @@ func AddMulSliceRef(dst, src []byte, c byte) {
 		return
 	}
 	if c == 1 {
-		AddSlice(dst, src)
+		addSliceGeneric(dst, src)
 		return
 	}
 	addMulSliceGeneric(dst, src, c)
 }
 
 // AddSlice sets dst[i] ^= src[i] for all i. dst and src must have the same
-// length.
+// length. It is AddMulSlice with c = 1: from the active kernel's min
+// bytes on, the kernel runs it (on gfni-avx512 as multiplication by the
+// identity matrix).
 func AddSlice(dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf256: AddSlice length mismatch")
 	}
-	// Manual 8-way unroll; the compiler eliminates bounds checks on the
-	// word-sized chunks.
-	n := len(dst)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		d := dst[i : i+8 : i+8]
-		s := src[i : i+8 : i+8]
-		d[0] ^= s[0]
-		d[1] ^= s[1]
-		d[2] ^= s[2]
-		d[3] ^= s[3]
-		d[4] ^= s[4]
-		d[5] ^= s[5]
-		d[6] ^= s[6]
-		d[7] ^= s[7]
+	if len(dst) >= active.min {
+		active.addMul(dst, src, 1)
+		return
 	}
-	for ; i < n; i++ {
+	addSliceGeneric(dst, src)
+}
+
+// addSliceGeneric is the byte loop behind AddSlice, kept for short slices
+// and as the reference for c = 1.
+func addSliceGeneric(dst, src []byte) {
+	for i := range dst {
 		dst[i] ^= src[i]
 	}
 }
